@@ -26,6 +26,11 @@ class GroupValidationError(ValueError):
     """An algebra description violates a structural requirement."""
 
 
+def _is_index(value) -> bool:
+    """An integer in the JSON sense: int, but not bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class AntisymmetryViolation(GroupValidationError):
     pass
 
@@ -58,7 +63,9 @@ def spec_from_dict(doc: Mapping) -> GradedAlgebraSpec:
     """Parse the JSON object format {"layers": [...], "brackets": [...]}.
 
     Bracket entries are objects {"i": 1, "j": 2, "k": 3, "c": "1/2"} with
-    rational strings (plain integers are accepted too).
+    rational strings (plain integers are accepted too).  Layer dimensions
+    and indices must be integers; floats, strings and booleans are
+    rejected rather than coerced.
     """
     if not isinstance(doc, Mapping):
         raise GroupValidationError("algebra document must be a JSON object")
@@ -67,18 +74,20 @@ def spec_from_dict(doc: Mapping) -> GradedAlgebraSpec:
         raise GroupValidationError(f"unknown keys in algebra document: {sorted(unknown)}")
     layers = doc.get("layers")
     if (not isinstance(layers, Sequence) or isinstance(layers, str) or not layers
-            or not all(isinstance(d, int) and d > 0 for d in layers)):
+            or not all(_is_index(d) and d > 0 for d in layers)):
         raise GroupValidationError("'layers' must be a nonempty list of positive integers")
     entries = []
     for raw in doc.get("brackets", []):
         if not isinstance(raw, Mapping) or set(raw) != {"i", "j", "k", "c"}:
             raise GroupValidationError(f"bad bracket entry: {raw!r}")
+        if not all(_is_index(raw[key]) for key in ("i", "j", "k")):
+            raise GroupValidationError(f"bracket indices must be integers: {raw!r}")
         try:
             c = _as_fraction(raw["c"])
         except (TypeError, ValueError) as exc:
             raise GroupValidationError(f"bracket coefficient must be rational: {raw['c']!r}") from exc
-        entries.append((int(raw["i"]), int(raw["j"]), int(raw["k"]), c))
-    return GradedAlgebraSpec(tuple(int(d) for d in layers), tuple(entries))
+        entries.append((raw["i"], raw["j"], raw["k"], c))
+    return GradedAlgebraSpec(tuple(layers), tuple(entries))
 
 
 def spec_from_json(text: str) -> GradedAlgebraSpec:

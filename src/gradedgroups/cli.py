@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import fixtures
+from . import __version__, fixtures
 from .algebra import GroupValidationError, spec_from_json, validate_algebra
 from .curve import curve_from_samples, degree_profile
 from .group import GroupLaw, bch_group_law
@@ -31,9 +31,6 @@ from .measure import (NumericalResolutionError, area_formula_residual,
                       blowup_sequence, covering_values, density_divergence,
                       negligibility_estimate)
 from .metric import HomogeneousDistance, triangle_audit
-
-VERSION = "0.1.0"
-
 
 class ConfigError(ValueError):
     """The run configuration is malformed or inconsistent."""
@@ -366,7 +363,7 @@ _RUNNERS = {
 def run_config(cfg) -> dict:
     resolved = resolve_config(cfg)
     result = _RUNNERS[resolved["op"]](resolved)
-    return {"version": VERSION, "config": _jsonable(resolved),
+    return {"version": __version__, "config": _jsonable(resolved),
             "result": _jsonable(result)}
 
 

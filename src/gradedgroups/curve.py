@@ -19,6 +19,7 @@ import numpy as np
 
 from .frame import FrameCoordinates, METRIC_EUCLIDEAN, METRIC_LEFT, _normalize_metric, speed
 from .group import GroupLaw
+from .roots import bisect
 
 
 class ZeroVelocityError(ValueError):
@@ -29,9 +30,11 @@ class ZeroVelocityError(ValueError):
 class Curve:
     """Parametrized curve with explicit velocity.
 
-    position/velocity take a float (or an ndarray of parameters, for the
-    vectorized fixtures) and return points of length n.  The domain is an
-    open interval; operations clip slightly inside it.
+    position/velocity take a float or an ndarray of parameters of shape
+    (...) and return an array of shape (..., n), one point per parameter.
+    ``positions``/``velocities`` raise ValueError when a callable returns
+    any other shape.  The domain is an open interval; operations clip
+    slightly inside it.
     """
 
     domain: tuple
@@ -48,13 +51,12 @@ class Curve:
         return np.asarray(self.velocity(float(t)), dtype=float).reshape(self.n)
 
     def _batch(self, fn, ts: np.ndarray) -> np.ndarray:
-        try:
-            out = np.asarray(fn(ts), dtype=float)
-            if out.shape == ts.shape + (self.n,):
-                return out
-        except Exception:
-            pass
-        return np.stack([np.asarray(fn(float(t)), dtype=float).reshape(self.n) for t in ts])
+        out = np.asarray(fn(ts), dtype=float)
+        if out.shape != ts.shape + (self.n,):
+            raise ValueError(f"curve {self.name!r} returned shape {out.shape} for "
+                             f"parameters of shape {ts.shape}; expected "
+                             f"{ts.shape + (self.n,)}")
+        return out
 
     def positions(self, ts) -> np.ndarray:
         return self._batch(self.position, np.asarray(ts, dtype=float))
@@ -91,22 +93,33 @@ def curve_from_samples(samples, n: int, name: str = "") -> Curve:
 # -- degrees -----------------------------------------------------------------
 
 
+def _degrees(law: GroupLaw, ts, pos, vel, tol_rel: float):
+    """Frame coordinates of the velocities and the pointwise degrees.
+
+    ``pos`` and ``vel`` have shape (..., n) over parameters ``ts`` of shape
+    (...).  A component counts when |lam_j| > tol_rel * |lam|; the degree
+    is the largest layer with a counting component.
+    """
+    still = (vel * vel).sum(axis=-1) == 0.0
+    if still.any():
+        raise ZeroVelocityError(f"velocity vanishes at t = {np.asarray(ts)[still][0]}")
+    lam = law.frame.coordinates(pos, vel)
+    scale = np.sqrt((lam * lam).sum(axis=-1, keepdims=True))
+    degs = np.where(np.abs(lam) > tol_rel * scale, law.degrees, 0).max(axis=-1)
+    if (degs == 0).any():
+        raise ValueError(f"tol_rel = {tol_rel} discards every frame component "
+                         f"at t = {np.asarray(ts)[degs == 0][0]}")
+    return lam, degs
+
+
 def pointwise_degree(law: GroupLaw, curve: Curve, t: float, tol_rel: float = 1e-8) -> int:
     """Largest layer whose frame component of the velocity is non-negligible.
 
     A component counts when |lam_j| > tol_rel * |lam|.  Zero velocity is an
     error: the degree of a point is defined through a nonvanishing tangent.
     """
-    v = curve.velocity_at(t)
-    if float(np.linalg.norm(v)) == 0.0:
-        raise ZeroVelocityError(f"velocity vanishes at t = {t}")
-    lam = law.frame.coordinates(curve.position_at(t), v)
-    scale = float(np.linalg.norm(lam))
-    best = 0
-    for j, d in enumerate(law.degrees):
-        if abs(lam[j]) > tol_rel * scale and d > best:
-            best = d
-    return best
+    _, deg = _degrees(law, t, curve.position_at(t), curve.velocity_at(t), tol_rel)
+    return int(deg)
 
 
 @dataclass(frozen=True)
@@ -121,45 +134,26 @@ class DegreeProfile:
 
 
 def degree_profile(law: GroupLaw, curve: Curve, grid_points: int = 512,
-                   tol_rel: float = 1e-8, refine: bool = True) -> DegreeProfile:
+                   tol_rel: float = 1e-8) -> DegreeProfile:
     """Sample the degree along the curve and locate the low-degree set.
 
     The low-degree set is reported as closed parameter intervals around
-    grid runs of submaximal degree; with ``refine`` the interval ends are
-    sharpened by bisection between neighboring grid points.  Features
-    narrower than a grid cell that sit strictly between grid points can
-    be missed, which is the usual resolution caveat of a sampled scan.
+    grid runs of submaximal degree, with the interval ends sharpened by
+    bisection between neighboring grid points.  Features narrower than a
+    grid cell that sit strictly between grid points can be missed, which
+    is the usual resolution caveat of a sampled scan.
     """
     a, b = curve.domain
     inset = 1e-9 * curve.span()
     ts = np.linspace(a + inset, b - inset, grid_points + 1)
-    frame = law.frame
-    pos = curve.positions(ts)
-    vel = curve.velocities(ts)
-    lam = np.empty_like(vel)
-    degs = np.empty(len(ts), dtype=int)
-    degarr = np.array(law.degrees)
-    for i in range(len(ts)):
-        if float(np.linalg.norm(vel[i])) == 0.0:
-            raise ZeroVelocityError(f"velocity vanishes at t = {ts[i]}")
-        lam[i] = frame.coordinates(pos[i], vel[i])
-        mask = np.abs(lam[i]) > tol_rel * float(np.linalg.norm(lam[i]))
-        degs[i] = int(degarr[mask].max())
+    lam, degs = _degrees(law, ts, curve.positions(ts), curve.velocities(ts), tol_rel)
     top = int(degs.max())
-
-    def deg_at(t: float) -> int:
-        return pointwise_degree(law, curve, t, tol_rel)
+    width = 1e-12 * curve.span()
 
     def edge_between(t_full: float, t_low: float) -> float:
         # bisect the jump; returns a parameter on the low side of the edge
-        for _ in range(60):
-            mid = 0.5 * (t_full + t_low)
-            if deg_at(mid) < top:
-                t_low = mid
-            else:
-                t_full = mid
-            if abs(t_full - t_low) < 1e-12 * curve.span():
-                break
+        t_low, _ = bisect(lambda t: pointwise_degree(law, curve, t, tol_rel) < top,
+                          t_low, t_full, lambda lo, hi: width, 60)
         return t_low
 
     intervals = []
@@ -171,13 +165,8 @@ def degree_profile(law: GroupLaw, curve: Curve, grid_points: int = 512,
         j = i
         while j + 1 < len(ts) and degs[j + 1] < top:
             j += 1
-        lo = ts[i]
-        hi = ts[j]
-        if refine:
-            if i > 0:
-                lo = edge_between(ts[i - 1], ts[i])
-            if j + 1 < len(ts):
-                hi = edge_between(ts[j + 1], ts[j])
+        lo = edge_between(ts[i - 1], ts[i]) if i > 0 else ts[i]
+        hi = edge_between(ts[j + 1], ts[j]) if j + 1 < len(ts) else ts[j]
         intervals.append((float(lo), float(hi)))
         i = j + 1
 
@@ -239,10 +228,8 @@ def adapted_basis(law: GroupLaw, curve: Curve, t0: float, q: int,
     alg = law.algebra
     if not 1 <= q <= alg.step:
         raise ValueError(f"layer {q} out of range")
-    x = curve.position_at(t0)
-    v = curve.velocity_at(t0)
-    lam = law.frame.coordinates(x, v)
-    if pointwise_degree(law, curve, t0, tol_rel) != q:
+    lam, deg = _degrees(law, t0, curve.position_at(t0), curve.velocity_at(t0), tol_rel)
+    if deg != q:
         raise ValueError(f"t0 = {t0} does not have degree {q}; adapted basis undefined")
     sl = alg.layer_slice(q)
     block = lam[sl]
@@ -287,17 +274,12 @@ def translate_curve(law: GroupLaw, z, curve: Curve) -> Curve:
     """Left translation t -> z * gamma(t), with the pushed-forward velocity."""
     z = np.asarray(z, dtype=float)
 
-    def position(ts):
-        pts = curve.positions(np.asarray(ts, dtype=float)) if np.ndim(ts) else curve.position_at(ts)
-        return law.multiply(z, pts)
-
     def velocity(t):
-        if np.ndim(t):
-            return np.stack([velocity(float(s)) for s in np.asarray(t, float)])
-        y = curve.position_at(t)
-        return law.left_jacobian(z, y) @ curve.velocity_at(t)
+        jac = law.left_jacobian(z, curve.positions(t))
+        return np.einsum("...ij,...j->...i", jac, curve.velocities(t))
 
-    return Curve(domain=curve.domain, n=curve.n, position=position, velocity=velocity,
+    return Curve(domain=curve.domain, n=curve.n,
+                 position=lambda t: law.multiply(z, curve.positions(t)), velocity=velocity,
                  name=f"{curve.name}+translated" if curve.name else "translated",
                  description=curve.description)
 
@@ -309,10 +291,8 @@ def dilate_curve(law: GroupLaw, s: float, curve: Curve) -> Curve:
     weights = np.array([float(s) ** d for d in law.degrees])
 
     return Curve(domain=curve.domain, n=curve.n,
-                 position=lambda t: curve.positions(np.asarray(t, float)) * weights
-                 if np.ndim(t) else curve.position_at(t) * weights,
-                 velocity=lambda t: curve.velocities(np.asarray(t, float)) * weights
-                 if np.ndim(t) else curve.velocity_at(t) * weights,
+                 position=lambda t: curve.positions(t) * weights,
+                 velocity=lambda t: curve.velocities(t) * weights,
                  name=f"{curve.name}+dilated" if curve.name else "dilated",
                  description=curve.description)
 
@@ -322,10 +302,8 @@ def linear_image_curve(m: np.ndarray, curve: Curve) -> Curve:
     m = np.asarray(m, dtype=float)
 
     return Curve(domain=curve.domain, n=curve.n,
-                 position=lambda t: curve.positions(np.asarray(t, float)) @ m.T
-                 if np.ndim(t) else m @ curve.position_at(t),
-                 velocity=lambda t: curve.velocities(np.asarray(t, float)) @ m.T
-                 if np.ndim(t) else m @ curve.velocity_at(t),
+                 position=lambda t: curve.positions(t) @ m.T,
+                 velocity=lambda t: curve.velocities(t) @ m.T,
                  name=f"{curve.name}+mapped" if curve.name else "mapped",
                  description=curve.description)
 
@@ -338,21 +316,19 @@ def recentered_curve(law: GroupLaw, curve: Curve, t0: float,
     new parameter h is the old t0.
     """
     x0inv = -curve.position_at(t0)
-    rt = None if rotation is None else np.asarray(rotation, dtype=float).T
+    rot = None if rotation is None else np.asarray(rotation, dtype=float)
+
+    def rotated(p):
+        # row vectors times R are the columns R^T p
+        return p if rot is None else p @ rot
 
     def position(h):
-        if np.ndim(h):
-            pts = law.multiply(x0inv, curve.positions(np.asarray(h, float) + t0))
-            return pts if rt is None else pts @ rt.T
-        p = law.multiply(x0inv, curve.position_at(t0 + h))
-        return p if rt is None else rt @ p
+        return rotated(law.multiply(x0inv, curve.positions(np.add(h, t0))))
 
     def velocity(h):
-        if np.ndim(h):
-            return np.stack([velocity(float(s)) for s in np.asarray(h, float)])
-        y = curve.position_at(t0 + h)
-        v = law.left_jacobian(x0inv, y) @ curve.velocity_at(t0 + h)
-        return v if rt is None else rt @ v
+        ts = np.add(h, t0)
+        jac = law.left_jacobian(x0inv, curve.positions(ts))
+        return rotated(np.einsum("...ij,...j->...i", jac, curve.velocities(ts)))
 
     a, b = curve.domain
     return Curve(domain=(a - t0, b - t0), n=curve.n, position=position,

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .group import GroupLaw
+from .group import GroupLaw, _leading
 
 METRIC_LEFT = "left"
 METRIC_EUCLIDEAN = "euclidean"
@@ -66,18 +66,24 @@ class Frame:
         return a
 
     def coordinates(self, x, v) -> np.ndarray:
-        """Solve A(x) lam = v by forward substitution in degree order."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.n,):
-            raise ValueError(f"expected an ambient vector of length {self.n}")
+        """Solve A(x) lam = v by forward substitution in degree order.
+
+        x and v have shape (..., n) and broadcast against each other; lam
+        has their broadcast shape.
+        """
         x = np.asarray(x, dtype=float)
-        cols = [x[i] for i in range(self.n)]
-        lam = v.astype(float).copy()
+        v = np.asarray(v, dtype=float)
+        if x.shape[-1:] != (self.n,) or v.shape[-1:] != (self.n,):
+            raise ValueError(f"expected points and vectors of length {self.n}")
+        cols = list(_leading(x))
+        lam = np.empty(np.broadcast(x, v).shape)
+        lam[...] = v
+        rows = _leading(lam)    # rows[l] is lam[..., l]; a float for one point
         for l in range(self.n):
             for j in range(l):
                 fn = self._fns.get((l, j))
                 if fn is not None:
-                    lam[l] -= fn(cols) * lam[j]
+                    rows[l] -= fn(cols) * rows[j]
         return lam
 
     def reconstruct(self, x, lam) -> np.ndarray:

@@ -31,6 +31,12 @@ class DimensionMismatch(ValueError):
     pass
 
 
+def _leading(a: np.ndarray, k: int = 1) -> np.ndarray:
+    """View of ``a`` with its last k axes first; a single point indexes to floats."""
+    nd = a.ndim
+    return a.transpose(tuple(range(nd - k, nd)) + tuple(range(nd - k)))
+
+
 @lru_cache(maxsize=None)
 def _dynkin_word_coefficients(depth: int) -> dict:
     """Rational coefficient per letter word (0 = x, 1 = y), lengths <= depth.
@@ -173,7 +179,7 @@ class GroupLaw:
         if x.shape[-1] != self.n or y.shape[-1] != self.n:
             raise DimensionMismatch(
                 f"points must have {self.n} coordinates, got {x.shape} and {y.shape}")
-        return x, y, [x[..., i] for i in range(self.n)] + [y[..., i] for i in range(self.n)]
+        return x, y, [*_leading(x), *_leading(y)]
 
     def multiply(self, x, y):
         x, y, cols = self._columns(x, y)
@@ -191,14 +197,19 @@ class GroupLaw:
         return x * scale
 
     def left_jacobian(self, x, y):
-        """Jacobian of y -> x * y, an n x n array (identity plus dQ/dy)."""
-        _, _, cols = self._columns(np.asarray(x, float), np.asarray(y, float))
-        jac = np.eye(self.n)
+        """Jacobian of y -> x * y (identity plus dQ/dy), shape (..., n, n).
+
+        x and y have shape (..., n) and broadcast against each other.
+        """
+        x, y, cols = self._columns(x, y)
+        jac = np.empty(np.broadcast(x, y).shape[:-1] + (self.n, self.n))
+        jac[...] = np.eye(self.n)
+        entries = _leading(jac, 2)    # entries[a, b] is jac[..., a, b]
         for a in range(self.n):
             for b in range(self.n):
                 p = self._dq_polys[a][b]
                 if p.terms:
-                    jac[a, b] += self._dq_fns[a][b](cols)
+                    entries[a, b] += self._dq_fns[a][b](cols)
         return jac
 
     # -- exact path ---------------------------------------------------------

@@ -27,7 +27,8 @@ from scipy.integrate import quad
 from .curve import (Curve, DegreeProfile, degree_profile, pointwise_degree,
                     tangent_projection)
 from .frame import METRIC_EUCLIDEAN, METRIC_LEFT, _normalize_metric, speed
-from .metric import HomogeneousDistance, degree_constant, map_ordered
+from .metric import HomogeneousDistance, degree_constant
+from .roots import bisect
 
 
 class NumericalResolutionError(RuntimeError):
@@ -59,19 +60,8 @@ def _length_over_intervals(law, curve, intervals, metric, tol=1e-9) -> float:
 
 # -- parameter sets cut out by balls --------------------------------------------
 
-
-def _bisect_edge(f: Callable[[float], float], lo: float, hi: float,
-                 inside_lo: bool, iters: int = 60) -> float:
-    """Root of f between lo and hi; f(lo) side is 'inside' (negative)."""
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if (f(mid) < 0.0) == inside_lo:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(lo)):
-            break
-    return 0.5 * (lo + hi)
+# scan grid density of ball_param_set, in points per unit of parameter
+GRID_PER_UNIT = 4096
 
 
 @dataclass(frozen=True)
@@ -83,8 +73,7 @@ class BallIntersection:
     center_parameter: float
 
 
-def ball_param_set(dist: HomogeneousDistance, curve: Curve, t0: float, r: float,
-                   grid_per_unit: int = 4096):
+def ball_param_set(dist: HomogeneousDistance, curve: Curve, t0: float, r: float):
     """Parameter set {t : d(gamma(t0), gamma(t)) < r} as intervals.
 
     Open versus closed balls only differ on a measure-zero boundary, so a
@@ -96,14 +85,18 @@ def ball_param_set(dist: HomogeneousDistance, curve: Curve, t0: float, r: float,
     x0 = curve.position_at(t0)
     dfun = dist.distance_from(x0)
 
-    m = max(257, int(grid_per_unit * (b - a)) + 1)
+    m = max(257, int(GRID_PER_UNIT * (b - a)) + 1)
     ts = np.linspace(a, b, m)
     ts = np.unique(np.concatenate([ts, [t0]]))
-    dvals = dist.norm(dist.law.multiply(-x0, curve.positions(ts))) - r
-    inside = dvals < 0.0
+    inside = dist.norm(dist.law.multiply(-x0, curve.positions(ts))) < r
 
-    def f(t: float) -> float:
-        return dfun(curve.position_at(t)) - r
+    def in_ball(t: float) -> bool:
+        return dfun(curve.position_at(t)) < r
+
+    def edge(inside_end: float, outside_end: float, in_set) -> float:
+        lo, hi = bisect(in_set, inside_end, outside_end,
+                        lambda p, q: 1e-15 * max(1.0, abs(min(p, q))), 60)
+        return 0.5 * (lo + hi)
 
     # the central component: expand outward from t0, where d = 0
     def expand(direction: int) -> float:
@@ -111,13 +104,12 @@ def ball_param_set(dist: HomogeneousDistance, curve: Curve, t0: float, r: float,
         span = abs(limit - t0)
         lo = 0.0
         h = span * 1e-9 + 1e-300
-        while h < span and f(t0 + direction * h) < 0.0:
+        while h < span and in_ball(t0 + direction * h):
             lo = h
             h = min(h * 2.0, span)
-        if h >= span and f(t0 + direction * span) < 0.0:
+        if h >= span and in_ball(t0 + direction * span):
             return limit
-        return t0 + direction * _bisect_edge(
-            lambda s: f(t0 + direction * s), lo, h, True)
+        return t0 + direction * edge(lo, h, lambda s: in_ball(t0 + direction * s))
 
     left = expand(-1)
     right = expand(+1)
@@ -125,7 +117,8 @@ def ball_param_set(dist: HomogeneousDistance, curve: Curve, t0: float, r: float,
     edges = []
     for i in range(len(ts) - 1):
         if inside[i] != inside[i + 1]:
-            edges.append(_bisect_edge(f, ts[i], ts[i + 1], bool(inside[i])))
+            ends = (ts[i], ts[i + 1]) if inside[i] else (ts[i + 1], ts[i])
+            edges.append(edge(*ends, in_ball))
     intervals = []
     open_at = ts[0] if inside[0] else None
     for e in edges:
@@ -151,10 +144,9 @@ def ball_param_set(dist: HomogeneousDistance, curve: Curve, t0: float, r: float,
 
 
 def ball_intersection_measure(dist: HomogeneousDistance, curve: Curve, t0: float,
-                              r: float, metric: str = METRIC_EUCLIDEAN,
-                              grid_per_unit: int = 4096) -> BallIntersection:
+                              r: float, metric: str = METRIC_EUCLIDEAN) -> BallIntersection:
     """Measure of the curve piece inside the ball around gamma(t0)."""
-    intervals, truncated = ball_param_set(dist, curve, t0, r, grid_per_unit)
+    intervals, truncated = ball_param_set(dist, curve, t0, r)
     total = _length_over_intervals(dist.law, curve, intervals, metric)
     return BallIntersection(measure=total, intervals=intervals, truncated=truncated,
                             radius=r, center_parameter=t0)
@@ -194,13 +186,9 @@ def blowup_sequence(dist: HomogeneousDistance, curve: Curve, t0: float,
     proj, mag = tangent_projection(law, curve, t0, q, metric)
     predicted = metric_factor(dist, proj) / mag
 
-    def one(r: float):
-        bi = ball_intersection_measure(dist, curve, t0, r, metric)
-        return bi.measure / r ** q, bi.truncated
-
-    results = map_ordered(one, list(radii))
-    ratios = tuple(v for v, _ in results)
-    truncated = any(t for _, t in results)
+    balls = [ball_intersection_measure(dist, curve, t0, r, metric) for r in radii]
+    ratios = tuple(bi.measure / r ** q for bi, r in zip(balls, radii))
+    truncated = any(bi.truncated for bi in balls)
     diagnostic = abs(ratios[-1] - predicted) / predicted
     return BlowupReport(t0=t0, q=q, radii=tuple(float(r) for r in radii),
                         ratios=ratios, predicted=predicted,
@@ -235,10 +223,8 @@ def density_divergence(dist: HomogeneousDistance, curve: Curve, t0: float,
         raise ValueError(
             f"t0 = {t0} realizes the full degree {q}; the ratio does not diverge here")
 
-    def one(r: float) -> float:
-        return ball_intersection_measure(dist, curve, t0, r, metric).measure / r ** q
-
-    ratios = tuple(map_ordered(one, list(radii)))
+    ratios = tuple(ball_intersection_measure(dist, curve, t0, r, metric).measure / r ** q
+                   for r in radii)
     slope = float(np.polyfit(np.log(list(radii)), np.log(ratios), 1)[0])
     return DivergenceReport(t0=t0, q=q, radii=tuple(float(r) for r in radii),
                             ratios=ratios, slope=slope,
@@ -281,15 +267,15 @@ def _forward_reach(dfun_from: Callable[[float], float], start: float, cap: float
             return cap
         lo = hi
         hi = min(2.0 * hi, width)
-    # tight tolerance: the per-ball shortfall accumulates over the whole walk
-    while hi - lo > 1e-12 * lo + 1e-16:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if dfun_from(start + mid) <= r:
-            lo = mid
-        else:
-            hi = mid
+
+    # tight tolerance: the per-ball shortfall accumulates over the whole walk.
+    # The bracket [lo, hi] has hi <= 2 lo, so it meets the tolerance within
+    # about 41 halvings; 64 is never reached.
+    def tol(lo: float, hi: float) -> float:
+        return 1e-12 * lo + 1e-16
+
+    if hi - lo > tol(lo, hi):
+        lo, _ = bisect(lambda s: dfun_from(start + s) <= r, lo, hi, tol, 64)
     return start + lo
 
 

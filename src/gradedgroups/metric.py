@@ -15,8 +15,6 @@ and the sampled ball-box comparison constants.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -24,24 +22,7 @@ import numpy as np
 
 from .frame import FrameCoordinates
 from .group import GroupLaw
-
-
-def worker_count() -> int:
-    """Parallel width for embarrassingly parallel sweeps (CARNOT_THREADS)."""
-    raw = os.environ.get("CARNOT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def map_ordered(fn: Callable, items: Sequence):
-    """Map preserving order; uses a thread pool only when configured."""
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+from .roots import bisect
 
 
 @dataclass(frozen=True)
@@ -141,8 +122,12 @@ class TriangleAudit:
         return self.max_ratio <= 1.0 + 1e-12
 
 
+# triples drawn and scored per batch by triangle_audit
+AUDIT_CHUNK = 65536
+
+
 def triangle_audit(dist: HomogeneousDistance, samples: int = 100_000,
-                   seed: int = 0, chunk: int = 65536) -> TriangleAudit:
+                   seed: int = 0) -> TriangleAudit:
     """Largest observed d(x,z) / (d(x,y) + d(y,z)) over random triples.
 
     Points are drawn coordinate-wise uniform on [-1, 1], then dilated by a
@@ -154,17 +139,14 @@ def triangle_audit(dist: HomogeneousDistance, samples: int = 100_000,
     degrees = np.array(law.degrees, dtype=float)
     rng = np.random.default_rng(seed)
 
-    batches = []
+    best, witness = 0.0, None
     left = samples
     while left > 0:
-        m = min(chunk, left)
+        m = min(AUDIT_CHUNK, left)
         pts = rng.uniform(-1.0, 1.0, size=(3, m, n))
         scales = np.exp(rng.uniform(math.log(0.25), math.log(4.0), size=(3, m)))
         pts *= scales[..., None] ** degrees
-        batches.append(pts)
         left -= m
-
-    def score(pts):
         x, y, z = pts
         dxy = dist.norm(law.multiply(-x, y))
         dyz = dist.norm(law.multiply(-y, z))
@@ -172,14 +154,9 @@ def triangle_audit(dist: HomogeneousDistance, samples: int = 100_000,
         denom = dxy + dyz
         ratio = np.divide(dxz, denom, out=np.zeros_like(dxz), where=denom > 0)
         i = int(np.argmax(ratio))
-        return float(ratio[i]), (x[i], y[i], z[i])
-
-    results = map_ordered(score, batches)
-    best, witness = 0.0, None
-    for ratio, triple in results:
-        if ratio > best:
-            best = ratio
-            witness = tuple(p.tolist() for p in triple)
+        if ratio[i] > best:
+            best = float(ratio[i])
+            witness = (x[i].tolist(), y[i].tolist(), z[i].tolist())
     return TriangleAudit(max_ratio=best, witness=witness, samples=samples, seed=seed)
 
 
@@ -211,16 +188,9 @@ def _line_gauge_interval_length(dist, lam, rel_tol: float, grid: int) -> float:
     inside = vals < 0.0
 
     def refine(lo, hi):
-        flo = norm(lo * lam) - 1.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = norm(mid * lam) - 1.0
-            if (fm < 0.0) == (flo < 0.0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-            if hi - lo <= rel_tol * s_max * 1e-3:
-                break
+        below = norm(lo * lam) < 1.0
+        lo, hi = bisect(lambda t: (norm(t * lam) < 1.0) == below, lo, hi,
+                        lambda a, b: rel_tol * s_max * 1e-3, 80)
         return 0.5 * (lo + hi)
 
     total = 0.0

@@ -29,7 +29,7 @@ def test_parse_rejects_unknown_keys():
 
 
 def test_parse_rejects_bad_layers():
-    for layers in ([], [0], [2, -1], "21", [1.5]):
+    for layers in ([], [0], [2, -1], "21", [1.5], [True, 1]):
         with pytest.raises(GroupValidationError):
             spec_from_dict({"layers": layers, "brackets": []})
 
@@ -40,6 +40,11 @@ def test_parse_rejects_malformed_bracket_entries():
     with pytest.raises(GroupValidationError, match="rational"):
         spec_from_dict({"layers": [2, 1],
                         "brackets": [{"i": 1, "j": 2, "k": 3, "c": "0.5x"}]})
+    # indices are never coerced: no truncated floats, booleans or strings
+    for bad in ({"i": 1.7}, {"j": True}, {"i": "1"}):
+        entry = {"i": 1, "j": 2, "k": 3, "c": "1", **bad}
+        with pytest.raises(GroupValidationError, match="integers"):
+            spec_from_dict({"layers": [2, 1], "brackets": [entry]})
 
 
 def test_spec_from_json_roundtrip():

@@ -119,6 +119,12 @@ def test_invalid_algebra_exits_3(tmp_path, capsys):
     assert code == 3
     assert json.loads(err)["error"] == "JacobiViolation"
 
+    doc = {"layers": [2, 1], "brackets": [{"i": 1.7, "j": 2, "k": 3, "c": "1"}]}
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "frame-show", "--algebra-file", str(path))
+    assert code == 3
+    assert json.loads(err)["error"] == "GroupValidationError"
+
 
 def test_missing_config_file_exits_2(capsys):
     code, out, err = run_cli(capsys, "run", "--config", "/nonexistent/cfg.json")

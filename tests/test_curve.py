@@ -46,6 +46,21 @@ def test_zero_velocity_rejected(heis):
                   if np.ndim(t) else np.zeros(3))
     with pytest.raises(ZeroVelocityError):
         pointwise_degree(heis, still, 0.0)
+    with pytest.raises(ZeroVelocityError, match="velocity vanishes"):
+        degree_profile(heis, still, 8)
+
+
+def test_curve_rejects_callables_of_the_wrong_shape():
+    flat = Curve(domain=(-1.0, 1.0), n=3,
+                 position=lambda t: np.zeros(np.shape(t) + (2,)),
+                 velocity=lambda t: np.zeros(3))
+    ts = np.linspace(-0.5, 0.5, 4)
+    with pytest.raises(ValueError, match="shape"):
+        flat.positions(ts)
+    with pytest.raises(ValueError, match="shape"):
+        flat.velocities(ts)         # a scalar-only callable is refused too
+    with pytest.raises(ValueError):
+        flat.position_at(0.0)
 
 
 def test_degree_profile_vertical(heis):
@@ -53,6 +68,9 @@ def test_degree_profile_vertical(heis):
     assert prof.degree == 2
     assert prof.low_degree_intervals == ()
     assert np.all(prof.degrees == 2)
+    # a threshold that discards every component leaves no degree to report
+    with pytest.raises(ValueError, match="tol_rel"):
+        degree_profile(heis, fixtures.curve("vertical"), 128, tol_rel=2.0)
 
 
 def test_degree_profile_glued(heis):
@@ -174,6 +192,9 @@ def test_translate_curve_positions_and_velocities(heis):
     for t in (-0.5, 0.2, 0.8):
         fd = (moved.position_at(t + h) - moved.position_at(t - h)) / (2 * h)
         assert np.allclose(moved.velocity_at(t), fd, atol=1e-8)
+    vels = moved.velocities(ts)
+    for i, t in enumerate(ts):
+        assert np.array_equal(vels[i], moved.velocity_at(t))
 
 
 def test_dilate_curve(heis):
@@ -198,6 +219,13 @@ def test_recentered_curve_origin_and_consistency(heis):
     for h in (-0.3, 0.1, 0.4):
         direct = heis.multiply(heis.inverse(g0), par.position_at(0.5 + h))
         assert np.allclose(rec.position_at(h), direct, atol=1e-12)
+    basis = adapted_basis(heis, fixtures.curve("rotated_horizontal"), 0.3, 1)
+    hs = np.linspace(-0.4, 0.4, 5)
+    for rot in (None, basis.rotation):
+        rec = recentered_curve(heis, par, 0.5, rotation=rot)
+        vels = rec.velocities(hs)
+        for i, h in enumerate(hs):
+            assert np.array_equal(vels[i], rec.velocity_at(h))
 
 
 # -- first-order decay of the non-tangent coordinates ----------------------------

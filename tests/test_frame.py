@@ -61,11 +61,14 @@ def test_coordinates_solve_example(heis):
 def test_coordinates_reconstruct_roundtrip(engel):
     fr = engel.frame
     rng = np.random.default_rng(8)
-    for _ in range(10):
-        x = rng.uniform(-1.5, 1.5, 4)
-        v = rng.uniform(-2, 2, 4)
-        lam = fr.coordinates(x, v)
-        assert np.allclose(fr.reconstruct(x, lam), v, atol=1e-12)
+    xs = rng.uniform(-1.5, 1.5, (2, 5, 4))
+    vs = rng.uniform(-2, 2, (2, 5, 4))
+    batch = fr.coordinates(xs, vs)
+    assert batch.shape == (2, 5, 4)
+    for idx in np.ndindex(2, 5):
+        lam = fr.coordinates(xs[idx], vs[idx])
+        assert np.array_equal(batch[idx], lam)   # one kernel, bit for bit
+        assert np.allclose(fr.reconstruct(xs[idx], lam), vs[idx], atol=1e-12)
 
 
 def test_translate_vector_keeps_coordinates(heis):

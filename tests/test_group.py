@@ -140,6 +140,14 @@ def test_left_jacobian_matches_finite_differences(engel):
         col = (engel.multiply(x, y + dy) - engel.multiply(x, y - dy)) / (2 * h)
         assert np.allclose(jac[:, b], col, atol=1e-8)
 
+    xs = rng.uniform(-1, 1, (2, 3, 4))
+    ys = rng.uniform(-1, 1, (2, 3, 4))
+    batch = engel.left_jacobian(xs, ys)
+    assert batch.shape == (2, 3, 4, 4)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(batch[idx], engel.left_jacobian(xs[idx], ys[idx]))
+    assert np.array_equal(engel.left_jacobian(x, ys)[1, 2], engel.left_jacobian(x, ys[1, 2]))
+
 
 def test_batched_multiply_matches_scalar(heis):
     rng = np.random.default_rng(2)

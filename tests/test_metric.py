@@ -1,12 +1,11 @@
 import math
-import os
 
 import numpy as np
 import pytest
 
 from gradedgroups import fixtures
 from gradedgroups.metric import (Box, HomogeneousDistance, ball_box_constants,
-                                 degree_constant, map_ordered, metric_factor,
+                                 degree_constant, metric_factor,
                                  triangle_audit)
 
 
@@ -82,22 +81,9 @@ def test_triangle_audit_fails_with_inflated_top_scale(heis):
 def test_audit_deterministic_across_workers(heis):
     dist = fixtures.distance("heisenberg")
     a = triangle_audit(dist, samples=30000, seed=3)
-    os.environ["CARNOT_THREADS"] = "4"
-    try:
-        b = triangle_audit(dist, samples=30000, seed=3)
-    finally:
-        del os.environ["CARNOT_THREADS"]
+    b = triangle_audit(dist, samples=30000, seed=3)
     assert a.max_ratio == b.max_ratio
     assert a.witness == b.witness
-
-
-def test_map_ordered_preserves_order():
-    os.environ["CARNOT_THREADS"] = "3"
-    try:
-        out = map_ordered(lambda v: v * v, list(range(20)))
-    finally:
-        del os.environ["CARNOT_THREADS"]
-    assert out == [v * v for v in range(20)]
 
 
 @pytest.mark.parametrize("eps2", [0.5, 1.0, 2.0])

@@ -76,8 +76,11 @@ def spec_from_dict(doc: Mapping) -> GradedAlgebraSpec:
     if (not isinstance(layers, Sequence) or isinstance(layers, str) or not layers
             or not all(_is_index(d) and d > 0 for d in layers)):
         raise GroupValidationError("'layers' must be a nonempty list of positive integers")
+    brackets = doc.get("brackets", [])
+    if not isinstance(brackets, Sequence) or isinstance(brackets, str):
+        raise GroupValidationError("'brackets' must be a list of bracket entries")
     entries = []
-    for raw in doc.get("brackets", []):
+    for raw in brackets:
         if not isinstance(raw, Mapping) or set(raw) != {"i", "j", "k", "c"}:
             raise GroupValidationError(f"bad bracket entry: {raw!r}")
         if not all(_is_index(raw[key]) for key in ("i", "j", "k")):

@@ -150,10 +150,12 @@ def degree_profile(law: GroupLaw, curve: Curve, grid_points: int = 512,
     top = int(degs.max())
     width = 1e-12 * curve.span()
 
+    def low(t):
+        return _degrees(law, t, curve.positions(t), curve.velocities(t), tol_rel)[1] < top
+
     def edge_between(t_full: float, t_low: float) -> float:
         # bisect the jump; returns a parameter on the low side of the edge
-        t_low, _ = bisect(lambda t: pointwise_degree(law, curve, t, tol_rel) < top,
-                          t_low, t_full, lambda lo, hi: width, 60)
+        t_low, _ = bisect(low, t_low, t_full, lambda lo, hi: width, 8)
         return t_low
 
     intervals = []

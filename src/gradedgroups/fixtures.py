@@ -63,50 +63,46 @@ def distance(name: str, eps=None) -> HomogeneousDistance:
 # -- curves ---------------------------------------------------------------------
 
 
+def _points(t, *columns):
+    """Array of shape t.shape + (len(columns),); a column is an array or a constant."""
+    out = np.empty(np.shape(t) + (len(columns),))
+    for j, col in enumerate(columns):
+        out[..., j] = col
+    return out
+
+
 def _vertical_pos(t):
-    t = np.asarray(t, dtype=float)
-    z = np.zeros_like(t)
-    return np.stack([z, z, t], axis=-1)
+    return _points(t, 0.0, 0.0, t)
 
 
 def _vertical_vel(t):
-    t = np.asarray(t, dtype=float)
-    z = np.zeros_like(t)
-    return np.stack([z, z, np.ones_like(t)], axis=-1)
+    return _points(t, 0.0, 0.0, 1.0)
 
 
 def _horizontal_pos(t):
-    t = np.asarray(t, dtype=float)
-    z = np.zeros_like(t)
-    return np.stack([t, z, z], axis=-1)
+    return _points(t, t, 0.0, 0.0)
 
 
 def _horizontal_vel(t):
-    t = np.asarray(t, dtype=float)
-    z = np.zeros_like(t)
-    return np.stack([np.ones_like(t), z, z], axis=-1)
+    return _points(t, 1.0, 0.0, 0.0)
 
 
 def _rot_horizontal_pos(t):
-    t = np.asarray(t, dtype=float)
-    s = t / sqrt(2.0)
-    return np.stack([s, s, np.zeros_like(t)], axis=-1)
+    s = np.asarray(t, dtype=float) / sqrt(2.0)
+    return _points(t, s, s, 0.0)
 
 
 def _rot_horizontal_vel(t):
-    t = np.asarray(t, dtype=float)
-    c = np.full_like(t, 1.0 / sqrt(2.0))
-    return np.stack([c, c, np.zeros_like(t)], axis=-1)
+    return _points(t, 1.0 / sqrt(2.0), 1.0 / sqrt(2.0), 0.0)
 
 
 def _parabola_pos(t):
     t = np.asarray(t, dtype=float)
-    return np.stack([t, np.zeros_like(t), 0.5 * t * t], axis=-1)
+    return _points(t, t, 0.0, 0.5 * t * t)
 
 
 def _parabola_vel(t):
-    t = np.asarray(t, dtype=float)
-    return np.stack([np.ones_like(t), np.zeros_like(t), t], axis=-1)
+    return _points(t, 1.0, 0.0, t)
 
 
 def _glued_pos(t):
@@ -114,7 +110,7 @@ def _glued_pos(t):
     bent = t > 0.0
     x = np.where(bent, t - 0.5 * t * t, t)
     z = np.where(bent, 0.5 * t * t, 0.0)
-    return np.stack([x, np.zeros_like(t), z], axis=-1)
+    return _points(t, x, 0.0, z)
 
 
 def _glued_vel(t):
@@ -122,19 +118,15 @@ def _glued_vel(t):
     bent = t > 0.0
     vx = np.where(bent, 1.0 - t, 1.0)
     vz = np.where(bent, t, 0.0)
-    return np.stack([vx, np.zeros_like(t), vz], axis=-1)
+    return _points(t, vx, 0.0, vz)
 
 
 def _engel_vertical_pos(t):
-    t = np.asarray(t, dtype=float)
-    z = np.zeros_like(t)
-    return np.stack([z, z, z, t], axis=-1)
+    return _points(t, 0.0, 0.0, 0.0, t)
 
 
 def _engel_vertical_vel(t):
-    t = np.asarray(t, dtype=float)
-    z = np.zeros_like(t)
-    return np.stack([z, z, z, np.ones_like(t)], axis=-1)
+    return _points(t, 0.0, 0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,19 @@ because it can be far narrower than a grid cell.
 Spherical-measure upper bounds come from a greedy walk: at the first
 uncovered parameter, a ball of the current radius is centered as far
 ahead along the curve as possible while still covering that parameter,
-and the walk jumps past the covered component.  The reported value is
-sum(r^q) over the balls placed, an upper estimate by construction.
+and the walk jumps past the covered component.  Each of these two reaches
+is one batched probe of the distance on a geometric ladder of parameter
+offsets, whose first point outside the ball brackets the exit, then a
+few batched bisection rounds (``roots.bisect``) on that bracket.  The
+reported value is sum(r^q) over the balls placed.  It is an upper
+estimate when the distance from each center grows along the curve up to
+the exit; an excursion that leaves the ball between two probed points
+goes unseen.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -82,43 +89,42 @@ def ball_param_set(dist: HomogeneousDistance, curve: Curve, t0: float, r: float)
     a, b = curve.domain
     if not a < t0 < b:
         raise ValueError(f"center parameter {t0} outside the open domain")
-    x0 = curve.position_at(t0)
-    dfun = dist.distance_from(x0)
+    dfun = dist.distance_from(curve.position_at(t0))
 
     m = max(257, int(GRID_PER_UNIT * (b - a)) + 1)
     ts = np.linspace(a, b, m)
     ts = np.unique(np.concatenate([ts, [t0]]))
-    inside = dist.norm(dist.law.multiply(-x0, curve.positions(ts))) < r
 
-    def in_ball(t: float) -> bool:
-        return dfun(curve.position_at(t)) < r
+    def in_ball(t):
+        return dfun(curve.positions(t)) < r
 
     def edge(inside_end: float, outside_end: float, in_set) -> float:
         lo, hi = bisect(in_set, inside_end, outside_end,
-                        lambda p, q: 1e-15 * max(1.0, abs(min(p, q))), 60)
+                        lambda p, q: 1e-15 * max(1.0, abs(min(p, q))), 8)
         return 0.5 * (lo + hi)
 
     # the central component: expand outward from t0, where d = 0
     def expand(direction: int) -> float:
         limit = b if direction > 0 else a
         span = abs(limit - t0)
-        lo = 0.0
         h = span * 1e-9 + 1e-300
-        while h < span and in_ball(t0 + direction * h):
-            lo = h
-            h = min(h * 2.0, span)
-        if h >= span and in_ball(t0 + direction * span):
+
+        def inside(s):
+            return in_ball(t0 + direction * s)
+
+        lo, hi = _first_exit(inside, h, span, h)
+        if hi is None:
             return limit
-        return t0 + direction * edge(lo, h, lambda s: in_ball(t0 + direction * s))
+        return t0 + direction * edge(lo, hi, inside)
 
     left = expand(-1)
     right = expand(+1)
 
+    inside = in_ball(ts)
     edges = []
-    for i in range(len(ts) - 1):
-        if inside[i] != inside[i + 1]:
-            ends = (ts[i], ts[i + 1]) if inside[i] else (ts[i + 1], ts[i])
-            edges.append(edge(*ends, in_ball))
+    for i in np.flatnonzero(inside[1:] != inside[:-1]):
+        ends = (ts[i], ts[i + 1]) if inside[i] else (ts[i + 1], ts[i])
+        edges.append(edge(*ends, in_ball))
     intervals = []
     open_at = ts[0] if inside[0] else None
     for e in edges:
@@ -243,39 +249,58 @@ class CoveringEstimate:
     centers: tuple             # center parameters (radii all equal delta)
 
 
-def _forward_reach(dfun_from: Callable[[float], float], start: float, cap: float,
+def _first_exit(inside, h: float, span: float, floor: float):
+    """First failure of ``inside`` on the offsets h * 2^k in [floor, span), then span.
+
+    ``inside`` maps an array of offsets to a bool array and is called once.
+    Returns (lo, hi): hi is the first offset outside and lo the offset
+    before it, or 0.0 when hi is the first; (span, None) when every offset
+    is inside.
+    """
+    ks = np.arange(math.floor(math.log2(floor / h)), math.ceil(math.log2(span / h)) + 1)
+    hs = np.ldexp(h, ks)
+    hs = np.concatenate((hs[(hs >= floor) & (hs < span)], (span,)))
+    ins = inside(hs)
+    k = int(ins.argmin())
+    if ins[k]:
+        return span, None
+    return (float(hs[k - 1]) if k else 0.0), float(hs[k])
+
+
+def _forward_reach(dfun: Callable, curve: Curve, start: float, cap: float,
                    r: float, guess: float | None) -> float:
     """Largest parameter s in [start, cap] found with d(s) <= r.
 
-    d is the distance to a fixed anchor, zero at start.  Expands a bracket
-    (warm-started by ``guess``) and bisects the first crossing; the inside
-    endpoint is returned, so coverage claims stay conservative.
+    d = dfun(curve position) is the distance to a fixed anchor, zero at
+    start.  One batched probe runs up the geometric ladder guess * 2^k
+    from a floor of 1e-18 relative to start up to the cap; the first
+    ladder point outside the ball and the one before it bracket the exit,
+    which batched bisection rounds then refine.  The inside end is
+    returned, so coverage claims stay conservative.
     """
     if cap <= start:
         return start
     width = cap - start
     h = guess if guess and guess > 0 else width * 1e-3
     h = min(h, width)
-    while dfun_from(start + h) > r:
-        h *= 0.5
-        if h < 1e-18 * max(1.0, abs(start)) + 1e-300:
-            return start
-    lo = h
-    hi = min(2.0 * h, width)
-    while dfun_from(start + hi) <= r:
-        if hi >= width:
-            return cap
-        lo = hi
-        hi = min(2.0 * hi, width)
+
+    def inside(s):
+        return dfun(curve.positions(start + s)) <= r
+
+    lo, hi = _first_exit(inside, h, width, 1e-18 * max(1.0, abs(start)) + 1e-300)
+    if hi is None:
+        return cap
+    if lo == 0.0:
+        return start
 
     # tight tolerance: the per-ball shortfall accumulates over the whole walk.
     # The bracket [lo, hi] has hi <= 2 lo, so it meets the tolerance within
-    # about 41 halvings; 64 is never reached.
+    # 5 rounds of 257-fold shrinking; 8 is never reached.
     def tol(lo: float, hi: float) -> float:
         return 1e-12 * lo + 1e-16
 
     if hi - lo > tol(lo, hi):
-        lo, _ = bisect(lambda s: dfun_from(start + s) <= r, lo, hi, tol, 64)
+        lo, _ = bisect(inside, lo, hi, tol, 8)
     return start + lo
 
 
@@ -307,22 +332,19 @@ def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
         t = lo
         prev_step = None
         while True:
-            anchor = curve.position_at(t)
-            d_anchor = dist.distance_from(anchor)
-            reach = lambda s: d_anchor(curve.position_at(s))
-            center = _forward_reach(reach, t, b, delta, prev_step)
+            d_anchor = dist.distance_from(curve.position_at(t))
+            center = _forward_reach(d_anchor, curve, t, b, delta, prev_step)
             centers.append(center)
             value += delta ** q
             if len(centers) > max_balls:
                 raise NumericalResolutionError(
                     f"covering at delta = {delta} exceeded {max_balls} balls")
+            # a ball centered at t itself reaches no further than the probe
+            # from t just found, so only a center ahead of t can advance
+            edge = center
             if center > t:
                 d_center = dist.distance_from(curve.position_at(center))
-                ahead = lambda s: d_center(curve.position_at(s))
-                edge = _forward_reach(ahead, center, b, delta, center - t)
-            else:
-                # ball centered at t itself; its forward edge still advances
-                edge = _forward_reach(reach, t, b, delta, prev_step)
+                edge = _forward_reach(d_center, curve, center, b, delta, center - t)
             if edge <= t + guard:
                 raise NumericalResolutionError(
                     f"covering walk stalled at t = {t} (delta = {delta})")

@@ -21,7 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .frame import FrameCoordinates
-from .group import GroupLaw
+from .group import DimensionMismatch, GroupLaw, _leading
+from .poly import monomial_source
 from .roots import bisect
 
 
@@ -55,8 +56,7 @@ class HomogeneousDistance:
         self.law = law
         self.eps = eps
         self._slices = [alg.layer_slice(k) for k in range(1, alg.step + 1)]
-        self._plain = [(s.start, s.stop, eps[k - 1], 0.5 / k)
-                       for k, s in enumerate(self._slices, start=1)]
+        self._gauge, self._coef, self._k = _compile_kernel(law, eps, self._slices)
 
     @property
     def algebra(self):
@@ -64,27 +64,18 @@ class HomogeneousDistance:
 
     # -- gauge ------------------------------------------------------------
 
+    def _columns(self, z):
+        """Coordinate columns z[j] of points of shape (..., n)."""
+        z = np.asarray(z, dtype=float)
+        if z.shape[-1:] != (self.law.n,):
+            raise DimensionMismatch(
+                f"points must have {self.law.n} coordinates, got {z.shape}")
+        return _leading(z)
+
     def norm(self, z):
         """N(z); batch aware (last axis is the coordinate axis)."""
-        z = np.asarray(z, dtype=float)
-        vals = []
-        for k, sl in enumerate(self._slices, start=1):
-            block = z[..., sl]
-            mag = np.sqrt(np.sum(block * block, axis=-1))
-            vals.append(self.eps[k - 1] * mag ** (1.0 / k))
-        out = np.maximum.reduce(vals)
-        return float(out) if out.ndim == 0 else out
-
-    def _norm_scalar(self, z) -> float:
-        best = 0.0
-        for start, stop, ek, expo in self._plain:
-            ss = 0.0
-            for j in range(start, stop):
-                ss += z[j] * z[j]
-            val = ek * ss ** expo
-            if val > best:
-                best = val
-        return best
+        out = self._gauge(self._columns(z))
+        return float(out) if np.ndim(out) == 0 else out
 
     def distance(self, x, y):
         return self.norm(self.law.multiply(self.law.inverse(x), y))
@@ -92,19 +83,71 @@ class HomogeneousDistance:
     __call__ = distance
 
     def distance_from(self, x0) -> Callable:
-        """Fast scalar closure t -> d(x0, y); y may be ndarray or sequence."""
-        n = self.law.n
-        xinv = tuple(-float(c) for c in np.asarray(x0, dtype=float))
-        qfns = self.law._q_fns
-        norm_scalar = self._norm_scalar
+        """Closure Y -> d(x0, Y) over points of shape (..., n).
 
-        def dist_to(y) -> float:
-            ytup = tuple(y.tolist()) if isinstance(y, np.ndarray) else tuple(map(float, y))
-            v = xinv + ytup
-            z = [xinv[i] + ytup[i] + qfns[i](v) for i in range(n)]
-            return norm_scalar(z)
+        The anchor's share of x0^-1 * y is folded into one coefficient per
+        y-monomial here, so a call evaluates only the fused kernel.  A
+        single point (n,) gives a float-like scalar.
+        """
+        n = self.law.n
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (n,):
+            raise DimensionMismatch(f"anchor must have shape ({n},), got {x0.shape}")
+        coef = self._coef(x0.tolist())
+        kernel, columns = self._k, self._columns
+
+        def dist_to(y):
+            return kernel(coef, columns(y))
 
         return dist_to
+
+
+def _compile_kernel(law: GroupLaw, eps, slices):
+    """Generate the gauge and the two functions behind ``distance_from``.
+
+    ``gauge(z)`` is N(z) on the coordinate columns z[j]; it skips unit
+    weights and takes |z_j| for a layer of one coordinate.  ``coef(x)``
+    maps an anchor x to the coefficients of z = x^-1 * y as polynomials in
+    y: per coordinate i, the constant -x_i, then one value per y-monomial
+    of Q_i(x^-1, y), its terms grouped by y-exponents.  ``k(c, y)``
+    evaluates z on the columns y[j] and returns gauge(z).
+    """
+    terms = []
+    for k, sl in enumerate(slices, start=1):
+        if sl.stop - sl.start == 1:
+            mag = f"np.abs(z[{sl.start}])"
+        else:
+            mag = f"np.sqrt({' + '.join(f'z[{j}] * z[{j}]' for j in range(sl.start, sl.stop))})"
+        root = mag if k == 1 else f"np.sqrt({mag})" if k == 2 else f"{mag} ** {1.0 / k!r}"
+        terms.append(root if eps[k - 1] == 1.0 else f"{eps[k - 1]!r} * {root}")
+    gauge = terms[0]
+    for term in terms[1:]:
+        gauge = f"np.maximum({gauge}, {term})"
+
+    n = law.n
+    coefs, zs = [], []
+    for i, q in enumerate(law.q_polys):
+        zs.append(f"c[{len(coefs)}] + y[{i}]")
+        coefs.append(f"-x[{i}]")
+        by_y: dict = {}
+        for exps, c in sorted(q.terms.items()):
+            alpha, beta = exps[:n], exps[n:]
+            # x^-1 = -x, so each x-factor flips the sign
+            by_y.setdefault(beta, []).append(
+                monomial_source(repr(float(c * (-1) ** sum(alpha))), alpha, "x"))
+        ys = []
+        for beta, parts in by_y.items():
+            ys.append(monomial_source(f"c[{len(coefs)}]", beta, "y"))
+            coefs.append(" + ".join(parts))
+        if ys:
+            zs[i] += f" + ({' + '.join(ys)})"
+
+    scope = {"np": np}
+    # source built from our own terms
+    exec(f"def gauge(z):\n    return {gauge}\n"  # noqa: S102
+         f"def k(c, y):\n    return gauge(({', '.join(zs)},))\n"
+         f"def coef(x):\n    return ({', '.join(coefs)},)\n", scope)
+    return scope["gauge"], scope["coef"], scope["k"]
 
 
 # -- triangle inequality audit ---------------------------------------------
@@ -183,26 +226,26 @@ def _line_gauge_interval_length(dist, lam, rel_tol: float, grid: int) -> float:
         raise ValueError("zero direction has no line measure")
     s_max *= 1.0 + 1e-9
 
-    ts = np.linspace(0.0, s_max, grid + 1)
-    vals = norm(ts[:, None] * lam[None, :]) - 1.0
-    inside = vals < 0.0
+    def below(t):
+        return norm(np.multiply.outer(t, lam)) < 1.0
 
-    def refine(lo, hi):
-        below = norm(lo * lam) < 1.0
-        lo, hi = bisect(lambda t: (norm(t * lam) < 1.0) == below, lo, hi,
-                        lambda a, b: rel_tol * s_max * 1e-3, 80)
+    ts = np.linspace(0.0, s_max, grid + 1)
+    inside = below(ts)
+
+    def refine(lo, hi, was):
+        lo, hi = bisect(lambda t: below(t) == was, lo, hi,
+                        lambda a, b: rel_tol * s_max * 1e-3, 10)
         return 0.5 * (lo + hi)
 
     total = 0.0
     open_at = 0.0 if inside[0] else None
-    for i in range(len(ts) - 1):
-        if inside[i] != inside[i + 1]:
-            crossing = refine(ts[i], ts[i + 1])
-            if inside[i]:
-                total += crossing - open_at
-                open_at = None
-            else:
-                open_at = crossing
+    for i in np.flatnonzero(inside[1:] != inside[:-1]):
+        crossing = refine(ts[i], ts[i + 1], inside[i])
+        if inside[i]:
+            total += crossing - open_at
+            open_at = None
+        else:
+            open_at = crossing
     if open_at is not None:
         total += s_max - open_at
     return 2.0 * total

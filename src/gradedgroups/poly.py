@@ -28,11 +28,21 @@ Exponents = tuple  # tuple[int, ...], one entry per variable
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
+    if isinstance(c, bool):
+        raise TypeError(f"expected an exact rational, got bool: {c!r}")
     if isinstance(c, int):
         return Fraction(c)
     if isinstance(c, str):
         return Fraction(c)
     raise TypeError(f"expected an exact rational, got {type(c).__name__}: {c!r}")
+
+
+def monomial_source(lead: str, exps: Exponents, var: str) -> str:
+    """Source text ``lead*var[i]*...`` with var[i] repeated exps[i] times."""
+    factors = [lead]
+    for i, e in enumerate(exps):
+        factors.extend([f"{var}[{i}]"] * e)
+    return "*".join(factors)
 
 
 class RationalPoly:
@@ -198,12 +208,8 @@ class RationalPoly:
         The generated lambda indexes into its single argument, so numpy
         columns can be passed as a list of arrays for vectorized use.
         """
-        parts = []
-        for exps, c in sorted(self.terms.items()):
-            factors = [repr(float(c))]
-            for i, e in enumerate(exps):
-                factors.extend([f"v[{i}]"] * e)
-            parts.append("*".join(factors))
+        parts = [monomial_source(repr(float(c)), exps, "v")
+                 for exps, c in sorted(self.terms.items())]
         body = " + ".join(parts) if parts else "0.0"
         return eval(f"lambda v: {body}")  # noqa: S307 - source built from our own terms
 

@@ -37,9 +37,14 @@ def test_parse_rejects_bad_layers():
 def test_parse_rejects_malformed_bracket_entries():
     with pytest.raises(GroupValidationError, match="bad bracket entry"):
         spec_from_dict({"layers": [2, 1], "brackets": [{"i": 1, "j": 2, "k": 3}]})
-    with pytest.raises(GroupValidationError, match="rational"):
-        spec_from_dict({"layers": [2, 1],
-                        "brackets": [{"i": 1, "j": 2, "k": 3, "c": "0.5x"}]})
+    for brackets in (5, None, "abc", {"i": 1}):
+        with pytest.raises(GroupValidationError, match="'brackets' must be a list"):
+            spec_from_dict({"layers": [2, 1], "brackets": brackets})
+    # coefficients are never coerced either: no floats, no booleans
+    for c in ("0.5x", 0.5, True):
+        with pytest.raises(GroupValidationError, match="rational"):
+            spec_from_dict({"layers": [2, 1],
+                            "brackets": [{"i": 1, "j": 2, "k": 3, "c": c}]})
     # indices are never coerced: no truncated floats, booleans or strings
     for bad in ({"i": 1.7}, {"j": True}, {"i": "1"}):
         entry = {"i": 1, "j": 2, "k": 3, "c": "1", **bad}

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gradedgroups
 from gradedgroups.cli import ConfigError, main, parse_schedule, resolve_config, run_config
 
 
@@ -66,6 +71,17 @@ def test_fixtures_listing(capsys):
     assert doc["result"]["curves"]["engel_vertical"]["group"] == "engel"
 
 
+def test_module_entry_point():
+    # ``python -m gradedgroups`` runs the same command line
+    env = dict(os.environ)
+    src = str(Path(gradedgroups.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "gradedgroups", "fixtures"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "parabola_lift" in json.loads(proc.stdout)["result"]["curves"]
+
+
 def test_reports_are_byte_identical(capsys):
     args = ("group-check", "--group", "engel", "--seed", "42", "--samples", "200")
     _, first, _ = run_cli(capsys, *args)
@@ -119,11 +135,13 @@ def test_invalid_algebra_exits_3(tmp_path, capsys):
     assert code == 3
     assert json.loads(err)["error"] == "JacobiViolation"
 
-    doc = {"layers": [2, 1], "brackets": [{"i": 1.7, "j": 2, "k": 3, "c": "1"}]}
-    path.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "frame-show", "--algebra-file", str(path))
-    assert code == 3
-    assert json.loads(err)["error"] == "GroupValidationError"
+    for doc in ({"layers": [2, 1], "brackets": [{"i": 1.7, "j": 2, "k": 3, "c": "1"}]},
+                {"layers": [2, 1], "brackets": [{"i": 1, "j": 2, "k": 3, "c": True}]},
+                {"layers": [2, 1], "brackets": 5}):
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "frame-show", "--algebra-file", str(path))
+        assert code == 3
+        assert json.loads(err)["error"] == "GroupValidationError"
 
 
 def test_missing_config_file_exits_2(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from gradedgroups import fixtures
 from gradedgroups.curve import Curve, dilate_curve, translate_curve
-from gradedgroups.measure import (NumericalResolutionError,
+from gradedgroups.measure import (NumericalResolutionError, _forward_reach,
                                   area_formula_residual, ball_param_set,
                                   ball_intersection_measure, blowup_sequence,
                                   covering_values, density_divergence,
@@ -165,6 +165,18 @@ def test_covering_scales_with_top_eps(heis):
     assert est.value == pytest.approx(2.0, rel=1e-9)
 
 
+def test_forward_reach_brackets_the_first_exit(dist):
+    # on the vertical line d(0, t) = sqrt(t); with guess 0.3 the ladder
+    # probes ..., 0.15, 0.3, 0.6 and then the cap 1, so an exit at t = 0.8
+    # lies between the last ladder point and the cap
+    vert = fixtures.curve("vertical")
+    d0 = dist.distance_from(vert.position_at(0.0))
+    reach = _forward_reach(d0, vert, 0.0, 1.0, math.sqrt(0.8), 0.3)
+    assert 0.8 * (1 - 1e-12) <= reach <= 0.8 * (1 + 1e-15)
+    assert _forward_reach(d0, vert, 0.0, 1.0, 2.0, 0.3) == 1.0        # all inside
+    assert _forward_reach(d0, vert, 0.0, 1.0, 1e-10, 0.3) == 0.0      # below the floor
+
+
 def test_covering_ball_limit(dist):
     with pytest.raises(NumericalResolutionError):
         spherical_measure_upper(dist, fixtures.curve("vertical"), 2, 2.0 ** -6,
@@ -176,6 +188,11 @@ def test_covering_values_and_extrapolation(dist):
                             [2.0 ** -k for k in range(2, 7)])
     vals = sched.values
     assert all(b >= a for a, b in zip(vals[1:], vals))   # decreasing toward the limit
+    assert sched.ball_counts == (9, 33, 129, 513, 2049)
+    # the benchmark's cover of the same curve on [0, 1]
+    half = covering_values(dist, fixtures.curve("parabola_lift"), 2,
+                           [2.0 ** -k for k in range(2, 6)], intervals=[(0.0, 1.0)])
+    assert half.ball_counts == (5, 17, 65, 257)
     assert sched.extrapolated == pytest.approx(0.5, abs=2e-4)
 
 
@@ -214,6 +231,7 @@ def test_area_residual_engel_vertical():
     assert rep.q == 3
     assert rep.c_q == pytest.approx(2.0)
     assert rep.residual < 1e-6
+    assert rep.covering.ball_counts == (32, 256, 2048)
 
 
 def test_area_flags_fat_low_degree_set(dist):
@@ -233,7 +251,7 @@ def test_negligibility_glued(dist):
     assert all(v > 0 for v in vals)
     for a, b in zip(vals, vals[1:]):
         assert b / a <= 0.6
-    assert rep.ball_counts[0] == 3
+    assert rep.ball_counts == (3, 5, 9, 17, 33, 65, 129)
 
 
 def test_negligibility_empty_set_is_zero(dist):
@@ -275,8 +293,10 @@ def test_ball_measure_left_invariant(heis, dist):
 
 def test_covering_value_dilation_covariance(heis, dist):
     vert = fixtures.curve("vertical")
-    base = covering_values(dist, vert, 2, [2.0 ** -k for k in range(2, 6)],
-                           intervals=[(0.0, 1.0)]).extrapolated
+    sched = covering_values(dist, vert, 2, [2.0 ** -k for k in range(2, 6)],
+                            intervals=[(0.0, 1.0)])
+    assert sched.ball_counts == (8, 32, 128, 512)
+    base = sched.extrapolated
     for s in (0.5, 2.0):
         scaled = covering_values(dist, dilate_curve(heis, s, vert), 2,
                                  [2.0 ** -k for k in range(2, 6)],

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gradedgroups import fixtures
+from gradedgroups import (DimensionMismatch, bch_group_law, fixtures, spec_from_dict,
+                          validate_algebra)
 from gradedgroups.metric import (Box, HomogeneousDistance, ball_box_constants,
                                  degree_constant, metric_factor,
                                  triangle_audit)
@@ -32,23 +33,52 @@ def test_center_distance_scaling(heis, eps2):
 
 
 def test_norm_batch_matches_scalar(heis):
-    dist = fixtures.distance("heisenberg")
     rng = np.random.default_rng(0)
-    pts = rng.uniform(-2, 2, (64, 3))
-    batch = dist.norm(pts)
-    for i in range(64):
-        assert batch[i] == pytest.approx(dist.norm(pts[i]))
-        assert batch[i] == pytest.approx(dist._norm_scalar(tuple(pts[i])))
+    for law in (heis, fixtures.group_law("engel")):
+        for eps in ([1.0] * law.step, [0.5 + 0.4 * k for k in range(law.step)]):
+            dist = HomogeneousDistance(law, eps)
+            pts = rng.uniform(-2, 2, (64, law.n))
+            batch = dist.norm(pts)
+            # the layer-max formula, one layer at a time
+            layers = [e * np.linalg.norm(pts[:, sl], axis=1) ** (1.0 / k)
+                      for k, (e, sl) in enumerate(zip(eps, dist._slices), start=1)]
+            np.testing.assert_allclose(batch, np.max(layers, axis=0), rtol=1e-14, atol=0)
+            from_zero = dist.distance_from(np.zeros(law.n))
+            for i in range(64):
+                assert batch[i] == pytest.approx(dist.norm(pts[i]), rel=1e-15)
+                assert batch[i] == pytest.approx(from_zero(pts[i]), rel=1e-15)
 
 
-def test_distance_from_closure(heis):
-    dist = fixtures.distance("heisenberg")
-    x0 = np.array([0.3, -0.5, 0.2])
-    f = dist.distance_from(x0)
+def filiform_law(step):
+    """Model filiform algebra [e1, e_i] = c_i e_(i+1) with assorted rationals."""
+    coeffs = ["1", "-2/3", "5/2", "-1/7", "3"]
+    spec = spec_from_dict({"layers": [2] + [1] * (step - 1),
+                           "brackets": [{"i": 1, "j": i, "k": i + 1, "c": coeffs[i - 2]}
+                                        for i in range(2, step + 1)]})
+    return bch_group_law(validate_algebra(spec))
+
+
+def test_distance_from_closure():
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        y = rng.uniform(-1, 1, 3)
-        assert f(y) == pytest.approx(dist.distance(x0, y), rel=1e-12)
+    for law in (fixtures.group_law("heisenberg"), fixtures.group_law("engel"),
+                filiform_law(5)):
+        for eps in ([1.0] * law.step, [0.5 + 0.4 * k for k in range(law.step)]):
+            dist = HomogeneousDistance(law, eps)
+            x0 = rng.uniform(-1, 1, law.n)
+            f = dist.distance_from(x0)
+            assert isinstance(f(rng.uniform(-1, 1, law.n)), float)
+            for bad in (f, dist.norm, dist.distance_from):
+                with pytest.raises(DimensionMismatch):
+                    bad(np.zeros((2, law.n + 1)))
+            for shape in [(law.n,), (7, law.n), (3, 5, law.n)]:
+                ys = rng.uniform(-1, 1, shape)
+                want = dist.norm(law.multiply(-x0, ys))
+                got = f(ys)
+                assert np.shape(got) == np.shape(want)
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+                if ys.ndim > 1:
+                    # a sub-batch gives the entries of the whole batch
+                    np.testing.assert_array_equal(f(ys[..., :1, :]), got[..., :1])
 
 
 def test_homogeneity_under_dilation(heis):

@@ -19,6 +19,11 @@ def test_scalar_multiplication_both_sides():
     x = RationalPoly.variable(2, 0)
     assert Fraction(2, 3) * x == x * Fraction(2, 3)
     assert 2 * x == x + x
+    for bad in (True, 0.5):
+        with pytest.raises(TypeError):
+            bad * x
+        with pytest.raises(TypeError):
+            RationalPoly.constant(2, bad)
 
 
 def test_diff_product_rule():

@@ -20,12 +20,14 @@ import json
 import random
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__, fixtures
 from .algebra import GroupValidationError, spec_from_json, validate_algebra
 from .curve import curve_from_samples, degree_profile
+from .frame import METRIC_EUCLIDEAN, METRIC_LEFT
 from .group import GroupLaw, bch_group_law
 from .measure import (NumericalResolutionError, area_formula_residual,
                       blowup_sequence, covering_values, density_divergence,
@@ -36,110 +38,174 @@ class ConfigError(ValueError):
     """The run configuration is malformed or inconsistent."""
 
 
-# -- schedule / option parsing ----------------------------------------------------
+# -- value checks -------------------------------------------------------------------
 
 
-def _parse_power(tok: str):
-    base, _, exp = tok.partition("^")
+def _number(what: str, value) -> float:
+    """A finite JSON number as a float; booleans are not numbers."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not -sys.float_info.max <= value <= sys.float_info.max):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _parse_number(what: str, tok: str) -> float:
     try:
-        return float(base) ** int(exp)
+        value = float(tok)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: expected a number, got {tok!r}") from exc
+    return _number(what, value)
+
+
+def _numbers(what: str, value) -> list:
+    """A JSON list of finite numbers, as floats."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{what} must be a list of numbers, got {value!r}")
+    return [_number(what, v) for v in value]
+
+
+def _float_list(what: str, value) -> list:
+    """A list of finite numbers, given as JSON or as a comma separated string."""
+    if isinstance(value, str):
+        return [_parse_number(what, t) for t in value.split(",") if t.strip()]
+    return _numbers(what, value)
+
+
+def _power(tok: str) -> tuple:
+    """(base, exponent) of a schedule token: ``base^exp`` or a plain number."""
+    base, caret, exp = tok.partition("^")
+    try:
+        return _parse_number("schedule base", base), int(exp) if caret else 1
     except ValueError as exc:
         raise ConfigError(f"bad schedule token {tok!r}; expected base^exponent") from exc
 
 
 def parse_schedule(value) -> list:
     """Radius/delta schedules: a JSON list, "2^-2..2^-8", or "0.5,0.25"."""
-    if isinstance(value, (list, tuple)):
-        try:
-            out = [float(v) for v in value]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"schedule entries must be numbers: {value!r}") from exc
-    elif isinstance(value, str):
-        if ".." in value:
+    try:
+        if isinstance(value, (list, tuple)):
+            out = _numbers("schedule entry", value)
+        elif isinstance(value, str) and ".." in value:
             lo, _, hi = value.partition("..")
-            lo, hi = lo.strip(), hi.strip()
             if "^" not in lo or "^" not in hi:
                 raise ConfigError(f"schedule range endpoints need the form base^exp: {value!r}")
-            b1 = lo.partition("^")[0]
-            b2 = hi.partition("^")[0]
-            if float(b1) != float(b2):
+            (b1, e1), (b2, e2) = _power(lo), _power(hi)
+            if b1 != b2:
                 raise ConfigError(f"schedule range endpoints must share a base: {value!r}")
-            try:
-                e1 = int(lo.partition("^")[2])
-                e2 = int(hi.partition("^")[2])
-            except ValueError as exc:
-                raise ConfigError(f"schedule exponents must be integers: {value!r}") from exc
             step = 1 if e2 >= e1 else -1
-            out = [float(b1) ** e for e in range(e1, e2 + step, step)]
+            out = [b1 ** e for e in range(e1, e2 + step, step)]
+        elif isinstance(value, str):
+            out = [b ** e for b, e in (_power(t) for t in value.split(",") if t.strip())]
         else:
-            out = [_parse_power(t) if "^" in t else _parse_float(t)
-                   for t in value.split(",") if t.strip()]
-    else:
-        raise ConfigError(f"cannot parse schedule from {value!r}")
+            raise ConfigError(f"cannot parse schedule from {value!r}")
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ConfigError(f"schedule value out of range: {value!r}") from exc
     if not out or any(not v > 0 for v in out):
         raise ConfigError(f"schedule values must be positive: {value!r}")
     return out
 
 
-def _parse_float(tok: str) -> float:
-    try:
-        return float(tok)
-    except ValueError as exc:
-        raise ConfigError(f"expected a number, got {tok!r}") from exc
+# -- option table --------------------------------------------------------------------
 
 
-# -- configuration -----------------------------------------------------------------
+class _Kind(NamedTuple):
+    """How the values of one option are checked, and how its flag is parsed."""
 
-_OP_DEFAULTS = {
+    check: Callable        # (key, value) -> typed value; raises ConfigError
+    flag_type: type = str
+    choices: tuple | None = None
+
+
+def _holds(what: str, ok) -> Callable:
+    """A check that passes on the values for which ``ok`` holds."""
+    def check(key, value):
+        if not ok(value):
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+        return value
+    return check
+
+
+def _check_schedule(key, value):
+    parse_schedule(value)
+    return value  # echoed as written
+
+
+_METRICS = (METRIC_LEFT, METRIC_EUCLIDEAN)
+COUNT = _Kind(_holds("an integer >= 0", lambda v: type(v) is int and v >= 0), int)
+POSITIVE = _Kind(_holds("an integer >= 1", lambda v: type(v) is int and v >= 1), int)
+FLOAT = _Kind(_number, float)
+STR = _Kind(_holds("a string", lambda v: isinstance(v, str)))
+SCHEDULE = _Kind(_check_schedule)
+FLOATS = _Kind(_float_list)
+METRIC = _Kind(_holds(f"one of {_METRICS}", lambda v: v in _METRICS), choices=_METRICS)
+REQUIRED = object()  # stands in for the default of a key that has none
+
+_LAW = {"group": (STR, None, "builtin group name"),
+        "algebra_file": (STR, None, "JSON file with layers and brackets")}
+_CURVE = {"curve": (STR, None, "builtin curve name"),
+          "curve_file": (STR, None, "JSON file with group and C1 samples")}
+_EPS = {"eps": (FLOATS, None, "comma separated layer scales")}
+_INTERVAL = {"interval": (FLOATS, None, "a,b restriction of the parameter domain")}
+_SEED = {"seed": (COUNT, REQUIRED, "random seed")}
+
+# op -> key -> (kind, default or REQUIRED, flag help)
+_OPTIONS = {
     "fixtures": {},
-    "group-check": {"group": None, "algebra_file": None, "samples": 1000,
-                    "exact_triples": 20, "tol": 1e-12},
-    "frame-show": {"group": None, "algebra_file": None},
-    "metric-audit": {"group": None, "eps": None, "samples": 100_000},
-    "curve-degree": {"curve": None, "curve_file": None, "grid": 512,
-                     "tol_rel": 1e-8},
-    "blowup": {"curve": None, "curve_file": None, "eps": None, "t0": None,
-               "radii": "2^-1..2^-10", "metric": "euclidean"},
-    "diverge": {"curve": None, "curve_file": None, "eps": None, "t0": None,
-                "radii": "2^-4..2^-12", "metric": "left", "margin": 0.5},
-    "cover": {"curve": None, "curve_file": None, "eps": None, "q": None,
-              "deltas": "2^-2..2^-8", "interval": None},
-    "area": {"curve": None, "curve_file": None, "eps": None,
-             "deltas": "2^-2..2^-8", "interval": None, "metric": "euclidean"},
-    "negligibility": {"curve": None, "curve_file": None, "eps": None,
-                      "deltas": "2^-2..2^-10", "grid": 512},
-}
-
-_OP_REQUIRED = {
-    "metric-audit": {"group", "seed"},
-    "group-check": {"seed"},
-    "blowup": {"t0"},
-    "diverge": {"t0"},
+    "group-check": {**_LAW, **_SEED,
+                    "samples": (COUNT, 1000, "random float triples"),
+                    "exact_triples": (COUNT, 20, "random rational triples"),
+                    "tol": (FLOAT, 1e-12, "largest float associativity defect")},
+    "frame-show": _LAW,
+    "metric-audit": {"group": (STR, REQUIRED, "builtin group name"), **_EPS, **_SEED,
+                     "samples": (POSITIVE, 100_000, "random triples")},
+    "curve-degree": {**_CURVE, "grid": (POSITIVE, 512, "profile grid points"),
+                     "tol_rel": (FLOAT, 1e-8, "relative cut for frame components")},
+    "blowup": {**_CURVE, **_EPS, "t0": (FLOAT, REQUIRED, "curve parameter"),
+               "radii": (SCHEDULE, "2^-1..2^-10", "radius schedule"),
+               "metric": (METRIC, METRIC_EUCLIDEAN, "curve metric")},
+    "diverge": {**_CURVE, **_EPS, "t0": (FLOAT, REQUIRED, "curve parameter"),
+                "radii": (SCHEDULE, "2^-4..2^-12", "radius schedule"),
+                "metric": (METRIC, METRIC_LEFT, "curve metric"),
+                "margin": (FLOAT, 0.5, "slope margin to certify")},
+    "cover": {**_CURVE, **_EPS, **_INTERVAL,
+              "q": (FLOAT, None, "measure exponent (default: the curve degree)"),
+              "deltas": (SCHEDULE, "2^-2..2^-8", "delta schedule")},
+    "area": {**_CURVE, **_EPS, **_INTERVAL,
+             "deltas": (SCHEDULE, "2^-2..2^-8", "delta schedule"),
+             "metric": (METRIC, METRIC_EUCLIDEAN, "curve metric")},
+    "negligibility": {**_CURVE, **_EPS,
+                      "deltas": (SCHEDULE, "2^-2..2^-10", "delta schedule"),
+                      "grid": (POSITIVE, 512, "profile grid points")},
 }
 
 
 def resolve_config(cfg) -> dict:
-    """Validate a configuration object and fill in defaults.
+    """Check a configuration object against the option table, fill in defaults.
 
     Unknown keys are rejected rather than ignored, so a typo cannot
-    silently fall back to a default.
+    silently fall back to a default.  Every value must have its option's
+    kind, and ``null`` is accepted only where the default is None.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     op = cfg.get("op")
-    if op not in _OP_DEFAULTS:
+    if not isinstance(op, str) or op not in _OPTIONS:
         raise ConfigError(f"unknown or missing op {op!r}; "
-                          f"choose from {sorted(_OP_DEFAULTS)}")
-    required = _OP_REQUIRED.get(op, set())
-    allowed = set(_OP_DEFAULTS[op]) | required | {"op"}
-    unknown = sorted(set(cfg) - allowed)
+                          f"choose from {sorted(_OPTIONS)}")
+    options = _OPTIONS[op]
+    unknown = sorted(set(cfg) - set(options) - {"op"})
     if unknown:
         raise ConfigError(f"unknown config keys for op {op!r}: {unknown}")
-    missing = sorted(required - set(cfg))
+    missing = sorted(k for k, (_, default, _) in options.items()
+                     if default is REQUIRED and k not in cfg)
     if missing:
         raise ConfigError(f"missing required keys for op {op!r}: {missing}")
-    resolved = dict(_OP_DEFAULTS[op])
-    resolved.update(cfg)
+    resolved = {"op": op}
+    for key, (kind, default, _) in options.items():
+        value = cfg.get(key, default)
+        if value is not None or default is not None:
+            value = kind.check(key, value)
+        resolved[key] = value
     return resolved
 
 
@@ -158,6 +224,18 @@ def _resolve_law(cfg) -> GroupLaw:
             raise ConfigError(str(exc)) from exc
     with open(path, "r", encoding="utf-8") as fh:
         return bch_group_law(validate_algebra(spec_from_json(fh.read())))
+
+
+def _resolve_sample(s, n: int) -> dict:
+    if not isinstance(s, dict) or set(s) != {"t", "position", "velocity"}:
+        raise ConfigError("each curve sample must be "
+                          "{\"t\": ..., \"position\": [...], \"velocity\": [...]}")
+    out = {"t": _number("sample t", s["t"])}
+    for key in ("position", "velocity"):
+        out[key] = _numbers(f"sample {key}", s[key])
+        if len(out[key]) != n:
+            raise ConfigError(f"sample {key} must list {n} numbers, got {s[key]!r}")
+    return out
 
 
 def _resolve_curve(cfg):
@@ -180,35 +258,27 @@ def _resolve_curve(cfg):
     if group not in fixtures.group_names():
         raise ConfigError(f"curve file group must be one of {fixtures.group_names()}")
     law = fixtures.group_law(group)
-    curve = curve_from_samples(doc.get("samples", []), law.n, name="curve_file")
+    samples = doc.get("samples", [])
+    if not isinstance(samples, list):
+        raise ConfigError(f"curve file samples must be a list, got {samples!r}")
+    curve = curve_from_samples([_resolve_sample(s, law.n) for s in samples], law.n,
+                               name="curve_file")
     return law, curve, group
 
 
 def _resolve_distance(law, cfg) -> HomogeneousDistance:
-    eps = cfg.get("eps")
-    if eps is None:
-        eps = [1.0] * law.step
-    if isinstance(eps, str):
-        eps = [_parse_float(t) for t in eps.split(",") if t.strip()]
-    if not isinstance(eps, (list, tuple)) or len(eps) != law.step:
-        raise ConfigError(f"eps must list {law.step} positive scale factors")
+    eps = cfg["eps"]
     try:
-        return HomogeneousDistance(law, tuple(float(e) for e in eps))
-    except GroupValidationError:
-        raise
+        return HomogeneousDistance(law, (1.0,) * law.step if eps is None else tuple(eps))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _resolve_interval(cfg):
-    iv = cfg.get("interval")
-    if iv is None:
-        return None
-    if isinstance(iv, str):
-        iv = [_parse_float(t) for t in iv.split(",") if t.strip()]
-    if not isinstance(iv, (list, tuple)) or len(iv) != 2 or not iv[0] < iv[1]:
-        raise ConfigError(f"interval must be [a, b] with a < b, got {cfg['interval']!r}")
-    return float(iv[0]), float(iv[1])
+    iv = cfg["interval"]
+    if iv is not None and (len(iv) != 2 or not iv[0] < iv[1]):
+        raise ConfigError(f"interval must be [a, b] with a < b, got {iv!r}")
+    return None if iv is None else tuple(iv)
 
 
 # -- operations ---------------------------------------------------------------------
@@ -227,7 +297,7 @@ def _run_group_check(cfg) -> dict:
                 for _ in range(law.n)]
 
     exact_ok = True
-    for _ in range(int(cfg["exact_triples"])):
+    for _ in range(cfg["exact_triples"]):
         x, y, z = point(), point(), point()
         lhs = law.multiply_exact(law.multiply_exact(x, y), z)
         rhs = law.multiply_exact(x, law.multiply_exact(y, z))
@@ -235,19 +305,18 @@ def _run_group_check(cfg) -> dict:
             exact_ok = False
             break
 
-    m = int(cfg["samples"])
+    m = cfg["samples"]
     fr = np.random.default_rng(cfg["seed"])
     x = fr.uniform(-1.0, 1.0, (m, law.n))
     y = fr.uniform(-1.0, 1.0, (m, law.n))
     z = fr.uniform(-1.0, 1.0, (m, law.n))
     gap = law.multiply(law.multiply(x, y), z) - law.multiply(x, law.multiply(y, z))
     defect = float(np.max(np.abs(gap))) if m else 0.0
-    tol = float(cfg["tol"])
     return {"n": law.n, "step": law.step, "degrees": list(law.degrees),
-            "exact_triples": int(cfg["exact_triples"]),
+            "exact_triples": cfg["exact_triples"],
             "exact_associative": exact_ok,
             "float_samples": m, "max_associativity_defect": defect,
-            "tol": tol, "passed": exact_ok and defect <= tol}
+            "tol": cfg["tol"], "passed": exact_ok and defect <= cfg["tol"]}
 
 
 def _run_frame_show(cfg) -> dict:
@@ -260,11 +329,8 @@ def _run_frame_show(cfg) -> dict:
 
 
 def _run_metric_audit(cfg) -> dict:
-    if cfg.get("group") is None:
-        raise ConfigError("metric-audit needs a builtin 'group'")
-    law = _resolve_law({"group": cfg["group"]})
-    dist = _resolve_distance(law, cfg)
-    audit = triangle_audit(dist, samples=int(cfg["samples"]), seed=int(cfg["seed"]))
+    dist = _resolve_distance(_resolve_law(cfg), cfg)
+    audit = triangle_audit(dist, samples=cfg["samples"], seed=cfg["seed"])
     return {"eps": list(dist.eps), "samples": audit.samples, "seed": audit.seed,
             "max_ratio": audit.max_ratio, "passed": audit.passed,
             "witness": audit.witness}
@@ -272,13 +338,12 @@ def _run_metric_audit(cfg) -> dict:
 
 def _run_curve_degree(cfg) -> dict:
     law, curve, group = _resolve_curve(cfg)
-    prof = degree_profile(law, curve, grid_points=int(cfg["grid"]),
-                          tol_rel=float(cfg["tol_rel"]))
+    prof = degree_profile(law, curve, grid_points=cfg["grid"], tol_rel=cfg["tol_rel"])
     counts = {}
     for d in prof.degrees.tolist():
         counts[str(d)] = counts.get(str(d), 0) + 1
     return {"group": group, "degree": prof.degree,
-            "grid_points": int(cfg["grid"]),
+            "grid_points": cfg["grid"],
             "degree_counts": counts,
             "low_degree_intervals": [list(iv) for iv in prof.low_degree_intervals]}
 
@@ -286,7 +351,7 @@ def _run_curve_degree(cfg) -> dict:
 def _run_blowup(cfg) -> dict:
     law, curve, group = _resolve_curve(cfg)
     dist = _resolve_distance(law, cfg)
-    rep = blowup_sequence(dist, curve, float(cfg["t0"]), parse_schedule(cfg["radii"]),
+    rep = blowup_sequence(dist, curve, cfg["t0"], parse_schedule(cfg["radii"]),
                           metric=cfg["metric"])
     return {"group": group, "t0": rep.t0, "q": rep.q, "radii": list(rep.radii),
             "ratios": list(rep.ratios), "predicted": rep.predicted,
@@ -296,9 +361,8 @@ def _run_blowup(cfg) -> dict:
 def _run_diverge(cfg) -> dict:
     law, curve, group = _resolve_curve(cfg)
     dist = _resolve_distance(law, cfg)
-    rep = density_divergence(dist, curve, float(cfg["t0"]),
-                             parse_schedule(cfg["radii"]), metric=cfg["metric"],
-                             margin=float(cfg["margin"]))
+    rep = density_divergence(dist, curve, cfg["t0"], parse_schedule(cfg["radii"]),
+                             metric=cfg["metric"], margin=cfg["margin"])
     return {"group": group, "t0": rep.t0, "q": rep.q, "radii": list(rep.radii),
             "ratios": list(rep.ratios), "slope": rep.slope,
             "certified": rep.certified, "margin": rep.margin}
@@ -307,11 +371,11 @@ def _run_diverge(cfg) -> dict:
 def _run_cover(cfg) -> dict:
     law, curve, group = _resolve_curve(cfg)
     dist = _resolve_distance(law, cfg)
-    q = cfg.get("q")
+    q = cfg["q"]
     if q is None:
-        q = degree_profile(law, curve).degree
+        q = float(degree_profile(law, curve).degree)
     interval = _resolve_interval(cfg)
-    rep = covering_values(dist, curve, float(q), parse_schedule(cfg["deltas"]),
+    rep = covering_values(dist, curve, q, parse_schedule(cfg["deltas"]),
                           intervals=None if interval is None else [interval])
     return {"group": group, "q": rep.q, "deltas": list(rep.deltas),
             "values": list(rep.values), "ball_counts": list(rep.ball_counts),
@@ -336,7 +400,7 @@ def _run_negligibility(cfg) -> dict:
     law, curve, group = _resolve_curve(cfg)
     dist = _resolve_distance(law, cfg)
     rep = negligibility_estimate(dist, curve, parse_schedule(cfg["deltas"]),
-                                 grid_points=int(cfg["grid"]))
+                                 grid_points=cfg["grid"])
     ratios = [rep.values[i + 1] / rep.values[i] if rep.values[i] > 0 else 0.0
               for i in range(len(rep.values) - 1)]
     return {"group": group, "q": rep.q, "deltas": list(rep.deltas),
@@ -346,23 +410,27 @@ def _run_negligibility(cfg) -> dict:
             "successive_ratios": ratios}
 
 
-_RUNNERS = {
-    "fixtures": _run_fixtures,
-    "group-check": _run_group_check,
-    "frame-show": _run_frame_show,
-    "metric-audit": _run_metric_audit,
-    "curve-degree": _run_curve_degree,
-    "blowup": _run_blowup,
-    "diverge": _run_diverge,
-    "cover": _run_cover,
-    "area": _run_area,
-    "negligibility": _run_negligibility,
+_RUNNERS = {  # op -> (runner, subcommand help)
+    "fixtures": (_run_fixtures, "list builtin groups and curves"),
+    "group-check": (_run_group_check,
+                    "validate a bracket table and the associativity of its group law"),
+    "frame-show": (_run_frame_show,
+                   "print the group law terms and the left frame entries"),
+    "metric-audit": (_run_metric_audit,
+                     "sample the triangle inequality for a gauge distance"),
+    "curve-degree": (_run_curve_degree, "degree profile of a curve"),
+    "blowup": (_run_blowup, "ball measure ratios at a point of maximal degree"),
+    "diverge": (_run_diverge, "certify density blow-up at a point below maximal degree"),
+    "cover": (_run_cover, "greedy covering values along a delta schedule"),
+    "area": (_run_area, "covering value against the tangent integral"),
+    "negligibility": (_run_negligibility,
+                      "covering values of the low-degree parameter set"),
 }
 
 
 def run_config(cfg) -> dict:
     resolved = resolve_config(cfg)
-    result = _RUNNERS[resolved["op"]](resolved)
+    result = _RUNNERS[resolved["op"]][0](resolved)
     return {"version": __version__, "config": _jsonable(resolved),
             "result": _jsonable(result)}
 
@@ -420,103 +488,32 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
 # -- argument parsing -----------------------------------------------------------------
 
 
-def _add_output_args(p) -> None:
-    p.add_argument("--out", help="write the report to this file instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per op and one ``--flag`` per key of the option table."""
     p = argparse.ArgumentParser(
         prog="gradedgroups",
         description="group laws, gauge metrics and curve measures from "
                     "graded bracket tables")
     sub = p.add_subparsers(dest="command", required=True)
-
     runp = sub.add_parser("run", help="run one operation from a JSON config file")
     runp.add_argument("--config", required=True, help="path to the config document")
-    _add_output_args(runp)
-
-    fx = sub.add_parser("fixtures", help="list builtin groups and curves")
-    _add_output_args(fx)
-
-    gc = sub.add_parser("group-check", help="validate a bracket table and the "
-                                            "associativity of its group law")
-    gc.add_argument("--group", help="builtin group name")
-    gc.add_argument("--algebra-file", help="JSON file with layers and brackets")
-    gc.add_argument("--seed", type=int, required=True)
-    gc.add_argument("--samples", type=int)
-    gc.add_argument("--exact-triples", type=int)
-    gc.add_argument("--tol", type=float)
-    _add_output_args(gc)
-
-    fs = sub.add_parser("frame-show", help="print the group law terms and the "
-                                           "left frame entries")
-    fs.add_argument("--group")
-    fs.add_argument("--algebra-file")
-    _add_output_args(fs)
-
-    ma = sub.add_parser("metric-audit", help="sample the triangle inequality "
-                                             "for a gauge distance")
-    ma.add_argument("--group", required=True)
-    ma.add_argument("--eps", help="comma separated layer scales")
-    ma.add_argument("--samples", type=int)
-    ma.add_argument("--seed", type=int, required=True)
-    _add_output_args(ma)
-
-    cd = sub.add_parser("curve-degree", help="degree profile of a curve")
-    cd.add_argument("--curve", help="builtin curve name")
-    cd.add_argument("--curve-file", help="JSON file with group and C1 samples")
-    cd.add_argument("--grid", type=int)
-    cd.add_argument("--tol-rel", type=float)
-    _add_output_args(cd)
-
-    def curve_common(sp, radii_flag):
-        sp.add_argument("--curve")
-        sp.add_argument("--curve-file")
-        sp.add_argument("--eps")
-        sp.add_argument(radii_flag)
-        _add_output_args(sp)
-
-    bl = sub.add_parser("blowup", help="ball measure ratios at a point of "
-                                       "maximal degree")
-    bl.add_argument("--t0", type=float, required=True)
-    bl.add_argument("--metric", choices=("euclidean", "left"))
-    curve_common(bl, "--radii")
-
-    dv = sub.add_parser("diverge", help="certify density blow-up at a point "
-                                        "below maximal degree")
-    dv.add_argument("--t0", type=float, required=True)
-    dv.add_argument("--metric", choices=("euclidean", "left"))
-    dv.add_argument("--margin", type=float)
-    curve_common(dv, "--radii")
-
-    cv = sub.add_parser("cover", help="greedy covering values along a delta "
-                                      "schedule")
-    cv.add_argument("--q", type=float)
-    cv.add_argument("--interval", help="a,b restriction of the parameter domain")
-    curve_common(cv, "--deltas")
-
-    ar = sub.add_parser("area", help="covering value against the tangent "
-                                     "integral")
-    ar.add_argument("--interval", help="a,b restriction of the parameter domain")
-    ar.add_argument("--metric", choices=("euclidean", "left"))
-    curve_common(ar, "--deltas")
-
-    ng = sub.add_parser("negligibility", help="covering values of the "
-                                              "low-degree parameter set")
-    ng.add_argument("--grid", type=int)
-    curve_common(ng, "--deltas")
-
+    parsers = [runp]
+    for op, options in _OPTIONS.items():
+        sp = sub.add_parser(op, help=_RUNNERS[op][1])
+        for key, (kind, default, text) in options.items():
+            sp.add_argument("--" + key.replace("_", "-"), type=kind.flag_type,
+                            choices=kind.choices, required=default is REQUIRED, help=text)
+        parsers.append(sp)
+    for sp in parsers:
+        sp.add_argument("--out", help="write the report to this file instead of stdout")
+        sp.add_argument("--format", choices=("json", "csv"), default="json")
     return p
 
 
 def _config_from_args(args: argparse.Namespace) -> dict:
     if args.command == "run":
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
-        return cfg
+            return json.load(fh)
     skip = {"command", "out", "format"}
     cfg = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
     cfg["op"] = args.command

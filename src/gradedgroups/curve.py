@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .frame import FrameCoordinates, METRIC_EUCLIDEAN, METRIC_LEFT, _normalize_metric, speed
+from .frame import FrameCoordinates, METRIC_EUCLIDEAN, METRIC_LEFT, speed
 from .group import GroupLaw
 from .roots import bisect
 
@@ -188,7 +188,6 @@ def tangent_projection(law: GroupLaw, curve: Curve, t: float, layer: int,
     metric, its frame coordinates are restricted to the requested layer,
     and the euclidean size of that block is returned alongside.
     """
-    metric = _normalize_metric(metric)
     x = curve.position_at(t)
     v = curve.velocity_at(t)
     sp = speed(law.frame, x, v, metric)

@@ -26,13 +26,9 @@ METRIC_LEFT = "left"
 METRIC_EUCLIDEAN = "euclidean"
 
 
-def _normalize_metric(metric: str) -> str:
-    m = str(metric).lower().replace("-", "_")
-    if m in ("left", "left_invariant", "frame"):
-        return METRIC_LEFT
-    if m in ("euclidean", "ambient"):
-        return METRIC_EUCLIDEAN
-    raise ValueError(f"unknown metric choice {metric!r}; use 'left' or 'euclidean'")
+def _check_metric(metric: str) -> None:
+    if metric not in (METRIC_LEFT, METRIC_EUCLIDEAN):
+        raise ValueError(f"unknown metric choice {metric!r}; use 'left' or 'euclidean'")
 
 
 @dataclass(frozen=True)
@@ -157,7 +153,7 @@ def speed(frame: Frame, x, v, metric: str = METRIC_LEFT) -> float:
     the euclidean norm of the frame coordinates); "euclidean" uses the
     ambient coordinate norm.
     """
-    metric = _normalize_metric(metric)
+    _check_metric(metric)
     v = np.asarray(v, dtype=float)
     if metric == METRIC_EUCLIDEAN:
         return float(np.sqrt(np.dot(v, v)))

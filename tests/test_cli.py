@@ -1,12 +1,17 @@
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gradedgroups
+from gradedgroups import cli
 from gradedgroups.cli import ConfigError, main, parse_schedule, resolve_config, run_config
 
 
@@ -27,7 +32,8 @@ def test_parse_schedule_forms():
 
 
 def test_parse_schedule_rejects_garbage():
-    for bad in ("", "1..4", "2^-1..3^-5", "-0.5", [0.5, -1.0], 7):
+    for bad in ("", "1..4", "2^-1..3^-5", "-0.5", [0.5, -1.0], 7, [0.5, True], "inf",
+                "a^-1..a^-3", "2^5000", "0^-1", "nan^0"):
         with pytest.raises(ConfigError):
             parse_schedule(bad)
 
@@ -49,6 +55,49 @@ def test_resolve_config_rejects_unknown_keys():
 def test_resolve_config_requires_seed_for_sampling_ops():
     with pytest.raises(ConfigError, match="seed"):
         resolve_config({"op": "metric-audit", "group": "heisenberg"})
+
+
+def test_resolve_config_types_values():
+    cfg = resolve_config({"op": "cover", "curve": "vertical", "q": 3,
+                          "interval": "0, 1", "eps": [1, 0.5]})
+    assert type(cfg["q"]) is float and cfg["q"] == 3.0
+    assert cfg["interval"] == [0.0, 1.0] and cfg["eps"] == [1.0, 0.5]
+    assert cfg["deltas"] == "2^-2..2^-8"
+
+
+@pytest.mark.parametrize("cfg", [
+    {"op": "group-check", "group": "heisenberg", "seed": 1.5},
+    {"op": "group-check", "group": "heisenberg", "seed": "7"},
+    {"op": "group-check", "group": "heisenberg", "seed": True},
+    {"op": "group-check", "group": "heisenberg", "seed": -3},
+    {"op": "blowup", "curve": "vertical", "t0": [0.1]},
+    {"op": "blowup", "curve": "vertical", "t0": None},
+    {"op": "blowup", "curve": "vertical", "t0": 0.0, "metric": "frame"},
+    {"op": "cover", "curve": "vertical", "eps": [1, None]},
+    {"op": "cover", "curve": "vertical", "interval": [0, None]},
+    {"op": "cover", "curve": "vertical", "q": [2]},
+    {"op": "curve-degree", "curve": "vertical", "grid": None},
+    {"op": "curve-degree", "curve": "vertical", "grid": 2.9},
+    {"op": "curve-degree", "curve": ["vertical"]},
+    {"op": "metric-audit", "group": "heisenberg", "seed": 1, "samples": 1.7},
+    {"op": "frame-show", "algebra_file": 5},
+    {"op": ["blowup"]},
+])
+def test_resolve_config_rejects_values_of_the_wrong_kind(cfg):
+    with pytest.raises(ConfigError):
+        resolve_config(cfg)
+
+
+@pytest.mark.parametrize("argv", [
+    ("negligibility", "--curve", "glued_hv", "--grid", "0"),
+    ("metric-audit", "--group", "heisenberg", "--seed", "1", "--samples", "0"),
+    ("group-check", "--group", "heisenberg", "--seed", "-3"),
+    ("blowup", "--curve", "vertical", "--t0", "inf"),
+])
+def test_out_of_range_flags_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ConfigError"
 
 
 def test_run_config_needs_exactly_one_curve_source():
@@ -149,6 +198,18 @@ def test_missing_config_file_exits_2(capsys):
     assert code == 2
 
 
+def test_bad_curve_files_exit_2(tmp_path, capsys):
+    good = {"t": 0.0, "position": [0, 0, 0], "velocity": [0, 0, 1]}
+    path = tmp_path / "curve.json"
+    for samples in (5, [5, 6], [dict(good, t="1")], [dict(good, t=True)],
+                    [dict(good, position=[0, 0])], [dict(good, velocity=[0, 0, True])],
+                    [dict(good, extra=1)]):
+        path.write_text(json.dumps({"group": "heisenberg", "samples": samples}))
+        code, out, err = run_cli(capsys, "curve-degree", "--curve-file", str(path))
+        assert code == 2, samples
+        assert json.loads(err)["error"] == "ConfigError"
+
+
 def test_curve_file_flow(tmp_path, capsys):
     doc = {"group": "heisenberg",
            "samples": [
@@ -185,3 +246,122 @@ def test_config_echo_includes_resolved_defaults(capsys):
     assert cfg["grid"] == 512
     assert cfg["tol_rel"] == 1e-8
     assert cfg["op"] == "curve-degree"
+
+
+def test_readme_command_lines_parse():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## Command line")[1]
+    block = block.split("```sh")[1].split("```")[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("gradedgroups ")]
+    assert len(lines) >= 10
+    for line in lines:
+        args = cli.build_parser().parse_args(shlex.split(line)[1:])
+        resolve_config(cli._config_from_args(args))
+
+
+# -- fuzzing -------------------------------------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+_ANY = _JSON | st.sampled_from(["2^5000", "0^-1", "nan", "1e400", "2^-1..3^-2", "Left"]) \
+    | st.text(alphabet="0123456789^.,-e ", max_size=10)
+# a valid value per key; the strategies below replace some of them with _ANY
+_SCHEDULES = st.sampled_from(["2^-1..2^-3", "0.5,0.25", "2^-4", [0.5, 1]])
+_VALID = {
+    "group": st.sampled_from(["heisenberg", "engel"]), "algebra_file": st.just("a.json"),
+    "curve": st.just("vertical"), "curve_file": st.just("c.json"),
+    "seed": st.integers(0, 2 ** 40), "samples": st.integers(1, 10 ** 6),
+    "exact_triples": st.integers(0, 50), "grid": st.integers(1, 4096),
+    "tol": st.floats(0.0, 1.0), "tol_rel": st.floats(0.0, 1.0), "t0": st.integers(-1, 1),
+    "margin": st.floats(0.0, 1.0), "q": st.integers(1, 3) | st.floats(0.5, 3.0),
+    "eps": st.lists(st.integers(1, 3) | st.floats(0.1, 2.0), max_size=3) | st.just("1,0.5"),
+    "interval": st.just([0, 1]) | st.just("-0.5, 0.5"),
+    "radii": _SCHEDULES, "deltas": _SCHEDULES,
+    "metric": st.sampled_from(["left", "euclidean"]),
+}
+
+
+def _has_kind(kind, value) -> bool:
+    if kind in (cli.COUNT, cli.POSITIVE):
+        return type(value) is int and value >= (1 if kind is cli.POSITIVE else 0)
+    if kind is cli.FLOAT:
+        return type(value) is float and math.isfinite(value)
+    if kind is cli.STR:
+        return type(value) is str
+    if kind is cli.SCHEDULE:
+        return bool(parse_schedule(value))
+    if kind is cli.FLOATS:
+        return type(value) is list and all(type(v) is float and math.isfinite(v)
+                                           for v in value)
+    return kind is cli.METRIC and value in ("left", "euclidean")
+
+
+@st.composite
+def _configs(draw):
+    op = draw(st.sampled_from(sorted(cli._OPTIONS)))
+    options = cli._OPTIONS[op]
+    cfg = {"op": op}
+    for key in draw(st.lists(st.sampled_from(sorted(options)), unique=True)) if options else []:
+        cfg[key] = draw(_VALID[key])
+    for key, (_, default, _) in options.items():
+        if default is cli.REQUIRED:
+            cfg[key] = draw(_VALID[key])
+    for key in draw(st.lists(st.sampled_from(["op", "bogus", *options]), max_size=2)):
+        cfg[key] = draw(_ANY)
+    return cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(_configs())
+def test_resolve_config_returns_declared_kinds_or_config_error(cfg):
+    try:
+        resolved = resolve_config(cfg)
+    except ConfigError:
+        return
+    options = cli._OPTIONS[cfg["op"]]
+    assert set(resolved) == set(options) | {"op"}
+    for key, (kind, default, _) in options.items():
+        value = resolved[key]
+        assert (value is None and default is None) or _has_kind(kind, value), (key, value)
+        if key in cfg and kind is not cli.FLOATS:  # no silent coercion
+            assert type(cfg[key]) is not bool and cfg[key] == value, (key, cfg[key])
+
+
+@st.composite
+def _curve_docs(draw):
+    group = draw(st.sampled_from(["heisenberg", "engel"]))
+    vector = st.lists(st.floats(-2.0, 2.0), min_size=3 if group == "heisenberg" else 4,
+                      max_size=3 if group == "heisenberg" else 4)
+    ts = sorted(draw(st.lists(st.integers(-20, 20), min_size=2, max_size=4, unique=True)))
+    ts = [k / 10 for k in ts]
+    samples = [{"t": t, "position": draw(vector), "velocity": draw(vector)} for t in ts]
+    doc = {"group": group, "samples": samples}
+    # inner parts first, so each replacement finds the structure it edits
+    order = ["t", "entry", "sample", "group", "samples", "doc"]
+    for where in sorted(draw(st.lists(st.sampled_from(order), max_size=2)), key=order.index):
+        i = draw(st.integers(0, len(ts) - 1))
+        if where == "t":
+            samples[i]["t"] = draw(_ANY)
+        elif where == "entry":
+            samples[i]["velocity"][draw(st.integers(0, 2))] = draw(_ANY)
+        elif where == "sample":
+            samples[i] = draw(_ANY)
+        elif where == "doc":
+            return draw(_ANY)
+        else:
+            doc[where] = draw(_ANY)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_curve_docs())
+def test_curve_files_fail_only_with_value_errors(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("curve") / "curve.json"
+    path.write_text(json.dumps(doc))
+    try:
+        cli._resolve_curve({"curve_file": str(path)})
+    except ValueError:  # ConfigError is a ValueError; both exit 2
+        pass

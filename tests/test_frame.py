@@ -96,8 +96,9 @@ def test_speed_left_vs_euclidean(heis):
     v = heis.frame.reconstruct(x, np.array([1.0, 0.0, 0.0]))
     assert speed(heis.frame, x, v, "left") == pytest.approx(1.0)
     assert speed(heis.frame, x, v, "euclidean") == pytest.approx(np.sqrt(1.25))
-    with pytest.raises(ValueError):
-        speed(heis.frame, x, v, "taxicab")
+    for bad in ("taxicab", "frame"):
+        with pytest.raises(ValueError):
+            speed(heis.frame, x, v, bad)
 
 
 def test_compute_frame_matches_lazy_property(heis):

@@ -540,6 +540,9 @@ def main(argv=None) -> int:
         return _fail(exc, 4)
     except (ValueError, OSError, KeyError) as exc:
         return _fail(exc, 2)
+    except MemoryError as exc:
+        # a count too large to allocate, e.g. --samples 10^15
+        return _fail(ConfigError(f"not enough memory for this config: {exc}"), 2)
 
 
 if __name__ == "__main__":

@@ -17,9 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import roots
 from .frame import FrameCoordinates, METRIC_EUCLIDEAN, METRIC_LEFT, speed
 from .group import GroupLaw
-from .roots import bisect
 
 
 class ZeroVelocityError(ValueError):
@@ -83,8 +83,14 @@ def curve_from_samples(samples, n: int, name: str = "") -> Curve:
         raise ValueError("need two or more samples of matching dimension")
     if not np.all(np.diff(ts) > 0):
         raise ValueError("sample parameters must be strictly increasing")
-    spline = CubicHermiteSpline(ts, pos, vel)
-    dspline = spline.derivative()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        spline = CubicHermiteSpline(ts, pos, vel)
+        dspline = spline.derivative()
+    if not (np.isfinite(spline.c).all() and np.isfinite(dspline.c).all()):
+        gaps = np.diff(ts)
+        i = int(gaps.argmin())
+        raise ValueError(f"sample spacing {gaps[i]:g} after t = {ts[i]:g} is too small: "
+                         "the cubic interpolant's coefficients overflow")
     return Curve(domain=(float(ts[0]), float(ts[-1])), n=n,
                  position=spline, velocity=dspline, name=name,
                  description="cubic interpolant of sampled data")
@@ -138,10 +144,11 @@ def degree_profile(law: GroupLaw, curve: Curve, grid_points: int = 512,
     """Sample the degree along the curve and locate the low-degree set.
 
     The low-degree set is reported as closed parameter intervals around
-    grid runs of submaximal degree, with the interval ends sharpened by
-    bisection between neighboring grid points.  Features narrower than a
-    grid cell that sit strictly between grid points can be missed, which
-    is the usual resolution caveat of a sampled scan.
+    grid runs of submaximal degree (``roots.intervals``), each end
+    sharpened by bisection toward the neighboring grid point and reported
+    on its low-degree side.  Features narrower than a grid cell that sit
+    strictly between grid points can be missed, which is the usual
+    resolution caveat of a sampled scan.
     """
     a, b = curve.domain
     inset = 1e-9 * curve.span()
@@ -153,28 +160,10 @@ def degree_profile(law: GroupLaw, curve: Curve, grid_points: int = 512,
     def low(t):
         return _degrees(law, t, curve.positions(t), curve.velocities(t), tol_rel)[1] < top
 
-    def edge_between(t_full: float, t_low: float) -> float:
-        # bisect the jump; returns a parameter on the low side of the edge
-        t_low, _ = bisect(low, t_low, t_full, lambda lo, hi: width, 8)
-        return t_low
-
-    intervals = []
-    i = 0
-    while i < len(ts):
-        if degs[i] == top:
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(ts) and degs[j + 1] < top:
-            j += 1
-        lo = edge_between(ts[i - 1], ts[i]) if i > 0 else ts[i]
-        hi = edge_between(ts[j + 1], ts[j]) if j + 1 < len(ts) else ts[j]
-        intervals.append((float(lo), float(hi)))
-        i = j + 1
-
+    intervals = roots.intervals(low, ts, degs < top, lambda lo, hi: width, 8)
     return DegreeProfile(grid=ts, lam=lam, degrees=degs, degree=top,
                          exponents=tuple(d / top for d in law.degrees),
-                         low_degree_intervals=tuple(intervals), tol_rel=tol_rel)
+                         low_degree_intervals=intervals, tol_rel=tol_rel)
 
 
 # -- tangent projections ------------------------------------------------------

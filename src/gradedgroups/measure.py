@@ -5,9 +5,10 @@ Conventions.  The 1-d measure of a curve piece under an ambient metric
 ("left" for the metric that makes the frame orthonormal, "euclidean"
 for the coordinate metric) is the integral of the corresponding speed.
 Parameter sets cut out by balls are located by a grid scan refined with
-bisection at every boundary crossing, so disconnected intersections are
-handled; the component through the center is always resolved separately
-because it can be far narrower than a grid cell.
+bisection at every boundary crossing (``roots.intervals``), so
+disconnected intersections are handled.  The center is a grid point, so
+the component through it is found even when it is far narrower than a
+grid cell.
 
 Spherical-measure upper bounds come from a greedy walk: at the first
 uncovered parameter, a ball of the current radius is centered as far
@@ -31,11 +32,11 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
+from . import roots
 from .curve import (Curve, DegreeProfile, degree_profile, pointwise_degree,
                     tangent_projection)
 from .frame import METRIC_EUCLIDEAN, METRIC_LEFT, _check_metric, speed
 from .metric import HomogeneousDistance, degree_constant
-from .roots import bisect
 
 
 class NumericalResolutionError(RuntimeError):
@@ -83,8 +84,12 @@ class BallIntersection:
 def ball_param_set(dist: HomogeneousDistance, curve: Curve, t0: float, r: float):
     """Parameter set {t : d(gamma(t0), gamma(t)) < r} as intervals.
 
-    Open versus closed balls only differ on a measure-zero boundary, so a
-    single scanner serves both.  Returns (intervals, truncated).
+    The domain is scanned on a grid that includes t0, and every crossing
+    is refined to 1e-15 by ``roots.intervals``.  The component through t0
+    is found however narrow it is; any other component narrower than a
+    grid cell can be missed.  Open versus closed balls only differ on a
+    measure-zero boundary, so a single scanner serves both.  Returns
+    (intervals, truncated).
     """
     a, b = curve.domain
     if not a < t0 < b:
@@ -92,61 +97,19 @@ def ball_param_set(dist: HomogeneousDistance, curve: Curve, t0: float, r: float)
     dfun = dist.distance_from(curve.position_at(t0))
 
     m = max(257, int(GRID_PER_UNIT * (b - a)) + 1)
-    ts = np.linspace(a, b, m)
-    ts = np.unique(np.concatenate([ts, [t0]]))
+    ts = np.unique(np.concatenate([np.linspace(a, b, m), [t0]]))
 
     def in_ball(t):
         return dfun(curve.positions(t)) < r
 
-    def edge(inside_end: float, outside_end: float, in_set) -> float:
-        lo, hi = bisect(in_set, inside_end, outside_end,
-                        lambda p, q: 1e-15 * max(1.0, abs(min(p, q))), 8)
-        return 0.5 * (lo + hi)
-
-    # the central component: expand outward from t0, where d = 0
-    def expand(direction: int) -> float:
-        limit = b if direction > 0 else a
-        span = abs(limit - t0)
-        h = span * 1e-9 + 1e-300
-
-        def inside(s):
-            return in_ball(t0 + direction * s)
-
-        lo, hi = _first_exit(inside, h, span, h)
-        if hi is None:
-            return limit
-        return t0 + direction * edge(lo, hi, inside)
-
-    left = expand(-1)
-    right = expand(+1)
-
-    inside = in_ball(ts)
-    edges = []
-    for i in np.flatnonzero(inside[1:] != inside[:-1]):
-        ends = (ts[i], ts[i + 1]) if inside[i] else (ts[i + 1], ts[i])
-        edges.append(edge(*ends, in_ball))
-    intervals = []
-    open_at = ts[0] if inside[0] else None
-    for e in edges:
-        if open_at is None:
-            open_at = e
-        else:
-            intervals.append((open_at, e))
-            open_at = None
-    if open_at is not None:
-        intervals.append((open_at, ts[-1]))
-
-    # merge in the precisely resolved central component
-    intervals.append((left, right))
-    intervals.sort()
-    merged = [intervals[0]]
-    for lo, hi in intervals[1:]:
-        if lo <= merged[-1][1] + 1e-15 * (b - a):
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    truncated = merged[0][0] <= a + 1e-12 * (b - a) or merged[-1][1] >= b - 1e-12 * (b - a)
-    return tuple(merged), truncated
+    ins = in_ball(ts)
+    # d = 0 at the center, though the gauge of a rounded x^-1 * x is not:
+    # on engel it reads about 1e-5 at |x| ~ 1
+    ins[np.searchsorted(ts, t0)] = True
+    found = roots.intervals(in_ball, ts, ins,
+                            lambda p, q: 1e-15 * max(1.0, abs(min(p, q))), 8)
+    truncated = found[0][0] <= a + 1e-12 * (b - a) or found[-1][1] >= b - 1e-12 * (b - a)
+    return found, truncated
 
 
 def ball_intersection_measure(dist: HomogeneousDistance, curve: Curve, t0: float,
@@ -256,24 +219,6 @@ class CoveringEstimate:
     centers: tuple             # center parameters (radii all equal delta)
 
 
-def _first_exit(inside, h: float, span: float, floor: float):
-    """First failure of ``inside`` on the offsets h * 2^k in [floor, span), then span.
-
-    ``inside`` maps an array of offsets to a bool array and is called once.
-    Returns (lo, hi): hi is the first offset outside and lo the offset
-    before it, or 0.0 when hi is the first; (span, None) when every offset
-    is inside.
-    """
-    ks = np.arange(math.floor(math.log2(floor / h)), math.ceil(math.log2(span / h)) + 1)
-    hs = np.ldexp(h, ks)
-    hs = np.concatenate((hs[(hs >= floor) & (hs < span)], (span,)))
-    ins = inside(hs)
-    k = int(ins.argmin())
-    if ins[k]:
-        return span, None
-    return (float(hs[k - 1]) if k else 0.0), float(hs[k])
-
-
 def _forward_reach(dfun: Callable, curve: Curve, start: float, cap: float,
                    r: float, guess: float | None) -> float:
     """Largest parameter s in [start, cap] found with d(s) <= r.
@@ -294,11 +239,17 @@ def _forward_reach(dfun: Callable, curve: Curve, start: float, cap: float,
     def inside(s):
         return dfun(curve.positions(start + s)) <= r
 
-    lo, hi = _first_exit(inside, h, width, 1e-18 * max(1.0, abs(start)) + 1e-300)
-    if hi is None:
+    floor = 1e-18 * max(1.0, abs(start)) + 1e-300
+    ks = np.arange(math.floor(math.log2(floor / h)), math.ceil(math.log2(width / h)) + 1)
+    hs = np.ldexp(h, ks)
+    hs = np.concatenate((hs[(hs >= floor) & (hs < width)], (width,)))
+    ins = inside(hs)
+    k = int(ins.argmin())           # the first ladder point outside, if any
+    if ins[k]:
         return cap
-    if lo == 0.0:
+    if k == 0:
         return start
+    lo, hi = float(hs[k - 1]), float(hs[k])
 
     # tight tolerance: the per-ball shortfall accumulates over the whole walk.
     # The bracket [lo, hi] has hi <= 2 lo, so it meets the tolerance within
@@ -307,7 +258,7 @@ def _forward_reach(dfun: Callable, curve: Curve, start: float, cap: float,
         return 1e-12 * lo + 1e-16
 
     if hi - lo > tol(lo, hi):
-        lo, _ = bisect(inside, lo, hi, tol, 8)
+        lo, _ = roots.bisect(inside, lo, hi, tol, 8)
     return start + lo
 
 
@@ -491,15 +442,9 @@ def negligibility_estimate(dist: HomogeneousDistance, curve: Curve,
         zeros = tuple(0.0 for _ in deltas)
         return NegligibilityReport(q=q, deltas=tuple(map(float, deltas)),
                                    values=zeros, intervals=(), ball_counts=zeros)
-    values = []
-    counts = []
-    for d in deltas:
-        est = spherical_measure_upper(dist, curve, q, d, intervals)
-        values.append(est.value)
-        counts.append(est.ball_count)
-    return NegligibilityReport(q=q, deltas=tuple(float(d) for d in deltas),
-                               values=tuple(values), intervals=intervals,
-                               ball_counts=tuple(counts))
+    cov = covering_values(dist, curve, q, deltas, intervals)
+    return NegligibilityReport(q=q, deltas=cov.deltas, values=cov.values,
+                               intervals=intervals, ball_counts=cov.ball_counts)
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import roots
 from .frame import FrameCoordinates
 from .group import DimensionMismatch, GroupLaw, _leading
 from .poly import monomial_source
-from .roots import bisect
 
 
 @dataclass(frozen=True)
@@ -210,8 +210,9 @@ def _line_gauge_interval_length(dist, lam, rel_tol: float, grid: int) -> float:
     """Lebesgue measure of {t : N(t * lam) < 1} by scan plus bisection.
 
     The membership set need not be a single interval for a general gauge,
-    so the positive half-line is scanned on a uniform grid and every sign
-    change of N - 1 is refined.  The set is symmetric, hence the factor 2.
+    so the positive half-line is scanned on a uniform grid and every
+    crossing of N = 1 is refined (``roots.intervals``).  The set is
+    symmetric, hence the factor 2.
     """
     lam = np.asarray(lam, dtype=float)
     norm = dist.norm
@@ -230,25 +231,8 @@ def _line_gauge_interval_length(dist, lam, rel_tol: float, grid: int) -> float:
         return norm(np.multiply.outer(t, lam)) < 1.0
 
     ts = np.linspace(0.0, s_max, grid + 1)
-    inside = below(ts)
-
-    def refine(lo, hi, was):
-        lo, hi = bisect(lambda t: below(t) == was, lo, hi,
-                        lambda a, b: rel_tol * s_max * 1e-3, 10)
-        return 0.5 * (lo + hi)
-
-    total = 0.0
-    open_at = 0.0 if inside[0] else None
-    for i in np.flatnonzero(inside[1:] != inside[:-1]):
-        crossing = refine(ts[i], ts[i + 1], inside[i])
-        if inside[i]:
-            total += crossing - open_at
-            open_at = None
-        else:
-            open_at = crossing
-    if open_at is not None:
-        total += s_max - open_at
-    return 2.0 * total
+    runs = roots.intervals(below, ts, below(ts), lambda a, b: rel_tol * s_max * 1e-3, 10)
+    return 2.0 * sum(hi - lo for lo, hi in runs)
 
 
 def metric_factor(dist: HomogeneousDistance, tau, method: str = "auto",

@@ -2,11 +2,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gradedgroups.algebra import (AntisymmetryViolation, GradingViolation,
-                                  GroupValidationError, JacobiViolation,
-                                  spec_from_dict, spec_from_json,
-                                  validate_algebra)
+from gradedgroups.algebra import (MAX_DIMENSION, AntisymmetryViolation,
+                                  GradingViolation, GroupValidationError,
+                                  JacobiViolation, spec_from_dict,
+                                  spec_from_json, validate_algebra)
+from json_strategy import JSON
 
 
 def make_spec(layers, brackets):
@@ -41,7 +44,7 @@ def test_parse_rejects_malformed_bracket_entries():
         with pytest.raises(GroupValidationError, match="'brackets' must be a list"):
             spec_from_dict({"layers": [2, 1], "brackets": brackets})
     # coefficients are never coerced either: no floats, no booleans
-    for c in ("0.5x", 0.5, True):
+    for c in ("0.5x", 0.5, True, "1/0"):
         with pytest.raises(GroupValidationError, match="rational"):
             spec_from_dict({"layers": [2, 1],
                             "brackets": [{"i": 1, "j": 2, "k": 3, "c": c}]})
@@ -137,3 +140,54 @@ def test_jacobi_holds_for_step3_chain():
 def test_out_of_range_indices_rejected():
     with pytest.raises(GroupValidationError):
         validate_algebra(make_spec([2, 1], [{"i": 1, "j": 4, "k": 3, "c": "1"}]))
+
+
+def test_dimension_above_the_limit_rejected():
+    for layers in ([MAX_DIMENSION + 1], [2, MAX_DIMENSION], [10 ** 30]):
+        with pytest.raises(GroupValidationError, match="dimension"):
+            validate_algebra(make_spec(layers, []))
+    assert validate_algebra(make_spec([MAX_DIMENSION - 1, 1], [])).n == MAX_DIMENSION
+
+
+# -- fuzzing -------------------------------------------------------------------------
+
+_RATIONAL = st.integers(-9, 9).filter(bool) | st.builds(
+    "{}/{}".format, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+
+
+@st.composite
+def _algebra_docs(draw):
+    # filiform of step 2..4, [e_1, e_k] = c_k e_(k+1): valid for any nonzero c_k
+    step = draw(st.integers(2, 4))
+    brackets = [{"i": 1, "j": k, "k": k + 1, "c": draw(_RATIONAL)}
+                for k in range(2, step + 1)]
+    layers = [2] + [1] * (step - 1)
+    doc = {"layers": layers, "brackets": brackets}
+    # inner parts first, so each replacement finds the structure it edits
+    order = ["index", "c", "entry", "layer", "layers", "brackets", "extra", "doc"]
+    for where in sorted(draw(st.lists(st.sampled_from(order), max_size=2)), key=order.index):
+        entry = draw(st.integers(0, len(brackets) - 1))
+        if where == "index":
+            brackets[entry][draw(st.sampled_from("ijk"))] = draw(JSON)
+        elif where == "c":
+            brackets[entry]["c"] = draw(JSON)
+        elif where == "entry":
+            brackets[entry] = draw(JSON)
+        elif where == "layer":
+            layers[draw(st.integers(0, step - 1))] = draw(JSON)
+        elif where == "extra":
+            doc[draw(st.text(max_size=4))] = draw(JSON)
+        elif where == "doc":
+            return draw(JSON)
+        else:
+            doc[where] = draw(JSON)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_algebra_docs())
+def test_algebra_documents_fail_only_with_validation_errors(doc):
+    try:
+        validate_algebra(spec_from_dict(doc))
+    except GroupValidationError:
+        pass

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import gradedgroups
 from gradedgroups import cli
 from gradedgroups.cli import ConfigError, main, parse_schedule, resolve_config, run_config
+from json_strategy import JSON
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +94,9 @@ def test_resolve_config_rejects_values_of_the_wrong_kind(cfg):
     ("metric-audit", "--group", "heisenberg", "--seed", "1", "--samples", "0"),
     ("group-check", "--group", "heisenberg", "--seed", "-3"),
     ("blowup", "--curve", "vertical", "--t0", "inf"),
+    # too large to allocate: numpy's MemoryError becomes a ConfigError
+    ("group-check", "--group", "heisenberg", "--seed", "1", "--samples", "1000000000000000"),
+    ("curve-degree", "--curve", "vertical", "--grid", "1000000000000000"),
 ])
 def test_out_of_range_flags_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -186,7 +190,9 @@ def test_invalid_algebra_exits_3(tmp_path, capsys):
 
     for doc in ({"layers": [2, 1], "brackets": [{"i": 1.7, "j": 2, "k": 3, "c": "1"}]},
                 {"layers": [2, 1], "brackets": [{"i": 1, "j": 2, "k": 3, "c": True}]},
-                {"layers": [2, 1], "brackets": 5}):
+                {"layers": [2, 1], "brackets": 5},
+                {"layers": [2, 1], "brackets": [{"i": 1, "j": 2, "k": 3, "c": "1/0"}]},
+                {"layers": [2, 1000]}):
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "frame-show", "--algebra-file", str(path))
         assert code == 3
@@ -208,6 +214,14 @@ def test_bad_curve_files_exit_2(tmp_path, capsys):
         code, out, err = run_cli(capsys, "curve-degree", "--curve-file", str(path))
         assert code == 2, samples
         assert json.loads(err)["error"] == "ConfigError"
+
+    # parameters so close that the cubic interpolant's coefficients overflow
+    path.write_text(json.dumps({"group": "heisenberg", "samples": [
+        good, {"t": 1e-300, "position": [0, 0, 1], "velocity": [0, 0, 1]}]}))
+    code, out, err = run_cli(capsys, "curve-degree", "--curve-file", str(path))
+    assert code == 2
+    assert json.loads(err)["error"] == "ValueError"
+    assert "spacing" in json.loads(err)["message"]
 
 
 def test_curve_file_flow(tmp_path, capsys):
@@ -261,12 +275,7 @@ def test_readme_command_lines_parse():
 
 # -- fuzzing -------------------------------------------------------------------------
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=8)
-_ANY = _JSON | st.sampled_from(["2^5000", "0^-1", "nan", "1e400", "2^-1..3^-2", "Left"]) \
+_ANY = JSON | st.sampled_from(["2^5000", "0^-1", "nan", "1e400", "2^-1..3^-2", "Left"]) \
     | st.text(alphabet="0123456789^.,-e ", max_size=10)
 # a valid value per key; the strategies below replace some of them with _ANY
 _SCHEDULES = st.sampled_from(["2^-1..2^-3", "0.5,0.25", "2^-4", [0.5, 1]])

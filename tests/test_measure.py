@@ -66,9 +66,26 @@ def test_ball_set_truncated_at_domain_edge(dist):
 
 
 def test_ball_set_catches_tiny_central_component(dist):
-    # far below the scan grid spacing; the center expansion must find it
-    bi = ball_intersection_measure(dist, fixtures.curve("vertical"), 0.0, 1e-4)
-    assert bi.measure == pytest.approx(2e-8, rel=1e-6)
+    # far below the scan grid spacing; t0 is put into the grid, so the scan
+    # finds the component around it even off the uniform grid points (0.3)
+    for t0 in (0.0, 0.3):
+        bi = ball_intersection_measure(dist, fixtures.curve("vertical"), t0, 1e-4)
+        assert bi.measure == pytest.approx(2e-8, rel=1e-6)
+        ((lo, hi),) = bi.intervals
+        assert lo < t0 < hi and hi - lo == pytest.approx(2e-8, rel=1e-6)
+
+
+def test_ball_set_keeps_a_center_whose_gauge_rounds_above_r():
+    # on engel the gauge of a rounded x^-1 * x reads 4.8e-6 at this point
+    law = fixtures.group_law("engel")
+    dist = fixtures.distance("engel")
+    curve = translate_curve(law, np.array([1.3, 2.1, -0.4, 0.2]),
+                            fixtures.curve("engel_vertical"))
+    x = curve.position_at(0.3)
+    assert dist.distance_from(x)(x) > 1e-7
+    intervals, truncated = ball_param_set(dist, curve, 0.3, 1e-7)
+    ((lo, hi),) = intervals
+    assert lo <= 0.3 <= hi and not truncated
 
 
 def test_ball_set_disconnected_components(heis, dist):

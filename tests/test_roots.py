@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from gradedgroups.roots import POINTS, bisect
+from gradedgroups.roots import POINTS, bisect, intervals
 
 
 def counting(inside):
@@ -63,3 +63,49 @@ def test_bisect_stops_at_float_resolution():
     lo, hi = bisect(inside, 0.0, 1.0, lambda a, b: 0.0, 10_000)
     assert lo == edge and hi == math.nextafter(edge, 1.0)
     assert len(calls) <= 8
+
+
+GRID = np.linspace(0.0, 1.0, 11)
+TOL = 1e-12
+
+
+def scan(inside):
+    return intervals(inside, GRID, inside(GRID), lambda a, b: TOL, 8)
+
+
+def test_intervals_runs_touching_the_grid_ends():
+    def inside(t):
+        return (t < 0.25) | (t > 0.83)
+
+    (lo0, hi0), (lo1, hi1) = scan(inside)
+    assert lo0 == 0.0 and hi1 == 1.0          # runs end at the first and last grid point
+    assert 0.25 - TOL <= hi0 < 0.25 and 0.83 < lo1 <= 0.83 + TOL
+    # one grid point in from either end, the ends are refined toward it
+    ((lo, hi),) = scan(lambda t: (t > 0.05) & (t < 0.95))
+    assert 0.05 < lo <= 0.05 + TOL and 0.95 - TOL <= hi < 0.95
+
+
+def test_intervals_ends_are_inside_within_tol():
+    def inside(t):
+        return (t > 0.12) & (t < 0.47) | (t > 0.58) & (t < 0.66)
+
+    runs = scan(inside)
+    assert len(runs) == 2
+    for (lo, hi), (edge_lo, edge_hi) in zip(runs, [(0.12, 0.47), (0.58, 0.66)]):
+        assert inside(np.array([lo, hi])).all()
+        assert edge_lo < lo <= edge_lo + TOL and edge_hi - TOL <= hi < edge_hi
+
+
+def test_intervals_run_narrower_than_a_cell():
+    # only the grid point 0.5 is inside; both ends are refined from it
+    def inside(t):
+        return abs(t - 0.5) < 1e-3
+
+    ((lo, hi),) = scan(inside)
+    assert 0.499 < lo <= 0.499 + TOL and 0.501 - TOL <= hi < 0.501
+
+
+def test_intervals_without_a_run():
+    assert scan(lambda t: t > 2.0) == ()
+    # a component strictly between two grid points is not seen
+    assert scan(lambda t: (t > 0.61) & (t < 0.66)) == ()

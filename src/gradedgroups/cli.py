@@ -158,8 +158,7 @@ _OPTIONS = {
     "frame-show": _LAW,
     "metric-audit": {"group": (STR, REQUIRED, "builtin group name"), **_EPS, **_SEED,
                      "samples": (POSITIVE, 100_000, "random triples")},
-    "curve-degree": {**_CURVE, "grid": (POSITIVE, 512, "profile grid points"),
-                     "tol_rel": (FLOAT, 1e-8, "relative cut for frame components")},
+    "curve-degree": {**_CURVE, "grid": (POSITIVE, 512, "profile grid points")},
     "blowup": {**_CURVE, **_EPS, "t0": (FLOAT, REQUIRED, "curve parameter"),
                "radii": (SCHEDULE, "2^-1..2^-10", "radius schedule"),
                "metric": (METRIC, METRIC_EUCLIDEAN, "curve metric")},
@@ -171,8 +170,7 @@ _OPTIONS = {
               "q": (FLOAT, None, "measure exponent (default: the curve degree)"),
               "deltas": (SCHEDULE, "2^-2..2^-8", "delta schedule")},
     "area": {**_CURVE, **_EPS, **_INTERVAL,
-             "deltas": (SCHEDULE, "2^-2..2^-8", "delta schedule"),
-             "metric": (METRIC, METRIC_EUCLIDEAN, "curve metric")},
+             "deltas": (SCHEDULE, "2^-2..2^-8", "delta schedule")},
     "negligibility": {**_CURVE, **_EPS,
                       "deltas": (SCHEDULE, "2^-2..2^-10", "delta schedule"),
                       "grid": (POSITIVE, 512, "profile grid points")},
@@ -338,7 +336,7 @@ def _run_metric_audit(cfg) -> dict:
 
 def _run_curve_degree(cfg) -> dict:
     law, curve, group = _resolve_curve(cfg)
-    prof = degree_profile(law, curve, grid_points=cfg["grid"], tol_rel=cfg["tol_rel"])
+    prof = degree_profile(law, curve, grid_points=cfg["grid"])
     counts = {}
     for d in prof.degrees.tolist():
         counts[str(d)] = counts.get(str(d), 0) + 1
@@ -385,8 +383,7 @@ def _run_cover(cfg) -> dict:
 def _run_area(cfg) -> dict:
     law, curve, group = _resolve_curve(cfg)
     dist = _resolve_distance(law, cfg)
-    rep = area_formula_residual(dist, curve, metric=cfg["metric"],
-                                deltas=parse_schedule(cfg["deltas"]),
+    rep = area_formula_residual(dist, curve, deltas=parse_schedule(cfg["deltas"]),
                                 interval=_resolve_interval(cfg))
     return {"group": group, "q": rep.q, "c_q": rep.c_q,
             "deltas": list(rep.covering.deltas), "values": list(rep.covering.values),

@@ -99,32 +99,44 @@ def curve_from_samples(samples, n: int, name: str = "") -> Curve:
 # -- degrees -----------------------------------------------------------------
 
 
-def _degrees(law: GroupLaw, ts, pos, vel, tol_rel: float):
+# a frame component counts toward the degree when |lam_j| > TOL_REL * |lam|:
+# far above float rounding, far below any component a fixture or sampled
+# curve carries away from its low-degree set
+TOL_REL = 1e-8
+
+
+def _degrees(law: GroupLaw, ts, pos, vel):
     """Frame coordinates of the velocities and the pointwise degrees.
 
     ``pos`` and ``vel`` have shape (..., n) over parameters ``ts`` of shape
-    (...).  A component counts when |lam_j| > tol_rel * |lam|; the degree
-    is the largest layer with a counting component.
+    (...).  A component counts when |lam_j| > TOL_REL * |lam|; the degree
+    is the largest layer with a counting component.  Frame coordinates
+    that overflow, or whose norm does, are an error: no degree can be read
+    from them.
     """
-    still = (vel * vel).sum(axis=-1) == 0.0
+    still = ~vel.any(axis=-1)
     if still.any():
         raise ZeroVelocityError(f"velocity vanishes at t = {np.asarray(ts)[still][0]}")
-    lam = law.frame.coordinates(pos, vel)
-    scale = np.sqrt((lam * lam).sum(axis=-1, keepdims=True))
-    degs = np.where(np.abs(lam) > tol_rel * scale, law.degrees, 0).max(axis=-1)
-    if (degs == 0).any():
-        raise ValueError(f"tol_rel = {tol_rel} discards every frame component "
-                         f"at t = {np.asarray(ts)[degs == 0][0]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = law.frame.coordinates(pos, vel)
+        scale = np.sqrt((lam * lam).sum(axis=-1, keepdims=True))
+    bad = ~np.isfinite(scale[..., 0])
+    if bad.any():
+        t = np.asarray(ts)[bad][0]
+        if np.isfinite(lam[bad]).all():
+            raise ValueError(f"the norm of the velocity's frame coordinates overflows at t = {t}")
+        raise ValueError(f"frame coordinates of the velocity are not finite at t = {t}")
+    degs = np.where(np.abs(lam) > TOL_REL * scale, law.degrees, 0).max(axis=-1)
     return lam, degs
 
 
-def pointwise_degree(law: GroupLaw, curve: Curve, t: float, tol_rel: float = 1e-8) -> int:
+def pointwise_degree(law: GroupLaw, curve: Curve, t: float) -> int:
     """Largest layer whose frame component of the velocity is non-negligible.
 
-    A component counts when |lam_j| > tol_rel * |lam|.  Zero velocity is an
+    A component counts when |lam_j| > TOL_REL * |lam|.  Zero velocity is an
     error: the degree of a point is defined through a nonvanishing tangent.
     """
-    _, deg = _degrees(law, t, curve.position_at(t), curve.velocity_at(t), tol_rel)
+    _, deg = _degrees(law, t, curve.position_at(t), curve.velocity_at(t))
     return int(deg)
 
 
@@ -136,34 +148,33 @@ class DegreeProfile:
     degree: int                # max over the grid = degree of the curve
     exponents: tuple           # d_j / degree for every coordinate
     low_degree_intervals: tuple  # maximal parameter intervals below full degree
-    tol_rel: float
 
 
-def degree_profile(law: GroupLaw, curve: Curve, grid_points: int = 512,
-                   tol_rel: float = 1e-8) -> DegreeProfile:
+def degree_profile(law: GroupLaw, curve: Curve, grid_points: int = 512) -> DegreeProfile:
     """Sample the degree along the curve and locate the low-degree set.
 
-    The low-degree set is reported as closed parameter intervals around
-    grid runs of submaximal degree (``roots.intervals``), each end
-    sharpened by bisection toward the neighboring grid point and reported
-    on its low-degree side.  Features narrower than a grid cell that sit
-    strictly between grid points can be missed, which is the usual
-    resolution caveat of a sampled scan.
+    Pointwise degrees count frame components above ``TOL_REL`` of the
+    velocity's frame norm.  The low-degree set is reported as closed
+    parameter intervals around grid runs of submaximal degree
+    (``roots.intervals``), each end sharpened by bisection toward the
+    neighboring grid point and reported on its low-degree side.  Features
+    narrower than a grid cell that sit strictly between grid points can be
+    missed, which is the usual resolution caveat of a sampled scan.
     """
     a, b = curve.domain
     inset = 1e-9 * curve.span()
     ts = np.linspace(a + inset, b - inset, grid_points + 1)
-    lam, degs = _degrees(law, ts, curve.positions(ts), curve.velocities(ts), tol_rel)
+    lam, degs = _degrees(law, ts, curve.positions(ts), curve.velocities(ts))
     top = int(degs.max())
     width = 1e-12 * curve.span()
 
     def low(t):
-        return _degrees(law, t, curve.positions(t), curve.velocities(t), tol_rel)[1] < top
+        return _degrees(law, t, curve.positions(t), curve.velocities(t))[1] < top
 
     intervals = roots.intervals(low, ts, degs < top, lambda lo, hi: width, 8)
     return DegreeProfile(grid=ts, lam=lam, degrees=degs, degree=top,
                          exponents=tuple(d / top for d in law.degrees),
-                         low_degree_intervals=intervals, tol_rel=tol_rel)
+                         low_degree_intervals=intervals)
 
 
 # -- tangent projections ------------------------------------------------------
@@ -207,8 +218,7 @@ class AdaptedBasis:
     i0: int
 
 
-def adapted_basis(law: GroupLaw, curve: Curve, t0: float, q: int,
-                  tol_rel: float = 1e-8) -> AdaptedBasis:
+def adapted_basis(law: GroupLaw, curve: Curve, t0: float, q: int) -> AdaptedBasis:
     """Rotate layer q so the translated tangent points along its first axis.
 
     Requires t0 to realize the full degree q: the layer-q block of the
@@ -218,7 +228,7 @@ def adapted_basis(law: GroupLaw, curve: Curve, t0: float, q: int,
     alg = law.algebra
     if not 1 <= q <= alg.step:
         raise ValueError(f"layer {q} out of range")
-    lam, deg = _degrees(law, t0, curve.position_at(t0), curve.velocity_at(t0), tol_rel)
+    lam, deg = _degrees(law, t0, curve.position_at(t0), curve.velocity_at(t0))
     if deg != q:
         raise ValueError(f"t0 = {t0} does not have degree {q}; adapted basis undefined")
     sl = alg.layer_slice(q)
@@ -356,20 +366,20 @@ class LittleOReport:
 
 
 def little_o_check(law: GroupLaw, curve: Curve, t0: float, q: int,
-                   basis: AdaptedBasis | None = None, h0: float = 0.1,
-                   levels: int = 20, margin: float = 0.05,
-                   tol_rel: float = 1e-8) -> LittleOReport:
+                   basis: AdaptedBasis | None = None) -> LittleOReport:
     """Fit decay rates of the recentered coordinates against graded targets.
 
     With an adapted ``basis`` (max-degree mode) every coordinate except the
     distinguished one must decay strictly faster than |h|^(d_i / q); at a
     point of submaximal degree (``basis`` None, low-degree mode) every
     coordinate must beat |h|^(d_j / q) where q is the degree of the curve.
-    A pass requires the fitted slope to exceed the target by ``margin``.
-    Coordinates that vanish identically on the schedule pass vacuously
-    with slope +inf.
+    The schedule is fixed: h = 0.1 * 2^-k for k = 0..20, on both sides of
+    t0 where the domain allows, and each level keeps the larger |value| of
+    its two sides.  A pass requires the fitted slope to exceed the target
+    by the report's ``margin`` of 0.05.  Coordinates that vanish
+    identically on the schedule pass vacuously with slope +inf.
     """
-    deg_here = pointwise_degree(law, curve, t0, tol_rel)
+    deg_here = pointwise_degree(law, curve, t0)
     if basis is not None:
         mode = "max-degree"
         if deg_here != q:
@@ -383,21 +393,16 @@ def little_o_check(law: GroupLaw, curve: Curve, t0: float, q: int,
         rot, i0 = None, None
 
     local = recentered_curve(law, curve, t0, rotation=rot)
-    hs = h0 * 0.5 ** np.arange(levels + 1)
+    hs = 0.1 * 0.5 ** np.arange(21)
     a, b = local.domain
     guard = 1e-9 * curve.span()
+    right, left = hs < b - guard, -hs > a + guard
 
     vals = np.zeros((len(hs), curve.n))
-    used = np.zeros(len(hs), dtype=bool)
-    for k, h in enumerate(hs):
-        sides = []
-        if h < b - guard:
-            sides.append(local.position_at(h))
-        if -h > a + guard:
-            sides.append(local.position_at(-h))
-        if sides:
-            vals[k] = np.max(np.abs(np.stack(sides)), axis=0)
-            used[k] = True
+    vals[right] = np.abs(local.positions(hs[right]))
+    vals[left] = np.maximum(vals[left], np.abs(local.positions(-hs[left])))
+    used = right | left
+    margin = 0.05
 
     rows = []
     logh = np.log(hs[used])

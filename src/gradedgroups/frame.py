@@ -122,28 +122,23 @@ def frame_coordinates(frame: Frame, x, v) -> FrameCoordinates:
     return FrameCoordinates(lam=frame.coordinates(x, v), base_point=np.asarray(x, float))
 
 
-def translate_vector(law: GroupLaw, fc: FrameCoordinates, x, check: bool = True) -> FrameCoordinates:
+def translate_vector(law: GroupLaw, fc: FrameCoordinates, x) -> FrameCoordinates:
     """Carry a frame vector along left translation by x.
 
     Frame coordinates are translation invariant, so only the base point
-    moves.  With ``check`` enabled the result is cross-checked against the
-    ambient pushforward through the jacobian of y -> x * y; disagreement
-    beyond 1e-9 raises, since it would mean the frame and the law disagree.
+    moves.  The result is cross-checked against the ambient pushforward
+    through the jacobian of y -> x * y; disagreement beyond 1e-9 raises,
+    since it would mean the frame and the law disagree.
     """
     x = np.asarray(x, dtype=float)
     y = fc.base_point
     new_base = law.multiply(x, y)
-    out = FrameCoordinates(lam=fc.lam.copy(), base_point=new_base)
-    if check:
-        frame = law.frame
-        ambient = frame.reconstruct(y, fc.lam)
-        pushed = law.left_jacobian(x, y) @ ambient
-        back = frame.coordinates(new_base, pushed)
-        err = np.max(np.abs(back - fc.lam))
-        if err > 1e-9 * (1.0 + np.max(np.abs(fc.lam))):
-            raise ArithmeticError(
-                f"left translation cross-check failed (error {err:.3e})")
-    return out
+    frame = law.frame
+    pushed = law.left_jacobian(x, y) @ frame.reconstruct(y, fc.lam)
+    err = np.max(np.abs(frame.coordinates(new_base, pushed) - fc.lam))
+    if err > 1e-9 * (1.0 + np.max(np.abs(fc.lam))):
+        raise ArithmeticError(f"left translation cross-check failed (error {err:.3e})")
+    return FrameCoordinates(lam=fc.lam.copy(), base_point=new_base)
 
 
 def speed(frame: Frame, x, v, metric: str = METRIC_LEFT) -> float:

@@ -88,6 +88,13 @@ class HomogeneousDistance:
         The anchor's share of x0^-1 * y is folded into one coefficient per
         y-monomial here, so a call evaluates only the fused kernel.  A
         single point (n,) gives a float-like scalar.
+
+        On groups of step 3 and more the result has a rounding floor: the
+        layer-k coordinates of x0^-1 * y are differences of terms of size
+        |x0|^k, and the gauge raises their rounding to the power 1/k.  On
+        engel, d(x0, x0) reads up to 9.6e-6 over normal random x0 with
+        |x0| ~ 1 and 7.7e-5 at |x0| ~ 10; on heisenberg it is exactly 0.
+        Distances near that floor are rounding.
         """
         n = self.law.n
         x0 = np.asarray(x0, dtype=float)
@@ -206,13 +213,15 @@ def triangle_audit(dist: HomogeneousDistance, samples: int = 100_000,
 # -- metric factor -----------------------------------------------------------
 
 
-def _line_gauge_interval_length(dist, lam, rel_tol: float, grid: int) -> float:
+def _line_gauge_interval_length(dist, lam) -> float:
     """Lebesgue measure of {t : N(t * lam) < 1} by scan plus bisection.
 
-    The membership set need not be a single interval for a general gauge,
-    so the positive half-line is scanned on a uniform grid and every
-    crossing of N = 1 is refined (``roots.intervals``).  The set is
-    symmetric, hence the factor 2.
+    Every layer term eps_k |t lam^(k)|^(1/k) grows with |t|, so for the
+    layer-max gauge the set is the single interval (-s, s) whose end s
+    lies below s_max.  It is located by a 4096-cell scan of [0, s_max]
+    with every crossing of N = 1 refined (``roots.intervals``) rather
+    than in closed form, so that it stays an independent check of the
+    closed form of ``metric_factor``.  The factor 2 is the negative half.
     """
     lam = np.asarray(lam, dtype=float)
     norm = dist.norm
@@ -230,13 +239,12 @@ def _line_gauge_interval_length(dist, lam, rel_tol: float, grid: int) -> float:
     def below(t):
         return norm(np.multiply.outer(t, lam)) < 1.0
 
-    ts = np.linspace(0.0, s_max, grid + 1)
-    runs = roots.intervals(below, ts, below(ts), lambda a, b: rel_tol * s_max * 1e-3, 10)
+    ts = np.linspace(0.0, s_max, 4097)
+    runs = roots.intervals(below, ts, below(ts), lambda a, b: 1e-9 * s_max, 10)
     return 2.0 * sum(hi - lo for lo, hi in runs)
 
 
-def metric_factor(dist: HomogeneousDistance, tau, method: str = "auto",
-                  rel_tol: float = 1e-6, grid: int = 4096) -> float:
+def metric_factor(dist: HomogeneousDistance, tau, method: str = "auto") -> float:
     """1-d euclidean measure of span{tau_0} inside the unit ball.
 
     ``tau`` is a FrameCoordinates (only the coefficients matter: they are
@@ -264,7 +272,7 @@ def metric_factor(dist: HomogeneousDistance, tau, method: str = "auto",
             raise ValueError("closed form needs a direction inside a single layer")
         q = layers_hit[0]
         return 2.0 * mag / float(dist.norm(lam)) ** q
-    return mag * _line_gauge_interval_length(dist, lam, rel_tol, grid)
+    return mag * _line_gauge_interval_length(dist, lam)
 
 
 def degree_constant(dist: HomogeneousDistance, q: int) -> float:

@@ -124,13 +124,18 @@ def test_fixtures_listing(capsys):
     assert doc["result"]["curves"]["engel_vertical"]["group"] == "engel"
 
 
-def test_module_entry_point():
-    # ``python -m gradedgroups`` runs the same command line
+def run_module(*argv):
+    """``python -m gradedgroups`` in a fresh interpreter."""
     env = dict(os.environ)
     src = str(Path(gradedgroups.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "gradedgroups", "fixtures"],
+    return subprocess.run([sys.executable, "-m", "gradedgroups", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_module_entry_point():
+    # ``python -m gradedgroups`` runs the same command line
+    proc = run_module("fixtures")
     assert proc.returncode == 0, proc.stderr
     assert "parabola_lift" in json.loads(proc.stdout)["result"]["curves"]
 
@@ -170,11 +175,16 @@ def test_csv_rejected_for_scalar_reports(capsys):
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"op": "blowup", "curve": "vertical",
-                               "t0": 0.0, "bogus": 1}))
-    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
-    assert code == 2
-    assert "bogus" in json.loads(err)["message"]
+    # area's integrand needs no metric, and the degree cut is curve.TOL_REL
+    for doc, key in (({"op": "blowup", "curve": "vertical", "t0": 0.0, "bogus": 1}, "bogus"),
+                     ({"op": "area", "curve": "parabola_lift", "metric": "left"}, "metric"),
+                     ({"op": "curve-degree", "curve": "vertical", "tol_rel": 1e-8},
+                      "tol_rel")):
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2, doc
+        assert json.loads(err)["error"] == "ConfigError"
+        assert repr(key) in json.loads(err)["message"]
 
 
 def test_invalid_algebra_exits_3(tmp_path, capsys):
@@ -204,6 +214,11 @@ def test_missing_config_file_exits_2(capsys):
     assert code == 2
 
 
+_OVERFLOWING_CURVE = {"group": "heisenberg", "samples": [
+    {"t": 0.0, "position": [1e300, -1e300, 1e300], "velocity": [1e300, 1e300, -1e300]},
+    {"t": 1.0, "position": [-1e300, 1e300, -1e300], "velocity": [-1e300, 1e300, 1e300]}]}
+
+
 def test_bad_curve_files_exit_2(tmp_path, capsys):
     good = {"t": 0.0, "position": [0, 0, 0], "velocity": [0, 0, 1]}
     path = tmp_path / "curve.json"
@@ -222,6 +237,34 @@ def test_bad_curve_files_exit_2(tmp_path, capsys):
     assert code == 2
     assert json.loads(err)["error"] == "ValueError"
     assert "spacing" in json.loads(err)["message"]
+
+    # finite samples whose frame coordinates overflow
+    path.write_text(json.dumps(_OVERFLOWING_CURVE))
+    code, out, err = run_cli(capsys, "curve-degree", "--curve-file", str(path))
+    assert code == 2
+    assert json.loads(err)["error"] == "ValueError"
+    assert "frame coordinates of the velocity are not finite" in json.loads(err)["message"]
+
+    # finite frame coordinates whose norm overflows
+    small = {"group": "heisenberg", "samples": [
+        {k: [v * 1e-200 for v in s[k]] if k != "t" else s[k] for k in s}
+        for s in _OVERFLOWING_CURVE["samples"]]}
+    path.write_text(json.dumps(small))
+    code, out, err = run_cli(capsys, "curve-degree", "--curve-file", str(path))
+    assert code == 2
+    assert "norm of the velocity's frame coordinates overflows" in json.loads(err)["message"]
+
+
+def test_overflow_error_is_one_json_line(tmp_path):
+    # numpy's overflow warnings stay off stderr, so it holds the error alone
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(_OVERFLOWING_CURVE))
+    proc = run_module("curve-degree", "--curve-file", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"] == "ValueError"
 
 
 def test_curve_file_flow(tmp_path, capsys):
@@ -258,7 +301,6 @@ def test_config_echo_includes_resolved_defaults(capsys):
     _, out, _ = run_cli(capsys, "curve-degree", "--curve", "horizontal")
     cfg = json.loads(out)["config"]
     assert cfg["grid"] == 512
-    assert cfg["tol_rel"] == 1e-8
     assert cfg["op"] == "curve-degree"
 
 
@@ -284,7 +326,7 @@ _VALID = {
     "curve": st.just("vertical"), "curve_file": st.just("c.json"),
     "seed": st.integers(0, 2 ** 40), "samples": st.integers(1, 10 ** 6),
     "exact_triples": st.integers(0, 50), "grid": st.integers(1, 4096),
-    "tol": st.floats(0.0, 1.0), "tol_rel": st.floats(0.0, 1.0), "t0": st.integers(-1, 1),
+    "tol": st.floats(0.0, 1.0), "t0": st.integers(-1, 1),
     "margin": st.floats(0.0, 1.0), "q": st.integers(1, 3) | st.floats(0.5, 3.0),
     "eps": st.lists(st.integers(1, 3) | st.floats(0.1, 2.0), max_size=3) | st.just("1,0.5"),
     "interval": st.just([0, 1]) | st.just("-0.5, 0.5"),

@@ -14,10 +14,14 @@ Spherical-measure upper bounds come from a greedy walk: at the first
 uncovered parameter, a ball of the current radius is centered as far
 ahead along the curve as possible while still covering that parameter,
 and the walk jumps past the covered component.  Each of these two reaches
-is one batched probe of the distance on a geometric ladder of parameter
-offsets, whose first point outside the ball brackets the exit, then a
-few batched bisection rounds (``roots.bisect``) on that bracket.  The
-reported value is sum(r^q) over the balls placed.  It is an upper
+predicts, then certifies.  One batched probe of the distance tests a
+geometric ladder of parameter offsets together with a cluster on the
+step the walk took last, and its first point outside the ball brackets
+the exit.  Where that step is the exit, as along a left-translated
+one-parameter subgroup, this probe already settles the reach.  Otherwise
+batched rounds (``roots.refine``) shrink the bracket, each also testing
+a cluster where inverse interpolation of the distances already computed
+puts the exit.  The reported value is sum(r^q) over the balls placed.  It is an upper
 estimate when the distance from each center grows along the curve up to
 the exit; an excursion that leaves the ball between two probed points
 goes unseen.
@@ -217,16 +221,29 @@ class CoveringEstimate:
     centers: tuple             # center parameters (radii all equal delta)
 
 
+# The predicting round of a reach tests the ladder h * 2^k, k != 0, and
+# between h / 2 and 2 h a cluster on the guess h: the pair h -+ tol(h) / 4
+# settles an exact guess, and points at spacing h / 4096 across h (1 -+ 1/64)
+# bracket a near one tightly enough for the next round's prediction.
+_POW2 = np.ldexp(1.0, np.arange(-1074, 1024))      # 2^k at index k + 1074
+_SPREAD = np.arange(1, 65) / 4096.0
+_BELOW, _ABOVE = 1.0 - _SPREAD[::-1], 1.0 + _SPREAD
+
+
 def _forward_reach(dfun: Callable, curve: Curve, start: float, cap: float,
                    r: float, guess: float | None) -> float:
     """Largest parameter s in [start, cap] found with d(s) <= r.
 
     d = dfun(curve position) is the distance to a fixed anchor, zero at
-    start.  One batched probe runs up the geometric ladder guess * 2^k
-    from a floor of 1e-18 relative to start up to the cap; the first
-    ladder point outside the ball and the one before it bracket the exit,
-    which batched bisection rounds then refine.  The inside end is
-    returned, so coverage claims stay conservative.
+    start.  Predict, then certify: one batched probe tests the geometric
+    ladder guess * 2^k from a floor of 1e-18 relative to start up to the
+    cap, together with a cluster on the guess itself, and its first point
+    outside the ball and the one before it bracket the exit.  When the
+    guess is the exit, that one probe already meets the tolerance.
+    Otherwise batched rounds (``roots.refine``) shrink the bracket, each
+    also testing a cluster where the distances already computed put the
+    exit.  The inside end is returned, so coverage claims stay
+    conservative.
     """
     if cap <= start:
         return start
@@ -234,30 +251,26 @@ def _forward_reach(dfun: Callable, curve: Curve, start: float, cap: float,
     h = guess if guess and guess > 0 else width * 1e-3
     h = min(h, width)
 
-    def inside(s):
-        return dfun(curve.positions(start + s)) <= r
-
-    floor = 1e-18 * max(1.0, abs(start)) + 1e-300
-    ks = np.arange(math.floor(math.log2(floor / h)), math.ceil(math.log2(width / h)) + 1)
-    hs = np.ldexp(h, ks)
-    hs = np.concatenate((hs[(hs >= floor) & (hs < width)], (width,)))
-    ins = inside(hs)
-    k = int(ins.argmin())           # the first ladder point outside, if any
-    if ins[k]:
-        return cap
-    if k == 0:
-        return start
-    lo, hi = float(hs[k - 1]), float(hs[k])
+    def probe(s):
+        g = dfun(curve.positions(start + s)) - r
+        return g <= 0.0, g
 
     # tight tolerance: the per-ball shortfall accumulates over the whole walk.
-    # The bracket [lo, hi] has hi <= 2 lo, so it meets the tolerance within
-    # 5 rounds of 257-fold shrinking; 8 is never reached.
+    # A ladder bracket [lo, hi] has hi <= 2 lo, so it meets the tolerance
+    # within 5 rounds of 257-fold shrinking; 8 is never reached.
     def tol(lo: float, hi: float) -> float:
         return 1e-12 * lo + 1e-16
 
-    if hi - lo > tol(lo, hi):
-        lo, _ = roots.bisect(inside, lo, hi, tol, 8)
-    return start + lo
+    floor = 1e-18 * max(1.0, abs(start)) + 1e-300
+    k0 = max(math.floor(math.log2(floor / h)), -1074) + 1074
+    k1 = min(math.ceil(math.log2(width / h)), 1023) + 1075
+    pair = min(0.25 * tol(h, h) / h, 2.0 ** -13)     # within the cluster's spacing
+    pts = h * np.concatenate((_POW2[k0:1074], _BELOW, (1.0 - pair, 1.0, 1.0 + pair),
+                              _ABOVE, _POW2[1075:k1]))
+    pts = np.concatenate((pts[(pts >= floor) & (pts < width)], (width,)))
+    # the predicting round, then at most 8 more
+    lo, _ = roots.refine(probe, 0.0, width, pts, tol, 9)
+    return cap if lo == width else start + lo
 
 
 def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
@@ -269,20 +282,25 @@ def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
     with closed balls of radius delta centered on the curve.  Each ball is
     pushed as far forward as possible while still containing the first
     uncovered parameter, so a ball typically covers a full two-sided
-    component of new parameters.
+    component of new parameters.  Raises ValueError unless delta and q
+    are positive and every interval lies inside the closed domain.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
+    if not q > 0:
+        raise ValueError("q must be positive")
     a, b = curve.domain
     if intervals is None:
         intervals = [(a, b)]
+    for lo, hi in intervals:
+        if not a <= lo <= b or not a <= hi <= b:
+            raise ValueError(f"interval [{lo}, {hi}] is not inside the curve's "
+                             f"domain [{a}, {b}]")
     guard = 1e-12 * curve.span()
     value = 0.0
     centers = []
 
     for lo, hi in intervals:
-        lo = max(lo, a)
-        hi = min(hi, b)
         if hi < lo:
             continue
         t = lo
@@ -378,7 +396,8 @@ def area_formula_residual(dist: HomogeneousDistance, curve: Curve,
     Under any ambient metric, the unit tangent divides the frame
     coordinates lam = Frame.coordinates(gamma(t), gamma'(t)) by the speed
     and the measure multiplies the speed back, so the integrand is the
-    euclidean size of the layer-q block of lam.
+    euclidean size of the layer-q block of lam.  ``interval`` must lie
+    inside the closed domain; the covering raises ValueError otherwise.
     """
     law = dist.law
     profile = degree_profile(law, curve)

@@ -89,19 +89,37 @@ def test_resolve_config_rejects_values_of_the_wrong_kind(cfg):
         resolve_config(cfg)
 
 
-@pytest.mark.parametrize("argv", [
-    ("negligibility", "--curve", "glued_hv", "--grid", "0"),
-    ("metric-audit", "--group", "heisenberg", "--seed", "1", "--samples", "0"),
-    ("group-check", "--group", "heisenberg", "--seed", "-3"),
-    ("blowup", "--curve", "vertical", "--t0", "inf"),
+_OUT_OF_RANGE = [
+    (("negligibility", "--curve", "glued_hv", "--grid", "0"), "ConfigError"),
+    (("metric-audit", "--group", "heisenberg", "--seed", "1", "--samples", "0"), "ConfigError"),
+    (("group-check", "--group", "heisenberg", "--seed", "-3"), "ConfigError"),
+    (("blowup", "--curve", "vertical", "--t0", "inf"), "ConfigError"),
     # too large to allocate: numpy's MemoryError becomes a ConfigError
-    ("group-check", "--group", "heisenberg", "--seed", "1", "--samples", "1000000000000000"),
-    ("curve-degree", "--curve", "vertical", "--grid", "1000000000000000"),
-])
-def test_out_of_range_flags_exit_2(capsys, argv):
+    (("group-check", "--group", "heisenberg", "--seed", "1", "--samples", "1000000000000000"),
+     "ConfigError"),
+    (("curve-degree", "--curve", "vertical", "--grid", "1000000000000000"), "ConfigError"),
+    # intervals reaching past the domain (-1, 1), and measure exponents <= 0,
+    # are refused by the covering itself
+    (("area", "--curve", "parabola_lift", "--interval=2,3", "--deltas", "2^-2..2^-4"),
+     "ValueError"),
+    (("area", "--curve", "parabola_lift", "--interval=0.5,3", "--deltas", "2^-2..2^-4"),
+     "ValueError"),
+    (("cover", "--curve", "parabola_lift", "--interval=2,3", "--deltas", "2^-2..2^-4"),
+     "ValueError"),
+    (("cover", "--curve", "vertical", "--q", "-1", "--deltas", "2^-2"), "ValueError"),
+    (("cover", "--curve", "vertical", "--q", "0", "--deltas", "2^-2"), "ValueError"),
+]
+
+
+@pytest.mark.parametrize("argv, error", _OUT_OF_RANGE,
+                         ids=[f"argv{i}" for i in range(len(_OUT_OF_RANGE))])
+def test_out_of_range_flags_exit_2(capsys, argv, error):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "ConfigError"
+    doc = json.loads(err)
+    assert doc["error"] == error
+    if any(arg.startswith("--interval") for arg in argv):
+        assert "domain [-1.0, 1.0]" in doc["message"]
 
 
 def test_run_config_needs_exactly_one_curve_source():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradedgroups import fixtures
-from gradedgroups.curve import Curve, dilate_curve, translate_curve
+from gradedgroups.curve import Curve, curve_from_samples, dilate_curve, translate_curve
 from gradedgroups.measure import (NumericalResolutionError, _forward_reach,
                                   area_formula_residual, ball_param_set,
                                   ball_intersection_measure, blowup_sequence,
@@ -192,6 +192,73 @@ def test_forward_reach_brackets_the_first_exit(dist):
     assert 0.8 * (1 - 1e-12) <= reach <= 0.8 * (1 + 1e-15)
     assert _forward_reach(d0, vert, 0.0, 1.0, 2.0, 0.3) == 1.0        # all inside
     assert _forward_reach(d0, vert, 0.0, 1.0, 1e-10, 0.3) == 0.0      # below the floor
+
+
+def test_forward_reach_exact_guess_takes_one_probe(dist):
+    # d(0, t) = sqrt(t) on the vertical line, so r = 0.5 leaves the ball at
+    # t = 0.25: a guess on the exit settles the reach in the predicting probe
+    vert = fixtures.curve("vertical")
+    d0 = dist.distance_from(vert.position_at(0.0))
+    calls = []
+
+    def counted(y):
+        calls.append(len(y))
+        return d0(y)
+
+    assert _forward_reach(counted, vert, 0.0, 1.0, 0.5, 0.25) == 0.25
+    assert len(calls) == 1
+
+
+def _sampled_curve():
+    ts = np.linspace(-1.0, 1.0, 17)
+    w = math.pi
+    return curve_from_samples(
+        [{"t": t,
+          "position": [0.1 * math.sin(w * t), 0.05 * math.cos(w * t), t + 0.05 * math.sin(2 * w * t)],
+          "velocity": [0.1 * w * math.cos(w * t), -0.05 * w * math.sin(w * t),
+                       1.0 + 0.1 * w * math.cos(2 * w * t)]} for t in ts], 3)
+
+
+@pytest.mark.parametrize("name, start, r", [
+    ("parabola_lift", 0.1, 0.2), ("engel_vertical", -0.3, 0.3), ("sampled", 0.2, 0.15)])
+def test_forward_reach_matches_a_scalar_bisection(name, start, r):
+    curve = _sampled_curve() if name == "sampled" else fixtures.curve(name)
+    group = "engel" if name == "engel_vertical" else "heisenberg"
+    dfun = fixtures.distance(group).distance_from(curve.position_at(start))
+    cap = curve.domain[1]
+
+    # the first exit, independently: a dense scan, then halving to float resolution
+    grid = np.linspace(start, cap, 4001)
+    hi = float(grid[int(np.argmax(dfun(curve.positions(grid)) > r))])
+    lo = start
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if dfun(curve.position_at(mid)) <= r:
+            lo = mid
+        else:
+            hi = mid
+    exit_ = lo - start
+    assert 0.01 < exit_ < 0.5 * (cap - start)
+
+    for guess in (None, exit_, exit_ * (1 + 1e-3), exit_ * (1 - 1e-3), 0.5 * exit_,
+                  3.0 * exit_, 10.0 * (cap - start)):
+        reach = _forward_reach(dfun, curve, start, cap, r, guess)
+        assert dfun(curve.position_at(reach)) <= r, guess
+        assert abs(reach - lo) <= 1e-12 * exit_ + 1e-16, (guess, reach - lo)
+
+
+def test_covering_rejects_bad_exponents_and_intervals(dist):
+    par = fixtures.curve("parabola_lift")
+    for q in (0.0, -1.0):
+        with pytest.raises(ValueError, match="q must be positive"):
+            spherical_measure_upper(dist, par, q, 0.25)
+    # the domain is (-1, 1): nothing may be clipped or extrapolated
+    for iv in ((2.0, 3.0), (0.5, 3.0), (-1.5, 0.0)):
+        with pytest.raises(ValueError, match=r"domain \[-1.0, 1.0\]"):
+            spherical_measure_upper(dist, par, 2, 0.25, intervals=[iv])
+        with pytest.raises(ValueError, match=r"domain \[-1.0, 1.0\]"):
+            area_formula_residual(dist, par, deltas=[0.25, 0.125], interval=iv)
+    # the closed domain itself is accepted
+    assert spherical_measure_upper(dist, par, 2, 0.25, intervals=[(-1.0, 1.0)]).ball_count == 9
 
 
 def test_covering_ball_limit(dist):

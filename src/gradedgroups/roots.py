@@ -57,8 +57,8 @@ def refine(inside: Callable, a: float, b: float, pts: np.ndarray,
     inverse interpolation through the run of them that strictly
     increases from a's side, and the next round adds NEAR points at
     spacing tol(a, b) / 2 around that prediction.  A prediction within
-    NEAR // 4 * tol of the edge ends the search in that round; a poor
-    one costs nothing but the extra points.  Boolean predicates get
+    NEAR // 4 * tol of the edge, as a rule, ends the search in that
+    round; a poor one costs nothing but the extra points.  Boolean predicates get
     plain rounds.  Returns the final (a, b): a is inside or is the a
     passed in, b is outside or is the b passed in.
     """

@@ -9,16 +9,18 @@ polynomials below are exact, not truncations.
 We expand the series with Dynkin's explicit formula.  Words over the
 letters {x, y} of length up to the step are mapped to right-nested
 brackets (computed once per word on vectors of polynomials), and each
-word picks up an exact rational coefficient summed over its block
-decompositions.
+word picks up an exact rational coefficient.  The coefficients come
+from a recursion over the word's prefixes on integers, one Fraction per
+word; ``tests/bch_oracle.py`` keeps the sum over block sequences as the
+reference.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 from typing import Sequence
 
 import numpy as np
@@ -41,31 +43,45 @@ def _leading(a: np.ndarray, k: int = 1) -> np.ndarray:
 def _dynkin_word_coefficients(depth: int) -> dict:
     """Rational coefficient per letter word (0 = x, 1 = y), lengths <= depth.
 
-    Sums (-1)^(m-1) / (m * w * prod p_i! q_i!) over all block sequences
-    ((p_1,q_1),...,(p_m,q_m)) with p_i + q_i > 0 whose concatenated word
-    x^p1 y^q1 ... x^pm y^qm matches, where w is the word length.
+    Dynkin's coefficient of a word w of length L sums (-1)^(m-1) /
+    (m * L * prod p_i! q_i!) over its splits into m blocks x^p_i y^q_i
+    with p_i + q_i > 0.  The word tree is walked depth-first, and for
+    each prefix of length j the integers G[j][m] = j! * sum prod 1 /
+    (p_i! q_i!) over the splits of the prefix into m blocks are kept.
+    They follow from the shorter prefixes by the last block w[i:j] =
+    x^p y^q: G[j][m] = sum G[i][m-1] * C(j, i) * C(j-i, p).  So each
+    word costs one Fraction, sum (-1)^(m-1) G[L][m] / (m * L * L!).
     """
-
-    def sequences(budget):
-        for p in range(budget + 1):
-            for q in range(budget - p + 1):
-                if p + q == 0:
-                    continue
-                head = ((p, q),)
-                yield head
-                for tail in sequences(budget - p - q):
-                    yield head + tail
-
     coeffs: dict = {}
-    for blocks in sequences(depth):
-        m = len(blocks)
-        w = sum(p + q for p, q in blocks)
-        denom = m * w
-        for p, q in blocks:
-            denom *= factorial(p) * factorial(q)
-        word = tuple(l for p, q in blocks for l in (0,) * p + (1,) * q)
-        coeffs[word] = coeffs.get(word, Fraction(0)) + Fraction((-1) ** (m - 1), denom)
-    return {w: c for w, c in coeffs.items() if c != 0}
+
+    def visit(word: tuple, rows: list) -> None:
+        length = len(word)
+        if length:
+            g = rows[length]
+            top = math.lcm(*range(1, length + 1))
+            num = sum((-1) ** (m - 1) * g[m] * (top // m) for m in range(1, length + 1))
+            if num:
+                coeffs[word] = Fraction(num, top * length * math.factorial(length))
+        if length == depth:
+            return
+        j = length + 1
+        for letter in (0, 1):
+            w = word + (letter,)
+            row = [0] * (j + 1)
+            p = 0
+            for i in range(j - 1, -1, -1):     # the last block is w[i:j] = x^p y^q
+                if w[i] == 0:
+                    p += 1
+                elif p:
+                    break
+                weight = math.comb(j, i) * math.comb(j - i, p)
+                for m, gm in enumerate(rows[i]):
+                    if gm:
+                        row[m + 1] += gm * weight
+            visit(w, rows + [row])
+
+    visit((), [[1]])
+    return coeffs
 
 
 def _bracket_polyvec(alg: GradedAlgebra, u, v):
@@ -215,6 +231,11 @@ class GroupLaw:
     # -- exact path ---------------------------------------------------------
 
     def multiply_exact(self, x: Sequence, y: Sequence):
+        """x * y over Fractions; coordinates must be ints or Fractions.
+
+        Any other coordinate (bool, float, a numpy scalar) raises
+        TypeError, through :meth:`RationalPoly.evaluate`.
+        """
         if len(x) != self.n or len(y) != self.n:
             raise DimensionMismatch(f"points must have {self.n} coordinates")
         vals = tuple(x) + tuple(y)

@@ -257,9 +257,11 @@ def _forward_reach(dfun: Callable, curve: Curve, start: float, cap: float,
 
     # tight tolerance: the per-ball shortfall accumulates over the whole walk.
     # A ladder bracket [lo, hi] has hi <= 2 lo, so it meets the tolerance
-    # within 5 rounds of 257-fold shrinking; 8 is never reached.
+    # within 5 rounds of 257-fold shrinking; 8 is never reached.  The probe
+    # evaluates the curve at start + s, so the floor of four float spacings
+    # there keeps the exact-guess pair below on distinct parameters.
     def tol(lo: float, hi: float) -> float:
-        return 1e-12 * lo + 1e-16
+        return max(1e-12 * lo + 1e-16, 4.0 * math.ulp(start + lo))
 
     floor = 1e-18 * max(1.0, abs(start)) + 1e-300
     k0 = max(math.floor(math.log2(floor / h)), -1074) + 1074

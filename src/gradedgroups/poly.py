@@ -19,6 +19,7 @@ Example:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -48,8 +49,11 @@ def monomial_source(lead: str, exps: Exponents, var: str) -> str:
 class RationalPoly:
     """A polynomial in ``nvars`` variables with Fraction coefficients.
 
-    ``terms`` maps exponent tuples to nonzero coefficients.  Instances are
-    treated as immutable; all operators return new polynomials.
+    ``terms`` maps exponent tuples to nonzero coefficients.  The
+    constructor checks what it is given: coefficients must be exact
+    rationals (TypeError) and exponents non-negative ints (ValueError).
+    Instances are treated as immutable; all operators return new
+    polynomials.
     """
 
     __slots__ = ("nvars", "terms")
@@ -60,13 +64,27 @@ class RationalPoly:
         if terms:
             for exps, c in terms.items():
                 c = _as_fraction(c)
-                if c == 0:
-                    continue
-                exps = tuple(int(e) for e in exps)
+                exps = tuple(exps)
                 if len(exps) != self.nvars:
                     raise ValueError("exponent tuple length does not match nvars")
-                clean[exps] = c
+                for e in exps:
+                    if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+                        raise ValueError(f"exponents must be non-negative ints, got {e!r}")
+                if c:
+                    clean[exps] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "RationalPoly":
+        """Wrap terms built by this class's own arithmetic, dropping zeros.
+
+        The keys are exponent tuples of length nvars and the values
+        Fractions already, so nothing is re-validated.
+        """
+        poly = cls.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = {e: c for e, c in terms.items() if c}
+        return poly
 
     # -- constructors ---------------------------------------------------
 
@@ -122,10 +140,10 @@ class RationalPoly:
         terms = dict(self.terms)
         for exps, c in other.terms.items():
             terms[exps] = terms.get(exps, Fraction(0)) + c
-        return RationalPoly(self.nvars, terms)
+        return RationalPoly._trusted(self.nvars, terms)
 
     def __neg__(self):
-        return RationalPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return RationalPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, RationalPoly):
@@ -140,9 +158,9 @@ class RationalPoly:
                 for e2, c2 in other.terms.items():
                     key = tuple(a + b for a, b in zip(e1, e2))
                     terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-            return RationalPoly(self.nvars, terms)
+            return RationalPoly._trusted(self.nvars, terms)
         c = _as_fraction(other)
-        return RationalPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+        return RationalPoly._trusted(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -163,14 +181,14 @@ class RationalPoly:
                 continue
             key = exps[:var] + (e - 1,) + exps[var + 1:]
             terms[key] = terms.get(key, Fraction(0)) + c * e
-        return RationalPoly(self.nvars, terms)
+        return RationalPoly._trusted(self.nvars, terms)
 
     def subs_zero(self, variables: Iterable[int]) -> "RationalPoly":
         """Set the given variables to zero (drop monomials that use them)."""
         kill = set(variables)
         terms = {e: c for e, c in self.terms.items()
                  if not any(e[i] for i in kill)}
-        return RationalPoly(self.nvars, terms)
+        return RationalPoly._trusted(self.nvars, terms)
 
     def drop_vars(self, keep: Sequence[int]) -> "RationalPoly":
         """Re-express in the subset ``keep`` of variables, in that order.
@@ -185,21 +203,45 @@ class RationalPoly:
         terms = {}
         for exps, c in self.terms.items():
             terms[tuple(exps[i] for i in keep)] = c
-        return RationalPoly(len(keep), terms)
+        return RationalPoly._trusted(len(keep), terms)
 
     # -- evaluation -------------------------------------------------------
 
-    def evaluate(self, values: Sequence):
-        """Exact evaluation. Pass Fractions for exact results, floats work too."""
+    def evaluate(self, values: Sequence) -> Fraction:
+        """Exact value at a point whose coordinates are ints or Fractions.
+
+        Runs over integers with one common denominator: D is the lcm of
+        the coordinates' denominators and a_i = D * v_i, so a monomial of
+        total degree d is prod a_i^e_i / D^d with an integer numerator.
+        Terms are summed as integers per class (d, denominator of the
+        coefficient), and each class becomes one Fraction.  Raises
+        TypeError for any other coordinate type, bool, float and numpy
+        scalars included.
+        """
         if len(values) != self.nvars:
             raise ValueError("value count does not match nvars")
-        total = Fraction(0)
+        ratios = []
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                raise TypeError("exact evaluation needs int or Fraction coordinates, "
+                                f"got {type(v).__name__}: {v!r}")
+            ratios.append(v.as_integer_ratio())
+        if not self.terms:
+            return Fraction(0)
+        den = math.lcm(*[d for _, d in ratios])
+        nums = [a * (den // d) for a, d in ratios]
+        sums: dict[tuple, int] = {}
         for exps, c in self.terms.items():
-            term = c
-            for v, e in zip(values, exps):
-                for _ in range(e):
-                    term = term * v
-            total = total + term
+            m, q = c.as_integer_ratio()
+            for a, e in zip(nums, exps):
+                if e:
+                    m *= a ** e
+            if m:
+                key = (sum(exps), q)
+                sums[key] = sums.get(key, 0) + m
+        total = Fraction(0)
+        for (d, q), m in sums.items():
+            total += Fraction(m, q * den ** d)
         return total
 
     def as_callable(self) -> Callable[[Sequence], float]:

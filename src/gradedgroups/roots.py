@@ -55,7 +55,8 @@ def refine(inside: Callable, a: float, b: float, pts: np.ndarray,
     holds.  With values, the <= 4 samples around the step (a among them
     when the step opens the round) predict where the values reach 0, by
     inverse interpolation through the run of them that strictly
-    increases from a's side, and the next round adds NEAR points at
+    increases from a's side and stops at a sample within tol(a, b) of
+    its neighbour, and the next round adds NEAR points at
     spacing tol(a, b) / 2 around that prediction.  A prediction within
     NEAR // 4 * tol of the edge, as a rule, ends the search in that
     round; a poor one costs nothing but the extra points.  Boolean predicates get
@@ -87,26 +88,28 @@ def refine(inside: Callable, a: float, b: float, pts: np.ndarray,
                 gs.insert(0, ga)
                 i -= 1
             ga = gs[k - i - 1] if k > i else None
-            edge = _predict(ts, gs, k - i)
+            edge = _predict(ts, gs, k - i, tol(a, b))
             if edge is not None:
                 xs = _with_cluster((edge - a) / (b - a), 0.5 * tol(a, b) / abs(b - a))
         pts = a + (b - a) * xs
     return a, b
 
 
-def _predict(ts: list, gs: list, j: int) -> float | None:
+def _predict(ts: list, gs: list, j: int, gap: float) -> float | None:
     """Where g reaches 0, by inverse interpolation through (ts, gs).
 
     gs[j] is the first value above 0; interpolation uses the run of
-    strictly increasing values around gs[j - 1], gs[j].  None without an
-    inside sample (j = 0).
+    strictly increasing values around gs[j - 1], gs[j].  The run also
+    ends at a sample within ``gap`` of its neighbour: the difference of
+    two such values is mostly rounding, and interpolating through it
+    throws the prediction off.  None without an inside sample (j = 0).
     """
     if j == 0:
         return None
     lo, hi = j - 1, j + 1
-    while lo > 0 and gs[lo - 1] < gs[lo]:
+    while lo > 0 and gs[lo - 1] < gs[lo] and abs(ts[lo] - ts[lo - 1]) > gap:
         lo -= 1
-    while hi < len(gs) and gs[hi] > gs[hi - 1]:
+    while hi < len(gs) and gs[hi] > gs[hi - 1] and abs(ts[hi] - ts[hi - 1]) > gap:
         hi += 1
     ts, gs = ts[lo:hi], gs[lo:hi]
     edge = ts[0]

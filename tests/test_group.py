@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bch_oracle import bch_numeric
+from bch_oracle import _block_sequences, bch_numeric
 from gradedgroups import fixtures
 from gradedgroups.algebra import validate_algebra
-from gradedgroups.group import DimensionMismatch, bch_group_law
+from gradedgroups.group import (DimensionMismatch, _dynkin_word_coefficients,
+                                bch_group_law)
 from gradedgroups.poly import RationalPoly
 
 HALF = Fraction(1, 2)
@@ -119,6 +121,29 @@ def test_dimension_mismatch(heis):
         heis.multiply([1.0, 2.0], [0.0, 0.0, 0.0])
     with pytest.raises(DimensionMismatch):
         heis.multiply_exact((1, 2, 3), (1, 2))
+
+
+@pytest.mark.parametrize("bad", [0.1, True, np.float64(0.5), np.int64(1)])
+def test_multiply_exact_rejects_non_exact_coordinates(heis, bad):
+    with pytest.raises(TypeError, match="int or Fraction"):
+        heis.multiply_exact((bad, 2, 3), (4, 5, 6))
+    with pytest.raises(TypeError, match="int or Fraction"):
+        heis.multiply_exact((1, 2, 3), (4, 5, bad))
+    with pytest.raises(TypeError, match="int or Fraction"):
+        fixtures.group_law("abelian_w12").multiply_exact((bad, 2), (3, 4))
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_dynkin_coefficients_match_block_sequence_sum(depth):
+    expected = {}
+    for blocks in _block_sequences(depth):
+        m = len(blocks)
+        denom = m * sum(p + q for p, q in blocks)
+        for p, q in blocks:
+            denom *= factorial(p) * factorial(q)
+        word = tuple(l for p, q in blocks for l in (0,) * p + (1,) * q)
+        expected[word] = expected.get(word, Fraction(0)) + Fraction((-1) ** (m - 1), denom)
+    assert _dynkin_word_coefficients(depth) == {w: c for w, c in expected.items() if c}
 
 
 def test_dilate_rejects_nonpositive(heis):

@@ -207,6 +207,12 @@ def test_forward_reach_exact_guess_takes_one_probe(dist):
 
     assert _forward_reach(counted, vert, 0.0, 1.0, 0.5, 0.25) == 0.25
     assert len(calls) == 1
+    # from t = 0.75 with r = 2^-7 the exit is 2^-14 ahead; the guess pair
+    # stays a float spacing of 0.75 + 2^-14 apart, so one probe settles it too
+    d0 = dist.distance_from(vert.position_at(0.75))
+    calls.clear()
+    assert _forward_reach(counted, vert, 0.75, 1.0, 2.0 ** -7, 2.0 ** -14) == 0.75 + 2.0 ** -14
+    assert len(calls) == 1
 
 
 def _sampled_curve():

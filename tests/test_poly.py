@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gradedgroups.poly import RationalPoly
 
@@ -66,3 +69,56 @@ def test_weighted_degree():
     assert (p - p).weighted_degree((1, 2)) is None
     mixed = x + x * y
     assert mixed.weighted_degree((1, 1)) is None  # not homogeneous
+
+
+@pytest.mark.parametrize("exps", [(1.5, 0), (-1, 2), (True, 0), (np.int64(1), 0)])
+def test_constructor_rejects_bad_exponents(exps):
+    with pytest.raises(ValueError, match="exponents"):
+        RationalPoly(2, {exps: 1})
+
+
+@pytest.mark.parametrize("bad", [0.1, True, np.float64(0.5), np.int64(2), "1/2"])
+def test_evaluate_rejects_non_exact_coordinates(bad):
+    p = RationalPoly.variable(2, 0) * RationalPoly.variable(2, 1)
+    with pytest.raises(TypeError, match="int or Fraction"):
+        p.evaluate((Fraction(1, 3), bad))
+    with pytest.raises(TypeError, match="int or Fraction"):
+        RationalPoly.zero(2).evaluate((bad, 1))
+
+
+def _naive_value(terms, values):
+    total = Fraction(0)
+    for exps, c in terms.items():
+        term = Fraction(c)
+        for v, e in zip(values, exps):
+            for _ in range(e):
+                term *= v
+        total += term
+    return total
+
+
+COEFFS = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+COORDS = st.one_of(st.integers(-6, 6), st.fractions(min_value=-5, max_value=5,
+                                                     max_denominator=12))
+
+
+@st.composite
+def polys_and_points(draw):
+    nvars = draw(st.integers(0, 4))
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    terms = draw(st.dictionaries(exps, COEFFS, max_size=8))
+    return terms, tuple(draw(st.lists(COORDS, min_size=nvars, max_size=nvars)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_and_points())
+@example(({(): Fraction(-3, 4)}, ()))                                   # nvars = 0
+@example(({(0, 0): Fraction(5, 3), (2, 1): Fraction(1, 6), (0, 3): Fraction(-7)},
+          (Fraction(0), Fraction(-2, 9))))                              # a zero coordinate
+@example(({(1, 0, 2): Fraction(1, 4), (0, 2, 0): Fraction(3, 10), (1, 1, 1): 1},
+          (Fraction(2, 3), 5, Fraction(-7, 8))))                        # mixed denominators
+def test_evaluate_matches_naive_fraction_sum(case):
+    terms, point = case
+    value = RationalPoly(len(point), terms).evaluate(point)
+    assert isinstance(value, Fraction)
+    assert value == _naive_value(terms, point)

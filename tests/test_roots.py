@@ -90,6 +90,18 @@ def test_refine_predicts_a_smooth_edge():
     assert len(plain_calls) == 5
 
 
+def test_refine_predicts_past_samples_closer_than_tol():
+    # the sample 1e-15 past 0.34 reads 1e-6 high: a difference of two samples
+    # closer than tol is rounding, and interpolating through it would throw
+    # the prediction off; without it the cluster finds the edge in round 2
+    edge = 1.0 / 3.0
+    inside, calls = valued(lambda t: t - edge + np.where(t == 0.34 + 1e-15, 1e-6, 0.0))
+    first = np.array([0.1, 0.2, 0.3, 0.34, 0.34 + 1e-15, 0.5])
+    lo, hi = refine(inside, 0.0, 1.0, first, lambda a, b: 1e-12, 8)
+    assert lo <= edge < hi and hi - lo <= 1e-12
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("values", [
     lambda t: np.where(t <= 1.0 / 3.0, -1.0, 1.0),                  # flat on both sides
     lambda t: (t - 1.0 / 3.0) * (1.5 + np.sin(1e4 * t)),            # not monotone

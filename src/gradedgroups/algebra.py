@@ -14,6 +14,7 @@ everywhere inside.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +33,11 @@ MAX_DIMENSION = 128
 
 class GroupValidationError(ValueError):
     """An algebra description violates a structural requirement."""
+
+
+def _degrees(layer_dims) -> tuple:
+    """Degree of each basis vector: k for the vectors of layer k."""
+    return tuple(k for k, dim in enumerate(layer_dims, start=1) for _ in range(dim))
 
 
 def _is_index(value) -> bool:
@@ -115,15 +121,9 @@ class GradedAlgebra:
         self.layer_dims = tuple(layer_dims)
         self.step = len(self.layer_dims)
         self.n = sum(self.layer_dims)
-        degrees = []
-        for k, dim in enumerate(self.layer_dims, start=1):
-            degrees.extend([k] * dim)
-        self.degrees = tuple(degrees)
+        self.degrees = _degrees(self.layer_dims)
         # offsets[k] = first 0-based index of layer k+1; offsets[step] = n
-        offs = [0]
-        for dim in self.layer_dims:
-            offs.append(offs[-1] + dim)
-        self.layer_offsets = tuple(offs)
+        self.layer_offsets = (0, *itertools.accumulate(self.layer_dims))
         # table: {(i, j): {k: Fraction}} for i < j, 0-based
         self._table = {pair: dict(coeffs) for pair, coeffs in table.items() if coeffs}
 
@@ -140,11 +140,14 @@ class GradedAlgebra:
         return {k: -c for k, c in self._table.get((j, i), {}).items()}
 
     def bracket(self, u: Sequence, v: Sequence):
-        """Exact bracket of coefficient vectors (Fractions in, Fractions out)."""
-        w = [Fraction(0)] * self.n
+        """Bracket of coefficient vectors over an exact ring: Fractions or RationalPolys.
+
+        The zero of the result comes from the inputs; a zero cross term (false) is skipped.
+        """
+        w = [u[0] - u[0]] * self.n
         for (i, j), coeffs in self._table.items():
             cross = u[i] * v[j] - u[j] * v[i]
-            if cross == 0:
+            if not cross:
                 continue
             for k, c in coeffs.items():
                 w[k] += cross * c
@@ -160,10 +163,6 @@ class GradedAlgebra:
                 c[i, j, k] = float(coeff)
                 c[j, i, k] = -float(coeff)
         return c
-
-    def pairs(self):
-        """Iterate ((i, j), {k: c}) over stored i < j entries."""
-        return self._table.items()
 
     def __repr__(self):
         return f"GradedAlgebra(layers={self.layer_dims}, brackets={sum(len(v) for v in self._table.values())})"
@@ -181,9 +180,7 @@ def validate_algebra(spec: GradedAlgebraSpec) -> GradedAlgebra:
     n = spec.n
     if n > MAX_DIMENSION:
         raise GroupValidationError(f"dimension {n} exceeds the supported {MAX_DIMENSION}")
-    degrees = []
-    for k, dim in enumerate(spec.layer_dims, start=1):
-        degrees.extend([k] * dim)
+    degrees = _degrees(spec.layer_dims)
 
     # densify; detect duplicates and within-input antisymmetry conflicts
     raw: dict = {}

@@ -402,7 +402,7 @@ def _run_negligibility(cfg) -> dict:
               for i in range(len(rep.values) - 1)]
     return {"group": group, "q": rep.q, "deltas": list(rep.deltas),
             "values": list(rep.values),
-            "ball_counts": [int(c) for c in rep.ball_counts],
+            "ball_counts": list(rep.ball_counts),
             "low_degree_intervals": [list(iv) for iv in rep.intervals],
             "successive_ratios": ratios}
 

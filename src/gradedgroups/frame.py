@@ -96,25 +96,27 @@ class Frame:
 
 
 def compute_frame(law: GroupLaw) -> Frame:
-    """Differentiate the product polynomials to get the frame coefficients."""
+    """Frame coefficients a^l_j = dQ_l/dy_j (x, 0), read off ``law.y_partials``.
+
+    A nonzero entry must raise the degree (deg l > deg j) and be homogeneous
+    of weighted degree deg(l) - deg(j); anything else raises AssertionError.
+    """
     alg = law.algebra
     n = alg.n
-    yvars = list(range(n, 2 * n))
     entries = {}
-    for l in range(n):
-        for j in range(n):
-            p = law.q_polys[l].diff(n + j).subs_zero(yvars).drop_vars(range(n))
-            if p.is_zero():
-                continue
-            if alg.degrees[l] <= alg.degrees[j]:
-                raise AssertionError(
-                    f"frame coefficient a[{l+1},{j+1}] should vanish by grading")
-            deg = p.weighted_degree(alg.degrees)
-            if deg != alg.degrees[l] - alg.degrees[j]:
-                raise AssertionError(
-                    f"a[{l+1},{j+1}] has weighted degree {deg}, expected "
-                    f"{alg.degrees[l] - alg.degrees[j]}")
-            entries[(l, j)] = p
+    for (l, j), dq in law.y_partials.items():
+        p = dq.subs_zero(range(n, 2 * n)).drop_vars(range(n))
+        if p.is_zero():
+            continue
+        if alg.degrees[l] <= alg.degrees[j]:
+            raise AssertionError(
+                f"frame coefficient a[{l+1},{j+1}] should vanish by grading")
+        deg = p.weighted_degree(alg.degrees)
+        if deg != alg.degrees[l] - alg.degrees[j]:
+            raise AssertionError(
+                f"a[{l+1},{j+1}] has weighted degree {deg}, expected "
+                f"{alg.degrees[l] - alg.degrees[j]}")
+        entries[(l, j)] = p
     return Frame(alg.degrees, entries)
 
 

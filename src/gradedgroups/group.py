@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import GradedAlgebra
-from .poly import RationalPoly
+from .poly import RationalPoly, evaluate_all, integer_point
 
 
 class DimensionMismatch(ValueError):
@@ -84,18 +84,6 @@ def _dynkin_word_coefficients(depth: int) -> dict:
     return coeffs
 
 
-def _bracket_polyvec(alg: GradedAlgebra, u, v):
-    nv = u[0].nvars
-    w = [RationalPoly.zero(nv) for _ in range(alg.n)]
-    for (i, j), coeffs in alg.pairs():
-        cross = u[i] * v[j] - u[j] * v[i]
-        if cross.is_zero():
-            continue
-        for k, c in coeffs.items():
-            w[k] = w[k] + c * cross
-    return tuple(w)
-
-
 def bch_group_law(algebra: GradedAlgebra) -> "GroupLaw":
     """Compute the exact product polynomials for a validated algebra."""
     n = algebra.n
@@ -109,17 +97,13 @@ def bch_group_law(algebra: GradedAlgebra) -> "GroupLaw":
     for length in range(2, algebra.step + 1):
         for word in itertools.product((0, 1), repeat=length):
             inner = nested[word[1:]]
-            if all(p.is_zero() for p in inner):
-                nested[word] = inner
-                continue
-            nested[word] = _bracket_polyvec(algebra, first[word[0]], inner)
+            nested[word] = algebra.bracket(first[word[0]], inner) if any(inner) else inner
 
     z = [RationalPoly.zero(nv) for _ in range(n)]
     for word, c in _dynkin_word_coefficients(algebra.step).items():
-        vec = nested[word]
-        for i in range(n):
-            if not vec[i].is_zero():
-                z[i] = z[i] + c * vec[i]
+        for i, p in enumerate(nested[word]):
+            if p:
+                z[i] = z[i] + c * p
 
     q_polys = tuple(z[i] - xv[i] - yv[i] for i in range(n))
     _check_law_structure(algebra, q_polys)
@@ -148,19 +132,24 @@ def _check_law_structure(alg: GradedAlgebra, q_polys) -> None:
 class GroupLaw:
     """The group product, inverse and dilations in exponential coordinates.
 
-    Float inputs go through compiled per-coordinate evaluators and accept
-    numpy arrays of shape (..., n).  The exact path keeps Fractions end
-    to end.
+    ``q_polys[a]`` is the correction Q_a(x, y), a polynomial in the 2n
+    variables (x, y).  ``y_partials[(a, b)]`` is dQ_a/dy_b, kept only where
+    nonzero and derived once: :meth:`left_jacobian` evaluates these
+    partials and :func:`compute_frame` reads the frame off them at y = 0.
+
+    Float inputs go through compiled evaluators and accept numpy arrays
+    of shape (..., n); the exact path takes ints and Fractions only.
     """
 
     def __init__(self, algebra: GradedAlgebra, q_polys):
         self.algebra = algebra
         self.q_polys = tuple(q_polys)
         self._q_fns = [q.as_callable() for q in self.q_polys]
-        # partials d Q_a / d y_b, kept symbolic for frames and jacobians
         n = algebra.n
-        self._dq_polys = [[self.q_polys[a].diff(n + b) for b in range(n)] for a in range(n)]
-        self._dq_fns = [[p.as_callable() for p in row] for row in self._dq_polys]
+        self.y_partials = {(a, v - n): q.diff(v)
+                           for a, q in enumerate(self.q_polys)
+                           for v in sorted(q.support()) if v >= n}
+        self._y_partial_fns = {key: p.as_callable() for key, p in self.y_partials.items()}
         self._frame = None
 
     @property
@@ -221,11 +210,8 @@ class GroupLaw:
         jac = np.empty(np.broadcast(x, y).shape[:-1] + (self.n, self.n))
         jac[...] = np.eye(self.n)
         entries = _leading(jac, 2)    # entries[a, b] is jac[..., a, b]
-        for a in range(self.n):
-            for b in range(self.n):
-                p = self._dq_polys[a][b]
-                if p.terms:
-                    entries[a, b] += self._dq_fns[a][b](cols)
+        for (a, b), fn in self._y_partial_fns.items():
+            entries[a, b] += fn(cols)
         return jac
 
     # -- exact path ---------------------------------------------------------
@@ -233,18 +219,21 @@ class GroupLaw:
     def multiply_exact(self, x: Sequence, y: Sequence):
         """x * y over Fractions; coordinates must be ints or Fractions.
 
-        Any other coordinate (bool, float, a numpy scalar) raises
-        TypeError, through :meth:`RationalPoly.evaluate`.
+        All corrections are evaluated at once (:func:`evaluate_all`), and
+        any other coordinate (bool, float, a numpy scalar) raises TypeError.
         """
         if len(x) != self.n or len(y) != self.n:
             raise DimensionMismatch(f"points must have {self.n} coordinates")
-        vals = tuple(x) + tuple(y)
-        return tuple(x[i] + y[i] + self.q_polys[i].evaluate(vals) for i in range(self.n))
+        q = evaluate_all(self.q_polys, tuple(x) + tuple(y))
+        return tuple(x[i] + y[i] + q[i] for i in range(self.n))
 
     def inverse_exact(self, x: Sequence):
+        integer_point(x)
         return tuple(-c for c in x)
 
     def dilate_exact(self, r, x: Sequence):
+        """dil_r x; r and the coordinates must be ints or Fractions."""
+        integer_point((r, *x))
         if not r > 0:
             raise ValueError("dilation factor must be positive")
         return tuple((r ** d) * c for d, c in zip(self.degrees, x))

@@ -193,8 +193,11 @@ def density_divergence(dist: HomogeneousDistance, curve: Curve, t0: float,
 
     q is the degree of the curve.  Fits the log-log slope of the ratio
     sequence; divergence is certified when the slope is at most -margin.
-    Refuses points of full degree, where the ratio converges instead.
+    Refuses fewer than two distinct radii, which fit no slope, and points
+    of full degree, where the ratio converges instead.
     """
+    if len(set(radii)) < 2:
+        raise ValueError(f"the slope fit needs at least two distinct radii, got {list(radii)}")
     law = dist.law
     q = degree_profile(law, curve).degree
     if pointwise_degree(law, curve, t0) >= q:
@@ -453,9 +456,8 @@ def negligibility_estimate(dist: HomogeneousDistance, curve: Curve,
     q = profile.degree
     intervals = profile.low_degree_intervals
     if not intervals:
-        zeros = tuple(0.0 for _ in deltas)
-        return NegligibilityReport(q=q, deltas=tuple(map(float, deltas)),
-                                   values=zeros, intervals=(), ball_counts=zeros)
+        return NegligibilityReport(q=q, deltas=tuple(map(float, deltas)), intervals=(),
+                                   values=(0.0,) * len(deltas), ball_counts=(0,) * len(deltas))
     cov = covering_values(dist, curve, q, deltas, intervals)
     return NegligibilityReport(q=q, deltas=cov.deltas, values=cov.values,
                                intervals=intervals, ball_counts=cov.ball_counts)

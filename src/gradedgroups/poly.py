@@ -107,14 +107,12 @@ class RationalPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def support(self) -> frozenset:
         """Indices of variables that actually occur."""
-        used = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(i)
-        return frozenset(used)
+        return frozenset(i for exps in self.terms for i, e in enumerate(exps) if e)
 
     def weighted_degree(self, weights: Sequence[int]):
         """Common weighted degree of all monomials, or None if mixed/zero.
@@ -208,41 +206,8 @@ class RationalPoly:
     # -- evaluation -------------------------------------------------------
 
     def evaluate(self, values: Sequence) -> Fraction:
-        """Exact value at a point whose coordinates are ints or Fractions.
-
-        Runs over integers with one common denominator: D is the lcm of
-        the coordinates' denominators and a_i = D * v_i, so a monomial of
-        total degree d is prod a_i^e_i / D^d with an integer numerator.
-        Terms are summed as integers per class (d, denominator of the
-        coefficient), and each class becomes one Fraction.  Raises
-        TypeError for any other coordinate type, bool, float and numpy
-        scalars included.
-        """
-        if len(values) != self.nvars:
-            raise ValueError("value count does not match nvars")
-        ratios = []
-        for v in values:
-            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-                raise TypeError("exact evaluation needs int or Fraction coordinates, "
-                                f"got {type(v).__name__}: {v!r}")
-            ratios.append(v.as_integer_ratio())
-        if not self.terms:
-            return Fraction(0)
-        den = math.lcm(*[d for _, d in ratios])
-        nums = [a * (den // d) for a, d in ratios]
-        sums: dict[tuple, int] = {}
-        for exps, c in self.terms.items():
-            m, q = c.as_integer_ratio()
-            for a, e in zip(nums, exps):
-                if e:
-                    m *= a ** e
-            if m:
-                key = (sum(exps), q)
-                sums[key] = sums.get(key, 0) + m
-        total = Fraction(0)
-        for (d, q), m in sums.items():
-            total += Fraction(m, q * den ** d)
-        return total
+        """Exact value at a point of int or Fraction coordinates (see :func:`evaluate_all`)."""
+        return evaluate_all((self,), values)[0]
 
     def as_callable(self) -> Callable[[Sequence], float]:
         """Compile to ``f(values) -> float`` with coefficients cast to float.
@@ -287,3 +252,46 @@ class RationalPoly:
 
     def __repr__(self):
         return f"RationalPoly({self.nvars}, {self.format()})"
+
+
+def integer_point(values: Sequence) -> tuple:
+    """(nums, den): den is the lcm of the denominators, nums[i] = den * values[i].
+
+    This is the one check of exact coordinates: anything but an int or a
+    Fraction raises TypeError, bool, float and numpy scalars included.
+    """
+    ratios = []
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise TypeError("exact evaluation needs int or Fraction coordinates, "
+                            f"got {type(v).__name__}: {v!r}")
+        ratios.append(v.as_integer_ratio())
+    den = math.lcm(*[d for _, d in ratios])
+    return [a * (den // d) for a, d in ratios], den
+
+
+def evaluate_all(polys: Sequence[RationalPoly], values: Sequence) -> tuple:
+    """Exact values of polynomials that share one point, in their order.
+
+    The point is checked and scaled once (:func:`integer_point`), so a
+    monomial of total degree d is prod a_i^e_i / D^d with an integer
+    numerator.  Each polynomial sums its terms as integers per class
+    (d, denominator of the coefficient), and each class becomes one
+    Fraction.
+    """
+    if any(len(values) != p.nvars for p in polys):
+        raise ValueError("value count does not match nvars")
+    nums, den = integer_point(values)
+    out = []
+    for p in polys:
+        sums: dict[tuple, int] = {}
+        for exps, c in p.terms.items():
+            m, q = c.as_integer_ratio()
+            for a, e in zip(nums, exps):
+                if e:
+                    m *= a ** e
+            if m:
+                key = (sum(exps), q)
+                sums[key] = sums.get(key, 0) + m
+        out.append(sum((Fraction(m, q * den ** d) for (d, q), m in sums.items()), Fraction(0)))
+    return tuple(out)

@@ -108,6 +108,9 @@ _OUT_OF_RANGE = [
      "ValueError"),
     (("cover", "--curve", "vertical", "--q", "-1", "--deltas", "2^-2"), "ValueError"),
     (("cover", "--curve", "vertical", "--q", "0", "--deltas", "2^-2"), "ValueError"),
+    # a slope needs two distinct radii
+    (("diverge", "--curve", "parabola_lift", "--t0", "0", "--radii", "0.5"), "ValueError"),
+    (("diverge", "--curve", "parabola_lift", "--t0", "0", "--radii", "0.5,0.5"), "ValueError"),
 ]
 
 

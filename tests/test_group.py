@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from bch_oracle import _block_sequences, bch_numeric
 from gradedgroups import fixtures
-from gradedgroups.algebra import validate_algebra
+from gradedgroups.algebra import spec_from_dict, validate_algebra
 from gradedgroups.group import (DimensionMismatch, _dynkin_word_coefficients,
                                 bch_group_law)
 from gradedgroups.poly import RationalPoly
@@ -131,6 +132,12 @@ def test_multiply_exact_rejects_non_exact_coordinates(heis, bad):
         heis.multiply_exact((1, 2, 3), (4, 5, bad))
     with pytest.raises(TypeError, match="int or Fraction"):
         fixtures.group_law("abelian_w12").multiply_exact((bad, 2), (3, 4))
+    with pytest.raises(TypeError, match="int or Fraction"):
+        heis.inverse_exact((1, bad, 3))
+    with pytest.raises(TypeError, match="int or Fraction"):
+        heis.dilate_exact(bad, (1, 2, 3))
+    with pytest.raises(TypeError, match="int or Fraction"):
+        heis.dilate_exact(2, (1, 2, bad))
 
 
 @pytest.mark.parametrize("depth", range(1, 9))
@@ -153,25 +160,50 @@ def test_dilate_rejects_nonpositive(heis):
         heis.dilate(-2.0, [1.0, 0.0, 0.0])
 
 
+def _generated_laws():
+    """Filiform laws of step 2-8 and free step-2 laws of rank 3-5, rational brackets."""
+    rng = random.Random(5)
+
+    def coeff():
+        return str(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+
+    docs = [{"layers": [2] + [1] * (step - 1),
+             "brackets": [{"i": 1, "j": i, "k": i + 1, "c": coeff()}
+                          for i in range(2, step + 1)]}
+            for step in range(2, 9)]
+    for rank in range(3, 6):
+        pairs = list(itertools.combinations(range(1, rank + 1), 2))
+        docs.append({"layers": [rank, len(pairs)],
+                     "brackets": [{"i": i, "j": j, "k": rank + m + 1, "c": coeff()}
+                                  for m, (i, j) in enumerate(pairs)]})
+    return [bch_group_law(validate_algebra(spec_from_dict(doc))) for doc in docs]
+
+
 def test_left_jacobian_matches_finite_differences(engel):
     rng = np.random.default_rng(9)
-    x = rng.uniform(-1, 1, 4)
-    y = rng.uniform(-1, 1, 4)
-    jac = engel.left_jacobian(x, y)
-    h = 1e-6
-    for b in range(4):
-        dy = np.zeros(4)
-        dy[b] = h
-        col = (engel.multiply(x, y + dy) - engel.multiply(x, y - dy)) / (2 * h)
-        assert np.allclose(jac[:, b], col, atol=1e-8)
+    for law in [engel, *_generated_laws()]:
+        n = law.n
+        x = rng.uniform(-1, 1, n)
+        y = rng.uniform(-1, 1, n)
+        jac = law.left_jacobian(x, y)
+        h = 1e-6
+        for b in range(n):
+            dy = np.zeros(n)
+            dy[b] = h
+            col = (law.multiply(x, y + dy) - law.multiply(x, y - dy)) / (2 * h)
+            assert np.allclose(jac[:, b], col, atol=1e-8), (law, b)
 
-    xs = rng.uniform(-1, 1, (2, 3, 4))
-    ys = rng.uniform(-1, 1, (2, 3, 4))
-    batch = engel.left_jacobian(xs, ys)
-    assert batch.shape == (2, 3, 4, 4)
-    for idx in np.ndindex(2, 3):
-        assert np.array_equal(batch[idx], engel.left_jacobian(xs[idx], ys[idx]))
-    assert np.array_equal(engel.left_jacobian(x, ys)[1, 2], engel.left_jacobian(x, ys[1, 2]))
+        xs = rng.uniform(-1, 1, (2, 3, n))
+        ys = rng.uniform(-1, 1, (2, 3, n))
+        batch = law.left_jacobian(xs, ys)
+        assert batch.shape == (2, 3, n, n)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(batch[idx], law.left_jacobian(xs[idx], ys[idx]))
+        assert np.array_equal(law.left_jacobian(x, ys)[1, 2], law.left_jacobian(x, ys[1, 2]))
+
+        # the frame is the jacobian at y = 0, read off the same partials
+        for point in rng.uniform(-1, 1, (50, n)):
+            assert np.array_equal(law.frame.matrix(point), law.left_jacobian(point, np.zeros(n)))
 
 
 def test_batched_multiply_matches_scalar(heis):

@@ -348,6 +348,8 @@ def test_negligibility_empty_set_is_zero(dist):
     rep = negligibility_estimate(dist, fixtures.curve("vertical"), [0.25, 0.125])
     assert rep.values == (0.0, 0.0)
     assert rep.intervals == ()
+    assert rep.ball_counts == (0, 0)
+    assert all(type(c) is int for c in rep.ball_counts)
 
 
 def test_federer_check_on_straight_piece(dist):

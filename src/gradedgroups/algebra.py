@@ -128,7 +128,9 @@ class GradedAlgebra:
         self._table = {pair: dict(coeffs) for pair, coeffs in table.items() if coeffs}
 
     def layer_slice(self, k: int) -> slice:
-        """0-based slice of coordinates in layer k (k is 1-based)."""
+        """0-based slice of coordinates in layer k; ValueError unless 1 <= k <= step."""
+        if not 1 <= k <= self.step:
+            raise ValueError(f"layer {k} out of range 1..{self.step}")
         return slice(self.layer_offsets[k - 1], self.layer_offsets[k])
 
     def bracket_coeffs(self, i: int, j: int) -> dict:

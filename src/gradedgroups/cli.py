@@ -19,6 +19,7 @@ import io
 import json
 import random
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -346,82 +347,75 @@ def _run_curve_degree(cfg) -> dict:
             "low_degree_intervals": [list(iv) for iv in prof.low_degree_intervals]}
 
 
-def _run_blowup(cfg) -> dict:
+def _measured(cfg):
+    """(curve, distance, group name) of the ops that measure a curve."""
     law, curve, group = _resolve_curve(cfg)
-    dist = _resolve_distance(law, cfg)
+    return curve, _resolve_distance(law, cfg), group
+
+
+def _run_blowup(cfg) -> dict:
+    curve, dist, group = _measured(cfg)
     rep = blowup_sequence(dist, curve, cfg["t0"], parse_schedule(cfg["radii"]),
                           metric=cfg["metric"])
-    return {"group": group, "t0": rep.t0, "q": rep.q, "radii": list(rep.radii),
-            "ratios": list(rep.ratios), "predicted": rep.predicted,
-            "diagnostic": rep.diagnostic, "truncated": rep.truncated}
+    return {"group": group, **asdict(rep)}
 
 
 def _run_diverge(cfg) -> dict:
-    law, curve, group = _resolve_curve(cfg)
-    dist = _resolve_distance(law, cfg)
+    curve, dist, group = _measured(cfg)
     rep = density_divergence(dist, curve, cfg["t0"], parse_schedule(cfg["radii"]),
                              metric=cfg["metric"], margin=cfg["margin"])
-    return {"group": group, "t0": rep.t0, "q": rep.q, "radii": list(rep.radii),
-            "ratios": list(rep.ratios), "slope": rep.slope,
-            "certified": rep.certified, "margin": rep.margin}
+    return {"group": group, **asdict(rep)}
 
 
 def _run_cover(cfg) -> dict:
-    law, curve, group = _resolve_curve(cfg)
-    dist = _resolve_distance(law, cfg)
+    curve, dist, group = _measured(cfg)
     q = cfg["q"]
     if q is None:
-        q = float(degree_profile(law, curve).degree)
+        q = float(degree_profile(dist.law, curve).degree)
     interval = _resolve_interval(cfg)
     rep = covering_values(dist, curve, q, parse_schedule(cfg["deltas"]),
                           intervals=None if interval is None else [interval])
-    return {"group": group, "q": rep.q, "deltas": list(rep.deltas),
-            "values": list(rep.values), "ball_counts": list(rep.ball_counts),
-            "extrapolated": rep.extrapolated}
+    return {"group": group, **asdict(rep)}
 
 
 def _run_area(cfg) -> dict:
-    law, curve, group = _resolve_curve(cfg)
-    dist = _resolve_distance(law, cfg)
-    rep = area_formula_residual(dist, curve, deltas=parse_schedule(cfg["deltas"]),
-                                interval=_resolve_interval(cfg))
-    return {"group": group, "q": rep.q, "c_q": rep.c_q,
-            "deltas": list(rep.covering.deltas), "values": list(rep.covering.values),
-            "ball_counts": list(rep.covering.ball_counts),
-            "extrapolated": rep.covering.extrapolated,
-            "lhs": rep.lhs, "rhs": rep.rhs, "residual": rep.residual,
-            "low_degree_warning": rep.low_degree_warning}
+    curve, dist, group = _measured(cfg)
+    rep = asdict(area_formula_residual(dist, curve, deltas=parse_schedule(cfg["deltas"]),
+                                       interval=_resolve_interval(cfg)))
+    covering = rep.pop("covering")      # flattened: its q is the report's q
+    return {"group": group, **covering, **rep}
 
 
 def _run_negligibility(cfg) -> dict:
-    law, curve, group = _resolve_curve(cfg)
-    dist = _resolve_distance(law, cfg)
-    rep = negligibility_estimate(dist, curve, parse_schedule(cfg["deltas"]),
-                                 grid_points=cfg["grid"])
-    ratios = [rep.values[i + 1] / rep.values[i] if rep.values[i] > 0 else 0.0
-              for i in range(len(rep.values) - 1)]
-    return {"group": group, "q": rep.q, "deltas": list(rep.deltas),
-            "values": list(rep.values),
-            "ball_counts": list(rep.ball_counts),
-            "low_degree_intervals": [list(iv) for iv in rep.intervals],
-            "successive_ratios": ratios}
+    curve, dist, group = _measured(cfg)
+    rep = asdict(negligibility_estimate(dist, curve, parse_schedule(cfg["deltas"]),
+                                        grid_points=cfg["grid"]))
+    rep["low_degree_intervals"] = rep.pop("intervals")
+    v = rep["values"]
+    rep["successive_ratios"] = [v[i + 1] / v[i] if v[i] > 0 else 0.0
+                                for i in range(len(v) - 1)]
+    return {"group": group, **rep}
 
 
-_RUNNERS = {  # op -> (runner, subcommand help)
-    "fixtures": (_run_fixtures, "list builtin groups and curves"),
+_SCHEDULE_CSV = ("deltas", "values", "ball_counts")
+_RADII_CSV = ("radii", "ratios")
+
+_RUNNERS = {  # op -> (runner, subcommand help, CSV columns or None)
+    "fixtures": (_run_fixtures, "list builtin groups and curves", None),
     "group-check": (_run_group_check,
-                    "validate a bracket table and the associativity of its group law"),
+                    "validate a bracket table and the associativity of its group law", None),
     "frame-show": (_run_frame_show,
-                   "print the group law terms and the left frame entries"),
+                   "print the group law terms and the left frame entries", None),
     "metric-audit": (_run_metric_audit,
-                     "sample the triangle inequality for a gauge distance"),
-    "curve-degree": (_run_curve_degree, "degree profile of a curve"),
-    "blowup": (_run_blowup, "ball measure ratios at a point of maximal degree"),
-    "diverge": (_run_diverge, "certify density blow-up at a point below maximal degree"),
-    "cover": (_run_cover, "greedy covering values along a delta schedule"),
-    "area": (_run_area, "covering value against the tangent integral"),
+                     "sample the triangle inequality for a gauge distance", None),
+    "curve-degree": (_run_curve_degree, "degree profile of a curve", None),
+    "blowup": (_run_blowup, "ball measure ratios at a point of maximal degree", _RADII_CSV),
+    "diverge": (_run_diverge, "certify density blow-up at a point below maximal degree",
+                _RADII_CSV),
+    "cover": (_run_cover, "greedy covering values along a delta schedule", _SCHEDULE_CSV),
+    "area": (_run_area, "covering value against the tangent integral", _SCHEDULE_CSV),
     "negligibility": (_run_negligibility,
-                      "covering values of the low-degree parameter set"),
+                      "covering values of the low-degree parameter set", _SCHEDULE_CSV),
 }
 
 
@@ -448,20 +442,11 @@ def _jsonable(value):
 
 # -- output --------------------------------------------------------------------------
 
-_CSV_COLUMNS = {
-    "blowup": ("radii", "ratios"),
-    "diverge": ("radii", "ratios"),
-    "cover": ("deltas", "values", "ball_counts"),
-    "area": ("deltas", "values", "ball_counts"),
-    "negligibility": ("deltas", "values", "ball_counts"),
-}
-
-
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
     op = report["config"]["op"]
-    cols = _CSV_COLUMNS.get(op)
+    cols = _RUNNERS[op][2]
     if cols is None:
         raise ConfigError(f"csv output is not available for op {op!r}; use json")
     result = report["result"]

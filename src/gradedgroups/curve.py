@@ -30,11 +30,13 @@ class ZeroVelocityError(ValueError):
 class Curve:
     """Parametrized curve with explicit velocity.
 
-    position/velocity take a float or an ndarray of parameters of shape
-    (...) and return an array of shape (..., n), one point per parameter.
+    position/velocity take an ndarray of parameters of shape (...) and
+    return an array of shape (..., n), one point per parameter.
     ``positions``/``velocities`` raise ValueError when a callable returns
-    any other shape.  The domain is an open interval; operations clip
-    slightly inside it.
+    any other shape.  ``position_at``/``velocity_at`` read one parameter
+    through them, as shape (), so a point of any shape but (n,) is refused
+    too.  The domain is an open interval; operations clip slightly inside
+    it.
     """
 
     domain: tuple
@@ -45,10 +47,10 @@ class Curve:
     description: str = ""
 
     def position_at(self, t: float) -> np.ndarray:
-        return np.asarray(self.position(float(t)), dtype=float).reshape(self.n)
+        return self.positions(float(t))
 
     def velocity_at(self, t: float) -> np.ndarray:
-        return np.asarray(self.velocity(float(t)), dtype=float).reshape(self.n)
+        return self.velocities(float(t))
 
     def _batch(self, fn, ts: np.ndarray) -> np.ndarray:
         out = np.asarray(fn(ts), dtype=float)
@@ -313,26 +315,16 @@ def recentered_curve(law: GroupLaw, curve: Curve, t0: float,
     """The curve seen from gamma(t0): h -> R^T (gamma(t0)^-1 * gamma(t0+h)).
 
     This is the normal form used by the local estimates; the origin of the
-    new parameter h is the old t0.
+    new parameter h is the old t0: translate, map by R^T, shift by t0.
     """
-    x0inv = -curve.position_at(t0)
-    rot = None if rotation is None else np.asarray(rotation, dtype=float)
-
-    def rotated(p):
-        # row vectors times R are the columns R^T p
-        return p if rot is None else p @ rot
-
-    def position(h):
-        return rotated(law.multiply(x0inv, curve.positions(np.add(h, t0))))
-
-    def velocity(h):
-        ts = np.add(h, t0)
-        jac = law.left_jacobian(x0inv, curve.positions(ts))
-        return rotated(np.einsum("...ij,...j->...i", jac, curve.velocities(ts)))
-
+    moved = translate_curve(law, -curve.position_at(t0), curve)
+    if rotation is not None:
+        moved = linear_image_curve(np.asarray(rotation, dtype=float).T, moved)
     a, b = curve.domain
-    return Curve(domain=(a - t0, b - t0), n=curve.n, position=position,
-                 velocity=velocity, name=f"{curve.name}@{t0}" if curve.name else "recentered",
+    return Curve(domain=(a - t0, b - t0), n=curve.n,
+                 position=lambda h: moved.positions(np.add(h, t0)),
+                 velocity=lambda h: moved.velocities(np.add(h, t0)),
+                 name=f"{curve.name}@{t0}" if curve.name else "recentered",
                  description=curve.description)
 
 
@@ -412,12 +404,8 @@ def little_o_check(law: GroupLaw, curve: Curve, t0: float, q: int,
         v = vals[used, i]
         keep = v > 1e-250
         pts = int(np.sum(keep))
-        if pts == 0:
-            rows.append(SlopeRow(i, law.degrees[i], target, float("inf"), 0,
-                                 True, excluded, True))
-            continue
         if pts < 3:
-            # too few nonzero samples to fit; treat as vacuous rather than guess
+            # none or too few nonzero samples to fit; vacuous rather than a guess
             rows.append(SlopeRow(i, law.degrees[i], target, float("inf"), pts,
                                  True, excluded, True))
             continue

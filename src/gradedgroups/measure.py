@@ -343,9 +343,12 @@ def richardson_extrapolate(values: Sequence[float]) -> float:
     leading term from the last three entries.  Falls back to the final
     value when the differences are not shrinking with one sign: covering
     values approach their limit monotonically, so alternating differences
-    are quantization noise that extrapolation would amplify.
+    are quantization noise that extrapolation would amplify.  One or two
+    entries give the last one back; an empty sequence raises ValueError.
     """
     v = [float(x) for x in values]
+    if not v:
+        raise ValueError("cannot extrapolate an empty sequence of values")
     if len(v) < 3:
         return v[-1]
     d1 = v[-1] - v[-2]
@@ -450,17 +453,14 @@ def negligibility_estimate(dist: HomogeneousDistance, curve: Curve,
 
     q is the degree of the curve.  Shrinking values certify that the set
     is null for the q-dimensional spherical measure.  An empty low-degree
-    set reports all zeros.
+    set covers to zeros: values 0.0 and ball counts 0.  An empty delta
+    schedule raises ValueError (:func:`richardson_extrapolate`).
     """
     profile = degree_profile(dist.law, curve, grid_points)
-    q = profile.degree
-    intervals = profile.low_degree_intervals
-    if not intervals:
-        return NegligibilityReport(q=q, deltas=tuple(map(float, deltas)), intervals=(),
-                                   values=(0.0,) * len(deltas), ball_counts=(0,) * len(deltas))
-    cov = covering_values(dist, curve, q, deltas, intervals)
-    return NegligibilityReport(q=q, deltas=cov.deltas, values=cov.values,
-                               intervals=intervals, ball_counts=cov.ball_counts)
+    cov = covering_values(dist, curve, profile.degree, deltas, profile.low_degree_intervals)
+    return NegligibilityReport(q=profile.degree, deltas=cov.deltas, values=cov.values,
+                               intervals=profile.low_degree_intervals,
+                               ball_counts=cov.ball_counts)
 
 
 @dataclass(frozen=True)

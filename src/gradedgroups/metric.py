@@ -276,11 +276,12 @@ def metric_factor(dist: HomogeneousDistance, tau, method: str = "auto") -> float
 
 
 def degree_constant(dist: HomogeneousDistance, q: int) -> float:
-    """Metric factor of a unit direction in layer q (2 / eps_q^q)."""
-    sl = dist._slices[q - 1]
-    lam = np.zeros(dist.law.n)
-    lam[sl.start] = 1.0
-    return metric_factor(dist, lam, method="closed")
+    """Metric factor of a unit direction in layer q, whose gauge is eps_q: 2 / eps_q^q.
+
+    Raises ValueError unless 1 <= q <= step, as ``layer_slice`` does.
+    """
+    dist.law.algebra.layer_slice(q)
+    return 2.0 / dist.eps[q - 1] ** q
 
 
 # -- ball-box comparison ------------------------------------------------------

@@ -125,13 +125,7 @@ def _predict(ts: list, gs: list, j: int, gap: float) -> float | None:
 def _with_cluster(x: float, dx: float) -> np.ndarray:
     """_FRACTIONS merged with those of the NEAR points x + j * dx in [0, 1)."""
     near = x + dx * _OFFSETS
-    i, j = np.searchsorted(near, (0.0, 1.0))
-    if i == j:
-        return _FRACTIONS
-    near = near[i:j]
-    i, j = _FRACTIONS.searchsorted((near[0], near[-1]), side="right")
-    mid = np.sort(np.concatenate((_FRACTIONS[i:j], near))) if j > i else near
-    return np.concatenate((_FRACTIONS[:i], mid, _FRACTIONS[j:]))
+    return np.sort(np.concatenate((_FRACTIONS, near[(near >= 0.0) & (near < 1.0)])))
 
 
 def intervals(inside: Callable[[np.ndarray], np.ndarray], ts: np.ndarray,

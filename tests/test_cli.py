@@ -187,6 +187,47 @@ def test_blowup_csv(capsys):
     assert last_ratio == pytest.approx(2.0, rel=1e-6)
 
 
+# op -> (small config, exact key set of its result); results are built from
+# the library's report dataclasses, so renaming a field renames a key here
+_RESULT_KEYS = {
+    "fixtures": ({}, {"curves", "groups"}),
+    "group-check": ({"group": "heisenberg", "seed": 1, "samples": 10, "exact_triples": 2},
+                    {"degrees", "exact_associative", "exact_triples", "float_samples",
+                     "max_associativity_defect", "n", "passed", "step", "tol"}),
+    "frame-show": ({"group": "heisenberg"},
+                   {"degrees", "frame_entries", "group_law_terms", "n", "step"}),
+    "metric-audit": ({"group": "heisenberg", "seed": 1, "samples": 100},
+                     {"eps", "max_ratio", "passed", "samples", "seed", "witness"}),
+    "curve-degree": ({"curve": "glued_hv", "grid": 64},
+                     {"degree", "degree_counts", "grid_points", "group",
+                      "low_degree_intervals"}),
+    "blowup": ({"curve": "vertical", "t0": 0.0, "radii": "2^-1..2^-3"},
+               {"diagnostic", "group", "predicted", "q", "radii", "ratios", "t0",
+                "truncated"}),
+    "diverge": ({"curve": "parabola_lift", "t0": 0.0, "radii": "2^-4..2^-6"},
+                {"certified", "group", "margin", "q", "radii", "ratios", "slope", "t0"}),
+    "cover": ({"curve": "vertical", "interval": [0, 1], "deltas": "2^-2..2^-3"},
+              {"ball_counts", "deltas", "extrapolated", "group", "q", "values"}),
+    "area": ({"curve": "vertical", "deltas": "2^-2..2^-3"},
+             {"ball_counts", "c_q", "deltas", "extrapolated", "group", "lhs",
+              "low_degree_warning", "q", "residual", "rhs", "values"}),
+    "negligibility": ({"curve": "glued_hv", "deltas": "2^-2..2^-3", "grid": 64},
+                      {"ball_counts", "deltas", "group", "low_degree_intervals", "q",
+                       "successive_ratios", "values"}),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_RESULT_KEYS))
+def test_result_keys_are_pinned(op):
+    assert set(_RESULT_KEYS) == set(cli._OPTIONS)   # every op is pinned
+    cfg, keys = _RESULT_KEYS[op]
+    report = run_config({"op": op, **cfg})
+    assert set(report["result"]) == keys
+    if op in ("cover", "area", "negligibility"):
+        header = cli.render_report(report, "csv").splitlines()[0]
+        assert header == "deltas,values,ball_counts"
+
+
 def test_csv_rejected_for_scalar_reports(capsys):
     code, out, err = run_cli(capsys, "frame-show", "--group", "engel",
                              "--format", "csv")

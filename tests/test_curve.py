@@ -64,6 +64,14 @@ def test_curve_rejects_callables_of_the_wrong_shape():
         flat.velocities(ts)         # a scalar-only callable is refused too
     with pytest.raises(ValueError):
         flat.position_at(0.0)
+    # a scalar read has the batch reads' shape check: (1, n) for one parameter is refused
+    row = Curve(domain=(-1.0, 1.0), n=3,
+                position=lambda t: np.zeros(np.shape(t) + (1, 3)),
+                velocity=lambda t: np.ones(np.shape(t) + (1, 3)))
+    with pytest.raises(ValueError, match="shape"):
+        row.position_at(0.0)
+    with pytest.raises(ValueError, match="shape"):
+        row.velocity_at(0.0)
 
 
 def test_degree_profile_vertical(heis):
@@ -138,6 +146,9 @@ def test_tangent_projection_vertical_is_whole_tangent(heis):
     proj, mag = tangent_projection(heis, fixtures.curve("vertical"), 0.2, 2)
     assert mag == pytest.approx(1.0)
     assert np.allclose(proj.lam, [0.0, 0.0, 1.0])
+    for layer in (0, -1, 3):        # no such layer, not an empty projection
+        with pytest.raises(ValueError, match="out of range"):
+            tangent_projection(heis, fixtures.curve("vertical"), 0.2, layer)
 
 
 def test_adapted_basis_vertical(heis):

@@ -293,6 +293,8 @@ def test_richardson_on_synthetic_sequences():
     assert richardson_extrapolate(flat) == 0.5
     short = [0.7, 0.6]
     assert richardson_extrapolate(short) == 0.6
+    with pytest.raises(ValueError, match="empty"):
+        richardson_extrapolate([])
 
 
 # -- area formula ---------------------------------------------------------------------
@@ -350,6 +352,12 @@ def test_negligibility_empty_set_is_zero(dist):
     assert rep.intervals == ()
     assert rep.ball_counts == (0, 0)
     assert all(type(c) is int for c in rep.ball_counts)
+    # an empty schedule is refused, whether or not the set is empty
+    for name in ("vertical", "glued_hv"):
+        with pytest.raises(ValueError, match="empty"):
+            negligibility_estimate(dist, fixtures.curve(name), [])
+    with pytest.raises(ValueError, match="empty"):
+        covering_values(dist, fixtures.curve("vertical"), 2, [])
 
 
 def test_federer_check_on_straight_piece(dist):

@@ -152,6 +152,11 @@ def test_degree_constant(heis):
     dist = HomogeneousDistance(heis, (1.0, 0.5))
     assert degree_constant(dist, 1) == pytest.approx(2.0)
     assert degree_constant(dist, 2) == pytest.approx(8.0)
+    engel = HomogeneousDistance(fixtures.group_law("engel"), (1.0, 0.5, 0.25))
+    assert [degree_constant(engel, q) for q in (1, 2, 3)] == [2.0, 8.0, 128.0]
+    for q in (0, -1, 4):            # no layer: not layer 3's constant, no IndexError
+        with pytest.raises(ValueError, match="out of range"):
+            degree_constant(engel, q)
 
 
 def test_box_contains():

@@ -18,7 +18,7 @@ from .curve import (AdaptedBasis, Curve, DegreeProfile, LittleOReport,
                     linear_image_curve, little_o_check, pointwise_degree,
                     recentered_curve, tangent_projection, translate_curve)
 from .frame import (METRIC_EUCLIDEAN, METRIC_LEFT, Frame, FrameCoordinates,
-                    compute_frame, frame_coordinates, speed, translate_vector)
+                    compute_frame, speed, translate_vector)
 from .group import DimensionMismatch, GroupLaw, bch_group_law
 from .measure import (AreaFormulaReport, BallIntersection, BlowupReport,
                       CoveringEstimate, CoveringSchedule, DivergenceReport,
@@ -29,7 +29,7 @@ from .measure import (AreaFormulaReport, BallIntersection, BlowupReport,
                       federer_density_check, negligibility_estimate,
                       richardson_extrapolate, riemannian_length,
                       spherical_measure_upper)
-from .metric import (BallBoxReport, Box, HomogeneousDistance, TriangleAudit,
+from .metric import (BallBoxReport, HomogeneousDistance, TriangleAudit,
                      ball_box_constants, degree_constant, metric_factor,
                      triangle_audit)
 from .poly import RationalPoly
@@ -38,7 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptedBasis", "AntisymmetryViolation", "AreaFormulaReport",
-    "BallBoxReport", "BallIntersection", "BlowupReport", "Box",
+    "BallBoxReport", "BallIntersection", "BlowupReport",
     "CoveringEstimate", "CoveringSchedule", "Curve", "DegreeProfile",
     "DimensionMismatch", "DivergenceReport", "FedererReport", "Frame",
     "FrameCoordinates", "GradedAlgebra", "GradedAlgebraSpec",
@@ -51,7 +51,7 @@ __all__ = [
     "blowup_sequence", "compute_frame", "covering_values",
     "curve_from_samples", "degree_constant", "degree_profile",
     "density_divergence", "dilate_curve", "federer_density_check",
-    "frame_coordinates", "linear_image_curve", "little_o_check",
+    "linear_image_curve", "little_o_check",
     "metric_factor", "negligibility_estimate", "pointwise_degree",
     "recentered_curve", "richardson_extrapolate", "riemannian_length",
     "spec_from_dict", "spec_from_json", "speed", "spherical_measure_upper",

@@ -36,7 +36,8 @@ class Curve:
     any other shape.  ``position_at``/``velocity_at`` read one parameter
     through them, as shape (), so a point of any shape but (n,) is refused
     too.  The domain is an open interval; operations clip slightly inside
-    it.
+    it.  ``breaks`` lists the parameters where the velocity may kink; the
+    integrals split there.
     """
 
     domain: tuple
@@ -45,6 +46,7 @@ class Curve:
     velocity: Callable
     name: str = ""
     description: str = ""
+    breaks: tuple = ()
 
     def position_at(self, t: float) -> np.ndarray:
         return self.positions(float(t))
@@ -74,28 +76,46 @@ def curve_from_samples(samples, n: int, name: str = "") -> Curve:
     """Cubic interpolation through (t, position, velocity) samples.
 
     The velocities are honored exactly at the nodes (piecewise cubic
-    Hermite), which keeps the interpolant C1.
+    Hermite), which keeps the interpolant C1; the nodes are its breaks.
+    From node t_i on, the position is c0 + c1 s + c2 s^2 + c3 s^3 in
+    s = t - t_i, summed in ascending powers, and the velocity is the same
+    sum over the derivative's coefficients; the end pieces extend outward.
     """
-    from scipy.interpolate import CubicHermiteSpline
-
     ts = np.asarray([s["t"] for s in samples], dtype=float)
     pos = np.asarray([s["position"] for s in samples], dtype=float)
     vel = np.asarray([s["velocity"] for s in samples], dtype=float)
     if ts.ndim != 1 or len(ts) < 2 or pos.shape != (len(ts), n) or vel.shape != pos.shape:
         raise ValueError("need two or more samples of matching dimension")
-    if not np.all(np.diff(ts) > 0):
+    h = np.diff(ts)
+    if not np.all(h > 0):
         raise ValueError("sample parameters must be strictly increasing")
+    p, v = pos.T, vel.T         # one row per coordinate
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        spline = CubicHermiteSpline(ts, pos, vel)
-        dspline = spline.derivative()
-    if not (np.isfinite(spline.c).all() and np.isfinite(dspline.c).all()):
-        gaps = np.diff(ts)
-        i = int(gaps.argmin())
-        raise ValueError(f"sample spacing {gaps[i]:g} after t = {ts[i]:g} is too small: "
+        slope = np.diff(p) / h
+        cubic = (v[:, :-1] + v[:, 1:] - 2 * slope) / h
+        coef = np.stack((p[:, :-1], v[:, :-1], (slope - v[:, :-1]) / h - cubic, cubic / h))
+        dcoef = coef[1:] * np.array([1.0, 2.0, 3.0])[:, None, None]
+    if not (np.isfinite(coef).all() and np.isfinite(dcoef).all()):
+        i = int(h.argmin())
+        raise ValueError(f"sample spacing {h[i]:g} after t = {ts[i]:g} is too small: "
                          "the cubic interpolant's coefficients overflow")
+
+    def power_sum(c, t):
+        t = np.asarray(t, dtype=float)
+        i = np.searchsorted(ts[1:-1], t, side="right")     # the piece from node i
+        s = z = t - ts.take(i)
+        c = c.take(i, axis=-1)
+        out = c[0] + c[1] * s
+        for ck in c[2:]:
+            z = z * s
+            out = out + ck * z
+        return out.transpose((*range(1, out.ndim), 0))
+
     return Curve(domain=(float(ts[0]), float(ts[-1])), n=n,
-                 position=spline, velocity=dspline, name=name,
-                 description="cubic interpolant of sampled data")
+                 position=lambda t: power_sum(coef, t),
+                 velocity=lambda t: power_sum(dcoef, t), name=name,
+                 description="cubic interpolant of sampled data",
+                 breaks=tuple(ts.tolist()))
 
 
 # -- degrees -----------------------------------------------------------------
@@ -145,7 +165,6 @@ def pointwise_degree(law: GroupLaw, curve: Curve, t: float) -> int:
 @dataclass(frozen=True)
 class DegreeProfile:
     grid: np.ndarray
-    lam: np.ndarray            # frame coordinates of the velocity per grid point
     degrees: np.ndarray        # pointwise degree per grid point
     degree: int                # max over the grid = degree of the curve
     exponents: tuple           # d_j / degree for every coordinate
@@ -166,7 +185,7 @@ def degree_profile(law: GroupLaw, curve: Curve, grid_points: int = 512) -> Degre
     a, b = curve.domain
     inset = 1e-9 * curve.span()
     ts = np.linspace(a + inset, b - inset, grid_points + 1)
-    lam, degs = _degrees(law, ts, curve.positions(ts), curve.velocities(ts))
+    _, degs = _degrees(law, ts, curve.positions(ts), curve.velocities(ts))
     top = int(degs.max())
     width = 1e-12 * curve.span()
 
@@ -174,7 +193,7 @@ def degree_profile(law: GroupLaw, curve: Curve, grid_points: int = 512) -> Degre
         return _degrees(law, t, curve.positions(t), curve.velocities(t))[1] < top
 
     intervals = roots.intervals(low, ts, degs < top, lambda lo, hi: width, 8)
-    return DegreeProfile(grid=ts, lam=lam, degrees=degs, degree=top,
+    return DegreeProfile(grid=ts, degrees=degs, degree=top,
                          exponents=tuple(d / top for d in law.degrees),
                          low_degree_intervals=intervals)
 
@@ -283,7 +302,7 @@ def translate_curve(law: GroupLaw, z, curve: Curve) -> Curve:
     return Curve(domain=curve.domain, n=curve.n,
                  position=lambda t: law.multiply(z, curve.positions(t)), velocity=velocity,
                  name=f"{curve.name}+translated" if curve.name else "translated",
-                 description=curve.description)
+                 description=curve.description, breaks=curve.breaks)
 
 
 def dilate_curve(law: GroupLaw, s: float, curve: Curve) -> Curve:
@@ -296,7 +315,7 @@ def dilate_curve(law: GroupLaw, s: float, curve: Curve) -> Curve:
                  position=lambda t: curve.positions(t) * weights,
                  velocity=lambda t: curve.velocities(t) * weights,
                  name=f"{curve.name}+dilated" if curve.name else "dilated",
-                 description=curve.description)
+                 description=curve.description, breaks=curve.breaks)
 
 
 def linear_image_curve(m: np.ndarray, curve: Curve) -> Curve:
@@ -307,7 +326,7 @@ def linear_image_curve(m: np.ndarray, curve: Curve) -> Curve:
                  position=lambda t: curve.positions(t) @ m.T,
                  velocity=lambda t: curve.velocities(t) @ m.T,
                  name=f"{curve.name}+mapped" if curve.name else "mapped",
-                 description=curve.description)
+                 description=curve.description, breaks=curve.breaks)
 
 
 def recentered_curve(law: GroupLaw, curve: Curve, t0: float,
@@ -325,7 +344,7 @@ def recentered_curve(law: GroupLaw, curve: Curve, t0: float,
                  position=lambda h: moved.positions(np.add(h, t0)),
                  velocity=lambda h: moved.velocities(np.add(h, t0)),
                  name=f"{curve.name}@{t0}" if curve.name else "recentered",
-                 description=curve.description)
+                 description=curve.description, breaks=tuple(p - t0 for p in curve.breaks))
 
 
 # -- little-o slope checks ------------------------------------------------------

@@ -135,10 +135,10 @@ class CurveFixture:
     curve: Curve
 
 
-def _fixture(group, name, pos, vel, n, domain, description) -> CurveFixture:
+def _fixture(group, name, pos, vel, n, domain, description, breaks=()) -> CurveFixture:
     return CurveFixture(group, Curve(domain=domain, n=n, position=pos,
                                      velocity=vel, name=name,
-                                     description=description))
+                                     description=description, breaks=breaks))
 
 
 _CURVES = {
@@ -158,7 +158,7 @@ _CURVES = {
     "glued_hv": _fixture(
         "heisenberg", "glued_hv", _glued_pos, _glued_vel, 3, (-1.0, 1.0),
         "C1 join of a horizontal ray (t <= 0) and a bending arc (t > 0); "
-        "degree 1 exactly on [-1, 0]"),
+        "degree 1 exactly on [-1, 0]", breaks=(0.0,)),
     "engel_vertical": _fixture(
         "engel", "engel_vertical", _engel_vertical_pos, _engel_vertical_vel,
         4, (-1.0, 1.0),

@@ -16,7 +16,6 @@ under left translation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -120,10 +119,6 @@ def compute_frame(law: GroupLaw) -> Frame:
     return Frame(alg.degrees, entries)
 
 
-def frame_coordinates(frame: Frame, x, v) -> FrameCoordinates:
-    return FrameCoordinates(lam=frame.coordinates(x, v), base_point=np.asarray(x, float))
-
-
 def translate_vector(law: GroupLaw, fc: FrameCoordinates, x) -> FrameCoordinates:
     """Carry a frame vector along left translation by x.
 
@@ -143,16 +138,15 @@ def translate_vector(law: GroupLaw, fc: FrameCoordinates, x) -> FrameCoordinates
     return FrameCoordinates(lam=fc.lam.copy(), base_point=new_base)
 
 
-def speed(frame: Frame, x, v, metric: str = METRIC_LEFT) -> float:
-    """Length of an ambient tangent vector at x under the chosen metric.
+def speed(frame: Frame, x, v, metric: str = METRIC_LEFT):
+    """Length of ambient tangent vectors v at points x under the chosen metric.
 
     "left" uses the metric that makes the frame orthonormal (the length is
     the euclidean norm of the frame coordinates); "euclidean" uses the
-    ambient coordinate norm.
+    ambient coordinate norm.  x and v have shape (..., n); the lengths have
+    shape (...), a float for one point.
     """
     _check_metric(metric)
-    v = np.asarray(v, dtype=float)
-    if metric == METRIC_EUCLIDEAN:
-        return float(np.sqrt(np.dot(v, v)))
-    lam = frame.coordinates(x, v)
-    return float(np.sqrt(np.dot(lam, lam)))
+    lam = np.asarray(v, dtype=float) if metric == METRIC_EUCLIDEAN else frame.coordinates(x, v)
+    out = np.sqrt((lam * lam).sum(axis=-1))
+    return float(out) if out.ndim == 0 else out

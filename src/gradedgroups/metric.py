@@ -26,19 +26,6 @@ from .group import DimensionMismatch, GroupLaw, _leading
 from .poly import monomial_source
 
 
-@dataclass(frozen=True)
-class Box:
-    """Weighted coordinate box: |x_j| <= radius^(degree_j) for every j."""
-
-    degrees: tuple
-    radius: float
-
-    def contains(self, x, tol: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        bounds = np.array([self.radius ** d for d in self.degrees])
-        return bool(np.all(np.abs(x) <= bounds * (1.0 + tol)))
-
-
 class HomogeneousDistance:
     """Layer-max gauge distance attached to a group law.
 
@@ -57,10 +44,6 @@ class HomogeneousDistance:
         self.eps = eps
         self._slices = [alg.layer_slice(k) for k in range(1, alg.step + 1)]
         self._gauge, self._coef, self._k = _compile_kernel(law, eps, self._slices)
-
-    @property
-    def algebra(self):
-        return self.law.algebra
 
     # -- gauge ------------------------------------------------------------
 

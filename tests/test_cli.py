@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 import gradedgroups
 from gradedgroups import cli
 from gradedgroups.cli import ConfigError, main, parse_schedule, resolve_config, run_config
+from gradedgroups.measure import ball_param_set, quad
+from gradedgroups.metric import HomogeneousDistance
 from json_strategy import JSON
 
 
@@ -145,13 +148,18 @@ def test_fixtures_listing(capsys):
     assert doc["result"]["curves"]["engel_vertical"]["group"] == "engel"
 
 
-def run_module(*argv):
-    """``python -m gradedgroups`` in a fresh interpreter."""
+def run_python(*args):
+    """``python ARGS`` in a fresh interpreter that imports this gradedgroups."""
     env = dict(os.environ)
     src = str(Path(gradedgroups.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "gradedgroups", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def run_module(*argv):
+    """``python -m gradedgroups`` in a fresh interpreter."""
+    return run_python("-m", "gradedgroups", *argv)
 
 
 def test_module_entry_point():
@@ -340,6 +348,47 @@ def test_curve_file_flow(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "curve-degree", "--curve-file", str(path))
     assert code == 0
     assert json.loads(out)["result"]["degree"] == 2
+
+
+def test_no_scipy_is_imported(tmp_path):
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"group": "heisenberg", "samples": [
+        {"t": 0.0, "position": [0, 0, 0], "velocity": [0, 0, 1]},
+        {"t": 1.0, "position": [0, 0, 1], "velocity": [0, 0, 1]}]}))
+    runs = [["frame-show", "--group", "engel"],
+            ["cover", "--curve-file", str(curve), "--deltas", "2^-2..2^-3"],
+            ["area", "--curve", "glued_hv", "--deltas", "2^-2..2^-3"]]
+    script = (f"import sys\nfrom gradedgroups import cli\n"
+              f"for argv in {runs!r}:\n"
+              f"    assert cli.main(argv + ['--out', {str(tmp_path / 'out.json')!r}]) == 0\n"
+              f"print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_blowup_on_a_rough_curve_file_meets_its_tolerance(tmp_path, capsys):
+    # nearly straight, with random sampled velocities: the speed kinks at 201 nodes
+    rng = np.random.default_rng(0)
+    path = tmp_path / "rough.json"
+    path.write_text(json.dumps({"group": "heisenberg", "samples": [
+        {"t": t, "position": [t, *(0.01 * rng.uniform(-1.0, 1.0, 2)).tolist()],
+         "velocity": [1.0, *rng.uniform(-1.0, 1.0, 2).tolist()]}
+        for t in np.linspace(-1.0, 1.0, 201).tolist()]}))
+    code, out, err = run_cli(capsys, "blowup", "--curve-file", str(path), "--t0", "0.1234")
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+
+    law, curve, _ = cli._resolve_curve({"curve_file": str(path)})
+    dist = HomogeneousDistance(law, (1.0, 1.0))
+
+    def speed(t):
+        return np.linalg.norm(curve.velocities(t), axis=-1)
+
+    for r, ratio in zip(result["radii"], result["ratios"]):
+        pieces, _ = ball_param_set(dist, curve, 0.1234, r)
+        tight = sum(quad(speed, lo, hi, 1e-14, 1e-14, curve.breaks) for lo, hi in pieces)
+        assert ratio == pytest.approx(tight / r ** 2, rel=1e-9, abs=0.0)
 
 
 def test_cover_interval_restriction(capsys):

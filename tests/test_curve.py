@@ -118,6 +118,27 @@ def test_curve_from_samples_honors_nodes():
         assert np.allclose(cv.velocity_at(s["t"]), s["velocity"], atol=1e-12)
 
 
+def test_curve_from_samples_reproduces_a_cubic():
+    def pos(t):
+        return np.stack([t, 0.5 * t * t - t, t ** 3 / 3.0 - 0.25 * t], axis=-1)
+
+    def vel(t):
+        return np.stack([np.ones_like(t), t - 1.0, t * t - 0.25], axis=-1)
+
+    nodes = np.array([-1.0, -0.6, -0.05, 0.3, 0.35, 1.0])
+    cv = curve_from_samples([{"t": t, "position": pos(t).tolist(), "velocity": vel(t).tolist()}
+                             for t in nodes], 3)
+    assert cv.breaks == tuple(nodes)
+    ts = np.linspace(-1.0, 1.0, 401)
+    assert np.allclose(cv.positions(ts), pos(ts), rtol=0.0, atol=1e-14)
+    assert np.allclose(cv.velocities(ts), vel(ts), rtol=0.0, atol=1e-14)
+    # every node but the last starts a piece, which reads its sample exactly
+    for t in nodes[:-1]:
+        assert np.array_equal(cv.position_at(t), pos(t))
+        assert np.array_equal(cv.velocity_at(t), vel(t))
+    assert np.allclose(cv.position_at(1.0), pos(1.0), rtol=0.0, atol=1e-15)
+
+
 def test_curve_from_samples_validation():
     good = {"t": 0.0, "position": [0.0, 0.0, 0.0], "velocity": [1.0, 0.0, 0.0]}
     with pytest.raises(ValueError):
@@ -237,6 +258,15 @@ def test_recentered_curve_origin_and_consistency(heis):
         vels = rec.velocities(hs)
         for i, h in enumerate(hs):
             assert np.array_equal(vels[i], rec.velocity_at(h))
+
+
+def test_transforms_carry_the_breaks(heis):
+    glued = fixtures.curve("glued_hv")
+    assert glued.breaks == (0.0,)
+    for moved in (translate_curve(heis, [0.3, -0.4, 0.2], glued),
+                  dilate_curve(heis, 2.0, glued), linear_image_curve(np.eye(3), glued)):
+        assert moved.breaks == (0.0,)
+    assert recentered_curve(heis, glued, 0.25).breaks == (-0.25,)
 
 
 # -- first-order decay of the non-tangent coordinates ----------------------------

@@ -10,7 +10,7 @@ from gradedgroups.measure import (NumericalResolutionError, _forward_reach,
                                   ball_intersection_measure, blowup_sequence,
                                   covering_values, density_divergence,
                                   federer_density_check,
-                                  negligibility_estimate,
+                                  negligibility_estimate, quad,
                                   richardson_extrapolate, riemannian_length,
                                   spherical_measure_upper)
 from gradedgroups.metric import HomogeneousDistance
@@ -42,6 +42,44 @@ def test_length_of_parabola(heis):
     par = fixtures.curve("parabola_lift")
     expected = math.sqrt(2.0) + math.asinh(1.0)  # 2 * int_0^1 sqrt(1 + t^2)
     assert riemannian_length(heis, par, metric="left") == pytest.approx(expected, rel=1e-9)
+    assert riemannian_length(heis, par, metric="euclidean") == pytest.approx(expected,
+                                                                             abs=1e-12)
+
+
+# -- quadrature ------------------------------------------------------------------------
+
+
+def test_quad_kink_with_and_without_its_point():
+    kink = 0.3
+    exact = (kink ** 2 + (1.0 - kink) ** 2) / 2.0
+
+    def f(t):
+        return np.abs(t - kink)
+
+    assert quad(f, 0.0, 1.0, 1e-12, 1e-12, (kink,)) == pytest.approx(exact, abs=1e-15)
+    assert quad(f, 0.0, 1.0, 1e-12, 1e-12) == pytest.approx(exact, abs=1e-12)
+    # points outside the interval, and its ends, are ignored
+    assert quad(f, 0.0, 1.0, 1e-12, 1e-12, (-1.0, 0.0, 1.0, 2.0)) == pytest.approx(
+        exact, abs=1e-12)
+
+
+def test_quad_evaluates_each_round_in_one_batch():
+    shapes = []
+
+    def f(t):
+        shapes.append(t.shape)
+        return np.exp(t)
+
+    assert quad(f, 0.0, 1.0, 1e-14, 1e-14) == pytest.approx(math.e - 1.0, abs=1e-15)
+    assert shapes == [(30,)]
+    assert quad(f, 1.0, 1.0, 1e-9, 1e-9) == 0.0
+
+
+def test_quad_refuses_a_non_integrable_integrand():
+    with pytest.raises(NumericalResolutionError, match="not resolved"):
+        quad(lambda t: 1.0 / np.abs(t - 1.0 / 3.0), 0.0, 1.0, 1e-9, 1e-9)
+    with pytest.raises(NumericalResolutionError, match="not finite"):
+        quad(lambda t: np.where(t > 0.5, np.inf, 1.0), 0.0, 1.0, 1e-9, 1e-9)
 
 
 # -- ball intersections -----------------------------------------------------------
@@ -295,6 +333,11 @@ def test_richardson_on_synthetic_sequences():
     assert richardson_extrapolate(short) == 0.6
     with pytest.raises(ValueError, match="empty"):
         richardson_extrapolate([])
+
+
+def test_blowup_refuses_an_empty_radius_schedule(dist):
+    with pytest.raises(ValueError, match="empty"):
+        blowup_sequence(dist, fixtures.curve("vertical"), 0.0, [])
 
 
 # -- area formula ---------------------------------------------------------------------

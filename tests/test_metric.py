@@ -5,7 +5,7 @@ import pytest
 
 from gradedgroups import (DimensionMismatch, bch_group_law, fixtures, spec_from_dict,
                           validate_algebra)
-from gradedgroups.metric import (Box, HomogeneousDistance, ball_box_constants,
+from gradedgroups.metric import (HomogeneousDistance, ball_box_constants,
                                  degree_constant, metric_factor,
                                  triangle_audit)
 
@@ -157,13 +157,6 @@ def test_degree_constant(heis):
     for q in (0, -1, 4):            # no layer: not layer 3's constant, no IndexError
         with pytest.raises(ValueError, match="out of range"):
             degree_constant(engel, q)
-
-
-def test_box_contains():
-    box = Box((1, 1, 2), 0.5)
-    assert box.contains([0.4, -0.5, 0.25])
-    assert not box.contains([0.6, 0.0, 0.0])
-    assert not box.contains([0.0, 0.0, 0.3])
 
 
 def test_ball_box_constants_abelian():

@@ -16,7 +16,8 @@ from .curve import (AdaptedBasis, Curve, DegreeProfile, LittleOReport,
                     ZeroVelocityError, adapted_basis, adapted_structure_tensor,
                     curve_from_samples, degree_profile, dilate_curve,
                     linear_image_curve, little_o_check, pointwise_degree,
-                    recentered_curve, tangent_projection, translate_curve)
+                    polynomial_curve, recentered_curve, tangent_projection,
+                    translate_curve)
 from .frame import (METRIC_EUCLIDEAN, METRIC_LEFT, Frame, FrameCoordinates,
                     compute_frame, speed, translate_vector)
 from .group import DimensionMismatch, GroupLaw, bch_group_law
@@ -51,7 +52,7 @@ __all__ = [
     "blowup_sequence", "compute_frame", "covering_values",
     "curve_from_samples", "degree_constant", "degree_profile",
     "density_divergence", "dilate_curve", "federer_density_check",
-    "linear_image_curve", "little_o_check",
+    "linear_image_curve", "little_o_check", "polynomial_curve",
     "metric_factor", "negligibility_estimate", "pointwise_degree",
     "recentered_curve", "richardson_extrapolate", "riemannian_length",
     "spec_from_dict", "spec_from_json", "speed", "spherical_measure_upper",

@@ -1,24 +1,26 @@
 """C1 curves in exponential coordinates and their degree theory.
 
 A curve carries its open parameter domain and position/velocity
-callables.  The pointwise degree at t is the largest layer the velocity
-touches when written in the left-invariant frame; the degree of the
-curve is the maximum over a parameter grid, and parameters realizing a
-smaller degree form the low-degree set.  Near a point of maximal degree
-one distinguished coordinate dominates; the adapted basis rotates the
-top layer so that coordinate comes first, and the little-o check fits
-log-log slopes of the translated coordinates against the graded targets.
+callables; every curve the package builds, fixture or sampled, comes
+from a ``polynomial_curve`` coefficient table.  The pointwise degree at
+t is the largest layer the velocity touches when written in the
+left-invariant frame; the degree of the curve is the maximum over a
+parameter grid, and parameters realizing a smaller degree form the
+low-degree set.  Near a point of maximal degree one distinguished
+coordinate dominates; the adapted basis rotates the top layer so that
+coordinate comes first, and the little-o check fits log-log slopes of
+the translated coordinates against the graded targets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import roots
-from .frame import FrameCoordinates, METRIC_EUCLIDEAN, METRIC_LEFT, speed
+from .frame import FrameCoordinates, METRIC_LEFT, speed
 from .group import GroupLaw
 
 
@@ -30,8 +32,9 @@ class ZeroVelocityError(ValueError):
 class Curve:
     """Parametrized curve with explicit velocity.
 
-    position/velocity take an ndarray of parameters of shape (...) and
-    return an array of shape (..., n), one point per parameter.
+    position/velocity are callables, generated by :func:`polynomial_curve`
+    or written by hand, that take an ndarray of parameters of shape (...)
+    and return an array of shape (..., n), one point per parameter.
     ``positions``/``velocities`` raise ValueError when a callable returns
     any other shape.  ``position_at``/``velocity_at`` read one parameter
     through them, as shape (), so a point of any shape but (n,) is refused
@@ -72,20 +75,104 @@ class Curve:
         return self.domain[1] - self.domain[0]
 
 
+def _derivative(coef: np.ndarray) -> np.ndarray:
+    """Coefficient table of the derivative: k c_k, one power lower."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return coef[1:] * np.arange(1.0, len(coef))[:, None, None]
+
+
+def _evaluator(coef: np.ndarray, breaks: np.ndarray, origins: np.ndarray) -> Callable:
+    """Generated ``f(t)`` of shape t.shape + (n,) for one coefficient table.
+
+    Per coordinate the terms c_k s^k are summed in ascending k, the powers
+    formed as z_k = z_(k-1) * s.  A term zero on every piece is dropped, a
+    coefficient equal on every piece is a literal (1.0 is left out), and
+    the others are read from a per-piece table, all by one gather per call.
+    """
+    rows, columns, top = [], [], 0
+    for j in range(coef.shape[1]):
+        parts = []
+        for k, c in enumerate(coef[:, j]):
+            if not c.any():
+                continue
+            lead = repr(float(c[0]))
+            if (c != c[0]).any():
+                lead = f"c[{len(rows)}]"
+                rows.append(c)
+            power = "s" if k == 1 else f"z{k}"
+            parts.append(lead if k == 0 else power if lead == "1.0" else f"{lead} * {power}")
+            top = max(top, k)
+        columns.append(" + ".join(parts) or "0.0")
+
+    shifted = (origins != origins[0]).any()
+    lines = ["t = np.asarray(t, dtype=float)"]
+    if rows or (shifted and top):
+        lines.append('i = np.searchsorted(breaks, t, side="right")')
+    if rows:
+        lines.append("c = table.take(i, axis=1)")
+    if top:
+        lines.append("s = t - origins.take(i)" if shifted
+                     else f"s = t - {float(origins[0])!r}" if origins[0] else "s = t")
+    lines += [f"z{k} = {'s' if k == 2 else f'z{k - 1}'} * s" for k in range(2, top + 1)]
+    lines.append("out = np.empty((n,) + t.shape)")
+    lines += [f"out[{j}] = {col}" for j, col in enumerate(columns)]
+    lines.append("return out.transpose((*range(1, t.ndim + 1), 0))")
+    scope = {"np": np, "n": len(columns), "breaks": breaks, "origins": origins,
+             "table": np.array(rows)}
+    exec("def f(t):\n" + "".join(f"    {line}\n" for line in lines), scope)  # noqa: S102
+    return scope["f"]
+
+
+def polynomial_curve(coef, domain, breaks=(), origins=None, name: str = "",
+                     description: str = "") -> Curve:
+    """Piecewise-polynomial curve from its coefficient table.
+
+    ``coef`` has shape (p+1, n, pieces): on piece m, coordinate j is the
+    sum of coef[k, j, m] s^k in s = t - origins[m] (origins default to 0).
+    The interior ``breaks`` choose the piece by ``searchsorted(...,
+    side="right")``, so a break starts the piece after it, and the end
+    pieces extend outward.  The velocity is the table's derivative k c_k.
+    Malformed input raises ValueError.
+    """
+    coef = np.array(coef, dtype=float)
+    if coef.ndim != 3 or 0 in coef.shape:
+        raise ValueError(f"coefficient table must have shape (p+1, n, pieces), got {coef.shape}")
+    dcoef = _derivative(coef)
+    if not (np.isfinite(coef).all() and np.isfinite(dcoef).all()):
+        raise ValueError("coefficient table or its derivative is not finite")
+    pieces = coef.shape[2]
+    origins = np.zeros(pieces) if origins is None else np.array(origins, dtype=float)
+    if origins.shape != (pieces,) or not np.isfinite(origins).all():
+        raise ValueError(f"need {pieces} finite origins, one per piece, got {origins.tolist()}")
+    a, b = map(float, domain)
+    breaks = np.array(breaks, dtype=float)
+    if (breaks.shape != (pieces - 1,) or not np.isfinite([a, b]).all()
+            or not np.all(np.diff([a, *breaks, b]) > 0)):
+        raise ValueError(f"{pieces} pieces need {pieces - 1} breaks increasing strictly inside "
+                         f"a finite domain a < b, got {breaks.tolist()} in ({a}, {b})")
+    return Curve(domain=(a, b), n=coef.shape[1], position=_evaluator(coef, breaks, origins),
+                 velocity=_evaluator(dcoef, breaks, origins), name=name,
+                 description=description, breaks=tuple(breaks.tolist()))
+
+
 def curve_from_samples(samples, n: int, name: str = "") -> Curve:
     """Cubic interpolation through (t, position, velocity) samples.
 
     The velocities are honored exactly at the nodes (piecewise cubic
-    Hermite), which keeps the interpolant C1; the nodes are its breaks.
-    From node t_i on, the position is c0 + c1 s + c2 s^2 + c3 s^3 in
-    s = t - t_i, summed in ascending powers, and the velocity is the same
-    sum over the derivative's coefficients; the end pieces extend outward.
+    Hermite), which keeps the interpolant C1.  From node t_i on, the
+    position is c0 + c1 s + c2 s^2 + c3 s^3 in s = t - t_i, one piece of a
+    :func:`polynomial_curve`.  Non-finite samples, and spacings so small
+    that the coefficients overflow, raise ValueError.
     """
     ts = np.asarray([s["t"] for s in samples], dtype=float)
     pos = np.asarray([s["position"] for s in samples], dtype=float)
     vel = np.asarray([s["velocity"] for s in samples], dtype=float)
     if ts.ndim != 1 or len(ts) < 2 or pos.shape != (len(ts), n) or vel.shape != pos.shape:
         raise ValueError("need two or more samples of matching dimension")
+    for what, values in (("t", ts[:, None]), ("position", pos), ("velocity", vel)):
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if len(bad):
+            raise ValueError(f"sample {bad[0]} (t = {ts[bad[0]]:g}) has a non-finite {what}")
     h = np.diff(ts)
     if not np.all(h > 0):
         raise ValueError("sample parameters must be strictly increasing")
@@ -94,28 +181,12 @@ def curve_from_samples(samples, n: int, name: str = "") -> Curve:
         slope = np.diff(p) / h
         cubic = (v[:, :-1] + v[:, 1:] - 2 * slope) / h
         coef = np.stack((p[:, :-1], v[:, :-1], (slope - v[:, :-1]) / h - cubic, cubic / h))
-        dcoef = coef[1:] * np.array([1.0, 2.0, 3.0])[:, None, None]
-    if not (np.isfinite(coef).all() and np.isfinite(dcoef).all()):
+    if not (np.isfinite(coef).all() and np.isfinite(_derivative(coef)).all()):
         i = int(h.argmin())
         raise ValueError(f"sample spacing {h[i]:g} after t = {ts[i]:g} is too small: "
                          "the cubic interpolant's coefficients overflow")
-
-    def power_sum(c, t):
-        t = np.asarray(t, dtype=float)
-        i = np.searchsorted(ts[1:-1], t, side="right")     # the piece from node i
-        s = z = t - ts.take(i)
-        c = c.take(i, axis=-1)
-        out = c[0] + c[1] * s
-        for ck in c[2:]:
-            z = z * s
-            out = out + ck * z
-        return out.transpose((*range(1, out.ndim), 0))
-
-    return Curve(domain=(float(ts[0]), float(ts[-1])), n=n,
-                 position=lambda t: power_sum(coef, t),
-                 velocity=lambda t: power_sum(dcoef, t), name=name,
-                 description="cubic interpolant of sampled data",
-                 breaks=tuple(ts.tolist()))
+    return polynomial_curve(coef, (ts[0], ts[-1]), ts[1:-1], ts[:-1], name=name,
+                            description="cubic interpolant of sampled data")
 
 
 # -- degrees -----------------------------------------------------------------

@@ -4,7 +4,9 @@ Three small groups cover the interesting cases: a weighted abelian plane
 (no brackets, so the group law is plain addition), the 3-d group with one
 bracket [e1, e2] = e3, and its 4-d step-3 extension with [e1, e3] = e4.
 The curves live in those groups and are chosen so that degrees, blow-ups
-and covering values have values one can check by hand.
+and covering values have values one can check by hand.  Each is a table
+of polynomial coefficients on (-1, 1), built by ``polynomial_curve``,
+which derives the velocity.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import sqrt
 import numpy as np
 
 from .algebra import GradedAlgebraSpec, spec_from_dict, validate_algebra
-from .curve import Curve
+from .curve import Curve, polynomial_curve
 from .group import GroupLaw, bch_group_law
 from .metric import HomogeneousDistance
 
@@ -63,107 +65,34 @@ def distance(name: str, eps=None) -> HomogeneousDistance:
 # -- curves ---------------------------------------------------------------------
 
 
-def _points(t, *columns):
-    """Array of shape t.shape + (len(columns),); a column is an array or a constant."""
-    out = np.empty(np.shape(t) + (len(columns),))
-    for j, col in enumerate(columns):
-        out[..., j] = col
-    return out
-
-
-def _vertical_pos(t):
-    return _points(t, 0.0, 0.0, t)
-
-
-def _vertical_vel(t):
-    return _points(t, 0.0, 0.0, 1.0)
-
-
-def _horizontal_pos(t):
-    return _points(t, t, 0.0, 0.0)
-
-
-def _horizontal_vel(t):
-    return _points(t, 1.0, 0.0, 0.0)
-
-
-def _rot_horizontal_pos(t):
-    s = np.asarray(t, dtype=float) / sqrt(2.0)
-    return _points(t, s, s, 0.0)
-
-
-def _rot_horizontal_vel(t):
-    return _points(t, 1.0 / sqrt(2.0), 1.0 / sqrt(2.0), 0.0)
-
-
-def _parabola_pos(t):
-    t = np.asarray(t, dtype=float)
-    return _points(t, t, 0.0, 0.5 * t * t)
-
-
-def _parabola_vel(t):
-    return _points(t, 1.0, 0.0, t)
-
-
-def _glued_pos(t):
-    t = np.asarray(t, dtype=float)
-    bent = t > 0.0
-    x = np.where(bent, t - 0.5 * t * t, t)
-    z = np.where(bent, 0.5 * t * t, 0.0)
-    return _points(t, x, 0.0, z)
-
-
-def _glued_vel(t):
-    t = np.asarray(t, dtype=float)
-    bent = t > 0.0
-    vx = np.where(bent, 1.0 - t, 1.0)
-    vz = np.where(bent, t, 0.0)
-    return _points(t, vx, 0.0, vz)
-
-
-def _engel_vertical_pos(t):
-    return _points(t, 0.0, 0.0, 0.0, t)
-
-
-def _engel_vertical_vel(t):
-    return _points(t, 0.0, 0.0, 0.0, 1.0)
-
-
 @dataclass(frozen=True)
 class CurveFixture:
     group: str
     curve: Curve
 
 
-def _fixture(group, name, pos, vel, n, domain, description, breaks=()) -> CurveFixture:
-    return CurveFixture(group, Curve(domain=domain, n=n, position=pos,
-                                     velocity=vel, name=name,
-                                     description=description, breaks=breaks))
-
-
-_CURVES = {
-    "vertical": _fixture(
-        "heisenberg", "vertical", _vertical_pos, _vertical_vel, 3, (-1.0, 1.0),
-        "line along the center direction; degree 2 everywhere"),
-    "horizontal": _fixture(
-        "heisenberg", "horizontal", _horizontal_pos, _horizontal_vel, 3, (-1.0, 1.0),
-        "line along the first generator; degree 1 everywhere"),
-    "rotated_horizontal": _fixture(
-        "heisenberg", "rotated_horizontal", _rot_horizontal_pos, _rot_horizontal_vel,
-        3, (-1.0, 1.0),
-        "unit-speed line along (e1 + e2)/sqrt(2); degree 1 everywhere"),
-    "parabola_lift": _fixture(
-        "heisenberg", "parabola_lift", _parabola_pos, _parabola_vel, 3, (-1.0, 1.0),
-        "lift t -> (t, 0, t^2/2); degree 2 except at t = 0"),
-    "glued_hv": _fixture(
-        "heisenberg", "glued_hv", _glued_pos, _glued_vel, 3, (-1.0, 1.0),
-        "C1 join of a horizontal ray (t <= 0) and a bending arc (t > 0); "
-        "degree 1 exactly on [-1, 0]", breaks=(0.0,)),
-    "engel_vertical": _fixture(
-        "engel", "engel_vertical", _engel_vertical_pos, _engel_vertical_vel,
-        4, (-1.0, 1.0),
-        "line along the top layer of the step-3 group; degree 3 everywhere"),
+# name: group, one coefficient table per piece (row k holds the coefficients
+# of t^k), the breaks between the pieces, description
+_TABLES = {
+    "vertical": ("heisenberg", ([[0, 0, 0], [0, 0, 1]],), (),
+                 "line along the center direction; degree 2 everywhere"),
+    "horizontal": ("heisenberg", ([[0, 0, 0], [1, 0, 0]],), (),
+                   "line along the first generator; degree 1 everywhere"),
+    "rotated_horizontal": ("heisenberg", ([[0, 0, 0], [1 / sqrt(2), 1 / sqrt(2), 0]],), (),
+                           "unit-speed line along (e1 + e2)/sqrt(2); degree 1 everywhere"),
+    "parabola_lift": ("heisenberg", ([[0, 0, 0], [1, 0, 0], [0, 0, 0.5]],), (),
+                      "lift t -> (t, 0, t^2/2); degree 2 except at t = 0"),
+    "glued_hv": ("heisenberg", ([[0, 0, 0], [1, 0, 0], [0, 0, 0]],
+                                [[0, 0, 0], [1, 0, 0], [-0.5, 0, 0.5]]), (0.0,),
+                 "C1 join of a horizontal ray (t <= 0) and a bending arc (t > 0); "
+                 "degree 1 exactly on [-1, 0]"),
+    "engel_vertical": ("engel", ([[0, 0, 0, 0], [0, 0, 0, 1]],), (),
+                       "line along the top layer of the step-3 group; degree 3 everywhere"),
 }
+
+_CURVES = {name: CurveFixture(group, polynomial_curve(np.stack(pieces, axis=-1), (-1.0, 1.0),
+                                                      breaks, name=name, description=description))
+           for name, (group, pieces, breaks, description) in _TABLES.items()}
 
 
 def curve_names() -> tuple:

@@ -40,7 +40,7 @@ import numpy as np
 from . import roots
 from .curve import Curve, degree_profile, pointwise_degree, tangent_projection
 from .frame import METRIC_EUCLIDEAN, METRIC_LEFT, _check_metric, speed
-from .metric import HomogeneousDistance, degree_constant
+from .metric import HomogeneousDistance, degree_constant, metric_factor
 
 
 class NumericalResolutionError(RuntimeError):
@@ -204,8 +204,6 @@ def blowup_sequence(dist: HomogeneousDistance, curve: Curve, t0: float,
     if pointwise_degree(law, curve, t0) != q:
         raise ValueError(
             f"t0 = {t0} does not realize the curve degree {q}; blow-up undefined here")
-
-    from .metric import metric_factor
 
     proj, mag = tangent_projection(law, curve, t0, q, metric)
     predicted = metric_factor(dist, proj) / mag

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 
 from gradedgroups import fixtures
@@ -8,7 +9,8 @@ from gradedgroups.curve import (Curve, ZeroVelocityError, adapted_basis,
                                 adapted_structure_tensor, curve_from_samples,
                                 degree_profile, dilate_curve,
                                 linear_image_curve, little_o_check,
-                                pointwise_degree, recentered_curve,
+                                pointwise_degree, polynomial_curve,
+                                recentered_curve,
                                 tangent_projection, translate_curve)
 
 
@@ -128,7 +130,7 @@ def test_curve_from_samples_reproduces_a_cubic():
     nodes = np.array([-1.0, -0.6, -0.05, 0.3, 0.35, 1.0])
     cv = curve_from_samples([{"t": t, "position": pos(t).tolist(), "velocity": vel(t).tolist()}
                              for t in nodes], 3)
-    assert cv.breaks == tuple(nodes)
+    assert cv.breaks == tuple(nodes[1:-1])     # the interior nodes choose the piece
     ts = np.linspace(-1.0, 1.0, 401)
     assert np.allclose(cv.positions(ts), pos(ts), rtol=0.0, atol=1e-14)
     assert np.allclose(cv.velocities(ts), vel(ts), rtol=0.0, atol=1e-14)
@@ -148,6 +150,81 @@ def test_curve_from_samples_validation():
         curve_from_samples(bad_order, 3)
     with pytest.raises(ValueError):
         curve_from_samples([good, {"t": 1.0, "position": [1, 0], "velocity": [1, 0]}], 3)
+
+
+def test_curve_from_samples_refuses_non_finite_samples():
+    good = [{"t": float(t), "position": [t, 0.0, 0.0], "velocity": [1.0, 0.0, 0.0]}
+            for t in (0.0, 1.0, 2.0)]
+    for key, value, what in (("t", math.inf, "t"),
+                             ("position", [1.0, math.nan, 0.0], "position"),
+                             ("velocity", [1.0, 0.0, -math.inf], "velocity")):
+        samples = [dict(s) for s in good]
+        samples[1][key] = value
+        with pytest.raises(ValueError, match=f"sample 1 .*non-finite {what}"):
+            curve_from_samples(samples, 3)
+
+
+# -- piecewise-polynomial curves ------------------------------------------------
+
+
+def _three_pieces():
+    """Table (4, 2, 3) with constant, varying and zero coefficients, breaks, origins."""
+    coef = np.random.default_rng(5).normal(size=(4, 2, 3))
+    coef[0, 0] = 1.5            # constant on every piece
+    coef[2, 0] = 0.0            # zero on every piece
+    coef[1, 1] = -0.25
+    return coef, (-0.2, 0.4), (-1.0, -0.2, 0.4)
+
+
+def test_polynomial_curve_matches_polyval():
+    coef, breaks, origins = _three_pieces()
+    cv = polynomial_curve(coef, (-1.0, 1.0), breaks, origins)
+    assert cv.breaks == breaks and cv.n == 2
+
+    def expected(ts, table):
+        m = np.searchsorted(breaks, ts, side="right")
+        s = ts - np.take(origins, m)
+        return np.stack([P.polyval(s, table[:, j, m], tensor=False) for j in range(2)], axis=-1)
+
+    dcoef = P.polyder(coef, axis=0)
+    grid = np.linspace(-1.5, 1.5, 31)            # outside the domain too
+    on_breaks = np.array([[-1.3, -0.2], [0.4, 1.2]])
+    for ts in (np.asarray(0.1), grid, on_breaks, grid[:30].reshape(5, 6)):
+        assert cv.positions(ts).shape == ts.shape + (2,)
+        assert np.allclose(cv.positions(ts), expected(ts, coef), rtol=1e-13, atol=1e-13)
+        assert np.allclose(cv.velocities(ts), expected(ts, dcoef), rtol=1e-13, atol=1e-13)
+    # a break starts the piece after it, which reads its constant term exactly
+    for t, m in zip(breaks, (1, 2)):
+        assert np.array_equal(cv.position_at(t), coef[0, :, m])
+        assert np.array_equal(cv.velocity_at(t), coef[1, :, m])
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"coef": np.zeros((4, 2))}, "shape"),
+    ({"coef": np.full((4, 2, 3), np.nan)}, "not finite"),
+    ({"origins": (-1.0, 0.4)}, "origins"),
+    ({"breaks": (0.4, -0.2)}, "strictly"),
+    ({"breaks": (-0.2, 1.0)}, "strictly"),
+    ({"domain": (1.0, -1.0)}, "strictly"),
+    ({"domain": (-1.0, math.inf)}, "finite domain"),
+])
+def test_polynomial_curve_refuses_malformed_input(change, match):
+    coef, breaks, origins = _three_pieces()
+    args = {"coef": coef, "domain": (-1.0, 1.0), "breaks": breaks, "origins": origins, **change}
+    with pytest.raises(ValueError, match=match):
+        polynomial_curve(**args)
+
+
+def test_builtin_velocities_are_derivatives_of_positions():
+    h = 1e-6
+    for name in fixtures.curve_names():
+        fx = fixtures.curve_fixture(name)
+        cv = fx.curve
+        assert cv.n == fixtures.group_law(fx.group).n
+        ts = np.linspace(-0.95, 0.95, 39)
+        ts = ts[np.all(np.abs(ts[:, None] - np.array([*cv.breaks, 2.0])) > 1e-3, axis=1)]
+        central = (cv.positions(ts + h) - cv.positions(ts - h)) / (2 * h)
+        assert np.allclose(cv.velocities(ts), central, rtol=0.0, atol=1e-8), name
 
 
 # -- tangent projections and adapted bases ------------------------------------

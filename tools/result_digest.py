@@ -7,14 +7,17 @@ of one) and runs, through ``cli.run_config``:
 
 - every config that ``bench/workloads.py`` generates, for each workload
   and each seed;
-- every ``gradedgroups`` command line in the README's command-line block.
+- every ``gradedgroups`` command line in the README's command-line block;
+- for every builtin curve: ``curve-degree``, ``cover`` and ``area`` over
+  the interval 0,1 at deltas 2^-2..2^-4, and ``blowup`` at t0 = 0.5.
 
 The documents are taken from the checkout this script lives in, so two
 trees are compared on the same documents: run the script once with each
 tree as ``--src`` and diff the outputs.
 
 One line per document: workload, seed, index, op, format and the sha256
-of the sorted-key ``json.dumps`` of ``result``.  Where the op renders as
+(the per-curve documents read ``fixture`` and the curve name in place of
+workload and seed) of the sorted-key ``json.dumps`` of ``result``.  Where the op renders as
 CSV, a second line gives the sha256 of the CSV text.  A document whose
 run raises is digested as its error type and message.  The last line
 gives the number of lines and one sha256 over all of them.
@@ -56,6 +59,16 @@ def readme_configs(cli) -> list:
             for line in block.splitlines() if line.startswith("gradedgroups ")]
 
 
+def fixture_configs(fixtures) -> list:
+    """(curve name, config) of the per-curve documents, for every builtin curve."""
+    span = {"interval": "0,1", "deltas": "2^-2..2^-4"}
+    return [(name, cfg) for name in fixtures.curve_names()
+            for cfg in ({"op": "curve-degree", "curve": name},
+                        {"op": "cover", "curve": name, **span},
+                        {"op": "area", "curve": name, **span},
+                        {"op": "blowup", "curve": name, "t0": 0.5})]
+
+
 def digests(cli, cfg) -> list:
     """(format, sha256) of one document: its JSON result, and its CSV if the op has one."""
     try:
@@ -79,7 +92,7 @@ def main(argv=None) -> int:
 
     pkg = _import_package(args.src.resolve())
     sys.stderr.write(f"gradedgroups from {Path(pkg.__file__).parent}\n")
-    from gradedgroups import cli
+    from gradedgroups import cli, fixtures
 
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
@@ -100,6 +113,9 @@ def main(argv=None) -> int:
     for i, cfg in enumerate(readme_configs(cli)):
         for fmt, sha in digests(cli, cfg):
             emit(f"readme - {i} {cfg['op']} {fmt} {sha}")
+    for i, (name, cfg) in enumerate(fixture_configs(fixtures)):
+        for fmt, sha in digests(cli, cfg):
+            emit(f"fixture {name} {i} {cfg['op']} {fmt} {sha}")
     print(f"total {len(lines)} {_sha(chr(10).join(lines))}")
     return 0
 

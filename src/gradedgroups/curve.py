@@ -2,7 +2,8 @@
 
 A curve carries its open parameter domain and position/velocity
 callables; every curve the package builds, fixture or sampled, comes
-from a ``polynomial_curve`` coefficient table.  The pointwise degree at
+from a ``polynomial_curve`` coefficient table, which the curve keeps as
+``pieces`` (so do its dilations and linear images).  The pointwise degree at
 t is the largest layer the velocity touches when written in the
 left-invariant frame; the degree of the curve is the maximum over a
 parameter grid, and parameters realizing a smaller degree form the
@@ -14,7 +15,7 @@ the translated coordinates against the graded targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -41,6 +42,11 @@ class Curve:
     too.  The domain is an open interval; operations clip slightly inside
     it.  ``breaks`` lists the parameters where the velocity may kink; the
     integrals split there.
+
+    ``pieces`` is the coefficient table (coef, breaks, origins) of a
+    :func:`polynomial_curve`, read-only arrays, and None for a curve built
+    from callables alone (by hand, or by translating or recentering).  The
+    covering walk solves its reaches on the table where there is one.
     """
 
     domain: tuple
@@ -50,6 +56,7 @@ class Curve:
     name: str = ""
     description: str = ""
     breaks: tuple = ()
+    pieces: tuple | None = field(default=None, compare=False, repr=False)
 
     def position_at(self, t: float) -> np.ndarray:
         return self.positions(float(t))
@@ -150,9 +157,12 @@ def polynomial_curve(coef, domain, breaks=(), origins=None, name: str = "",
             or not np.all(np.diff([a, *breaks, b]) > 0)):
         raise ValueError(f"{pieces} pieces need {pieces - 1} breaks increasing strictly inside "
                          f"a finite domain a < b, got {breaks.tolist()} in ({a}, {b})")
+    for table in (coef, breaks, origins):
+        table.flags.writeable = False
     return Curve(domain=(a, b), n=coef.shape[1], position=_evaluator(coef, breaks, origins),
                  velocity=_evaluator(dcoef, breaks, origins), name=name,
-                 description=description, breaks=tuple(breaks.tolist()))
+                 description=description, breaks=tuple(breaks.tolist()),
+                 pieces=(coef, breaks, origins))
 
 
 def curve_from_samples(samples, n: int, name: str = "") -> Curve:
@@ -376,28 +386,33 @@ def translate_curve(law: GroupLaw, z, curve: Curve) -> Curve:
                  description=curve.description, breaks=curve.breaks)
 
 
+def _mapped(curve: Curve, m: np.ndarray, suffix: str) -> Curve:
+    """The curve's image under the coordinate map y -> m y.
+
+    A coefficient table is mapped row by row and built again by
+    :func:`polynomial_curve`; callables are wrapped.
+    """
+    name = f"{curve.name}+{suffix}" if curve.name else suffix
+    if curve.pieces is not None:
+        coef, breaks, origins = curve.pieces
+        return polynomial_curve(np.einsum("ij,kjm->kim", m, coef), curve.domain, breaks,
+                                origins, name=name, description=curve.description)
+    return Curve(domain=curve.domain, n=curve.n,
+                 position=lambda t: curve.positions(t) @ m.T,
+                 velocity=lambda t: curve.velocities(t) @ m.T,
+                 name=name, description=curve.description, breaks=curve.breaks)
+
+
 def dilate_curve(law: GroupLaw, s: float, curve: Curve) -> Curve:
     """Image under the dilation of factor s (an automorphism)."""
     if not s > 0:
         raise ValueError("dilation factor must be positive")
-    weights = np.array([float(s) ** d for d in law.degrees])
-
-    return Curve(domain=curve.domain, n=curve.n,
-                 position=lambda t: curve.positions(t) * weights,
-                 velocity=lambda t: curve.velocities(t) * weights,
-                 name=f"{curve.name}+dilated" if curve.name else "dilated",
-                 description=curve.description, breaks=curve.breaks)
+    return _mapped(curve, np.diag([float(s) ** d for d in law.degrees]), "dilated")
 
 
 def linear_image_curve(m: np.ndarray, curve: Curve) -> Curve:
     """Image under a linear coordinate map (meant for graded isometries)."""
-    m = np.asarray(m, dtype=float)
-
-    return Curve(domain=curve.domain, n=curve.n,
-                 position=lambda t: curve.positions(t) @ m.T,
-                 velocity=lambda t: curve.velocities(t) @ m.T,
-                 name=f"{curve.name}+mapped" if curve.name else "mapped",
-                 description=curve.description, breaks=curve.breaks)
+    return _mapped(curve, np.asarray(m, dtype=float), "mapped")
 
 
 def recentered_curve(law: GroupLaw, curve: Curve, t0: float,

@@ -15,22 +15,41 @@ grid cell.
 Spherical-measure upper bounds come from a greedy walk: at the first
 uncovered parameter, a ball of the current radius is centered as far
 ahead along the curve as possible while still covering that parameter,
-and the walk jumps past the covered component.  Each of these two reaches
-predicts, then certifies.  One batched probe of the distance tests a
-geometric ladder of parameter offsets together with a cluster on the
-step the walk took last, and its first point outside the ball brackets
-the exit.  Where that step is the exit, as along a left-translated
-one-parameter subgroup, this probe already settles the reach.  Otherwise
-batched rounds (``roots.refine``) shrink the bracket, each also testing
-a cluster where inverse interpolation of the distances already computed
-puts the exit.  The reported value is sum(r^q) over the balls placed.  It is an upper
-estimate when the distance from each center grows along the curve up to
-the exit; an excursion that leaves the ball between two probed points
-goes unseen.
+and the walk jumps past the covered component.  The reported value is
+sum(r^q) over the balls placed.  Each of the two reaches per ball
+predicts, then certifies.
+
+On a curve with a coefficient table (``Curve.pieces``: every fixture,
+curve file, dilation and linear image), the ball around the anchor is,
+along each piece, the set where a few polynomials in the parameter are
+<= 0 (``HomogeneousDistance.layer_polynomials``), and a reach is their
+first exit (``roots.first_exit``): Newton steps from the step the walk
+took last predict it, and Bernstein enclosures certify that every
+inequality holds up to it, so no excursion out of a ball between its
+anchor and the exit goes unseen.
+
+On a curve given by callables alone (built by hand, translated or
+recentered), one batched probe of the distance tests a geometric ladder
+of parameter offsets together with a cluster on the step the walk took
+last, and its first point outside the ball brackets the exit.  Where
+that step is the exit, as along a left-translated one-parameter
+subgroup, this probe already settles the reach.  Otherwise batched
+rounds (``roots.refine``) shrink the bracket, each also testing a
+cluster where inverse interpolation of the distances already computed
+puts the exit.  There an excursion that leaves the ball between two
+probed points goes unseen.
+
+On either kind of curve, the two reaches of a ball place the parameters
+from the first uncovered one t up to the center in the ball around
+gamma(t), and those from the center to the edge in the center's ball.
+That (t, center) lies in the center's ball as well is assumed, not
+checked; it holds where the distance from the center grows away from it
+along the curve, as on a curve that does not double back within a ball.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -41,10 +60,7 @@ from . import roots
 from .curve import Curve, degree_profile, pointwise_degree, tangent_projection
 from .frame import METRIC_EUCLIDEAN, METRIC_LEFT, _check_metric, speed
 from .metric import HomogeneousDistance, degree_constant, metric_factor
-
-
-class NumericalResolutionError(RuntimeError):
-    """A scan, walk or integral could not make progress at the requested resolution."""
+from .roots import NumericalResolutionError
 
 
 # -- integrals and lengths ---------------------------------------------------------
@@ -300,13 +316,10 @@ def _forward_reach(dfun: Callable, curve: Curve, start: float, cap: float,
         g = dfun(curve.positions(start + s)) - r
         return g <= 0.0, g
 
-    # tight tolerance: the per-ball shortfall accumulates over the whole walk.
-    # A ladder bracket [lo, hi] has hi <= 2 lo, so it meets the tolerance
-    # within 5 rounds of 257-fold shrinking; 8 is never reached.  The probe
-    # evaluates the curve at start + s, so the floor of four float spacings
-    # there keeps the exact-guess pair below on distinct parameters.
+    # a ladder bracket [lo, hi] has hi <= 2 lo, so it meets the tolerance
+    # within 5 rounds of 257-fold shrinking; 8 is never reached
     def tol(lo: float, hi: float) -> float:
-        return max(1e-12 * lo + 1e-16, 4.0 * math.ulp(start + lo))
+        return _reach_tol(start, lo)
 
     floor = 1e-18 * max(1.0, abs(start)) + 1e-300
     k0 = max(math.floor(math.log2(floor / h)), -1074) + 1074
@@ -320,6 +333,67 @@ def _forward_reach(dfun: Callable, curve: Curve, start: float, cap: float,
     return cap if lo == width else start + lo
 
 
+def _reach_tol(start: float, lo: float) -> float:
+    """Width to which a reach from ``start`` brackets an exit ``lo`` ahead of it.
+
+    Tight, because the per-ball shortfall accumulates over the whole walk;
+    the floor of four float spacings at start + lo keeps the two ends of
+    the bracket on distinct parameters.
+    """
+    return max(1e-12 * lo + 1e-16, 4.0 * math.ulp(start + lo))
+
+
+def _polynomial_reach(dist: HomogeneousDistance, curve: Curve) -> Callable:
+    """``reach(start, cap, r, guess)`` on a curve's coefficient table: the
+    first parameter after ``start`` where the curve leaves the closed
+    r-ball around gamma(start), as the inside end of a bracket no wider
+    than ``_reach_tol``, or ``cap`` where it stays inside up to there.
+
+    From the anchor's piece on, each piece is shifted to its first
+    parameter (the anchor's own to the anchor), and the membership
+    polynomials of the displacement (``HomogeneousDistance.
+    layer_polynomials``) go to ``roots.first_exit`` with the guess.  The
+    first piece with an exit ends the reach at the inside end of its
+    bracket, within ``_reach_tol``; without one it is the cap.
+    """
+    coef, breaks, origins = curve.pieces
+    table = coef.transpose(2, 1, 0).tolist()         # table[m][j]: coordinate j on piece m
+    for piece in table:
+        for c in piece:
+            while len(c) > 1 and c[-1] == 0.0:      # the same polynomial, cheaper
+                c.pop()
+    breaks, origins = breaks.tolist(), origins.tolist()
+
+    def reach(start: float, cap: float, r: float, guess: float | None) -> float:
+        m = bisect.bisect_right(breaks, start)
+        t0, x0 = start, None
+        while t0 < cap:
+            t1 = min(cap, breaks[m]) if m < len(breaks) else cap
+            ys = [roots.taylor_shift(c, t0 - origins[m]) for c in table[m]]
+            if x0 is None:
+                x0 = [y[0] for y in ys]
+            offset = t0 - start
+            s = roots.first_exit(dist.layer_polynomials(x0, ys, r), t1 - t0,
+                                 None if guess is None else guess - offset,
+                                 lambda a: _reach_tol(start, offset + a))
+            if s is not None:
+                return t0 + s
+            t0, m = t1, m + 1
+        return max(start, cap)
+
+    return reach
+
+
+def _sampled_reach(dist: HomogeneousDistance, curve: Curve) -> Callable:
+    """``reach(start, cap, r, guess)`` by :func:`_forward_reach`, for curves
+    given by callables alone."""
+    def reach(start: float, cap: float, r: float, guess: float | None) -> float:
+        return _forward_reach(dist.distance_from(curve.position_at(start)), curve,
+                              start, cap, r, guess)
+
+    return reach
+
+
 def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
                             delta: float, intervals=None,
                             max_balls: int = 5_000_000) -> CoveringEstimate:
@@ -329,8 +403,14 @@ def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
     with closed balls of radius delta centered on the curve.  Each ball is
     pushed as far forward as possible while still containing the first
     uncovered parameter, so a ball typically covers a full two-sided
-    component of new parameters.  Raises ValueError unless delta and q
-    are positive and every interval lies inside the closed domain.
+    component of new parameters; that the parameters between the first
+    uncovered one and the center lie in the center's ball is assumed (see
+    the module docstring).  On a curve with a coefficient table
+    (``Curve.pieces``) each reach is the certified first exit of the
+    displacement polynomials (:func:`_polynomial_reach`), so no excursion
+    past a reach is missed; on any other curve it is sampled
+    (:func:`_forward_reach`).  Raises ValueError unless delta and q are
+    positive and every interval lies inside the closed domain.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -344,6 +424,7 @@ def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
             raise ValueError(f"interval [{lo}, {hi}] is not inside the curve's "
                              f"domain [{a}, {b}]")
     guard = 1e-12 * curve.span()
+    reach = (_sampled_reach if curve.pieces is None else _polynomial_reach)(dist, curve)
     value = 0.0
     centers = []
 
@@ -353,26 +434,22 @@ def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
         t = lo
         prev_step = None
         while True:
-            d_anchor = dist.distance_from(curve.position_at(t))
-            center = _forward_reach(d_anchor, curve, t, b, delta, prev_step)
+            center = reach(t, b, delta, prev_step)
             centers.append(center)
             value += delta ** q
             if len(centers) > max_balls:
                 raise NumericalResolutionError(
                     f"covering at delta = {delta} exceeded {max_balls} balls")
-            # a ball centered at t itself reaches no further than the probe
+            # a ball centered at t itself reaches no further than the reach
             # from t just found, so only a center ahead of t can advance
-            edge = center
-            if center > t:
-                d_center = dist.distance_from(curve.position_at(center))
-                edge = _forward_reach(d_center, curve, center, b, delta, center - t)
+            edge = reach(center, b, delta, center - t) if center > t else center
+            if edge >= hi - guard or edge >= b:
+                break
             if edge <= t + guard:
                 raise NumericalResolutionError(
                     f"covering walk stalled at t = {t} (delta = {delta})")
             prev_step = max(edge - center, guard)
             t = edge
-            if t >= hi - guard:
-                break
 
     return CoveringEstimate(q=q, delta=delta, value=value,
                             ball_count=len(centers), centers=tuple(centers))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,7 +44,7 @@ class HomogeneousDistance:
         self.law = law
         self.eps = eps
         self._slices = [alg.layer_slice(k) for k in range(1, alg.step + 1)]
-        self._gauge, self._coef, self._k = _compile_kernel(law, eps, self._slices)
+        self._gauge, self._coef, self._k, self._folds = _compile_kernel(law, eps, self._slices)
 
     # -- gauge ------------------------------------------------------------
 
@@ -91,16 +92,106 @@ class HomogeneousDistance:
 
         return dist_to
 
+    @cached_property
+    def _disp(self) -> Callable:
+        """Generated ``disp(c, y)``: z = x^-1 * y on coefficient lists y[j] of
+        polynomials in one variable, from the anchor coefficients c = coef(x),
+        returned as such lists.
+
+        Built from the y-monomials of ``_compile_kernel``'s fold on first
+        use, because only the covering walk needs it.
+        """
+        disps = []
+        for i, (const, monomials) in enumerate(self._folds):
+            parts = []
+            for index, beta in monomials:
+                factors = [f"y[{j}]" for j, e in enumerate(beta) for _ in range(e)]
+                product = factors[0]
+                for f in factors[1:]:
+                    product = f"_pmul({product}, {f})"
+                parts.append(f"(c[{index}], {product}), ")
+            disps.append(f"_lin(c[{const}], y[{i}], ({''.join(parts)}))")
+        scope = {"_lin": _lin, "_pmul": _pmul}
+        # source built from our own terms
+        exec(f"def disp(c, y):\n    return [{', '.join(disps)}]\n", scope)  # noqa: S102
+        return scope["disp"]
+
+    def layer_polynomials(self, x0, ys, r: float) -> list:
+        """Membership in the closed r-ball around x0 along a polynomial path.
+
+        ``ys[j]`` lists the ascending coefficients of coordinate j of a path
+        y(s), and z(s) = x0^-1 * y(s) is expanded by the same fold as
+        :meth:`distance_from`, with products of coordinates taken as
+        products of polynomials.  Returns, for every layer k on which z is
+        not identically zero, the ascending coefficients of
+        P_k(s) = (eps_k / r)^(2k) |z^(k)(s)|^2 - 1, so that N(z(s)) <= r
+        exactly where every P_k(s) <= 0.  Where y(0) is x0 itself, z(0) is
+        x0^-1 * x0 = 0 exactly, and its constant terms are set so.  A
+        radius so small that (eps_k / r)^(2k) overflows is below float
+        resolution: NumericalResolutionError.
+        """
+        x0 = list(x0)
+        z = self._disp(self._coef(x0), ys)
+        if [y[0] for y in ys] == x0:
+            for zj in z:
+                zj[0] = 0.0
+        out = []
+        for k, sl in enumerate(self._slices, start=1):
+            block = [zj for zj in z[sl] if any(zj)]
+            if not block:
+                continue
+            try:
+                w = (self.eps[k - 1] / r) ** (2 * k)
+            except OverflowError:
+                raise roots.NumericalResolutionError(
+                    f"radius {r} is below float resolution on layer {k}") from None
+            p = [0.0] * (2 * max(map(len, block)) - 1)
+            for zj in block:
+                for i, ci in enumerate(zj):
+                    p[2 * i] += ci * ci
+                    ci += ci
+                    for j in range(i + 1, len(zj)):
+                        p[i + j] += ci * zj[j]
+            p = [w * c for c in p]
+            p[0] -= 1.0
+            while len(p) > 1 and p[-1] == 0.0:
+                p.pop()
+            out.append(p)
+        return out
+
+
+def _pmul(p: list, q: list) -> list:
+    """Product of two polynomials in ascending coefficients."""
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _lin(const: float, y: list, terms) -> list:
+    """const + y + the sum of w * p over the (w, p) pairs, in ascending coefficients."""
+    out = list(y)
+    out[0] += const
+    for w, p in terms:
+        if len(p) > len(out):
+            out += [0.0] * (len(p) - len(out))
+        for k, c in enumerate(p):
+            out[k] += w * c
+    return out
+
 
 def _compile_kernel(law: GroupLaw, eps, slices):
-    """Generate the gauge and the two functions behind ``distance_from``.
+    """Generate the gauge and the functions behind ``distance_from``.
 
     ``gauge(z)`` is N(z) on the coordinate columns z[j]; it skips unit
     weights and takes |z_j| for a layer of one coordinate.  ``coef(x)``
     maps an anchor x to the coefficients of z = x^-1 * y as polynomials in
     y: per coordinate i, the constant -x_i, then one value per y-monomial
     of Q_i(x^-1, y), its terms grouped by y-exponents.  ``k(c, y)``
-    evaluates z on the columns y[j] and returns gauge(z).
+    evaluates z on the columns y[j] and returns gauge(z).  Last come the
+    folds: per coordinate i, the index of its constant in coef(x) and the
+    (index, y-exponents) of each y-monomial.
     """
     terms = []
     for k, sl in enumerate(slices, start=1):
@@ -115,9 +206,10 @@ def _compile_kernel(law: GroupLaw, eps, slices):
         gauge = f"np.maximum({gauge}, {term})"
 
     n = law.n
-    coefs, zs = [], []
+    coefs, zs, folds = [], [], []
     for i, q in enumerate(law.q_polys):
         zs.append(f"c[{len(coefs)}] + y[{i}]")
+        folds.append((len(coefs), []))
         coefs.append(f"-x[{i}]")
         by_y: dict = {}
         for exps, c in sorted(q.terms.items()):
@@ -128,6 +220,7 @@ def _compile_kernel(law: GroupLaw, eps, slices):
         ys = []
         for beta, parts in by_y.items():
             ys.append(monomial_source(f"c[{len(coefs)}]", beta, "y"))
+            folds[i][1].append((len(coefs), beta))
             coefs.append(" + ".join(parts))
         if ys:
             zs[i] += f" + ({' + '.join(ys)})"
@@ -137,7 +230,7 @@ def _compile_kernel(law: GroupLaw, eps, slices):
     exec(f"def gauge(z):\n    return {gauge}\n"  # noqa: S102
          f"def k(c, y):\n    return gauge(({', '.join(zs)},))\n"
          f"def coef(x):\n    return ({', '.join(coefs)},)\n", scope)
-    return scope["gauge"], scope["coef"], scope["k"]
+    return scope["gauge"], scope["coef"], scope["k"], folds
 
 
 # -- triangle inequality audit ---------------------------------------------

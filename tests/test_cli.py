@@ -400,6 +400,13 @@ def test_cover_interval_restriction(capsys):
     assert doc["ball_counts"] == [8, 32, 128]
 
 
+def test_cover_ending_at_the_domain_end(capsys):
+    code, out, err = run_cli(capsys, "cover", "--curve", "parabola_lift",
+                             "--interval", "0.9999999999999,1", "--deltas", "2^-2..2^-3")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["ball_counts"] == [1, 1]
+
+
 def test_report_to_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "fixtures", "--out", str(target))

@@ -320,6 +320,32 @@ def test_linear_image_curve(heis):
     assert np.allclose(im.velocity_at(1.0), [2.0, 0.0, 6.0])
 
 
+def test_dilations_and_linear_images_keep_the_table(heis):
+    # the images are built from mapped tables, and read what mapping the
+    # points of the curve gives
+    m = np.array([[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]])
+    ts = np.linspace(-1.0, 1.0, 401)
+    sampled = curve_from_samples(
+        [{"t": t, "position": [np.sin(3 * t), t * t, np.cos(t)],
+          "velocity": [3 * np.cos(3 * t), 2 * t, -np.sin(t)]} for t in np.linspace(-1, 1, 9)], 3)
+    for curve in (*(fixtures.curve(name) for name in fixtures.curve_names()
+                    if fixtures.curve_fixture(name).group == "heisenberg"), sampled):
+        weights = np.array([0.5 ** d for d in heis.degrees])
+        for image, expect in ((dilate_curve(heis, 0.5, curve), lambda x: x * weights),
+                              (linear_image_curve(m, curve), lambda x: x @ m.T)):
+            assert image.pieces is not None and image.breaks == curve.breaks
+            for read in ("positions", "velocities"):
+                want = expect(getattr(curve, read)(ts))
+                np.testing.assert_allclose(getattr(image, read)(ts), want, rtol=1e-15,
+                                           atol=1e-15 * np.abs(want).max())
+    # a curve without a table is still mapped point by point
+    moved = translate_curve(heis, [0.1, 0.2, 0.3], sampled)
+    assert moved.pieces is None
+    image = dilate_curve(heis, 0.5, moved)
+    assert image.pieces is None
+    assert np.array_equal(image.positions(ts), moved.positions(ts) * weights)
+
+
 def test_recentered_curve_origin_and_consistency(heis):
     par = fixtures.curve("parabola_lift")
     rec = recentered_curve(heis, par, 0.5)

@@ -6,7 +6,7 @@ import pytest
 from gradedgroups import fixtures
 from gradedgroups.curve import Curve, curve_from_samples, dilate_curve, translate_curve
 from gradedgroups.measure import (NumericalResolutionError, _forward_reach,
-                                  area_formula_residual, ball_param_set,
+                                  _polynomial_reach, area_formula_residual, ball_param_set,
                                   ball_intersection_measure, blowup_sequence,
                                   covering_values, density_divergence,
                                   federer_density_check,
@@ -263,13 +263,24 @@ def _sampled_curve():
                        1.0 + 0.1 * w * math.cos(2 * w * t)]} for t in ts], 3)
 
 
-@pytest.mark.parametrize("name, start, r", [
-    ("parabola_lift", 0.1, 0.2), ("engel_vertical", -0.3, 0.3), ("sampled", 0.2, 0.15)])
-def test_forward_reach_matches_a_scalar_bisection(name, start, r):
+# curve, start, radius, and the breaks between the start and the exit
+_REACHES = [("parabola_lift", 0.1, 0.2, 0), ("engel_vertical", -0.3, 0.3, 0),
+            ("sampled", 0.2, 0.15, 0), ("glued_hv", -0.05, 0.2, 1), ("sampled", -0.6, 0.5, 2)]
+
+
+@pytest.mark.parametrize("kind, name, start, r, crossed", [
+    pytest.param(kind, *case, id=("" if kind == "sampled" else f"{kind}-") + "-".join(
+        map(str, case[:3]))) for kind in ("sampled", "polynomial") for case in _REACHES])
+def test_forward_reach_matches_a_scalar_bisection(kind, name, start, r, crossed):
     curve = _sampled_curve() if name == "sampled" else fixtures.curve(name)
-    group = "engel" if name == "engel_vertical" else "heisenberg"
-    dfun = fixtures.distance(group).distance_from(curve.position_at(start))
+    dist = fixtures.distance("engel" if name == "engel_vertical" else "heisenberg")
+    dfun = dist.distance_from(curve.position_at(start))
     cap = curve.domain[1]
+    if kind == "polynomial":
+        reach = _polynomial_reach(dist, curve)
+    else:
+        def reach(start, cap, r, guess):
+            return _forward_reach(dfun, curve, start, cap, r, guess)
 
     # the first exit, independently: a dense scan, then halving to float resolution
     grid = np.linspace(start, cap, 4001)
@@ -282,12 +293,64 @@ def test_forward_reach_matches_a_scalar_bisection(name, start, r):
             hi = mid
     exit_ = lo - start
     assert 0.01 < exit_ < 0.5 * (cap - start)
+    assert len([p for p in curve.breaks if start < p < lo]) == crossed
 
     for guess in (None, exit_, exit_ * (1 + 1e-3), exit_ * (1 - 1e-3), 0.5 * exit_,
                   3.0 * exit_, 10.0 * (cap - start)):
-        reach = _forward_reach(dfun, curve, start, cap, r, guess)
-        assert dfun(curve.position_at(reach)) <= r, guess
-        assert abs(reach - lo) <= 1e-12 * exit_ + 1e-16, (guess, reach - lo)
+        found = reach(start, cap, r, guess)
+        assert dfun(curve.position_at(found)) <= r, guess
+        assert abs(found - lo) <= 1e-12 * exit_ + 1e-16, (guess, found - lo)
+
+
+def _bump_curve():
+    """Heisenberg's horizontal line with a narrow excursion, sampled as a curve file.
+
+    x2 = 0.6 exp(-((t - 0.37) / 0.004)^2) rises above 0.25 only on about
+    [0.366, 0.374]; 201 uniform nodes on [-1, 1] and 401 on [0.35, 0.39]
+    keep it in the cubic interpolant.
+    """
+    coarse = np.linspace(-1.0, 1.0, 201)
+    nodes = np.concatenate((coarse[(coarse < 0.35 - 1e-9) | (coarse > 0.39 + 1e-9)],
+                            np.linspace(0.35, 0.39, 401)))
+    samples = []
+    for t in np.sort(nodes):
+        u = (t - 0.37) / 0.004
+        bump = 0.6 * math.exp(-u * u)
+        samples.append({"t": t, "position": [t, bump, 0.0],
+                        "velocity": [1.0, -2.0 * u / 0.004 * bump, 0.0]})
+    return curve_from_samples(samples, 3)
+
+
+def test_covering_follows_a_narrow_excursion(heis, dist):
+    # a reach that samples distances steps over the bump: the ball from the
+    # line before it seems to reach past it.  Every parameter of the bump
+    # must lie within delta of a center; 6 balls is also what a greedy walk
+    # on 2,000,001 grid points places
+    curve = _bump_curve()
+    est = spherical_measure_upper(dist, curve, 1, 0.25)
+    ts = np.linspace(0.366, 0.374, 200_001)
+    pts = curve.positions(ts)
+    nearest = np.full(len(ts), np.inf)
+    for c in curve.positions(np.array(est.centers)):
+        nearest = np.minimum(nearest, dist.norm(heis.multiply(-c, pts)))
+    assert int(np.sum(nearest > 0.25 * (1 + 1e-9))) == 0
+    assert est.ball_count == 6
+
+
+def test_covering_ends_at_the_domain_end(dist):
+    # a walk whose first ball reaches the end of the domain places one ball,
+    # also on an interval shorter than the walk's guard and on the end point
+    par = fixtures.curve("parabola_lift")
+    for iv in ((0.9999999999999, 1.0), (1.0, 1.0)):
+        est = spherical_measure_upper(dist, par, 2, 0.25, intervals=[iv])
+        assert est.ball_count == 1, iv
+
+
+def test_covering_below_float_resolution_is_a_resolution_error():
+    # on layer 3, (1 / delta)^6 overflows
+    with pytest.raises(NumericalResolutionError, match="below float resolution"):
+        spherical_measure_upper(fixtures.distance("engel"), fixtures.curve("engel_vertical"),
+                                3, 1e-60)
 
 
 def test_covering_rejects_bad_exponents_and_intervals(dist):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gradedgroups.roots import POINTS, bisect, intervals, refine
+from gradedgroups.roots import (POINTS, NumericalResolutionError, bisect, first_exit, horner,
+                              intervals, refine, taylor_shift)
 
 
 def counting(inside):
@@ -163,3 +164,62 @@ def test_intervals_without_a_run():
     assert scan(lambda t: t > 2.0) == ()
     # a component strictly between two grid points is not seen
     assert scan(lambda t: (t > 0.61) & (t < 0.66)) == ()
+
+
+# -- first exit of polynomial inequalities ----------------------------------------
+
+
+def tol12(a):
+    return 1e-12 * a + 1e-16
+
+
+def test_first_exit_finds_a_window_narrower_than_1e_6():
+    # P > 0 only on 0.3 -+ 2.5e-7; a companion that never exits changes nothing
+    eps = 2.5e-7
+    narrow = [eps * eps - 0.09, 0.6, -1.0]
+    never = [-1.0, 0.0, 0.5]
+    for polys in ([narrow], [never, narrow]):
+        for guess in (None, 0.9, 0.3, 1e-3):
+            s = first_exit(polys, 1.0, guess, tol12)
+            # the rounded coefficients move the root by about 1e-17 / P' = 3e-11
+            assert abs(s - (0.3 - eps)) < 1e-10, guess
+            assert horner(narrow, s) <= 0.0 < horner(narrow, s + tol12(s))
+    assert first_exit([never], 1.0, 0.5, tol12) is None
+
+
+def test_first_exit_ends_conservatively_at_a_tangency():
+    # P = -(s - 1/2)^2 touches 0 at 1/2 and never exceeds it: no interval
+    # around 1/2 certifies, and the search stops short of it at tol width
+    touching = [-0.25, 1.0, -1.0]
+    for guess in (None, 0.5, 0.7):
+        s = first_exit([touching], 1.0, guess, tol12)
+        assert 0.5 - 1e-6 < s <= 0.5, guess
+    # without a width to stop at, the halvings run out
+    with pytest.raises(NumericalResolutionError, match="halvings"):
+        first_exit([touching], 1.0, None, lambda a: 0.0)
+
+
+def test_first_exit_takes_the_earliest_root():
+    # layer 0 exits at 0.8, layer 1 at 0.4; near 0.8 layer 0 is the more
+    # violated, so a guess there is refined to 0.8, and the certification
+    # of [0, 0.8] finds the earlier exit
+    late, early = [-64.0, 0.0, 100.0], [-0.16, 0.0, 1.0]
+    for guess in (None, 0.85, 0.8, 0.41):
+        s = first_exit([late, early], 1.0, guess, tol12)
+        assert 0.4 - tol12(0.4) <= s <= 0.4, guess
+    # (s - 0.2)(s - 0.3)(s - 0.7): a guess past 0.7 is refined to its last
+    # root, and the certification finds the first
+    three = [-0.042, 0.41, -1.2, 1.0]
+    for guess in (None, 0.75, 0.25):
+        s = first_exit([three], 1.0, guess, tol12)
+        assert horner(three, s) <= 0.0 < horner(three, s + tol12(s))
+        assert abs(s - 0.2) < 1e-12, guess
+    # an exit past hi is no exit
+    assert first_exit([late], 0.7, 0.5, tol12) is None
+
+
+def test_taylor_shift_and_horner():
+    p = [1.0, -2.0, 0.5, 3.0]
+    q = taylor_shift(p, 0.25)
+    for s in (-1.0, 0.0, 0.3, 2.0):
+        assert horner(q, s) == pytest.approx(horner(p, 0.25 + s), rel=1e-14)

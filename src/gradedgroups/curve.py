@@ -3,18 +3,20 @@
 A curve carries its open parameter domain and position/velocity
 callables; every curve the package builds, fixture or sampled, comes
 from a ``polynomial_curve`` coefficient table, which the curve keeps as
-``pieces`` (so do its dilations and linear images).  The pointwise degree at
-t is the largest layer the velocity touches when written in the
-left-invariant frame; the degree of the curve is the maximum over a
-parameter grid, and parameters realizing a smaller degree form the
-low-degree set.  Near a point of maximal degree one distinguished
-coordinate dominates; the adapted basis rotates the top layer so that
-coordinate comes first, and the little-o check fits log-log slopes of
-the translated coordinates against the graded targets.
+``pieces`` (so do its translations, dilations, linear images and
+recenterings).  The pointwise degree at t is the largest layer the
+velocity touches when written in the left-invariant frame; the degree
+of the curve is the maximum over a parameter grid, and parameters
+realizing a smaller degree form the low-degree set.  Near a point of
+maximal degree one distinguished coordinate dominates; the adapted
+basis rotates the top layer so that coordinate comes first, and the
+little-o check fits log-log slopes of the translated coordinates
+against the graded targets.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import roots
 from .frame import FrameCoordinates, METRIC_LEFT, speed
-from .group import GroupLaw
+from .group import DimensionMismatch, GroupLaw
 
 
 class ZeroVelocityError(ValueError):
@@ -45,7 +47,7 @@ class Curve:
 
     ``pieces`` is the coefficient table (coef, breaks, origins) of a
     :func:`polynomial_curve`, read-only arrays, and None for a curve built
-    from callables alone (by hand, or by translating or recentering).  The
+    from callables alone (by hand, or by a transform of such a curve).  The
     covering walk solves its reaches on the table where there is one.
     """
 
@@ -373,8 +375,25 @@ def adapted_structure_tensor(law: GroupLaw, basis: AdaptedBasis) -> np.ndarray:
 
 
 def translate_curve(law: GroupLaw, z, curve: Curve) -> Curve:
-    """Left translation t -> z * gamma(t), with the pushed-forward velocity."""
+    """Left translation t -> z * gamma(t), with the pushed-forward velocity.
+
+    A coefficient table is translated row by row, z * y being (-z)^-1 * y
+    (``law.divide_rows`` with constant rows -z), and built again by
+    :func:`polynomial_curve`; callables are wrapped.
+    """
     z = np.asarray(z, dtype=float)
+    if z.shape != (curve.n,):
+        raise DimensionMismatch(f"translation must have shape ({curve.n},), got {z.shape}")
+    name = f"{curve.name}+translated" if curve.name else "translated"
+    if curve.pieces is not None:
+        coef, breaks, origins = curve.pieces
+        rows = law.divide_rows([np.full((1, 1, coef.shape[2]), -c) for c in z],
+                               [coef[None, :, j] for j in range(curve.n)])
+        moved = np.zeros((max(r.shape[1] for r in rows),) + coef.shape[1:])
+        for j, r in enumerate(rows):
+            moved[:r.shape[1], j] = r[0]
+        return polynomial_curve(moved, curve.domain, breaks, origins, name=name,
+                                description=curve.description)
 
     def velocity(t):
         jac = law.left_jacobian(z, curve.positions(t))
@@ -382,8 +401,28 @@ def translate_curve(law: GroupLaw, z, curve: Curve) -> Curve:
 
     return Curve(domain=curve.domain, n=curve.n,
                  position=lambda t: law.multiply(z, curve.positions(t)), velocity=velocity,
-                 name=f"{curve.name}+translated" if curve.name else "translated",
-                 description=curve.description, breaks=curve.breaks)
+                 name=name, description=curve.description, breaks=curve.breaks)
+
+
+def _anchor_rows(pieces: tuple, d: int) -> tuple:
+    """Rows (x, y) of an anchor on each piece m and of the path along piece m + d.
+
+    As polynomial rows in (u, s) (``GroupLaw.divide_rows``), one entry per
+    piece m on the last axis: x[j] is coordinate j of the anchor u past the
+    origin of piece m, and y[j] that of the path s past the anchor for
+    d = 0 (coef[a + b] C(a + b, a) at u^a s^b), or s past the first
+    parameter of piece m + d otherwise (a Taylor shift of that piece).
+    """
+    coef, breaks, origins = pieces
+    top, n, count = coef.shape[0] - 1, coef.shape[1], coef.shape[2] - d
+    if d == 0:
+        ab = np.add.outer(np.arange(top + 1), np.arange(top + 1))
+        binom = np.array([[math.comb(a + b, a) if a + b <= top else 0
+                           for b in range(top + 1)] for a in range(top + 1)], dtype=float)
+        y = binom[:, :, None, None] * coef[np.minimum(ab, top)]
+    else:
+        y = np.array(roots.taylor_shift(coef[:, :, d:].copy(), breaks[d - 1:] - origins[d:]))[None]
+    return [coef[:, None, j, :count] for j in range(n)], [y[:, :, j] for j in range(n)]
 
 
 def _mapped(curve: Curve, m: np.ndarray, suffix: str) -> Curve:
@@ -420,17 +459,24 @@ def recentered_curve(law: GroupLaw, curve: Curve, t0: float,
     """The curve seen from gamma(t0): h -> R^T (gamma(t0)^-1 * gamma(t0+h)).
 
     This is the normal form used by the local estimates; the origin of the
-    new parameter h is the old t0: translate, map by R^T, shift by t0.
+    new parameter h is the old t0: translate, map by R^T, shift by t0.  A
+    coefficient table is kept: the shift moves its domain, breaks and
+    origins.
     """
     moved = translate_curve(law, -curve.position_at(t0), curve)
     if rotation is not None:
         moved = linear_image_curve(np.asarray(rotation, dtype=float).T, moved)
     a, b = curve.domain
+    name = f"{curve.name}@{t0}" if curve.name else "recentered"
+    if moved.pieces is not None:
+        coef, breaks, origins = moved.pieces
+        return polynomial_curve(coef, (a - t0, b - t0), breaks - t0, origins - t0, name=name,
+                                description=curve.description)
     return Curve(domain=(a - t0, b - t0), n=curve.n,
                  position=lambda h: moved.positions(np.add(h, t0)),
                  velocity=lambda h: moved.velocities(np.add(h, t0)),
-                 name=f"{curve.name}@{t0}" if curve.name else "recentered",
-                 description=curve.description, breaks=tuple(p - t0 for p in curve.breaks))
+                 name=name, description=curve.description,
+                 breaks=tuple(p - t0 for p in curve.breaks))
 
 
 # -- little-o slope checks ------------------------------------------------------

@@ -201,6 +201,33 @@ class GroupLaw:
         scale = np.array([float(r) ** d for d in self.degrees])
         return x * scale
 
+    def divide_rows(self, x, y) -> list:
+        """x^-1 * y on polynomial rows.
+
+        ``x[j]`` and ``y[j]`` hold coordinate j as the coefficients of a
+        polynomial in two variables u, s: arrays whose first two axes are
+        the powers of u and of s, and whose other axes agree (one entry per
+        curve piece, say).  Returns z = y - x + Q(-x, y) likewise, products
+        of coordinates taken as products of polynomials.
+        """
+        n = self.n
+        factors = [-np.asarray(c, dtype=float) for c in x] + [np.asarray(c, dtype=float) for c in y]
+        monomials = {}
+
+        def monomial(exps):
+            if exps not in monomials:
+                v = max(i for i, e in enumerate(exps) if e)
+                rest = exps[:v] + (exps[v] - 1,) + exps[v + 1:]
+                monomials[exps] = (_rows_product(monomial(rest), factors[v]) if any(rest)
+                                   else factors[v])
+            return monomials[exps]
+
+        zero = [not f.any() for f in factors]
+        return [_rows_sum(factors[n + i], factors[i],
+                          *(float(c) * monomial(exps) for exps, c in sorted(q.terms.items())
+                            if not any(e and zero[v] for v, e in enumerate(exps))))
+                for i, q in enumerate(self.q_polys)]
+
     def left_jacobian(self, x, y):
         """Jacobian of y -> x * y (identity plus dQ/dy), shape (..., n, n).
 
@@ -240,3 +267,21 @@ class GroupLaw:
 
     def __repr__(self):
         return f"GroupLaw(n={self.n}, step={self.step})"
+
+
+def _rows_sum(*rows: np.ndarray) -> np.ndarray:
+    """The sum of polynomial rows: arrays whose first two axes are the powers
+    of u and of s, and whose other axes agree."""
+    out = np.zeros((max(r.shape[0] for r in rows), max(r.shape[1] for r in rows))
+                   + rows[0].shape[2:])
+    for r in rows:
+        out[:r.shape[0], :r.shape[1]] += r
+    return out
+
+
+def _rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of two polynomial rows, as :func:`_rows_sum` takes them."""
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1) + a.shape[2:])
+    for i, j in zip(*np.nonzero(a.any(axis=tuple(range(2, a.ndim))))):
+        out[i:i + b.shape[0], j:j + b.shape[1]] += a[i, j] * b
+    return out

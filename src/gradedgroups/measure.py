@@ -20,24 +20,28 @@ sum(r^q) over the balls placed.  Each of the two reaches per ball
 predicts, then certifies.
 
 On a curve with a coefficient table (``Curve.pieces``: every fixture,
-curve file, dilation and linear image), the ball around the anchor is,
-along each piece, the set where a few polynomials in the parameter are
-<= 0 (``HomogeneousDistance.layer_polynomials``), and a reach is their
-first exit (``roots.first_exit``): Newton steps from the step the walk
-took last predict it, and Bernstein enclosures certify that every
-inequality holds up to it, so no excursion out of a ball between its
-anchor and the exit goes unseen.
+curve file and transform of one), the ball around the anchor is, along
+each piece, the set where a few polynomials in the parameter are <= 0
+(``HomogeneousDistance.membership``: their coefficients are read off
+anchor tables by Horner in the anchor's offset), and a reach is their
+first exit (``roots.first_exit``).  Newton steps from the step the walk
+took last predict each reach, and the walk goes on from the predicted
+exit; when it ends, one vectorized Bernstein check (``roots.certify``)
+certifies every predicted [anchor, exit] at once, and the walk is taken
+again from the first ball whose claim fails, that ball's reaches
+certified on their own.  So no excursion out of a ball between its
+anchor and the exit goes unseen, and the centers are those of a walk
+certified reach by reach.
 
-On a curve given by callables alone (built by hand, translated or
-recentered), one batched probe of the distance tests a geometric ladder
-of parameter offsets together with a cluster on the step the walk took
-last, and its first point outside the ball brackets the exit.  Where
-that step is the exit, as along a left-translated one-parameter
-subgroup, this probe already settles the reach.  Otherwise batched
-rounds (``roots.refine``) shrink the bracket, each also testing a
-cluster where inverse interpolation of the distances already computed
-puts the exit.  There an excursion that leaves the ball between two
-probed points goes unseen.
+On a curve given by callables alone (built by hand), one batched probe
+of the distance tests a geometric ladder of parameter offsets together
+with a cluster on the step the walk took last, and its first point
+outside the ball brackets the exit.  Where that step is the exit, as
+along a left-translated one-parameter subgroup, this probe already
+settles the reach.  Otherwise batched rounds (``roots.refine``) shrink
+the bracket, each also testing a cluster where inverse interpolation of
+the distances already computed puts the exit.  There an excursion that
+leaves the ball between two probed points goes unseen.
 
 On either kind of curve, the two reaches of a ball place the parameters
 from the first uncovered one t up to the center in the ball around
@@ -344,54 +348,111 @@ def _reach_tol(start: float, lo: float) -> float:
 
 
 def _polynomial_reach(dist: HomogeneousDistance, curve: Curve) -> Callable:
-    """``reach(start, cap, r, guess)`` on a curve's coefficient table: the
-    first parameter after ``start`` where the curve leaves the closed
-    r-ball around gamma(start), as the inside end of a bracket no wider
-    than ``_reach_tol``, or ``cap`` where it stays inside up to there.
+    """``reach(start, cap, r, guess, claims=None)`` on a curve's coefficient
+    table: the first parameter after ``start`` where the curve leaves the
+    closed r-ball around gamma(start), as the inside end of a bracket no
+    wider than ``_reach_tol``, or ``cap`` where it stays inside up to there.
 
-    From the anchor's piece on, each piece is shifted to its first
-    parameter (the anchor's own to the anchor), and the membership
-    polynomials of the displacement (``HomogeneousDistance.
-    layer_polynomials``) go to ``roots.first_exit`` with the guess.  The
-    first piece with an exit ends the reach at the inside end of its
-    bracket, within ``_reach_tol``; without one it is the cap.
+    From the anchor's piece on, each piece's membership polynomials
+    (``HomogeneousDistance.membership``) go to ``roots.first_exit`` with
+    the guess and ``claims``; the first piece with an exit ends the reach,
+    and without one it is the cap.  With a list ``claims`` a bracketed exit
+    is returned uncertified and its certificate is left in the list.
     """
-    coef, breaks, origins = curve.pieces
-    table = coef.transpose(2, 1, 0).tolist()         # table[m][j]: coordinate j on piece m
-    for piece in table:
-        for c in piece:
-            while len(c) > 1 and c[-1] == 0.0:      # the same polynomial, cheaper
-                c.pop()
-    breaks, origins = breaks.tolist(), origins.tolist()
+    pieces = curve.pieces
+    breaks, origins = pieces[1].tolist(), pieces[2].tolist()
+    radius, polys_at = None, None
 
-    def reach(start: float, cap: float, r: float, guess: float | None) -> float:
+    def reach(start: float, cap: float, r: float, guess: float | None,
+              claims: list | None = None) -> float:
+        nonlocal radius, polys_at
+        if r != radius:
+            radius, polys_at = r, dist.membership(pieces, r)
         m = bisect.bisect_right(breaks, start)
-        t0, x0 = start, None
+        u, t0, d = start - origins[m], start, 0
         while t0 < cap:
-            t1 = min(cap, breaks[m]) if m < len(breaks) else cap
-            ys = [roots.taylor_shift(c, t0 - origins[m]) for c in table[m]]
-            if x0 is None:
-                x0 = [y[0] for y in ys]
+            t1 = min(cap, breaks[m + d]) if m + d < len(breaks) else cap
             offset = t0 - start
-            s = roots.first_exit(dist.layer_polynomials(x0, ys, r), t1 - t0,
+            s = roots.first_exit(polys_at(m, d, u), t1 - t0,
                                  None if guess is None else guess - offset,
-                                 lambda a: _reach_tol(start, offset + a))
+                                 lambda a: _reach_tol(start, offset + a), claims)
             if s is not None:
                 return t0 + s
-            t0, m = t1, m + 1
+            t0, d = t1, d + 1
         return max(start, cap)
 
     return reach
 
 
 def _sampled_reach(dist: HomogeneousDistance, curve: Curve) -> Callable:
-    """``reach(start, cap, r, guess)`` by :func:`_forward_reach`, for curves
-    given by callables alone."""
-    def reach(start: float, cap: float, r: float, guess: float | None) -> float:
+    """``reach(start, cap, r, guess, claims=None)`` by :func:`_forward_reach`,
+    for curves given by callables alone; it leaves no claims."""
+    def reach(start: float, cap: float, r: float, guess: float | None,
+              claims: list | None = None) -> float:
         return _forward_reach(dist.distance_from(curve.position_at(start)), curve,
                               start, cap, r, guess)
 
     return reach
+
+
+# claims a walk collects before it certifies them: enough to keep the batch
+# check vectorized, few enough that pending claims hold little memory
+CLAIMS_PER_CHECK = 256
+
+
+def _walk(reach: Callable, lo: float, hi: float, b: float, delta: float, guard: float,
+          max_balls: int, centers: list) -> None:
+    """The greedy walk over [lo, hi]: appends the center of each ball placed.
+
+    Predict, then certify.  Every reach is taken with a claims list, so a
+    bracketed exit is taken as predicted and its certificate is collected;
+    once the walk ends, or CLAIMS_PER_CHECK claims are pending,
+    ``roots.certify`` checks them in one batch.  Where the first failing
+    claim belongs to ball i, the walk is taken again from ball i, whose
+    reaches then certify themselves (``roots.first_exit`` without claims).
+    So the centers are those of a walk whose every reach is certified on
+    its own.  An error raised on the way (a stall, the ball limit, an
+    unresolved search) stands only once every claim before it holds.
+    """
+    marks, claims = [], []        # per pending ball: (t, prev_step, claims before it)
+    t, prev_step, certain = lo, None, False
+    while True:
+        error, done, base = None, False, len(centers)
+        try:
+            while len(claims) < CLAIMS_PER_CHECK:
+                marks.append((t, prev_step, len(claims)))
+                pending, certain = (None if certain else claims), False
+                center = reach(t, b, delta, prev_step, pending)
+                centers.append(center)
+                if len(centers) > max_balls:
+                    raise NumericalResolutionError(
+                        f"covering at delta = {delta} exceeded {max_balls} balls")
+                # a ball centered at t itself reaches no further than the reach
+                # from t just found, so only a center ahead of t can advance
+                edge = reach(center, b, delta, center - t, pending) if center > t else center
+                if edge >= hi - guard or edge >= b:
+                    done = True
+                    break
+                if edge <= t + guard:
+                    raise NumericalResolutionError(
+                        f"covering walk stalled at t = {t} (delta = {delta})")
+                prev_step = max(edge - center, guard)
+                t = edge
+        except NumericalResolutionError as exc:
+            error = exc
+        j = roots.certify(claims)
+        if j is None:
+            if error is not None:
+                raise error
+            if done:
+                return
+        else:
+            i = bisect.bisect_right([mark[2] for mark in marks], j) - 1
+            t, prev_step, _ = marks[i]
+            del centers[base + i:]
+            certain = True
+        marks.clear()
+        claims.clear()
 
 
 def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
@@ -407,7 +468,8 @@ def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
     uncovered one and the center lie in the center's ball is assumed (see
     the module docstring).  On a curve with a coefficient table
     (``Curve.pieces``) each reach is the certified first exit of the
-    displacement polynomials (:func:`_polynomial_reach`), so no excursion
+    membership polynomials (:func:`_polynomial_reach`), its certificate
+    checked with those of the whole walk (:func:`_walk`), so no excursion
     past a reach is missed; on any other curve it is sampled
     (:func:`_forward_reach`).  Raises ValueError unless delta and q are
     positive and every interval lies inside the closed domain.
@@ -425,32 +487,13 @@ def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
                              f"domain [{a}, {b}]")
     guard = 1e-12 * curve.span()
     reach = (_sampled_reach if curve.pieces is None else _polynomial_reach)(dist, curve)
-    value = 0.0
     centers = []
-
     for lo, hi in intervals:
-        if hi < lo:
-            continue
-        t = lo
-        prev_step = None
-        while True:
-            center = reach(t, b, delta, prev_step)
-            centers.append(center)
-            value += delta ** q
-            if len(centers) > max_balls:
-                raise NumericalResolutionError(
-                    f"covering at delta = {delta} exceeded {max_balls} balls")
-            # a ball centered at t itself reaches no further than the reach
-            # from t just found, so only a center ahead of t can advance
-            edge = reach(center, b, delta, center - t) if center > t else center
-            if edge >= hi - guard or edge >= b:
-                break
-            if edge <= t + guard:
-                raise NumericalResolutionError(
-                    f"covering walk stalled at t = {t} (delta = {delta})")
-            prev_step = max(edge - center, guard)
-            t = edge
-
+        if hi >= lo:
+            _walk(reach, lo, hi, b, delta, guard, max_balls, centers)
+    value = 0.0
+    for _ in centers:          # ball by ball, as the value has always been summed
+        value += delta ** q
     return CoveringEstimate(q=q, delta=delta, value=value,
                             ball_count=len(centers), centers=tuple(centers))
 

@@ -6,6 +6,9 @@ dilations and even (N(-z) = N(z)), so d(x, y) = N(x^-1 * y) is left
 invariant and symmetric.  The triangle inequality depends on the eps
 weights; it is not assumed but audited by sampling (triangle_audit).
 
+Along a curve's coefficient table, a ball is a few polynomial
+inequalities in the parameter, read off anchor tables (``membership``).
+
 Also here: the 1-dimensional density constant of a straight line through
 the identity ("metric factor"), measured either by a closed form when
 the direction sits in a single layer or by generic interval scanning,
@@ -16,12 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import roots
+from .curve import _anchor_rows
 from .frame import FrameCoordinates
 from .group import DimensionMismatch, GroupLaw, _leading
 from .poly import monomial_source
@@ -44,7 +47,9 @@ class HomogeneousDistance:
         self.law = law
         self.eps = eps
         self._slices = [alg.layer_slice(k) for k in range(1, alg.step + 1)]
-        self._gauge, self._coef, self._k, self._folds = _compile_kernel(law, eps, self._slices)
+        self._gauge, self._coef, self._k = _compile_kernel(law, eps, self._slices)
+        # per coefficient table: its anchor tables by offset, and their evaluators by source
+        self._tables: dict = {}
 
     # -- gauge ------------------------------------------------------------
 
@@ -92,93 +97,91 @@ class HomogeneousDistance:
 
         return dist_to
 
-    @cached_property
-    def _disp(self) -> Callable:
-        """Generated ``disp(c, y)``: z = x^-1 * y on coefficient lists y[j] of
-        polynomials in one variable, from the anchor coefficients c = coef(x),
-        returned as such lists.
+    def membership(self, pieces, r: float) -> Callable:
+        """Membership in closed r-balls anchored on a curve's table ``pieces``.
 
-        Built from the y-monomials of ``_compile_kernel``'s fold on first
-        use, because only the covering walk needs it.
+        ``polys(m, d, u)`` lists, for each layer k that z = x^-1 * y(s)
+        touches, the ascending coefficients of P_k(s) = (eps_k / r)^(2k)
+        |z^(k)(s)|^2 - 1: y(s) is in the ball around x where every P_k <= 0.
+        The anchor x lies u past the origin of piece m; y(s) runs along
+        piece m + d, from the anchor (d = 0) or from the piece's first
+        parameter.  z is folded as a polynomial in (u, s), every piece at
+        once, once per offset d and kept (``law.divide_rows`` on
+        ``curve._anchor_rows``).  For d = 0 its s^0 column, x^-1 * x, is
+        left out, so P_k(0) = -1 and P_k'(0) = 0 exactly: no self-distance
+        floor.  An overflowing (eps_k / r)^(2k) raises
+        NumericalResolutionError.
         """
-        disps = []
-        for i, (const, monomials) in enumerate(self._folds):
-            parts = []
-            for index, beta in monomials:
-                factors = [f"y[{j}]" for j, e in enumerate(beta) for _ in range(e)]
-                product = factors[0]
-                for f in factors[1:]:
-                    product = f"_pmul({product}, {f})"
-                parts.append(f"(c[{index}], {product}), ")
-            disps.append(f"_lin(c[{const}], y[{i}], ({''.join(parts)}))")
-        scope = {"_lin": _lin, "_pmul": _pmul}
-        # source built from our own terms
-        exec(f"def disp(c, y):\n    return [{', '.join(disps)}]\n", scope)  # noqa: S102
-        return scope["disp"]
+        try:
+            w = [(e / r) ** (2 * k) for k, e in enumerate(self.eps, start=1)]
+        except OverflowError:
+            raise roots.NumericalResolutionError(
+                f"radius {r} is below float resolution") from None
+        _, tables, compiled = self._tables.setdefault(id(pieces[0]), (pieces, {}, {}))
 
-    def layer_polynomials(self, x0, ys, r: float) -> list:
-        """Membership in the closed r-ball around x0 along a polynomial path.
+        def polys(m: int, d: int, u: float) -> list:
+            if d not in tables:
+                z = self.law.divide_rows(*_anchor_rows(pieces, d))
+                source, rows = _membership_source(z, self._slices, d == 0)
+                if source not in compiled:
+                    scope = {}
+                    # source built from our own terms
+                    exec(source, scope)  # noqa: S102
+                    compiled[source] = scope["evaluate"]
+                tables[d] = compiled[source], rows
+            evaluate, rows = tables[d]
+            return evaluate(u, rows[m], w)
 
-        ``ys[j]`` lists the ascending coefficients of coordinate j of a path
-        y(s), and z(s) = x0^-1 * y(s) is expanded by the same fold as
-        :meth:`distance_from`, with products of coordinates taken as
-        products of polynomials.  Returns, for every layer k on which z is
-        not identically zero, the ascending coefficients of
-        P_k(s) = (eps_k / r)^(2k) |z^(k)(s)|^2 - 1, so that N(z(s)) <= r
-        exactly where every P_k(s) <= 0.  Where y(0) is x0 itself, z(0) is
-        x0^-1 * x0 = 0 exactly, and its constant terms are set so.  A
-        radius so small that (eps_k / r)^(2k) overflows is below float
-        resolution: NumericalResolutionError.
-        """
-        x0 = list(x0)
-        z = self._disp(self._coef(x0), ys)
-        if [y[0] for y in ys] == x0:
-            for zj in z:
-                zj[0] = 0.0
-        out = []
-        for k, sl in enumerate(self._slices, start=1):
-            block = [zj for zj in z[sl] if any(zj)]
-            if not block:
-                continue
-            try:
-                w = (self.eps[k - 1] / r) ** (2 * k)
-            except OverflowError:
-                raise roots.NumericalResolutionError(
-                    f"radius {r} is below float resolution on layer {k}") from None
-            p = [0.0] * (2 * max(map(len, block)) - 1)
-            for zj in block:
-                for i, ci in enumerate(zj):
-                    p[2 * i] += ci * ci
-                    ci += ci
-                    for j in range(i + 1, len(zj)):
-                        p[i + j] += ci * zj[j]
-            p = [w * c for c in p]
-            p[0] -= 1.0
-            while len(p) > 1 and p[-1] == 0.0:
-                p.pop()
-            out.append(p)
-        return out
+        return polys
 
 
-def _pmul(p: list, q: list) -> list:
-    """Product of two polynomials in ascending coefficients."""
-    out = [0.0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
+def _membership_source(z: list, slices, anchored: bool) -> tuple:
+    """Source of ``evaluate(u, c, w)`` and the per-piece coefficient lists c.
 
-
-def _lin(const: float, y: list, terms) -> list:
-    """const + y + the sum of w * p over the (w, p) pairs, in ascending coefficients."""
-    out = list(y)
-    out[0] += const
-    for w, p in terms:
-        if len(p) > len(out):
-            out += [0.0] * (len(p) - len(out))
-        for k, c in enumerate(p):
-            out[k] += w * c
-    return out
+    ``evaluate`` reads each power of s of each z_j by Horner in u, sums
+    the squares per layer as polynomials in s, scales them by w[k - 1] and
+    subtracts 1.  Coefficients zero on every piece are left out, and so is
+    the s^0 column of z where ``anchored``.
+    """
+    count = z[0].shape[2]
+    entries, size, lines, layers = [], 0, [], []
+    for k, sl in enumerate(slices):
+        block = []                 # per coordinate of the layer: names of its s-coefficients
+        for j in range(sl.start, sl.stop):
+            names = []
+            for b, col in enumerate(z[j].any(axis=2).T.tolist()):
+                if not any(col) or (anchored and b == 0):
+                    names.append(None)
+                    continue
+                last = len(col) - 1 - col[::-1].index(True)
+                horner = f"c{size + last}"
+                for a in range(last - 1, -1, -1):
+                    horner = f"c{size + a} + u * ({horner})"
+                entries.append(z[j][:last + 1, b])
+                size += last + 1
+                names.append(f"z{j}_{b}")
+                lines.append(f"    z{j}_{b} = {horner}\n")
+            while names and names[-1] is None:
+                names.pop()
+            if names:
+                block.append(names)
+        if not block:
+            continue
+        terms = []
+        for b in range(2 * max(map(len, block)) - 1):
+            squares = [f"{zi} * {zj}" if i == b - i else f"2.0 * {zi} * {zj}"
+                       for names in block
+                       for i in range(max(0, b + 1 - len(names)), b // 2 + 1)
+                       if (zi := names[i]) and (zj := names[b - i])]
+            if squares:
+                terms.append(f"w[{k}] * ({' + '.join(squares)})" + (" - 1.0" if b == 0 else ""))
+            else:
+                terms.append("-1.0" if b == 0 else "0.0")
+        layers.append(f"[{', '.join(terms)}]")
+    if size:
+        lines.insert(0, f"    {', '.join(f'c{i}' for i in range(size))}, = c\n")
+    return (f"def evaluate(u, c, w):\n{''.join(lines)}    return [{', '.join(layers)}]\n",
+            np.concatenate(entries or [np.empty((0, count))]).T.tolist())
 
 
 def _compile_kernel(law: GroupLaw, eps, slices):
@@ -189,9 +192,7 @@ def _compile_kernel(law: GroupLaw, eps, slices):
     maps an anchor x to the coefficients of z = x^-1 * y as polynomials in
     y: per coordinate i, the constant -x_i, then one value per y-monomial
     of Q_i(x^-1, y), its terms grouped by y-exponents.  ``k(c, y)``
-    evaluates z on the columns y[j] and returns gauge(z).  Last come the
-    folds: per coordinate i, the index of its constant in coef(x) and the
-    (index, y-exponents) of each y-monomial.
+    evaluates z on the columns y[j] and returns gauge(z).
     """
     terms = []
     for k, sl in enumerate(slices, start=1):
@@ -206,10 +207,9 @@ def _compile_kernel(law: GroupLaw, eps, slices):
         gauge = f"np.maximum({gauge}, {term})"
 
     n = law.n
-    coefs, zs, folds = [], [], []
+    coefs, zs = [], []
     for i, q in enumerate(law.q_polys):
         zs.append(f"c[{len(coefs)}] + y[{i}]")
-        folds.append((len(coefs), []))
         coefs.append(f"-x[{i}]")
         by_y: dict = {}
         for exps, c in sorted(q.terms.items()):
@@ -220,7 +220,6 @@ def _compile_kernel(law: GroupLaw, eps, slices):
         ys = []
         for beta, parts in by_y.items():
             ys.append(monomial_source(f"c[{len(coefs)}]", beta, "y"))
-            folds[i][1].append((len(coefs), beta))
             coefs.append(" + ".join(parts))
         if ys:
             zs[i] += f" + ({' + '.join(ys)})"
@@ -230,7 +229,7 @@ def _compile_kernel(law: GroupLaw, eps, slices):
     exec(f"def gauge(z):\n    return {gauge}\n"  # noqa: S102
          f"def k(c, y):\n    return gauge(({', '.join(zs)},))\n"
          f"def coef(x):\n    return ({', '.join(coefs)},)\n", scope)
-    return scope["gauge"], scope["coef"], scope["k"], folds
+    return scope["gauge"], scope["coef"], scope["k"]
 
 
 # -- triangle inequality audit ---------------------------------------------

@@ -16,7 +16,10 @@ first s where one of them fails: predicted by scalar Newton steps,
 certified by Bernstein enclosures (Lane & Riesenfeld, "Bounds on a
 polynomial", BIT 1981) and subdivision (Mourrain & Pavone, J. Symb.
 Comput. 2009).  Polynomials are lists of coefficients in ascending
-powers, evaluated in Python floats.
+powers, evaluated in Python floats.  A caller that takes many exits in
+a row may keep the predictions as claims and certify them all at once
+(:func:`certify`, one numpy pass per degree), with the same outcome as
+certifying each on its own.
 """
 
 from __future__ import annotations
@@ -182,8 +185,12 @@ def horner(p: list, x: float) -> float:
     return v
 
 
-def taylor_shift(p, h: float) -> list:
-    """Ascending coefficients of s -> p(h + s)."""
+def taylor_shift(p, h) -> list:
+    """Ascending coefficients of s -> p(h + s).
+
+    The coefficients may be arrays (one polynomial per entry, changed in
+    place) and h an array broadcasting against them.
+    """
     p = list(p)
     for i in range(len(p) - 1):
         for k in range(len(p) - 2, i - 1, -1):
@@ -243,8 +250,7 @@ PREDICT_STEPS = 12
 MAX_DEPTH = 128
 
 
-def _bracket(polys: list, dpolys: list, g: float, hi: float,
-             tol: Callable[[float], float]) -> float | None:
+def _bracket(polys: list, g: float, hi: float, tol: Callable[[float], float]) -> float | None:
     """Inside end a of a bracket [a, c] of a root of the P most violated at g.
 
     Newton steps from g; once a step is at most w = tol / 2 long, the
@@ -253,8 +259,9 @@ def _bracket(polys: list, dpolys: list, g: float, hi: float,
     not positive or leaves (0, hi), or the steps run out.
     """
     vals = [horner(p, g) for p in polys]
-    k = vals.index(max(vals))
-    p, dp, x, v = polys[k], dpolys[k], g, vals[k]
+    v = max(vals)
+    p = polys[vals.index(v)]
+    dp, x = _derivative(p), g
     for _ in range(PREDICT_STEPS):
         d = horner(dp, x)
         if not d > 0.0:
@@ -304,23 +311,23 @@ def _newton(p: list, dp: list, a: float, c: float, tol: Callable[[float], float]
     return a
 
 
-def _search(polys: list, dpolys: list, hi: float, tol: Callable[[float], float]) -> float | None:
+def _search(polys: list, hi: float, tol: Callable[[float], float]) -> float | None:
     """First exit in [0, hi] by subdivision, as :func:`first_exit` describes."""
     stack, a = [(hi, 0)], 0.0
     while stack:
         c, depth = stack.pop()
-        open_ = [k for k, p in enumerate(polys) if not _below(p, a, c)]
+        open_ = [p for p in polys if not _below(p, a, c)]
         if not open_:
             a = c
             continue
-        if len(open_) == 1 and _rising(dpolys[open_[0]], a, c):
-            p = polys[open_[0]]
+        if len(open_) == 1 and _rising(dp := _derivative(open_[0]), a, c):
+            p = open_[0]
             if horner(p, c) <= 0.0:
                 a = c
                 continue
             if horner(p, a) > 0.0:
                 return a
-            return _newton(p, dpolys[open_[0]], a, c, tol)
+            return _newton(p, dp, a, c, tol)
         if c - a <= tol(a):
             return a
         if depth >= MAX_DEPTH:
@@ -331,7 +338,7 @@ def _search(polys: list, dpolys: list, hi: float, tol: Callable[[float], float])
 
 
 def first_exit(polys: list, hi: float, guess: float | None,
-               tol: Callable[[float], float]) -> float | None:
+               tol: Callable[[float], float], claims: list | None = None) -> float | None:
     """First s in [0, hi] where some P in ``polys`` is positive, or None.
 
     Each P is a list of ascending coefficients, as a rule negative at 0.
@@ -350,13 +357,55 @@ def first_exit(polys: list, hi: float, guess: float | None,
     is halved, its left half first.  An interval still unresolved at width
     tol(a) ends the search at its left end a, as a tangency does.  Past
     MAX_DEPTH halvings of one interval raises NumericalResolutionError.
+
+    With a list ``claims``, the search of [0, a] after a bracket is left
+    to :func:`certify`: (polys, a) is appended to ``claims`` and a is
+    returned as it stands.  The first step of that search is the check
+    :func:`certify` makes, so where it passes, both give the same a.
     """
-    if not polys:
-        return None
-    dpolys = [_derivative(p) for p in polys]
-    if guess is not None and 0.0 < guess < hi:
-        a = _bracket(polys, dpolys, guess, hi, tol)
+    if guess is not None and 0.0 < guess < hi and polys:
+        a = _bracket(polys, guess, hi, tol)
         if a is not None:
-            found = _search(polys, dpolys, a, tol)
+            if claims is not None:
+                claims.append((polys, a))
+                return a
+            found = _search(polys, a, tol)
             return a if found is None else found
-    return _search(polys, dpolys, hi, tol)
+    return _search(polys, hi, tol)
+
+
+def certify(claims: list) -> int | None:
+    """Index of the first claim (polys, a) not certified, or None.
+
+    A claim is certified where every P in polys lies below minus its
+    rounding bound on [0, a] by its Bernstein coefficients: the check
+    :func:`_below` makes, vectorized over every P of one degree at once,
+    operation for operation as :func:`_bernstein` with its shift 0, so
+    each P passes here exactly where it passes there (a nan coefficient,
+    which Python's max may skip, fails here).  Nothing is padded: each
+    degree keeps its own margin.
+    """
+    by_degree: dict = {}          # degree: (claim indices, interval widths, coefficients)
+    for j, (polys, a) in enumerate(claims):
+        for p in polys:
+            owner, w, rows = by_degree.setdefault(len(p) - 1, ([], [], []))
+            owner.append(j)
+            w.append(a)
+            rows.append(p)
+    failed = len(claims)
+    with np.errstate(all="ignore"):          # as in Python floats: inf and nan, no warnings
+        for n, (owner, w, rows) in by_degree.items():
+            p, w = np.array(rows), np.array(w)
+            e, inv, scale = p.copy(), _inv_binom(n), np.ones(len(w))
+            for k in range(1, n + 1):
+                scale = scale * w
+                e[:, k] *= scale * inv[k]
+            for j in range(1, n + 1):
+                e[:, j:] += e[:, j - 1:-1]
+            size = np.zeros(len(w))
+            for k in range(n, -1, -1):
+                size = size * w + np.abs(p[:, k])
+            bad = np.flatnonzero(~(e.max(axis=1) < -((4 * n + 8) * 2.0 ** -53 * size)))
+            if bad.size:
+                failed = min(failed, owner[bad[0]])
+    return None if failed == len(claims) else failed

@@ -338,12 +338,45 @@ def test_dilations_and_linear_images_keep_the_table(heis):
                 want = expect(getattr(curve, read)(ts))
                 np.testing.assert_allclose(getattr(image, read)(ts), want, rtol=1e-15,
                                            atol=1e-15 * np.abs(want).max())
-    # a curve without a table is still mapped point by point
-    moved = translate_curve(heis, [0.1, 0.2, 0.3], sampled)
-    assert moved.pieces is None
-    image = dilate_curve(heis, 0.5, moved)
+    # a curve built by hand from callables has no table, and is still
+    # mapped point by point
+    by_hand = Curve(domain=sampled.domain, n=3, position=sampled.position,
+                    velocity=sampled.velocity, breaks=sampled.breaks)
+    assert by_hand.pieces is None
+    image = dilate_curve(heis, 0.5, by_hand)
     assert image.pieces is None
-    assert np.array_equal(image.positions(ts), moved.positions(ts) * weights)
+    assert np.array_equal(image.positions(ts), by_hand.positions(ts) * weights)
+
+
+def test_translations_and_recenterings_keep_the_table(heis, engel):
+    # the translated table reads law.multiply(z, gamma(t)) and the
+    # recentered one gamma(t0)^-1 * gamma(t0 + h), on every builtin curve
+    # and a sampled one; the velocities are the pushed-forward ones
+    sampled = curve_from_samples(
+        [{"t": t, "position": [np.sin(3 * t), t * t, np.cos(t)],
+          "velocity": [3 * np.cos(3 * t), 2 * t, -np.sin(t)]} for t in np.linspace(-1, 1, 9)], 3)
+    curves = [(fixtures.group_law(fixtures.curve_fixture(name).group), fixtures.curve(name))
+              for name in fixtures.curve_names()] + [(heis, sampled)]
+    ts = np.linspace(-0.999, 0.999, 401)
+    rng = np.random.default_rng(3)
+    for law, curve in curves:
+        z = rng.normal(size=curve.n)
+        moved = translate_curve(law, z, curve)
+        assert moved.pieces is not None and moved.breaks == curve.breaks
+        want = law.multiply(z, curve.positions(ts))
+        np.testing.assert_allclose(moved.positions(ts), want, rtol=1e-15,
+                                   atol=1e-15 * np.abs(want).max())
+        pushed = np.einsum("...ij,...j->...i", law.left_jacobian(z, curve.positions(ts)),
+                           curve.velocities(ts))
+        np.testing.assert_allclose(moved.velocities(ts), pushed, rtol=1e-14,
+                                   atol=1e-14 * np.abs(pushed).max())
+        t0 = 0.3
+        rec = recentered_curve(law, curve, t0)
+        assert rec.pieces is not None and rec.domain == (-1.0 - t0, 1.0 - t0)
+        hs = ts[np.abs(ts + t0) < 0.999]
+        want = law.multiply(-curve.position_at(t0), curve.positions(t0 + hs))
+        np.testing.assert_allclose(rec.positions(hs), want, rtol=1e-15,
+                                   atol=1e-15 * np.abs(want).max())
 
 
 def test_recentered_curve_origin_and_consistency(heis):

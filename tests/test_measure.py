@@ -1,9 +1,12 @@
+import importlib.util
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gradedgroups import fixtures
+from gradedgroups import fixtures, roots
 from gradedgroups.curve import Curve, curve_from_samples, dilate_curve, translate_curve
 from gradedgroups.measure import (NumericalResolutionError, _forward_reach,
                                   _polynomial_reach, area_formula_residual, ball_param_set,
@@ -335,6 +338,82 @@ def test_covering_follows_a_narrow_excursion(heis, dist):
         nearest = np.minimum(nearest, dist.norm(heis.multiply(-c, pts)))
     assert int(np.sum(nearest > 0.25 * (1 + 1e-9))) == 0
     assert est.ball_count == 6
+
+
+def _rough_curve():
+    """201 nodes on [-1, 1]: positions random walks of step 0.02, velocities normal."""
+    rng = np.random.default_rng(1)
+    ts = np.linspace(-1.0, 1.0, 201)
+    pos = np.cumsum(0.02 * rng.normal(size=(201, 3)), axis=0)
+    vel = rng.normal(size=(201, 3))
+    return curve_from_samples([{"t": t, "position": p, "velocity": v}
+                               for t, p, v in zip(ts, pos.tolist(), vel.tolist())], 3)
+
+
+def _wavy_curve():
+    """x2 = 0.1 sin(15 t) through 9 nodes: a reach from the last step can
+    jump a wave that leaves the ball."""
+    return curve_from_samples(
+        [{"t": t, "position": [t, 0.1 * math.sin(15 * t), 0.1 * t],
+          "velocity": [1.0, 1.5 * math.cos(15 * t), 0.1]} for t in np.linspace(-1.0, 1.0, 9)], 3)
+
+
+def _reach_by_reach(dist, curve, delta, lo, hi):
+    """The greedy walk with every reach certified on its own (roots.first_exit)."""
+    reach = _polynomial_reach(dist, curve)
+    b, guard = curve.domain[1], 1e-12 * curve.span()
+    t, step, centers = lo, None, []
+    while True:
+        center = reach(t, b, delta, step)
+        centers.append(center)
+        edge = reach(center, b, delta, center - t) if center > t else center
+        if edge >= hi - guard or edge >= b:
+            return tuple(centers)
+        assert edge > t + guard
+        step, t = max(edge - center, guard), edge
+
+
+def test_batch_certification_equals_reach_by_reach(dist, monkeypatch):
+    # the walk takes bracketed exits as predicted and certifies them in one
+    # batch; where a claim fails it walks again from that ball.  Its centers
+    # are those of the walk that certifies every reach on its own
+    refused = []
+    certify = roots.certify
+
+    def counted(claims):
+        j = certify(claims)
+        refused.append(j is not None)
+        return j
+
+    monkeypatch.setattr(roots, "certify", counted)
+    # curve, delta, interval, whether a claim is refused on the way
+    cases = [(_bump_curve(), 0.25, None, False),
+             (fixtures.curve("glued_hv"), 2.0 ** -6, (-0.5, 0.5), False),
+             (_rough_curve(), 0.1, None, True), (_wavy_curve(), 0.1, None, True)]
+    for curve, delta, iv, walks_again in cases:
+        refused.clear()
+        lo, hi = iv or curve.domain
+        est = spherical_measure_upper(dist, curve, 1, delta, intervals=[(lo, hi)])
+        assert est.centers == _reach_by_reach(dist, curve, delta, lo, hi)
+        assert any(refused) == walks_again and not refused[-1]
+    # on the wavy curve the claims matter: taken unchecked, the walk would
+    # step over a wave
+    monkeypatch.setattr(roots, "certify", lambda claims: None)
+    assert spherical_measure_upper(dist, _wavy_curve(), 1, 0.1).ball_count == 22
+    assert len(_reach_by_reach(dist, _wavy_curve(), 0.1, -1.0, 1.0)) == 23
+
+
+def test_bench_walk_curve_keeps_its_ball_counts(dist):
+    # the curve file of the benchmark's walk at seed 11, covered over
+    # 2^-2..2^-5 as the benchmark covers it
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    doc = workloads.curve_doc(random.Random("walk:11"))
+    curve = curve_from_samples(doc["samples"], 3)
+    sched = covering_values(dist, curve, 2, [2.0 ** -k for k in range(2, 6)])
+    assert sched.ball_counts == (17, 65, 257, 1026)
 
 
 def test_covering_ends_at_the_domain_end(dist):

@@ -5,6 +5,7 @@ import pytest
 
 from gradedgroups import (DimensionMismatch, bch_group_law, fixtures, spec_from_dict,
                           validate_algebra)
+from gradedgroups.curve import curve_from_samples, dilate_curve, polynomial_curve
 from gradedgroups.metric import (HomogeneousDistance, ball_box_constants,
                                  degree_constant, metric_factor,
                                  triangle_audit)
@@ -79,6 +80,62 @@ def test_distance_from_closure():
                 if ys.ndim > 1:
                     # a sub-batch gives the entries of the whole batch
                     np.testing.assert_array_equal(f(ys[..., :1, :]), got[..., :1])
+
+
+def _layer_terms(dist, x, ys, r):
+    """(eps_k / r)^(2k) |z^(k)|^2 per layer k for z = x^-1 * y, through the group law."""
+    z = dist.law.multiply(-np.asarray(x), ys)
+    return [(e / r) ** (2 * k) * np.sum(z[..., sl] ** 2, axis=-1)
+            for k, (e, sl) in enumerate(zip(dist.eps, dist._slices), start=1)]
+
+
+def test_membership_tables_agree_with_the_gauge(heis):
+    # every builtin curve, a sampled curve, a dilation: from random anchors,
+    # along the anchor's piece (d = 0) and across breaks into later pieces,
+    # P_k from the tables is (eps_k / r)^(2k) |z^(k)|^2 - 1 with z read off
+    # law.multiply, and on the anchor's piece P_k(0) = -1, P_k'(0) = 0 exactly
+    sampled = curve_from_samples(
+        [{"t": t, "position": [0.3 * np.sin(3 * t), t * t, np.cos(t)],
+          "velocity": [0.9 * np.cos(3 * t), 2 * t, -np.sin(t)]} for t in np.linspace(-1, 1, 9)], 3)
+    cases = [(fixtures.curve_fixture(name).group, fixtures.curve(name))
+             for name in fixtures.curve_names()]
+    # three cubic pieces, all in powers of t itself: a later piece is read
+    # from its first parameter by a Taylor shift
+    shared = polynomial_curve(np.random.default_rng(2).normal(size=(4, 3, 3)), (-1.0, 1.0),
+                              (-0.2, 0.4))
+    cases += [("heisenberg", sampled), ("heisenberg", dilate_curve(heis, 0.5, sampled)),
+              ("heisenberg", shared)]
+    rng = np.random.default_rng(7)
+    for group, curve in cases:
+        law = fixtures.group_law(group)
+        dist = HomogeneousDistance(law, [0.7 + 0.3 * k for k in range(law.step)])
+        coef, breaks, origins = curve.pieces
+        a, b = curve.domain
+        # the layers z touches somewhere along the curve are those listed
+        grid = np.linspace(a, b, 101)
+        touched = [k for k, term in enumerate(_layer_terms(
+            dist, curve.positions(grid)[:, None], curve.positions(grid)[None], 1.0)) if term.any()]
+        checked = 0
+        for _ in range(12):
+            r = rng.uniform(0.1, 1.0)
+            polys = dist.membership(curve.pieces, r)
+            t = rng.uniform(a, b)
+            m = int(np.searchsorted(breaks, t, side="right"))
+            for d in range(min(3, len(origins) - m)):
+                ps = polys(m, d, t - origins[m])
+                assert len(ps) == len(touched)
+                start = t if d == 0 else breaks[m + d - 1]
+                end = breaks[m + d] if m + d < len(breaks) else b
+                s = rng.uniform(0.0, end - start, 6)
+                terms = _layer_terms(dist, curve.position_at(t), curve.positions(start + s), r)
+                for p, k in zip(ps, touched):
+                    if d == 0:
+                        assert p[0] == -1.0 and p[1] == 0.0
+                    got = np.polynomial.polynomial.polyval(s, p)
+                    assert np.all(np.abs(got - (terms[k] - 1.0)) <= 1e-12 * (terms[k] + 1.0)), \
+                        (curve.name, d, got - terms[k] + 1.0)
+                    checked += 1
+        assert checked >= 12, curve.name
 
 
 def test_homogeneity_under_dilation(heis):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gradedgroups.roots import (POINTS, NumericalResolutionError, bisect, first_exit, horner,
-                              intervals, refine, taylor_shift)
+from gradedgroups.roots import (POINTS, NumericalResolutionError, _below, bisect, certify,
+                              first_exit, horner, intervals, refine, taylor_shift)
 
 
 def counting(inside):
@@ -223,3 +223,40 @@ def test_taylor_shift_and_horner():
     q = taylor_shift(p, 0.25)
     for s in (-1.0, 0.0, 0.3, 2.0):
         assert horner(q, s) == pytest.approx(horner(p, 0.25 + s), rel=1e-14)
+
+
+def test_certify_takes_the_margin_of_each_degree():
+    # s^2 - 1 on [0, a], a the float below 1: its Bernstein coefficients are
+    # -1, -1 and 1 - a^2 = -2.2e-16, negative but inside the rounding bound
+    # 16 * 2^-53 * (1 + a^2), so the claim is refused, as _below refuses it
+    p, a = [-1.0, 0.0, 1.0], 1.0 - 2.0 ** -53
+    assert not _below(p, 0.0, a)
+    assert certify([([p], a)]) == 0
+    assert certify([([p], 0.5)]) is None
+    # the same claim among others of other degrees, padded by none of them
+    ok = ([[-1.0]], 5.0), ([[-2.0, 0.5]], 1.0), ([[-1.0, 0.0, 0.0, 0.0, 0.5]], 1.0)
+    assert certify([*ok, ([p], a), ([p], 0.5)]) == 3
+    assert certify([([[-1.0, 0.0, 1.0 / 64.0], p], 1.0)]) == 0
+    assert certify([]) is None
+
+
+def test_certify_agrees_with_below():
+    # random claims of degrees 0 to 8, many of them within rounding of 0 at
+    # their far end: each is refused exactly where _below refuses one of its P
+    rng = np.random.default_rng(5)
+    claims = []
+    for _ in range(400):
+        a = float(rng.uniform(0.01, 2.0))
+        polys = []
+        for n in rng.integers(0, 9, size=rng.integers(1, 4)):
+            p = rng.normal(size=n + 1).tolist()
+            p[0] -= max(horner(p, x) for x in np.linspace(0.0, a, 64)) + float(rng.choice(
+                [1e-3, 1e-14, 1e-16, 0.0, -1e-16]))
+            polys.append(p)
+        claims.append((polys, a))
+    expect = [all(_below(p, 0.0, a) for p in polys) for polys, a in claims]
+    assert 0 < sum(expect) < len(expect)
+    assert [certify([claim]) is None for claim in claims] == expect
+    first = expect.index(False)
+    assert certify(claims) == first
+    assert certify(claims[first + 1:]) == expect[first + 1:].index(False)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -25,9 +26,9 @@ from .poly import _as_fraction
 
 # largest total dimension validate_algebra accepts.  Validation and the
 # exact layer after it are dense in n (the Jacobi check alone visits n^3 / 6
-# triples): frame-show of an abelian algebra took 0.3 s at n = 64 and 1.6 s
-# at n = 128 on a 2-core x86_64 machine, and a layer dimension of 10^9
-# would allocate gigabytes.
+# triples): frame-show of an abelian algebra took about 0.3 s at n = 64 and 1 s
+# at n = 128 on a 2-core x86_64 machine, nearly all of it the Jacobi check,
+# and a layer dimension of 10^9 would allocate gigabytes.
 MAX_DIMENSION = 128
 
 
@@ -142,18 +143,26 @@ class GradedAlgebra:
         return {k: -c for k, c in self._table.get((j, i), {}).items()}
 
     def bracket(self, u: Sequence, v: Sequence):
-        """Bracket of coefficient vectors over an exact ring: Fractions or RationalPolys.
+        """Bracket of coefficient vectors over an exact ring: ints, Fractions or RationalPolys.
 
-        The zero of the result comes from the inputs; a zero cross term (false) is skipped.
+        The zero comes from the inputs; a pair (i, j) with u_i v_j and u_j v_i zero is skipped.
         """
         w = [u[0] - u[0]] * self.n
         for (i, j), coeffs in self._table.items():
-            cross = u[i] * v[j] - u[j] * v[i]
-            if not cross:
+            if not (u[i] and v[j] or u[j] and v[i]):
                 continue
+            cross = u[i] * v[j] - u[j] * v[i]
             for k, c in coeffs.items():
                 w[k] += cross * c
         return tuple(w)
+
+    def integral(self) -> tuple:
+        """(L, this algebra with its constants times L): L is their common denominator, so the
+        scaled bracket runs on ints, and nested over l vectors it is L^(l-1) times this one."""
+        scale = math.lcm(*(c.denominator for cs in self._table.values() for c in cs.values()))
+        return scale, GradedAlgebra(self.layer_dims, {
+            pair: {k: c.numerator * (scale // c.denominator) for k, c in cs.items()}
+            for pair, cs in self._table.items()})
 
     def structure_tensor(self):
         """Dense float tensor c[i, j, k], mostly for basis-change numerics."""

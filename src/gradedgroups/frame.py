@@ -16,6 +16,7 @@ under left translation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +46,10 @@ class Frame:
         self.degrees = tuple(degrees)
         self.n = len(self.degrees)
         self.entries = dict(entries)  # (l, j) -> RationalPoly in n variables
-        self._fns = {key: p.as_callable() for key, p in self.entries.items()}
+
+    @cached_property
+    def _fns(self) -> dict:
+        return {key: p.as_callable() for key, p in self.entries.items()}
 
     def entry(self, l: int, j: int):
         """The polynomial a^l_j (0-based); None when the entry is constant."""

@@ -12,7 +12,8 @@ brackets (computed once per word on vectors of polynomials), and each
 word picks up an exact rational coefficient.  The coefficients come
 from a recursion over the word's prefixes on integers, one Fraction per
 word; ``tests/bch_oracle.py`` keeps the sum over block sequences as the
-reference.
+reference.  The assembly runs on machine integers, and every evaluator
+of the law, exact or float, is compiled on first use.
 """
 
 from __future__ import annotations
@@ -20,17 +21,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .algebra import GradedAlgebra
-from .poly import RationalPoly, evaluate_all, integer_point
-
-
-class DimensionMismatch(ValueError):
-    pass
+from .poly import DimensionMismatch, RationalPoly, exact_evaluator, integer_point
 
 
 def _leading(a: np.ndarray, k: int = 1) -> np.ndarray:
@@ -85,27 +82,37 @@ def _dynkin_word_coefficients(depth: int) -> dict:
 
 
 def bch_group_law(algebra: GradedAlgebra) -> "GroupLaw":
-    """Compute the exact product polynomials for a validated algebra."""
+    """Compute the exact product polynomials for a validated algebra.
+
+    With the structure constants times their common denominator L
+    (:meth:`GradedAlgebra.integral`), a word of length l brackets to an integer
+    polynomial over L^(l-1), and a term of Q of degree l comes from those words
+    alone: over one denominator of the Dynkin coefficients it sums as an integer.
+    """
     n = algebra.n
     nv = 2 * n
+    scale, integral = algebra.integral()
     xv = tuple(RationalPoly.variable(nv, i) for i in range(n))
     yv = tuple(RationalPoly.variable(nv, n + i) for i in range(n))
 
-    # right-nested brackets per word, built from short to long
+    # right-nested brackets per word, built from short to long, times L^(length-1)
     nested = {(0,): xv, (1,): yv}
     first = {0: xv, 1: yv}
     for length in range(2, algebra.step + 1):
         for word in itertools.product((0, 1), repeat=length):
             inner = nested[word[1:]]
-            nested[word] = algebra.bracket(first[word[0]], inner) if any(inner) else inner
+            nested[word] = integral.bracket(first[word[0]], inner) if any(inner) else inner
 
-    z = [RationalPoly.zero(nv) for _ in range(n)]
-    for word, c in _dynkin_word_coefficients(algebra.step).items():
-        for i, p in enumerate(nested[word]):
-            if p:
-                z[i] = z[i] + c * p
-
-    q_polys = tuple(z[i] - xv[i] - yv[i] for i in range(n))
+    coeffs = _dynkin_word_coefficients(algebra.step)
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    sums = [{} for _ in range(n)]
+    for word, c in coeffs.items():
+        a = c.numerator * (den // c.denominator)
+        for i, p in enumerate(nested[word] if len(word) > 1 else ()):
+            for e, m in p.terms.items():
+                sums[i][e] = sums[i].get(e, 0) + a * m
+    q_polys = tuple(RationalPoly._trusted(nv, {
+        e: Fraction(m, den * scale ** (sum(e) - 1)) for e, m in t.items()}) for t in sums)
     _check_law_structure(algebra, q_polys)
     return GroupLaw(algebra, q_polys)
 
@@ -134,8 +141,9 @@ class GroupLaw:
 
     ``q_polys[a]`` is the correction Q_a(x, y), a polynomial in the 2n
     variables (x, y).  ``y_partials[(a, b)]`` is dQ_a/dy_b, kept only where
-    nonzero and derived once: :meth:`left_jacobian` evaluates these
-    partials and :func:`compute_frame` reads the frame off them at y = 0.
+    nonzero and derived on first use, as is every evaluator:
+    :meth:`left_jacobian` evaluates these partials and :func:`compute_frame`
+    reads the frame off them at y = 0.
 
     Float inputs go through compiled evaluators and accept numpy arrays
     of shape (..., n); the exact path takes ints and Fractions only.
@@ -144,13 +152,24 @@ class GroupLaw:
     def __init__(self, algebra: GradedAlgebra, q_polys):
         self.algebra = algebra
         self.q_polys = tuple(q_polys)
-        self._q_fns = [q.as_callable() for q in self.q_polys]
-        n = algebra.n
-        self.y_partials = {(a, v - n): q.diff(v)
-                           for a, q in enumerate(self.q_polys)
-                           for v in sorted(q.support()) if v >= n}
-        self._y_partial_fns = {key: p.as_callable() for key, p in self.y_partials.items()}
-        self._frame = None
+
+    @cached_property
+    def y_partials(self) -> dict:
+        return {(a, v - self.n): q.diff(v) for a, q in enumerate(self.q_polys)
+                for v in sorted(q.support()) if v >= self.n}
+
+    @cached_property
+    def _q_fns(self) -> list:
+        return [q.as_callable() for q in self.q_polys]
+
+    @cached_property
+    def _y_partial_fns(self) -> dict:
+        return {key: p.as_callable() for key, p in self.y_partials.items()}
+
+    @cached_property
+    def _product(self):
+        v = [RationalPoly.variable(2 * self.n, i) for i in range(2 * self.n)]
+        return exact_evaluator([v[i] + v[self.n + i] + q for i, q in enumerate(self.q_polys)])
 
     @property
     def n(self) -> int:
@@ -164,26 +183,27 @@ class GroupLaw:
     def degrees(self):
         return self.algebra.degrees
 
-    @property
+    @cached_property
     def frame(self):
         """Left-invariant frame, computed on first use."""
-        if self._frame is None:
-            from .frame import compute_frame
+        from .frame import compute_frame
 
-            self._frame = compute_frame(self)
-        return self._frame
+        return compute_frame(self)
 
     def identity(self):
         return np.zeros(self.n)
 
     # -- float path -------------------------------------------------------
 
+    def _floats(self, *points) -> list:
+        """The points as float arrays; DimensionMismatch unless each has shape (..., n)."""
+        arrays = [np.asarray(p, dtype=float) for p in points]
+        if any(a.shape[-1:] != (self.n,) for a in arrays):
+            raise DimensionMismatch(f"need {self.n} coordinates, got shapes {[a.shape for a in arrays]}")
+        return arrays
+
     def _columns(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape[-1] != self.n or y.shape[-1] != self.n:
-            raise DimensionMismatch(
-                f"points must have {self.n} coordinates, got {x.shape} and {y.shape}")
+        x, y = self._floats(x, y)
         return x, y, [*_leading(x), *_leading(y)]
 
     def multiply(self, x, y):
@@ -192,12 +212,12 @@ class GroupLaw:
         return np.stack(out, axis=-1)
 
     def inverse(self, x):
-        return -np.asarray(x, dtype=float)
+        return -self._floats(x)[0]
 
     def dilate(self, r: float, x):
         if not r > 0:
             raise ValueError("dilation factor must be positive")
-        x = np.asarray(x, dtype=float)
+        x = self._floats(x)[0]
         scale = np.array([float(r) ** d for d in self.degrees])
         return x * scale
 
@@ -244,23 +264,22 @@ class GroupLaw:
     # -- exact path ---------------------------------------------------------
 
     def multiply_exact(self, x: Sequence, y: Sequence):
-        """x * y over Fractions; coordinates must be ints or Fractions.
-
-        All corrections are evaluated at once (:func:`evaluate_all`), and
-        any other coordinate (bool, float, a numpy scalar) raises TypeError.
+        """x * y as Fractions, by one integer evaluator of x + y + Q compiled on
+        first use (:func:`poly.exact_evaluator`).  Coordinates must be ints or
+        Fractions: any other (bool, float, a numpy scalar) raises TypeError.
         """
         if len(x) != self.n or len(y) != self.n:
             raise DimensionMismatch(f"points must have {self.n} coordinates")
-        q = evaluate_all(self.q_polys, tuple(x) + tuple(y))
-        return tuple(x[i] + y[i] + q[i] for i in range(self.n))
+        return self._product((*x, *y))
 
     def inverse_exact(self, x: Sequence):
-        integer_point(x)
+        integer_point(x, self.n)
         return tuple(-c for c in x)
 
     def dilate_exact(self, r, x: Sequence):
         """dil_r x; r and the coordinates must be ints or Fractions."""
-        integer_point((r, *x))
+        integer_point(x, self.n)
+        integer_point((r,), 1)
         if not r > 0:
             raise ValueError("dilation factor must be positive")
         return tuple((r ** d) * c for d, c in zip(self.degrees, x))

@@ -2,11 +2,12 @@
 
 This is the symbolic substrate of the library: group-law components,
 frame coefficients and their partial derivatives are all values of
-:class:`RationalPoly`.  Coefficients are `fractions.Fraction`, monomials
-are exponent tuples, and nothing in here ever rounds.  Floating point
-enters only through :meth:`RationalPoly.as_callable`, which compiles a
-polynomial into a plain lambda for fast numeric evaluation (python
-scalars and numpy arrays both work).
+:class:`RationalPoly`.  Coefficients are exact (Fractions or ints),
+monomials are exponent tuples, and nothing in here ever rounds: the one
+exact evaluation path, :func:`exact_evaluator`, runs on machine integers.
+Floating point enters only through :meth:`RationalPoly.as_callable`,
+which compiles a polynomial into a plain lambda for fast numeric
+evaluation (python scalars and numpy arrays both work).
 
 Example:
 
@@ -24,6 +25,10 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 Exponents = tuple  # tuple[int, ...], one entry per variable
+
+
+class DimensionMismatch(ValueError):
+    pass
 
 
 def _as_fraction(c) -> Fraction:
@@ -47,13 +52,13 @@ def monomial_source(lead: str, exps: Exponents, var: str) -> str:
 
 
 class RationalPoly:
-    """A polynomial in ``nvars`` variables with Fraction coefficients.
+    """A polynomial in ``nvars`` variables with exact rational coefficients.
 
     ``terms`` maps exponent tuples to nonzero coefficients.  The
     constructor checks what it is given: coefficients must be exact
     rationals (TypeError) and exponents non-negative ints (ValueError).
     Instances are treated as immutable; all operators return new
-    polynomials.
+    polynomials.  Int coefficients stay ints (:meth:`variable` makes them).
     """
 
     __slots__ = ("nvars", "terms")
@@ -100,7 +105,7 @@ class RationalPoly:
     def variable(cls, nvars: int, i: int) -> "RationalPoly":
         exps = [0] * nvars
         exps[i] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls._trusted(nvars, {tuple(exps): 1})
 
     # -- predicates ------------------------------------------------------
 
@@ -137,7 +142,7 @@ class RationalPoly:
         self._check_compatible(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + c
+            terms[exps] = terms.get(exps, 0) + c
         return RationalPoly._trusted(self.nvars, terms)
 
     def __neg__(self):
@@ -155,9 +160,9 @@ class RationalPoly:
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
                     key = tuple(a + b for a, b in zip(e1, e2))
-                    terms[key] = terms.get(key, Fraction(0)) + c1 * c2
+                    terms[key] = terms.get(key, 0) + c1 * c2
             return RationalPoly._trusted(self.nvars, terms)
-        c = _as_fraction(other)
+        c = other if type(other) is int else _as_fraction(other)
         return RationalPoly._trusted(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     __rmul__ = __mul__
@@ -178,7 +183,7 @@ class RationalPoly:
             if e == 0:
                 continue
             key = exps[:var] + (e - 1,) + exps[var + 1:]
-            terms[key] = terms.get(key, Fraction(0)) + c * e
+            terms[key] = terms.get(key, 0) + c * e
         return RationalPoly._trusted(self.nvars, terms)
 
     def subs_zero(self, variables: Iterable[int]) -> "RationalPoly":
@@ -206,8 +211,8 @@ class RationalPoly:
     # -- evaluation -------------------------------------------------------
 
     def evaluate(self, values: Sequence) -> Fraction:
-        """Exact value at a point of int or Fraction coordinates (see :func:`evaluate_all`)."""
-        return evaluate_all((self,), values)[0]
+        """Exact value at a point of int or Fraction coordinates (see :func:`exact_evaluator`)."""
+        return exact_evaluator((self,))(values)[0]
 
     def as_callable(self) -> Callable[[Sequence], float]:
         """Compile to ``f(values) -> float`` with coefficients cast to float.
@@ -254,12 +259,15 @@ class RationalPoly:
         return f"RationalPoly({self.nvars}, {self.format()})"
 
 
-def integer_point(values: Sequence) -> tuple:
+def integer_point(values: Sequence, n: int) -> tuple:
     """(nums, den): den is the lcm of the denominators, nums[i] = den * values[i].
 
-    This is the one check of exact coordinates: anything but an int or a
-    Fraction raises TypeError, bool, float and numpy scalars included.
+    This is the one check of exact points: a point of other than n
+    coordinates raises DimensionMismatch, and anything but an int or a
+    Fraction TypeError, bool, float and numpy scalars included.
     """
+    if len(values) != n:
+        raise DimensionMismatch(f"points must have {n} coordinates, got {len(values)}")
     ratios = []
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
@@ -270,28 +278,28 @@ def integer_point(values: Sequence) -> tuple:
     return [a * (den // d) for a, d in ratios], den
 
 
-def evaluate_all(polys: Sequence[RationalPoly], values: Sequence) -> tuple:
-    """Exact values of polynomials that share one point, in their order.
+def exact_evaluator(polys: Sequence[RationalPoly]) -> Callable[[Sequence], tuple]:
+    """Compile polynomials in the same variables into one exact function of a point.
 
-    The point is checked and scaled once (:func:`integer_point`), so a
-    monomial of total degree d is prod a_i^e_i / D^d with an integer
-    numerator.  Each polynomial sums its terms as integers per class
-    (d, denominator of the coefficient), and each class becomes one
-    Fraction.
+    The point is checked and scaled once by :func:`integer_point`: with the
+    integers a = D * point, a term c * point^e of total degree d is
+    c * a^e / D^d.  Each polynomial puts its coefficients over their common
+    denominator M, sums the integer terms S_d of each total degree d and
+    combines them by Horner in D, N = (..(S_lo * D + S_lo+1) * D + ..) + S_hi,
+    so its value is the one Fraction(N, M * D^hi).
     """
-    if any(len(values) != p.nvars for p in polys):
-        raise ValueError("value count does not match nvars")
-    nums, den = integer_point(values)
-    out = []
+    values = []
     for p in polys:
-        sums: dict[tuple, int] = {}
-        for exps, c in p.terms.items():
-            m, q = c.as_integer_ratio()
-            for a, e in zip(nums, exps):
-                if e:
-                    m *= a ** e
-            if m:
-                key = (sum(exps), q)
-                sums[key] = sums.get(key, 0) + m
-        out.append(sum((Fraction(m, q * den ** d) for (d, q), m in sums.items()), Fraction(0)))
-    return tuple(out)
+        m = math.lcm(*(c.denominator for c in p.terms.values()))
+        sums: dict = {}
+        for exps, c in sorted(p.terms.items()):
+            sums.setdefault(sum(exps), []).append(monomial_source(str(c * m), exps, "a"))
+        lo, hi = min(sums, default=0), max(sums, default=0)
+        num = " + ".join(sums.get(lo, ())) or "0"
+        for d in range(lo + 1, hi + 1):
+            num = f"({num})*D" + "".join(f" + {t}" for t in sums.get(d, ()))
+        values.append(f"Fraction({num}, {m}*D**{hi})")
+    namespace = {"Fraction": Fraction, "integer_point": integer_point}
+    exec(f"def at(point):\n    a, D = integer_point(point, {polys[0].nvars})\n"  # noqa: S102
+         f"    return ({', '.join(values)},)", namespace)
+    return namespace["at"]

@@ -16,6 +16,7 @@ from gradedgroups import cli
 from gradedgroups.cli import ConfigError, main, parse_schedule, resolve_config, run_config
 from gradedgroups.measure import ball_param_set, quad
 from gradedgroups.metric import HomogeneousDistance
+from gradedgroups.poly import RationalPoly
 from json_strategy import JSON
 
 
@@ -277,6 +278,21 @@ def test_invalid_algebra_exits_3(tmp_path, capsys):
         code, out, err = run_cli(capsys, "frame-show", "--algebra-file", str(path))
         assert code == 3
         assert json.loads(err)["error"] == "GroupValidationError"
+
+
+def test_exact_ops_compile_only_what_they_evaluate(tmp_path, monkeypatch):
+    doc = {"layers": [2, 1, 1], "brackets": [{"i": 1, "j": 2, "k": 3, "c": "3/7"},
+                                             {"i": 1, "j": 3, "k": 4, "c": "-2/11"}]}
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    compiled = []
+    as_callable = RationalPoly.as_callable
+    monkeypatch.setattr(RationalPoly, "as_callable",
+                        lambda poly: compiled.append(poly) or as_callable(poly))
+    assert run_config({"op": "frame-show", "algebra_file": str(path)})["result"]["frame_entries"]
+    assert compiled == []
+    assert run_config({"op": "group-check", "algebra_file": str(path), "seed": 3})["result"]["passed"]
+    assert len(compiled) == 4       # one float evaluator per coordinate of Q
 
 
 def test_missing_config_file_exits_2(capsys):

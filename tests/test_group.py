@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import factorial
@@ -36,7 +37,12 @@ def engel():
 def test_abelian_law_is_addition():
     law = fixtures.group_law("abelian_w12")
     assert all(q.is_zero() for q in law.q_polys)
+    assert law.algebra.integral()[0] == 1
     assert law.multiply_exact((1, 2), (3, 4)) == (4, 6)
+    product = law.multiply_exact((Fraction(1, 3), 2), (Fraction(-1, 3), Fraction(5, 7)))
+    assert product == (0, Fraction(19, 7))
+    assert all(type(c) is Fraction for c in product)
+    assert law.multiply_exact((0, 0), (0, 0)) == (0, 0)
 
 
 def test_heisenberg_correction_closed_form(heis):
@@ -70,6 +76,63 @@ def test_law_matches_series_oracle_exactly(name):
     for _ in range(100):
         x, y = point(), point()
         assert law.multiply_exact(x, y) == bch_numeric(alg, x, y)
+
+
+# numerators over pairwise-coprime denominators, so that the common
+# denominator L of an algebra's constants, and L^(length - 1), are large
+COPRIME = ["3/7", "-2/11", "5/13", "-4/17", "7/19", "-6/23", "9/29", "-8/31", "10/37", "-3/41"]
+COPRIME_DOCS = {
+    **{f"filiform{step}": {"layers": [2] + [1] * (step - 1),
+                           "brackets": [{"i": 1, "j": i, "k": i + 1, "c": COPRIME[i - 2]}
+                                        for i in range(2, step + 1)]}
+       for step in range(3, 6)},
+    **{f"free2_rank{rank}": {"layers": [rank, rank * (rank - 1) // 2],
+                             "brackets": [{"i": i, "j": j, "k": rank + m + 1, "c": COPRIME[m]}
+                                          for m, (i, j) in enumerate(
+                                              itertools.combinations(range(1, rank + 1), 2))]}
+       for rank in range(3, 6)},
+}
+
+
+@pytest.mark.parametrize("name", COPRIME_DOCS)
+def test_rational_structure_constants_match_series_oracle(name):
+    doc = COPRIME_DOCS[name]
+    alg = validate_algebra(spec_from_dict(doc))
+    scale, integral = alg.integral()
+    assert scale == math.prod(int(e["c"].split("/")[1]) for e in doc["brackets"])
+    assert integral.bracket_coeffs(0, 1) == {k: c * scale for k, c in alg.bracket_coeffs(0, 1).items()}
+    law = bch_group_law(alg)
+    rng = random.Random(23)
+    for _ in range(10):
+        x, y = ([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(alg.n)]
+                for _ in range(2))
+        assert law.multiply_exact(x, y) == bch_numeric(alg, x, y)
+
+
+def test_exact_product_at_integer_zero_and_huge_coordinates(engel):
+    alg = engel.algebra
+    big = 10 ** 30
+    for x, y in [((1, -2, 3, 4), (5, 6, -7, 8)),
+                 ((0, 0, 0, 0), (0, 0, 0, 0)),
+                 ((0, Fraction(1, 3), 0, 0), (Fraction(-2, 5), 0, 0, 1)),
+                 ((big, Fraction(1, 3), -big, 2), (Fraction(big, 7), -big, 1, 0))]:
+        assert engel.multiply_exact(x, y) == bch_numeric(alg, x, y)
+
+
+def test_float_paths_keep_their_values():
+    """Pinned float values of the law of a filiform algebra with rational constants."""
+    law = bch_group_law(validate_algebra(spec_from_dict(COPRIME_DOCS["filiform4"])))
+    x = np.array([0.5, -0.25, 0.75, 1.5, -2.0])
+    y = np.array([-1.25, 0.5, 0.125, -0.5, 1.0])
+    assert law.multiply(x, y).tolist() == [
+        -0.75, 0.25, 0.8616071428571429, 0.9098011363636364, -0.6976493558524808]
+    assert law.left_jacobian(x, y)[2:].tolist() == [
+        [0.05357142857142857, 0.10714285714285714, 1.0, 0.0, 0.0],
+        [0.06493506493506494, -0.005681818181818182, -0.045454545454545456, 1.0, 0.0],
+        [-0.2752195720945721, -0.00039023476523476525, -0.0050990675990676,
+         0.09615384615384616, 1.0]]
+    assert law.frame.coordinates(x, y).tolist() == [
+        -1.25, 0.5, 0.13839285714285712, -0.40868506493506496, 0.6816529824342323]
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "engel"])
@@ -122,6 +185,17 @@ def test_dimension_mismatch(heis):
         heis.multiply([1.0, 2.0], [0.0, 0.0, 0.0])
     with pytest.raises(DimensionMismatch):
         heis.multiply_exact((1, 2, 3), (1, 2))
+    with pytest.raises(DimensionMismatch):
+        heis.inverse_exact((1, 2))
+    with pytest.raises(DimensionMismatch):
+        heis.dilate_exact(2, (1, 2, 3, 4, 5))
+    with pytest.raises(DimensionMismatch):
+        heis.inverse(np.ones(5))
+    with pytest.raises(DimensionMismatch):
+        heis.dilate(2.0, np.ones(5))
+    with pytest.raises(DimensionMismatch):
+        heis.dilate(2.0, 1.0)
+    assert heis.inverse(np.ones((4, 3))).shape == (4, 3)
 
 
 @pytest.mark.parametrize("bad", [0.1, True, np.float64(0.5), np.int64(1)])

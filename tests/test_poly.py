@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradedgroups.poly import RationalPoly
+from gradedgroups.poly import DimensionMismatch, RationalPoly, exact_evaluator, integer_point
 
 
 def test_arithmetic_and_equality():
@@ -122,3 +122,20 @@ def test_evaluate_matches_naive_fraction_sum(case):
     value = RationalPoly(len(point), terms).evaluate(point)
     assert isinstance(value, Fraction)
     assert value == _naive_value(terms, point)
+
+
+def test_exact_evaluator_at_integer_zero_and_huge_points():
+    x = RationalPoly.variable(2, 0)
+    y = RationalPoly.variable(2, 1)
+    polys = [x * x * y - Fraction(1, 3) * y + RationalPoly.constant(2, 7),
+             RationalPoly.zero(2), Fraction(2, 5) * x, x * y * y]
+    at = exact_evaluator(polys)
+    big = 10 ** 30
+    assert integer_point((3, -4), 2) == ([3, -4], 1)
+    for point in [(3, -4), (0, 0), (0, Fraction(-2, 9)), (big, Fraction(1, 3)),
+                  (Fraction(big, 7), -big)]:
+        values = at(point)
+        assert values == tuple(_naive_value(p.terms, point) for p in polys)
+        assert all(type(v) is Fraction for v in values)
+    with pytest.raises(DimensionMismatch):
+        at((1, 2, 3))

@@ -24,11 +24,11 @@ from typing import Mapping, Sequence
 from .poly import _as_fraction
 
 
-# largest total dimension validate_algebra accepts.  Validation and the
-# exact layer after it are dense in n (the Jacobi check alone visits n^3 / 6
-# triples): frame-show of an abelian algebra took about 0.3 s at n = 64 and 1 s
-# at n = 128 on a 2-core x86_64 machine, nearly all of it the Jacobi check,
-# and a layer dimension of 10^9 would allocate gigabytes.
+# largest total dimension validate_algebra accepts.  The Jacobi check visits
+# at most n triples per bracketed pair, and the exact layer after validation
+# is dense in n: frame-show of an abelian algebra took about 0.3 s at n = 64
+# and at n = 128 on a 2-core x86_64 machine, nearly all of it interpreter
+# start and imports, and a layer dimension of 10^9 would allocate gigabytes.
 MAX_DIMENSION = 128
 
 
@@ -236,22 +236,24 @@ def validate_algebra(spec: GradedAlgebraSpec) -> GradedAlgebra:
                 out[l] = out.get(l, Fraction(0)) + c * c2
         return out
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            cij = alg.bracket_coeffs(i, j)
-            for k in range(j + 1, n):
-                total: dict = {}
-                for part in (
-                    basis_bracket_with(cij, k),
-                    basis_bracket_with(alg.bracket_coeffs(j, k), i),
-                    basis_bracket_with(alg.bracket_coeffs(k, i), j),
-                ):
-                    for l, c in part.items():
-                        total[l] = total.get(l, Fraction(0)) + c
-                bad = {l: c for l, c in total.items() if c != 0}
-                if bad:
-                    l, c = next(iter(bad.items()))
-                    raise JacobiViolation(
-                        f"Jacobi fails on (e_{i+1}, e_{j+1}, e_{k+1}): "
-                        f"residual {c} on e_{l+1}")
+    # each term brackets one of the pairs (i, j), (j, k), (k, i) first, so a
+    # triple without a bracketed pair holds trivially; the others are taken
+    # in the order i < j < k of the full loop
+    triples = sorted({tuple(sorted((p, q, k))) for p, q in table for k in range(n)
+                      if k != p and k != q})
+    for i, j, k in triples:
+        total: dict = {}
+        for part in (
+            basis_bracket_with(alg.bracket_coeffs(i, j), k),
+            basis_bracket_with(alg.bracket_coeffs(j, k), i),
+            basis_bracket_with(alg.bracket_coeffs(k, i), j),
+        ):
+            for l, c in part.items():
+                total[l] = total.get(l, Fraction(0)) + c
+        bad = {l: c for l, c in total.items() if c != 0}
+        if bad:
+            l, c = next(iter(bad.items()))
+            raise JacobiViolation(
+                f"Jacobi fails on (e_{i+1}, e_{j+1}, e_{k+1}): "
+                f"residual {c} on e_{l+1}")
     return alg

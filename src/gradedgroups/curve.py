@@ -1,10 +1,10 @@
 """C1 curves in exponential coordinates and their degree theory.
 
-A curve carries its open parameter domain and position/velocity
-callables; every curve the package builds, fixture or sampled, comes
-from a ``polynomial_curve`` coefficient table, which the curve keeps as
-``pieces`` (so do its translations, dilations, linear images and
-recenterings).  The pointwise degree at t is the largest layer the
+A curve is a piecewise-polynomial coefficient table (``pieces``) over an
+open parameter domain, with position and velocity evaluators generated
+from it; :func:`polynomial_curve` builds every curve, fixture or
+sampled, and every translation, dilation, linear image and recentering
+maps the table.  The pointwise degree at t is the largest layer the
 velocity touches when written in the left-invariant frame; the degree
 of the curve is the maximum over a parameter grid, and parameters
 realizing a smaller degree form the low-degree set.  Near a point of
@@ -33,32 +33,34 @@ class ZeroVelocityError(ValueError):
 
 @dataclass(frozen=True)
 class Curve:
-    """Parametrized curve with explicit velocity.
+    """Piecewise-polynomial curve: its coefficient table and generated evaluators.
 
-    position/velocity are callables, generated by :func:`polynomial_curve`
-    or written by hand, that take an ndarray of parameters of shape (...)
-    and return an array of shape (..., n), one point per parameter.
-    ``positions``/``velocities`` raise ValueError when a callable returns
-    any other shape.  ``position_at``/``velocity_at`` read one parameter
-    through them, as shape (), so a point of any shape but (n,) is refused
-    too.  The domain is an open interval; operations clip slightly inside
-    it.  ``breaks`` lists the parameters where the velocity may kink; the
-    integrals split there.
-
-    ``pieces`` is the coefficient table (coef, breaks, origins) of a
-    :func:`polynomial_curve`, read-only arrays, and None for a curve built
-    from callables alone (by hand, or by a transform of such a curve).  The
-    covering walk solves its reaches on the table where there is one.
+    ``pieces`` is the table (coef, breaks, origins) of a
+    :func:`polynomial_curve`, read-only arrays; build curves through that
+    function, which validates the table.  The dimension ``n``, the
+    ``breaks`` (the parameters where the velocity may kink; the integrals
+    split there) and the ``position``/``velocity`` evaluators are derived
+    from the table.  The evaluators take an array of parameters of shape
+    (...) and return an array of shape (..., n); ``position_at`` and
+    ``velocity_at`` read one parameter as shape (n,).  The domain is an
+    open interval; operations clip slightly inside it.
     """
 
     domain: tuple
-    n: int
-    position: Callable
-    velocity: Callable
+    pieces: tuple = field(compare=False, repr=False)
     name: str = ""
     description: str = ""
-    breaks: tuple = ()
-    pieces: tuple | None = field(default=None, compare=False, repr=False)
+    n: int = field(init=False)
+    breaks: tuple = field(init=False)
+    position: Callable = field(init=False)
+    velocity: Callable = field(init=False)
+
+    def __post_init__(self):
+        coef, breaks, origins = self.pieces
+        object.__setattr__(self, "n", coef.shape[1])
+        object.__setattr__(self, "breaks", tuple(breaks.tolist()))
+        object.__setattr__(self, "position", _evaluator(coef, breaks, origins))
+        object.__setattr__(self, "velocity", _evaluator(_derivative(coef), breaks, origins))
 
     def position_at(self, t: float) -> np.ndarray:
         return self.positions(float(t))
@@ -66,19 +68,11 @@ class Curve:
     def velocity_at(self, t: float) -> np.ndarray:
         return self.velocities(float(t))
 
-    def _batch(self, fn, ts: np.ndarray) -> np.ndarray:
-        out = np.asarray(fn(ts), dtype=float)
-        if out.shape != ts.shape + (self.n,):
-            raise ValueError(f"curve {self.name!r} returned shape {out.shape} for "
-                             f"parameters of shape {ts.shape}; expected "
-                             f"{ts.shape + (self.n,)}")
-        return out
-
     def positions(self, ts) -> np.ndarray:
-        return self._batch(self.position, np.asarray(ts, dtype=float))
+        return self.position(ts)
 
     def velocities(self, ts) -> np.ndarray:
-        return self._batch(self.velocity, np.asarray(ts, dtype=float))
+        return self.velocity(ts)
 
     def span(self) -> float:
         return self.domain[1] - self.domain[0]
@@ -146,8 +140,7 @@ def polynomial_curve(coef, domain, breaks=(), origins=None, name: str = "",
     coef = np.array(coef, dtype=float)
     if coef.ndim != 3 or 0 in coef.shape:
         raise ValueError(f"coefficient table must have shape (p+1, n, pieces), got {coef.shape}")
-    dcoef = _derivative(coef)
-    if not (np.isfinite(coef).all() and np.isfinite(dcoef).all()):
+    if not (np.isfinite(coef).all() and np.isfinite(_derivative(coef)).all()):
         raise ValueError("coefficient table or its derivative is not finite")
     pieces = coef.shape[2]
     origins = np.zeros(pieces) if origins is None else np.array(origins, dtype=float)
@@ -161,10 +154,8 @@ def polynomial_curve(coef, domain, breaks=(), origins=None, name: str = "",
                          f"a finite domain a < b, got {breaks.tolist()} in ({a}, {b})")
     for table in (coef, breaks, origins):
         table.flags.writeable = False
-    return Curve(domain=(a, b), n=coef.shape[1], position=_evaluator(coef, breaks, origins),
-                 velocity=_evaluator(dcoef, breaks, origins), name=name,
-                 description=description, breaks=tuple(breaks.tolist()),
-                 pieces=(coef, breaks, origins))
+    return Curve(domain=(a, b), pieces=(coef, breaks, origins), name=name,
+                 description=description)
 
 
 def curve_from_samples(samples, n: int, name: str = "") -> Curve:
@@ -377,31 +368,22 @@ def adapted_structure_tensor(law: GroupLaw, basis: AdaptedBasis) -> np.ndarray:
 def translate_curve(law: GroupLaw, z, curve: Curve) -> Curve:
     """Left translation t -> z * gamma(t), with the pushed-forward velocity.
 
-    A coefficient table is translated row by row, z * y being (-z)^-1 * y
+    The coefficient table is translated row by row, z * y being (-z)^-1 * y
     (``law.divide_rows`` with constant rows -z), and built again by
-    :func:`polynomial_curve`; callables are wrapped.
+    :func:`polynomial_curve`.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (curve.n,):
         raise DimensionMismatch(f"translation must have shape ({curve.n},), got {z.shape}")
     name = f"{curve.name}+translated" if curve.name else "translated"
-    if curve.pieces is not None:
-        coef, breaks, origins = curve.pieces
-        rows = law.divide_rows([np.full((1, 1, coef.shape[2]), -c) for c in z],
-                               [coef[None, :, j] for j in range(curve.n)])
-        moved = np.zeros((max(r.shape[1] for r in rows),) + coef.shape[1:])
-        for j, r in enumerate(rows):
-            moved[:r.shape[1], j] = r[0]
-        return polynomial_curve(moved, curve.domain, breaks, origins, name=name,
-                                description=curve.description)
-
-    def velocity(t):
-        jac = law.left_jacobian(z, curve.positions(t))
-        return np.einsum("...ij,...j->...i", jac, curve.velocities(t))
-
-    return Curve(domain=curve.domain, n=curve.n,
-                 position=lambda t: law.multiply(z, curve.positions(t)), velocity=velocity,
-                 name=name, description=curve.description, breaks=curve.breaks)
+    coef, breaks, origins = curve.pieces
+    rows = law.divide_rows([np.full((1, 1, coef.shape[2]), -c) for c in z],
+                           [coef[None, :, j] for j in range(curve.n)])
+    moved = np.zeros((max(r.shape[1] for r in rows),) + coef.shape[1:])
+    for j, r in enumerate(rows):
+        moved[:r.shape[1], j] = r[0]
+    return polynomial_curve(moved, curve.domain, breaks, origins, name=name,
+                            description=curve.description)
 
 
 def _anchor_rows(pieces: tuple, d: int) -> tuple:
@@ -428,18 +410,13 @@ def _anchor_rows(pieces: tuple, d: int) -> tuple:
 def _mapped(curve: Curve, m: np.ndarray, suffix: str) -> Curve:
     """The curve's image under the coordinate map y -> m y.
 
-    A coefficient table is mapped row by row and built again by
-    :func:`polynomial_curve`; callables are wrapped.
+    The coefficient table is mapped row by row and built again by
+    :func:`polynomial_curve`.
     """
     name = f"{curve.name}+{suffix}" if curve.name else suffix
-    if curve.pieces is not None:
-        coef, breaks, origins = curve.pieces
-        return polynomial_curve(np.einsum("ij,kjm->kim", m, coef), curve.domain, breaks,
-                                origins, name=name, description=curve.description)
-    return Curve(domain=curve.domain, n=curve.n,
-                 position=lambda t: curve.positions(t) @ m.T,
-                 velocity=lambda t: curve.velocities(t) @ m.T,
-                 name=name, description=curve.description, breaks=curve.breaks)
+    coef, breaks, origins = curve.pieces
+    return polynomial_curve(np.einsum("ij,kjm->kim", m, coef), curve.domain, breaks,
+                            origins, name=name, description=curve.description)
 
 
 def dilate_curve(law: GroupLaw, s: float, curve: Curve) -> Curve:
@@ -459,7 +436,7 @@ def recentered_curve(law: GroupLaw, curve: Curve, t0: float,
     """The curve seen from gamma(t0): h -> R^T (gamma(t0)^-1 * gamma(t0+h)).
 
     This is the normal form used by the local estimates; the origin of the
-    new parameter h is the old t0: translate, map by R^T, shift by t0.  A
+    new parameter h is the old t0: translate, map by R^T, shift by t0.  The
     coefficient table is kept: the shift moves its domain, breaks and
     origins.
     """
@@ -468,15 +445,9 @@ def recentered_curve(law: GroupLaw, curve: Curve, t0: float,
         moved = linear_image_curve(np.asarray(rotation, dtype=float).T, moved)
     a, b = curve.domain
     name = f"{curve.name}@{t0}" if curve.name else "recentered"
-    if moved.pieces is not None:
-        coef, breaks, origins = moved.pieces
-        return polynomial_curve(coef, (a - t0, b - t0), breaks - t0, origins - t0, name=name,
-                                description=curve.description)
-    return Curve(domain=(a - t0, b - t0), n=curve.n,
-                 position=lambda h: moved.positions(np.add(h, t0)),
-                 velocity=lambda h: moved.velocities(np.add(h, t0)),
-                 name=name, description=curve.description,
-                 breaks=tuple(p - t0 for p in curve.breaks))
+    coef, breaks, origins = moved.pieces
+    return polynomial_curve(coef, (a - t0, b - t0), breaks - t0, origins - t0, name=name,
+                            description=curve.description)
 
 
 # -- little-o slope checks ------------------------------------------------------

@@ -19,36 +19,25 @@ and the walk jumps past the covered component.  The reported value is
 sum(r^q) over the balls placed.  Each of the two reaches per ball
 predicts, then certifies.
 
-On a curve with a coefficient table (``Curve.pieces``: every fixture,
-curve file and transform of one), the ball around the anchor is, along
-each piece, the set where a few polynomials in the parameter are <= 0
-(``HomogeneousDistance.membership``: their coefficients are read off
-anchor tables by Horner in the anchor's offset), and a reach is their
-first exit (``roots.first_exit``).  Newton steps from the step the walk
-took last predict each reach, and the walk goes on from the predicted
-exit; when it ends, one vectorized Bernstein check (``roots.certify``)
-certifies every predicted [anchor, exit] at once, and the walk is taken
-again from the first ball whose claim fails, that ball's reaches
-certified on their own.  So no excursion out of a ball between its
-anchor and the exit goes unseen, and the centers are those of a walk
-certified reach by reach.
+Along each piece of the curve's coefficient table (``Curve.pieces``),
+the ball around the anchor is the set where a few polynomials in the
+parameter are <= 0 (``HomogeneousDistance.membership``: their
+coefficients are read off anchor tables by Horner in the anchor's
+offset), and a reach is their first exit (``roots.first_exit``).
+Newton steps from the step the walk took last predict each reach, and
+the walk goes on from the predicted exit; when it ends, one vectorized
+Bernstein check (``roots.certify``) certifies every predicted [anchor,
+exit] at once, and the walk is taken again from the first ball whose
+claim fails, that ball's reaches certified on their own.  So no
+excursion out of a ball between its anchor and the exit goes unseen,
+and the centers are those of a walk certified reach by reach.
 
-On a curve given by callables alone (built by hand), one batched probe
-of the distance tests a geometric ladder of parameter offsets together
-with a cluster on the step the walk took last, and its first point
-outside the ball brackets the exit.  Where that step is the exit, as
-along a left-translated one-parameter subgroup, this probe already
-settles the reach.  Otherwise batched rounds (``roots.refine``) shrink
-the bracket, each also testing a cluster where inverse interpolation of
-the distances already computed puts the exit.  There an excursion that
-leaves the ball between two probed points goes unseen.
-
-On either kind of curve, the two reaches of a ball place the parameters
-from the first uncovered one t up to the center in the ball around
-gamma(t), and those from the center to the edge in the center's ball.
-That (t, center) lies in the center's ball as well is assumed, not
-checked; it holds where the distance from the center grows away from it
-along the curve, as on a curve that does not double back within a ball.
+The two reaches of a ball place the parameters from the first uncovered
+one t up to the center in the ball around gamma(t), and those from the
+center to the edge in the center's ball.  That (t, center) lies in the
+center's ball as well is assumed, not checked; it holds where the
+distance from the center grows away from it along the curve, as on a
+curve that does not double back within a ball.
 """
 
 from __future__ import annotations
@@ -286,57 +275,6 @@ class CoveringEstimate:
     centers: tuple             # center parameters (radii all equal delta)
 
 
-# The predicting round of a reach tests the ladder h * 2^k, k != 0, and
-# between h / 2 and 2 h a cluster on the guess h: the pair h -+ tol(h) / 4
-# settles an exact guess, and points at spacing h / 4096 across h (1 -+ 1/64)
-# bracket a near one tightly enough for the next round's prediction.
-_POW2 = np.ldexp(1.0, np.arange(-1074, 1024))      # 2^k at index k + 1074
-_SPREAD = np.arange(1, 65) / 4096.0
-_BELOW, _ABOVE = 1.0 - _SPREAD[::-1], 1.0 + _SPREAD
-
-
-def _forward_reach(dfun: Callable, curve: Curve, start: float, cap: float,
-                   r: float, guess: float | None) -> float:
-    """Largest parameter s in [start, cap] found with d(s) <= r.
-
-    d = dfun(curve position) is the distance to a fixed anchor, zero at
-    start.  Predict, then certify: one batched probe tests the geometric
-    ladder guess * 2^k from a floor of 1e-18 relative to start up to the
-    cap, together with a cluster on the guess itself, and its first point
-    outside the ball and the one before it bracket the exit.  When the
-    guess is the exit, that one probe already meets the tolerance.
-    Otherwise batched rounds (``roots.refine``) shrink the bracket, each
-    also testing a cluster where the distances already computed put the
-    exit.  The inside end is returned, so coverage claims stay
-    conservative.
-    """
-    if cap <= start:
-        return start
-    width = cap - start
-    h = guess if guess and guess > 0 else width * 1e-3
-    h = min(h, width)
-
-    def probe(s):
-        g = dfun(curve.positions(start + s)) - r
-        return g <= 0.0, g
-
-    # a ladder bracket [lo, hi] has hi <= 2 lo, so it meets the tolerance
-    # within 5 rounds of 257-fold shrinking; 8 is never reached
-    def tol(lo: float, hi: float) -> float:
-        return _reach_tol(start, lo)
-
-    floor = 1e-18 * max(1.0, abs(start)) + 1e-300
-    k0 = max(math.floor(math.log2(floor / h)), -1074) + 1074
-    k1 = min(math.ceil(math.log2(width / h)), 1023) + 1075
-    pair = min(0.25 * tol(h, h) / h, 2.0 ** -13)     # within the cluster's spacing
-    pts = h * np.concatenate((_POW2[k0:1074], _BELOW, (1.0 - pair, 1.0, 1.0 + pair),
-                              _ABOVE, _POW2[1075:k1]))
-    pts = np.concatenate((pts[(pts >= floor) & (pts < width)], (width,)))
-    # the predicting round, then at most 8 more
-    lo, _ = roots.refine(probe, 0.0, width, pts, tol, 9)
-    return cap if lo == width else start + lo
-
-
 def _reach_tol(start: float, lo: float) -> float:
     """Width to which a reach from ``start`` brackets an exit ``lo`` ahead of it.
 
@@ -380,17 +318,6 @@ def _polynomial_reach(dist: HomogeneousDistance, curve: Curve) -> Callable:
                 return t0 + s
             t0, d = t1, d + 1
         return max(start, cap)
-
-    return reach
-
-
-def _sampled_reach(dist: HomogeneousDistance, curve: Curve) -> Callable:
-    """``reach(start, cap, r, guess, claims=None)`` by :func:`_forward_reach`,
-    for curves given by callables alone; it leaves no claims."""
-    def reach(start: float, cap: float, r: float, guess: float | None,
-              claims: list | None = None) -> float:
-        return _forward_reach(dist.distance_from(curve.position_at(start)), curve,
-                              start, cap, r, guess)
 
     return reach
 
@@ -466,13 +393,12 @@ def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
     uncovered parameter, so a ball typically covers a full two-sided
     component of new parameters; that the parameters between the first
     uncovered one and the center lie in the center's ball is assumed (see
-    the module docstring).  On a curve with a coefficient table
-    (``Curve.pieces``) each reach is the certified first exit of the
+    the module docstring).  Each reach is the certified first exit of the
     membership polynomials (:func:`_polynomial_reach`), its certificate
     checked with those of the whole walk (:func:`_walk`), so no excursion
-    past a reach is missed; on any other curve it is sampled
-    (:func:`_forward_reach`).  Raises ValueError unless delta and q are
-    positive and every interval lies inside the closed domain.
+    past a reach is missed.  Raises ValueError unless delta and q are
+    positive and every interval [lo, hi] has lo <= hi and lies inside the
+    closed domain (lo == hi covers the single parameter).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -485,12 +411,13 @@ def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
         if not a <= lo <= b or not a <= hi <= b:
             raise ValueError(f"interval [{lo}, {hi}] is not inside the curve's "
                              f"domain [{a}, {b}]")
+        if hi < lo:
+            raise ValueError(f"interval [{lo}, {hi}] ends before it starts")
     guard = 1e-12 * curve.span()
-    reach = (_sampled_reach if curve.pieces is None else _polynomial_reach)(dist, curve)
+    reach = _polynomial_reach(dist, curve)
     centers = []
     for lo, hi in intervals:
-        if hi >= lo:
-            _walk(reach, lo, hi, b, delta, guard, max_balls, centers)
+        _walk(reach, lo, hi, b, delta, guard, max_balls, centers)
     value = 0.0
     for _ in centers:          # ball by ball, as the value has always been summed
         value += delta ** q

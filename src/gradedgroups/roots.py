@@ -2,19 +2,16 @@
 built on it, and the first exit of a set cut out by polynomials.
 
 ``intervals`` turns a sampled mask into refined runs: ball parameter
-sets, low-degree sets and unit-gauge segments all come from it.
-``refine`` is the one round loop; ``bisect`` enters it with evenly spaced
-points, and the covering walk of a curve without a coefficient table
-enters it with its own predicted first round to locate the reach of a
-ball.  A predicate may hand back the values behind its answer, and the
-loop then also tests a cluster of points where those values predict the
-edge.  Callers pick the stopping width and the cap.
+sets, low-degree sets and unit-gauge segments all come from it.  Each
+end of a run is located by :func:`bisect`, rounds of evenly spaced
+points tested in one call each; callers pick the stopping width and the
+cap.
 
 Where membership is a set of polynomial inequalities P_k(s) <= 0, as
-along a curve with a coefficient table, :func:`first_exit` finds the
-first s where one of them fails: predicted by scalar Newton steps,
-certified by Bernstein enclosures (Lane & Riesenfeld, "Bounds on a
-polynomial", BIT 1981) and subdivision (Mourrain & Pavone, J. Symb.
+along each piece of a curve's coefficient table, :func:`first_exit`
+finds the first s where one of them fails: predicted by scalar Newton
+steps, certified by Bernstein enclosures (Lane & Riesenfeld, "Bounds on
+a polynomial", BIT 1981) and subdivision (Mourrain & Pavone, J. Symb.
 Comput. 2009).  Polynomials are lists of coefficients in ascending
 powers, evaluated in Python floats.  A caller that takes many exits in
 a row may keep the predictions as claims and certify them all at once
@@ -38,9 +35,6 @@ class NumericalResolutionError(RuntimeError):
 # interior points tested per round; a round shrinks the bracket POINTS + 1 fold
 POINTS = 256
 _FRACTIONS = np.arange(1, POINTS + 1) / (POINTS + 1)
-# points a round adds around a predicted edge, at spacing tol / 2
-NEAR = 129
-_OFFSETS = np.arange(NEAR) - NEAR // 2
 
 
 def bisect(inside: Callable, a: float, b: float,
@@ -49,102 +43,25 @@ def bisect(inside: Callable, a: float, b: float,
 
     ``inside`` holds at a and not at b, and a may lie on either side of
     b.  Each round tests POINTS evenly spaced interior points in one call
-    (:func:`refine`) and keeps the first inside -> outside step counted
-    from a's side, then stops once |b - a| <= tol(a, b).  It also stops
-    after ``max_iter`` rounds, or when no float lies strictly between a
-    and b.  Returns the final (a, b): a is still inside, b still outside.
+    and keeps the first inside -> outside step counted from a's side (a
+    moves to the last point when every point is inside), then stops once
+    |b - a| <= tol(a, b).  It also stops after ``max_iter`` rounds, or
+    when no float lies strictly between a and b.  Returns the final
+    (a, b): a is still inside, b still outside.
     """
-    return refine(inside, a, b, a + (b - a) * _FRACTIONS, tol, max_iter)
-
-
-def refine(inside: Callable, a: float, b: float, pts: np.ndarray,
-           tol: Callable[[float, float], float], max_iter: int):
-    """The rounds of :func:`bisect`, the first of them on the points ``pts``.
-
-    ``pts`` lie strictly between a and b, or at b, ordered from a toward
-    b.  A round tests its points in one call and keeps the first inside
-    -> outside step counted from a's side; when every point is inside, a
-    moves to the last of them.  It stops once |b - a| <= tol(a, b), after
-    ``max_iter`` rounds, or when no float lies strictly between a and b.
-    Every round after the first tests POINTS evenly spaced interior
-    points.
-
-    ``inside`` maps an array of parameters to a bool array, or to a pair
-    (bool array, values) where the values are <= 0 exactly where it
-    holds.  With values, the <= 4 samples around the step (a among them
-    when the step opens the round) predict where the values reach 0, by
-    inverse interpolation through the run of them that strictly
-    increases from a's side and stops at a sample within tol(a, b) of
-    its neighbour, and the next round adds NEAR points at
-    spacing tol(a, b) / 2 around that prediction.  A prediction within
-    NEAR // 4 * tol of the edge, as a rule, ends the search in that
-    round; a poor one costs nothing but the extra points.  Boolean predicates get
-    plain rounds.  Returns the final (a, b): a is inside or is the a
-    passed in, b is outside or is the b passed in.
-    """
-    ga = None                       # the value at a, once a round has tested a
     for _ in range(max_iter):
         if math.nextafter(a, b) == b:
             break
-        out = inside(pts)
-        ins, vals = out if isinstance(out, tuple) else (out, None)
-        ins = np.asarray(ins, dtype=bool)
+        pts = a + (b - a) * _FRACTIONS
+        ins = np.asarray(inside(pts), dtype=bool)
         k = int(ins.argmin())       # the first point outside, if there is one
-        a0 = a
         if ins[k]:
-            a, ga, vals = float(pts[-1]), None, None
+            a = float(pts[-1])
         else:
             a, b = (float(pts[k - 1]) if k else a), float(pts[k])
         if abs(b - a) <= tol(a, b):
             break
-        xs = _FRACTIONS
-        if vals is not None:
-            # the samples around the step, pts[k - 2:k + 2], led by a0 when short
-            i = max(k - 2, 0)
-            ts, gs = pts[i:k + 2].tolist(), np.asarray(vals)[i:k + 2].tolist()
-            if k < 2 and ga is not None:
-                ts.insert(0, a0)
-                gs.insert(0, ga)
-                i -= 1
-            ga = gs[k - i - 1] if k > i else None
-            edge = _predict(ts, gs, k - i, tol(a, b))
-            if edge is not None:
-                xs = _with_cluster((edge - a) / (b - a), 0.5 * tol(a, b) / abs(b - a))
-        pts = a + (b - a) * xs
     return a, b
-
-
-def _predict(ts: list, gs: list, j: int, gap: float) -> float | None:
-    """Where g reaches 0, by inverse interpolation through (ts, gs).
-
-    gs[j] is the first value above 0; interpolation uses the run of
-    strictly increasing values around gs[j - 1], gs[j].  The run also
-    ends at a sample within ``gap`` of its neighbour: the difference of
-    two such values is mostly rounding, and interpolating through it
-    throws the prediction off.  None without an inside sample (j = 0).
-    """
-    if j == 0:
-        return None
-    lo, hi = j - 1, j + 1
-    while lo > 0 and gs[lo - 1] < gs[lo] and abs(ts[lo] - ts[lo - 1]) > gap:
-        lo -= 1
-    while hi < len(gs) and gs[hi] > gs[hi - 1] and abs(ts[hi] - ts[hi - 1]) > gap:
-        hi += 1
-    ts, gs = ts[lo:hi], gs[lo:hi]
-    edge = ts[0]
-    for i in range(1, len(gs)):
-        w, gi = ts[i] - ts[0], gs[i]
-        for m, gm in enumerate(gs):
-            if m != i:
-                w *= gm / (gm - gi)
-        edge += w
-    return edge
-
-
-def _with_cluster(x: float, dx: float) -> np.ndarray:
-    """_FRACTIONS merged with those of the NEAR points x + j * dx in [0, 1)."""
-    near = x + dx * _OFFSETS
-    return np.sort(np.concatenate((_FRACTIONS, near[(near >= 0.0) & (near < 1.0)])))
 
 
 def intervals(inside: Callable[[np.ndarray], np.ndarray], ts: np.ndarray,

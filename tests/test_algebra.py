@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedgroups.algebra import (MAX_DIMENSION, AntisymmetryViolation,
+from gradedgroups.algebra import (MAX_DIMENSION, AntisymmetryViolation, GradedAlgebra,
                                   GradingViolation, GroupValidationError,
                                   JacobiViolation, spec_from_dict,
                                   spec_from_json, validate_algebra)
@@ -135,6 +135,25 @@ def test_jacobi_holds_for_step3_chain():
     ]))
     assert alg.step == 3
     assert alg.degrees == (1, 1, 2, 3)
+
+
+def test_jacobi_check_reads_brackets_only_around_bracketed_pairs(monkeypatch):
+    # a triple whose three pairs all bracket to 0 cannot fail, so the check
+    # does not grow with the n^3 / 6 triples
+    calls = []
+    read = GradedAlgebra.bracket_coeffs
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return read(self, i, j)
+
+    monkeypatch.setattr(GradedAlgebra, "bracket_coeffs", counted)
+    n = MAX_DIMENSION
+    validate_algebra(make_spec([n], []))
+    assert calls == []
+    # one bracket [e_1, e_2] = e_n: only the n - 2 triples (1, 2, k) are checked
+    validate_algebra(make_spec([n - 1, 1], [{"i": 1, "j": 2, "k": n, "c": "1"}]))
+    assert 0 < len(calls) < 10 * n
 
 
 def test_out_of_range_indices_rejected():

@@ -41,11 +41,7 @@ def test_engel_vertical_degree(engel):
 
 
 def test_zero_velocity_rejected(heis):
-    still = Curve(domain=(-1.0, 1.0), n=3,
-                  position=lambda t: np.zeros(np.shape(t) + (3,))
-                  if np.ndim(t) else np.zeros(3),
-                  velocity=lambda t: np.zeros(np.shape(t) + (3,))
-                  if np.ndim(t) else np.zeros(3))
+    still = polynomial_curve(np.zeros((1, 3, 1)), (-1, 1))
     with pytest.raises(ZeroVelocityError):
         pointwise_degree(heis, still, 0.0)
     with pytest.raises(ZeroVelocityError, match="velocity vanishes"):
@@ -55,25 +51,14 @@ def test_zero_velocity_rejected(heis):
     assert degree_profile(heis, slow, 8).degree == 2
 
 
-def test_curve_rejects_callables_of_the_wrong_shape():
-    flat = Curve(domain=(-1.0, 1.0), n=3,
-                 position=lambda t: np.zeros(np.shape(t) + (2,)),
-                 velocity=lambda t: np.zeros(3))
+def test_curve_takes_no_callables():
+    # the evaluators are generated from the table, so none can be handed in
+    vert = fixtures.curve("vertical")
+    with pytest.raises(TypeError):
+        Curve(domain=vert.domain, pieces=vert.pieces, position=vert.position,
+              velocity=vert.velocity)
     ts = np.linspace(-0.5, 0.5, 4)
-    with pytest.raises(ValueError, match="shape"):
-        flat.positions(ts)
-    with pytest.raises(ValueError, match="shape"):
-        flat.velocities(ts)         # a scalar-only callable is refused too
-    with pytest.raises(ValueError):
-        flat.position_at(0.0)
-    # a scalar read has the batch reads' shape check: (1, n) for one parameter is refused
-    row = Curve(domain=(-1.0, 1.0), n=3,
-                position=lambda t: np.zeros(np.shape(t) + (1, 3)),
-                velocity=lambda t: np.ones(np.shape(t) + (1, 3)))
-    with pytest.raises(ValueError, match="shape"):
-        row.position_at(0.0)
-    with pytest.raises(ValueError, match="shape"):
-        row.velocity_at(0.0)
+    assert vert.positions(ts).shape == (4, 3) and vert.velocity_at(0.0).shape == (3,)
 
 
 def test_degree_profile_vertical(heis):
@@ -256,11 +241,7 @@ def test_adapted_basis_vertical(heis):
 
 
 def test_adapted_basis_downward_vertical(heis):
-    down = Curve(domain=(-1.0, 1.0), n=3,
-                 position=lambda t: fixtures.curve("vertical").positions(
-                     np.asarray(t, float)) * np.array([1.0, 1.0, -1.0]),
-                 velocity=lambda t: fixtures.curve("vertical").velocities(
-                     np.asarray(t, float)) * np.array([1.0, 1.0, -1.0]))
+    down = linear_image_curve(np.diag([1, 1, -1]), fixtures.curve("vertical"))
     basis = adapted_basis(heis, down, 0.2, 2)
     assert basis.rotation[2, 2] == pytest.approx(-1.0)
 
@@ -338,14 +319,6 @@ def test_dilations_and_linear_images_keep_the_table(heis):
                 want = expect(getattr(curve, read)(ts))
                 np.testing.assert_allclose(getattr(image, read)(ts), want, rtol=1e-15,
                                            atol=1e-15 * np.abs(want).max())
-    # a curve built by hand from callables has no table, and is still
-    # mapped point by point
-    by_hand = Curve(domain=sampled.domain, n=3, position=sampled.position,
-                    velocity=sampled.velocity, breaks=sampled.breaks)
-    assert by_hand.pieces is None
-    image = dilate_curve(heis, 0.5, by_hand)
-    assert image.pieces is None
-    assert np.array_equal(image.positions(ts), by_hand.positions(ts) * weights)
 
 
 def test_translations_and_recenterings_keep_the_table(heis, engel):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from gradedgroups import fixtures, roots
-from gradedgroups.curve import Curve, curve_from_samples, dilate_curve, translate_curve
-from gradedgroups.measure import (NumericalResolutionError, _forward_reach,
+from gradedgroups.curve import curve_from_samples, dilate_curve, translate_curve
+from gradedgroups.measure import (NumericalResolutionError,
                                   _polynomial_reach, area_formula_residual, ball_param_set,
                                   ball_intersection_measure, blowup_sequence,
                                   covering_values, density_divergence,
@@ -130,17 +130,12 @@ def test_ball_set_keeps_a_center_whose_gauge_rounds_above_r():
 
 
 def test_ball_set_disconnected_components(heis, dist):
-    def pos(t):
-        t = np.asarray(t, dtype=float)
-        z = np.zeros_like(t)
-        return np.stack([z, z, np.sin(3 * np.pi * t)], axis=-1)
-
-    def vel(t):
-        t = np.asarray(t, dtype=float)
-        z = np.zeros_like(t)
-        return np.stack([z, z, 3 * np.pi * np.cos(3 * np.pi * t)], axis=-1)
-
-    wave = Curve(domain=(-1.0, 1.0), n=3, position=pos, velocity=vel)
+    # x3 = sin(3 pi t), a cubic Hermite interpolant through 2001 nodes: its
+    # error, about (3 pi)^4 h^4 / 384, is far below the tolerances here
+    wave = curve_from_samples(
+        [{"t": t, "position": [0.0, 0.0, math.sin(3 * math.pi * t)],
+          "velocity": [0.0, 0.0, 3 * math.pi * math.cos(3 * math.pi * t)]}
+         for t in np.linspace(-1.0, 1.0, 2001)], 3)
     r = 0.25
     intervals, truncated = ball_param_set(dist, wave, 0.0, r)
     assert truncated                      # half-windows at both domain ends
@@ -223,39 +218,6 @@ def test_covering_scales_with_top_eps(heis):
     assert est.value == pytest.approx(2.0, rel=1e-9)
 
 
-def test_forward_reach_brackets_the_first_exit(dist):
-    # on the vertical line d(0, t) = sqrt(t); with guess 0.3 the ladder
-    # probes ..., 0.15, 0.3, 0.6 and then the cap 1, so an exit at t = 0.8
-    # lies between the last ladder point and the cap
-    vert = fixtures.curve("vertical")
-    d0 = dist.distance_from(vert.position_at(0.0))
-    reach = _forward_reach(d0, vert, 0.0, 1.0, math.sqrt(0.8), 0.3)
-    assert 0.8 * (1 - 1e-12) <= reach <= 0.8 * (1 + 1e-15)
-    assert _forward_reach(d0, vert, 0.0, 1.0, 2.0, 0.3) == 1.0        # all inside
-    assert _forward_reach(d0, vert, 0.0, 1.0, 1e-10, 0.3) == 0.0      # below the floor
-
-
-def test_forward_reach_exact_guess_takes_one_probe(dist):
-    # d(0, t) = sqrt(t) on the vertical line, so r = 0.5 leaves the ball at
-    # t = 0.25: a guess on the exit settles the reach in the predicting probe
-    vert = fixtures.curve("vertical")
-    d0 = dist.distance_from(vert.position_at(0.0))
-    calls = []
-
-    def counted(y):
-        calls.append(len(y))
-        return d0(y)
-
-    assert _forward_reach(counted, vert, 0.0, 1.0, 0.5, 0.25) == 0.25
-    assert len(calls) == 1
-    # from t = 0.75 with r = 2^-7 the exit is 2^-14 ahead; the guess pair
-    # stays a float spacing of 0.75 + 2^-14 apart, so one probe settles it too
-    d0 = dist.distance_from(vert.position_at(0.75))
-    calls.clear()
-    assert _forward_reach(counted, vert, 0.75, 1.0, 2.0 ** -7, 2.0 ** -14) == 0.75 + 2.0 ** -14
-    assert len(calls) == 1
-
-
 def _sampled_curve():
     ts = np.linspace(-1.0, 1.0, 17)
     w = math.pi
@@ -271,19 +233,14 @@ _REACHES = [("parabola_lift", 0.1, 0.2, 0), ("engel_vertical", -0.3, 0.3, 0),
             ("sampled", 0.2, 0.15, 0), ("glued_hv", -0.05, 0.2, 1), ("sampled", -0.6, 0.5, 2)]
 
 
-@pytest.mark.parametrize("kind, name, start, r, crossed", [
-    pytest.param(kind, *case, id=("" if kind == "sampled" else f"{kind}-") + "-".join(
-        map(str, case[:3]))) for kind in ("sampled", "polynomial") for case in _REACHES])
-def test_forward_reach_matches_a_scalar_bisection(kind, name, start, r, crossed):
+@pytest.mark.parametrize("name, start, r, crossed", [
+    pytest.param(*case, id="polynomial-" + "-".join(map(str, case[:3]))) for case in _REACHES])
+def test_forward_reach_matches_a_scalar_bisection(name, start, r, crossed):
     curve = _sampled_curve() if name == "sampled" else fixtures.curve(name)
     dist = fixtures.distance("engel" if name == "engel_vertical" else "heisenberg")
     dfun = dist.distance_from(curve.position_at(start))
     cap = curve.domain[1]
-    if kind == "polynomial":
-        reach = _polynomial_reach(dist, curve)
-    else:
-        def reach(start, cap, r, guess):
-            return _forward_reach(dfun, curve, start, cap, r, guess)
+    reach = _polynomial_reach(dist, curve)
 
     # the first exit, independently: a dense scan, then halving to float resolution
     grid = np.linspace(start, cap, 4001)
@@ -443,6 +400,11 @@ def test_covering_rejects_bad_exponents_and_intervals(dist):
             spherical_measure_upper(dist, par, 2, 0.25, intervals=[iv])
         with pytest.raises(ValueError, match=r"domain \[-1.0, 1.0\]"):
             area_formula_residual(dist, par, deltas=[0.25, 0.125], interval=iv)
+    # an interval that ends before it starts covers nothing: refused, not 0
+    with pytest.raises(ValueError, match="ends before it starts"):
+        spherical_measure_upper(dist, par, 2, 0.25, intervals=[(0.5, 0.2)])
+    with pytest.raises(ValueError, match="ends before it starts"):
+        area_formula_residual(dist, par, deltas=[0.25, 0.125], interval=(0.5, 0.2))
     # the closed domain itself is accepted
     assert spherical_measure_upper(dist, par, 2, 0.25, intervals=[(-1.0, 1.0)]).ball_count == 9
 

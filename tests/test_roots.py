@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradedgroups.roots import (POINTS, NumericalResolutionError, _below, bisect, certify,
-                              first_exit, horner, intervals, refine, taylor_shift)
+                              first_exit, horner, intervals, taylor_shift)
 
 
 def counting(inside):
@@ -67,57 +67,14 @@ def test_bisect_stops_at_float_resolution():
     assert len(calls) <= 8
 
 
-def valued(values):
-    """A predicate that hands back its values, inside where they are <= 0."""
-    def inside(t):
-        g = values(np.asarray(t))
-        return g <= 0.0, g
-
-    return counting(inside)
-
-
-def test_refine_predicts_a_smooth_edge():
-    # g = t^2 - 0.3 crosses at sqrt(0.3); from bisect's even first round the
-    # plain rounds need 5 calls for 1e-12, the predicted ones 3
+def test_bisect_rounds_on_a_smooth_edge():
+    # t^2 - 0.3 <= 0 up to sqrt(0.3): each round shrinks the bracket
+    # 257-fold, so 1e-12 takes 5 calls
     edge = math.sqrt(0.3)
-    first = np.arange(1, POINTS + 1) / (POINTS + 1)
-    inside, calls = valued(lambda t: t * t - 0.3)
-    lo, hi = refine(inside, 0.0, 1.0, first, lambda a, b: 1e-12, 8)
+    inside, calls = counting(lambda t: t * t - 0.3 <= 0.0)
+    lo, hi = bisect(inside, 0.0, 1.0, lambda a, b: 1e-12, 8)
     assert lo <= edge < hi and hi - lo <= 1e-12
-    assert len(calls) == 3
-    assert POINTS < len(calls[1]) <= POINTS + 129    # even points plus a cluster
-    plain, plain_calls = counting(lambda t: t * t - 0.3 <= 0.0)
-    assert bisect(plain, 0.0, 1.0, lambda a, b: 1e-12, 8)[0] <= edge
-    assert len(plain_calls) == 5
-
-
-def test_refine_predicts_past_samples_closer_than_tol():
-    # the sample 1e-15 past 0.34 reads 1e-6 high: a difference of two samples
-    # closer than tol is rounding, and interpolating through it would throw
-    # the prediction off; without it the cluster finds the edge in round 2
-    edge = 1.0 / 3.0
-    inside, calls = valued(lambda t: t - edge + np.where(t == 0.34 + 1e-15, 1e-6, 0.0))
-    first = np.array([0.1, 0.2, 0.3, 0.34, 0.34 + 1e-15, 0.5])
-    lo, hi = refine(inside, 0.0, 1.0, first, lambda a, b: 1e-12, 8)
-    assert lo <= edge < hi and hi - lo <= 1e-12
-    assert len(calls) == 2
-
-
-@pytest.mark.parametrize("values", [
-    lambda t: np.where(t <= 1.0 / 3.0, -1.0, 1.0),                  # flat on both sides
-    lambda t: (t - 1.0 / 3.0) * (1.5 + np.sin(1e4 * t)),            # not monotone
-    lambda t: np.where(t <= 1.0 / 3.0, -1.0, 1.0) * np.cos(1e3 * t) ** 2 + (t - 1.0 / 3.0),
-])
-def test_refine_meets_tol_where_values_do_not_predict(values):
-    edge = 1.0 / 3.0
-    inside, calls = valued(values)
-    lo, hi = refine(inside, 0.0, 1.0, np.linspace(0.1, 1.0, 10), lambda a, b: 1e-12, 8)
-    assert lo <= edge < hi and hi - lo <= 1e-12
-    assert len(calls) <= 6          # the first round, then at most 5 plain ones
-    # from the other end, with the values flipped to stay <= 0 inside
-    inside, calls = valued(lambda t: -values(t))
-    lo, hi = refine(inside, 1.0, 0.0, np.linspace(0.9, 0.0, 10), lambda a, b: 1e-12, 8)
-    assert lo > edge >= hi and lo - hi <= 1e-12
+    assert len(calls) == 5
 
 
 GRID = np.linspace(0.0, 1.0, 11)

@@ -444,7 +444,7 @@ def _jsonable(value):
 
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     op = report["config"]["op"]
     cols = _RUNNERS[op][2]
     if cols is None:

@@ -7,7 +7,9 @@ sampled, and every translation, dilation, linear image and recentering
 maps the table.  The pointwise degree at t is the largest layer the
 velocity touches when written in the left-invariant frame; the degree
 of the curve is the maximum over a parameter grid, and parameters
-realizing a smaller degree form the low-degree set.  Near a point of
+realizing a smaller degree form the low-degree set, found as runs of
+polynomial inequalities in the frame coordinates, which are polynomials
+on each piece of the table.  Near a point of
 maximal degree one distinguished coordinate dominates; the adapted
 basis rotates the top layer so that coordinate comes first, and the
 little-o check fits log-log slopes of the translated coordinates
@@ -246,30 +248,43 @@ class DegreeProfile:
 
 
 def degree_profile(law: GroupLaw, curve: Curve, grid_points: int = 512) -> DegreeProfile:
-    """Sample the degree along the curve and locate the low-degree set.
+    """Degrees on a grid, and the low-degree set on the table.
 
     Pointwise degrees count frame components above ``TOL_REL`` of the
-    velocity's frame norm.  The low-degree set is reported as closed
-    parameter intervals around grid runs of submaximal degree
-    (``roots.intervals``), each end sharpened by bisection toward the
-    neighboring grid point and reported on its low-degree side.  Features
-    narrower than a grid cell that sit strictly between grid points can be
-    missed, which is the usual resolution caveat of a sampled scan.
+    velocity's frame norm; the curve's degree is their maximum over
+    ``grid_points + 1`` even steps, domain ends included.  The low-degree
+    set is the runs where lam_j^2 <= TOL_REL^2 |lam|^2 for every j of the
+    layers >= the degree (``roots.table_runs``, ends to 1e-12 * span), lam
+    the s^1 column of gamma(t)^-1 * gamma(t + s) folded on the anchor rows.
     """
     a, b = curve.domain
-    inset = 1e-9 * curve.span()
-    ts = np.linspace(a + inset, b - inset, grid_points + 1)
+    ts = np.linspace(a, b, grid_points + 1)
     _, degs = _degrees(law, ts, curve.positions(ts), curve.velocities(ts))
     top = int(degs.max())
+
+    lam = [z[:, 1] for z in law.divide_rows(*_anchor_rows(curve.pieces, 0))]
+    # scaled per piece, which scales each inequality by a positive square,
+    # so that the squares of a very slow or very fast curve stay in range
+    size = np.max([np.abs(c).max(axis=0) for c in lam], axis=0)
+    lam = [c / np.where(size > 0, size, 1.0) for c in lam]
+    squares = _squares([[c] for c, d in zip(lam, law.degrees) if d >= top] + [lam])
     width = 1e-12 * curve.span()
-
-    def low(t):
-        return _degrees(law, t, curve.positions(t), curve.velocities(t))[1] < top
-
-    intervals = roots.intervals(low, ts, degs < top, lambda lo, hi: width, 8)
+    intervals = roots.table_runs(squares[:-1] - TOL_REL ** 2 * squares[-1], curve.domain,
+                                 curve.breaks, curve.pieces[2], lambda t: width)
     return DegreeProfile(grid=ts, degrees=degs, degree=top,
                          exponents=tuple(d / top for d in law.degrees),
-                         low_degree_intervals=intervals)
+                         low_degree_intervals=tuple(intervals))
+
+
+def _squares(groups: list) -> np.ndarray:
+    """Sums of squares of polynomial tables (powers, pieces), one per group."""
+    size = 2 * max(len(r) for g in groups for r in g) - 1
+    out = np.zeros((len(groups), size, groups[0][0].shape[1]))
+    for row, g in zip(out, groups):
+        for r in g:
+            for i, c in enumerate(r):
+                row[i:i + len(r)] += c * r
+    return out
 
 
 # -- tangent projections ------------------------------------------------------

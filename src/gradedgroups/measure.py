@@ -6,11 +6,11 @@ Conventions.  The 1-d measure of a curve piece under an ambient metric
 for the coordinate metric) is the integral of the corresponding speed.
 Integrals go through :func:`quad`: Gauss-Legendre panels, split at the
 curve's breaks, each round of them evaluated in one batched call.
-Parameter sets cut out by balls are located by a grid scan refined with
-bisection at every boundary crossing (``roots.intervals``), so
-disconnected intersections are handled.  The center is a grid point, so
-the component through it is found even when it is far narrower than a
-grid cell.
+Parameter sets cut out by balls are the maximal runs where the
+membership polynomials are <= 0 on each piece of the curve's table
+(``roots.table_runs``), with gamma(t0)^-1 * gamma folded on the table
+once per center: every component is found, however narrow, and the one
+through the center is kept even below the width its ends are solved to.
 
 Spherical-measure upper bounds come from a greedy walk: at the first
 uncovered parameter, a ball of the current radius is centered as far
@@ -45,12 +45,13 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import roots
-from .curve import Curve, degree_profile, pointwise_degree, tangent_projection
+from .curve import Curve, _squares, degree_profile, pointwise_degree, tangent_projection
 from .frame import METRIC_EUCLIDEAN, METRIC_LEFT, _check_metric, speed
 from .metric import HomogeneousDistance, degree_constant, metric_factor
 from .roots import NumericalResolutionError
@@ -120,9 +121,6 @@ def _length_over_intervals(law, curve, intervals, metric) -> float:
 
 # -- parameter sets cut out by balls --------------------------------------------
 
-# scan grid density of ball_param_set, in points per unit of parameter
-GRID_PER_UNIT = 4096
-
 
 @dataclass(frozen=True)
 class BallIntersection:
@@ -133,41 +131,65 @@ class BallIntersection:
     center_parameter: float
 
 
-def ball_param_set(dist: HomogeneousDistance, curve: Curve, t0: float, r: float):
-    """Parameter set {t : d(gamma(t0), gamma(t)) < r} as intervals.
+@lru_cache(maxsize=1)
+def _center_fold(dist: HomogeneousDistance, curve: Curve, t0: float) -> tuple:
+    """(squares, origins): |z^(k)|^2 per layer on the table, z = gamma(t0)^-1 * gamma,
+    the anchor's piece shifted to origin t0 with the s^0 column of z set to 0,
+    as ``membership`` does for d = 0.  Kept for the last center."""
+    coef, breaks, origins = curve.pieces
+    m = int(np.searchsorted(breaks, t0, side="right"))
+    y, origins = coef.copy(), origins.copy()
+    y[:, :, m] = roots.taylor_shift(coef[:, :, m].copy(), t0 - origins[m])
+    origins[m] = t0
+    z = dist.law.divide_rows([np.full((1, 1, y.shape[2]), c) for c in y[0, :, m]],
+                             [y[None, :, j] for j in range(curve.n)])
+    for zj in z:
+        zj[0, 0, m] = 0.0
+    fold = _squares([[zj[0] for zj in z[sl]] for sl in dist._slices]), origins
+    for table in fold:            # handed to every caller with this center
+        table.flags.writeable = False
+    return fold
 
-    The domain is scanned on a grid that includes t0, and every crossing
-    is refined to 1e-15 by ``roots.intervals``.  The component through t0
-    is found however narrow it is; any other component narrower than a
-    grid cell can be missed.  Open versus closed balls only differ on a
-    measure-zero boundary, so a single scanner serves both.  Returns
-    (intervals, truncated).
+
+def ball_param_set(dist: HomogeneousDistance, curve: Curve, t0: float, r: float):
+    """Parameter set {t : d(gamma(t0), gamma(t)) <= r} as closed intervals.
+
+    The maximal runs where every P_k = (eps_k / r)^(2k) |z^(k)|^2 - 1 <= 0
+    on the table folded for the center (:func:`_center_fold`), found by
+    ``roots.table_runs`` with ends solved to 1e-15 * max(1, |t|).  Every
+    component is found, however narrow, save one narrower than that; the
+    one through t0 is then the point (t0, t0).  Open and closed balls
+    differ on a measure-zero boundary.  An overflowing (eps_k / r)^(2k)
+    raises NumericalResolutionError.  Returns (intervals, truncated).
     """
     a, b = curve.domain
     if not a < t0 < b:
         raise ValueError(f"center parameter {t0} outside the open domain")
-    dfun = dist.distance_from(curve.position_at(t0))
-
-    m = max(257, int(GRID_PER_UNIT * (b - a)) + 1)
-    ts = np.unique(np.concatenate([np.linspace(a, b, m), [t0]]))
-
-    def in_ball(t):
-        return dfun(curve.positions(t)) < r
-
-    ins = in_ball(ts)
-    # d = 0 at the center, though the gauge of a rounded x^-1 * x is not:
-    # on engel it reads about 1e-5 at |x| ~ 1
-    ins[np.searchsorted(ts, t0)] = True
-    found = roots.intervals(in_ball, ts, ins,
-                            lambda p, q: 1e-15 * max(1.0, abs(min(p, q))), 8)
+    if not r > 0:
+        raise ValueError(f"radius {r} is not positive")
+    squares, origins = _center_fold(dist, curve, t0)
+    try:
+        w = [(e / r) ** (2 * k) for k, e in enumerate(dist.eps, start=1)]
+    except OverflowError:
+        raise NumericalResolutionError(f"radius {r} is below float resolution") from None
+    polys = (np.array(w)[:, None, None] * squares)[squares.any(axis=(1, 2))]
+    polys[:, 0] -= 1.0
+    found = roots.table_runs(polys, curve.domain, curve.breaks, origins,
+                             lambda t: 1e-15 * max(1.0, abs(t)))
+    if not any(lo <= t0 <= hi for lo, hi in found):
+        bisect.insort(found, (t0, t0))
     truncated = found[0][0] <= a + 1e-12 * (b - a) or found[-1][1] >= b - 1e-12 * (b - a)
-    return found, truncated
+    return tuple(found), truncated
 
 
 def ball_intersection_measure(dist: HomogeneousDistance, curve: Curve, t0: float,
                               r: float, metric: str = METRIC_EUCLIDEAN) -> BallIntersection:
-    """Measure of the curve piece inside the ball around gamma(t0)."""
+    """Measure of the curve piece inside the ball around gamma(t0); a component
+    through t0 of length 0 raises NumericalResolutionError, not a measure of 0."""
     intervals, truncated = ball_param_set(dist, curve, t0, r)
+    if (t0, t0) in intervals:
+        raise NumericalResolutionError(
+            f"the ball of radius {r} around t = {t0} is below the parameter's resolution")
     total = _length_over_intervals(dist.law, curve, intervals, metric)
     return BallIntersection(measure=total, intervals=intervals, truncated=truncated,
                             radius=r, center_parameter=t0)
@@ -181,12 +203,12 @@ class BlowupReport:
     """Blow-up ratios along a radius schedule.
 
     Ball measures are lengths to 1e-9 (:func:`riemannian_length`) between
-    ball edges located to 1e-15 in the parameter, so a ``diagnostic`` below
+    ball edges solved to 1e-15 in the parameter, so a ``diagnostic`` below
     about 2e-15 / (predicted * r^q) at the last radius r is resolution
-    noise: about 1e-9 for the vertical line at r = 2^-10.  On step-3 groups
-    the distance itself has a rounding floor (up to 9.6e-6 on engel at
-    |gamma(t0)| ~ 1, see ``HomogeneousDistance.distance_from``); ball sets
-    and ratios at radii near that floor are rounding too.
+    noise: about 1e-9 for the vertical line at r = 2^-10.  Ball sets have
+    no self-distance floor (gamma(t0)^-1 * gamma(t0) is folded as exactly
+    0), on step-3 groups too; a radius whose set around t0 is narrower
+    than its ends' resolution raises NumericalResolutionError.
     """
 
     t0: float
@@ -325,10 +347,12 @@ def _polynomial_reach(dist: HomogeneousDistance, curve: Curve) -> Callable:
 # claims a walk collects before it certifies them: enough to keep the batch
 # check vectorized, few enough that pending claims hold little memory
 CLAIMS_PER_CHECK = 256
+# balls one covering may place before it is refused as unresolved
+MAX_BALLS = 5_000_000
 
 
 def _walk(reach: Callable, lo: float, hi: float, b: float, delta: float, guard: float,
-          max_balls: int, centers: list) -> None:
+          centers: list) -> None:
     """The greedy walk over [lo, hi]: appends the center of each ball placed.
 
     Predict, then certify.  Every reach is taken with a claims list, so a
@@ -351,9 +375,9 @@ def _walk(reach: Callable, lo: float, hi: float, b: float, delta: float, guard: 
                 pending, certain = (None if certain else claims), False
                 center = reach(t, b, delta, prev_step, pending)
                 centers.append(center)
-                if len(centers) > max_balls:
+                if len(centers) > MAX_BALLS:
                     raise NumericalResolutionError(
-                        f"covering at delta = {delta} exceeded {max_balls} balls")
+                        f"covering at delta = {delta} exceeded {MAX_BALLS} balls")
                 # a ball centered at t itself reaches no further than the reach
                 # from t just found, so only a center ahead of t can advance
                 edge = reach(center, b, delta, center - t, pending) if center > t else center
@@ -383,8 +407,7 @@ def _walk(reach: Callable, lo: float, hi: float, b: float, delta: float, guard: 
 
 
 def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
-                            delta: float, intervals=None,
-                            max_balls: int = 5_000_000) -> CoveringEstimate:
+                            delta: float, intervals=None) -> CoveringEstimate:
     """Greedy covering value sum(r^q) at scale delta.
 
     Covers the given parameter intervals (the whole domain by default)
@@ -417,7 +440,7 @@ def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
     reach = _polynomial_reach(dist, curve)
     centers = []
     for lo, hi in intervals:
-        _walk(reach, lo, hi, b, delta, guard, max_balls, centers)
+        _walk(reach, lo, hi, b, delta, guard, centers)
     value = 0.0
     for _ in centers:          # ball by ball, as the value has always been summed
         value += delta ** q
@@ -518,10 +541,13 @@ def area_formula_residual(dist: HomogeneousDistance, curve: Curve,
     # integrable kinks sit where the degree drops; help the quadrature there
     breaks = {p for iv in profile.low_degree_intervals for p in iv}.union(curve.breaks)
     rhs = quad(integrand, a, b, 1e-10, 1e-9, breaks)
+    if rhs == 0.0:
+        raise ValueError(f"the tangent integral over [{a}, {b}] is 0: the interval lies "
+                         f"in the low-degree set {list(profile.low_degree_intervals)}")
 
     step = profile.grid[1] - profile.grid[0]
     low_warning = any(hi - lo > 2.0 * step for lo, hi in profile.low_degree_intervals)
-    residual = abs(lhs - rhs) / abs(rhs) if rhs != 0 else float("inf")
+    residual = abs(lhs - rhs) / abs(rhs)
     return AreaFormulaReport(q=q, c_q=cq, covering=cov, lhs=lhs, rhs=rhs,
                              residual=residual, low_degree_warning=low_warning)
 

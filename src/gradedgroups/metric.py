@@ -10,9 +10,9 @@ Along a curve's coefficient table, a ball is a few polynomial
 inequalities in the parameter, read off anchor tables (``membership``).
 
 Also here: the 1-dimensional density constant of a straight line through
-the identity ("metric factor"), measured either by a closed form when
-the direction sits in a single layer or by generic interval scanning,
-and the sampled ball-box comparison constants.
+the identity ("metric factor"), by a closed form when the direction sits
+in a single layer or else measured as the unit ball set of the line's
+one-piece table, and the sampled ball-box comparison constants.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import roots
-from .curve import _anchor_rows
+from .curve import _anchor_rows, polynomial_curve
 from .frame import FrameCoordinates
 from .group import DimensionMismatch, GroupLaw, _leading
-from .poly import monomial_source
 
 
 class HomogeneousDistance:
@@ -47,7 +46,7 @@ class HomogeneousDistance:
         self.law = law
         self.eps = eps
         self._slices = [alg.layer_slice(k) for k in range(1, alg.step + 1)]
-        self._gauge, self._coef, self._k = _compile_kernel(law, eps, self._slices)
+        self._gauge = _compile_kernel(eps, self._slices)
         # per coefficient table: its anchor tables by offset, and their evaluators by source
         self._tables: dict = {}
 
@@ -72,30 +71,15 @@ class HomogeneousDistance:
     __call__ = distance
 
     def distance_from(self, x0) -> Callable:
-        """Closure Y -> d(x0, Y) over points of shape (..., n).
+        """Closure Y -> d(x0, Y) = N(x0^-1 * Y) over points of shape (..., n).
 
-        The anchor's share of x0^-1 * y is folded into one coefficient per
-        y-monomial here, so a call evaluates only the fused kernel.  A
-        single point (n,) gives a float-like scalar.
-
-        On groups of step 3 and more the result has a rounding floor: the
-        layer-k coordinates of x0^-1 * y are differences of terms of size
-        |x0|^k, and the gauge raises their rounding to the power 1/k.  On
-        engel, d(x0, x0) reads up to 9.6e-6 over normal random x0 with
-        |x0| ~ 1 and 7.7e-5 at |x0| ~ 10; on heisenberg it is exactly 0.
-        Distances near that floor are rounding.
+        On step 3 and more it has a rounding floor (d(x0, x0) up to about
+        1e-5 on engel at |x0| ~ 1); ball sets do not use it, and have none.
         """
-        n = self.law.n
         x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (n,):
-            raise DimensionMismatch(f"anchor must have shape ({n},), got {x0.shape}")
-        coef = self._coef(x0.tolist())
-        kernel, columns = self._k, self._columns
-
-        def dist_to(y):
-            return kernel(coef, columns(y))
-
-        return dist_to
+        if x0.shape != (self.law.n,):
+            raise DimensionMismatch(f"anchor must have shape ({self.law.n},), got {x0.shape}")
+        return lambda y: self.norm(self.law.multiply(-x0, y))
 
     def membership(self, pieces, r: float) -> Callable:
         """Membership in closed r-balls anchored on a curve's table ``pieces``.
@@ -184,15 +168,10 @@ def _membership_source(z: list, slices, anchored: bool) -> tuple:
             np.concatenate(entries or [np.empty((0, count))]).T.tolist())
 
 
-def _compile_kernel(law: GroupLaw, eps, slices):
-    """Generate the gauge and the functions behind ``distance_from``.
+def _compile_kernel(eps, slices):
+    """Generate ``gauge(z)``, N(z) on the coordinate columns z[j].
 
-    ``gauge(z)`` is N(z) on the coordinate columns z[j]; it skips unit
-    weights and takes |z_j| for a layer of one coordinate.  ``coef(x)``
-    maps an anchor x to the coefficients of z = x^-1 * y as polynomials in
-    y: per coordinate i, the constant -x_i, then one value per y-monomial
-    of Q_i(x^-1, y), its terms grouped by y-exponents.  ``k(c, y)``
-    evaluates z on the columns y[j] and returns gauge(z).
+    It skips unit weights and takes |z_j| for a layer of one coordinate.
     """
     terms = []
     for k, sl in enumerate(slices, start=1):
@@ -205,31 +184,10 @@ def _compile_kernel(law: GroupLaw, eps, slices):
     gauge = terms[0]
     for term in terms[1:]:
         gauge = f"np.maximum({gauge}, {term})"
-
-    n = law.n
-    coefs, zs = [], []
-    for i, q in enumerate(law.q_polys):
-        zs.append(f"c[{len(coefs)}] + y[{i}]")
-        coefs.append(f"-x[{i}]")
-        by_y: dict = {}
-        for exps, c in sorted(q.terms.items()):
-            alpha, beta = exps[:n], exps[n:]
-            # x^-1 = -x, so each x-factor flips the sign
-            by_y.setdefault(beta, []).append(
-                monomial_source(repr(float(c * (-1) ** sum(alpha))), alpha, "x"))
-        ys = []
-        for beta, parts in by_y.items():
-            ys.append(monomial_source(f"c[{len(coefs)}]", beta, "y"))
-            coefs.append(" + ".join(parts))
-        if ys:
-            zs[i] += f" + ({' + '.join(ys)})"
-
     scope = {"np": np}
     # source built from our own terms
-    exec(f"def gauge(z):\n    return {gauge}\n"  # noqa: S102
-         f"def k(c, y):\n    return gauge(({', '.join(zs)},))\n"
-         f"def coef(x):\n    return ({', '.join(coefs)},)\n", scope)
-    return scope["gauge"], scope["coef"], scope["k"]
+    exec(f"def gauge(z):\n    return {gauge}\n", scope)  # noqa: S102
+    return scope["gauge"]
 
 
 # -- triangle inequality audit ---------------------------------------------
@@ -289,34 +247,25 @@ def triangle_audit(dist: HomogeneousDistance, samples: int = 100_000,
 
 
 def _line_gauge_interval_length(dist, lam) -> float:
-    """Lebesgue measure of {t : N(t * lam) < 1} by scan plus bisection.
+    """Lebesgue measure of {t : N(t * lam) <= 1}: the unit ball set around 0 of
+    the one-piece table t -> t lam on (-s_max, s_max) (``measure.ball_param_set``).
 
-    Every layer term eps_k |t lam^(k)|^(1/k) grows with |t|, so for the
-    layer-max gauge the set is the single interval (-s, s) whose end s
-    lies below s_max.  It is located by a 4096-cell scan of [0, s_max]
-    with every crossing of N = 1 refined (``roots.intervals``) rather
-    than in closed form, so that it stays an independent check of the
-    closed form of ``metric_factor``.  The factor 2 is the negative half.
+    Measured, not taken in closed form, so that it checks the closed form
+    of ``metric_factor`` independently.
     """
+    from .measure import ball_param_set      # measure imports this module
+
     lam = np.asarray(lam, dtype=float)
-    norm = dist.norm
     # beyond s_max the gauge certainly exceeds 1: the largest layer term
     # alone crosses 1 at eps_k^-k / |block_k|
-    s_max = np.inf
-    for k, sl in enumerate(dist._slices, start=1):
-        mag = float(np.linalg.norm(lam[sl]))
-        if mag > 0:
-            s_max = min(s_max, dist.eps[k - 1] ** (-k) / mag)
-    if not np.isfinite(s_max):
+    ends = [e ** -k / mag for k, (e, sl) in enumerate(zip(dist.eps, dist._slices), start=1)
+            if (mag := float(np.linalg.norm(lam[sl]))) > 0]
+    if not ends:
         raise ValueError("zero direction has no line measure")
-    s_max *= 1.0 + 1e-9
-
-    def below(t):
-        return norm(np.multiply.outer(t, lam)) < 1.0
-
-    ts = np.linspace(0.0, s_max, 4097)
-    runs = roots.intervals(below, ts, below(ts), lambda a, b: 1e-9 * s_max, 10)
-    return 2.0 * sum(hi - lo for lo, hi in runs)
+    s_max = min(ends) * (1.0 + 1e-9)
+    line = polynomial_curve(np.stack((np.zeros_like(lam), lam))[:, :, None], (-s_max, s_max))
+    runs, _ = ball_param_set(dist, line, 0.0, 1.0)
+    return sum(hi - lo for lo, hi in runs)
 
 
 def metric_factor(dist: HomogeneousDistance, tau, method: str = "auto") -> float:

@@ -1,22 +1,14 @@
-"""Root finding: batched bisection on a membership predicate, the grid scan
-built on it, and the first exit of a set cut out by polynomials.
+"""Root finding on sets cut out by polynomial inequalities P_k(s) <= 0.
 
-``intervals`` turns a sampled mask into refined runs: ball parameter
-sets, low-degree sets and unit-gauge segments all come from it.  Each
-end of a run is located by :func:`bisect`, rounds of evenly spaced
-points tested in one call each; callers pick the stopping width and the
-cap.
-
-Where membership is a set of polynomial inequalities P_k(s) <= 0, as
-along each piece of a curve's coefficient table, :func:`first_exit`
-finds the first s where one of them fails: predicted by scalar Newton
-steps, certified by Bernstein enclosures (Lane & Riesenfeld, "Bounds on
-a polynomial", BIT 1981) and subdivision (Mourrain & Pavone, J. Symb.
-Comput. 2009).  Polynomials are lists of coefficients in ascending
-powers, evaluated in Python floats.  A caller that takes many exits in
-a row may keep the predictions as claims and certify them all at once
-(:func:`certify`, one numpy pass per degree), with the same outcome as
-certifying each on its own.
+One search: Bernstein enclosures (Lane & Riesenfeld, "Bounds on a
+polynomial", BIT 1981) certify an interval inside or outside, Newton
+steps solve one crossing of a monotone P, anything else is halved
+(Mourrain & Pavone, J. Symb. Comput. 2009).  Its maximal :func:`runs`
+are ball sets, low-degree sets and the unit-gauge chord (on whole tables
+by :func:`table_runs`); its Newton-predicted :func:`first_exit` is a
+reach of the covering walk, and :func:`certify` checks a walk's
+predictions in one numpy pass per degree.  Polynomials are lists of
+ascending coefficients, evaluated in Python floats.
 """
 
 from __future__ import annotations
@@ -30,68 +22,6 @@ import numpy as np
 
 class NumericalResolutionError(RuntimeError):
     """A scan, walk or integral could not make progress at the requested resolution."""
-
-
-# interior points tested per round; a round shrinks the bracket POINTS + 1 fold
-POINTS = 256
-_FRACTIONS = np.arange(1, POINTS + 1) / (POINTS + 1)
-
-
-def bisect(inside: Callable, a: float, b: float,
-           tol: Callable[[float, float], float], max_iter: int):
-    """Shrink the bracket [a, b] around the edge of the set where ``inside`` holds.
-
-    ``inside`` holds at a and not at b, and a may lie on either side of
-    b.  Each round tests POINTS evenly spaced interior points in one call
-    and keeps the first inside -> outside step counted from a's side (a
-    moves to the last point when every point is inside), then stops once
-    |b - a| <= tol(a, b).  It also stops after ``max_iter`` rounds, or
-    when no float lies strictly between a and b.  Returns the final
-    (a, b): a is still inside, b still outside.
-    """
-    for _ in range(max_iter):
-        if math.nextafter(a, b) == b:
-            break
-        pts = a + (b - a) * _FRACTIONS
-        ins = np.asarray(inside(pts), dtype=bool)
-        k = int(ins.argmin())       # the first point outside, if there is one
-        if ins[k]:
-            a = float(pts[-1])
-        else:
-            a, b = (float(pts[k - 1]) if k else a), float(pts[k])
-        if abs(b - a) <= tol(a, b):
-            break
-    return a, b
-
-
-def intervals(inside: Callable[[np.ndarray], np.ndarray], ts: np.ndarray,
-              ins: np.ndarray, tol: Callable[[float, float], float],
-              max_iter: int) -> tuple:
-    """Maximal runs of the increasing grid ``ts`` where ``inside`` holds.
-
-    ``ins`` is the mask on ``ts``, as a rule ``inside(ts)`` (a caller may
-    mark a point it knows to be inside).  Returns the runs as (lo, hi)
-    pairs.  An end between two grid points is refined by :func:`bisect`
-    from the inside grid point with ``tol`` and ``max_iter``, and its
-    inside end is reported; a run that reaches the first or last grid
-    point ends there.  A component that lies strictly between two grid
-    points is not seen.
-    """
-    ins = np.asarray(ins, dtype=bool)
-    steps = np.flatnonzero(np.diff(np.concatenate(([False], ins, [False])).astype(np.int8)))
-    last = len(ts) - 1
-
-    def end(i: int, j: int) -> float:
-        # from grid point i (inside) toward its neighbour j (outside, if on the grid)
-        if not 0 <= j <= last:
-            return float(ts[i])
-        return bisect(inside, float(ts[i]), float(ts[j]), tol, max_iter)[0]
-
-    return tuple((end(i, i - 1), end(j, j + 1))
-                 for i, j in zip(steps[0::2], steps[1::2] - 1))
-
-
-# -- first exit of a polynomial membership -----------------------------------------
 
 
 def horner(p: list, x: float) -> float:
@@ -130,7 +60,11 @@ def _bernstein(p: list, a: float, w: float) -> tuple:
     at most deg roundings to terms whose sizes sum to at most that.
     """
     n = len(p) - 1
-    e = taylor_shift(p, a) if a else list(p)
+    e = list(p)
+    if a:                                    # taylor_shift(p, a), inline
+        for i in range(n):
+            for k in range(n - 1, i - 1, -1):
+                e[k] += a * e[k + 1]
     inv, scale = _inv_binom(n), 1.0
     for k in range(1, n + 1):
         scale *= w
@@ -144,16 +78,23 @@ def _bernstein(p: list, a: float, w: float) -> tuple:
     return e, (4 * n + 8) * 2.0 ** -53 * size
 
 
-def _below(p: list, a: float, c: float) -> bool:
-    """p < 0 on [a, c], certified by its Bernstein enclosure."""
-    b, margin = _bernstein(p, a, c - a)
-    return max(b) < -margin
-
-
-def _rising(dp: list, a: float, c: float) -> bool:
-    """The derivative dp > 0 on [a, c], certified likewise."""
-    b, margin = _bernstein(dp, a, c - a)
-    return min(b) > margin
+def _bernstein_rows(p: np.ndarray, w: np.ndarray, a: np.ndarray | None = None) -> tuple:
+    """:func:`_bernstein` of each row of p (one degree) on [a_i, a_i + w_i], a_i
+    0 by default, operation for operation; call under ``np.errstate(all="ignore")``."""
+    n = p.shape[1] - 1
+    e = p.copy()
+    if a is not None:
+        e = np.where((a != 0.0)[:, None], np.array(taylor_shift(p.T.copy(), a)).T, e)
+    inv, scale = _inv_binom(n), np.ones(len(w))
+    for k in range(1, n + 1):
+        scale = scale * w
+        e[:, k] *= scale * inv[k]
+    for j in range(1, n + 1):
+        e[:, j:] += e[:, j - 1:-1]
+    m, size = w if a is None else np.abs(a) + w, np.zeros(len(w))
+    for k in range(n, -1, -1):
+        size = size * m + np.abs(p[:, k])
+    return e, (4 * n + 8) * 2.0 ** -53 * size
 
 
 def _derivative(p: list) -> list:
@@ -163,8 +104,9 @@ def _derivative(p: list) -> list:
 # Newton steps of a prediction: from a guess a few percent off the exit,
 # four or five meet the reach tolerance
 PREDICT_STEPS = 12
-# halvings of one interval; a width above 2^128 times the tolerance needs more
-MAX_DEPTH = 128
+# halvings of one search: a reach of the walk takes at most about 20, and an
+# ill-conditioned table that would take millions stops within a second
+MAX_HALVINGS = 2048
 
 
 def _bracket(polys: list, g: float, hi: float, tol: Callable[[float], float]) -> float | None:
@@ -206,7 +148,7 @@ def _newton(p: list, dp: list, a: float, c: float, tol: Callable[[float], float]
     the root so the bracket also closes from its far side, and a halving
     where a step leaves the bracket or does not halve the one before.
     Stops once the bracket is at most tol(a) wide, tol taken at the a
-    passed in.
+    passed in.  A decreasing p is solved as x -> p(-x) on [-c, -a].
     """
     va, vc = horner(p, a), horner(p, c)
     x = a - va * (c - a) / (vc - va)
@@ -228,30 +170,72 @@ def _newton(p: list, dp: list, a: float, c: float, tol: Callable[[float], float]
     return a
 
 
-def _search(polys: list, hi: float, tol: Callable[[float], float]) -> float | None:
-    """First exit in [0, hi] by subdivision, as :func:`first_exit` describes."""
-    stack, a = [(hi, 0)], 0.0
-    while stack:
-        c, depth = stack.pop()
-        open_ = [p for p in polys if not _below(p, a, c)]
-        if not open_:
-            a = c
-            continue
-        if len(open_) == 1 and _rising(dp := _derivative(open_[0]), a, c):
-            p = open_[0]
+def _inside_part(polys: list, a: float, c: float, tol: Callable[[float], float]):
+    """One step of :func:`runs` on [a, c], ``polys`` as pairs (P, P'): the part
+    (u, v) where every P <= 0, None if that is empty, False to halve."""
+    open_ = []
+    for p, dp in polys:
+        b, margin = _bernstein(p, a, c - a)
+        if not max(b) < -margin:
+            if min(b) > margin:
+                return None
+            open_.append((p, dp))
+    if not open_:
+        return a, c
+    if len(open_) == 1:
+        ((p, dp),) = open_
+        b, margin = _bernstein(dp, a, c - a)
+        if min(b) > margin:                      # rising: inside, then outside
             if horner(p, c) <= 0.0:
-                a = c
-                continue
+                return a, c
             if horner(p, a) > 0.0:
-                return a
-            return _newton(p, dp, a, c, tol)
-        if c - a <= tol(a):
-            return a
-        if depth >= MAX_DEPTH:
-            raise NumericalResolutionError(
-                f"first exit on [0, {hi}] not resolved within {MAX_DEPTH} halvings")
-        stack += [(c, depth + 1), (0.5 * (a + c), depth + 1)]
-    return None
+                return None
+            return a, _newton(p, dp, a, c, tol)
+        if max(b) < -margin:                     # falling: outside, then inside
+            if horner(p, a) <= 0.0:
+                return a, c
+            if horner(p, c) > 0.0:
+                return None
+            q = [-v if k % 2 else v for k, v in enumerate(p)]     # x -> p(-x), exact
+            return -_newton(q, _derivative(q), -c, -a, lambda x: tol(-x)), c
+    return None if c - a <= tol(a) else False
+
+
+def runs(polys: list, lo: float, hi: float, tol: Callable[[float], float]):
+    """Maximal runs (u, v) of [lo, hi] where every P in ``polys`` is <= 0, left to right.
+
+    Intervals are taken from the left, from [lo, hi]: inside where the
+    Bernstein coefficients of every P lie below minus their rounding bound,
+    outside where those of some P lie above it, one root (:func:`_newton`,
+    to its inside end) where exactly one P is neither and its derivative
+    is certified of one sign, else halved, left half first.  One unresolved
+    at width tol(a) counts as outside, as a tangency does.  Past
+    MAX_HALVINGS halvings raises NumericalResolutionError.
+    """
+    polys = [(p, _derivative(p)) for p in polys]
+    stack, a, start, halvings = [hi], lo, None, 0
+    while stack:
+        c = stack.pop()
+        part = _inside_part(polys, a, c, tol)
+        if part is False:
+            halvings += 1
+            if halvings > MAX_HALVINGS:
+                raise NumericalResolutionError(
+                    f"runs on [{lo}, {hi}] not resolved within {MAX_HALVINGS} halvings")
+            stack += [c, 0.5 * (a + c)]
+            continue
+        if start is not None and (part is None or part[0] > a):
+            yield start, a
+            start = None
+        if part is not None:
+            if start is None:
+                start = part[0]
+            if part[1] < c:
+                yield start, part[1]
+                start = None
+        a = c
+    if start is not None:
+        yield start, hi
 
 
 def first_exit(polys: list, hi: float, guess: float | None,
@@ -259,21 +243,15 @@ def first_exit(polys: list, hi: float, guess: float | None,
     """First s in [0, hi] where some P in ``polys`` is positive, or None.
 
     Each P is a list of ascending coefficients, as a rule negative at 0.
-    The inside end of the exit is returned: a point a such that every
-    P <= 0 on [0, a] is certified and, unless the search could not tell
-    (below), some P > 0 within tol(a) beyond a.
+    The inside end of the exit is returned: every P <= 0 on [0, a] is
+    certified and, unless an interval was unresolved at width tol, some
+    P > 0 within tol(a) beyond a.
 
     Predict, then certify.  From a ``guess`` in (0, hi), Newton steps on
     the P most violated there bracket one of its roots (:func:`_bracket`),
-    and [0, a] is searched for an earlier exit.  Without a guess, or where
-    the steps fail, [0, hi] is searched.  The search takes intervals from
-    the left: one on which the Bernstein coefficients of every P lie below
-    minus their rounding bound is inside; one on which exactly one P is
-    not certified that way, while its derivative is certified positive,
-    holds at most one root, solved by :func:`_newton`; any other interval
-    is halved, its left half first.  An interval still unresolved at width
-    tol(a) ends the search at its left end a, as a tangency does.  Past
-    MAX_DEPTH halvings of one interval raises NumericalResolutionError.
+    and [0, a] is searched for an earlier exit; without a guess, or where
+    the steps fail, [0, hi] is.  The exit is the end of the first of the
+    :func:`runs`, or 0 where it does not start at 0.
 
     With a list ``claims``, the search of [0, a] after a bracket is left
     to :func:`certify`: (polys, a) is appended to ``claims`` and a is
@@ -286,21 +264,26 @@ def first_exit(polys: list, hi: float, guess: float | None,
             if claims is not None:
                 claims.append((polys, a))
                 return a
-            found = _search(polys, a, tol)
+            found = _exit(polys, a, tol)
             return a if found is None else found
-    return _search(polys, hi, tol)
+    return _exit(polys, hi, tol)
+
+
+def _exit(polys: list, hi: float, tol: Callable[[float], float]) -> float | None:
+    """The end of the first run of [0, hi], 0 where it starts later, None where it is all of it."""
+    u, v = next(runs(polys, 0.0, hi, tol), (hi, hi))
+    return 0.0 if u > 0.0 else None if v == hi else v
 
 
 def certify(claims: list) -> int | None:
     """Index of the first claim (polys, a) not certified, or None.
 
     A claim is certified where every P in polys lies below minus its
-    rounding bound on [0, a] by its Bernstein coefficients: the check
-    :func:`_below` makes, vectorized over every P of one degree at once,
-    operation for operation as :func:`_bernstein` with its shift 0, so
-    each P passes here exactly where it passes there (a nan coefficient,
-    which Python's max may skip, fails here).  Nothing is padded: each
-    degree keeps its own margin.
+    rounding bound on [0, a] by its Bernstein coefficients, as the search
+    certifies an interval inside, vectorized over every P of one degree at
+    once (:func:`_bernstein_rows`; a nan coefficient, which Python's max
+    may skip, fails here).  Nothing is padded: each degree keeps its own
+    margin.
     """
     by_degree: dict = {}          # degree: (claim indices, interval widths, coefficients)
     for j, (polys, a) in enumerate(claims):
@@ -311,18 +294,43 @@ def certify(claims: list) -> int | None:
             rows.append(p)
     failed = len(claims)
     with np.errstate(all="ignore"):          # as in Python floats: inf and nan, no warnings
-        for n, (owner, w, rows) in by_degree.items():
-            p, w = np.array(rows), np.array(w)
-            e, inv, scale = p.copy(), _inv_binom(n), np.ones(len(w))
-            for k in range(1, n + 1):
-                scale = scale * w
-                e[:, k] *= scale * inv[k]
-            for j in range(1, n + 1):
-                e[:, j:] += e[:, j - 1:-1]
-            size = np.zeros(len(w))
-            for k in range(n, -1, -1):
-                size = size * w + np.abs(p[:, k])
-            bad = np.flatnonzero(~(e.max(axis=1) < -((4 * n + 8) * 2.0 ** -53 * size)))
+        for owner, w, rows in by_degree.values():
+            e, margin = _bernstein_rows(np.array(rows), np.array(w))
+            bad = np.flatnonzero(~(e.max(axis=1) < -margin))
             if bad.size:
                 failed = min(failed, owner[bad[0]])
     return None if failed == len(claims) else failed
+
+
+def table_runs(table: np.ndarray, domain, breaks, origins,
+               tol: Callable[[float], float]) -> list:
+    """Maximal runs [u, v] of the domain where every P <= 0, on a piecewise table.
+
+    On piece i, P(t) = sum_k table[:, k, i] (t - origins[i])^k, the pieces
+    split at the ``breaks``.  One numpy pass of Bernstein enclosures takes
+    the pieces where every P is below whole and drops those where some P
+    is above; :func:`runs` searches the rest, tol(t) read at t.  Runs that
+    meet at a break are merged.
+    """
+    starts, ends = np.array([domain[0], *breaks]), np.array([*breaks, domain[1]])
+    lo, hi = starts - origins, ends - origins
+    count, size, pieces = table.shape
+    with np.errstate(all="ignore"):
+        e, margin = _bernstein_rows(table.transpose(2, 0, 1).reshape(-1, size),
+                                    np.repeat(hi - lo, count), np.repeat(lo, count))
+    below = (e.max(axis=1) < -margin).reshape(pieces, count).all(axis=1)
+    above = (e.min(axis=1) > margin).reshape(pieces, count).any(axis=1)
+    found = []
+    for i in np.flatnonzero(~above).tolist():
+        origin = origins[i]
+        local = [(lo[i], hi[i])] if below[i] else runs(
+            [np.trim_zeros(p, "b").tolist() or [0.0] for p in table[:, :, i]],
+            lo[i], hi[i], lambda s: tol(origin + s))
+        for u, v in local:
+            u = float(starts[i] if u == lo[i] else origin + u)
+            v = float(ends[i] if v == hi[i] else origin + v)
+            if found and found[-1][1] == u:
+                found[-1] = (found[-1][0], v)
+            else:
+                found.append((u, v))
+    return found

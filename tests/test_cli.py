@@ -129,6 +129,29 @@ def test_out_of_range_flags_exit_2(capsys, argv, error):
         assert "domain [-1.0, 1.0]" in doc["message"]
 
 
+@pytest.mark.parametrize("argv, code, error", [
+    # a ball below the parameter's float resolution: the slope was NaN
+    (("diverge", "--curve", "glued_hv", "--t0", "-0.5", "--radii", "2^-50..2^-60"), 4,
+     "NumericalResolutionError"),
+    # a degree-3 ball of width 2 r^3 below it: every ratio was 0.0
+    (("blowup", "--curve", "engel_vertical", "--t0", "0.3", "--radii", "2^-20..2^-24"), 4,
+     "NumericalResolutionError"),
+    # an interval inside the low-degree set: the residual was Infinity
+    (("area", "--curve", "glued_hv", "--interval=-1,-0.5", "--deltas", "2^-2..2^-4"), 2,
+     "ValueError"),
+], ids=["diverge", "blowup", "area"])
+def test_reports_without_a_finite_number_are_errors(capsys, argv, code, error):
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert json.loads(err)["error"] == error
+
+
+def test_json_reports_refuse_non_finite_numbers():
+    report = {"version": "0", "config": {"op": "blowup"}, "result": {"slope": float("nan")}}
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli.render_report(report, "json")
+
+
 def test_run_config_needs_exactly_one_curve_source():
     with pytest.raises(ConfigError, match="exactly one"):
         run_config({"op": "curve-degree"})

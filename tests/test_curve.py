@@ -5,7 +5,7 @@ import numpy.polynomial.polynomial as P
 import pytest
 
 from gradedgroups import fixtures
-from gradedgroups.curve import (Curve, ZeroVelocityError, adapted_basis,
+from gradedgroups.curve import (TOL_REL, Curve, ZeroVelocityError, adapted_basis,
                                 adapted_structure_tensor, curve_from_samples,
                                 degree_profile, dilate_curve,
                                 linear_image_curve, little_o_check,
@@ -75,18 +75,26 @@ def test_degree_profile_glued(heis):
     lo, hi = prof.low_degree_intervals[0]
     assert lo == pytest.approx(-1.0, abs=1e-6)
     assert hi == pytest.approx(0.0, abs=1e-6)
+    # the horizontal piece lies in the set whole, up to the domain's end
+    assert lo == -1.0
+    # past the break lam_3 = t, so the set ends where t = TOL_REL |lam|, to
+    # the 1e-12 * span to which ends are solved
+    assert TOL_REL - 2e-12 <= hi <= TOL_REL
 
 
 def test_degree_profile_parabola_pinpoints_origin(heis):
-    prof = degree_profile(heis, fixtures.curve("parabola_lift"), 256)
-    assert prof.degree == 2
-    assert len(prof.low_degree_intervals) == 1
-    lo, hi = prof.low_degree_intervals[0]
-    # the degree drops only at t = 0; with the relative threshold the
-    # detected interval is a tol-sized sliver around it
-    assert lo < 0.0 < hi
-    assert hi - lo < 1e-6
-    assert prof.exponents == (0.5, 0.5, 1.0)
+    # 511 cells put no grid point at t = 0, where parabola_lift drops degree
+    for grid in (256, 511):
+        prof = degree_profile(heis, fixtures.curve("parabola_lift"), grid)
+        assert prof.degree == 2
+        assert len(prof.low_degree_intervals) == 1
+        lo, hi = prof.low_degree_intervals[0]
+        # the degree drops only at t = 0; with the relative threshold the
+        # detected interval is a tol-sized sliver around it
+        assert lo < 0.0 < hi
+        assert hi - lo < 1e-6
+        assert prof.exponents == (0.5, 0.5, 1.0)
+    assert not (prof.grid == 0.0).any() and (prof.degrees == 2).all()
 
 
 # -- sampled curves ----------------------------------------------------------

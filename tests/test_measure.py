@@ -1,13 +1,15 @@
 import importlib.util
 import math
 import random
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gradedgroups import fixtures, roots
-from gradedgroups.curve import curve_from_samples, dilate_curve, translate_curve
+from gradedgroups import fixtures, measure, roots
+from gradedgroups.curve import (curve_from_samples, dilate_curve, polynomial_curve,
+                                translate_curve)
 from gradedgroups.measure import (NumericalResolutionError,
                                   _polynomial_reach, area_formula_residual, ball_param_set,
                                   ball_intersection_measure, blowup_sequence,
@@ -131,26 +133,54 @@ def test_ball_set_keeps_a_center_whose_gauge_rounds_above_r():
 
 def test_ball_set_disconnected_components(heis, dist):
     # x3 = sin(3 pi t), a cubic Hermite interpolant through 2001 nodes: its
-    # error, about (3 pi)^4 h^4 / 384, is far below the tolerances here
+    # error, about (3 pi)^4 h^4 / 384, is far below the tolerances here.
+    # At r = 0.01 each component is about 1e-5 wide, far below a grid cell
+    # of a scan at 4096 points per unit
     wave = curve_from_samples(
         [{"t": t, "position": [0.0, 0.0, math.sin(3 * math.pi * t)],
           "velocity": [0.0, 0.0, 3 * math.pi * math.cos(3 * math.pi * t)]}
          for t in np.linspace(-1.0, 1.0, 2001)], 3)
-    r = 0.25
-    intervals, truncated = ball_param_set(dist, wave, 0.0, r)
-    assert truncated                      # half-windows at both domain ends
-    assert len(intervals) == 7            # zeros of sin(3 pi t) in [-1, 1]
-    bi = ball_intersection_measure(dist, wave, 0.0, r)
-    # |z| sweeps out r^2 twice per interior window, once per boundary half
-    assert bi.measure == pytest.approx(5 * 2 * r ** 2 + 2 * r ** 2, rel=1e-6)
-
-    # independent check: dense Riemann sum of the indicator times the speed
     ts = np.linspace(-1.0, 1.0, 400001)
     x0 = wave.position_at(0.0)
-    inside = dist.norm(heis.multiply(-x0, wave.positions(ts))) < r
-    speeds = np.linalg.norm(wave.velocities(ts), axis=-1)
-    riemann = float(np.trapezoid(inside * speeds, ts))
-    assert bi.measure == pytest.approx(riemann, abs=2e-4)
+    for r in (0.25, 0.01):
+        intervals, truncated = ball_param_set(dist, wave, 0.0, r)
+        assert truncated                      # half-windows at both domain ends
+        assert len(intervals) == 7            # zeros of sin(3 pi t) in [-1, 1]
+        bi = ball_intersection_measure(dist, wave, 0.0, r)
+        # |z| sweeps out r^2 twice per interior window, once per boundary half
+        assert bi.measure == pytest.approx(5 * 2 * r ** 2 + 2 * r ** 2, rel=1e-6)
+
+        # independent check: dense Riemann sum of the indicator times the speed
+        inside = dist.norm(heis.multiply(-x0, wave.positions(ts))) < r
+        speeds = np.linalg.norm(wave.velocities(ts), axis=-1)
+        riemann = float(np.trapezoid(inside * speeds, ts))
+        assert bi.measure == pytest.approx(riemann, abs=2e-4)
+
+
+def test_ball_set_keeps_a_center_narrower_than_its_resolution(dist):
+    # the set around 0.3 is 2 r^2 = 2e-18 wide, below the 1e-15 to which
+    # ends are solved: it is the point itself, and its measure is refused
+    vert = fixtures.curve("vertical")
+    assert ball_param_set(dist, vert, 0.3, 1e-9) == (((0.3, 0.3),), False)
+    with pytest.raises(NumericalResolutionError, match="below the parameter's resolution"):
+        ball_intersection_measure(dist, vert, 0.3, 1e-9)
+
+
+def test_ball_set_on_an_ill_conditioned_table_ends(heis, dist):
+    # x3 = 1e9 t (t - 0.6)^2: near 0.6 the expanded membership polynomial has
+    # coefficients near 1e22 and a rounding bound near 1e7, so no interval
+    # there is certified; the search either finds the component or gives up
+    coef = np.zeros((4, 3, 1))
+    coef[1:, 2, 0] = np.array([0.36, -1.2, 1.0]) * 1e9
+    curve = polynomial_curve(coef, (-1.0, 1.0))
+    start = time.perf_counter()
+    try:
+        intervals, _ = ball_param_set(dist, curve, 0.0, 0.1)
+    except NumericalResolutionError:
+        pass
+    else:
+        assert any(lo <= 0.6 <= hi for lo, hi in intervals)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_ball_center_must_be_interior(dist):
@@ -409,10 +439,11 @@ def test_covering_rejects_bad_exponents_and_intervals(dist):
     assert spherical_measure_upper(dist, par, 2, 0.25, intervals=[(-1.0, 1.0)]).ball_count == 9
 
 
-def test_covering_ball_limit(dist):
-    with pytest.raises(NumericalResolutionError):
+def test_covering_ball_limit(dist, monkeypatch):
+    monkeypatch.setattr(measure, "MAX_BALLS", 10)
+    with pytest.raises(NumericalResolutionError, match="exceeded 10 balls"):
         spherical_measure_upper(dist, fixtures.curve("vertical"), 2, 2.0 ** -6,
-                                intervals=[(0.0, 1.0)], max_balls=10)
+                                intervals=[(0.0, 1.0)])
 
 
 def test_covering_values_and_extrapolation(dist):

@@ -3,131 +3,112 @@ import math
 import numpy as np
 import pytest
 
-from gradedgroups.roots import (POINTS, NumericalResolutionError, _below, bisect, certify,
-                              first_exit, horner, intervals, taylor_shift)
+from gradedgroups.roots import (MAX_HALVINGS, NumericalResolutionError, _bernstein, certify,
+                                first_exit, horner, runs, table_runs, taylor_shift)
 
 
-def counting(inside):
-    calls = []
-
-    def probe(t):
-        calls.append(np.array(t))
-        return inside(np.asarray(t))
-
-    return probe, calls
-
-
-def test_bisect_either_bracket_order():
-    edge = 1.0 / 3.0
-    below, calls = counting(lambda t: t < edge)
-    above, _ = counting(lambda t: t > edge)
-    lo, hi = bisect(below, 0.0, 1.0, lambda a, b: 1e-12, 100)
-    assert lo < edge < hi and hi - lo <= 1e-12
-    assert all(c.shape == (POINTS,) for c in calls)
-    # the same bracket entered from its other end, with the ends swapped
-    lo, hi = bisect(above, 1.0, 0.0, lambda a, b: 1e-12, 100)
-    assert lo > edge > hi and lo - hi <= 1e-12
-
-
-def test_bisect_keeps_the_first_crossing_from_a():
-    # inside on [0, 0.2) and (0.4, 0.8): halving from the midpoint 0.5 would
-    # settle on 0.8; the edge nearest a is 0.2, from either end
-    def inside(t):
-        return (t < 0.2) | ((t > 0.4) & (t < 0.8))
-
-    lo, hi = bisect(inside, 0.0, 1.0, lambda a, b: 1e-12, 100)
-    assert lo < 0.2 < hi and hi - lo <= 1e-12
-    lo, hi = bisect(lambda t: ~inside(t), 1.0, 0.0, lambda a, b: 1e-12, 100)
-    assert lo > 0.8 > hi and lo - hi <= 1e-12
-
-
-def test_bisect_honours_tol_and_max_iter():
-    inside, calls = counting(lambda t: t < math.pi)
-    lo, hi = bisect(inside, 0.0, 4.0, lambda a, b: 0.25, 100)
-    assert lo < math.pi < hi and hi - lo <= 0.25
-    assert len(calls) == 1                     # one round: 4 -> 4 / 257
-
-    inside, calls = counting(lambda t: t < math.pi)
-    lo, hi = bisect(inside, 0.0, 4.0, lambda a, b: 0.0, 2)
-    assert len(calls) == 2
-    assert lo < math.pi < hi
-    assert math.isclose(hi - lo, 4.0 / (POINTS + 1) ** 2, rel_tol=1e-9)
-
-    # a relative tolerance is evaluated on the current bracket, not the first
-    inside, calls = counting(lambda t: t < 900.0)
-    lo, hi = bisect(inside, 1.0, 1001.0, lambda a, b: 1e-3 * a, 100)
-    assert hi - lo <= 1e-3 * lo and len(calls) == 2
-
-
-def test_bisect_stops_at_float_resolution():
-    edge = 0.1
-    inside, calls = counting(lambda t: t <= edge)
-    lo, hi = bisect(inside, 0.0, 1.0, lambda a, b: 0.0, 10_000)
-    assert lo == edge and hi == math.nextafter(edge, 1.0)
-    assert len(calls) <= 8
-
-
-def test_bisect_rounds_on_a_smooth_edge():
-    # t^2 - 0.3 <= 0 up to sqrt(0.3): each round shrinks the bracket
-    # 257-fold, so 1e-12 takes 5 calls
-    edge = math.sqrt(0.3)
-    inside, calls = counting(lambda t: t * t - 0.3 <= 0.0)
-    lo, hi = bisect(inside, 0.0, 1.0, lambda a, b: 1e-12, 8)
-    assert lo <= edge < hi and hi - lo <= 1e-12
-    assert len(calls) == 5
-
-
-GRID = np.linspace(0.0, 1.0, 11)
-TOL = 1e-12
-
-
-def scan(inside):
-    return intervals(inside, GRID, inside(GRID), lambda a, b: TOL, 8)
-
-
-def test_intervals_runs_touching_the_grid_ends():
-    def inside(t):
-        return (t < 0.25) | (t > 0.83)
-
-    (lo0, hi0), (lo1, hi1) = scan(inside)
-    assert lo0 == 0.0 and hi1 == 1.0          # runs end at the first and last grid point
-    assert 0.25 - TOL <= hi0 < 0.25 and 0.83 < lo1 <= 0.83 + TOL
-    # one grid point in from either end, the ends are refined toward it
-    ((lo, hi),) = scan(lambda t: (t > 0.05) & (t < 0.95))
-    assert 0.05 < lo <= 0.05 + TOL and 0.95 - TOL <= hi < 0.95
-
-
-def test_intervals_ends_are_inside_within_tol():
-    def inside(t):
-        return (t > 0.12) & (t < 0.47) | (t > 0.58) & (t < 0.66)
-
-    runs = scan(inside)
-    assert len(runs) == 2
-    for (lo, hi), (edge_lo, edge_hi) in zip(runs, [(0.12, 0.47), (0.58, 0.66)]):
-        assert inside(np.array([lo, hi])).all()
-        assert edge_lo < lo <= edge_lo + TOL and edge_hi - TOL <= hi < edge_hi
-
-
-def test_intervals_run_narrower_than_a_cell():
-    # only the grid point 0.5 is inside; both ends are refined from it
-    def inside(t):
-        return abs(t - 0.5) < 1e-3
-
-    ((lo, hi),) = scan(inside)
-    assert 0.499 < lo <= 0.499 + TOL and 0.501 - TOL <= hi < 0.501
-
-
-def test_intervals_without_a_run():
-    assert scan(lambda t: t > 2.0) == ()
-    # a component strictly between two grid points is not seen
-    assert scan(lambda t: (t > 0.61) & (t < 0.66)) == ()
-
-
-# -- first exit of polynomial inequalities ----------------------------------------
+def _below(p, a, c):
+    """P < 0 on [a, c] by its Bernstein enclosure, as the search certifies an interval inside."""
+    b, margin = _bernstein(p, a, c - a)
+    return max(b) < -margin
 
 
 def tol12(a):
-    return 1e-12 * a + 1e-16
+    return 1e-12 * abs(a) + 1e-16
+
+
+# -- runs of polynomial inequalities --------------------------------------------------
+
+
+def from_roots(*roots, lead=1.0):
+    return (lead * np.polynomial.polynomial.polyfromroots(roots)).tolist()
+
+
+def assert_ends(polys, found, edges):
+    """Each run end is inside and within tol of its exact edge."""
+    assert len(found) == len(edges)
+    for (u, v), (eu, ev) in zip(found, edges):
+        assert all(horner(p, x) <= 0.0 for p in polys for x in (u, v))
+        assert abs(u - eu) <= tol12(eu) and abs(v - ev) <= tol12(ev), (u, v, eu, ev)
+
+
+def test_runs_finds_two_runs_in_one_polynomial():
+    p = from_roots(0.2, 0.4, 0.6, 0.8)
+    found = list(runs([p], 0.0, 1.0, tol12))
+    assert_ends([p], found, [(0.2, 0.4), (0.6, 0.8)])
+
+
+def test_runs_enters_where_a_falling_polynomial_crosses():
+    # outside up to the falling root 0.3, then inside to the end, and cut
+    # at 0.7 by a rising companion
+    falling, rising = [0.3, -1.0], [-0.7, 1.0]
+    (run,) = runs([falling], 0.0, 1.0, tol12)
+    assert_ends([falling], [run], [(0.3, 1.0)])
+    assert run[1] == 1.0
+    assert_ends([falling, rising], list(runs([falling, rising], 0.0, 1.0, tol12)),
+                [(0.3, 0.7)])
+    # (s - 0.1)(s - 0.5)(s - 0.9) <= 0: it leaves at 0.1, re-enters at 0.5, leaves at 0.9
+    cubic = from_roots(0.1, 0.5, 0.9)
+    assert_ends([cubic], list(runs([cubic], -1.0, 1.0, tol12)), [(-1.0, 0.1), (0.5, 0.9)])
+
+
+def test_runs_touching_each_end_end_there_exactly():
+    p = from_roots(0.25, 0.75, lead=-1.0)      # inside near 0 and near 1
+    found = list(runs([p], 0.0, 1.0, tol12))
+    assert found[0][0] == 0.0 and found[-1][1] == 1.0
+    assert_ends([p], found, [(0.0, 0.25), (0.75, 1.0)])
+    # all of [lo, hi] inside is one run from end to end
+    assert list(runs([[-1.0, 0.0, 1.0]], -0.5, 0.5, tol12)) == [(-0.5, 0.5)]
+
+
+def test_runs_without_a_run():
+    assert list(runs([[1.0, 0.0, 1.0]], -1.0, 1.0, tol12)) == []
+    # each P is inside only where the other is outside
+    assert list(runs([[-0.4, 1.0], [0.6, -1.0]], 0.0, 1.0, tol12)) == []
+
+
+def test_runs_split_at_a_tangency():
+    # -(s - 1/2)^2 <= 0 everywhere, touching 0 at 1/2: the interval around
+    # the tangency is not resolved, counts as outside, and splits the run
+    touching = [-0.25, 1.0, -1.0]
+    (u0, v0), (u1, v1) = runs([touching], 0.0, 1.0, tol12)
+    assert u0 == 0.0 and v1 == 1.0
+    assert 0.5 - 1e-6 < v0 <= 0.5 <= u1 < 0.5 + 1e-6
+
+
+def test_runs_do_not_see_a_run_narrower_than_tol():
+    # s^2 - 1e-30 <= 0 only on |s| <= 1e-15, below a width of 1e-12
+    assert list(runs([[-1e-30, 0.0, 1.0]], -1.0, 1.0, lambda a: 1e-12)) == []
+    # resolved where tol allows it: tol12 is 1e-16 near 0
+    ((u, v),) = runs([[-1e-30, 0.0, 1.0]], -1.0, 1.0, tol12)
+    assert -1e-15 <= u < -0.9e-15 and 0.9e-15 < v <= 1e-15
+
+
+def test_runs_stop_within_the_halving_budget():
+    # 1e22 (s - 0.6)^4 - 1 at the scale of its coefficients: around 0.6 no
+    # interval is certified either way, and the search gives up
+    p = (1e22 * np.polynomial.polynomial.polyfromroots([0.6] * 4)).tolist()
+    p[0] -= 1.0
+    with pytest.raises(NumericalResolutionError, match=f"{MAX_HALVINGS} halvings"):
+        list(runs([p, [-1.0, 0.0, 1e-30]], 0.0, 1.0, lambda a: 1e-15))
+
+
+def test_table_runs_sorts_out_whole_pieces_and_merges_at_breaks():
+    # three pieces of t - 0.5 <= 0 written about different origins, and a
+    # fourth where it is s^2 + 1 > 0: the first two are inside whole, the
+    # third is searched, the last dropped; runs meeting at a break merge
+    table = np.zeros((1, 3, 4))
+    table[0, :2, 0] = [-0.5, 1.0]            # origin 0
+    table[0, :2, 1] = [-0.25, 1.0]           # origin 0.25
+    table[0, :2, 2] = [-0.1, 1.0]            # origin 0.4, root at 0.5
+    table[0, :, 3] = [1.0, 0.0, 1.0]
+    found = table_runs(table, (0.0, 1.0), (0.2, 0.4, 0.6), np.array([0.0, 0.25, 0.4, 0.6]),
+                       tol12)
+    ((u, v),) = found
+    assert u == 0.0 and 0.5 - 1e-12 <= v <= 0.5
+
+
+# -- first exit of polynomial inequalities ----------------------------------------
 
 
 def test_first_exit_finds_a_window_narrower_than_1e_6():

@@ -6,6 +6,12 @@ dilations and even (N(-z) = N(z)), so d(x, y) = N(x^-1 * y) is left
 invariant and symmetric.  The triangle inequality depends on the eps
 weights; it is not assumed but audited by sampling (triangle_audit).
 
+Every float distance runs one kernel generated per distance on first
+use: z = x^-1 * y from the columns of -x and y, in the group law's own
+operation order, then the gauge, with no product array in between.  The
+audit scores its triples through it on column blocks small enough to
+stay in cache.
+
 Along a curve's coefficient table, a ball is a few polynomial
 inequalities in the parameter, read off anchor tables (``membership``).
 
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,16 +48,25 @@ class HomogeneousDistance:
         eps = tuple(float(e) for e in eps)
         if len(eps) != alg.step:
             raise ValueError(f"need one eps per layer ({alg.step}), got {len(eps)}")
-        if any(e <= 0 for e in eps):
-            raise ValueError("eps weights must be positive")
+        if not all(0.0 < e < math.inf for e in eps):
+            raise ValueError(f"eps weights must be positive and finite, got {eps}")
         self.law = law
         self.eps = eps
         self._slices = [alg.layer_slice(k) for k in range(1, alg.step + 1)]
-        self._gauge = _compile_kernel(eps, self._slices)
         # per coefficient table: its anchor tables by offset, and their evaluators by source
         self._tables: dict = {}
 
     # -- gauge ------------------------------------------------------------
+
+    @cached_property
+    def _gauge(self):
+        """N on the coordinate columns of z, compiled on first use."""
+        return _compile_kernel(self.eps, self._slices)
+
+    @cached_property
+    def _pair(self):
+        """N(x^-1 * y) on the columns of -x, then of y, compiled on first use."""
+        return _compile_kernel(self.eps, self._slices, self.law.q_polys)
 
     def _columns(self, z):
         """Coordinate columns z[j] of points of shape (..., n)."""
@@ -62,11 +78,15 @@ class HomogeneousDistance:
 
     def norm(self, z):
         """N(z); batch aware (last axis is the coordinate axis)."""
-        out = self._gauge(self._columns(z))
-        return float(out) if np.ndim(out) == 0 else out
+        return _point_or_batch(self._gauge(self._columns(z)))
 
     def distance(self, x, y):
-        return self.norm(self.law.multiply(self.law.inverse(x), y))
+        """d(x, y) = N(x^-1 * y) for points of shape (..., n) that broadcast.
+
+        One fused kernel computes the product and the gauge, with the
+        rounding of ``norm(law.multiply(law.inverse(x), y))`` bit for bit.
+        """
+        return _point_or_batch(self._pair(self.law._columns(self.law.inverse(x), y)[2]))
 
     __call__ = distance
 
@@ -79,7 +99,7 @@ class HomogeneousDistance:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (self.law.n,):
             raise DimensionMismatch(f"anchor must have shape ({self.law.n},), got {x0.shape}")
-        return lambda y: self.norm(self.law.multiply(-x0, y))
+        return lambda y: self.distance(x0, y)
 
     def membership(self, pieces, r: float) -> Callable:
         """Membership in closed r-balls anchored on a curve's table ``pieces``.
@@ -168,17 +188,36 @@ def _membership_source(z: list, slices, anchored: bool) -> tuple:
             np.concatenate(entries or [np.empty((0, count))]).T.tolist())
 
 
-def _compile_kernel(eps, slices):
-    """Generate ``gauge(z)``, N(z) on the coordinate columns z[j].
+def _point_or_batch(out):
+    """A kernel's value: a float for a single point, else the array."""
+    return float(out) if np.ndim(out) == 0 else out
 
-    It skips unit weights and takes |z_j| for a layer of one coordinate.
+
+def _compile_kernel(eps, slices, q_polys=None):
+    """Generate ``kernel(v)``: N(z) on the coordinate columns z[j] = v[j], or,
+    given a group law's ``q_polys``, N(x^-1 * y) on v, the columns of -x
+    followed by those of y.
+
+    The product is z_i = v[i] + v[n + i] + (Q_i), Q_i as the text of
+    ``RationalPoly.float_source``: ``GroupLaw.multiply(-x, y)`` operation
+    for operation, so both paths round alike.  A zero Q_i is not added,
+    as + 0.0 can change only the sign of a zero, which the gauge does not
+    see.  The gauge skips unit weights and takes |z_j| for a layer of one
+    coordinate.
     """
+    if q_polys is None:
+        lines, col = [], "v[{}]".format
+    else:
+        n = len(q_polys)
+        lines = [f"    z{i} = v[{i}] + v[{n + i}]" + (f" + ({q.float_source('v')})" if q else "")
+                 + "\n" for i, q in enumerate(q_polys)]
+        col = "z{}".format
     terms = []
     for k, sl in enumerate(slices, start=1):
         if sl.stop - sl.start == 1:
-            mag = f"np.abs(z[{sl.start}])"
+            mag = f"np.abs({col(sl.start)})"
         else:
-            mag = f"np.sqrt({' + '.join(f'z[{j}] * z[{j}]' for j in range(sl.start, sl.stop))})"
+            mag = f"np.sqrt({' + '.join(f'{col(j)} * {col(j)}' for j in range(sl.start, sl.stop))})"
         root = mag if k == 1 else f"np.sqrt({mag})" if k == 2 else f"{mag} ** {1.0 / k!r}"
         terms.append(root if eps[k - 1] == 1.0 else f"{eps[k - 1]!r} * {root}")
     gauge = terms[0]
@@ -186,8 +225,8 @@ def _compile_kernel(eps, slices):
         gauge = f"np.maximum({gauge}, {term})"
     scope = {"np": np}
     # source built from our own terms
-    exec(f"def gauge(z):\n    return {gauge}\n", scope)  # noqa: S102
-    return scope["gauge"]
+    exec(f"def kernel(v):\n{''.join(lines)}    return {gauge}\n", scope)  # noqa: S102
+    return scope["kernel"]
 
 
 # -- triangle inequality audit ---------------------------------------------
@@ -205,8 +244,10 @@ class TriangleAudit:
         return self.max_ratio <= 1.0 + 1e-12
 
 
-# triples drawn and scored per batch by triangle_audit
+# triples drawn per batch by triangle_audit, and scored AUDIT_BLOCK rows at a time:
+# the columns of a block stay in cache through the three distance kernels
 AUDIT_CHUNK = 65536
+AUDIT_BLOCK = 8192
 
 
 def triangle_audit(dist: HomogeneousDistance, samples: int = 100_000,
@@ -215,12 +256,21 @@ def triangle_audit(dist: HomogeneousDistance, samples: int = 100_000,
 
     Points are drawn coordinate-wise uniform on [-1, 1], then dilated by a
     log-uniform factor in [1/4, 4] so several scales get exercised.
-    Degenerate triples (zero denominator) score 0 by convention.
+    Degenerate triples (zero denominator) score 0 by convention.  Each
+    distance is the fused kernel of ``distance``, so the result is the
+    same as scoring with ``norm(law.multiply(-x, y))``.
+
+    Raises ValueError unless samples >= 1, and NumericalResolutionError
+    where a sampled distance, or the sum of two, is not a finite float
+    (weights so large that the gauge overflows).
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     law = dist.law
     n = law.n
     degrees = np.array(law.degrees, dtype=float)
     rng = np.random.default_rng(seed)
+    pair = dist._pair
 
     best, witness = 0.0, None
     left = samples
@@ -230,16 +280,24 @@ def triangle_audit(dist: HomogeneousDistance, samples: int = 100_000,
         scales = np.exp(rng.uniform(math.log(0.25), math.log(4.0), size=(3, m)))
         pts *= scales[..., None] ** degrees
         left -= m
-        x, y, z = pts
-        dxy = dist.norm(law.multiply(-x, y))
-        dyz = dist.norm(law.multiply(-y, z))
-        dxz = dist.norm(law.multiply(-x, z))
-        denom = dxy + dyz
+        dxy, dyz, dxz = np.empty((3, m))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, m, AUDIT_BLOCK):
+                block = slice(lo, lo + AUDIT_BLOCK)
+                x, y, z = np.ascontiguousarray(pts[:, block].transpose(0, 2, 1))
+                neg_x, neg_y = -x, -y
+                dxy[block] = pair([*neg_x, *y])
+                dyz[block] = pair([*neg_y, *z])
+                dxz[block] = pair([*neg_x, *z])
+            denom = dxy + dyz
+        if not (np.isfinite(denom).all() and np.isfinite(dxz).all()):
+            raise roots.NumericalResolutionError(
+                f"sampled distances overflow float at eps {list(dist.eps)}")
         ratio = np.divide(dxz, denom, out=np.zeros_like(dxz), where=denom > 0)
         i = int(np.argmax(ratio))
         if ratio[i] > best:
             best = float(ratio[i])
-            witness = (x[i].tolist(), y[i].tolist(), z[i].tolist())
+            witness = tuple(p[i].tolist() for p in pts)
     return TriangleAudit(max_ratio=best, witness=witness, samples=samples, seed=seed)
 
 

@@ -5,9 +5,10 @@ frame coefficients and their partial derivatives are all values of
 :class:`RationalPoly`.  Coefficients are exact (Fractions or ints),
 monomials are exponent tuples, and nothing in here ever rounds: the one
 exact evaluation path, :func:`exact_evaluator`, runs on machine integers.
-Floating point enters only through :meth:`RationalPoly.as_callable`,
-which compiles a polynomial into a plain lambda for fast numeric
-evaluation (python scalars and numpy arrays both work).
+Floating point enters only through :meth:`RationalPoly.float_source`,
+the source text that :meth:`RationalPoly.as_callable` compiles into a
+plain lambda for fast numeric evaluation (python scalars and numpy
+arrays both work) and that ``metric`` splices into its distance kernels.
 
 Example:
 
@@ -214,16 +215,25 @@ class RationalPoly:
         """Exact value at a point of int or Fraction coordinates (see :func:`exact_evaluator`)."""
         return exact_evaluator((self,))(values)[0]
 
+    def float_source(self, var: str) -> str:
+        """Source text of the polynomial in ``var[i]``, coefficients cast to float.
+
+        Terms are summed left to right in sorted exponent order, each
+        ``c*var[i]*...``; the zero polynomial reads ``0.0``.  Every float
+        evaluation of a polynomial (:meth:`as_callable`, the fused distance
+        kernels of ``metric``) is this text, so all of them round alike.
+        """
+        parts = [monomial_source(repr(float(c)), exps, var)
+                 for exps, c in sorted(self.terms.items())]
+        return " + ".join(parts) if parts else "0.0"
+
     def as_callable(self) -> Callable[[Sequence], float]:
-        """Compile to ``f(values) -> float`` with coefficients cast to float.
+        """Compile :meth:`float_source` to ``f(values) -> float``.
 
         The generated lambda indexes into its single argument, so numpy
         columns can be passed as a list of arrays for vectorized use.
         """
-        parts = [monomial_source(repr(float(c)), exps, "v")
-                 for exps, c in sorted(self.terms.items())]
-        body = " + ".join(parts) if parts else "0.0"
-        return eval(f"lambda v: {body}")  # noqa: S307 - source built from our own terms
+        return eval(f"lambda v: {self.float_source('v')}")  # noqa: S307 - source built from our own terms
 
     # -- display ----------------------------------------------------------
 

@@ -139,7 +139,10 @@ def test_out_of_range_flags_exit_2(capsys, argv, error):
     # an interval inside the low-degree set: the residual was Infinity
     (("area", "--curve", "glued_hv", "--interval=-1,-0.5", "--deltas", "2^-2..2^-4"), 2,
      "ValueError"),
-], ids=["diverge", "blowup", "area"])
+    # weights whose gauge overflows: the audit passed with max_ratio 0.0
+    (("metric-audit", "--group", "heisenberg", "--seed", "1", "--eps", "1e308,1e308",
+      "--samples", "10"), 4, "NumericalResolutionError"),
+], ids=["diverge", "blowup", "area", "metric-audit"])
 def test_reports_without_a_finite_number_are_errors(capsys, argv, code, error):
     got, out, err = run_cli(capsys, *argv)
     assert (got, out) == (code, "")

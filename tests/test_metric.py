@@ -1,14 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from gradedgroups import (DimensionMismatch, bch_group_law, fixtures, spec_from_dict,
+from gradedgroups import (DimensionMismatch, bch_group_law, fixtures, metric, spec_from_dict,
                           validate_algebra)
 from gradedgroups.curve import curve_from_samples, dilate_curve, polynomial_curve
 from gradedgroups.metric import (HomogeneousDistance, ball_box_constants,
                                  degree_constant, metric_factor,
                                  triangle_audit)
+from gradedgroups.roots import NumericalResolutionError
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +25,24 @@ def test_eps_validation(heis):
         HomogeneousDistance(heis, (1.0, 0.0))
     with pytest.raises(ValueError):
         HomogeneousDistance(heis, (1.0, -2.0))
+    for eps in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            HomogeneousDistance(heis, eps)
+
+
+def test_kernels_compile_on_first_use(monkeypatch):
+    compiled = []
+    compile_kernel = metric._compile_kernel
+    monkeypatch.setattr(metric, "_compile_kernel",
+                        lambda *args: compiled.append(args) or compile_kernel(*args))
+    law = fixtures.group_law("engel")
+    dist = HomogeneousDistance(law, (1.0, 1.0, 1.0))
+    assert compiled == []
+    x, y = np.random.default_rng(4).uniform(-1, 1, (2, law.n))
+    dist.distance(x, y)
+    dist.distance_from(x)(y)
+    triangle_audit(dist, samples=10)
+    assert [args[2:] for args in compiled] == [(law.q_polys,)]
 
 
 @pytest.mark.parametrize("eps2", [0.5, 1.0, 2.0])
@@ -52,17 +72,33 @@ def test_norm_batch_matches_scalar(heis):
 
 def filiform_law(step):
     """Model filiform algebra [e1, e_i] = c_i e_(i+1) with assorted rationals."""
-    coeffs = ["1", "-2/3", "5/2", "-1/7", "3"]
+    coeffs = ["1", "-2/3", "5/2", "-1/7", "3", "4/9", "-7/5"]
     spec = spec_from_dict({"layers": [2] + [1] * (step - 1),
                            "brackets": [{"i": 1, "j": i, "k": i + 1, "c": coeffs[i - 2]}
                                         for i in range(2, step + 1)]})
     return bch_group_law(validate_algebra(spec))
 
 
+def free_law(rank):
+    """Free step-2 algebra [e_i, e_j] = c_ij e_k with assorted rationals."""
+    pairs = itertools.combinations(range(1, rank + 1), 2)
+    spec = spec_from_dict({"layers": [rank, rank * (rank - 1) // 2],
+                           "brackets": [{"i": i, "j": j, "k": rank + m + 1,
+                                         "c": f"{(-1) ** m * (m + 2)}/{2 * m + 3}"}
+                                        for m, (i, j) in enumerate(pairs)]})
+    return bch_group_law(validate_algebra(spec))
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
 def test_distance_from_closure():
+    # the fused kernels of distance and distance_from round exactly as the
+    # product and the gauge taken one after the other
     rng = np.random.default_rng(1)
     for law in (fixtures.group_law("heisenberg"), fixtures.group_law("engel"),
-                filiform_law(5)):
+                filiform_law(5), filiform_law(8), free_law(5)):
         for eps in ([1.0] * law.step, [0.5 + 0.4 * k for k in range(law.step)]):
             dist = HomogeneousDistance(law, eps)
             x0 = rng.uniform(-1, 1, law.n)
@@ -75,8 +111,11 @@ def test_distance_from_closure():
                 ys = rng.uniform(-1, 1, shape)
                 want = dist.norm(law.multiply(-x0, ys))
                 got = f(ys)
-                assert np.shape(got) == np.shape(want)
-                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+                for value in (got, dist.distance(x0, ys)):
+                    assert np.shape(value) == np.shape(want)
+                    assert _bits(value) == _bits(want)
+                xs = rng.uniform(-1, 1, shape)
+                assert _bits(dist.distance(xs, ys)) == _bits(dist.norm(law.multiply(-xs, ys)))
                 if ys.ndim > 1:
                     # a sub-batch gives the entries of the whole batch
                     np.testing.assert_array_equal(f(ys[..., :1, :]), got[..., :1])
@@ -163,6 +202,27 @@ def test_triangle_audit_fails_with_inflated_top_scale(heis):
     lhs = dist.distance(x, z)
     rhs = dist.distance(x, y) + dist.distance(y, z)
     assert lhs > rhs  # the witness is a genuine violation, not a sampling artifact
+
+
+def test_triangle_audit_across_chunks_and_blocks():
+    # a second chunk of 8198 triples, scored as a full block of 8192 and one
+    # of six: the parent's stream and its scores through law.multiply and
+    # norm gave this ratio and witness
+    audit = triangle_audit(fixtures.distance("engel"), samples=65536 + 8193 + 5, seed=5)
+    assert audit.max_ratio == 0.999999977114115
+    assert audit.witness == (
+        [-1.7496738034700188, 3.6954435097839413, -11.57152043302294, -46.03926459776026],
+        [-0.06104402893546955, 0.40945084578573454, -0.2437955940516675, -0.04832754301605545],
+        [0.7540427127330493, -1.1748888360806777, 2.7570915615035854, -0.6792843340523926])
+
+
+def test_triangle_audit_refuses_what_it_cannot_score(heis):
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="at least 1"):
+            triangle_audit(fixtures.distance("heisenberg"), samples=samples)
+    # every distance overflows; the parent reported max_ratio 0.0 as a pass
+    with pytest.raises(NumericalResolutionError, match="overflow"):
+        triangle_audit(HomogeneousDistance(heis, (1e308, 1e308)), samples=10, seed=1)
 
 
 def test_audit_deterministic_across_workers(heis):

@@ -420,13 +420,18 @@ def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
     membership polynomials (:func:`_polynomial_reach`), its certificate
     checked with those of the whole walk (:func:`_walk`), so no excursion
     past a reach is missed.  Raises ValueError unless delta and q are
-    positive and every interval [lo, hi] has lo <= hi and lies inside the
-    closed domain (lo == hi covers the single parameter).
+    positive and finite and every interval [lo, hi] has lo <= hi and lies
+    inside the closed domain (lo == hi covers the single parameter), and
+    NumericalResolutionError where delta ** q or the value overflows.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if not q > 0:
-        raise ValueError("q must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+    if not 0.0 < q < math.inf:
+        raise ValueError(f"q must be positive and finite, got {q}")
+    try:
+        size = float(delta ** q)        # what each ball adds to the value
+    except OverflowError:
+        raise NumericalResolutionError(f"delta ** q overflows at delta {delta}, q {q}") from None
     a, b = curve.domain
     if intervals is None:
         intervals = [(a, b)]
@@ -443,7 +448,9 @@ def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
         _walk(reach, lo, hi, b, delta, guard, centers)
     value = 0.0
     for _ in centers:          # ball by ball, as the value has always been summed
-        value += delta ** q
+        value += size
+    if value == math.inf:
+        raise NumericalResolutionError(f"covering value of {len(centers)} balls overflows")
     return CoveringEstimate(q=q, delta=delta, value=value,
                             ball_count=len(centers), centers=tuple(centers))
 

@@ -24,6 +24,7 @@ one-piece table, and the sampled ball-box comparison constants.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -262,7 +263,8 @@ def triangle_audit(dist: HomogeneousDistance, samples: int = 100_000,
 
     Raises ValueError unless samples >= 1, and NumericalResolutionError
     where a sampled distance, or the sum of two, is not a finite float
-    (weights so large that the gauge overflows).
+    (weights so large that the gauge overflows), or a nonzero one is
+    subnormal (weights so small that its ratios are rounding noise).
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -280,7 +282,7 @@ def triangle_audit(dist: HomogeneousDistance, samples: int = 100_000,
         scales = np.exp(rng.uniform(math.log(0.25), math.log(4.0), size=(3, m)))
         pts *= scales[..., None] ** degrees
         left -= m
-        dxy, dyz, dxz = np.empty((3, m))
+        dxy, dyz, dxz = dists = np.empty((3, m))
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, m, AUDIT_BLOCK):
                 block = slice(lo, lo + AUDIT_BLOCK)
@@ -290,9 +292,13 @@ def triangle_audit(dist: HomogeneousDistance, samples: int = 100_000,
                 dyz[block] = pair([*neg_y, *z])
                 dxz[block] = pair([*neg_x, *z])
             denom = dxy + dyz
-        if not (np.isfinite(denom).all() and np.isfinite(dxz).all()):
+        if not (denom.max() <= sys.float_info.max and dxz.max() <= sys.float_info.max):
             raise roots.NumericalResolutionError(
                 f"sampled distances overflow float at eps {list(dist.eps)}")
+        # the least nonzero distance, past any degenerate triple's 0
+        if (dists.min() or np.min(dists, where=dists > 0.0, initial=np.inf)) < sys.float_info.min:
+            raise roots.NumericalResolutionError(
+                f"sampled distances are subnormal floats at eps {list(dist.eps)}")
         ratio = np.divide(dxz, denom, out=np.zeros_like(dxz), where=denom > 0)
         i = int(np.argmax(ratio))
         if ratio[i] > best:

@@ -8,13 +8,15 @@ are ball sets, low-degree sets and the unit-gauge chord (on whole tables
 by :func:`table_runs`); its Newton-predicted :func:`first_exit` is a
 reach of the covering walk, and :func:`certify` checks a walk's
 predictions in one numpy pass per degree.  Polynomials are lists of
-ascending coefficients, evaluated in Python floats.
+ascending coefficients, evaluated in Python floats; the prediction runs
+in a kernel generated per tuple of polynomial lengths, with Horner
+unrolled, compiled on first use (:func:`_bracket_kernel`).
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -109,36 +111,58 @@ PREDICT_STEPS = 12
 MAX_HALVINGS = 2048
 
 
-def _bracket(polys: list, g: float, hi: float, tol: Callable[[float], float]) -> float | None:
-    """Inside end a of a bracket [a, c] of a root of the P most violated at g.
+def _horner_source(names: list, x: str) -> str:
+    """Source of :func:`horner` on the coefficients ``names`` at ``x``, unrolled."""
+    return reduce(lambda src, c: f"({src}) * {x} + {c}", reversed(names), "0.0")
+
+
+@lru_cache(maxsize=None)
+def _bracket_kernel(*lengths: int) -> Callable:
+    """Generate ``bracket(polys, g, hi, tol)`` for polys of these lengths: the
+    inside end a of a bracket [a, c] of a root of the P most violated at g.
 
     Newton steps from g; once a step is at most w = tol / 2 long, the
     bracket is the w wide one centered where it lands, if P(a) <= 0 < P(c)
     there and 0 < a < c <= hi.  None where a step meets a slope that is
-    not positive or leaves (0, hi), or the steps run out.
+    not positive or leaves (0, hi), or the steps run out.  The coefficients
+    are locals, the first of equal values is the most violated, P' is
+    k * c and every P and P' is :func:`horner` unrolled, operation for
+    operation.
     """
-    vals = [horner(p, g) for p in polys]
-    v = max(vals)
-    p = polys[vals.index(v)]
-    dp, x = _derivative(p), g
-    for _ in range(PREDICT_STEPS):
-        d = horner(dp, x)
-        if not d > 0.0:
-            return None
-        step = v / d
-        x -= step
-        if not 0.0 < x < hi:
-            return None
-        width = 0.5 * tol(x)
-        if abs(step) <= width:
-            a, c = x - 0.5 * width, x + 0.5 * width
-            va, vc = horner(p, a), horner(p, c)
-            if va <= 0.0 < vc:
-                return a if 0.0 < a and c <= hi else None
-            x, v = (a, va) if va > 0.0 else (c, vc)
-        else:
-            v = horner(p, x)
-    return None
+    names = [[f"c{i}_{k}" for k in range(n)] for i, n in enumerate(lengths)]
+    lines = [f"    {', '.join(f'p{i}' for i in range(len(names)))}, = polys\n"]
+    lines += [f"    {', '.join(coef)}, = p{i}\n" for i, coef in enumerate(names) if coef]
+    lines += [f"    v{i} = {_horner_source(coef, 'g')}\n" for i, coef in enumerate(names)]
+    lines += ["    v, i = v0, 0\n"] + [f"    if v{i} > v:\n        v, i = v{i}, {i}\n"
+                                      for i in range(1, len(names))]
+    for i, coef in enumerate(names):
+        derivative = "".join(f"d{k} = {k} * {coef[k]}; " for k in range(1, len(coef)))
+        dp = [f"d{k}" for k in range(1, len(coef))] or ["0.0"]
+        lines.append(f"""    if i == {i}:
+        {derivative}x = g
+        for _ in range({PREDICT_STEPS}):
+            d = {_horner_source(dp, "x")}
+            if not d > 0.0:
+                return None
+            step = v / d
+            x -= step
+            if not 0.0 < x < hi:
+                return None
+            width = 0.5 * tol(x)
+            if abs(step) <= width:
+                a, c = x - 0.5 * width, x + 0.5 * width
+                va, vc = {_horner_source(coef, "a")}, {_horner_source(coef, "c")}
+                if va <= 0.0 < vc:
+                    return a if 0.0 < a and c <= hi else None
+                x, v = (a, va) if va > 0.0 else (c, vc)
+            else:
+                v = {_horner_source(coef, "x")}
+        return None
+""")
+    scope = {}
+    # source built from our own terms
+    exec(f"def bracket(polys, g, hi, tol):\n{''.join(lines)}", scope)  # noqa: S102
+    return scope["bracket"]
 
 
 def _newton(p: list, dp: list, a: float, c: float, tol: Callable[[float], float]) -> float:
@@ -248,9 +272,10 @@ def first_exit(polys: list, hi: float, guess: float | None,
     P > 0 within tol(a) beyond a.
 
     Predict, then certify.  From a ``guess`` in (0, hi), Newton steps on
-    the P most violated there bracket one of its roots (:func:`_bracket`),
-    and [0, a] is searched for an earlier exit; without a guess, or where
-    the steps fail, [0, hi] is.  The exit is the end of the first of the
+    the P most violated there bracket one of its roots (the kernel of
+    :func:`_bracket_kernel` for the lengths of ``polys``), and [0, a] is
+    searched for an earlier exit; without a guess, or where the steps
+    fail, [0, hi] is.  The exit is the end of the first of the
     :func:`runs`, or 0 where it does not start at 0.
 
     With a list ``claims``, the search of [0, a] after a bracket is left
@@ -259,7 +284,7 @@ def first_exit(polys: list, hi: float, guess: float | None,
     :func:`certify` makes, so where it passes, both give the same a.
     """
     if guess is not None and 0.0 < guess < hi and polys:
-        a = _bracket(polys, guess, hi, tol)
+        a = _bracket_kernel(*map(len, polys))(polys, guess, hi, tol)
         if a is not None:
             if claims is not None:
                 claims.append((polys, a))

@@ -142,7 +142,15 @@ def test_out_of_range_flags_exit_2(capsys, argv, error):
     # weights whose gauge overflows: the audit passed with max_ratio 0.0
     (("metric-audit", "--group", "heisenberg", "--seed", "1", "--eps", "1e308,1e308",
       "--samples", "10"), 4, "NumericalResolutionError"),
-], ids=["diverge", "blowup", "area", "metric-audit"])
+    # subnormal weights: the audit failed with max_ratio 2.0, rounding noise
+    (("metric-audit", "--group", "heisenberg", "--seed", "0", "--eps", "5e-324,5e-324",
+      "--samples", "20000"), 4, "NumericalResolutionError"),
+    # delta^q past the largest float: an OverflowError traceback, exit 1
+    (("cover", "--curve", "vertical", "--deltas", "10^308"), 4, "NumericalResolutionError"),
+    (("negligibility", "--curve", "glued_hv", "--deltas", "10^308"), 4,
+     "NumericalResolutionError"),
+], ids=["diverge", "blowup", "area", "metric-audit", "metric-audit-subnormal", "cover",
+        "negligibility"])
 def test_reports_without_a_finite_number_are_errors(capsys, argv, code, error):
     got, out, err = run_cli(capsys, *argv)
     assert (got, out) == (code, "")

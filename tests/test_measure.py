@@ -1,6 +1,8 @@
+import hashlib
 import importlib.util
 import math
 import random
+import struct
 import time
 from pathlib import Path
 
@@ -8,8 +10,8 @@ import numpy as np
 import pytest
 
 from gradedgroups import fixtures, measure, roots
-from gradedgroups.curve import (curve_from_samples, dilate_curve, polynomial_curve,
-                                translate_curve)
+from gradedgroups.curve import (curve_from_samples, degree_profile, dilate_curve,
+                                polynomial_curve, translate_curve)
 from gradedgroups.measure import (NumericalResolutionError,
                                   _polynomial_reach, area_formula_residual, ball_param_set,
                                   ball_intersection_measure, blowup_sequence,
@@ -403,6 +405,43 @@ def test_bench_walk_curve_keeps_its_ball_counts(dist):
     assert sched.ball_counts == (17, 65, 257, 1026)
 
 
+def _bench_walk_curve():
+    """The curve file of the benchmark's walk at seed 11."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return curve_from_samples(workloads.curve_doc(random.Random("walk:11"))["samples"], 3)
+
+
+def test_walk_centers_keep_their_bits(dist):
+    # sha256 of the packed centers of walks on every kind of piece the
+    # reaches meet; a center that moves by one bit changes its digest
+    heis = dict(dist=dist, q=2)
+    glued = fixtures.curve("glued_hv")
+    low = degree_profile(dist.law, glued).low_degree_intervals
+    cases = [
+        (dict(heis, curve=fixtures.curve("vertical"), delta=2.0 ** -6), 4096,
+         "5fb05a733cb5f3ef8de90f1fcfd76304aec5bf2c60e326830eac9528f8aced3f"),
+        (dict(heis, curve=fixtures.curve("parabola_lift"), delta=2.0 ** -6), 2049,
+         "c32feea75dd298c365838c0fd45ed4498a2c7e3598c1ca45402ff0d9bb85923f"),
+        # a ball on either vertical line spans 2 delta^q = 2^-11 of it: the same centers
+        (dict(dist=fixtures.distance("engel"), curve=fixtures.curve("engel_vertical"), q=3,
+              delta=2.0 ** -4), 4096,
+         "5fb05a733cb5f3ef8de90f1fcfd76304aec5bf2c60e326830eac9528f8aced3f"),
+        (dict(heis, curve=_bench_walk_curve(), delta=2.0 ** -5), 1026,
+         "3596f12da8c71c24401844941a706457f8ffe7297daa7e766bc8604704f01399"),
+        # the negligibility walk, over the low-degree set of glued_hv (about [-1, 0])
+        (dict(heis, curve=glued, delta=2.0 ** -10, intervals=low), 513,
+         "5e7331aa0627e15da78762a84b1971ccc2abf7406eadc10e47018be109d18637"),
+    ]
+    for kwargs, balls, digest in cases:
+        centers = spherical_measure_upper(**kwargs).centers
+        assert len(centers) == balls
+        assert hashlib.sha256(struct.pack(f"<{balls}d", *centers)).hexdigest() == digest
+    assert negligibility_estimate(dist, glued, [2.0 ** -10]).ball_counts == (513,)
+
+
 def test_covering_ends_at_the_domain_end(dist):
     # a walk whose first ball reaches the end of the domain places one ball,
     # also on an interval shorter than the walk's guard and on the end point
@@ -437,6 +476,20 @@ def test_covering_rejects_bad_exponents_and_intervals(dist):
         area_formula_residual(dist, par, deltas=[0.25, 0.125], interval=(0.5, 0.2))
     # the closed domain itself is accepted
     assert spherical_measure_upper(dist, par, 2, 0.25, intervals=[(-1.0, 1.0)]).ball_count == 9
+    # a nan delta passed delta <= 0 and spun through the halving budget
+    for delta in (math.nan, math.inf, 0.0, -0.25):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            spherical_measure_upper(dist, par, 2, delta)
+    for q in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="q must be positive and finite"):
+            spherical_measure_upper(dist, par, q, 0.25)
+    # delta ** q, or the sum over the balls, past the largest float: an
+    # OverflowError traceback before
+    with pytest.raises(NumericalResolutionError, match=r"delta \*\* q overflows"):
+        spherical_measure_upper(dist, par, 2, 1e308)
+    with pytest.raises(NumericalResolutionError, match="covering value of 2 balls"):
+        spherical_measure_upper(dist, par, 1, 1.5e308, intervals=[(-1.0, -0.5), (0.5, 1.0)])
+    assert spherical_measure_upper(dist, par, 1, 1.5e308).value == 1.5e308
 
 
 def test_covering_ball_limit(dist, monkeypatch):

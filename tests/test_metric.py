@@ -223,6 +223,15 @@ def test_triangle_audit_refuses_what_it_cannot_score(heis):
     # every distance overflows; the parent reported max_ratio 0.0 as a pass
     with pytest.raises(NumericalResolutionError, match="overflow"):
         triangle_audit(HomogeneousDistance(heis, (1e308, 1e308)), samples=10, seed=1)
+    # every distance a subnormal float with a few significant bits (some
+    # rounded to 0 at 5e-324): its ratios were noise, max_ratio 2.0 and a fail
+    for eps in (5e-324, 1e-315):
+        with pytest.raises(NumericalResolutionError, match="subnormal"):
+            triangle_audit(HomogeneousDistance(heis, (eps, eps)), samples=20000, seed=0)
+    # small but normal weights still audit, as the ratio ignores a common factor
+    small = triangle_audit(HomogeneousDistance(heis, (1e-300, 1e-300)), samples=20000, seed=0)
+    unit = triangle_audit(HomogeneousDistance(heis, (1.0, 1.0)), samples=20000, seed=0)
+    assert small.passed and small.max_ratio == pytest.approx(unit.max_ratio, rel=1e-15)
 
 
 def test_audit_deterministic_across_workers(heis):

@@ -1,16 +1,52 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gradedgroups.roots import (MAX_HALVINGS, NumericalResolutionError, _bernstein, certify,
-                                first_exit, horner, runs, table_runs, taylor_shift)
+import gradedgroups
+from gradedgroups import fixtures
+from gradedgroups.measure import spherical_measure_upper
+from gradedgroups.roots import (MAX_HALVINGS, PREDICT_STEPS, NumericalResolutionError,
+                                _bernstein, _bracket_kernel, _derivative, certify, first_exit,
+                                horner, runs, table_runs, taylor_shift)
 
 
 def _below(p, a, c):
     """P < 0 on [a, c] by its Bernstein enclosure, as the search certifies an interval inside."""
     b, margin = _bernstein(p, a, c - a)
     return max(b) < -margin
+
+
+def _bracket(polys, g, hi, tol):
+    """The scalar Newton prediction the generated kernels unroll, as a reference."""
+    vals = [horner(p, g) for p in polys]
+    v = max(vals)
+    p = polys[vals.index(v)]
+    dp, x = _derivative(p), g
+    for _ in range(PREDICT_STEPS):
+        d = horner(dp, x)
+        if not d > 0.0:
+            return None
+        step = v / d
+        x -= step
+        if not 0.0 < x < hi:
+            return None
+        width = 0.5 * tol(x)
+        if abs(step) <= width:
+            a, c = x - 0.5 * width, x + 0.5 * width
+            va, vc = horner(p, a), horner(p, c)
+            if va <= 0.0 < vc:
+                return a if 0.0 < a and c <= hi else None
+            x, v = (a, va) if va > 0.0 else (c, vc)
+        else:
+            v = horner(p, x)
+    return None
 
 
 def tol12(a):
@@ -154,6 +190,82 @@ def test_first_exit_takes_the_earliest_root():
         assert abs(s - 0.2) < 1e-12, guess
     # an exit past hi is no exit
     assert first_exit([late], 0.7, 0.5, tol12) is None
+
+
+# coefficients: signed zeros, small dyadics (which tie exactly), and floats
+# of any size, whose Horner sums overflow to inf and nan
+_coefficient = st.one_of(st.sampled_from([0.0, -0.0]),
+                         st.integers(-16, 16).map(lambda k: k / 8.0),
+                         st.floats(-4.0, 4.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+# polynomials with up to 8 dyadic roots in (0, 3), the first repeated up to
+# 4 times, and a dyadic lead: Newton from a guess near a simple root
+# brackets it, near a multiple one it crawls, overshoots its bracket test or
+# runs out of steps
+_rooted = st.builds(lambda zeros, repeat, lead: from_roots(*zeros, *zeros[:1] * repeat, lead=lead),
+                    st.lists(st.integers(1, 47).map(lambda k: k / 16.0), min_size=1, max_size=4),
+                    st.integers(0, 4), st.integers(-16, 16).map(lambda k: k / 4.0))
+
+
+@st.composite
+def _bracket_cases(draw):
+    """(polys, g, hi, tol): one to three polys of lengths 1 to 9, some tied at g,
+    some with a zero top coefficient, g in (0, hi)."""
+    polys = draw(st.lists(st.one_of(st.lists(_coefficient, min_size=1, max_size=9), _rooted),
+                          min_size=1, max_size=3))
+    hi = draw(st.sampled_from([1.0, 0.25, 3.0]))
+    g = draw(st.one_of(st.integers(1, 15).map(lambda k: k * hi / 16.0),
+                       st.floats(0.0, hi, exclude_min=True, exclude_max=True)))
+    for p in polys[1:]:
+        if draw(st.booleans()):        # shift p to the value of the first P at g: a tie
+            p[0] += horner(polys[0], g) - horner(p, g)
+    for p in polys:
+        if draw(st.integers(0, 3)) == 0:
+            p[-1] = 0.0
+    tol = draw(st.sampled_from([tol12, tol12, lambda a: 1e-3, lambda a: 0.0, lambda a: math.inf]))
+    return polys, g, hi, tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(_bracket_cases())
+# 2 (s - 1/8)^3 (s - 5/8): from 2.3125, 5/8 is bracketed on the last step
+@example(([[0.00244140625, -0.0625, 0.5625, -2.0, 2.0]], 2.3125, 3.0, tol12))
+# 1.25 (s - 3/2)^3: the bracket test fails past the triple root, twice, then holds ...
+@example(([[-4.21875, 8.4375, -5.625, 1.25]], 0.6875, 3.0, lambda a: 0.05))
+# ... and 2.5 (s - 5/2)^3 short of it
+@example(([[-39.0625, 46.875, -18.75, 2.5]], 2.8125, 3.0, lambda a: 0.01))
+# both -1/2 at 1/2: the first listed is refined, to its root 1 or 3/4
+@example(([[-1.0, 1.0], [-1.5, 2.0]], 0.5, 2.0, tol12))
+@example(([[-1.5, 2.0], [-1.0, 1.0]], 0.5, 2.0, tol12))
+def test_bracket_kernel_is_the_scalar_bracket(case):
+    # the same float, bit for bit, or None, wherever Newton lands or leaves (0, hi)
+    polys, g, hi, tol = case
+    want = _bracket(polys, g, hi, tol)
+    got = _bracket_kernel(*map(len, polys))(polys, g, hi, tol)
+    assert (None if got is None else got.hex()) == (None if want is None else want.hex())
+
+
+def test_bracket_kernels_compile_on_first_use():
+    # a fresh interpreter that imports the package has compiled none
+    env = dict(os.environ)
+    src = str(Path(gradedgroups.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import gradedgroups.cli; from gradedgroups import roots; "
+         "print(roots._bracket_kernel.cache_info().currsize)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert out.stdout == "0\n", out.stderr
+    # a walk compiles one kernel per tuple of lengths it meets, a second none:
+    # on the vertical line it meets (3,), on the parabola (3, 5)
+    dist = fixtures.distance("heisenberg")
+    curves = [fixtures.curve("vertical"), fixtures.curve("parabola_lift")]
+    _bracket_kernel.cache_clear()       # as every command-line run starts
+    first = [spherical_measure_upper(dist, curve, 2, 2.0 ** -4) for curve in curves]
+    assert _bracket_kernel.cache_info().misses == 2
+    assert [spherical_measure_upper(dist, curve, 2, 2.0 ** -4) for curve in curves] == first
+    assert _bracket_kernel(3) is _bracket_kernel(3) and _bracket_kernel(3, 5)
+    assert _bracket_kernel.cache_info().misses == 2
 
 
 def test_taylor_shift_and_horner():

@@ -17,20 +17,19 @@ uncovered parameter, a ball of the current radius is centered as far
 ahead along the curve as possible while still covering that parameter,
 and the walk jumps past the covered component.  The reported value is
 sum(r^q) over the balls placed.  Each of the two reaches per ball
-predicts, then certifies.
+predicts, then certifies itself.
 
 Along each piece of the curve's coefficient table (``Curve.pieces``),
 the ball around the anchor is the set where a few polynomials in the
 parameter are <= 0 (``HomogeneousDistance.membership``: their
 coefficients are read off anchor tables by Horner in the anchor's
 offset), and a reach is their first exit (``roots.first_exit``).
-Newton steps from the step the walk took last predict each reach, and
-the walk goes on from the predicted exit; when it ends, one vectorized
-Bernstein check (``roots.certify``) certifies every predicted [anchor,
-exit] at once, and the walk is taken again from the first ball whose
-claim fails, that ball's reaches certified on their own.  So no
-excursion out of a ball between its anchor and the exit goes unseen,
-and the centers are those of a walk certified reach by reach.
+Newton steps from the step the walk took last predict each reach, in a
+kernel generated for the table's polynomial lengths, and once the
+bracket lands the same kernel certifies the predicted [anchor, exit] by
+the Bernstein coefficients of every polynomial.  Where it cannot, that
+interval is searched for an earlier exit.  So no excursion out of a
+ball between its anchor and the exit goes unseen.
 
 The two reaches of a ball place the parameters from the first uncovered
 one t up to the center in the ball around gamma(t), and those from the
@@ -297,34 +296,22 @@ class CoveringEstimate:
     centers: tuple             # center parameters (radii all equal delta)
 
 
-def _reach_tol(start: float, lo: float) -> float:
-    """Width to which a reach from ``start`` brackets an exit ``lo`` ahead of it.
-
-    Tight, because the per-ball shortfall accumulates over the whole walk;
-    the floor of four float spacings at start + lo keeps the two ends of
-    the bracket on distinct parameters.
-    """
-    return max(1e-12 * lo + 1e-16, 4.0 * math.ulp(start + lo))
-
-
 def _polynomial_reach(dist: HomogeneousDistance, curve: Curve) -> Callable:
-    """``reach(start, cap, r, guess, claims=None)`` on a curve's coefficient
-    table: the first parameter after ``start`` where the curve leaves the
-    closed r-ball around gamma(start), as the inside end of a bracket no
-    wider than ``_reach_tol``, or ``cap`` where it stays inside up to there.
+    """``reach(start, cap, r, guess)`` on a curve's coefficient table: the
+    first parameter after ``start`` where the curve leaves the closed
+    r-ball around gamma(start), as the inside end of a bracket no wider
+    than ``roots.reach_tol``, or ``cap`` where it stays inside up to there.
 
-    From the anchor's piece on, each piece's membership polynomials
-    (``HomogeneousDistance.membership``) go to ``roots.first_exit`` with
-    the guess and ``claims``; the first piece with an exit ends the reach,
-    and without one it is the cap.  With a list ``claims`` a bracketed exit
-    is returned uncertified and its certificate is left in the list.
+    From the anchor's piece on, each piece's membership polynomials and
+    their kernel (``HomogeneousDistance.membership``) go to
+    ``roots.first_exit`` with the guess; the first piece with an exit ends
+    the reach, and without one it is the cap.
     """
     pieces = curve.pieces
     breaks, origins = pieces[1].tolist(), pieces[2].tolist()
     radius, polys_at = None, None
 
-    def reach(start: float, cap: float, r: float, guess: float | None,
-              claims: list | None = None) -> float:
+    def reach(start: float, cap: float, r: float, guess: float | None) -> float:
         nonlocal radius, polys_at
         if r != radius:
             radius, polys_at = r, dist.membership(pieces, r)
@@ -333,9 +320,9 @@ def _polynomial_reach(dist: HomogeneousDistance, curve: Curve) -> Callable:
         while t0 < cap:
             t1 = min(cap, breaks[m + d]) if m + d < len(breaks) else cap
             offset = t0 - start
-            s = roots.first_exit(polys_at(m, d, u), t1 - t0,
-                                 None if guess is None else guess - offset,
-                                 lambda a: _reach_tol(start, offset + a), claims)
+            polys, bracket = polys_at(m, d, u)
+            s = roots.first_exit(polys, bracket, t1 - t0,
+                                 None if guess is None else guess - offset, start, offset)
             if s is not None:
                 return t0 + s
             t0, d = t1, d + 1
@@ -344,9 +331,6 @@ def _polynomial_reach(dist: HomogeneousDistance, curve: Curve) -> Callable:
     return reach
 
 
-# claims a walk collects before it certifies them: enough to keep the batch
-# check vectorized, few enough that pending claims hold little memory
-CLAIMS_PER_CHECK = 256
 # balls one covering may place before it is refused as unresolved
 MAX_BALLS = 5_000_000
 
@@ -355,55 +339,26 @@ def _walk(reach: Callable, lo: float, hi: float, b: float, delta: float, guard: 
           centers: list) -> None:
     """The greedy walk over [lo, hi]: appends the center of each ball placed.
 
-    Predict, then certify.  Every reach is taken with a claims list, so a
-    bracketed exit is taken as predicted and its certificate is collected;
-    once the walk ends, or CLAIMS_PER_CHECK claims are pending,
-    ``roots.certify`` checks them in one batch.  Where the first failing
-    claim belongs to ball i, the walk is taken again from ball i, whose
-    reaches then certify themselves (``roots.first_exit`` without claims).
-    So the centers are those of a walk whose every reach is certified on
-    its own.  An error raised on the way (a stall, the ball limit, an
-    unresolved search) stands only once every claim before it holds.
+    Each reach starts its Newton steps from the step the walk took last,
+    and certifies its own bracket (``roots.first_exit``), so no excursion
+    out of a ball between its anchor and the exit goes unseen.
     """
-    marks, claims = [], []        # per pending ball: (t, prev_step, claims before it)
-    t, prev_step, certain = lo, None, False
+    t, prev_step = lo, None
     while True:
-        error, done, base = None, False, len(centers)
-        try:
-            while len(claims) < CLAIMS_PER_CHECK:
-                marks.append((t, prev_step, len(claims)))
-                pending, certain = (None if certain else claims), False
-                center = reach(t, b, delta, prev_step, pending)
-                centers.append(center)
-                if len(centers) > MAX_BALLS:
-                    raise NumericalResolutionError(
-                        f"covering at delta = {delta} exceeded {MAX_BALLS} balls")
-                # a ball centered at t itself reaches no further than the reach
-                # from t just found, so only a center ahead of t can advance
-                edge = reach(center, b, delta, center - t, pending) if center > t else center
-                if edge >= hi - guard or edge >= b:
-                    done = True
-                    break
-                if edge <= t + guard:
-                    raise NumericalResolutionError(
-                        f"covering walk stalled at t = {t} (delta = {delta})")
-                prev_step = max(edge - center, guard)
-                t = edge
-        except NumericalResolutionError as exc:
-            error = exc
-        j = roots.certify(claims)
-        if j is None:
-            if error is not None:
-                raise error
-            if done:
-                return
-        else:
-            i = bisect.bisect_right([mark[2] for mark in marks], j) - 1
-            t, prev_step, _ = marks[i]
-            del centers[base + i:]
-            certain = True
-        marks.clear()
-        claims.clear()
+        center = reach(t, b, delta, prev_step)
+        centers.append(center)
+        if len(centers) > MAX_BALLS:
+            raise NumericalResolutionError(
+                f"covering at delta = {delta} exceeded {MAX_BALLS} balls")
+        # a ball centered at t itself reaches no further than the reach from
+        # t just found, so only a center ahead of t can advance
+        edge = reach(center, b, delta, center - t) if center > t else center
+        if edge >= hi - guard or edge >= b:
+            return
+        if edge <= t + guard:
+            raise NumericalResolutionError(f"covering walk stalled at t = {t} (delta = {delta})")
+        prev_step = max(edge - center, guard)
+        t = edge
 
 
 def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
@@ -417,12 +372,12 @@ def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
     component of new parameters; that the parameters between the first
     uncovered one and the center lie in the center's ball is assumed (see
     the module docstring).  Each reach is the certified first exit of the
-    membership polynomials (:func:`_polynomial_reach`), its certificate
-    checked with those of the whole walk (:func:`_walk`), so no excursion
+    membership polynomials (:func:`_polynomial_reach`), so no excursion
     past a reach is missed.  Raises ValueError unless delta and q are
     positive and finite and every interval [lo, hi] has lo <= hi and lies
     inside the closed domain (lo == hi covers the single parameter), and
-    NumericalResolutionError where delta ** q or the value overflows.
+    NumericalResolutionError where delta ** q overflows or underflows to 0,
+    or the value overflows.
     """
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
@@ -432,6 +387,8 @@ def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
         size = float(delta ** q)        # what each ball adds to the value
     except OverflowError:
         raise NumericalResolutionError(f"delta ** q overflows at delta {delta}, q {q}") from None
+    if size == 0.0:
+        raise NumericalResolutionError(f"delta ** q underflows to 0 at delta {delta}, q {q}")
     a, b = curve.domain
     if intervals is None:
         intervals = [(a, b)]

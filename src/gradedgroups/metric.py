@@ -105,17 +105,18 @@ class HomogeneousDistance:
     def membership(self, pieces, r: float) -> Callable:
         """Membership in closed r-balls anchored on a curve's table ``pieces``.
 
-        ``polys(m, d, u)`` lists, for each layer k that z = x^-1 * y(s)
-        touches, the ascending coefficients of P_k(s) = (eps_k / r)^(2k)
-        |z^(k)(s)|^2 - 1: y(s) is in the ball around x where every P_k <= 0.
-        The anchor x lies u past the origin of piece m; y(s) runs along
-        piece m + d, from the anchor (d = 0) or from the piece's first
-        parameter.  z is folded as a polynomial in (u, s), every piece at
-        once, once per offset d and kept (``law.divide_rows`` on
-        ``curve._anchor_rows``).  For d = 0 its s^0 column, x^-1 * x, is
-        left out, so P_k(0) = -1 and P_k'(0) = 0 exactly: no self-distance
-        floor.  An overflowing (eps_k / r)^(2k) raises
-        NumericalResolutionError.
+        ``polys(m, d, u)`` gives (polys, bracket): polys lists, for each
+        layer k that z = x^-1 * y(s) touches, the ascending coefficients of
+        P_k(s) = (eps_k / r)^(2k) |z^(k)(s)|^2 - 1, and bracket is
+        ``roots._bracket_kernel`` for their lengths.  y(s) is in the ball
+        around x where every P_k <= 0.  The anchor x lies u past the origin
+        of piece m; y(s) runs along piece m + d, from the anchor (d = 0) or
+        from the piece's first parameter.  z is folded as a polynomial in
+        (u, s), every piece at once, once per offset d and kept
+        (``law.divide_rows`` on ``curve._anchor_rows``), with its evaluator
+        and kernel.  For d = 0 its s^0 column, x^-1 * x, is left out, so
+        P_k(0) = -1 and P_k'(0) = 0 exactly: no self-distance floor.  An
+        overflowing (eps_k / r)^(2k) raises NumericalResolutionError.
         """
         try:
             w = [(e / r) ** (2 * k) for k, e in enumerate(self.eps, start=1)]
@@ -124,24 +125,25 @@ class HomogeneousDistance:
                 f"radius {r} is below float resolution") from None
         _, tables, compiled = self._tables.setdefault(id(pieces[0]), (pieces, {}, {}))
 
-        def polys(m: int, d: int, u: float) -> list:
+        def polys(m: int, d: int, u: float) -> tuple:
             if d not in tables:
                 z = self.law.divide_rows(*_anchor_rows(pieces, d))
-                source, rows = _membership_source(z, self._slices, d == 0)
+                source, rows, lengths = _membership_source(z, self._slices, d == 0)
                 if source not in compiled:
                     scope = {}
                     # source built from our own terms
                     exec(source, scope)  # noqa: S102
-                    compiled[source] = scope["evaluate"]
-                tables[d] = compiled[source], rows
-            evaluate, rows = tables[d]
-            return evaluate(u, rows[m], w)
+                    compiled[source] = scope["evaluate"], roots._bracket_kernel(*lengths)
+                tables[d] = *compiled[source], rows
+            evaluate, bracket, rows = tables[d]
+            return evaluate(u, rows[m], w), bracket
 
         return polys
 
 
 def _membership_source(z: list, slices, anchored: bool) -> tuple:
-    """Source of ``evaluate(u, c, w)`` and the per-piece coefficient lists c.
+    """Source of ``evaluate(u, c, w)``, the per-piece coefficient lists c and
+    the lengths of the lists ``evaluate`` returns.
 
     ``evaluate`` reads each power of s of each z_j by Horner in u, sums
     the squares per layer as polynomials in s, scales them by w[k - 1] and
@@ -149,7 +151,7 @@ def _membership_source(z: list, slices, anchored: bool) -> tuple:
     the s^0 column of z where ``anchored``.
     """
     count = z[0].shape[2]
-    entries, size, lines, layers = [], 0, [], []
+    entries, size, lines, layers, lengths = [], 0, [], [], []
     for k, sl in enumerate(slices):
         block = []                 # per coordinate of the layer: names of its s-coefficients
         for j in range(sl.start, sl.stop):
@@ -183,10 +185,11 @@ def _membership_source(z: list, slices, anchored: bool) -> tuple:
             else:
                 terms.append("-1.0" if b == 0 else "0.0")
         layers.append(f"[{', '.join(terms)}]")
+        lengths.append(len(terms))
     if size:
         lines.insert(0, f"    {', '.join(f'c{i}' for i in range(size))}, = c\n")
     return (f"def evaluate(u, c, w):\n{''.join(lines)}    return [{', '.join(layers)}]\n",
-            np.concatenate(entries or [np.empty((0, count))]).T.tolist())
+            np.concatenate(entries or [np.empty((0, count))]).T.tolist(), lengths)
 
 
 def _point_or_batch(out):

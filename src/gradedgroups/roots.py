@@ -6,11 +6,11 @@ steps solve one crossing of a monotone P, anything else is halved
 (Mourrain & Pavone, J. Symb. Comput. 2009).  Its maximal :func:`runs`
 are ball sets, low-degree sets and the unit-gauge chord (on whole tables
 by :func:`table_runs`); its Newton-predicted :func:`first_exit` is a
-reach of the covering walk, and :func:`certify` checks a walk's
-predictions in one numpy pass per degree.  Polynomials are lists of
-ascending coefficients, evaluated in Python floats; the prediction runs
-in a kernel generated per tuple of polynomial lengths, with Horner
-unrolled, compiled on first use (:func:`_bracket_kernel`).
+reach of the covering walk.  Polynomials are lists of ascending
+coefficients, evaluated in Python floats; the prediction runs in a
+kernel generated per tuple of polynomial lengths, with Horner unrolled,
+compiled on first use (:func:`_bracket_kernel`), and the kernel
+certifies its own bracket by the same Bernstein enclosure, unrolled.
 """
 
 from __future__ import annotations
@@ -80,20 +80,19 @@ def _bernstein(p: list, a: float, w: float) -> tuple:
     return e, (4 * n + 8) * 2.0 ** -53 * size
 
 
-def _bernstein_rows(p: np.ndarray, w: np.ndarray, a: np.ndarray | None = None) -> tuple:
-    """:func:`_bernstein` of each row of p (one degree) on [a_i, a_i + w_i], a_i
-    0 by default, operation for operation; call under ``np.errstate(all="ignore")``."""
+def _bernstein_rows(p: np.ndarray, w: np.ndarray, a: np.ndarray) -> tuple:
+    """:func:`_bernstein` of each row of p (one degree) on [a_i, a_i + w_i],
+    operation for operation; call under ``np.errstate(all="ignore")``."""
     n = p.shape[1] - 1
     e = p.copy()
-    if a is not None:
-        e = np.where((a != 0.0)[:, None], np.array(taylor_shift(p.T.copy(), a)).T, e)
+    e = np.where((a != 0.0)[:, None], np.array(taylor_shift(p.T.copy(), a)).T, e)
     inv, scale = _inv_binom(n), np.ones(len(w))
     for k in range(1, n + 1):
         scale = scale * w
         e[:, k] *= scale * inv[k]
     for j in range(1, n + 1):
         e[:, j:] += e[:, j - 1:-1]
-    m, size = w if a is None else np.abs(a) + w, np.zeros(len(w))
+    m, size = np.abs(a) + w, np.zeros(len(w))
     for k in range(n, -1, -1):
         size = size * m + np.abs(p[:, k])
     return e, (4 * n + 8) * 2.0 ** -53 * size
@@ -116,19 +115,38 @@ def _horner_source(names: list, x: str) -> str:
     return reduce(lambda src, c: f"({src}) * {x} + {c}", reversed(names), "0.0")
 
 
+def reach_tol(start: float, lo: float) -> float:
+    """Width to which a reach from ``start`` brackets an exit ``lo`` ahead of it.
+
+    Tight, because the per-ball shortfall of the covering walk accumulates
+    over the whole walk; the floor of four float spacings at start + lo
+    keeps the two ends of the bracket on distinct parameters.  The kernels
+    of :func:`_bracket_kernel` compute it inline, operation for operation.
+    """
+    return max(1e-12 * lo + 1e-16, 4.0 * math.ulp(start + lo))
+
+
 @lru_cache(maxsize=None)
 def _bracket_kernel(*lengths: int) -> Callable:
-    """Generate ``bracket(polys, g, hi, tol)`` for polys of these lengths: the
-    inside end a of a bracket [a, c] of a root of the P most violated at g.
+    """Generate ``bracket(polys, g, hi, start, offset)`` for polys of these
+    lengths: (a, certified), a the inside end of a bracket [a, c] of a root
+    of the P most violated at g, or None.
 
-    Newton steps from g; once a step is at most w = tol / 2 long, the
-    bracket is the w wide one centered where it lands, if P(a) <= 0 < P(c)
-    there and 0 < a < c <= hi.  None where a step meets a slope that is
-    not positive or leaves (0, hi), or the steps run out.  The coefficients
-    are locals, the first of equal values is the most violated, P' is
-    k * c and every P and P' is :func:`horner` unrolled, operation for
-    operation.
+    Newton steps from g; once a step is at most w = tol / 2 long, tol the
+    :func:`reach_tol` of ``start`` at ``offset`` + x, the bracket is the w
+    wide one centered where it lands, if P(a) <= 0 < P(c) there and
+    0 < a < c <= hi.  None where a step meets a slope that is not positive
+    or leaves (0, hi), or the steps run out.  The bracket is certified
+    where every P lies below minus its rounding bound on [0, a] by its
+    Bernstein coefficients (:func:`_bernstein` on [0, a]), as :func:`runs`
+    certifies an interval inside, except that a nan coefficient, which
+    Python's max may skip, fails here.  The coefficients are locals, the
+    first of equal values is the most violated, P' is k * c, every P and
+    P' is :func:`horner` unrolled and the certificate :func:`_bernstein`
+    unrolled, operation for operation.
     """
+    if not lengths:                          # no P, no root to bracket
+        return lambda polys, g, hi, start, offset: None
     names = [[f"c{i}_{k}" for k in range(n)] for i, n in enumerate(lengths)]
     lines = [f"    {', '.join(f'p{i}' for i in range(len(names)))}, = polys\n"]
     lines += [f"    {', '.join(coef)}, = p{i}\n" for i, coef in enumerate(names) if coef]
@@ -138,7 +156,7 @@ def _bracket_kernel(*lengths: int) -> Callable:
     for i, coef in enumerate(names):
         derivative = "".join(f"d{k} = {k} * {coef[k]}; " for k in range(1, len(coef)))
         dp = [f"d{k}" for k in range(1, len(coef))] or ["0.0"]
-        lines.append(f"""    if i == {i}:
+        lines.append(f"""    {"elif" if i else "if"} i == {i}:
         {derivative}x = g
         for _ in range({PREDICT_STEPS}):
             d = {_horner_source(dp, "x")}
@@ -148,20 +166,38 @@ def _bracket_kernel(*lengths: int) -> Callable:
             x -= step
             if not 0.0 < x < hi:
                 return None
-            width = 0.5 * tol(x)
+            lo = offset + x
+            tol, floor = 1e-12 * lo + 1e-16, 4.0 * ulp(start + lo)
+            width = 0.5 * (floor if floor > tol else tol)
             if abs(step) <= width:
                 a, c = x - 0.5 * width, x + 0.5 * width
                 va, vc = {_horner_source(coef, "a")}, {_horner_source(coef, "c")}
                 if va <= 0.0 < vc:
-                    return a if 0.0 < a and c <= hi else None
+                    break
                 x, v = (a, va) if va > 0.0 else (c, vc)
             else:
                 v = {_horner_source(coef, "x")}
-        return None
+        else:
+            return None
 """)
-    scope = {}
+    lines.append("    if not (0.0 < a and c <= hi):\n        return None\n")
+    lines += [f"    s{k} = {'a' if k == 1 else f's{k - 1} * a'}\n" for k in range(1, max(lengths))]
+    for i, coef in enumerate(names):
+        n = len(coef) - 1
+        e = coef[:1] + [f"b{i}_{k}" for k in range(1, n + 1)]
+        lines += [f"    {e[k]} = {coef[k]} * "
+                  + (f"s{k}\n" if inv == 1.0 else f"(s{k} * {inv!r})\n")
+                  for k, inv in enumerate(_inv_binom(n)) if k]
+        lines += [f"    {e[k]} = {e[k]} + {e[k - 1]}\n"
+                  for j in range(1, n + 1) for k in range(n, j - 1, -1)]
+        size = _horner_source([f"abs({c})" for c in coef], "a")
+        lines.append(f"    m = {-(4 * n + 8) * 2.0 ** -53!r} * ({size})\n"
+                     f"    if not ({' and '.join(f'{b} < m' for b in e)}):\n"
+                     "        return a, False\n")
+    lines.append("    return a, True\n")
+    scope = {"ulp": math.ulp}
     # source built from our own terms
-    exec(f"def bracket(polys, g, hi, tol):\n{''.join(lines)}", scope)  # noqa: S102
+    exec(f"def bracket(polys, g, hi, start, offset):\n{''.join(lines)}", scope)  # noqa: S102
     return scope["bracket"]
 
 
@@ -262,69 +298,40 @@ def runs(polys: list, lo: float, hi: float, tol: Callable[[float], float]):
         yield start, hi
 
 
-def first_exit(polys: list, hi: float, guess: float | None,
-               tol: Callable[[float], float], claims: list | None = None) -> float | None:
+def first_exit(polys: list, bracket: Callable, hi: float, guess: float | None,
+               start: float, offset: float) -> float | None:
     """First s in [0, hi] where some P in ``polys`` is positive, or None.
 
-    Each P is a list of ascending coefficients, as a rule negative at 0.
-    The inside end of the exit is returned: every P <= 0 on [0, a] is
-    certified and, unless an interval was unresolved at width tol, some
-    P > 0 within tol(a) beyond a.
+    Each P is a list of ascending coefficients, as a rule negative at 0;
+    ``bracket`` is :func:`_bracket_kernel` for their lengths, and the
+    width solved to is the :func:`reach_tol` of ``start`` at ``offset`` +
+    s.  The inside end of the exit is returned: every P <= 0 on [0, a] is
+    certified and, unless an interval was unresolved at that width, some
+    P > 0 within it beyond a.
 
-    Predict, then certify.  From a ``guess`` in (0, hi), Newton steps on
-    the P most violated there bracket one of its roots (the kernel of
-    :func:`_bracket_kernel` for the lengths of ``polys``), and [0, a] is
-    searched for an earlier exit; without a guess, or where the steps
-    fail, [0, hi] is.  The exit is the end of the first of the
-    :func:`runs`, or 0 where it does not start at 0.
-
-    With a list ``claims``, the search of [0, a] after a bracket is left
-    to :func:`certify`: (polys, a) is appended to ``claims`` and a is
-    returned as it stands.  The first step of that search is the check
-    :func:`certify` makes, so where it passes, both give the same a.
+    From a ``guess`` in (0, hi), Newton steps on the P most violated there
+    bracket one of its roots, and the kernel certifies [0, a] itself.
+    Where it cannot, [0, a] is searched for an earlier exit; without a
+    guess, or where the steps fail, [0, hi] is.  The exit is the end of
+    the first of the :func:`runs`, or 0 where it does not start at 0.  The
+    first step of that search is the check the kernel makes, so where the
+    kernel certifies, the search gives the same a.
     """
-    if guess is not None and 0.0 < guess < hi and polys:
-        a = _bracket_kernel(*map(len, polys))(polys, guess, hi, tol)
-        if a is not None:
-            if claims is not None:
-                claims.append((polys, a))
+    if guess is not None and 0.0 < guess < hi:
+        found = bracket(polys, guess, hi, start, offset)
+        if found is not None:
+            a, certified = found
+            if certified:
                 return a
-            found = _exit(polys, a, tol)
-            return a if found is None else found
-    return _exit(polys, hi, tol)
+            s = _exit(polys, a, lambda x: reach_tol(start, offset + x))
+            return a if s is None else s
+    return _exit(polys, hi, lambda x: reach_tol(start, offset + x))
 
 
 def _exit(polys: list, hi: float, tol: Callable[[float], float]) -> float | None:
     """The end of the first run of [0, hi], 0 where it starts later, None where it is all of it."""
     u, v = next(runs(polys, 0.0, hi, tol), (hi, hi))
     return 0.0 if u > 0.0 else None if v == hi else v
-
-
-def certify(claims: list) -> int | None:
-    """Index of the first claim (polys, a) not certified, or None.
-
-    A claim is certified where every P in polys lies below minus its
-    rounding bound on [0, a] by its Bernstein coefficients, as the search
-    certifies an interval inside, vectorized over every P of one degree at
-    once (:func:`_bernstein_rows`; a nan coefficient, which Python's max
-    may skip, fails here).  Nothing is padded: each degree keeps its own
-    margin.
-    """
-    by_degree: dict = {}          # degree: (claim indices, interval widths, coefficients)
-    for j, (polys, a) in enumerate(claims):
-        for p in polys:
-            owner, w, rows = by_degree.setdefault(len(p) - 1, ([], [], []))
-            owner.append(j)
-            w.append(a)
-            rows.append(p)
-    failed = len(claims)
-    with np.errstate(all="ignore"):          # as in Python floats: inf and nan, no warnings
-        for owner, w, rows in by_degree.values():
-            e, margin = _bernstein_rows(np.array(rows), np.array(w))
-            bad = np.flatnonzero(~(e.max(axis=1) < -margin))
-            if bad.size:
-                failed = min(failed, owner[bad[0]])
-    return None if failed == len(claims) else failed
 
 
 def table_runs(table: np.ndarray, domain, breaks, origins,

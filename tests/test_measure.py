@@ -348,7 +348,7 @@ def _wavy_curve():
 
 
 def _reach_by_reach(dist, curve, delta, lo, hi):
-    """The greedy walk with every reach certified on its own (roots.first_exit)."""
+    """The greedy walk, each reach certified in its kernel (roots.first_exit)."""
     reach = _polynomial_reach(dist, curve)
     b, guard = curve.domain[1], 1e-12 * curve.span()
     t, step, centers = lo, None, []
@@ -362,34 +362,54 @@ def _reach_by_reach(dist, curve, delta, lo, hi):
         step, t = max(edge - center, guard), edge
 
 
-def test_batch_certification_equals_reach_by_reach(dist, monkeypatch):
-    # the walk takes bracketed exits as predicted and certifies them in one
-    # batch; where a claim fails it walks again from that ball.  Its centers
-    # are those of the walk that certifies every reach on its own
-    refused = []
-    certify = roots.certify
+def test_walk_refuses_uncertified_brackets(dist, monkeypatch):
+    # each reach's kernel certifies its Newton bracket; where it cannot, the
+    # reach searches [anchor, exit] for an earlier exit (roots._exit).  The
+    # walk's centers are those of the greedy loop above, and a bracket is
+    # refused on the curves that double back or wave out of a ball only
+    refused, fallbacks, unchecked = [], [], []
+    kernel, search = roots._bracket_kernel, roots._exit
 
-    def counted(claims):
-        j = certify(claims)
-        refused.append(j is not None)
-        return j
+    def counted_kernel(*lengths):
+        bracket = kernel(*lengths)
 
-    monkeypatch.setattr(roots, "certify", counted)
-    # curve, delta, interval, whether a claim is refused on the way
+        def counted(polys, g, hi, start, offset):
+            found = bracket(polys, g, hi, start, offset)
+            if found is not None and not found[1]:
+                if unchecked:
+                    return found[0], True
+                refused.append(found[0])
+            return found
+
+        return counted
+
+    def counted_search(polys, hi, tol):
+        if len(fallbacks) < len(refused):        # the search after a refusal
+            fallbacks.append(hi)
+        return search(polys, hi, tol)
+
+    monkeypatch.setattr(roots, "_bracket_kernel", counted_kernel)
+    monkeypatch.setattr(roots, "_exit", counted_search)
+    # curve, delta, interval, whether a bracket is refused on the way
     cases = [(_bump_curve(), 0.25, None, False),
              (fixtures.curve("glued_hv"), 2.0 ** -6, (-0.5, 0.5), False),
              (_rough_curve(), 0.1, None, True), (_wavy_curve(), 0.1, None, True)]
-    for curve, delta, iv, walks_again in cases:
+    for curve, delta, iv, refuses in cases:
+        fresh = HomogeneousDistance(dist.law, dist.eps)   # its tables take counted kernels
         refused.clear()
+        fallbacks.clear()
         lo, hi = iv or curve.domain
-        est = spherical_measure_upper(dist, curve, 1, delta, intervals=[(lo, hi)])
-        assert est.centers == _reach_by_reach(dist, curve, delta, lo, hi)
-        assert any(refused) == walks_again and not refused[-1]
-    # on the wavy curve the claims matter: taken unchecked, the walk would
-    # step over a wave
-    monkeypatch.setattr(roots, "certify", lambda claims: None)
-    assert spherical_measure_upper(dist, _wavy_curve(), 1, 0.1).ball_count == 22
-    assert len(_reach_by_reach(dist, _wavy_curve(), 0.1, -1.0, 1.0)) == 23
+        est = spherical_measure_upper(fresh, curve, 1, delta, intervals=[(lo, hi)])
+        assert bool(refused) == refuses and fallbacks == refused
+        assert est.centers == _reach_by_reach(fresh, curve, delta, lo, hi)
+    # on the wavy curve the certificate matters: taken unchecked, the walk
+    # would step over a wave
+    unchecked.append(True)
+    fresh = HomogeneousDistance(dist.law, dist.eps)
+    assert spherical_measure_upper(fresh, _wavy_curve(), 1, 0.1).ball_count == 22
+    monkeypatch.undo()
+    fresh = HomogeneousDistance(dist.law, dist.eps)
+    assert len(_reach_by_reach(fresh, _wavy_curve(), 0.1, -1.0, 1.0)) == 23
 
 
 def test_bench_walk_curve_keeps_its_ball_counts(dist):
@@ -490,6 +510,20 @@ def test_covering_rejects_bad_exponents_and_intervals(dist):
     with pytest.raises(NumericalResolutionError, match="covering value of 2 balls"):
         spherical_measure_upper(dist, par, 1, 1.5e308, intervals=[(-1.0, -0.5), (0.5, 1.0)])
     assert spherical_measure_upper(dist, par, 1, 1.5e308).value == 1.5e308
+    # delta ** q below the smallest float: a covering value of 0 for a
+    # non-empty set before
+    with pytest.raises(NumericalResolutionError, match=r"delta \*\* q underflows"):
+        spherical_measure_upper(dist, par, 5, 1e-70, intervals=[(0.5, 0.5)])
+    assert spherical_measure_upper(dist, par, 5, 1e-64, intervals=[(0.5, 0.5)]).value == 1e-320
+
+
+def test_covering_of_a_constant_curve_is_one_ball(dist):
+    # z = x^-1 * y vanishes on every piece: no layer has a polynomial, and
+    # the one ball reaches the end of the domain
+    still = polynomial_curve(np.array([[[0.1], [0.2], [0.3]], [[0.0], [0.0], [0.0]]]),
+                             (-1.0, 1.0), ())
+    est = spherical_measure_upper(dist, still, 1, 0.25)
+    assert (est.ball_count, est.centers) == (1, (1.0,))
 
 
 def test_covering_ball_limit(dist, monkeypatch):

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from gradedgroups import (DimensionMismatch, bch_group_law, fixtures, metric, spec_from_dict,
-                          validate_algebra)
+from gradedgroups import (DimensionMismatch, bch_group_law, fixtures, metric, roots,
+                          spec_from_dict, validate_algebra)
 from gradedgroups.curve import curve_from_samples, dilate_curve, polynomial_curve
 from gradedgroups.metric import (HomogeneousDistance, ball_box_constants,
                                  degree_constant, metric_factor,
@@ -161,8 +161,9 @@ def test_membership_tables_agree_with_the_gauge(heis):
             t = rng.uniform(a, b)
             m = int(np.searchsorted(breaks, t, side="right"))
             for d in range(min(3, len(origins) - m)):
-                ps = polys(m, d, t - origins[m])
+                ps, bracket = polys(m, d, t - origins[m])
                 assert len(ps) == len(touched)
+                assert bracket is roots._bracket_kernel(*map(len, ps))
                 start = t if d == 0 else breaks[m + d - 1]
                 end = breaks[m + d] if m + d < len(breaks) else b
                 s = rng.uniform(0.0, end - start, 6)

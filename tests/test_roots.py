@@ -13,14 +13,19 @@ import gradedgroups
 from gradedgroups import fixtures
 from gradedgroups.measure import spherical_measure_upper
 from gradedgroups.roots import (MAX_HALVINGS, PREDICT_STEPS, NumericalResolutionError,
-                                _bernstein, _bracket_kernel, _derivative, certify, first_exit,
-                                horner, runs, table_runs, taylor_shift)
+                                _bernstein, _bracket_kernel, _derivative, _exit, first_exit,
+                                horner, reach_tol, runs, table_runs, taylor_shift)
 
 
 def _below(p, a, c):
     """P < 0 on [a, c] by its Bernstein enclosure, as the search certifies an interval inside."""
     b, margin = _bernstein(p, a, c - a)
     return max(b) < -margin
+
+
+def _certified(polys, a):
+    """Every coefficient of every _bernstein(p, 0.0, a) below minus its rounding bound."""
+    return all(all(e < -margin for e in b) for b, margin in (_bernstein(p, 0.0, a) for p in polys))
 
 
 def _bracket(polys, g, hi, tol):
@@ -51,6 +56,11 @@ def _bracket(polys, g, hi, tol):
 
 def tol12(a):
     return 1e-12 * abs(a) + 1e-16
+
+
+def _first_exit(polys, hi, guess):
+    """roots.first_exit from start 0, where the reach tolerance is tol12."""
+    return first_exit(polys, _bracket_kernel(*map(len, polys)), hi, guess, 0.0, 0.0)
 
 
 # -- runs of polynomial inequalities --------------------------------------------------
@@ -154,11 +164,12 @@ def test_first_exit_finds_a_window_narrower_than_1e_6():
     never = [-1.0, 0.0, 0.5]
     for polys in ([narrow], [never, narrow]):
         for guess in (None, 0.9, 0.3, 1e-3):
-            s = first_exit(polys, 1.0, guess, tol12)
+            s = _first_exit(polys, 1.0, guess)
             # the rounded coefficients move the root by about 1e-17 / P' = 3e-11
             assert abs(s - (0.3 - eps)) < 1e-10, guess
             assert horner(narrow, s) <= 0.0 < horner(narrow, s + tol12(s))
-    assert first_exit([never], 1.0, 0.5, tol12) is None
+    assert _first_exit([never], 1.0, 0.5) is None
+    assert all(reach_tol(0.0, a) == tol12(a) for a in (0.0, 1e-300, 3e-4, 0.3, 1.0, 3.0))
 
 
 def test_first_exit_ends_conservatively_at_a_tangency():
@@ -166,11 +177,12 @@ def test_first_exit_ends_conservatively_at_a_tangency():
     # around 1/2 certifies, and the search stops short of it at tol width
     touching = [-0.25, 1.0, -1.0]
     for guess in (None, 0.5, 0.7):
-        s = first_exit([touching], 1.0, guess, tol12)
+        s = _first_exit([touching], 1.0, guess)
         assert 0.5 - 1e-6 < s <= 0.5, guess
-    # without a width to stop at, the halvings run out
+    # without a width to stop at, the halvings of its search (the whole of
+    # first_exit without a guess) run out
     with pytest.raises(NumericalResolutionError, match="halvings"):
-        first_exit([touching], 1.0, None, lambda a: 0.0)
+        _exit([touching], 1.0, lambda a: 0.0)
 
 
 def test_first_exit_takes_the_earliest_root():
@@ -179,17 +191,17 @@ def test_first_exit_takes_the_earliest_root():
     # of [0, 0.8] finds the earlier exit
     late, early = [-64.0, 0.0, 100.0], [-0.16, 0.0, 1.0]
     for guess in (None, 0.85, 0.8, 0.41):
-        s = first_exit([late, early], 1.0, guess, tol12)
+        s = _first_exit([late, early], 1.0, guess)
         assert 0.4 - tol12(0.4) <= s <= 0.4, guess
     # (s - 0.2)(s - 0.3)(s - 0.7): a guess past 0.7 is refined to its last
     # root, and the certification finds the first
     three = [-0.042, 0.41, -1.2, 1.0]
     for guess in (None, 0.75, 0.25):
-        s = first_exit([three], 1.0, guess, tol12)
+        s = _first_exit([three], 1.0, guess)
         assert horner(three, s) <= 0.0 < horner(three, s + tol12(s))
         assert abs(s - 0.2) < 1e-12, guess
     # an exit past hi is no exit
-    assert first_exit([late], 0.7, 0.5, tol12) is None
+    assert _first_exit([late], 0.7, 0.5) is None
 
 
 # coefficients: signed zeros, small dyadics (which tie exactly), and floats
@@ -210,8 +222,9 @@ _rooted = st.builds(lambda zeros, repeat, lead: from_roots(*zeros, *zeros[:1] * 
 
 @st.composite
 def _bracket_cases(draw):
-    """(polys, g, hi, tol): one to three polys of lengths 1 to 9, some tied at g,
-    some with a zero top coefficient, g in (0, hi)."""
+    """(polys, g, hi, start, offset): one to three polys of lengths 1 to 9,
+    some tied at g, some with a zero top coefficient, g in (0, hi), and
+    the reach whose tolerance the kernel computes."""
     polys = draw(st.lists(st.one_of(st.lists(_coefficient, min_size=1, max_size=9), _rooted),
                           min_size=1, max_size=3))
     hi = draw(st.sampled_from([1.0, 0.25, 3.0]))
@@ -223,27 +236,39 @@ def _bracket_cases(draw):
     for p in polys:
         if draw(st.integers(0, 3)) == 0:
             p[-1] = 0.0
-    tol = draw(st.sampled_from([tol12, tol12, lambda a: 1e-3, lambda a: 0.0, lambda a: math.inf]))
-    return polys, g, hi, tol
+    # tolerances: 1e-12 relative (start 0), 2^-10 (four float spacings at
+    # 2^40), the spacing floor alone (start 1024, offset -1024), inf (start
+    # inf), and those of reaches along a walk
+    start, offset = draw(st.one_of(
+        st.sampled_from([(0.0, 0.0), (0.0, 0.0), (2.0 ** 40, 0.0), (1024.0, -1024.0),
+                         (math.inf, 0.0)]),
+        st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2.0))))
+    return polys, g, hi, start, offset
 
 
 @settings(max_examples=400, deadline=None)
 @given(_bracket_cases())
 # 2 (s - 1/8)^3 (s - 5/8): from 2.3125, 5/8 is bracketed on the last step
-@example(([[0.00244140625, -0.0625, 0.5625, -2.0, 2.0]], 2.3125, 3.0, tol12))
-# 1.25 (s - 3/2)^3: the bracket test fails past the triple root, twice, then holds ...
-@example(([[-4.21875, 8.4375, -5.625, 1.25]], 0.6875, 3.0, lambda a: 0.05))
-# ... and 2.5 (s - 5/2)^3 short of it
-@example(([[-39.0625, 46.875, -18.75, 2.5]], 2.8125, 3.0, lambda a: 0.01))
+@example(([[0.00244140625, -0.0625, 0.5625, -2.0, 2.0]], 2.3125, 3.0, 0.0, 0.0))
+# 1.25 (s - 3/2)^3, at tolerance 2^-4: the bracket test fails past the
+# triple root, twice, then holds ...
+@example(([[-4.21875, 8.4375, -5.625, 1.25]], 0.6875, 3.0, 2.0 ** 46, 0.0))
+# ... and 2.5 (s - 5/2)^3, at tolerance 2^-7, short of it
+@example(([[-39.0625, 46.875, -18.75, 2.5]], 2.8125, 3.0, 2.0 ** 43, 0.0))
 # both -1/2 at 1/2: the first listed is refined, to its root 1 or 3/4
-@example(([[-1.0, 1.0], [-1.5, 2.0]], 0.5, 2.0, tol12))
-@example(([[-1.5, 2.0], [-1.0, 1.0]], 0.5, 2.0, tol12))
+@example(([[-1.0, 1.0], [-1.5, 2.0]], 0.5, 2.0, 0.0, 0.0))
+@example(([[-1.5, 2.0], [-1.0, 1.0]], 0.5, 2.0, 0.0, 0.0))
 def test_bracket_kernel_is_the_scalar_bracket(case):
-    # the same float, bit for bit, or None, wherever Newton lands or leaves (0, hi)
-    polys, g, hi, tol = case
-    want = _bracket(polys, g, hi, tol)
-    got = _bracket_kernel(*map(len, polys))(polys, g, hi, tol)
-    assert (None if got is None else got.hex()) == (None if want is None else want.hex())
+    # the same float, bit for bit, or None, wherever Newton lands or leaves
+    # (0, hi), and the same certificate of [0, a]: every Bernstein
+    # coefficient of every P below minus its rounding bound
+    polys, g, hi, start, offset = case
+    want = _bracket(polys, g, hi, lambda x: reach_tol(start, offset + x))
+    got = _bracket_kernel(*map(len, polys))(polys, g, hi, start, offset)
+    if want is None:
+        assert got is None
+    else:
+        assert (got[0].hex(), got[1]) == (want.hex(), _certified(polys, want))
 
 
 def test_bracket_kernels_compile_on_first_use():
@@ -275,38 +300,83 @@ def test_taylor_shift_and_horner():
         assert horner(q, s) == pytest.approx(horner(p, 0.25 + s), rel=1e-14)
 
 
-def test_certify_takes_the_margin_of_each_degree():
-    # s^2 - 1 on [0, a], a the float below 1: its Bernstein coefficients are
-    # -1, -1 and 1 - a^2 = -2.2e-16, negative but inside the rounding bound
-    # 16 * 2^-53 * (1 + a^2), so the claim is refused, as _below refuses it
-    p, a = [-1.0, 0.0, 1.0], 1.0 - 2.0 ** -53
-    assert not _below(p, 0.0, a)
-    assert certify([([p], a)]) == 0
-    assert certify([([p], 0.5)]) is None
-    # the same claim among others of other degrees, padded by none of them
-    ok = ([[-1.0]], 5.0), ([[-2.0, 0.5]], 1.0), ([[-1.0, 0.0, 0.0, 0.0, 0.5]], 1.0)
-    assert certify([*ok, ([p], a), ([p], 0.5)]) == 3
-    assert certify([([[-1.0, 0.0, 1.0 / 64.0], p], 1.0)]) == 0
-    assert certify([]) is None
+def _claim(polys, r):
+    """The kernel's (a, certified) on ``polys`` behind a guide: L (s - r), L = 2^40,
+    is the most violated at g = 2r; two Newton steps land on r exactly at
+    width 4 ulp(1024) = 2^-40 (start 1024, offset -r), so a = r - 2^-42, and
+    the guide is certified on [0, a] itself."""
+    polys = [[-r * 2.0 ** 40, 2.0 ** 40], *polys]
+    return _bracket_kernel(*map(len, polys))(polys, 2.0 * r, 4.0 * r, 1024.0, -r)
 
 
-def test_certify_agrees_with_below():
-    # random claims of degrees 0 to 8, many of them within rounding of 0 at
-    # their far end: each is refused exactly where _below refuses one of its P
+def test_kernel_certificate_takes_the_margin_of_each_degree():
+    # (1 - 2^-52) s^2 - 1 on [0, 1]: its Bernstein coefficients are -1, -1
+    # and -2^-52, negative but inside the rounding bound 16 * 2^-53 * (2 -
+    # 2^-52), so the bracket is refused, as _below refuses it
+    p, one, half = [-1.0, 0.0, 1.0 - 2.0 ** -52], 1.0 + 2.0 ** -42, 0.5 + 2.0 ** -42
+    assert not _below(p, 0.0, 1.0)
+    assert _claim([p], one) == (1.0, False)
+    assert _claim([p], half) == (0.5, True)
+    # the same P among others of other degrees, padded by none of them
+    ok = [-1.0], [-2.0, 0.5], [-1.0, 0.0, 0.0, 0.0, 0.5]
+    assert _claim([[-1.0]], 5.0 + 2.0 ** -42) == (5.0, True)
+    assert _claim(ok, one) == (1.0, True) and _claim([*ok, p], half) == (0.5, True)
+    assert _claim([*ok, p], one) == (1.0, False) and _claim([p, *ok], one) == (1.0, False)
+    assert _claim([[-1.0, 0.0, 1.0 / 64.0]], one) == (1.0, True)
+    assert _claim([[-1.0, 0.0, 1.0 / 64.0], p], one) == (1.0, False)
+    # the bound is (4 deg + 8) 2^-53 sum |p_k|: -1 + (1 - e) s^deg on [0, 1]
+    # has the top coefficient -e, refused just inside it and certified just
+    # outside, at every degree
+    for n in range(1, 9):
+        for e, certified in (((4 * n + 6) * 2.0 ** -52, False), ((4 * n + 10) * 2.0 ** -52, True)):
+            q = [-1.0] + [0.0] * (n - 1) + [1.0 - e]
+            assert _below(q, 0.0, 1.0) == certified
+            assert _claim([q], one) == (1.0, certified)
+
+
+def test_kernel_certificate_agrees_with_below():
+    # random brackets over polys of degrees 0 to 8, many of them within
+    # rounding of 0 at the far end a, some with a nan, an infinite or a
+    # signed zero coefficient: each is refused exactly where _below refuses
+    # one of its P, and where a Bernstein coefficient of one P is not below
+    # minus its rounding bound; a bracket over the polys of several is
+    # refused exactly from the first refused one on
     rng = np.random.default_rng(5)
-    claims = []
-    for _ in range(400):
-        a = float(rng.uniform(0.01, 2.0))
-        polys = []
-        for n in rng.integers(0, 9, size=rng.integers(1, 4)):
-            p = rng.normal(size=n + 1).tolist()
-            p[0] -= max(horner(p, x) for x in np.linspace(0.0, a, 64)) + float(rng.choice(
-                [1e-3, 1e-14, 1e-16, 0.0, -1e-16]))
-            polys.append(p)
-        claims.append((polys, a))
-    expect = [all(_below(p, 0.0, a) for p in polys) for polys, a in claims]
+    flags, expect, specials = [], [], set()
+    for _ in range(100):
+        r = float(rng.uniform(0.01, 2.0))
+        a = r - 2.0 ** -42
+        group = []
+        for _ in range(4):
+            polys = []
+            for n in rng.integers(0, 9, size=rng.integers(1, 4)).tolist():
+                p = rng.normal(size=n + 1).tolist()
+                p[0] -= max(horner(p, x) for x in np.linspace(0.0, a, 64)) + float(rng.choice(
+                    [1e-3, 1e-14, 1e-16, 0.0, -1e-16]))
+                k, special = int(rng.integers(0, n + 1)), int(rng.integers(0, 10))
+                # none is +inf at g, where it would be the most violated
+                if special == 0:
+                    p[k] = math.nan
+                elif special == 1:
+                    p[k] = -math.inf
+                elif special == 2 and k < n:
+                    p[k], p[n] = math.inf, -math.inf
+                elif special == 3:
+                    p[k] = float(rng.choice([0.0, -0.0]))
+                else:
+                    special = None
+                specials.add(special)
+                polys.append(p)
+            group.append(polys)
+            got = _claim(polys, r)
+            assert got[0] == a
+            flags.append(got[1])
+            expect.append(all(_below(p, 0.0, a) for p in polys))
+            assert got[1] == _certified(polys, a)
+        first = expect[-4:].index(False) if False in expect[-4:] else 4
+        for j in range(4):
+            union = [p for polys in group[:j + 1] for p in polys]
+            assert _claim(union, r) == (a, j < first)
+    assert specials == {None, 0, 1, 2, 3}
     assert 0 < sum(expect) < len(expect)
-    assert [certify([claim]) is None for claim in claims] == expect
-    first = expect.index(False)
-    assert certify(claims) == first
-    assert certify(claims[first + 1:]) == expect[first + 1:].index(False)
+    assert flags == expect

@@ -13,45 +13,40 @@ from .algebra import (AntisymmetryViolation, GradedAlgebra, GradedAlgebraSpec,
                       GradingViolation, GroupValidationError, JacobiViolation,
                       spec_from_dict, spec_from_json, validate_algebra)
 from .curve import (AdaptedBasis, Curve, DegreeProfile, LittleOReport,
-                    ZeroVelocityError, adapted_basis, adapted_structure_tensor,
-                    curve_from_samples, degree_profile, dilate_curve,
-                    linear_image_curve, little_o_check, pointwise_degree,
-                    polynomial_curve, recentered_curve, tangent_projection,
-                    translate_curve)
+                    ZeroVelocityError, adapted_basis, curve_from_samples,
+                    degree_profile, dilate_curve, linear_image_curve,
+                    little_o_check, pointwise_degree, polynomial_curve,
+                    recentered_curve, tangent_projection, translate_curve)
 from .frame import (METRIC_EUCLIDEAN, METRIC_LEFT, Frame, FrameCoordinates,
                     compute_frame, speed, translate_vector)
 from .group import DimensionMismatch, GroupLaw, bch_group_law
 from .measure import (AreaFormulaReport, BallIntersection, BlowupReport,
                       CoveringEstimate, CoveringSchedule, DivergenceReport,
-                      FedererReport, NegligibilityReport,
-                      NumericalResolutionError, area_formula_residual,
-                      ball_intersection_measure, blowup_sequence,
-                      covering_values, density_divergence,
-                      federer_density_check, negligibility_estimate,
-                      richardson_extrapolate, riemannian_length,
-                      spherical_measure_upper)
-from .metric import (BallBoxReport, HomogeneousDistance, TriangleAudit,
-                     ball_box_constants, degree_constant, metric_factor,
-                     triangle_audit)
+                      NegligibilityReport, NumericalResolutionError,
+                      area_formula_residual, ball_intersection_measure,
+                      blowup_sequence, covering_values, density_divergence,
+                      negligibility_estimate, richardson_extrapolate,
+                      riemannian_length, spherical_measure_upper)
+from .metric import (HomogeneousDistance, TriangleAudit, degree_constant,
+                     metric_factor, triangle_audit)
 from .poly import RationalPoly
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdaptedBasis", "AntisymmetryViolation", "AreaFormulaReport",
-    "BallBoxReport", "BallIntersection", "BlowupReport",
+    "BallIntersection", "BlowupReport",
     "CoveringEstimate", "CoveringSchedule", "Curve", "DegreeProfile",
-    "DimensionMismatch", "DivergenceReport", "FedererReport", "Frame",
+    "DimensionMismatch", "DivergenceReport", "Frame",
     "FrameCoordinates", "GradedAlgebra", "GradedAlgebraSpec",
     "GradingViolation", "GroupLaw", "GroupValidationError", "JacobiViolation",
     "LittleOReport", "METRIC_EUCLIDEAN", "METRIC_LEFT",
     "NegligibilityReport", "NumericalResolutionError", "RationalPoly",
     "TriangleAudit", "ZeroVelocityError", "adapted_basis",
-    "adapted_structure_tensor", "area_formula_residual",
-    "ball_box_constants", "ball_intersection_measure", "bch_group_law",
+    "area_formula_residual", "ball_intersection_measure", "bch_group_law",
     "blowup_sequence", "compute_frame", "covering_values",
     "curve_from_samples", "degree_constant", "degree_profile",
-    "density_divergence", "dilate_curve", "federer_density_check",
+    "density_divergence", "dilate_curve",
     "linear_image_curve", "little_o_check", "polynomial_curve",
     "metric_factor", "negligibility_estimate", "pointwise_degree",
     "recentered_curve", "richardson_extrapolate", "riemannian_length",

@@ -143,7 +143,7 @@ class GradedAlgebra:
         return {k: -c for k, c in self._table.get((j, i), {}).items()}
 
     def bracket(self, u: Sequence, v: Sequence):
-        """Bracket of coefficient vectors over an exact ring: ints, Fractions or RationalPolys.
+        """Bracket of coefficient vectors over an exact ring: ints or Fractions.
 
         The zero comes from the inputs; a pair (i, j) with u_i v_j and u_j v_i zero is skipped.
         """
@@ -163,17 +163,6 @@ class GradedAlgebra:
         return scale, GradedAlgebra(self.layer_dims, {
             pair: {k: c.numerator * (scale // c.denominator) for k, c in cs.items()}
             for pair, cs in self._table.items()})
-
-    def structure_tensor(self):
-        """Dense float tensor c[i, j, k], mostly for basis-change numerics."""
-        import numpy as np
-
-        c = np.zeros((self.n, self.n, self.n))
-        for (i, j), coeffs in self._table.items():
-            for k, coeff in coeffs.items():
-                c[i, j, k] = float(coeff)
-                c[j, i, k] = -float(coeff)
-        return c
 
     def __repr__(self):
         return f"GradedAlgebra(layers={self.layer_dims}, brackets={sum(len(v) for v in self._table.values())})"

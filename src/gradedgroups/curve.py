@@ -365,18 +365,6 @@ def adapted_basis(law: GroupLaw, curve: Curve, t0: float, q: int) -> AdaptedBasi
     return AdaptedBasis(rotation=rot, q=q, i0=sl.start)
 
 
-def adapted_structure_tensor(law: GroupLaw, basis: AdaptedBasis) -> np.ndarray:
-    """Structure constants conjugated into the adapted basis (float).
-
-    Because the rotation is block diagonal by layer, entries violating the
-    grading rule stay identically zero; the Jacobi identity holds to
-    rounding.
-    """
-    c = law.algebra.structure_tensor()
-    r = basis.rotation
-    return np.einsum("ia,jb,ijk,kc->abc", r, r, c, r)
-
-
 # -- curve transforms ----------------------------------------------------------
 
 

@@ -12,14 +12,19 @@ brackets (computed once per word on vectors of polynomials), and each
 word picks up an exact rational coefficient.  The coefficients come
 from a recursion over the word's prefixes on integers, one Fraction per
 word; ``tests/bch_oracle.py`` keeps the sum over block sequences as the
-reference.  The assembly runs on machine integers, and every evaluator
-of the law, exact or float, is compiled on first use.
+reference.  The assembly runs on packed monomials, one Python int per
+monomial with a bit field per variable (Monagan and Pearce, "Sparse
+polynomial multiplication and division in Maple 14", 2009), and integer
+coefficients: a bracket [g, inner] with the x or y generator vector g
+shifts inner's keys by one variable's unit.  Keys become exponent tuples
+and coefficients Fractions once, in ``q_polys``, and every evaluator of
+the law, exact or float, is compiled on first use.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -50,15 +55,18 @@ def _dynkin_word_coefficients(depth: int) -> dict:
     word costs one Fraction, sum (-1)^(m-1) G[L][m] / (m * L * L!).
     """
     coeffs: dict = {}
+    comb = [[math.comb(j, i) for i in range(j + 1)] for j in range(depth + 1)]
+    tops = [math.lcm(*range(1, j + 1)) for j in range(depth + 1)]
+    # signed[L][m] = (-1)^(m-1) * lcm(1..L) / m, the numerator's weight of G[L][m]
+    signed = [[0] + [(-1) ** (m - 1) * (tops[j] // m) for m in range(1, j + 1)]
+              for j in range(depth + 1)]
 
     def visit(word: tuple, rows: list) -> None:
         length = len(word)
         if length:
-            g = rows[length]
-            top = math.lcm(*range(1, length + 1))
-            num = sum((-1) ** (m - 1) * g[m] * (top // m) for m in range(1, length + 1))
+            num = sum(map(operator.mul, rows[length], signed[length]))
             if num:
-                coeffs[word] = Fraction(num, top * length * math.factorial(length))
+                coeffs[word] = Fraction(num, tops[length] * length * math.factorial(length))
         if length == depth:
             return
         j = length + 1
@@ -71,10 +79,9 @@ def _dynkin_word_coefficients(depth: int) -> dict:
                     p += 1
                 elif p:
                     break
-                weight = math.comb(j, i) * math.comb(j - i, p)
-                for m, gm in enumerate(rows[i]):
-                    if gm:
-                        row[m + 1] += gm * weight
+                weight = comb[j][i] * comb[j - i][p]
+                for m, gm in enumerate(rows[i], 1):
+                    row[m] += gm * weight
             visit(w, rows + [row])
 
     visit((), [[1]])
@@ -84,35 +91,70 @@ def _dynkin_word_coefficients(depth: int) -> dict:
 def bch_group_law(algebra: GradedAlgebra) -> "GroupLaw":
     """Compute the exact product polynomials for a validated algebra.
 
-    With the structure constants times their common denominator L
-    (:meth:`GradedAlgebra.integral`), a word of length l brackets to an integer
-    polynomial over L^(l-1), and a term of Q of degree l comes from those words
-    alone: over one denominator of the Dynkin coefficients it sums as an integer.
+    A polynomial of the assembly is a dict {packed monomial: int}: variable
+    v's exponent sits in bit field v of width ``step.bit_length() + 1``.  No
+    exponent exceeds its term's total degree, at most the step, so the top
+    bit of every field stays clear; unpacking checks it.  With the structure
+    constants times their common denominator L (:meth:`GradedAlgebra.integral`),
+    the right-nested bracket [g, inner] of a word of length l is an integer
+    polynomial over L^(l-1).  As g is the x or the y generator vector, its
+    cross terms g_i inner_j - g_j inner_i are inner_j and inner_i with their
+    keys shifted by one variable's unit.  A term of Q of degree l comes from
+    the words of length l alone: over one denominator of the Dynkin
+    coefficients it sums as an integer, made one Fraction as the keys are
+    unpacked for ``q_polys``.
     """
     n = algebra.n
-    nv = 2 * n
+    width = algebra.step.bit_length() + 1
+    units = [1 << width * v for v in range(2 * n)]
     scale, integral = algebra.integral()
-    xv = tuple(RationalPoly.variable(nv, i) for i in range(n))
-    yv = tuple(RationalPoly.variable(nv, n + i) for i in range(n))
+    pairs = integral._table.items()
 
-    # right-nested brackets per word, built from short to long, times L^(length-1)
-    nested = {(0,): xv, (1,): yv}
-    first = {0: xv, 1: yv}
-    for length in range(2, algebra.step + 1):
-        for word in itertools.product((0, 1), repeat=length):
-            inner = nested[word[1:]]
-            nested[word] = integral.bracket(first[word[0]], inner) if any(inner) else inner
+    def bracket(g, inner):
+        out = [{} for _ in range(n)]
+        for (i, j), image in pairs:
+            a, b = inner[j], inner[i]
+            if not (a or b):
+                continue
+            cross = {key + g[i]: m for key, m in a.items()}
+            for key, m in b.items():
+                key += g[j]
+                cross[key] = cross.get(key, 0) - m
+            for k, c in image.items():
+                w = out[k]
+                for key, m in cross.items():
+                    w[key] = w.get(key, 0) + c * m
+        return [w if all(w.values()) else {key: m for key, m in w.items() if m} for w in out]
 
+    # right-nested brackets times L^(length-1), built from short to long, of
+    # the words with a coefficient and their suffixes
     coeffs = _dynkin_word_coefficients(algebra.step)
+    first = (units[:n], units[n:])
+    nested = {(letter,): [{u: 1} for u in first[letter]] for letter in (0, 1)}
+    for word in sorted({w[i:] for w in coeffs for i in range(len(w) - 1)}, key=len):
+        inner = nested[word[1:]]
+        nested[word] = bracket(first[word[0]], inner) if any(inner) else inner
+
     den = math.lcm(*(c.denominator for c in coeffs.values()))
     sums = [{} for _ in range(n)]
     for word, c in coeffs.items():
         a = c.numerator * (den // c.denominator)
-        for i, p in enumerate(nested[word] if len(word) > 1 else ()):
-            for e, m in p.terms.items():
-                sums[i][e] = sums[i].get(e, 0) + a * m
-    q_polys = tuple(RationalPoly._trusted(nv, {
-        e: Fraction(m, den * scale ** (sum(e) - 1)) for e, m in t.items()}) for t in sums)
+        for s, p in zip(sums, nested[word] if len(word) > 1 else ()):
+            for key, m in p.items():
+                s[key] = s.get(key, 0) + a * m
+    mask = (1 << width) - 1
+    shifts = range(0, 2 * n * width, width)
+    guards = sum(units) << width - 1
+    q_polys = []
+    for s in sums:
+        terms = {}
+        for key, m in s.items():
+            if key & guards:
+                raise AssertionError("an exponent overflows its bit field")
+            if m:
+                exps = tuple(key >> b & mask for b in shifts)
+                terms[exps] = Fraction(m, den * scale ** (sum(exps) - 1))
+        q_polys.append(RationalPoly._trusted(2 * n, terms))
     _check_law_structure(algebra, q_polys)
     return GroupLaw(algebra, q_polys)
 
@@ -123,8 +165,7 @@ def _check_law_structure(alg: GradedAlgebra, q_polys) -> None:
     weights = alg.degrees + alg.degrees
     yvars = range(n, 2 * n)
     for i, q in enumerate(q_polys):
-        deg = q.weighted_degree(weights)
-        if deg is not None and deg != alg.degrees[i]:
+        if q and q.weighted_degree(weights) != alg.degrees[i]:
             raise AssertionError(f"Q_{i+1} is not {alg.degrees[i]}-homogeneous")
         if alg.degrees[i] == 1 and not q.is_zero():
             raise AssertionError(f"Q_{i+1} must vanish on the first layer")

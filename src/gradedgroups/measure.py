@@ -540,64 +540,3 @@ def negligibility_estimate(dist: HomogeneousDistance, curve: Curve,
     return NegligibilityReport(q=profile.degree, deltas=cov.deltas, values=cov.values,
                                intervals=profile.low_degree_intervals,
                                ball_counts=cov.ball_counts)
-
-
-@dataclass(frozen=True)
-class FedererReport:
-    a: float
-    kappa: float
-    sample_parameters: tuple
-    ratios: tuple              # per sample: tuple of measure / r^a over radii
-    all_dense: bool            # every sampled ratio exceeded kappa
-    mu: float                  # measure of the set
-    covering_upper: float      # extrapolated covering value at exponent a
-    inequality_ok: bool        # mu >= kappa * covering_upper (within tolerance)
-    vacuous: bool
-
-
-def federer_density_check(dist: HomogeneousDistance, curve: Curve, intervals,
-                          a: float, kappa: float,
-                          radii: Sequence[float] | None = None,
-                          deltas: Sequence[float] | None = None,
-                          metric: str = METRIC_LEFT) -> FedererReport:
-    """Sample the density hypothesis of the comparison lemma and test its
-    conclusion: if measure(ball r)/r^a stays above kappa on the set, then the
-    measure of the set dominates kappa times its covering value.
-
-    The density is sampled at 3 points of each interval, and the
-    inequality is granted 2% of slack for the covering estimate.
-    """
-    if radii is None:
-        radii = [2.0 ** -k for k in range(4, 11)]
-    if deltas is None:
-        deltas = [2.0 ** -k for k in range(2, 9)]
-    intervals = [tuple(iv) for iv in intervals]
-    if not intervals:
-        return FedererReport(a=a, kappa=kappa, sample_parameters=(), ratios=(),
-                             all_dense=True, mu=0.0, covering_upper=0.0,
-                             inequality_ok=True, vacuous=True)
-
-    samples = []
-    for lo, hi in intervals:
-        if hi <= lo:
-            samples.append(lo)
-        else:
-            offs = np.linspace(0.2, 0.8, 3)
-            samples.extend(lo + (hi - lo) * o for o in offs)
-
-    ratios = []
-    for t in samples:
-        row = tuple(
-            ball_intersection_measure(dist, curve, t, r, metric).measure / r ** a
-            for r in radii)
-        ratios.append(row)
-    all_dense = all(min(row) > kappa for row in ratios)
-
-    mu = _length_over_intervals(dist.law, curve, intervals, metric)
-    cov = covering_values(dist, curve, a, deltas, intervals=intervals)
-    inequality_ok = mu >= kappa * cov.extrapolated * 0.98
-    return FedererReport(a=a, kappa=kappa,
-                         sample_parameters=tuple(float(t) for t in samples),
-                         ratios=tuple(ratios), all_dense=all_dense, mu=mu,
-                         covering_upper=cov.extrapolated,
-                         inequality_ok=inequality_ok, vacuous=False)

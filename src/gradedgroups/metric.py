@@ -373,69 +373,3 @@ def degree_constant(dist: HomogeneousDistance, q: int) -> float:
     """
     dist.law.algebra.layer_slice(q)
     return 2.0 / dist.eps[q - 1] ** q
-
-
-# -- ball-box comparison ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BallBoxReport:
-    lam: float
-    sup_gauge_on_unit_box: float
-    box_witness: list
-    sup_box_exit_on_sphere: float
-    sphere_witness: list
-    samples: int
-    seed: int
-    recheck_violations: int
-
-
-def ball_box_constants(dist: HomogeneousDistance, samples: int = 20000,
-                       seed: int = 0) -> BallBoxReport:
-    """Largest lam <= 1 with Box_(lam r) inside the ball of radius r inside
-    Box_(r / lam), estimated by sampling.
-
-    Direction 1: sup of N over the unit box (corners included, they are the
-    usual extremizers); Box_lam sits in the unit ball for lam = 1 / sup.
-    Direction 2: points on the unit sphere of N (random directions scaled
-    by homogeneity), maximizing |z_j|^(1/d_j); the ball sits in Box_(1/lam)
-    for 1/lam = that sup.  Ends with a membership re-check on fresh box
-    samples.
-    """
-    law = dist.law
-    n = law.n
-    degrees = np.array(law.degrees, dtype=float)
-    rng = np.random.default_rng(seed)
-
-    pts = rng.uniform(-1.0, 1.0, size=(samples, n))
-    if n <= 16:
-        corners = np.array(list(np.ndindex(*(2,) * n)), dtype=float) * 2.0 - 1.0
-        pts = np.vstack([pts, corners])
-    gauges = dist.norm(pts)
-    i = int(np.argmax(gauges))
-    sup_box = float(gauges[i])
-    box_witness = pts[i].tolist()
-
-    dirs = rng.normal(size=(samples, n))
-    norms = dist.norm(dirs)
-    keep = norms > 0
-    dirs = dirs[keep]
-    norms = norms[keep]
-    sphere = dirs * (1.0 / norms[:, None]) ** degrees  # delta_{1/N}(u) lands on N = 1
-    exit_scores = np.max(np.abs(sphere) ** (1.0 / degrees), axis=1)
-    j = int(np.argmax(exit_scores))
-    sup_exit = float(exit_scores[j])
-    sphere_witness = sphere[j].tolist()
-
-    lam = min(1.0, 1.0 / sup_box, 1.0 / sup_exit)
-
-    recheck = rng.uniform(-1.0, 1.0, size=(10000, n))
-    recheck *= np.array([lam ** d for d in law.degrees])
-    violations = int(np.sum(dist.norm(recheck) > 1.0 + 1e-9))
-
-    return BallBoxReport(lam=lam, sup_gauge_on_unit_box=sup_box,
-                         box_witness=box_witness,
-                         sup_box_exit_on_sphere=sup_exit,
-                         sphere_witness=sphere_witness,
-                         samples=samples, seed=seed,
-                         recheck_violations=violations)

@@ -124,7 +124,7 @@ class RationalPoly:
         """Common weighted degree of all monomials, or None if mixed/zero.
 
         The zero polynomial is homogeneous of every degree; it returns None
-        and callers treat that as a pass.
+        too, so callers that accept it test for zero first.
         """
         degs = {sum(w * e for w, e in zip(weights, exps)) for exps in self.terms}
         if len(degs) == 1:

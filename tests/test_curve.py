@@ -6,7 +6,7 @@ import pytest
 
 from gradedgroups import fixtures
 from gradedgroups.curve import (TOL_REL, Curve, ZeroVelocityError, adapted_basis,
-                                adapted_structure_tensor, curve_from_samples,
+                                curve_from_samples,
                                 degree_profile, dilate_curve,
                                 linear_image_curve, little_o_check,
                                 pointwise_degree, polynomial_curve,
@@ -266,14 +266,6 @@ def test_adapted_basis_rotated_horizontal(heis):
 def test_adapted_basis_requires_matching_degree(heis):
     with pytest.raises(ValueError):
         adapted_basis(heis, fixtures.curve("horizontal"), 0.3, 2)
-
-
-def test_adapted_structure_tensor_invariant_under_proper_rotation(heis):
-    basis = adapted_basis(heis, fixtures.curve("rotated_horizontal"), 0.3, 1)
-    tensor = adapted_structure_tensor(heis, basis)
-    expected = heis.algebra.structure_tensor()
-    # a proper rotation of the plane preserves [e1, e2] = e3
-    assert np.allclose(tensor, expected, atol=1e-12)
 
 
 # -- curve transforms ----------------------------------------------------------

@@ -1,8 +1,12 @@
+import hashlib
+import importlib.util
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bch_oracle import _block_sequences, bch_numeric
-from gradedgroups import fixtures
-from gradedgroups.algebra import spec_from_dict, validate_algebra
+from gradedgroups import cli, fixtures
+from gradedgroups.algebra import MAX_DIMENSION, spec_from_dict, validate_algebra
 from gradedgroups.group import (DimensionMismatch, _dynkin_word_coefficients,
                                 bch_group_law)
 from gradedgroups.poly import RationalPoly
@@ -296,6 +300,81 @@ def vectors(n):
     return st.tuples(*([RATIONALS] * n))
 
 
+def bench_shaped_doc(kind, size, constants):
+    """Layers and brackets of the benchmark's exact algebras: the filiform algebra
+    [e1, e_i] = c e_(i+1) of step ``size``, or the free step-2 algebra of rank ``size``."""
+    if kind == "filiform":
+        layers, triples = [2] + [1] * (size - 1), [(1, j, j + 1) for j in range(2, size + 1)]
+    else:
+        pairs = list(itertools.combinations(range(1, size + 1), 2))
+        layers = [size, len(pairs)]
+        triples = [(i, j, size + m + 1) for m, (i, j) in enumerate(pairs)]
+    return {"layers": layers, "brackets": [{"i": i, "j": j, "k": k, "c": str(c)}
+                                           for (i, j, k), c in zip(triples, constants)]}
+
+
+BENCH_SHAPES = [("filiform", step) for step in range(2, 9)] + [("free2", rank) for rank in range(3, 6)]
+
+
+@st.composite
+def bench_shaped_points(draw):
+    kind, size = draw(st.sampled_from(BENCH_SHAPES))
+    count = size - 1 if kind == "filiform" else size * (size - 1) // 2
+    constants = draw(st.lists(st.fractions(-9, 9, max_denominator=9).filter(bool),
+                              min_size=count, max_size=count))
+    alg = validate_algebra(spec_from_dict(bench_shaped_doc(kind, size, constants)))
+    return alg, draw(vectors(alg.n)), draw(vectors(alg.n))
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=bench_shaped_points())
+def test_packed_assembly_matches_series_oracle_on_bench_shapes(case):
+    alg, x, y = case
+    assert bch_group_law(alg).multiply_exact(x, y) == bch_numeric(alg, x, y)
+
+
+def test_packed_keys_fit_their_fields_at_the_edges(tmp_path):
+    # 256 variables in one key: the abelian law is addition, and one bracket
+    # [e1, e2] = e_n puts y2 in the 130th field
+    n = MAX_DIMENSION
+    path = tmp_path / "abelian.json"
+    path.write_text(json.dumps({"layers": [n], "brackets": []}))
+    result = cli.run_config({"op": "frame-show", "algebra_file": str(path)})["result"]
+    assert (result["n"], result["group_law_terms"], result["frame_entries"]) == (n, {}, {})
+    assert not any(bch_group_law(validate_algebra(spec_from_dict({"layers": [n]}))).q_polys)
+    law = bch_group_law(validate_algebra(spec_from_dict(
+        {"layers": [n - 1, 1], "brackets": [{"i": 1, "j": 2, "k": n, "c": "1"}]})))
+    assert not any(law.q_polys[:-1])
+    assert law.q_polys[-1] == HALF * (var(2 * n, 0) * var(2 * n, n + 1) - var(2 * n, 1) * var(2 * n, n))
+
+    # step 8: fields of step.bit_length() + 1 = 5 bits; x1^6 y2 is a largest
+    # exponent (the part of Q linear in y puts B_7 / 7! = 0 on ad_x^7 y), and
+    # every term's total degree stays within the step
+    doc = bench_shaped_doc("filiform", 8, [Fraction(k + 1, 8 - k) for k in range(7)])
+    alg = validate_algebra(spec_from_dict(doc))
+    law = bch_group_law(alg)
+    exps = [e for q in law.q_polys for e in q.terms]
+    assert max(max(e) for e in exps) == 6 < 2 ** (8).bit_length()
+    assert max(sum(e) for e in exps) <= 8
+    x = tuple(Fraction(k - 4, k + 1) for k in range(9))
+    y = tuple(Fraction(3 - k, 2 * k + 1) for k in range(9))
+    assert law.multiply_exact(x, y) == bch_numeric(alg, x, y)
+
+
+def test_exact_workload_keeps_its_result_bytes(tmp_path):
+    # the 20 result blocks of the benchmark's exact workload at seed 11,
+    # frame-show and group-check on filiform and free step-2 algebras
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = workloads.generate("exact", 11, tmp_path)
+    assert [c["op"] for c in configs] == ["frame-show", "group-check"] * 10
+    blocks = [json.dumps(cli.run_config(c)["result"], sort_keys=True) for c in configs]
+    assert hashlib.sha256("\n".join(blocks).encode()).hexdigest() \
+        == "4d0d1e05ebce065c5aaf259345af4aa9a67ea329a73017a22852aa4f6e856d34"
+
+
 @settings(max_examples=60, deadline=None)
 @given(x=vectors(4), y=vectors(4), z=vectors(4))
 def test_property_associative(x, y, z):
@@ -328,3 +407,15 @@ def test_structure_checks_catch_a_broken_law():
     bad = (law.q_polys[0], law.q_polys[1], law.q_polys[2] + var(6, 2))
     with pytest.raises(AssertionError):
         _check_law_structure(law.algebra, bad)
+
+
+def test_structure_check_refuses_a_mixed_degree_correction():
+    # x1^2 y2 has weighted degree 3 and Q3 degree 2: weighted_degree reads
+    # None for a mixed polynomial as for zero, and only zero may pass
+    law = fixtures.group_law("heisenberg")
+    from gradedgroups.group import _check_law_structure
+    mixed = law.q_polys[2] + var(6, 0) * var(6, 0) * var(6, 4)
+    assert mixed.weighted_degree(law.degrees + law.degrees) is None
+    with pytest.raises(AssertionError, match="homogeneous"):
+        _check_law_structure(law.algebra, (law.q_polys[0], law.q_polys[1], mixed))
+    _check_law_structure(law.algebra, law.q_polys)

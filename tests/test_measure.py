@@ -16,7 +16,6 @@ from gradedgroups.measure import (NumericalResolutionError,
                                   _polynomial_reach, area_formula_residual, ball_param_set,
                                   ball_intersection_measure, blowup_sequence,
                                   covering_values, density_divergence,
-                                  federer_density_check,
                                   negligibility_estimate, quad,
                                   richardson_extrapolate, riemannian_length,
                                   spherical_measure_upper)
@@ -623,25 +622,6 @@ def test_negligibility_empty_set_is_zero(dist):
             negligibility_estimate(dist, fixtures.curve(name), [])
     with pytest.raises(ValueError, match="empty"):
         covering_values(dist, fixtures.curve("vertical"), 2, [])
-
-
-def test_federer_check_on_straight_piece(dist):
-    rep = federer_density_check(dist, fixtures.curve("glued_hv"), [(-1.0, 0.0)],
-                                a=1.0, kappa=0.9,
-                                radii=[2.0 ** -k for k in range(4, 9)],
-                                deltas=[2.0 ** -k for k in range(2, 7)])
-    assert not rep.vacuous
-    assert rep.all_dense                  # interior density is 2 > kappa
-    assert rep.mu == pytest.approx(1.0, rel=1e-9)
-    assert rep.covering_upper == pytest.approx(0.5, rel=1e-6)
-    assert rep.inequality_ok
-
-
-def test_federer_check_vacuous_without_intervals(dist):
-    rep = federer_density_check(dist, fixtures.curve("vertical"), [],
-                                a=2.0, kappa=0.5)
-    assert rep.vacuous
-    assert rep.inequality_ok
 
 
 # -- invariance ----------------------------------------------------------------------

@@ -7,8 +7,7 @@ import pytest
 from gradedgroups import (DimensionMismatch, bch_group_law, fixtures, metric, roots,
                           spec_from_dict, validate_algebra)
 from gradedgroups.curve import curve_from_samples, dilate_curve, polynomial_curve
-from gradedgroups.metric import (HomogeneousDistance, ball_box_constants,
-                                 degree_constant, metric_factor,
+from gradedgroups.metric import (HomogeneousDistance, degree_constant, metric_factor,
                                  triangle_audit)
 from gradedgroups.roots import NumericalResolutionError
 
@@ -284,16 +283,3 @@ def test_degree_constant(heis):
     for q in (0, -1, 4):            # no layer: not layer 3's constant, no IndexError
         with pytest.raises(ValueError, match="out of range"):
             degree_constant(engel, q)
-
-
-def test_ball_box_constants_abelian():
-    rep = ball_box_constants(fixtures.distance("abelian_w12"), samples=4000, seed=3)
-    assert rep.lam == pytest.approx(1.0, abs=1e-9)
-    assert rep.recheck_violations == 0
-
-
-def test_ball_box_constants_heisenberg():
-    rep = ball_box_constants(fixtures.distance("heisenberg"), samples=4000, seed=3)
-    assert rep.lam == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-9)
-    assert rep.sup_gauge_on_unit_box == pytest.approx(math.sqrt(2.0), abs=1e-9)
-    assert rep.recheck_violations == 0

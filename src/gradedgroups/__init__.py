@@ -17,8 +17,7 @@ from .curve import (AdaptedBasis, Curve, DegreeProfile, LittleOReport,
                     degree_profile, dilate_curve, linear_image_curve,
                     little_o_check, pointwise_degree, polynomial_curve,
                     recentered_curve, tangent_projection, translate_curve)
-from .frame import (METRIC_EUCLIDEAN, METRIC_LEFT, Frame, FrameCoordinates,
-                    compute_frame, speed, translate_vector)
+from .frame import METRIC_EUCLIDEAN, METRIC_LEFT, Frame, compute_frame, speed
 from .group import DimensionMismatch, GroupLaw, bch_group_law
 from .measure import (AreaFormulaReport, BallIntersection, BlowupReport,
                       CoveringEstimate, CoveringSchedule, DivergenceReport,
@@ -38,8 +37,9 @@ __all__ = [
     "BallIntersection", "BlowupReport",
     "CoveringEstimate", "CoveringSchedule", "Curve", "DegreeProfile",
     "DimensionMismatch", "DivergenceReport", "Frame",
-    "FrameCoordinates", "GradedAlgebra", "GradedAlgebraSpec",
-    "GradingViolation", "GroupLaw", "GroupValidationError", "JacobiViolation",
+    "GradedAlgebra", "GradedAlgebraSpec",
+    "GradingViolation", "GroupLaw", "GroupValidationError", "HomogeneousDistance",
+    "JacobiViolation",
     "LittleOReport", "METRIC_EUCLIDEAN", "METRIC_LEFT",
     "NegligibilityReport", "NumericalResolutionError", "RationalPoly",
     "TriangleAudit", "ZeroVelocityError", "adapted_basis",
@@ -51,6 +51,6 @@ __all__ = [
     "metric_factor", "negligibility_estimate", "pointwise_degree",
     "recentered_curve", "richardson_extrapolate", "riemannian_length",
     "spec_from_dict", "spec_from_json", "speed", "spherical_measure_upper",
-    "tangent_projection", "translate_curve", "translate_vector",
+    "tangent_projection", "translate_curve",
     "triangle_audit", "validate_algebra",
 ]

@@ -94,7 +94,11 @@ def parse_schedule(value) -> list:
             if b1 != b2:
                 raise ConfigError(f"schedule range endpoints must share a base: {value!r}")
             step = 1 if e2 >= e1 else -1
-            out = [b1 ** e for e in range(e1, e2 + step, step)]
+            out = []
+            for e in range(e1, e2 + step, step):
+                out.append(b1 ** e)
+                if not out[-1] > 0:     # refused below, before the range runs on
+                    break
         elif isinstance(value, str):
             out = [b ** e for b, e in (_power(t) for t in value.split(",") if t.strip())]
         else:

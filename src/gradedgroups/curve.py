@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import roots
-from .frame import FrameCoordinates, METRIC_LEFT, speed
+from .frame import METRIC_LEFT, speed
 from .group import DimensionMismatch, GroupLaw
 
 
@@ -292,11 +292,12 @@ def _squares(groups: list) -> np.ndarray:
 
 def tangent_projection(law: GroupLaw, curve: Curve, t: float, layer: int,
                        metric: str = METRIC_LEFT):
-    """Layer part of the unit tangent, in frame coordinates.
+    """(proj, mag): the layer part of the unit tangent, in frame coordinates.
 
     The velocity is normalized by its length under the chosen ambient
-    metric, its frame coordinates are restricted to the requested layer,
-    and the euclidean size of that block is returned alongside.
+    metric, and its frame coordinates outside the requested layer are set
+    to 0: proj is that array of length n.  mag is the euclidean size of
+    the layer's block.
     """
     x = curve.position_at(t)
     v = curve.velocity_at(t)
@@ -307,7 +308,7 @@ def tangent_projection(law: GroupLaw, curve: Curve, t: float, layer: int,
     sl = law.algebra.layer_slice(layer)
     proj = np.zeros_like(lam)
     proj[sl] = lam[sl]
-    return FrameCoordinates(lam=proj, base_point=x), float(np.linalg.norm(proj[sl]))
+    return proj, float(np.linalg.norm(proj[sl]))
 
 
 # -- adapted bases -------------------------------------------------------------

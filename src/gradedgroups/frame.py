@@ -10,12 +10,12 @@ homogeneous of weighted degree deg(l) - deg(j).
 Frame coordinates of an ambient vector v at x solve A(x) lam = v, where
 A(x) is unit lower triangular in degree order; they agree with the
 coordinates of v pulled back to the identity, so they do not change
-under left translation.
+under left translation, and a tangent direction is just the array lam.
+The ambient vector of lam at x is A(x) @ lam (``Frame.matrix``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,14 +29,6 @@ METRIC_EUCLIDEAN = "euclidean"
 def _check_metric(metric: str) -> None:
     if metric not in (METRIC_LEFT, METRIC_EUCLIDEAN):
         raise ValueError(f"unknown metric choice {metric!r}; use 'left' or 'euclidean'")
-
-
-@dataclass(frozen=True)
-class FrameCoordinates:
-    """Coefficients lam of a tangent vector in the frame at base_point."""
-
-    lam: np.ndarray
-    base_point: np.ndarray
 
 
 class Frame:
@@ -85,10 +77,6 @@ class Frame:
                     rows[l] -= fn(cols) * rows[j]
         return lam
 
-    def reconstruct(self, x, lam) -> np.ndarray:
-        """Ambient components of sum_j lam_j X_j(x)."""
-        return self.matrix(x) @ np.asarray(lam, dtype=float)
-
     def describe(self) -> dict:
         """Human-readable entries, e.g. {"a[3,1]": "-1/2*x2"} (1-based)."""
         names = [f"x{i+1}" for i in range(self.n)]
@@ -121,25 +109,6 @@ def compute_frame(law: GroupLaw) -> Frame:
                 f"{alg.degrees[l] - alg.degrees[j]}")
         entries[(l, j)] = p
     return Frame(alg.degrees, entries)
-
-
-def translate_vector(law: GroupLaw, fc: FrameCoordinates, x) -> FrameCoordinates:
-    """Carry a frame vector along left translation by x.
-
-    Frame coordinates are translation invariant, so only the base point
-    moves.  The result is cross-checked against the ambient pushforward
-    through the jacobian of y -> x * y; disagreement beyond 1e-9 raises,
-    since it would mean the frame and the law disagree.
-    """
-    x = np.asarray(x, dtype=float)
-    y = fc.base_point
-    new_base = law.multiply(x, y)
-    frame = law.frame
-    pushed = law.left_jacobian(x, y) @ frame.reconstruct(y, fc.lam)
-    err = np.max(np.abs(frame.coordinates(new_base, pushed) - fc.lam))
-    if err > 1e-9 * (1.0 + np.max(np.abs(fc.lam))):
-        raise ArithmeticError(f"left translation cross-check failed (error {err:.3e})")
-    return FrameCoordinates(lam=fc.lam.copy(), base_point=new_base)
 
 
 def speed(frame: Frame, x, v, metric: str = METRIC_LEFT):

@@ -6,11 +6,11 @@ Conventions.  The 1-d measure of a curve piece under an ambient metric
 for the coordinate metric) is the integral of the corresponding speed.
 Integrals go through :func:`quad`: Gauss-Legendre panels, split at the
 curve's breaks, each round of them evaluated in one batched call.
-Parameter sets cut out by balls are the maximal runs where the
-membership polynomials are <= 0 on each piece of the curve's table
-(``roots.table_runs``), with gamma(t0)^-1 * gamma folded on the table
-once per center: every component is found, however narrow, and the one
-through the center is kept even below the width its ends are solved to.
+Parameter sets cut out by balls are the maximal runs where the ball's
+polynomials from the distance (``HomogeneousDistance.ball_around``) are
+<= 0 on each piece of the curve's table (``roots.table_runs``): every
+component is found, however narrow, and the one through the center is
+kept even below the width its ends are solved to.
 
 Spherical-measure upper bounds come from a greedy walk: at the first
 uncovered parameter, a ball of the current radius is centered as far
@@ -44,13 +44,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import roots
-from .curve import Curve, _squares, degree_profile, pointwise_degree, tangent_projection
+from .curve import Curve, degree_profile, pointwise_degree, tangent_projection
 from .frame import METRIC_EUCLIDEAN, METRIC_LEFT, _check_metric, speed
 from .metric import HomogeneousDistance, degree_constant, metric_factor
 from .roots import NumericalResolutionError
@@ -130,35 +129,15 @@ class BallIntersection:
     center_parameter: float
 
 
-@lru_cache(maxsize=1)
-def _center_fold(dist: HomogeneousDistance, curve: Curve, t0: float) -> tuple:
-    """(squares, origins): |z^(k)|^2 per layer on the table, z = gamma(t0)^-1 * gamma,
-    the anchor's piece shifted to origin t0 with the s^0 column of z set to 0,
-    as ``membership`` does for d = 0.  Kept for the last center."""
-    coef, breaks, origins = curve.pieces
-    m = int(np.searchsorted(breaks, t0, side="right"))
-    y, origins = coef.copy(), origins.copy()
-    y[:, :, m] = roots.taylor_shift(coef[:, :, m].copy(), t0 - origins[m])
-    origins[m] = t0
-    z = dist.law.divide_rows([np.full((1, 1, y.shape[2]), c) for c in y[0, :, m]],
-                             [y[None, :, j] for j in range(curve.n)])
-    for zj in z:
-        zj[0, 0, m] = 0.0
-    fold = _squares([[zj[0] for zj in z[sl]] for sl in dist._slices]), origins
-    for table in fold:            # handed to every caller with this center
-        table.flags.writeable = False
-    return fold
-
-
 def ball_param_set(dist: HomogeneousDistance, curve: Curve, t0: float, r: float):
     """Parameter set {t : d(gamma(t0), gamma(t)) <= r} as closed intervals.
 
-    The maximal runs where every P_k = (eps_k / r)^(2k) |z^(k)|^2 - 1 <= 0
-    on the table folded for the center (:func:`_center_fold`), found by
+    The maximal runs where every membership polynomial of the ball around
+    gamma(t0) (``HomogeneousDistance.ball_around``) is <= 0, found by
     ``roots.table_runs`` with ends solved to 1e-15 * max(1, |t|).  Every
     component is found, however narrow, save one narrower than that; the
     one through t0 is then the point (t0, t0).  Open and closed balls
-    differ on a measure-zero boundary.  An overflowing (eps_k / r)^(2k)
+    differ on a measure-zero boundary.  A radius whose weights overflow
     raises NumericalResolutionError.  Returns (intervals, truncated).
     """
     a, b = curve.domain
@@ -166,13 +145,7 @@ def ball_param_set(dist: HomogeneousDistance, curve: Curve, t0: float, r: float)
         raise ValueError(f"center parameter {t0} outside the open domain")
     if not r > 0:
         raise ValueError(f"radius {r} is not positive")
-    squares, origins = _center_fold(dist, curve, t0)
-    try:
-        w = [(e / r) ** (2 * k) for k, e in enumerate(dist.eps, start=1)]
-    except OverflowError:
-        raise NumericalResolutionError(f"radius {r} is below float resolution") from None
-    polys = (np.array(w)[:, None, None] * squares)[squares.any(axis=(1, 2))]
-    polys[:, 0] -= 1.0
+    polys, origins = dist.ball_around(curve, t0, r)
     found = roots.table_runs(polys, curve.domain, curve.breaks, origins,
                              lambda t: 1e-15 * max(1.0, abs(t)))
     if not any(lo <= t0 <= hi for lo, hi in found):
@@ -296,25 +269,24 @@ class CoveringEstimate:
     centers: tuple             # center parameters (radii all equal delta)
 
 
-def _polynomial_reach(dist: HomogeneousDistance, curve: Curve) -> Callable:
-    """``reach(start, cap, r, guess)`` on a curve's coefficient table: the
-    first parameter after ``start`` where the curve leaves the closed
-    r-ball around gamma(start), as the inside end of a bracket no wider
-    than ``roots.reach_tol``, or ``cap`` where it stays inside up to there.
+def _polynomial_reach(dist: HomogeneousDistance, curve: Curve, r: float) -> Callable:
+    """``reach(start, guess)`` on a curve's coefficient table: the first
+    parameter after ``start`` where the curve leaves the closed r-ball
+    around gamma(start), as the inside end of a bracket no wider than
+    ``roots.reach_tol``, or the domain's end where it stays inside up to
+    there.
 
     From the anchor's piece on, each piece's membership polynomials and
-    their kernel (``HomogeneousDistance.membership``) go to
-    ``roots.first_exit`` with the guess; the first piece with an exit ends
-    the reach, and without one it is the cap.
+    their kernel (``HomogeneousDistance.membership``, built once for r) go
+    to ``roots.first_exit`` with the guess; the first piece with an exit
+    ends the reach, and without one it is the domain's end.
     """
     pieces = curve.pieces
     breaks, origins = pieces[1].tolist(), pieces[2].tolist()
-    radius, polys_at = None, None
+    cap = curve.domain[1]
+    polys_at = dist.membership(pieces, r)
 
-    def reach(start: float, cap: float, r: float, guess: float | None) -> float:
-        nonlocal radius, polys_at
-        if r != radius:
-            radius, polys_at = r, dist.membership(pieces, r)
+    def reach(start: float, guess: float | None) -> float:
         m = bisect.bisect_right(breaks, start)
         u, t0, d = start - origins[m], start, 0
         while t0 < cap:
@@ -345,14 +317,14 @@ def _walk(reach: Callable, lo: float, hi: float, b: float, delta: float, guard: 
     """
     t, prev_step = lo, None
     while True:
-        center = reach(t, b, delta, prev_step)
+        center = reach(t, prev_step)
         centers.append(center)
         if len(centers) > MAX_BALLS:
             raise NumericalResolutionError(
                 f"covering at delta = {delta} exceeded {MAX_BALLS} balls")
         # a ball centered at t itself reaches no further than the reach from
         # t just found, so only a center ahead of t can advance
-        edge = reach(center, b, delta, center - t) if center > t else center
+        edge = reach(center, center - t) if center > t else center
         if edge >= hi - guard or edge >= b:
             return
         if edge <= t + guard:
@@ -399,7 +371,8 @@ def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
         if hi < lo:
             raise ValueError(f"interval [{lo}, {hi}] ends before it starts")
     guard = 1e-12 * curve.span()
-    reach = _polynomial_reach(dist, curve)
+    # nothing to cover needs no membership, however small delta is
+    reach = _polynomial_reach(dist, curve, delta) if intervals else None
     centers = []
     for lo, hi in intervals:
         _walk(reach, lo, hi, b, delta, guard, centers)

@@ -12,13 +12,15 @@ operation order, then the gauge, with no product array in between.  The
 audit scores its triples through it on column blocks small enough to
 stay in cache.
 
-Along a curve's coefficient table, a ball is a few polynomial
-inequalities in the parameter, read off anchor tables (``membership``).
+Along a curve's coefficient table, an r-ball around x is where every
+P_k = (eps_k / r)^(2k) |z^(k)|^2 - 1 <= 0, z = x^-1 * y, a polynomial in
+the parameter.  Only the distance builds them: read off anchor tables
+(``membership``) or folded around a center (``ball_around``).
 
 Also here: the 1-dimensional density constant of a straight line through
 the identity ("metric factor"), by a closed form when the direction sits
 in a single layer or else measured as the unit ball set of the line's
-one-piece table, and the sampled ball-box comparison constants.
+one-piece table.
 """
 
 from __future__ import annotations
@@ -26,14 +28,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import roots
-from .curve import _anchor_rows, polynomial_curve
-from .frame import FrameCoordinates
+from .curve import Curve, _anchor_rows, _squares, polynomial_curve
 from .group import DimensionMismatch, GroupLaw, _leading
 
 
@@ -102,27 +103,30 @@ class HomogeneousDistance:
             raise DimensionMismatch(f"anchor must have shape ({self.law.n},), got {x0.shape}")
         return lambda y: self.distance(x0, y)
 
+    def ball_weights(self, r: float) -> list:
+        """The weights (eps_k / r)^(2k) of |z^(k)|^2 in the P_k of an r-ball,
+        one per layer.  An overflowing weight raises NumericalResolutionError."""
+        try:
+            return [(e / r) ** (2 * k) for k, e in enumerate(self.eps, start=1)]
+        except OverflowError:
+            raise roots.NumericalResolutionError(
+                f"radius {r} is below float resolution") from None
+
     def membership(self, pieces, r: float) -> Callable:
         """Membership in closed r-balls anchored on a curve's table ``pieces``.
 
         ``polys(m, d, u)`` gives (polys, bracket): polys lists, for each
         layer k that z = x^-1 * y(s) touches, the ascending coefficients of
-        P_k(s) = (eps_k / r)^(2k) |z^(k)(s)|^2 - 1, and bracket is
-        ``roots._bracket_kernel`` for their lengths.  y(s) is in the ball
-        around x where every P_k <= 0.  The anchor x lies u past the origin
-        of piece m; y(s) runs along piece m + d, from the anchor (d = 0) or
-        from the piece's first parameter.  z is folded as a polynomial in
-        (u, s), every piece at once, once per offset d and kept
-        (``law.divide_rows`` on ``curve._anchor_rows``), with its evaluator
-        and kernel.  For d = 0 its s^0 column, x^-1 * x, is left out, so
-        P_k(0) = -1 and P_k'(0) = 0 exactly: no self-distance floor.  An
-        overflowing (eps_k / r)^(2k) raises NumericalResolutionError.
+        P_k(s), and bracket is ``roots._bracket_kernel`` for their lengths.
+        The anchor x lies u past the origin of piece m; y(s) runs along
+        piece m + d, from the anchor (d = 0) or from the piece's first
+        parameter.  z is folded as a polynomial in (u, s), every piece at
+        once, once per offset d and kept (``law.divide_rows`` on
+        ``curve._anchor_rows``), with its evaluator and kernel.  For d = 0
+        its s^0 column, x^-1 * x, is left out, so P_k(0) = -1 and
+        P_k'(0) = 0 exactly: no self-distance floor.
         """
-        try:
-            w = [(e / r) ** (2 * k) for k, e in enumerate(self.eps, start=1)]
-        except OverflowError:
-            raise roots.NumericalResolutionError(
-                f"radius {r} is below float resolution") from None
+        w = self.ball_weights(r)
         _, tables, compiled = self._tables.setdefault(id(pieces[0]), (pieces, {}, {}))
 
         def polys(m: int, d: int, u: float) -> tuple:
@@ -139,6 +143,35 @@ class HomogeneousDistance:
             return evaluate(u, rows[m], w), bracket
 
         return polys
+
+    def ball_around(self, curve: Curve, t0: float, r: float) -> tuple:
+        """(polys, origins): the P_k of the r-ball around gamma(t0) that
+        z = gamma(t0)^-1 * gamma touches, on every piece of the curve's
+        table, and the pieces' origins (:func:`_center_fold`)."""
+        squares, origins = _center_fold(self, curve, t0)
+        polys = (np.array(self.ball_weights(r))[:, None, None] * squares)[squares.any(axis=(1, 2))]
+        polys[:, 0] -= 1.0
+        return polys, origins
+
+
+@lru_cache(maxsize=1)
+def _center_fold(dist: HomogeneousDistance, curve: Curve, t0: float) -> tuple:
+    """(squares, origins): |z^(k)|^2 per layer on the table, z = gamma(t0)^-1 * gamma,
+    the anchor's piece shifted to origin t0 with the s^0 column of z set to 0,
+    as ``membership`` does for d = 0.  Kept for the last center."""
+    coef, breaks, origins = curve.pieces
+    m = int(np.searchsorted(breaks, t0, side="right"))
+    y, origins = coef.copy(), origins.copy()
+    y[:, :, m] = roots.taylor_shift(coef[:, :, m].copy(), t0 - origins[m])
+    origins[m] = t0
+    z = dist.law.divide_rows([np.full((1, 1, y.shape[2]), c) for c in y[0, :, m]],
+                             [y[None, :, j] for j in range(curve.n)])
+    for zj in z:
+        zj[0, 0, m] = 0.0
+    fold = _squares([[zj[0] for zj in z[sl]] for sl in dist._slices]), origins
+    for table in fold:            # handed to every caller with this center
+        table.flags.writeable = False
+    return fold
 
 
 def _membership_source(z: list, slices, anchored: bool) -> tuple:
@@ -335,34 +368,23 @@ def _line_gauge_interval_length(dist, lam) -> float:
     return sum(hi - lo for lo, hi in runs)
 
 
-def metric_factor(dist: HomogeneousDistance, tau, method: str = "auto") -> float:
-    """1-d euclidean measure of span{tau_0} inside the unit ball.
+def metric_factor(dist: HomogeneousDistance, lam) -> float:
+    """1-d euclidean measure of span{lam} inside the unit ball.
 
-    ``tau`` is a FrameCoordinates (only the coefficients matter: they are
-    the pullback of the vector to the identity) or a bare coefficient
-    vector.  For a direction concentrated in one layer the closed form
-    2 |tau_0| / d(0, tau_0)^q applies; otherwise the length of
-    {t : N(t tau_0) < 1} is measured directly.  method is "auto",
-    "closed" or "measure".
+    ``lam`` is a direction's frame coefficients, the pullback of a tangent
+    vector to the identity.  For a direction in one layer q the closed
+    form 2 |lam| / N(lam)^q applies; otherwise the length of
+    {t : N(t lam) <= 1} is measured (:func:`_line_gauge_interval_length`).
     """
-    lam = tau.lam if isinstance(tau, FrameCoordinates) else np.asarray(tau, dtype=float)
     lam = np.asarray(lam, dtype=float)
     mag = float(np.linalg.norm(lam))
     if mag == 0.0:
         raise ValueError("metric factor of the zero direction is undefined")
 
-    layers_hit = []
-    for k, sl in enumerate(dist._slices, start=1):
-        if float(np.linalg.norm(lam[sl])) > 1e-12 * mag:
-            layers_hit.append(k)
-
-    if method not in ("auto", "closed", "measure"):
-        raise ValueError(f"unknown metric_factor method {method!r}")
-    if method == "closed" or (method == "auto" and len(layers_hit) == 1):
-        if len(layers_hit) != 1:
-            raise ValueError("closed form needs a direction inside a single layer")
-        q = layers_hit[0]
-        return 2.0 * mag / float(dist.norm(lam)) ** q
+    layers_hit = [k for k, sl in enumerate(dist._slices, start=1)
+                  if float(np.linalg.norm(lam[sl])) > 1e-12 * mag]
+    if len(layers_hit) == 1:
+        return 2.0 * mag / float(dist.norm(lam)) ** layers_hit[0]
     return mag * _line_gauge_interval_length(dist, lam)
 
 

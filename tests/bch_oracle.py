@@ -9,11 +9,15 @@ with p_i + q_i >= 1, weighted by
 
 each block sequence contributing the right-nested bracket of its letter
 expansion (x repeated p_1 times, y q_1 times, and so on).  Nesting deeper
-than the step vanishes, so the sum is finite.  Everything runs over
-Fractions; agreement with the library is exact, not approximate.
+than the step vanishes, so the sum is finite.  Many block sequences
+expand to the same letter word (15,759 sequences, 510 words at step 8),
+so the weights are summed per word first and each word is bracketed
+once.  Everything runs over Fractions; agreement with the library is
+exact, not approximate.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 
@@ -36,6 +40,21 @@ def _block_sequences(step):
     return out
 
 
+@lru_cache(maxsize=None)
+def _word_weights(step):
+    """{letter word: summed weight} over the block sequences of the step,
+    words as strings of "x" and "y"; words whose weights cancel are left out."""
+    weights = {}
+    for blocks in _block_sequences(step):
+        m = len(blocks)
+        denom = m * sum(p + q for p, q in blocks)
+        for p, q in blocks:
+            denom *= factorial(p) * factorial(q)
+        word = "".join("x" * p + "y" * q for p, q in blocks)
+        weights[word] = weights.get(word, 0) + Fraction((-1) ** (m - 1), denom)
+    return {word: w for word, w in weights.items() if w}
+
+
 def _nested_bracket(alg, letters):
     """Right-nested bracket of a letter list, folded with the algebra bracket."""
     acc = letters[-1]
@@ -46,22 +65,10 @@ def _nested_bracket(alg, letters):
 
 def bch_numeric(alg, x, y):
     """z with exp(z) = exp(x) exp(y), evaluated term by term over Fractions."""
-    x = tuple(Fraction(c) for c in x)
-    y = tuple(Fraction(c) for c in y)
+    vectors = {"x": tuple(Fraction(c) for c in x), "y": tuple(Fraction(c) for c in y)}
     total = [Fraction(0)] * alg.n
-    for blocks in _block_sequences(alg.step):
-        m = len(blocks)
-        w = sum(p + q for p, q in blocks)
-        denom = m * w
-        letters = []
-        for p, q in blocks:
-            denom *= factorial(p) * factorial(q)
-            letters.extend([x] * p)
-            letters.extend([y] * q)
-        term = _nested_bracket(alg, letters)
-        if all(c == 0 for c in term):
-            continue
-        coeff = Fraction((-1) ** (m - 1), denom)
+    for word, weight in _word_weights(alg.step).items():
+        term = _nested_bracket(alg, [vectors[c] for c in word])
         for i in range(alg.n):
-            total[i] += coeff * term[i]
+            total[i] += weight * term[i]
     return tuple(total)

@@ -23,7 +23,8 @@ from gradedgroups.curve import (adapted_basis, degree_profile, dilate_curve,
 from gradedgroups.measure import (area_formula_residual, blowup_sequence,
                                   covering_values, density_divergence,
                                   negligibility_estimate)
-from gradedgroups.metric import HomogeneousDistance, metric_factor
+from gradedgroups.metric import (HomogeneousDistance, _line_gauge_interval_length,
+                                 metric_factor)
 
 GROUPS = ("abelian_w12", "heisenberg", "engel")
 
@@ -105,8 +106,8 @@ def test_acceptance_3_metric_factor(capsys):
     direction = np.array([0.0, 0.0, 1.0])
     for eps2 in (0.5, 1.0, 2.0):
         dist = HomogeneousDistance(law, (1.0, eps2))
-        closed = metric_factor(dist, direction, method="closed")
-        measured = metric_factor(dist, direction, method="measure")
+        closed = metric_factor(dist, direction)
+        measured = float(np.linalg.norm(direction)) * _line_gauge_interval_length(dist, direction)
         checks.append((f"eps2={eps2}: closed form equals 2/eps2^2",
                        abs(closed - 2.0 / eps2 ** 2) <= 1e-12))
         checks.append((f"eps2={eps2}: measured within 1e-4 of closed",

@@ -4,6 +4,8 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,18 @@ def test_parse_schedule_rejects_garbage():
                 "a^-1..a^-3", "2^5000", "0^-1", "nan^0"):
         with pytest.raises(ConfigError):
             parse_schedule(bad)
+
+
+def test_parse_schedule_refuses_an_underflowing_range_at_its_first_zero():
+    # 2^-1075 rounds to 0: the range is refused there, not after three million entries
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="must be positive"):
+            parse_schedule("2^-1..2^-3000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 # -- config validation --------------------------------------------------------
@@ -202,6 +216,12 @@ def test_module_entry_point():
     proc = run_module("fixtures")
     assert proc.returncode == 0, proc.stderr
     assert "parabola_lift" in json.loads(proc.stdout)["result"]["curves"]
+
+
+def test_package_exports_every_public_name():
+    names = {name for name, value in vars(gradedgroups).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(gradedgroups.__all__) == names
 
 
 def test_reports_are_byte_identical(capsys):

@@ -227,16 +227,16 @@ def test_tangent_projection_parabola(heis):
     par = fixtures.curve("parabola_lift")
     proj, mag = tangent_projection(heis, par, 1.0, 2)
     assert mag == pytest.approx(1.0 / math.sqrt(2.0))
-    assert np.allclose(proj.lam, [0.0, 0.0, 1.0 / math.sqrt(2.0)])
+    assert np.allclose(proj, [0.0, 0.0, 1.0 / math.sqrt(2.0)])
     proj1, mag1 = tangent_projection(heis, par, 1.0, 1)
     assert mag1 == pytest.approx(1.0 / math.sqrt(2.0))
-    assert np.allclose(proj1.lam, [1.0 / math.sqrt(2.0), 0.0, 0.0])
+    assert np.allclose(proj1, [1.0 / math.sqrt(2.0), 0.0, 0.0])
 
 
 def test_tangent_projection_vertical_is_whole_tangent(heis):
     proj, mag = tangent_projection(heis, fixtures.curve("vertical"), 0.2, 2)
     assert mag == pytest.approx(1.0)
-    assert np.allclose(proj.lam, [0.0, 0.0, 1.0])
+    assert np.allclose(proj, [0.0, 0.0, 1.0])
     for layer in (0, -1, 3):        # no such layer, not an empty projection
         with pytest.raises(ValueError, match="out of range"):
             tangent_projection(heis, fixtures.curve("vertical"), 0.2, layer)

@@ -3,7 +3,7 @@ import pytest
 from fractions import Fraction
 
 from gradedgroups import fixtures
-from gradedgroups.frame import FrameCoordinates, compute_frame, speed, translate_vector
+from gradedgroups.frame import compute_frame, speed
 from gradedgroups.poly import RationalPoly
 
 HALF = Fraction(1, 2)
@@ -68,32 +68,32 @@ def test_coordinates_reconstruct_roundtrip(engel):
     for idx in np.ndindex(2, 5):
         lam = fr.coordinates(xs[idx], vs[idx])
         assert np.array_equal(batch[idx], lam)   # one kernel, bit for bit
-        assert np.allclose(fr.reconstruct(xs[idx], lam), vs[idx], atol=1e-12)
+        assert np.allclose(fr.matrix(xs[idx]) @ lam, vs[idx], atol=1e-12)
 
 
-def test_translate_vector_keeps_coordinates(heis):
-    fc = FrameCoordinates(np.array([1.0, 0.0, 0.0]), np.zeros(3))
-    moved = translate_vector(heis, fc, np.array([0.0, 1.0, 0.0]))
-    assert np.allclose(moved.base_point, [0.0, 1.0, 0.0])
-    assert np.allclose(moved.lam, fc.lam)
-    # the ambient vector picks up the frame twist at the new base point
-    ambient = heis.frame.reconstruct(moved.base_point, moved.lam)
-    assert np.allclose(ambient, [1.0, 0.0, -0.5])
+def test_frame_twists_at_a_translated_point(heis):
+    # the frame vector X_1 at (0, 1, 0) picks up heisenberg's twist
+    assert np.allclose(heis.frame.matrix(np.array([0.0, 1.0, 0.0])) @ np.array([1.0, 0.0, 0.0]),
+                       [1.0, 0.0, -0.5])
 
 
-def test_translate_vector_pushforward_consistency(engel):
+def test_frame_agrees_with_the_left_translation_pushforward(engel):
+    # frame coordinates are left invariant: pushing lam's ambient vector at y
+    # forward through the jacobian of y -> x * y gives lam again at x * y
+    frame = engel.frame
     rng = np.random.default_rng(12)
     for _ in range(5):
-        base = rng.uniform(-1, 1, 4)
+        y = rng.uniform(-1, 1, 4)
         lam = rng.uniform(-1, 1, 4)
         x = rng.uniform(-1, 1, 4)
-        moved = translate_vector(engel, FrameCoordinates(lam, base), x)
-        assert np.allclose(moved.lam, lam)
+        pushed = engel.left_jacobian(x, y) @ frame.matrix(y) @ lam
+        err = np.max(np.abs(frame.coordinates(engel.multiply(x, y), pushed) - lam))
+        assert err <= 1e-9 * (1.0 + np.max(np.abs(lam)))
 
 
 def test_speed_left_vs_euclidean(heis):
     x = np.array([0.0, 1.0, 0.0])
-    v = heis.frame.reconstruct(x, np.array([1.0, 0.0, 0.0]))
+    v = heis.frame.matrix(x) @ np.array([1.0, 0.0, 0.0])
     assert speed(heis.frame, x, v, "left") == pytest.approx(1.0)
     assert speed(heis.frame, x, v, "euclidean") == pytest.approx(np.sqrt(1.25))
     for bad in ("taxicab", "frame"):

@@ -271,7 +271,7 @@ def test_forward_reach_matches_a_scalar_bisection(name, start, r, crossed):
     dist = fixtures.distance("engel" if name == "engel_vertical" else "heisenberg")
     dfun = dist.distance_from(curve.position_at(start))
     cap = curve.domain[1]
-    reach = _polynomial_reach(dist, curve)
+    reach = _polynomial_reach(dist, curve, r)
 
     # the first exit, independently: a dense scan, then halving to float resolution
     grid = np.linspace(start, cap, 4001)
@@ -288,7 +288,7 @@ def test_forward_reach_matches_a_scalar_bisection(name, start, r, crossed):
 
     for guess in (None, exit_, exit_ * (1 + 1e-3), exit_ * (1 - 1e-3), 0.5 * exit_,
                   3.0 * exit_, 10.0 * (cap - start)):
-        found = reach(start, cap, r, guess)
+        found = reach(start, guess)
         assert dfun(curve.position_at(found)) <= r, guess
         assert abs(found - lo) <= 1e-12 * exit_ + 1e-16, (guess, found - lo)
 
@@ -348,13 +348,13 @@ def _wavy_curve():
 
 def _reach_by_reach(dist, curve, delta, lo, hi):
     """The greedy walk, each reach certified in its kernel (roots.first_exit)."""
-    reach = _polynomial_reach(dist, curve)
+    reach = _polynomial_reach(dist, curve, delta)
     b, guard = curve.domain[1], 1e-12 * curve.span()
     t, step, centers = lo, None, []
     while True:
-        center = reach(t, b, delta, step)
+        center = reach(t, step)
         centers.append(center)
-        edge = reach(center, b, delta, center - t) if center > t else center
+        edge = reach(center, center - t) if center > t else center
         if edge >= hi - guard or edge >= b:
             return tuple(centers)
         assert edge > t + guard
@@ -475,6 +475,10 @@ def test_covering_below_float_resolution_is_a_resolution_error():
     with pytest.raises(NumericalResolutionError, match="below float resolution"):
         spherical_measure_upper(fixtures.distance("engel"), fixtures.curve("engel_vertical"),
                                 3, 1e-60)
+    # with nothing to cover, no ball's polynomials are built: the value is 0
+    est = spherical_measure_upper(fixtures.distance("engel"), fixtures.curve("engel_vertical"),
+                                  3, 1e-60, intervals=[])
+    assert (est.value, est.ball_count) == (0.0, 0)
 
 
 def test_covering_rejects_bad_exponents_and_intervals(dist):

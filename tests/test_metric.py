@@ -7,8 +7,8 @@ import pytest
 from gradedgroups import (DimensionMismatch, bch_group_law, fixtures, metric, roots,
                           spec_from_dict, validate_algebra)
 from gradedgroups.curve import curve_from_samples, dilate_curve, polynomial_curve
-from gradedgroups.metric import (HomogeneousDistance, degree_constant, metric_factor,
-                                 triangle_audit)
+from gradedgroups.metric import (HomogeneousDistance, _line_gauge_interval_length,
+                                 degree_constant, metric_factor, triangle_audit)
 from gradedgroups.roots import NumericalResolutionError
 
 
@@ -246,8 +246,8 @@ def test_audit_deterministic_across_workers(heis):
 def test_metric_factor_closed_vs_measured(heis, eps2):
     dist = HomogeneousDistance(heis, (1.0, eps2))
     lam = np.array([0.0, 0.0, 3.0])   # any scale; the factor only sees the direction
-    closed = metric_factor(dist, lam, method="closed")
-    measured = metric_factor(dist, lam, method="measure")
+    closed = metric_factor(dist, lam)
+    measured = float(np.linalg.norm(lam)) * _line_gauge_interval_length(dist, lam)
     assert closed == pytest.approx(2.0 / eps2 ** 2, rel=1e-12)
     assert measured == pytest.approx(closed, rel=1e-4)
 
@@ -270,8 +270,6 @@ def test_metric_factor_rejects_zero_direction(heis):
     dist = fixtures.distance("heisenberg")
     with pytest.raises(ValueError):
         metric_factor(dist, np.zeros(3))
-    with pytest.raises(ValueError):
-        metric_factor(dist, np.array([1.0, 0.0, 1.0]), method="closed")
 
 
 def test_degree_constant(heis):

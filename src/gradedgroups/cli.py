@@ -93,6 +93,8 @@ def parse_schedule(value) -> list:
             (b1, e1), (b2, e2) = _power(lo), _power(hi)
             if b1 != b2:
                 raise ConfigError(f"schedule range endpoints must share a base: {value!r}")
+            if b1 == 1.0:                # every entry 1.0, however long the range
+                raise ConfigError(f"schedule range of base 1 repeats one value: {value!r}")
             step = 1 if e2 >= e1 else -1
             out = []
             for e in range(e1, e2 + step, step):

@@ -43,35 +43,32 @@ def _leading(a: np.ndarray, k: int = 1) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _dynkin_word_coefficients(depth: int) -> dict:
-    """Rational coefficient per letter word (0 = x, 1 = y), lengths <= depth.
+    """Rational coefficient per letter word (0 = x, 1 = y), lengths <= depth,
+    words of coefficient 0 left out, in the order of the words as tuples,
+    which is that of a depth-first walk of the word tree."""
+    return dict(sorted((w, c) for j in range(1, depth + 1) for w, _, c in _dynkin_words(j) if c))
 
-    Dynkin's coefficient of a word w of length L sums (-1)^(m-1) /
-    (m * L * prod p_i! q_i!) over its splits into m blocks x^p_i y^q_i
-    with p_i + q_i > 0.  The word tree is walked depth-first, and for
-    each prefix of length j the integers G[j][m] = j! * sum prod 1 /
-    (p_i! q_i!) over the splits of the prefix into m blocks are kept.
-    They follow from the shorter prefixes by the last block w[i:j] =
-    x^p y^q: G[j][m] = sum G[i][m-1] * C(j, i) * C(j-i, p).  So each
-    word costs one Fraction, sum (-1)^(m-1) G[L][m] / (m * L * L!).
+
+@lru_cache(maxsize=None)
+def _dynkin_words(j: int) -> list:
+    """(word, rows, coefficient or 0) of every letter word of length j; kept
+    per length, so a law of a larger step computes only its longer words.
+
+    Dynkin's coefficient of a word w of length j sums (-1)^(m-1) / (m * j *
+    prod p_i! q_i!) over its splits into m blocks x^p_i y^q_i, p_i + q_i >
+    0.  rows[i][m] = G[i][m] = i! * sum prod 1 / (p_i! q_i!) over the splits
+    of w's prefix of length i into m blocks, and by the last block w[i:j] =
+    x^p y^q, G[j][m] = sum G[i][m-1] C(j, i) C(j-i, p) from its parent's.
     """
-    coeffs: dict = {}
-    comb = [[math.comb(j, i) for i in range(j + 1)] for j in range(depth + 1)]
-    tops = [math.lcm(*range(1, j + 1)) for j in range(depth + 1)]
-    # signed[L][m] = (-1)^(m-1) * lcm(1..L) / m, the numerator's weight of G[L][m]
-    signed = [[0] + [(-1) ** (m - 1) * (tops[j] // m) for m in range(1, j + 1)]
-              for j in range(depth + 1)]
-
-    def visit(word: tuple, rows: list) -> None:
-        length = len(word)
-        if length:
-            num = sum(map(operator.mul, rows[length], signed[length]))
-            if num:
-                coeffs[word] = Fraction(num, tops[length] * length * math.factorial(length))
-        if length == depth:
-            return
-        j = length + 1
-        for letter in (0, 1):
-            w = word + (letter,)
+    if not j:
+        return [((), [[1]], 0)]
+    top = math.lcm(*range(1, j + 1))
+    # (-1)^(m-1) * lcm(1..j) / m, the numerator's weight of G[j][m]
+    signed = [0] + [(-1) ** (m - 1) * (top // m) for m in range(1, j + 1)]
+    comb = [[math.comb(a, b) for b in range(a + 1)] for a in range(j + 1)]
+    words = []
+    for parent, rows, _ in _dynkin_words(j - 1):
+        for w in (parent + (0,), parent + (1,)):
             row = [0] * (j + 1)
             p = 0
             for i in range(j - 1, -1, -1):     # the last block is w[i:j] = x^p y^q
@@ -82,10 +79,9 @@ def _dynkin_word_coefficients(depth: int) -> dict:
                 weight = comb[j][i] * comb[j - i][p]
                 for m, gm in enumerate(rows[i], 1):
                     row[m] += gm * weight
-            visit(w, rows + [row])
-
-    visit((), [[1]])
-    return coeffs
+            num = sum(map(operator.mul, row, signed))
+            words.append((w, rows + [row], Fraction(num, top * j * math.factorial(j)) if num else 0))
+    return words
 
 
 def bch_group_law(algebra: GradedAlgebra) -> "GroupLaw":

@@ -16,20 +16,16 @@ Spherical-measure upper bounds come from a greedy walk: at the first
 uncovered parameter, a ball of the current radius is centered as far
 ahead along the curve as possible while still covering that parameter,
 and the walk jumps past the covered component.  The reported value is
-sum(r^q) over the balls placed.  Each of the two reaches per ball
-predicts, then certifies itself.
-
-Along each piece of the curve's coefficient table (``Curve.pieces``),
-the ball around the anchor is the set where a few polynomials in the
-parameter are <= 0 (``HomogeneousDistance.membership``: their
-coefficients are read off anchor tables by Horner in the anchor's
-offset), and a reach is their first exit (``roots.first_exit``).
-Newton steps from the step the walk took last predict each reach, in a
-kernel generated for the table's polynomial lengths, and once the
-bracket lands the same kernel certifies the predicted [anchor, exit] by
-the Bernstein coefficients of every polynomial.  Where it cannot, that
-interval is searched for an earlier exit.  So no excursion out of a
-ball between its anchor and the exit goes unseen.
+sum(r^q) over the balls placed.  Along each piece of the curve's table
+(``Curve.pieces``), the ball around the anchor is where a few polynomials
+in the parameter are <= 0 (``HomogeneousDistance.membership``, read off
+anchor tables by Horner in the anchor's offset), and a reach is their
+first exit: predicted by Newton steps from the walk's last step, then
+[anchor, exit] certified by the Bernstein coefficients of every
+polynomial, or else searched for an earlier exit (``roots.first_exit``).
+So no excursion out of a ball between its anchor and the exit goes
+unseen.  The loop runs in a function generated per anchor table, with
+both reaches of a ball inline, while they exit on the anchor's piece.
 
 The two reaches of a ball place the parameters from the first uncovered
 one t up to the center in the ball around gamma(t), and those from the
@@ -269,22 +265,19 @@ class CoveringEstimate:
     centers: tuple             # center parameters (radii all equal delta)
 
 
-def _polynomial_reach(dist: HomogeneousDistance, curve: Curve, r: float) -> Callable:
-    """``reach(start, guess)`` on a curve's coefficient table: the first
-    parameter after ``start`` where the curve leaves the closed r-ball
-    around gamma(start), as the inside end of a bracket no wider than
-    ``roots.reach_tol``, or the domain's end where it stays inside up to
-    there.
-
-    From the anchor's piece on, each piece's membership polynomials and
-    their kernel (``HomogeneousDistance.membership``, built once for r) go
-    to ``roots.first_exit`` with the guess; the first piece with an exit
-    ends the reach, and without one it is the domain's end.
+def _polynomial_reach(dist: HomogeneousDistance, curve: Curve, r: float) -> tuple:
+    """(reach, walk) from a curve table's membership, built once for r:
+    ``walk`` is the generated loop of :func:`_walk`, ``reach(start, guess)``
+    the first parameter after ``start`` where the curve leaves the closed
+    r-ball around gamma(start), as the inside end of a bracket no wider
+    than ``roots.reach_tol``, or the domain's end where it stays inside.
+    From the anchor's piece on, each piece's polynomials go to
+    ``roots.first_exit`` with the guess; the first with an exit ends it.
     """
     pieces = curve.pieces
     breaks, origins = pieces[1].tolist(), pieces[2].tolist()
     cap = curve.domain[1]
-    polys_at = dist.membership(pieces, r)
+    polys_at, walk = dist.membership(pieces, r)
 
     def reach(start: float, guess: float | None) -> float:
         m = bisect.bisect_right(breaks, start)
@@ -292,45 +285,50 @@ def _polynomial_reach(dist: HomogeneousDistance, curve: Curve, r: float) -> Call
         while t0 < cap:
             t1 = min(cap, breaks[m + d]) if m + d < len(breaks) else cap
             offset = t0 - start
-            polys, bracket = polys_at(m, d, u)
-            s = roots.first_exit(polys, bracket, t1 - t0,
+            s = roots.first_exit(polys_at(m, d, u), t1 - t0,
                                  None if guess is None else guess - offset, start, offset)
             if s is not None:
                 return t0 + s
             t0, d = t1, d + 1
         return max(start, cap)
 
-    return reach
+    return reach, walk
 
 
 # balls one covering may place before it is refused as unresolved
 MAX_BALLS = 5_000_000
 
 
-def _walk(reach: Callable, lo: float, hi: float, b: float, delta: float, guard: float,
-          centers: list) -> None:
+def _walk(reach: Callable, walk: Callable, lo: float, hi: float, b: float, delta: float,
+          guard: float, centers: list) -> None:
     """The greedy walk over [lo, hi]: appends the center of each ball placed.
 
     Each reach starts its Newton steps from the step the walk took last,
     and certifies its own bracket (``roots.first_exit``), so no excursion
-    out of a ball between its anchor and the exit goes unseen.
+    out of a ball between its anchor and the exit goes unseen.  ``walk`` runs
+    this loop while both reaches of a ball exit certified on the anchor's
+    piece, and hands back (t, step, center, edge), None where a reach is next.
     """
-    t, prev_step = lo, None
+    t, step, center = lo, None, None
     while True:
-        center = reach(t, prev_step)
-        centers.append(center)
+        t, step, center, edge = walk(t, step, center, hi, guard, b, centers, MAX_BALLS)
+        if center is None:
+            center = reach(t, step)
+            centers.append(center)
+            if len(centers) <= MAX_BALLS and center > t:
+                continue                 # walk takes the reach from the center
         if len(centers) > MAX_BALLS:
             raise NumericalResolutionError(
                 f"covering at delta = {delta} exceeded {MAX_BALLS} balls")
         # a ball centered at t itself reaches no further than the reach from
         # t just found, so only a center ahead of t can advance
-        edge = reach(center, center - t) if center > t else center
+        if edge is None:
+            edge = reach(center, center - t) if center > t else center
         if edge >= hi - guard or edge >= b:
             return
         if edge <= t + guard:
             raise NumericalResolutionError(f"covering walk stalled at t = {t} (delta = {delta})")
-        prev_step = max(edge - center, guard)
-        t = edge
+        t, step, center = edge, max(edge - center, guard), None
 
 
 def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
@@ -372,10 +370,10 @@ def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
             raise ValueError(f"interval [{lo}, {hi}] ends before it starts")
     guard = 1e-12 * curve.span()
     # nothing to cover needs no membership, however small delta is
-    reach = _polynomial_reach(dist, curve, delta) if intervals else None
+    reach, walk = _polynomial_reach(dist, curve, delta) if intervals else (None, None)
     centers = []
     for lo, hi in intervals:
-        _walk(reach, lo, hi, b, delta, guard, centers)
+        _walk(reach, walk, lo, hi, b, delta, guard, centers)
     value = 0.0
     for _ in centers:          # ball by ball, as the value has always been summed
         value += size

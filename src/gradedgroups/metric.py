@@ -25,6 +25,7 @@ one-piece table.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -112,37 +113,45 @@ class HomogeneousDistance:
             raise roots.NumericalResolutionError(
                 f"radius {r} is below float resolution") from None
 
-    def membership(self, pieces, r: float) -> Callable:
-        """Membership in closed r-balls anchored on a curve's table ``pieces``.
+    def membership(self, pieces, r: float) -> tuple:
+        """Membership in closed r-balls anchored on a curve's table: (polys, walk).
 
-        ``polys(m, d, u)`` gives (polys, bracket): polys lists, for each
-        layer k that z = x^-1 * y(s) touches, the ascending coefficients of
-        P_k(s), and bracket is ``roots._bracket_kernel`` for their lengths.
-        The anchor x lies u past the origin of piece m; y(s) runs along
-        piece m + d, from the anchor (d = 0) or from the piece's first
-        parameter.  z is folded as a polynomial in (u, s), every piece at
-        once, once per offset d and kept (``law.divide_rows`` on
-        ``curve._anchor_rows``), with its evaluator and kernel.  For d = 0
-        its s^0 column, x^-1 * x, is left out, so P_k(0) = -1 and
-        P_k'(0) = 0 exactly: no self-distance floor.
+        ``polys(m, d, u)`` lists, for each layer k that z = x^-1 * y(s)
+        touches, the ascending coefficients of P_k(s).  The anchor x lies u
+        past the origin of piece m; y(s) runs along piece m + d, from the
+        anchor (d = 0) or from the piece's first parameter.  z is folded as
+        a polynomial in (u, s), every piece at once, once per offset d and
+        kept (``law.divide_rows`` on ``curve._anchor_rows``), with its
+        evaluator.  For d = 0 its s^0 column, x^-1 * x, is left out, so
+        P_k(0) = -1 and P_k'(0) = 0 exactly: no self-distance floor.
+        ``walk(t, step, center, hi, guard, cap, centers, limit)`` runs the loop
+        of ``measure._walk`` on the d = 0 table (:func:`_membership_source`).
         """
         w = self.ball_weights(r)
         _, tables, compiled = self._tables.setdefault(id(pieces[0]), (pieces, {}, {}))
+        breaks, origins = pieces[1].tolist(), pieces[2].tolist()
 
-        def polys(m: int, d: int, u: float) -> tuple:
+        def table(d: int) -> tuple:
             if d not in tables:
                 z = self.law.divide_rows(*_anchor_rows(pieces, d))
-                source, rows, lengths = _membership_source(z, self._slices, d == 0)
+                source, rows = _membership_source(z, self._slices, d == 0)
                 if source not in compiled:
-                    scope = {}
+                    scope = {**roots._SCOPE, "inf": math.inf, "bisect_right": bisect.bisect_right}
                     # source built from our own terms
                     exec(source, scope)  # noqa: S102
-                    compiled[source] = scope["evaluate"], roots._bracket_kernel(*lengths)
+                    compiled[source] = scope["evaluate"], scope.get("walk")
                 tables[d] = *compiled[source], rows
-            evaluate, bracket, rows = tables[d]
-            return evaluate(u, rows[m], w), bracket
+            return tables[d]
 
-        return polys
+        def polys(m: int, d: int, u: float) -> list:
+            evaluate, _, rows = table(d)
+            return evaluate(u, rows[m], w)
+
+        def walk(*state) -> tuple:
+            _, run, rows = table(0)
+            return run(*state, rows, w, breaks, origins)
+
+        return polys, walk
 
     def ball_around(self, curve: Curve, t0: float, r: float) -> tuple:
         """(polys, origins): the P_k of the r-ball around gamma(t0) that
@@ -174,17 +183,46 @@ def _center_fold(dist: HomogeneousDistance, curve: Curve, t0: float) -> tuple:
     return fold
 
 
+_WALK = """def walk(t, last, center, stop, guard, cap, centers, limit, rows, w, breaks, origins):
+    end, offset, stop = -inf, 0.0, stop - guard
+    while True:
+        start, g = (t, last) if center is None else (center, center - t)
+        if start >= end:                 # the piece reach's bisect finds
+            piece = bisect_right(breaks, start)
+            end = breaks[piece] if piece < len(breaks) else inf
+            origin, t1 = origins[piece], min(cap, end)
+{unpack}        u = start - origin
+{coefficients}        hi = t1 - start
+        if g is None or not 0.0 < g < hi:
+            return t, last, center, None
+{bracket}        edge = start + a
+        if center is None:
+            center = edge
+            centers.append(center)
+            if len(centers) > limit:
+                return t, last, center, None
+            # a backward check of (t, center) against the center's ball goes here
+            if center > t:
+                continue
+        if edge >= stop or edge >= cap or edge <= t + guard:
+            return t, last, center, edge
+        last = edge - center
+        t, last, center = edge, guard if guard > last else last, None
+"""
+
+
 def _membership_source(z: list, slices, anchored: bool) -> tuple:
-    """Source of ``evaluate(u, c, w)``, the per-piece coefficient lists c and
-    the lengths of the lists ``evaluate`` returns.
+    """Source of ``evaluate(u, c, w)`` and the per-piece coefficient lists c.
 
     ``evaluate`` reads each power of s of each z_j by Horner in u, sums
     the squares per layer as polynomials in s, scales them by w[k - 1] and
     subtracts 1.  Coefficients zero on every piece are left out, and so is
-    the s^0 column of z where ``anchored``.
+    the s^0 column of z where ``anchored``.  There it also defines ``walk``,
+    the loop of ``measure._walk`` (``_WALK``) with each reach inline: these
+    coefficients, literals written in, then ``roots._bracket_source``.
     """
     count = z[0].shape[2]
-    entries, size, lines, layers, lengths = [], 0, [], [], []
+    entries, size, lines, layers = [], 0, [], []
     for k, sl in enumerate(slices):
         block = []                 # per coordinate of the layer: names of its s-coefficients
         for j in range(sl.start, sl.stop):
@@ -217,12 +255,20 @@ def _membership_source(z: list, slices, anchored: bool) -> tuple:
                 terms.append(f"w[{k}] * ({' + '.join(squares)})" + (" - 1.0" if b == 0 else ""))
             else:
                 terms.append("-1.0" if b == 0 else "0.0")
-        layers.append(f"[{', '.join(terms)}]")
-        lengths.append(len(terms))
-    if size:
-        lines.insert(0, f"    {', '.join(f'c{i}' for i in range(size))}, = c\n")
-    return (f"def evaluate(u, c, w):\n{''.join(lines)}    return [{', '.join(layers)}]\n",
-            np.concatenate(entries or [np.empty((0, count))]).T.tolist(), lengths)
+        layers.append(terms)
+    unpack = f"{', '.join(f'c{i}' for i in range(size))}, = " if size else ""
+    source = (f"def evaluate(u, c, w):\n    {unpack and unpack + 'c'}\n{''.join(lines)}"
+              f"    return [{', '.join('[' + ', '.join(terms) + ']' for terms in layers)}]\n")
+    if anchored:                    # the coefficients that are not literals, as locals
+        names = [[term if term[0] in "-0" else f"c{i}_{k}" for k, term in enumerate(terms)]
+                 for i, terms in enumerate(layers)]
+        lines += [f"    {name} = {term}\n" for coef, terms in zip(names, layers)
+                  for name, term in zip(coef, terms) if name != term]
+        bracket = roots._bracket_source(names, *["return t, last, center, None"] * 2)
+        source += _WALK.format(unpack=unpack and f"            {unpack}rows[piece]\n",
+                               coefficients="".join(f"    {line}" for line in lines),
+                               bracket="".join(f"    {line}" for line in bracket.splitlines(True)))
+    return source, np.concatenate(entries or [np.empty((0, count))]).T.tolist()
 
 
 def _point_or_batch(out):

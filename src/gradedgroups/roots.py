@@ -7,10 +7,11 @@ steps solve one crossing of a monotone P, anything else is halved
 are ball sets, low-degree sets and the unit-gauge chord (on whole tables
 by :func:`table_runs`); its Newton-predicted :func:`first_exit` is a
 reach of the covering walk.  Polynomials are lists of ascending
-coefficients, evaluated in Python floats; the prediction runs in a
-kernel generated per tuple of polynomial lengths, with Horner unrolled,
-compiled on first use (:func:`_bracket_kernel`), and the kernel
-certifies its own bracket by the same Bernstein enclosure, unrolled.
+coefficients, evaluated in Python floats.  The prediction and the
+certificate of its bracket by the same Bernstein enclosure are one
+generated text (:func:`_bracket_source`), compiled on first use per
+tuple of polynomial lengths (:func:`_bracket_kernel`) and inlined in the
+covering walk's loop (``HomogeneousDistance.membership``).
 """
 
 from __future__ import annotations
@@ -108,6 +109,8 @@ PREDICT_STEPS = 12
 # halvings of one search: a reach of the walk takes at most about 20, and an
 # ill-conditioned table that would take millions stops within a second
 MAX_HALVINGS = 2048
+# the names the text of _bracket_source reads besides its locals
+_SCOPE = {"ulp": math.ulp, "steps": range(PREDICT_STEPS)}
 
 
 def _horner_source(names: list, x: str) -> str:
@@ -126,50 +129,41 @@ def reach_tol(start: float, lo: float) -> float:
     return max(1e-12 * lo + 1e-16, 4.0 * math.ulp(start + lo))
 
 
-@lru_cache(maxsize=None)
-def _bracket_kernel(*lengths: int) -> Callable:
-    """Generate ``bracket(polys, g, hi, start, offset)`` for polys of these
-    lengths: (a, certified), a the inside end of a bracket [a, c] of a root
-    of the P most violated at g, or None.
-
-    Newton steps from g; once a step is at most w = tol / 2 long, tol the
-    :func:`reach_tol` of ``start`` at ``offset`` + x, the bracket is the w
-    wide one centered where it lands, if P(a) <= 0 < P(c) there and
-    0 < a < c <= hi.  None where a step meets a slope that is not positive
-    or leaves (0, hi), or the steps run out.  The bracket is certified
-    where every P lies below minus its rounding bound on [0, a] by its
-    Bernstein coefficients (:func:`_bernstein` on [0, a]), as :func:`runs`
-    certifies an interval inside, except that a nan coefficient, which
-    Python's max may skip, fails here.  The coefficients are locals, the
-    first of equal values is the most violated, P' is k * c, every P and
-    P' is :func:`horner` unrolled and the certificate :func:`_bernstein`
-    unrolled, operation for operation.
-    """
-    if not lengths:                          # no P, no root to bracket
-        return lambda polys, g, hi, start, offset: None
-    names = [[f"c{i}_{k}" for k in range(n)] for i, n in enumerate(lengths)]
-    lines = [f"    {', '.join(f'p{i}' for i in range(len(names)))}, = polys\n"]
-    lines += [f"    {', '.join(coef)}, = p{i}\n" for i, coef in enumerate(names) if coef]
-    lines += [f"    v{i} = {_horner_source(coef, 'g')}\n" for i, coef in enumerate(names)]
+def _bracket_source(names: list, fail: str, refuse: str) -> str:
+    """Body text, one indent deep, of the bracket of :func:`_bracket_kernel`
+    on the coefficients ``names`` of each P (locals or float literals) and
+    ``g``, ``hi``, ``start``, ``offset``: it ends on a certified ``a``, runs
+    ``fail`` where no bracket is found and ``refuse`` where one is not."""
+    if not names:                            # no P, no root to bracket
+        return f"    {fail}\n"
+    lines = [f"    v{i} = {_horner_source(coef, 'g')}\n" for i, coef in enumerate(names)]
     lines += ["    v, i = v0, 0\n"] + [f"    if v{i} > v:\n        v, i = v{i}, {i}\n"
                                       for i in range(1, len(names))]
-    for i, coef in enumerate(names):
+    # one Newton block per length of P, on q0, q1, ... where those P differ
+    groups = {n: [i for i, coef in enumerate(names) if len(coef) == n] for n in map(len, names)}
+    for j, members in enumerate(groups.values()):
+        coef = [c if all(names[i][k] == c for i in members) else f"q{k}"
+                for k, c in enumerate(names[members[0]])]
+        qs = [q for q in coef if q[0] == "q"]
+        copy = "".join(f"        {'elif' if m else 'if'} i == {i}:\n            {', '.join(qs)}, = "
+                       f"{', '.join(names[i][int(q[1:])] for q in qs)},\n"
+                       for m, i in enumerate(members) if qs)
         derivative = "".join(f"d{k} = {k} * {coef[k]}; " for k in range(1, len(coef)))
         dp = [f"d{k}" for k in range(1, len(coef))] or ["0.0"]
-        lines.append(f"""    {"elif" if i else "if"} i == {i}:
-        {derivative}x = g
-        for _ in range({PREDICT_STEPS}):
+        lines.append(f"""    {"elif" if j else "if"} i in {tuple(members)}:
+{copy}        {derivative}x = g
+        for _ in steps:
             d = {_horner_source(dp, "x")}
             if not d > 0.0:
-                return None
+                {fail}
             step = v / d
             x -= step
             if not 0.0 < x < hi:
-                return None
+                {fail}
             lo = offset + x
             tol, floor = 1e-12 * lo + 1e-16, 4.0 * ulp(start + lo)
             width = 0.5 * (floor if floor > tol else tol)
-            if abs(step) <= width:
+            if -width <= step <= width:
                 a, c = x - 0.5 * width, x + 0.5 * width
                 va, vc = {_horner_source(coef, "a")}, {_horner_source(coef, "c")}
                 if va <= 0.0 < vc:
@@ -178,10 +172,11 @@ def _bracket_kernel(*lengths: int) -> Callable:
             else:
                 v = {_horner_source(coef, "x")}
         else:
-            return None
+            {fail}
 """)
-    lines.append("    if not (0.0 < a and c <= hi):\n        return None\n")
-    lines += [f"    s{k} = {'a' if k == 1 else f's{k - 1} * a'}\n" for k in range(1, max(lengths))]
+    lines.append(f"    if not (0.0 < a and c <= hi):\n        {fail}\n")
+    lines += [f"    s{k} = {'a' if k == 1 else f's{k - 1} * a'}\n"
+              for k in range(1, max(map(len, names)))]
     for i, coef in enumerate(names):
         n = len(coef) - 1
         e = coef[:1] + [f"b{i}_{k}" for k in range(1, n + 1)]
@@ -190,14 +185,37 @@ def _bracket_kernel(*lengths: int) -> Callable:
                   for k, inv in enumerate(_inv_binom(n)) if k]
         lines += [f"    {e[k]} = {e[k]} + {e[k - 1]}\n"
                   for j in range(1, n + 1) for k in range(n, j - 1, -1)]
-        size = _horner_source([f"abs({c})" for c in coef], "a")
+        size = _horner_source([f"abs({c})" if c[0].isalpha() else repr(abs(float(c)))
+                               for c in coef], "a")
         lines.append(f"    m = {-(4 * n + 8) * 2.0 ** -53!r} * ({size})\n"
-                     f"    if not ({' and '.join(f'{b} < m' for b in e)}):\n"
-                     "        return a, False\n")
-    lines.append("    return a, True\n")
-    scope = {"ulp": math.ulp}
+                     f"    if not ({' and '.join(f'{b} < m' for b in e)}):\n        {refuse}\n")
+    return "".join(lines)
+
+
+@lru_cache(maxsize=None)
+def _bracket_kernel(*lengths: int) -> Callable:
+    """Generate ``bracket(polys, g, hi, start, offset)`` for polys of these
+    lengths: (a, certified), a the inside end of a bracket [a, c] of a root
+    of the P most violated at g, or None.
+
+    Newton steps from g; once a step is at most w = tol / 2 long, tol the
+    :func:`reach_tol` of ``start`` at ``offset`` + x, the bracket is the w
+    wide one centered where it lands, if P(a) <= 0 < P(c) there and 0 < a
+    < c <= hi; None where a step meets a slope that is not positive or
+    leaves (0, hi), or the steps run out.  It is certified where every P
+    lies below minus its rounding bound on [0, a] by its Bernstein
+    coefficients (:func:`_bernstein`), as :func:`runs` certifies an interval
+    inside, but a nan coefficient, which max may skip, fails.  The first of
+    equal values is the most violated, P' is k * c, every P and P' is
+    :func:`horner` and the certificate :func:`_bernstein` unrolled on
+    locals, operation for operation (:func:`_bracket_source`).
+    """
+    names = [[f"c{i}_{k}" for k in range(n)] for i, n in enumerate(lengths)]
+    unpack = "".join(f"({', '.join(coef)},), " for coef in names) + "= polys" if names else ""
+    scope = dict(_SCOPE)
     # source built from our own terms
-    exec(f"def bracket(polys, g, hi, start, offset):\n{''.join(lines)}", scope)  # noqa: S102
+    exec(f"def bracket(polys, g, hi, start, offset):\n    {unpack}\n"  # noqa: S102
+         f"{_bracket_source(names, 'return None', 'return a, False')}    return a, True\n", scope)
     return scope["bracket"]
 
 
@@ -298,27 +316,27 @@ def runs(polys: list, lo: float, hi: float, tol: Callable[[float], float]):
         yield start, hi
 
 
-def first_exit(polys: list, bracket: Callable, hi: float, guess: float | None,
-               start: float, offset: float) -> float | None:
+def first_exit(polys: list, hi: float, guess: float | None, start: float,
+               offset: float) -> float | None:
     """First s in [0, hi] where some P in ``polys`` is positive, or None.
 
-    Each P is a list of ascending coefficients, as a rule negative at 0;
-    ``bracket`` is :func:`_bracket_kernel` for their lengths, and the
-    width solved to is the :func:`reach_tol` of ``start`` at ``offset`` +
-    s.  The inside end of the exit is returned: every P <= 0 on [0, a] is
-    certified and, unless an interval was unresolved at that width, some
-    P > 0 within it beyond a.
+    Each P is a list of ascending coefficients, as a rule negative at 0,
+    and the width solved to is the :func:`reach_tol` of ``start`` at
+    ``offset`` + s.  The inside end of the exit is returned: every P <= 0
+    on [0, a] is certified and, unless an interval was unresolved at that
+    width, some P > 0 within it beyond a.
 
     From a ``guess`` in (0, hi), Newton steps on the P most violated there
-    bracket one of its roots, and the kernel certifies [0, a] itself.
-    Where it cannot, [0, a] is searched for an earlier exit; without a
-    guess, or where the steps fail, [0, hi] is.  The exit is the end of
-    the first of the :func:`runs`, or 0 where it does not start at 0.  The
-    first step of that search is the check the kernel makes, so where the
-    kernel certifies, the search gives the same a.
+    bracket one of its roots, and the kernel for their lengths
+    (:func:`_bracket_kernel`) certifies [0, a] itself.  Where it cannot,
+    [0, a] is searched for an earlier exit; without a guess, or where the
+    steps fail, [0, hi] is.  The exit is the end of the first of the
+    :func:`runs`, or 0 where it does not start at 0.  The first step of
+    that search is the check the kernel makes, so where the kernel
+    certifies, the search gives the same a.
     """
     if guess is not None and 0.0 < guess < hi:
-        found = bracket(polys, guess, hi, start, offset)
+        found = _bracket_kernel(*map(len, polys))(polys, guess, hi, start, offset)
         if found is not None:
             a, certified = found
             if certified:

@@ -57,6 +57,19 @@ def test_parse_schedule_refuses_an_underflowing_range_at_its_first_zero():
     assert peak < 2 ** 20
 
 
+def test_parse_schedule_refuses_a_range_of_base_1_before_building_it():
+    # every entry of 1^-1..1^-3000000 is 1.0: refused before the first one
+    tracemalloc.start()
+    try:
+        for bad in ("1^-1..1^-3000000", "1.0^3..1^-3"):
+            with pytest.raises(ConfigError, match="base 1 repeats one value"):
+                parse_schedule(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 # -- config validation --------------------------------------------------------
 
 

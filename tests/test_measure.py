@@ -2,12 +2,15 @@ import hashlib
 import importlib.util
 import math
 import random
+import re
 import struct
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gradedgroups import fixtures, measure, roots
 from gradedgroups.curve import (curve_from_samples, degree_profile, dilate_curve,
@@ -271,7 +274,7 @@ def test_forward_reach_matches_a_scalar_bisection(name, start, r, crossed):
     dist = fixtures.distance("engel" if name == "engel_vertical" else "heisenberg")
     dfun = dist.distance_from(curve.position_at(start))
     cap = curve.domain[1]
-    reach = _polynomial_reach(dist, curve, r)
+    reach, _ = _polynomial_reach(dist, curve, r)
 
     # the first exit, independently: a dense scan, then halving to float resolution
     grid = np.linspace(start, cap, 4001)
@@ -346,9 +349,18 @@ def _wavy_curve():
           "velocity": [1.0, 1.5 * math.cos(15 * t), 0.1]} for t in np.linspace(-1.0, 1.0, 9)], 3)
 
 
+def _cubic_curve():
+    """x2 = 2 t^3 - t on one piece: at delta 0.3 a reach from the last step
+    jumps a turn out of the ball, inside the anchor's piece."""
+    coef = np.zeros((4, 3, 1))
+    coef[1, 0, 0], coef[1, 1, 0], coef[3, 1, 0] = 1.0, -1.0, 2.0
+    return polynomial_curve(coef, (-1.0, 1.0))
+
+
 def _reach_by_reach(dist, curve, delta, lo, hi):
-    """The greedy walk, each reach certified in its kernel (roots.first_exit)."""
-    reach = _polynomial_reach(dist, curve, delta)
+    """The greedy walk, each reach taken by the general path, its kernel
+    certifying it (roots.first_exit), none by the generated loop."""
+    reach, _ = _polynomial_reach(dist, curve, delta)
     b, guard = curve.domain[1], 1e-12 * curve.span()
     t, step, centers = lo, None, []
     while True:
@@ -357,17 +369,103 @@ def _reach_by_reach(dist, curve, delta, lo, hi):
         edge = reach(center, center - t) if center > t else center
         if edge >= hi - guard or edge >= b:
             return tuple(centers)
-        assert edge > t + guard
+        if edge <= t + guard:
+            raise NumericalResolutionError(f"covering walk stalled at t = {t} (delta = {delta})")
         step, t = max(edge - center, guard), edge
 
 
+def _handed_back(dist, curve, delta, lo, hi):
+    """(centers, reaches): the walk of spherical_measure_upper over [lo, hi],
+    and the (start, exit) of each reach the generated loop handed back."""
+    reach, walk = _polynomial_reach(dist, curve, delta)
+    reaches, centers = [], []
+
+    def general(start, guess):
+        reaches.append((start, reach(start, guess)))
+        return reaches[-1][1]
+
+    measure._walk(general, walk, lo, hi, curve.domain[1], delta, 1e-12 * curve.span(), centers)
+    return tuple(centers), reaches
+
+
+# walks whose generated loop hands reaches back: across a break (glued_hv
+# from -0.5, the benchmark's curve file), at a refused bracket (the rough
+# and wavy curves, and the cubic, where the loop itself refuses) and at the
+# domain's end (parabola_lift up to 1)
+_HAND_BACKS = {"glued_hv": (lambda: fixtures.curve("glued_hv"), 2.0 ** -6, (-0.5, 0.5)),
+               "bench": (lambda: _bench_walk_curve(), 2.0 ** -4, (-1.0, 1.0)),
+               "rough": (lambda: _rough_curve(), 0.1, (-1.0, 1.0)),
+               "wavy": (lambda: _wavy_curve(), 0.1, (-1.0, 1.0)),
+               "cubic": (lambda: _cubic_curve(), 0.3, (-1.0, 1.0)),
+               "end": (lambda: fixtures.curve("parabola_lift"), 0.25, (0.0, 1.0))}
+
+
+@st.composite
+def _walk_tables(draw):
+    """(group, curve, delta, lo, hi): a table of one to three pieces of degree
+    1 to 3 on (-1, 1), coefficients dyadic or any float in [-1, 1], in
+    powers of t or of each piece's own parameter, and a radius and interval."""
+    group = draw(st.sampled_from(["heisenberg", "engel"]))
+    n, pieces, degree = (3 if group == "heisenberg" else 4), draw(st.integers(1, 3)), \
+        draw(st.integers(1, 3))
+    size = (degree + 1) * n * pieces
+    coef = np.reshape(draw(st.lists(st.one_of(st.integers(-8, 8).map(lambda k: k / 8.0),
+                                              st.floats(-1.0, 1.0)), min_size=size, max_size=size)),
+                      (degree + 1, n, pieces))
+    breaks = sorted(draw(st.sets(st.sampled_from([-0.5, -0.25, 0.0, 0.3, 0.6]),
+                                 min_size=pieces - 1, max_size=pieces - 1)))
+    origins = [-1.0, *breaks] if draw(st.booleans()) else None
+    curve = polynomial_curve(coef, (-1.0, 1.0), breaks, origins)
+    delta = draw(st.floats(0.15, 0.6))
+    lo = draw(st.one_of(st.just(-1.0), st.floats(-1.0, 1.0)))
+    hi = draw(st.one_of(st.just(1.0), st.just(lo), st.floats(lo, 1.0)))
+    return group, curve, delta, lo, hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from(sorted(_HAND_BACKS)), _walk_tables()))
+@example("glued_hv")
+@example("bench")
+@example("rough")
+@example("wavy")
+@example("cubic")
+@example("end")
+def test_generated_walk_is_the_reach_by_reach_walk(case):
+    # the generated loop of each anchor table takes reaches ahead of _walk
+    # and hands back the rest: the centers are those of the walk that takes
+    # every reach in the general path, bit for bit, and so is a stall
+    if isinstance(case, str):
+        curve, delta, (lo, hi) = _HAND_BACKS[case]
+        group, curve = "heisenberg", curve()
+    else:
+        group, curve, delta, lo, hi = case
+    dist = fixtures.distance(group)
+    try:
+        want = _reach_by_reach(dist, curve, delta, lo, hi)
+    except NumericalResolutionError as exc:
+        with pytest.raises(NumericalResolutionError, match=re.escape(str(exc))):
+            _handed_back(dist, curve, delta, lo, hi)
+        return
+    centers, reaches = _handed_back(dist, curve, delta, lo, hi)
+    assert centers == want
+    if case in ("glued_hv", "bench", "end"):
+        # the hand-backs these walks are here for: a reach across a break,
+        # or one that meets the domain's end
+        breaks, b = curve.pieces[1].tolist(), curve.domain[1]
+        assert any(s == b if case == "end" else any(start < p < s for p in breaks)
+                   for start, s in reaches)
+
+
 def test_walk_refuses_uncertified_brackets(dist, monkeypatch):
-    # each reach's kernel certifies its Newton bracket; where it cannot, the
-    # reach searches [anchor, exit] for an earlier exit (roots._exit).  The
-    # walk's centers are those of the greedy loop above, and a bracket is
-    # refused on the curves that double back or wave out of a ball only
-    refused, fallbacks, unchecked = [], [], []
-    kernel, search = roots._bracket_kernel, roots._exit
+    # each reach certifies its Newton bracket, in the walk's generated loop
+    # and in the kernels alike (roots._bracket_source).  The loop hands a
+    # bracket it cannot certify back, and there the kernel refuses it again
+    # and the reach searches [anchor, exit] for an earlier exit
+    # (roots._exit).  The walk's centers are those of the reach-by-reach
+    # walk, and a bracket is refused on the curves that double back or
+    # wave out of a ball only
+    refused, fallbacks = [], []
+    kernel, search, source = roots._bracket_kernel, roots._exit, roots._bracket_source
 
     def counted_kernel(*lengths):
         bracket = kernel(*lengths)
@@ -375,8 +473,6 @@ def test_walk_refuses_uncertified_brackets(dist, monkeypatch):
         def counted(polys, g, hi, start, offset):
             found = bracket(polys, g, hi, start, offset)
             if found is not None and not found[1]:
-                if unchecked:
-                    return found[0], True
                 refused.append(found[0])
             return found
 
@@ -392,7 +488,8 @@ def test_walk_refuses_uncertified_brackets(dist, monkeypatch):
     # curve, delta, interval, whether a bracket is refused on the way
     cases = [(_bump_curve(), 0.25, None, False),
              (fixtures.curve("glued_hv"), 2.0 ** -6, (-0.5, 0.5), False),
-             (_rough_curve(), 0.1, None, True), (_wavy_curve(), 0.1, None, True)]
+             (_rough_curve(), 0.1, None, True), (_wavy_curve(), 0.1, None, True),
+             (_cubic_curve(), 0.3, None, True)]
     for curve, delta, iv, refuses in cases:
         fresh = HomogeneousDistance(dist.law, dist.eps)   # its tables take counted kernels
         refused.clear()
@@ -401,12 +498,17 @@ def test_walk_refuses_uncertified_brackets(dist, monkeypatch):
         est = spherical_measure_upper(fresh, curve, 1, delta, intervals=[(lo, hi)])
         assert bool(refused) == refuses and fallbacks == refused
         assert est.centers == _reach_by_reach(fresh, curve, delta, lo, hi)
-    # on the wavy curve the certificate matters: taken unchecked, the walk
-    # would step over a wave
-    unchecked.append(True)
-    fresh = HomogeneousDistance(dist.law, dist.eps)
-    assert spherical_measure_upper(fresh, _wavy_curve(), 1, 0.1).ball_count == 22
-    monkeypatch.undo()
+    # on the wavy curve the certificate matters: generated without it, in
+    # the loop and the kernels, the walk would step over a wave
+    monkeypatch.setattr(roots, "_bracket_source",
+                        lambda names, fail, refuse: source(names, fail, "pass"))
+    kernel.cache_clear()
+    try:
+        fresh = HomogeneousDistance(dist.law, dist.eps)
+        assert spherical_measure_upper(fresh, _wavy_curve(), 1, 0.1).ball_count == 22
+    finally:
+        monkeypatch.undo()
+        kernel.cache_clear()          # no kernel without its certificate is kept
     fresh = HomogeneousDistance(dist.law, dist.eps)
     assert len(_reach_by_reach(fresh, _wavy_curve(), 0.1, -1.0, 1.0)) == 23
 

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 import gradedgroups
 from gradedgroups import fixtures
 from gradedgroups.measure import spherical_measure_upper
-from gradedgroups.roots import (MAX_HALVINGS, PREDICT_STEPS, NumericalResolutionError,
-                                _bernstein, _bracket_kernel, _derivative, _exit, first_exit,
-                                horner, reach_tol, runs, table_runs, taylor_shift)
+from gradedgroups.roots import (_SCOPE, MAX_HALVINGS, PREDICT_STEPS, NumericalResolutionError,
+                                _bernstein, _bracket_kernel, _bracket_source, _derivative,
+                                _exit, first_exit, horner, reach_tol, runs, table_runs,
+                                taylor_shift)
 
 
 def _below(p, a, c):
@@ -60,7 +61,7 @@ def tol12(a):
 
 def _first_exit(polys, hi, guess):
     """roots.first_exit from start 0, where the reach tolerance is tol12."""
-    return first_exit(polys, _bracket_kernel(*map(len, polys)), hi, guess, 0.0, 0.0)
+    return first_exit(polys, hi, guess, 0.0, 0.0)
 
 
 # -- runs of polynomial inequalities --------------------------------------------------
@@ -261,14 +262,31 @@ def _bracket_cases(draw):
 def test_bracket_kernel_is_the_scalar_bracket(case):
     # the same float, bit for bit, or None, wherever Newton lands or leaves
     # (0, hi), and the same certificate of [0, a]: every Bernstein
-    # coefficient of every P below minus its rounding bound
+    # coefficient of every P below minus its rounding bound.  Both texts of
+    # the one generator: the kernel's, on coefficients unpacked into
+    # locals, and the covering walk's, which writes coefficients in as
+    # literals (here every finite one)
     polys, g, hi, start, offset = case
     want = _bracket(polys, g, hi, lambda x: reach_tol(start, offset + x))
-    got = _bracket_kernel(*map(len, polys))(polys, g, hi, start, offset)
-    if want is None:
-        assert got is None
-    else:
-        assert (got[0].hex(), got[1]) == (want.hex(), _certified(polys, want))
+    for bracket in (_bracket_kernel(*map(len, polys)), _literal_bracket(polys)):
+        got = bracket(polys, g, hi, start, offset)
+        if want is None:
+            assert got is None
+        else:
+            assert (got[0].hex(), got[1]) == (want.hex(), _certified(polys, want))
+
+
+def _literal_bracket(polys):
+    """The kernel for ``polys`` from _bracket_source, each finite coefficient
+    written in as its float literal."""
+    names = [[repr(c) if math.isfinite(c) else f"c{i}_{k}" for k, c in enumerate(p)]
+             for i, p in enumerate(polys)]
+    unpack = "".join(f"({', '.join(f'c{i}_{k}' for k in range(len(p)))},), "
+                     for i, p in enumerate(polys))
+    scope = dict(_SCOPE)
+    exec(f"def bracket(polys, g, hi, start, offset):\n    {unpack}= polys\n"  # noqa: S102
+         f"{_bracket_source(names, 'return None', 'return a, False')}    return a, True\n", scope)
+    return scope["bracket"]
 
 
 def test_bracket_kernels_compile_on_first_use():
@@ -281,15 +299,16 @@ def test_bracket_kernels_compile_on_first_use():
          "print(roots._bracket_kernel.cache_info().currsize)"],
         capture_output=True, text=True, env=env, timeout=120)
     assert out.stdout == "0\n", out.stderr
-    # a walk compiles one kernel per tuple of lengths it meets, a second none:
-    # on the vertical line it meets (3,), on the parabola (3, 5)
+    # a walk compiles one kernel per tuple of lengths its reaches bracket
+    # with outside the generated loop, a second none: on the vertical line
+    # none, on the parabola (3, 5), across the break of glued_hv (5, 5)
     dist = fixtures.distance("heisenberg")
-    curves = [fixtures.curve("vertical"), fixtures.curve("parabola_lift")]
+    curves = [fixtures.curve(name) for name in ("vertical", "parabola_lift", "glued_hv")]
     _bracket_kernel.cache_clear()       # as every command-line run starts
     first = [spherical_measure_upper(dist, curve, 2, 2.0 ** -4) for curve in curves]
     assert _bracket_kernel.cache_info().misses == 2
     assert [spherical_measure_upper(dist, curve, 2, 2.0 ** -4) for curve in curves] == first
-    assert _bracket_kernel(3) is _bracket_kernel(3) and _bracket_kernel(3, 5)
+    assert _bracket_kernel(3, 5) is _bracket_kernel(3, 5) and _bracket_kernel(5, 5)
     assert _bracket_kernel.cache_info().misses == 2
 
 

@@ -9,8 +9,9 @@ weights; it is not assumed but audited by sampling (triangle_audit).
 Every float distance runs one kernel generated per distance on first
 use: z = x^-1 * y from the columns of -x and y, in the group law's own
 operation order, then the gauge, with no product array in between.  The
-audit scores its triples through it on column blocks small enough to
-stay in cache.
+audit draws and scores its triples through it one block at a time, each
+block advanced to its own part of the random stream: its working set is
+one block, whatever the sample count.
 
 Along a curve's coefficient table, an r-ball around x is where every
 P_k = (eps_k / r)^(2k) |z^(k)|^2 - 1 <= 0, z = x^-1 * y, a polynomial in
@@ -327,8 +328,9 @@ class TriangleAudit:
         return self.max_ratio <= 1.0 + 1e-12
 
 
-# triples drawn per batch by triangle_audit, and scored AUDIT_BLOCK rows at a time:
-# the columns of a block stay in cache through the three distance kernels
+# triples drawn per chunk by triangle_audit, which fixes the random stream's layout
+# (changing it changes every witness), and scored AUDIT_BLOCK at a time, each block
+# drawing its own part of the chunk's stream: the working set is one block
 AUDIT_CHUNK = 65536
 AUDIT_BLOCK = 8192
 
@@ -343,49 +345,64 @@ def triangle_audit(dist: HomogeneousDistance, samples: int = 100_000,
     distance is the fused kernel of ``distance``, so the result is the
     same as scoring with ``norm(law.multiply(-x, y))``.
 
-    Raises ValueError unless samples >= 1, and NumericalResolutionError
-    where a sampled distance, or the sum of two, is not a finite float
-    (weights so large that the gauge overflows), or a nonzero one is
-    subnormal (weights so small that its ratios are rounding noise).
+    The draws are those of ``default_rng(seed)`` taking, per chunk of m =
+    AUDIT_CHUNK triples, m x n uniforms for each of x, y and z (point-major),
+    then 3 m log-scales.  Each block of AUDIT_BLOCK triples draws its part
+    of each from a PCG64 advanced to it, so memory stays one block.
+
+    Raises ValueError unless samples is an int >= 1 and seed an int >= 0
+    (bools refused), and NumericalResolutionError where a sampled distance,
+    or the sum of two, is not a finite float (weights so large that the
+    gauge overflows), or a nonzero one is subnormal (weights so small that
+    its ratios are rounding noise).
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    law = dist.law
-    n = law.n
-    degrees = np.array(law.degrees, dtype=float)
-    rng = np.random.default_rng(seed)
+    for name, value, least in (("samples", samples, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be an int of at least {least}, got {value!r}")
+    degrees = dist.law.degrees
+    n = len(degrees)
     pair = dist._pair
 
+    def points(uniform, s):
+        """A block's points as columns, coordinate j times s^degree_j.  The
+        array exponent keeps numpy's array power loop, which rounds as the
+        chunk-wide power did; a scalar 2 would take its square instead."""
+        scaled = {k: s if k == 1 else s ** np.full_like(s, k) for k in set(degrees)}
+        u = uniform(-1.0, 1.0, size=(len(s), n))
+        return [u[:, j] * scaled[k] for j, k in enumerate(degrees)]
+
     best, witness = 0.0, None
-    left = samples
-    while left > 0:
-        m = min(AUDIT_CHUNK, left)
-        pts = rng.uniform(-1.0, 1.0, size=(3, m, n))
-        scales = np.exp(rng.uniform(math.log(0.25), math.log(4.0), size=(3, m)))
-        pts *= scales[..., None] ** degrees
-        left -= m
-        dxy, dyz, dxz = dists = np.empty((3, m))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, m, AUDIT_BLOCK):
-                block = slice(lo, lo + AUDIT_BLOCK)
-                x, y, z = np.ascontiguousarray(pts[:, block].transpose(0, 2, 1))
-                neg_x, neg_y = -x, -y
-                dxy[block] = pair([*neg_x, *y])
-                dyz[block] = pair([*neg_y, *z])
-                dxz[block] = pair([*neg_x, *z])
-            denom = dxy + dyz
-        if not (denom.max() <= sys.float_info.max and dxz.max() <= sys.float_info.max):
-            raise roots.NumericalResolutionError(
-                f"sampled distances overflow float at eps {list(dist.eps)}")
-        # the least nonzero distance, past any degenerate triple's 0
-        if (dists.min() or np.min(dists, where=dists > 0.0, initial=np.inf)) < sys.float_info.min:
-            raise roots.NumericalResolutionError(
-                f"sampled distances are subnormal floats at eps {list(dist.eps)}")
-        ratio = np.divide(dxz, denom, out=np.zeros_like(dxz), where=denom > 0)
-        i = int(np.argmax(ratio))
-        if ratio[i] > best:
-            best = float(ratio[i])
-            witness = tuple(p[i].tolist() for p in pts)
+    for lo in range(0, samples, AUDIT_CHUNK):
+        m = min(AUDIT_CHUNK, samples - lo)
+        # where x, y, z and the three scale rows start, one 64-bit output per
+        # double: every earlier chunk took 3 n + 3 per triple
+        starts = [lo * (3 * n + 3) + t * m * n for t in range(3)]
+        starts += [starts[2] + m * n + t * m for t in range(3)]
+        streams = [np.random.Generator(np.random.PCG64(seed).advance(start)).uniform
+                   for start in starts]
+        for block in range(0, m, AUDIT_BLOCK):
+            size = min(AUDIT_BLOCK, m - block)
+            scales = [np.exp(draw(math.log(0.25), math.log(4.0), size=size))
+                      for draw in streams[3:]]
+            x, y, z = (points(draw, s) for draw, s in zip(streams, scales))
+            neg_x, neg_y = [-c for c in x], [-c for c in y]
+            with np.errstate(over="ignore", invalid="ignore"):
+                dxy, dyz, dxz = dists = np.array([pair([*neg_x, *y]), pair([*neg_y, *z]),
+                                                  pair([*neg_x, *z])])
+                denom = dxy + dyz
+            if not (denom.max() <= sys.float_info.max and dxz.max() <= sys.float_info.max):
+                raise roots.NumericalResolutionError(
+                    f"sampled distances overflow float at eps {list(dist.eps)}")
+            # the least nonzero distance, past any degenerate triple's 0
+            least = dists.min() or np.min(dists, where=dists > 0.0, initial=np.inf)
+            if least < sys.float_info.min:
+                raise roots.NumericalResolutionError(
+                    f"sampled distances are subnormal floats at eps {list(dist.eps)}")
+            ratio = np.divide(dxz, denom, out=np.zeros_like(dxz), where=denom > 0)
+            i = int(np.argmax(ratio))
+            if ratio[i] > best:
+                best = float(ratio[i])
+                witness = tuple([float(c[i]) for c in p] for p in (x, y, z))
     return TriangleAudit(max_ratio=best, witness=witness, samples=samples, seed=seed)
 
 

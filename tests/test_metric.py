@@ -1,8 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gradedgroups import (DimensionMismatch, bch_group_law, fixtures, metric, spec_from_dict,
                           validate_algebra)
@@ -215,10 +218,63 @@ def test_triangle_audit_across_chunks_and_blocks():
         [0.7540427127330493, -1.1748888360806777, 2.7570915615035854, -0.6792843340523926])
 
 
+def _chunk_wide_audit(dist, samples, seed):
+    """(max_ratio, witness) of the audit as one draw per chunk: every
+    chunk's points and scales materialised from the one stream, dilated by
+    the broadcast power and scored with ``distance``."""
+    n, degrees = dist.law.n, np.array(dist.law.degrees, dtype=float)
+    rng = np.random.default_rng(seed)
+    best, witness = 0.0, None
+    for lo in range(0, samples, metric.AUDIT_CHUNK):
+        m = min(metric.AUDIT_CHUNK, samples - lo)
+        pts = rng.uniform(-1.0, 1.0, size=(3, m, n))
+        scales = np.exp(rng.uniform(math.log(0.25), math.log(4.0), size=(3, m)))
+        pts *= scales[..., None] ** degrees
+        x, y, z = pts
+        denom = dist.distance(x, y) + dist.distance(y, z)
+        ratio = np.divide(dist.distance(x, z), denom, out=np.zeros(m), where=denom > 0)
+        i = int(np.argmax(ratio))
+        if ratio[i] > best:
+            best, witness = float(ratio[i]), tuple(p[i].tolist() for p in pts)
+    return best, witness
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(fixtures.group_names()), st.integers(0, 2 ** 32),
+       st.sampled_from([1, metric.AUDIT_BLOCK - 1, metric.AUDIT_BLOCK + 1,
+                        metric.AUDIT_CHUNK - 1, metric.AUDIT_CHUNK + 1]))
+@example("engel", 5, metric.AUDIT_CHUNK + 1)
+@example("abelian_w12", 0, metric.AUDIT_BLOCK + 1)
+@example("heisenberg", 1, 1)
+def test_streamed_audit_is_the_chunk_wide_audit(name, seed, samples):
+    # each block draws its own part of the chunk's stream: the ratio and
+    # witness are those of drawing the whole chunk at once, bit for bit
+    dist = fixtures.distance(name)
+    audit = triangle_audit(dist, samples=samples, seed=seed)
+    assert (audit.max_ratio, audit.witness) == _chunk_wide_audit(dist, samples, seed)
+
+
+def test_triangle_audit_memory_is_one_block():
+    # a chunk and a bit: the chunk-wide draw peaked at 13.6 MiB
+    dist = fixtures.distance("engel")
+    triangle_audit(dist, samples=1)          # compiles the kernel outside the trace
+    tracemalloc.start()
+    try:
+        triangle_audit(dist, samples=metric.AUDIT_CHUNK + 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+
+
 def test_triangle_audit_refuses_what_it_cannot_score(heis):
-    for samples in (0, -5):
-        with pytest.raises(ValueError, match="at least 1"):
+    for samples in (0, -5, True, 2.5, "3", None):
+        with pytest.raises(ValueError, match="samples must be an int of at least 1"):
             triangle_audit(fixtures.distance("heisenberg"), samples=samples)
+    # True ran as seed 1, and was reported as seed True
+    for seed in (-1, True, 1.0, "1", None):
+        with pytest.raises(ValueError, match="seed must be an int of at least 0"):
+            triangle_audit(fixtures.distance("heisenberg"), samples=100, seed=seed)
     # every distance overflows; the parent reported max_ratio 0.0 as a pass
     with pytest.raises(NumericalResolutionError, match="overflow"):
         triangle_audit(HomogeneousDistance(heis, (1e308, 1e308)), samples=10, seed=1)

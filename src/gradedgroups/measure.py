@@ -25,7 +25,9 @@ first exit: predicted by Newton steps from the walk's last step, then
 polynomial, or else searched for an earlier exit (``roots.first_exit``).
 So no excursion out of a ball between its anchor and the exit goes
 unseen.  The loop runs in a function generated per anchor table, with
-both reaches of a ball inline, while they exit on the anchor's piece.
+both reaches of a ball inline, while they exit on the anchor's piece;
+where it certifies that a reach has no exit there, the reach it hands
+back starts at the next piece.
 
 The two reaches of a ball place the parameters from the first uncovered
 one t up to the center in the ball around gamma(t), and those from the
@@ -166,6 +168,18 @@ def ball_intersection_measure(dist: HomogeneousDistance, curve: Curve, t0: float
 # -- blow-up and divergence ------------------------------------------------------
 
 
+def _power(r: float, q: float, name: str) -> float:
+    """r ** q, the q-dimensional size of a ball of radius r; NumericalResolutionError
+    where it overflows or underflows to 0 (``name`` is what r is called)."""
+    try:
+        size = float(r ** q)
+    except OverflowError:
+        raise NumericalResolutionError(f"{name} ** q overflows at {name} {r}, q {q}") from None
+    if size == 0.0:
+        raise NumericalResolutionError(f"{name} ** q underflows to 0 at {name} {r}, q {q}")
+    return size
+
+
 @dataclass(frozen=True)
 class BlowupReport:
     """Blow-up ratios along a radius schedule.
@@ -194,7 +208,8 @@ def blowup_sequence(dist: HomogeneousDistance, curve: Curve, t0: float,
 
     q is the degree of the curve.  Only defined where the curve realizes
     it; at other points the ratio diverges and :func:`density_divergence`
-    applies.  An empty radius schedule raises ValueError.
+    applies.  An empty radius schedule raises ValueError, and a radius
+    whose r^q overflows or underflows to 0 NumericalResolutionError.
     """
     if not radii:
         raise ValueError("cannot take blow-up ratios over an empty radius schedule")
@@ -208,7 +223,7 @@ def blowup_sequence(dist: HomogeneousDistance, curve: Curve, t0: float,
     predicted = metric_factor(dist, proj) / mag
 
     balls = [ball_intersection_measure(dist, curve, t0, r, metric) for r in radii]
-    ratios = tuple(bi.measure / r ** q for bi, r in zip(balls, radii))
+    ratios = tuple(bi.measure / _power(r, q, "r") for bi, r in zip(balls, radii))
     truncated = any(bi.truncated for bi in balls)
     diagnostic = abs(ratios[-1] - predicted) / predicted
     return BlowupReport(t0=t0, q=q, radii=tuple(float(r) for r in radii),
@@ -235,7 +250,9 @@ def density_divergence(dist: HomogeneousDistance, curve: Curve, t0: float,
     q is the degree of the curve.  Fits the log-log slope of the ratio
     sequence; divergence is certified when the slope is at most -margin.
     Refuses fewer than two distinct radii, which fit no slope, and points
-    of full degree, where the ratio converges instead.
+    of full degree, where the ratio converges instead (ValueError), and a
+    radius whose r^q overflows or underflows to 0
+    (NumericalResolutionError).
     """
     if len(set(radii)) < 2:
         raise ValueError(f"the slope fit needs at least two distinct radii, got {list(radii)}")
@@ -245,8 +262,8 @@ def density_divergence(dist: HomogeneousDistance, curve: Curve, t0: float,
         raise ValueError(
             f"t0 = {t0} realizes the full degree {q}; the ratio does not diverge here")
 
-    ratios = tuple(ball_intersection_measure(dist, curve, t0, r, metric).measure / r ** q
-                   for r in radii)
+    ratios = tuple(ball_intersection_measure(dist, curve, t0, r, metric).measure
+                   / _power(r, q, "r") for r in radii)
     slope = float(np.polyfit(np.log(list(radii)), np.log(ratios), 1)[0])
     return DivergenceReport(t0=t0, q=q, radii=tuple(float(r) for r in radii),
                             ratios=ratios, slope=slope,
@@ -273,24 +290,36 @@ def _polynomial_reach(dist: HomogeneousDistance, curve: Curve, r: float) -> tupl
     than ``roots.reach_tol``, or the domain's end where it stays inside.
     From the anchor's piece on, each piece's polynomials go to
     ``roots.first_exit`` with the guess; the first with an exit ends it.
+    Where ``walk`` hands a reach back because it certified that the
+    anchor's piece holds no exit, that reach starts at the next piece: it
+    had no guess on the piece or its Newton steps failed, as they would in
+    ``first_exit``, and the certificate is the first step of the search
+    ``first_exit`` then makes, so it finds none either.
     """
     pieces = curve.pieces
     breaks, origins = pieces[1].tolist(), pieces[2].tolist()
     cap = curve.domain[1]
-    polys_at, walk = dist.membership(pieces, r)
+    polys_at, run = dist.membership(pieces, r)
+    free = None          # the anchor of the reach the loop handed back without exit on its piece
 
     def reach(start: float, guess: float | None) -> float:
         m = bisect.bisect_right(breaks, start)
         u, t0, d = start - origins[m], start, 0
         while t0 < cap:
             t1 = min(cap, breaks[m + d]) if m + d < len(breaks) else cap
-            offset = t0 - start
-            s = roots.first_exit(polys_at(m, d, u), t1 - t0,
-                                 None if guess is None else guess - offset, start, offset)
-            if s is not None:
-                return t0 + s
+            if d or start != free:
+                offset = t0 - start
+                s = roots.first_exit(polys_at(m, d, u), t1 - t0,
+                                     None if guess is None else guess - offset, start, offset)
+                if s is not None:
+                    return t0 + s
             t0, d = t1, d + 1
         return max(start, cap)
+
+    def walk(*state) -> tuple:
+        nonlocal free
+        t, step, center, edge, free = run(*state)
+        return t, step, center, edge
 
     return reach, walk
 
@@ -307,7 +336,8 @@ def _walk(reach: Callable, walk: Callable, lo: float, hi: float, b: float, delta
     and certifies its own bracket (``roots.first_exit``), so no excursion
     out of a ball between its anchor and the exit goes unseen.  ``walk`` runs
     this loop while both reaches of a ball exit certified on the anchor's
-    piece, and hands back (t, step, center, edge), None where a reach is next.
+    piece, and hands back (t, step, center, edge), None where a reach is next
+    (:func:`_polynomial_reach`).
     """
     t, step, center = lo, None, None
     while True:
@@ -353,12 +383,7 @@ def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
         raise ValueError(f"delta must be positive and finite, got {delta}")
     if not 0.0 < q < math.inf:
         raise ValueError(f"q must be positive and finite, got {q}")
-    try:
-        size = float(delta ** q)        # what each ball adds to the value
-    except OverflowError:
-        raise NumericalResolutionError(f"delta ** q overflows at delta {delta}, q {q}") from None
-    if size == 0.0:
-        raise NumericalResolutionError(f"delta ** q underflows to 0 at delta {delta}, q {q}")
+    size = _power(delta, q, "delta")       # what each ball adds to the value
     a, b = curve.domain
     if intervals is None:
         intervals = [(a, b)]

@@ -126,7 +126,12 @@ class HomogeneousDistance:
         evaluator.  For d = 0 its s^0 column, x^-1 * x, is left out, so
         P_k(0) = -1 and P_k'(0) = 0 exactly: no self-distance floor.
         ``walk(t, step, center, hi, guard, cap, centers, limit)`` runs the loop
-        of ``measure._walk`` on the d = 0 table (:func:`_membership_source`).
+        of ``measure._walk`` on the d = 0 table (:func:`_membership_source`),
+        with the reaches' brackets from ``roots._bracket_source``: the same
+        results as ``roots.first_exit``, saving the operations on the
+        literal zeros of P_k(0) and P_k'(0).  It hands back (t, step, center,
+        edge, free): free is the anchor of the reach that is next where that
+        reach has no exit on the anchor's piece, else None.
         """
         w = self.ball_weights(r)
         _, tables, compiled = self._tables.setdefault(id(pieces[0]), (pieces, {}, {}))
@@ -185,7 +190,7 @@ def _center_fold(dist: HomogeneousDistance, curve: Curve, t0: float) -> tuple:
 
 
 _WALK = """def walk(t, last, center, stop, guard, cap, centers, limit, rows, w, breaks, origins):
-    end, offset, stop = -inf, 0.0, stop - guard
+    end, stop = -inf, stop - guard
     while True:
         start, g = (t, last) if center is None else (center, center - t)
         if start >= end:                 # the piece reach's bisect finds
@@ -194,19 +199,24 @@ _WALK = """def walk(t, last, center, stop, guard, cap, centers, limit, rows, w, 
             origin, t1 = origins[piece], min(cap, end)
 {unpack}        u = start - origin
 {coefficients}        hi = t1 - start
-        if g is None or not 0.0 < g < hi:
-            return t, last, center, None
-{bracket}        edge = start + a
+        if g is not None and 0.0 < g < hi:
+{newton}        elif 0.0 < hi:                   # no guess on the piece: its search starts with [0, hi]
+            a = hi
+        else:
+            return t, last, center, None, None
+{certificate}        if a == hi:                      # every P certified below on the piece: no exit
+            return t, last, center, None, start
+        edge = start + a
         if center is None:
             center = edge
             centers.append(center)
             if len(centers) > limit:
-                return t, last, center, None
+                return t, last, center, None, None
             # a backward check of (t, center) against the center's ball goes here
             if center > t:
                 continue
         if edge >= stop or edge >= cap or edge <= t + guard:
-            return t, last, center, edge
+            return t, last, center, edge, None
         last = edge - center
         t, last, center = edge, guard if guard > last else last, None
 """
@@ -220,7 +230,10 @@ def _membership_source(z: list, slices, anchored: bool) -> tuple:
     subtracts 1.  Coefficients zero on every piece are left out, and so is
     the s^0 column of z where ``anchored``.  There it also defines ``walk``,
     the loop of ``measure._walk`` (``_WALK``) with each reach inline: these
-    coefficients, literals written in, then ``roots._bracket_source``.
+    coefficients, literals written in, then the text of
+    ``roots._bracket_source``.  Where the reach has no guess on the piece,
+    or its Newton steps find no bracket, the bracket's certificate runs on
+    [0, hi], the piece, as the search of ``roots.first_exit`` then starts.
     """
     count = z[0].shape[2]
     entries, size, lines, layers = [], 0, [], []
@@ -265,10 +278,13 @@ def _membership_source(z: list, slices, anchored: bool) -> tuple:
                  for i, terms in enumerate(layers)]
         lines += [f"    {name} = {term}\n" for coef, terms in zip(names, layers)
                   for name, term in zip(coef, terms) if name != term]
-        bracket = roots._bracket_source(names, *["return t, last, center, None"] * 2)
+        newton = roots._newton_source(names, "a = hi", "0.0")
+        certificate = roots._certificate_source(names, "return t, last, center, None, None")
         source += _WALK.format(unpack=unpack and f"            {unpack}rows[piece]\n",
                                coefficients="".join(f"    {line}" for line in lines),
-                               bracket="".join(f"    {line}" for line in bracket.splitlines(True)))
+                               newton="".join(f"        {line}" for line in newton.splitlines(True)),
+                               certificate="".join(f"    {line}" for line in
+                                                   certificate.splitlines(True)))
     return source, np.concatenate(entries or [np.empty((0, count))]).T.tolist()
 
 

@@ -11,13 +11,16 @@ coefficients, evaluated in Python floats.  The prediction and the
 certificate of its bracket by the same Bernstein enclosure are one
 generated text (:func:`_bracket_source`), compiled on first use per
 tuple of polynomial lengths (:func:`_bracket_kernel`) and inlined in the
-covering walk's loop (``HomogeneousDistance.membership``).
+covering walk's loop (``HomogeneousDistance.membership``).  The text
+computes what :func:`horner` and :func:`_bernstein` compute, saving only
+the operations on a literal zero, which change no result.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+import sys
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -113,9 +116,27 @@ MAX_HALVINGS = 2048
 _SCOPE = {"ulp": math.ulp, "steps": range(PREDICT_STEPS)}
 
 
-def _horner_source(names: list, x: str) -> str:
-    """Source of :func:`horner` on the coefficients ``names`` at ``x``, unrolled."""
-    return reduce(lambda src, c: f"({src}) * {x} + {c}", reversed(names), "0.0")
+def _literal(term: str) -> float | None:
+    """The value of a term of generated source that is a float literal, else None."""
+    try:
+        return float(term)
+    except ValueError:
+        return None
+
+
+def _horner_source(terms: list, x: str) -> str:
+    """Source of :func:`horner` on ``terms`` (names or finite float literals)
+    at ``x``, unrolled, saving the operations on a literal zero: the leading
+    0.0 * x and each + 0.0 are left out (see :func:`_bracket_source`)."""
+    src = "0.0"
+    for c in reversed(terms):
+        if _literal(src) == 0.0:
+            src = c
+        else:                                # a compound src has spaces, a term none
+            src = f"({src}) * {x}" if " " in src else f"{src} * {x}"
+            if _literal(c) != 0.0:
+                src = f"{src} + {c}"
+    return src
 
 
 def reach_tol(start: float, lo: float) -> float:
@@ -124,22 +145,58 @@ def reach_tol(start: float, lo: float) -> float:
     Tight, because the per-ball shortfall of the covering walk accumulates
     over the whole walk; the floor of four float spacings at start + lo
     keeps the two ends of the bracket on distinct parameters.  The kernels
-    of :func:`_bracket_kernel` compute it inline, operation for operation.
+    of :func:`_bracket_kernel` compute it inline with the same operations:
+    their text saves only operations on a literal zero, and it has none.
     """
     return max(1e-12 * lo + 1e-16, 4.0 * math.ulp(start + lo))
 
 
 def _bracket_source(names: list, fail: str, refuse: str) -> str:
     """Body text, one indent deep, of the bracket of :func:`_bracket_kernel`
-    on the coefficients ``names`` of each P (locals or float literals) and
-    ``g``, ``hi``, ``start``, ``offset``: it ends on a certified ``a``, runs
-    ``fail`` where no bracket is found and ``refuse`` where one is not."""
+    on the coefficients ``names`` of each P (locals or finite float
+    literals) and ``g``, ``hi``, ``start``, ``offset``: it ends on a
+    certified ``a``, runs ``fail`` where no bracket is found
+    (:func:`_newton_source`) and ``refuse`` where one is not
+    (:func:`_certificate_source`).
+
+    The text saves every operation on a literal zero and keeps every other
+    in its place: Horner sums drop their leading 0.0 * x and each + 0.0,
+    k * c of a literal c is written as its value, and a zero term of the
+    certificate is carried through its sums as a known constant.  No center
+    can see it.  For finite x, 0.0 * x is a zero and y + 0.0 is y but for
+    the sign of a zero (IEEE 754; Kahan, "Much Ado About Nothing's Sign
+    Bit", 1987), and values that agree but for the signs of zeros agree
+    after any sum, product or abs, and after a division by a slope checked
+    positive; this text only compares such values otherwise, and a
+    comparison does not see the sign of a zero.  The x of every sum is
+    finite for a finite ``hi``: g and the Newton iterates lie in (0, hi),
+    and a in (0, hi].  A bracket end x -+ w / 2 may overflow where the
+    width w does; no bracket ends there, with or without the saved
+    operations.  A literal zero term c_k s^k is nan, not zero, where s^k
+    overflows; a check that refuses there stands in for it (k = 1 needs
+    none, s^1 being a).  A fold of literals that is not finite is written
+    as its operation.
+    """
+    return _newton_source(names, fail, "offset") + _certificate_source(names, refuse)
+
+
+def _newton_source(names: list, fail: str, offset: str) -> str:
+    """Text of the Newton steps of :func:`_bracket_source` from ``g``: they end
+    on a bracket [a, c], 0 < a <= x < hi and c <= hi, or run ``fail``, which
+    may set ``a`` instead.  ``offset``, a local or a literal, is not added
+    where it is a literal zero."""
     if not names:                            # no P, no root to bracket
         return f"    {fail}\n"
+    if _literal(offset) == 0.0:
+        tolerance = "tol, floor = 1e-12 * x + 1e-16, 4.0 * ulp(start + x)"
+    else:
+        tolerance = (f"lo = {offset} + x\n"
+                     "            tol, floor = 1e-12 * lo + 1e-16, 4.0 * ulp(start + lo)")
     lines = [f"    v{i} = {_horner_source(coef, 'g')}\n" for i, coef in enumerate(names)]
     lines += ["    v, i = v0, 0\n"] + [f"    if v{i} > v:\n        v, i = v{i}, {i}\n"
                                       for i in range(1, len(names))]
-    # one Newton block per length of P, on q0, q1, ... where those P differ
+    # one Newton block per length of P, on q0, q1, ... where those P differ;
+    # a step that fails sets a = 0.0, the failed bracket
     groups = {n: [i for i, coef in enumerate(names) if len(coef) == n] for n in map(len, names)}
     for j, members in enumerate(groups.values()):
         coef = [c if all(names[i][k] == c for i in members) else f"q{k}"
@@ -148,20 +205,26 @@ def _bracket_source(names: list, fail: str, refuse: str) -> str:
         copy = "".join(f"        {'elif' if m else 'if'} i == {i}:\n            {', '.join(qs)}, = "
                        f"{', '.join(names[i][int(q[1:])] for q in qs)},\n"
                        for m, i in enumerate(members) if qs)
-        derivative = "".join(f"d{k} = {k} * {coef[k]}; " for k in range(1, len(coef)))
-        dp = [f"d{k}" for k in range(1, len(coef))] or ["0.0"]
-        lines.append(f"""    {"elif" if j else "if"} i in {tuple(members)}:
-{copy}        {derivative}x = g
+        dp, derivative = [], ""
+        for k in range(1, len(coef)):
+            c = _literal(coef[k])
+            if c is not None and math.isfinite(k * c):
+                dp.append(repr(k * c))
+            else:
+                dp.append(f"d{k}")
+                derivative += f"d{k} = {k} * {coef[k]}; "
+        block = f"""{copy}        {derivative}x = g
         for _ in steps:
-            d = {_horner_source(dp, "x")}
+            d = {_horner_source(dp or ["0.0"], "x")}
             if not d > 0.0:
-                {fail}
+                a = 0.0
+                break
             step = v / d
             x -= step
             if not 0.0 < x < hi:
-                {fail}
-            lo = offset + x
-            tol, floor = 1e-12 * lo + 1e-16, 4.0 * ulp(start + lo)
+                a = 0.0
+                break
+            {tolerance}
             width = 0.5 * (floor if floor > tol else tol)
             if -width <= step <= width:
                 a, c = x - 0.5 * width, x + 0.5 * width
@@ -172,23 +235,54 @@ def _bracket_source(names: list, fail: str, refuse: str) -> str:
             else:
                 v = {_horner_source(coef, "x")}
         else:
-            {fail}
-""")
+            a = 0.0
+"""
+        if len(groups) == 1:                 # no test of i: it picks this block
+            lines += [line[4:] for line in block.splitlines(True)]
+        else:
+            lines.append(f"    {'elif' if j else 'if'} i in {tuple(members)}:\n{block}")
     lines.append(f"    if not (0.0 < a and c <= hi):\n        {fail}\n")
-    lines += [f"    s{k} = {'a' if k == 1 else f's{k - 1} * a'}\n"
+    return "".join(lines)
+
+
+def _certificate_source(names: list, refuse: str) -> str:
+    """Text of the certificate of :func:`_bracket_source` on [0, a]: it runs
+    ``refuse`` unless every Bernstein coefficient of every P lies below
+    minus its rounding bound (:func:`_bernstein`)."""
+    if not names:
+        return ""
+    lines = [f"    s{k} = {'a' if k == 1 else f's{k - 1} * a'}\n"
               for k in range(1, max(map(len, names)))]
+    zero = max((k for coef in names for k, c in enumerate(coef) if k and _literal(c) == 0.0),
+               default=1)
+    if zero > 1:
+        lines.append(f"    if s{zero} > {sys.float_info.max!r}:\n        {refuse}\n")
     for i, coef in enumerate(names):
         n = len(coef) - 1
-        e = coef[:1] + [f"b{i}_{k}" for k in range(1, n + 1)]
-        lines += [f"    {e[k]} = {coef[k]} * "
-                  + (f"s{k}\n" if inv == 1.0 else f"(s{k} * {inv!r})\n")
-                  for k, inv in enumerate(_inv_binom(n)) if k]
-        lines += [f"    {e[k]} = {e[k]} + {e[k - 1]}\n"
-                  for j in range(1, n + 1) for k in range(n, j - 1, -1)]
-        size = _horner_source([f"abs({c})" if c[0].isalpha() else repr(abs(float(c)))
+        e, inv = coef[:1], _inv_binom(n)      # each Bernstein term: a local or a literal
+        for k in range(1, n + 1):
+            if _literal(coef[k]) == 0.0:
+                e.append("0.0")
+                continue
+            e.append(f"b{i}_{k}")
+            lines.append(f"    b{i}_{k} = {coef[k]} * "
+                         + (f"s{k}\n" if inv[k] == 1.0 else f"(s{k} * {inv[k]!r})\n"))
+        for j in range(1, n + 1):
+            for k in range(n, j - 1, -1):
+                x, y = _literal(e[k]), _literal(e[k - 1])
+                if y == 0.0:                 # e[k] + 0.0
+                    continue
+                if x is not None and y is not None and math.isfinite(x + y):
+                    e[k] = repr(x + y)
+                    continue
+                # 0.0 + e[k - 1] is a copy, as e[k - 1] changes later in the sweep
+                lines.append(f"    b{i}_{k} = {e[k - 1] if x == 0.0 else f'{e[k]} + {e[k - 1]}'}\n")
+                e[k] = f"b{i}_{k}"
+        size = _horner_source([f"abs({c})" if _literal(c) is None else repr(abs(_literal(c)))
                                for c in coef], "a")
         lines.append(f"    m = {-(4 * n + 8) * 2.0 ** -53!r} * ({size})\n"
-                     f"    if not ({' and '.join(f'{b} < m' for b in e)}):\n        {refuse}\n")
+                     f"    if not ({' and '.join(dict.fromkeys(f'{b} < m' for b in e))}):\n"
+                     f"        {refuse}\n")
     return "".join(lines)
 
 
@@ -208,7 +302,9 @@ def _bracket_kernel(*lengths: int) -> Callable:
     inside, but a nan coefficient, which max may skip, fails.  The first of
     equal values is the most violated, P' is k * c, every P and P' is
     :func:`horner` and the certificate :func:`_bernstein` unrolled on
-    locals, operation for operation (:func:`_bracket_source`).
+    locals, with the same operations but those on a literal zero
+    (:func:`_bracket_source`): its coefficients are locals, so it saves
+    only the leading 0.0 * x of each Horner sum.
     """
     names = [[f"c{i}_{k}" for k in range(n)] for i, n in enumerate(lengths)]
     unpack = "".join(f"({', '.join(coef)},), " for coef in names) + "= polys" if names else ""

@@ -176,8 +176,13 @@ def test_out_of_range_flags_exit_2(capsys, argv, error):
     (("cover", "--curve", "vertical", "--deltas", "10^308"), 4, "NumericalResolutionError"),
     (("negligibility", "--curve", "glued_hv", "--deltas", "10^308"), 4,
      "NumericalResolutionError"),
+    # r^q past the largest float in the ratios: an OverflowError traceback, exit 1
+    (("blowup", "--curve", "vertical", "--t0", "0", "--radii", "2^600..2^601"), 4,
+     "NumericalResolutionError"),
+    (("diverge", "--curve", "parabola_lift", "--t0", "0", "--radii", "2^1000..2^1001"), 4,
+     "NumericalResolutionError"),
 ], ids=["diverge", "blowup", "area", "metric-audit", "metric-audit-subnormal", "cover",
-        "negligibility"])
+        "negligibility", "blowup-overflow", "diverge-overflow"])
 def test_reports_without_a_finite_number_are_errors(capsys, argv, code, error):
     got, out, err = run_cli(capsys, *argv)
     assert (got, out) == (code, "")

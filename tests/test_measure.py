@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.util
 import math
@@ -13,8 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradedgroups import fixtures, measure, roots
-from gradedgroups.curve import (curve_from_samples, degree_profile, dilate_curve,
-                                polynomial_curve, translate_curve)
+from gradedgroups.curve import (_anchor_rows, curve_from_samples, degree_profile,
+                                dilate_curve, polynomial_curve, translate_curve)
 from gradedgroups.measure import (NumericalResolutionError,
                                   _polynomial_reach, area_formula_residual, ball_param_set,
                                   ball_intersection_measure, blowup_sequence,
@@ -22,7 +23,7 @@ from gradedgroups.measure import (NumericalResolutionError,
                                   negligibility_estimate, quad,
                                   richardson_extrapolate, riemannian_length,
                                   spherical_measure_upper)
-from gradedgroups.metric import HomogeneousDistance
+from gradedgroups.metric import HomogeneousDistance, _membership_source
 
 
 @pytest.fixture(scope="module")
@@ -465,7 +466,7 @@ def test_walk_refuses_uncertified_brackets(dist, monkeypatch):
     # walk, and a bracket is refused on the curves that double back or
     # wave out of a ball only
     refused, fallbacks = [], []
-    kernel, search, source = roots._bracket_kernel, roots._exit, roots._bracket_source
+    kernel, search, certificate = roots._bracket_kernel, roots._exit, roots._certificate_source
 
     def counted_kernel(*lengths):
         bracket = kernel(*lengths)
@@ -498,10 +499,13 @@ def test_walk_refuses_uncertified_brackets(dist, monkeypatch):
         est = spherical_measure_upper(fresh, curve, 1, delta, intervals=[(lo, hi)])
         assert bool(refused) == refuses and fallbacks == refused
         assert est.centers == _reach_by_reach(fresh, curve, delta, lo, hi)
-    # on the wavy curve the certificate matters: generated without it, in
-    # the loop and the kernels, the walk would step over a wave
-    monkeypatch.setattr(roots, "_bracket_source",
-                        lambda names, fail, refuse: source(names, fail, "pass"))
+    # on the wavy curve the certificate matters: generated without it for a
+    # Newton bracket (a < hi), in the loop and the kernels, the walk would
+    # step over a wave.  The loop's certificate of a piece where Newton
+    # found no bracket (a = hi) stays, as the search the kernels fall back
+    # to makes it too
+    monkeypatch.setattr(roots, "_certificate_source",
+                        lambda names, refuse: certificate(names, f"if a == hi: {refuse}"))
     kernel.cache_clear()
     try:
         fresh = HomogeneousDistance(dist.law, dist.eps)
@@ -533,6 +537,29 @@ def _bench_walk_curve():
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     return curve_from_samples(workloads.curve_doc(random.Random("walk:11"))["samples"], 3)
+
+
+def _zero_operands(source):
+    """The arithmetic of ``source`` with a literal zero operand, as text."""
+    def zero(node):
+        if isinstance(node, ast.UnaryOp):
+            node = node.operand
+        return isinstance(node, ast.Constant) and node.value == 0
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.BinOp) and (zero(node.left) or zero(node.right))
+            or isinstance(node, ast.AugAssign) and zero(node.value)]
+
+
+def test_bench_walk_saves_every_operation_on_a_literal_zero(dist):
+    # the loop generated for the d = 0 anchor table of the benchmark's curve
+    # file, whose P_k(0) = -1 and P_k'(0) = 0 are written in as literals,
+    # neither adds nor multiplies a literal zero: no 0.0 *, * 0.0 or + 0.0
+    z = dist.law.divide_rows(*_anchor_rows(_bench_walk_curve().pieces, 0))
+    source, _ = _membership_source(z, dist._slices, True)
+    assert "def walk(" in source and "-1.0" in source
+    assert _zero_operands(source) == []
+    assert sorted(_zero_operands("v = (0.0) * g + c; d = 1 * -0.0; x -= 0.0")) == [
+        "0.0 * g", "1 * -0.0", "x -= 0.0"]
 
 
 def test_walk_centers_keep_their_bits(dist):

@@ -221,13 +221,24 @@ _rooted = st.builds(lambda zeros, repeat, lead: from_roots(*zeros, *zeros[:1] * 
                     st.integers(0, 4), st.integers(-16, 16).map(lambda k: k / 4.0))
 
 
+# polynomials shaped like those of a d = 0 anchor table of the covering walk:
+# P(0) = -1.0 and P'(0) = 0.0 exactly, some interior coefficients signed
+# zeros, so that every operation the generated text saves on a literal zero
+# is saved somewhere (and the constant -1.0 has none to save but its Horner
+# sum's leading one)
+_anchored = st.builds(lambda rest: [-1.0, 0.0, *rest] if rest else [-1.0],
+                      st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0),
+                                         st.integers(-16, 16).map(lambda k: k / 8.0)),
+                               max_size=7))
+
+
 @st.composite
 def _bracket_cases(draw):
     """(polys, g, hi, start, offset): one to three polys of lengths 1 to 9,
-    some tied at g, some with a zero top coefficient, g in (0, hi), and
-    the reach whose tolerance the kernel computes."""
-    polys = draw(st.lists(st.one_of(st.lists(_coefficient, min_size=1, max_size=9), _rooted),
-                          min_size=1, max_size=3))
+    some anchored, some tied at g, some with a zero top coefficient, g in
+    (0, hi), and the reach whose tolerance the kernel computes."""
+    polys = draw(st.lists(st.one_of(st.lists(_coefficient, min_size=1, max_size=9), _rooted,
+                                    _anchored), min_size=1, max_size=3))
     hi = draw(st.sampled_from([1.0, 0.25, 3.0]))
     g = draw(st.one_of(st.integers(1, 15).map(lambda k: k * hi / 16.0),
                        st.floats(0.0, hi, exclude_min=True, exclude_max=True)))
@@ -259,6 +270,13 @@ def _bracket_cases(draw):
 # both -1/2 at 1/2: the first listed is refined, to its root 1 or 3/4
 @example(([[-1.0, 1.0], [-1.5, 2.0]], 0.5, 2.0, 0.0, 0.0))
 @example(([[-1.5, 2.0], [-1.0, 1.0]], 0.5, 2.0, 0.0, 0.0))
+# anchored, with a literal derivative 2 * 1e308 that overflows: it is
+# written as its product, not as a literal; and a zero interior term
+@example(([[-1.0, 0.0, 1e308]], 0.5, 1.0, 0.0, 0.0))
+@example(([[-1.0, 0.0, -0.0, 2.0], [-1.0, 0.0, 1.0]], 0.75, 1.0, 0.0, 0.0))
+# a linear guide brackets 1e160, where s^2 overflows: the zero term 0.0 s^2
+# of the second P is nan, not 0, and the certificate is refused
+@example(([[-1e300, 1e140], [-1e300, 0.0, 0.0, -5e-324]], 1.5e160, 2e160, 0.0, 0.0))
 def test_bracket_kernel_is_the_scalar_bracket(case):
     # the same float, bit for bit, or None, wherever Newton lands or leaves
     # (0, hi), and the same certificate of [0, a]: every Bernstein

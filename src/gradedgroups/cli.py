@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, fixtures
 from .algebra import GroupValidationError, spec_from_json, validate_algebra
-from .curve import curve_from_samples, degree_profile
+from .curve import curve_degree, curve_from_samples, degree_profile
 from .frame import METRIC_EUCLIDEAN, METRIC_LEFT
 from .group import GroupLaw, bch_group_law
 from .measure import (NumericalResolutionError, area_formula_residual,
@@ -377,7 +377,7 @@ def _run_cover(cfg) -> dict:
     curve, dist, group = _measured(cfg)
     q = cfg["q"]
     if q is None:
-        q = float(degree_profile(dist.law, curve).degree)
+        q = float(curve_degree(dist.law, curve))
     interval = _resolve_interval(cfg)
     rep = covering_values(dist, curve, q, parse_schedule(cfg["deltas"]),
                           intervals=None if interval is None else [interval])

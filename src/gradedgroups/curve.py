@@ -247,6 +247,13 @@ class DegreeProfile:
     low_degree_intervals: tuple  # maximal parameter intervals below full degree
 
 
+def curve_degree(law: GroupLaw, curve: Curve, grid_points: int = 512) -> int:
+    """The curve's degree, as :func:`degree_profile` reads it without the
+    low-degree set; it raises where :func:`_degrees` does."""
+    ts = np.linspace(*curve.domain, grid_points + 1)
+    return int(_degrees(law, ts, curve.positions(ts), curve.velocities(ts))[1].max())
+
+
 def degree_profile(law: GroupLaw, curve: Curve, grid_points: int = 512) -> DegreeProfile:
     """Degrees on a grid, and the low-degree set on the table.
 
@@ -257,8 +264,7 @@ def degree_profile(law: GroupLaw, curve: Curve, grid_points: int = 512) -> Degre
     layers >= the degree (``roots.table_runs``, ends to 1e-12 * span), lam
     the s^1 column of gamma(t)^-1 * gamma(t + s) folded on the anchor rows.
     """
-    a, b = curve.domain
-    ts = np.linspace(a, b, grid_points + 1)
+    ts = np.linspace(*curve.domain, grid_points + 1)
     _, degs = _degrees(law, ts, curve.positions(ts), curve.velocities(ts))
     top = int(degs.max())
 

@@ -25,9 +25,9 @@ first exit: predicted by Newton steps from the walk's last step, then
 polynomial, or else searched for an earlier exit (``roots.first_exit``).
 So no excursion out of a ball between its anchor and the exit goes
 unseen.  The loop runs in a function generated per anchor table, with
-both reaches of a ball inline, while they exit on the anchor's piece;
-where it certifies that a reach has no exit there, the reach it hands
-back starts at the next piece.
+both reaches of a ball inline, and a reach with no exit on the anchor's
+piece goes on with the generated reach of each later piece's table; it
+hands a reach back to the search where a certificate is refused.
 
 The two reaches of a ball place the parameters from the first uncovered
 one t up to the center in the ball around gamma(t), and those from the
@@ -47,7 +47,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import roots
-from .curve import Curve, degree_profile, pointwise_degree, tangent_projection
+from .curve import Curve, curve_degree, degree_profile, pointwise_degree, tangent_projection
 from .frame import METRIC_EUCLIDEAN, METRIC_LEFT, _check_metric, speed
 from .metric import HomogeneousDistance, degree_constant, metric_factor
 from .roots import NumericalResolutionError
@@ -214,7 +214,7 @@ def blowup_sequence(dist: HomogeneousDistance, curve: Curve, t0: float,
     if not radii:
         raise ValueError("cannot take blow-up ratios over an empty radius schedule")
     law = dist.law
-    q = degree_profile(law, curve).degree
+    q = curve_degree(law, curve)
     if pointwise_degree(law, curve, t0) != q:
         raise ValueError(
             f"t0 = {t0} does not realize the curve degree {q}; blow-up undefined here")
@@ -257,7 +257,7 @@ def density_divergence(dist: HomogeneousDistance, curve: Curve, t0: float,
     if len(set(radii)) < 2:
         raise ValueError(f"the slope fit needs at least two distinct radii, got {list(radii)}")
     law = dist.law
-    q = degree_profile(law, curve).degree
+    q = curve_degree(law, curve)
     if pointwise_degree(law, curve, t0) >= q:
         raise ValueError(
             f"t0 = {t0} realizes the full degree {q}; the ratio does not diverge here")
@@ -288,38 +288,35 @@ def _polynomial_reach(dist: HomogeneousDistance, curve: Curve, r: float) -> tupl
     the first parameter after ``start`` where the curve leaves the closed
     r-ball around gamma(start), as the inside end of a bracket no wider
     than ``roots.reach_tol``, or the domain's end where it stays inside.
-    From the anchor's piece on, each piece's polynomials go to
-    ``roots.first_exit`` with the guess; the first with an exit ends it.
-    Where ``walk`` hands a reach back because it certified that the
-    anchor's piece holds no exit, that reach starts at the next piece: it
-    had no guess on the piece or its Newton steps failed, as they would in
-    ``first_exit``, and the certificate is the first step of the search
-    ``first_exit`` then makes, so it finds none either.
+    From the anchor's piece on, each piece's table brackets an exit from
+    the guess and certifies [0, a], a the exit or the piece's end
+    (``HomogeneousDistance.membership``), else ``roots.first_exit`` searches
+    [0, a]; the first exit ends it.  ``reach(start, guess, (d, a, P))``
+    resumes a reach ``walk`` refused on the anchor's piece plus d.
     """
     pieces = curve.pieces
     breaks, origins = pieces[1].tolist(), pieces[2].tolist()
     cap = curve.domain[1]
-    polys_at, run = dist.membership(pieces, r)
-    free = None          # the anchor of the reach the loop handed back without exit on its piece
+    _, bracket, walk = dist.membership(pieces, r)
 
-    def reach(start: float, guess: float | None) -> float:
+    def reach(start: float, guess: float | None, resume: tuple | None = None) -> float:
         m = bisect.bisect_right(breaks, start)
-        u, t0, d = start - origins[m], start, 0
+        u = start - origins[m]
+        d, handed = (0, None) if resume is None else (resume[0], resume[1:])
+        t0 = start if d == 0 else min(cap, breaks[m + d - 1])
         while t0 < cap:
             t1 = min(cap, breaks[m + d]) if m + d < len(breaks) else cap
-            if d or start != free:
-                offset = t0 - start
-                s = roots.first_exit(polys_at(m, d, u), t1 - t0,
-                                     None if guess is None else guess - offset, start, offset)
+            offset, hi = t0 - start, t1 - t0
+            a, refused = handed or bracket(m, d, u, None if guess is None else guess - offset,
+                                           hi, start, offset)
+            if refused is not None:
+                s = roots.first_exit(refused, a, start, offset)
                 if s is not None:
                     return t0 + s
-            t0, d = t1, d + 1
+            if a < hi:
+                return t0 + a
+            t0, d, handed = t1, d + 1, None
         return max(start, cap)
-
-    def walk(*state) -> tuple:
-        nonlocal free
-        t, step, center, edge, free = run(*state)
-        return t, step, center, edge
 
     return reach, walk
 
@@ -333,17 +330,16 @@ def _walk(reach: Callable, walk: Callable, lo: float, hi: float, b: float, delta
     """The greedy walk over [lo, hi]: appends the center of each ball placed.
 
     Each reach starts its Newton steps from the step the walk took last,
-    and certifies its own bracket (``roots.first_exit``), so no excursion
-    out of a ball between its anchor and the exit goes unseen.  ``walk`` runs
-    this loop while both reaches of a ball exit certified on the anchor's
-    piece, and hands back (t, step, center, edge), None where a reach is next
-    (:func:`_polynomial_reach`).
+    and certifies its own bracket, so no excursion out of a ball between
+    its anchor and the exit goes unseen.  ``walk`` runs this loop until a
+    reach is refused or it ends, and hands back (t, step, center, edge,
+    resume), None where a reach is next (:func:`_polynomial_reach`).
     """
     t, step, center = lo, None, None
     while True:
-        t, step, center, edge = walk(t, step, center, hi, guard, b, centers, MAX_BALLS)
+        t, step, center, edge, resume = walk(t, step, center, hi, guard, b, centers, MAX_BALLS)
         if center is None:
-            center = reach(t, step)
+            center = reach(t, step, resume)
             centers.append(center)
             if len(centers) <= MAX_BALLS and center > t:
                 continue                 # walk takes the reach from the center
@@ -353,7 +349,7 @@ def _walk(reach: Callable, walk: Callable, lo: float, hi: float, b: float, delta
         # a ball centered at t itself reaches no further than the reach from
         # t just found, so only a center ahead of t can advance
         if edge is None:
-            edge = reach(center, center - t) if center > t else center
+            edge = reach(center, center - t, resume) if center > t else center
         if edge >= hi - guard or edge >= b:
             return
         if edge <= t + guard:

@@ -115,49 +115,51 @@ class HomogeneousDistance:
                 f"radius {r} is below float resolution") from None
 
     def membership(self, pieces, r: float) -> tuple:
-        """Membership in closed r-balls anchored on a curve's table: (polys, walk).
+        """Membership in closed r-balls anchored on a curve's table: (polys, bracket, walk).
 
         ``polys(m, d, u)`` lists, for each layer k that z = x^-1 * y(s)
         touches, the ascending coefficients of P_k(s).  The anchor x lies u
         past the origin of piece m; y(s) runs along piece m + d, from the
         anchor (d = 0) or from the piece's first parameter.  z is folded as
-        a polynomial in (u, s), every piece at once, once per offset d and
-        kept (``law.divide_rows`` on ``curve._anchor_rows``), with its
-        evaluator.  For d = 0 its s^0 column, x^-1 * x, is left out, so
-        P_k(0) = -1 and P_k'(0) = 0 exactly: no self-distance floor.
-        ``walk(t, step, center, hi, guard, cap, centers, limit)`` runs the loop
-        of ``measure._walk`` on the d = 0 table (:func:`_membership_source`),
-        with the reaches' brackets from ``roots._bracket_source``: the same
-        results as ``roots.first_exit``, saving the operations on the
-        literal zeros of P_k(0) and P_k'(0).  It hands back (t, step, center,
-        edge, free): free is the anchor of the reach that is next where that
-        reach has no exit on the anchor's piece, else None.
+        a polynomial in (u, s), every piece at once, per offset d (``law.
+        divide_rows`` on ``curve._anchor_rows``), and each function of
+        :func:`_membership_source` on it compiled on first use and kept.
+        For d = 0 its s^0 column, x^-1 * x, is left out, so P_k(0) = -1 and
+        P_k'(0) = 0 exactly: no self-distance floor.  ``bracket(m, d, u, g,
+        hi, start, offset)`` runs the table's ``reach``, ``walk(t, step,
+        center, hi, guard, cap, centers, limit)`` the loop of ``measure.
+        _walk``, handing back (t, step, center, edge, (d, a, P) or None).
         """
         w = self.ball_weights(r)
         _, tables, compiled = self._tables.setdefault(id(pieces[0]), (pieces, {}, {}))
         breaks, origins = pieces[1].tolist(), pieces[2].tolist()
 
-        def table(d: int) -> tuple:
-            if d not in tables:
+        def table(d: int, kind: str = "reach") -> tuple:
+            if (d, kind) not in tables:
                 z = self.law.divide_rows(*_anchor_rows(pieces, d))
-                source, rows = _membership_source(z, self._slices, d == 0)
+                source, rows = _membership_source(z, self._slices, d == 0, kind)
                 if source not in compiled:
-                    scope = {**roots._SCOPE, "inf": math.inf, "bisect_right": bisect.bisect_right}
+                    scope = {**roots._SCOPE, "inf": math.inf, "bisect_right": bisect.bisect_right,
+                             "onward": _onward}
                     # source built from our own terms
                     exec(source, scope)  # noqa: S102
-                    compiled[source] = scope["evaluate"], scope.get("walk")
-                tables[d] = *compiled[source], rows
-            return tables[d]
+                    compiled[source] = scope[kind]
+                tables[d, kind] = compiled[source], rows
+            return tables[d, kind]
 
         def polys(m: int, d: int, u: float) -> list:
-            evaluate, _, rows = table(d)
+            evaluate, rows = table(d, "evaluate")
             return evaluate(u, rows[m], w)
 
-        def walk(*state) -> tuple:
-            _, run, rows = table(0)
-            return run(*state, rows, w, breaks, origins)
+        def bracket(m: int, d: int, u: float, *args) -> tuple:
+            reach, rows = table(d)
+            return reach(u, rows[m], w, *args)
 
-        return polys, walk
+        def walk(*state) -> tuple:
+            run, rows = table(0, "walk")
+            return run(*state, rows, w, breaks, origins, table)
+
+        return polys, bracket, walk
 
     def ball_around(self, curve: Curve, t0: float, r: float) -> tuple:
         """(polys, origins): the P_k of the r-ball around gamma(t0) that
@@ -189,7 +191,8 @@ def _center_fold(dist: HomogeneousDistance, curve: Curve, t0: float) -> tuple:
     return fold
 
 
-_WALK = """def walk(t, last, center, stop, guard, cap, centers, limit, rows, w, breaks, origins):
+_WALK = """def walk(t, last, center, stop, guard, cap, centers, limit, rows, w, breaks, origins,
+         table):
     end, stop = -inf, stop - guard
     while True:
         start, g = (t, last) if center is None else (center, center - t)
@@ -199,14 +202,14 @@ _WALK = """def walk(t, last, center, stop, guard, cap, centers, limit, rows, w, 
             origin, t1 = origins[piece], min(cap, end)
 {unpack}        u = start - origin
 {coefficients}        hi = t1 - start
-        if g is not None and 0.0 < g < hi:
-{newton}        elif 0.0 < hi:                   # no guess on the piece: its search starts with [0, hi]
-            a = hi
-        else:
+        if not 0.0 < hi:
             return t, last, center, None, None
-{certificate}        if a == hi:                      # every P certified below on the piece: no exit
-            return t, last, center, None, start
-        edge = start + a
+{bracket}        if a < hi:
+            edge = start + a
+        else:                            # no exit on the piece: on along the next ones
+            edge, resume = onward(table, w, breaks, cap, piece, u, g, start, t1)
+            if resume is not None:
+                return t, last, center, None, resume
         if center is None:
             center = edge
             centers.append(center)
@@ -222,18 +225,39 @@ _WALK = """def walk(t, last, center, stop, guard, cap, centers, limit, rows, w, 
 """
 
 
-def _membership_source(z: list, slices, anchored: bool) -> tuple:
-    """Source of ``evaluate(u, c, w)`` and the per-piece coefficient lists c.
+def _onward(table: Callable, w: list, breaks: list, cap: float, piece: int, u: float,
+            g: float | None, start: float, t0: float) -> tuple:
+    """The loop's reach from ``start``, u past the origin of ``piece``, past
+    t0, that piece's end: (edge, None), edge the exit of the first of
+    pieces piece + 1, piece + 2, ... whose ``reach`` finds one, or ``cap``;
+    or (None, (d, a, P)) where that of piece + d refused [0, a]."""
+    d = 0
+    while t0 < cap:
+        d += 1
+        t1 = min(cap, breaks[piece + d]) if piece + d < len(breaks) else cap
+        offset, hi = t0 - start, t1 - t0
+        reach, rows = table(d)
+        a, refused = reach(u, rows[piece], w, None if g is None else g - offset, hi, start, offset)
+        if refused is not None:
+            return None, (d, a, refused)
+        if a < hi:
+            return t0 + a, None
+        t0 = t1
+    return cap, None
 
-    ``evaluate`` reads each power of s of each z_j by Horner in u, sums
-    the squares per layer as polynomials in s, scales them by w[k - 1] and
-    subtracts 1.  Coefficients zero on every piece are left out, and so is
-    the s^0 column of z where ``anchored``.  There it also defines ``walk``,
-    the loop of ``measure._walk`` (``_WALK``) with each reach inline: these
-    coefficients, literals written in, then the text of
-    ``roots._bracket_source``.  Where the reach has no guess on the piece,
-    or its Newton steps find no bracket, the bracket's certificate runs on
-    [0, hi], the piece, as the search of ``roots.first_exit`` then starts.
+
+def _membership_source(z: list, slices, anchored: bool, kind: str) -> tuple:
+    """Source of the function ``kind`` on a table, and its per-piece coefficient lists c.
+
+    ``evaluate(u, c, w)`` reads each power of s of each z_j by Horner in
+    u, sums the squares per layer as polynomials in s, scales them by
+    w[k - 1] and subtracts 1.  Coefficients zero on every piece are left
+    out, and so is the s^0 column of z where ``anchored``.  ``reach(u, c,
+    w, g, hi, start, offset)`` computes them, literals written in, and
+    runs the text of ``roots._bracket_source``: (a, None) where it
+    certifies [0, a], else (a, P).  ``walk`` is the loop of
+    ``measure._walk`` (``_WALK``) with that reach inline, offset 0.0, and
+    the next pieces' ``reach`` past a piece without exit (:func:`_onward`).
     """
     count = z[0].shape[2]
     entries, size, lines, layers = [], 0, [], []
@@ -270,22 +294,31 @@ def _membership_source(z: list, slices, anchored: bool) -> tuple:
             else:
                 terms.append("-1.0" if b == 0 else "0.0")
         layers.append(terms)
+    rows = np.concatenate(entries or [np.empty((0, count))]).T.tolist()
     unpack = f"{', '.join(f'c{i}' for i in range(size))}, = " if size else ""
-    source = (f"def evaluate(u, c, w):\n    {unpack and unpack + 'c'}\n{''.join(lines)}"
-              f"    return [{', '.join('[' + ', '.join(terms) + ']' for terms in layers)}]\n")
-    if anchored:                    # the coefficients that are not literals, as locals
-        names = [[term if term[0] in "-0" else f"c{i}_{k}" for k, term in enumerate(terms)]
-                 for i, terms in enumerate(layers)]
-        lines += [f"    {name} = {term}\n" for coef, terms in zip(names, layers)
-                  for name, term in zip(coef, terms) if name != term]
-        newton = roots._newton_source(names, "a = hi", "0.0")
-        certificate = roots._certificate_source(names, "return t, last, center, None, None")
-        source += _WALK.format(unpack=unpack and f"            {unpack}rows[piece]\n",
-                               coefficients="".join(f"    {line}" for line in lines),
-                               newton="".join(f"        {line}" for line in newton.splitlines(True)),
-                               certificate="".join(f"    {line}" for line in
-                                                   certificate.splitlines(True)))
-    return source, np.concatenate(entries or [np.empty((0, count))]).T.tolist()
+
+    def listed(polys: list) -> str:          # source of the list of the P
+        return f"[{', '.join('[' + ', '.join(coef) + ']' for coef in polys)}]"
+
+    if kind == "evaluate":
+        return (f"def evaluate(u, c, w):\n    {unpack and unpack + 'c'}\n{''.join(lines)}"
+                f"    return {listed(layers)}\n"), rows
+    # the coefficients that are not literals, as locals
+    names = [[term if term[0] in "-0" else f"c{i}_{k}" for k, term in enumerate(terms)]
+             for i, terms in enumerate(layers)]
+    lines += [f"    {name} = {term}\n" for coef, terms in zip(names, layers)
+              for name, term in zip(coef, terms) if name != term]
+    if kind == "walk":
+        bracket = roots._bracket_source(names, "0.0",
+                                        f"return t, last, center, None, (0, a, {listed(names)})")
+        bracket = "".join(f"    {line}" for line in bracket.splitlines(True))
+        return _WALK.format(unpack=unpack and f"            {unpack}rows[piece]\n",
+                            coefficients="".join(f"    {line}" for line in lines),
+                            bracket=bracket), rows
+    bracket = roots._bracket_source(names, "offset", f"return a, {listed(names)}")
+    return (f"def reach(u, c, w, g, hi, start, offset):\n    {unpack and unpack + 'c'}\n"
+            f"{''.join(lines)}{bracket}    return a, None\n"), rows
+
 
 
 def _point_or_batch(out):

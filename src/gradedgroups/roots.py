@@ -5,15 +5,15 @@ polynomial", BIT 1981) certify an interval inside or outside, Newton
 steps solve one crossing of a monotone P, anything else is halved
 (Mourrain & Pavone, J. Symb. Comput. 2009).  Its maximal :func:`runs`
 are ball sets, low-degree sets and the unit-gauge chord (on whole tables
-by :func:`table_runs`); its Newton-predicted :func:`first_exit` is a
-reach of the covering walk.  Polynomials are lists of ascending
-coefficients, evaluated in Python floats.  The prediction and the
-certificate of its bracket by the same Bernstein enclosure are one
-generated text (:func:`_bracket_source`), compiled on first use per
-tuple of polynomial lengths (:func:`_bracket_kernel`) and inlined in the
-covering walk's loop (``HomogeneousDistance.membership``).  The text
-computes what :func:`horner` and :func:`_bernstein` compute, saving only
-the operations on a literal zero, which change no result.
+by :func:`table_runs`); its :func:`first_exit` ends a reach of the
+covering walk whose bracket was not certified.  Polynomials are lists of
+ascending coefficients, evaluated in Python floats.  A reach's Newton
+prediction and the certificate of its bracket by the same Bernstein
+enclosure are one generated text (:func:`_bracket_source`), written into
+the covering walk's loop and into the ``reach`` of each of a curve's
+anchor tables (``HomogeneousDistance.membership``).  The text computes
+what :func:`horner` and :func:`_bernstein` compute, saving only the
+operations on a literal zero, which change no result.
 """
 
 from __future__ import annotations
@@ -117,9 +117,10 @@ _SCOPE = {"ulp": math.ulp, "steps": range(PREDICT_STEPS)}
 
 
 def _literal(term: str) -> float | None:
-    """The value of a term of generated source that is a float literal, else None."""
+    """The value of a term of generated source that is a float literal, else None;
+    a literal is finite, so its repr starts with a digit or a minus sign."""
     try:
-        return float(term)
+        return float(term) if term[:1] in "-0123456789" else None
     except ValueError:
         return None
 
@@ -144,49 +145,55 @@ def reach_tol(start: float, lo: float) -> float:
 
     Tight, because the per-ball shortfall of the covering walk accumulates
     over the whole walk; the floor of four float spacings at start + lo
-    keeps the two ends of the bracket on distinct parameters.  The kernels
-    of :func:`_bracket_kernel` compute it inline with the same operations:
-    their text saves only operations on a literal zero, and it has none.
+    keeps the two ends of the bracket on distinct parameters.  The text of
+    :func:`_bracket_source` computes it inline with the same operations:
+    it saves only operations on a literal zero, and this has none.
     """
     return max(1e-12 * lo + 1e-16, 4.0 * math.ulp(start + lo))
 
 
-def _bracket_source(names: list, fail: str, refuse: str) -> str:
-    """Body text, one indent deep, of the bracket of :func:`_bracket_kernel`
-    on the coefficients ``names`` of each P (locals or finite float
-    literals) and ``g``, ``hi``, ``start``, ``offset``: it ends on a
-    certified ``a``, runs ``fail`` where no bracket is found
-    (:func:`_newton_source`) and ``refuse`` where one is not
-    (:func:`_certificate_source`).
+def _bracket_source(names: list, offset: str, refuse: str) -> str:
+    """Body text, one indent deep, of a reach's bracket on [0, ``hi``] from the
+    guess ``g`` for the coefficients ``names`` of each P (locals or finite
+    float literals), to the :func:`reach_tol` of ``start`` at ``offset`` +
+    x.  It ends on ``a``, the inside end of a bracket of a root of the P
+    most violated at g (:func:`_newton_source`), or hi where there is none,
+    and runs ``refuse`` unless every P lies below minus its rounding bound
+    on [0, a] (:func:`_certificate_source`), as :func:`runs` certifies an
+    interval inside, save that a nan refuses.  At a = hi that is the first
+    step of the search of [0, hi] (:func:`first_exit`).
 
-    The text saves every operation on a literal zero and keeps every other
-    in its place: Horner sums drop their leading 0.0 * x and each + 0.0,
-    k * c of a literal c is written as its value, and a zero term of the
-    certificate is carried through its sums as a known constant.  No center
-    can see it.  For finite x, 0.0 * x is a zero and y + 0.0 is y but for
-    the sign of a zero (IEEE 754; Kahan, "Much Ado About Nothing's Sign
-    Bit", 1987), and values that agree but for the signs of zeros agree
-    after any sum, product or abs, and after a division by a slope checked
-    positive; this text only compares such values otherwise, and a
-    comparison does not see the sign of a zero.  The x of every sum is
-    finite for a finite ``hi``: g and the Newton iterates lie in (0, hi),
-    and a in (0, hi].  A bracket end x -+ w / 2 may overflow where the
-    width w does; no bracket ends there, with or without the saved
-    operations.  A literal zero term c_k s^k is nan, not zero, where s^k
-    overflows; a check that refuses there stands in for it (k = 1 needs
-    none, s^1 being a).  A fold of literals that is not finite is written
-    as its operation.
+    The first of equal values is the most violated, P' is k * c, and every
+    P and P' is :func:`horner` and the certificate :func:`_bernstein`
+    unrolled.  The text saves every operation on a literal zero and keeps
+    every other in its place: Horner sums drop their leading 0.0 * x and
+    each + 0.0, k * c of a literal c is written as its value, and a zero
+    term of the certificate is carried through its sums as a known
+    constant.  No center can see it.  For finite x, 0.0 * x is a zero and
+    y + 0.0 is y but for the sign of a zero (IEEE 754; Kahan, "Much Ado
+    About Nothing's Sign Bit", 1987), and values that agree but for the
+    signs of zeros agree after any sum, product or abs, and after a
+    division by a slope checked positive; this text only compares such
+    values otherwise, and a comparison does not see the sign of a zero.
+    The x of every sum is finite for a finite ``hi``: g and the Newton
+    iterates lie in (0, hi), and a in (0, hi].  A bracket end x -+ w / 2
+    may overflow where the width w does; no bracket ends there, with or
+    without the saved operations.  A literal zero term c_k s^k is nan, not
+    zero, where s^k overflows; a check that refuses there stands in for it
+    (k = 1 needs none, s^1 being a).  A fold of literals that is not finite
+    is written as its operation.
     """
-    return _newton_source(names, fail, "offset") + _certificate_source(names, refuse)
+    newton = "".join(f"    {line}" for line in _newton_source(names, offset).splitlines(True))
+    return (f"    if g is not None and 0.0 < g < hi:\n{newton}    else:\n        a = hi\n"
+            + _certificate_source(names, refuse))
 
 
-def _newton_source(names: list, fail: str, offset: str) -> str:
+def _newton_source(names: list, offset: str) -> str:
     """Text of the Newton steps of :func:`_bracket_source` from ``g``: they end
-    on a bracket [a, c], 0 < a <= x < hi and c <= hi, or run ``fail``, which
-    may set ``a`` instead.  ``offset``, a local or a literal, is not added
-    where it is a literal zero."""
+    on a bracket [a, c], 0 < a <= x < hi and c <= hi, or set a = hi.
+    ``offset``, a local or a literal, is not added where it is a literal zero."""
     if not names:                            # no P, no root to bracket
-        return f"    {fail}\n"
+        return "    a = hi\n"
     if _literal(offset) == 0.0:
         tolerance = "tol, floor = 1e-12 * x + 1e-16, 4.0 * ulp(start + x)"
     else:
@@ -241,7 +248,7 @@ def _newton_source(names: list, fail: str, offset: str) -> str:
             lines += [line[4:] for line in block.splitlines(True)]
         else:
             lines.append(f"    {'elif' if j else 'if'} i in {tuple(members)}:\n{block}")
-    lines.append(f"    if not (0.0 < a and c <= hi):\n        {fail}\n")
+    lines.append("    if not (0.0 < a and c <= hi):\n        a = hi\n")
     return "".join(lines)
 
 
@@ -286,35 +293,6 @@ def _certificate_source(names: list, refuse: str) -> str:
     return "".join(lines)
 
 
-@lru_cache(maxsize=None)
-def _bracket_kernel(*lengths: int) -> Callable:
-    """Generate ``bracket(polys, g, hi, start, offset)`` for polys of these
-    lengths: (a, certified), a the inside end of a bracket [a, c] of a root
-    of the P most violated at g, or None.
-
-    Newton steps from g; once a step is at most w = tol / 2 long, tol the
-    :func:`reach_tol` of ``start`` at ``offset`` + x, the bracket is the w
-    wide one centered where it lands, if P(a) <= 0 < P(c) there and 0 < a
-    < c <= hi; None where a step meets a slope that is not positive or
-    leaves (0, hi), or the steps run out.  It is certified where every P
-    lies below minus its rounding bound on [0, a] by its Bernstein
-    coefficients (:func:`_bernstein`), as :func:`runs` certifies an interval
-    inside, but a nan coefficient, which max may skip, fails.  The first of
-    equal values is the most violated, P' is k * c, every P and P' is
-    :func:`horner` and the certificate :func:`_bernstein` unrolled on
-    locals, with the same operations but those on a literal zero
-    (:func:`_bracket_source`): its coefficients are locals, so it saves
-    only the leading 0.0 * x of each Horner sum.
-    """
-    names = [[f"c{i}_{k}" for k in range(n)] for i, n in enumerate(lengths)]
-    unpack = "".join(f"({', '.join(coef)},), " for coef in names) + "= polys" if names else ""
-    scope = dict(_SCOPE)
-    # source built from our own terms
-    exec(f"def bracket(polys, g, hi, start, offset):\n    {unpack}\n"  # noqa: S102
-         f"{_bracket_source(names, 'return None', 'return a, False')}    return a, True\n", scope)
-    return scope["bracket"]
-
-
 def _newton(p: list, dp: list, a: float, c: float, tol: Callable[[float], float]) -> float:
     """The inside end of the root of p, increasing on [a, c] with p(a) <= 0 < p(c).
 
@@ -356,7 +334,9 @@ def _inside_part(polys: list, a: float, c: float, tol: Callable[[float], float])
             open_.append((p, dp))
     if not open_:
         return a, c
-    if len(open_) == 1:
+    # on [0, c] with P'(0) = 0 (a d = 0 anchor table) P' has no sign to certify:
+    # unshifted, the Bernstein sweep keeps coefficient 0, P'(0), so min <= 0 <= max
+    if len(open_) == 1 and not (a == 0.0 and open_[0][1][0] == 0.0):
         ((p, dp),) = open_
         b, margin = _bernstein(dp, a, c - a)
         if min(b) > margin:                      # rising: inside, then outside
@@ -412,33 +392,17 @@ def runs(polys: list, lo: float, hi: float, tol: Callable[[float], float]):
         yield start, hi
 
 
-def first_exit(polys: list, hi: float, guess: float | None, start: float,
-               offset: float) -> float | None:
+def first_exit(polys: list, hi: float, start: float, offset: float) -> float | None:
     """First s in [0, hi] where some P in ``polys`` is positive, or None.
 
     Each P is a list of ascending coefficients, as a rule negative at 0,
-    and the width solved to is the :func:`reach_tol` of ``start`` at
-    ``offset`` + s.  The inside end of the exit is returned: every P <= 0
-    on [0, a] is certified and, unless an interval was unresolved at that
-    width, some P > 0 within it beyond a.
-
-    From a ``guess`` in (0, hi), Newton steps on the P most violated there
-    bracket one of its roots, and the kernel for their lengths
-    (:func:`_bracket_kernel`) certifies [0, a] itself.  Where it cannot,
-    [0, a] is searched for an earlier exit; without a guess, or where the
-    steps fail, [0, hi] is.  The exit is the end of the first of the
-    :func:`runs`, or 0 where it does not start at 0.  The first step of
-    that search is the check the kernel makes, so where the kernel
-    certifies, the search gives the same a.
+    solved to the :func:`reach_tol` of ``start`` at ``offset`` + s.  The
+    inside end of the exit is returned, the end of the first of the
+    :func:`runs` (0 where it does not start at 0): every P <= 0 on [0, a]
+    is certified and, unless an interval was unresolved at that width,
+    some P > 0 within it beyond a.  A reach searches where its bracket's
+    certificate refuses (:func:`_bracket_source`).
     """
-    if guess is not None and 0.0 < guess < hi:
-        found = _bracket_kernel(*map(len, polys))(polys, guess, hi, start, offset)
-        if found is not None:
-            a, certified = found
-            if certified:
-                return a
-            s = _exit(polys, a, lambda x: reach_tol(start, offset + x))
-            return a if s is None else s
     return _exit(polys, hi, lambda x: reach_tol(start, offset + x))
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradedgroups
-from gradedgroups import cli
+from gradedgroups import cli, curve, fixtures, roots
 from gradedgroups.cli import ConfigError, main, parse_schedule, resolve_config, run_config
 from gradedgroups.measure import ball_param_set, quad
 from gradedgroups.metric import HomogeneousDistance
@@ -622,3 +622,24 @@ def test_curve_files_fail_only_with_value_errors(tmp_path_factory, doc):
         cli._resolve_curve({"curve_file": str(path)})
     except ValueError:  # ConfigError is a ValueError; both exit 2
         pass
+
+
+def test_cover_blowup_and_diverge_read_only_the_degree(monkeypatch):
+    # cover without q, blowup and diverge read the curve's degree alone
+    # (curve.curve_degree): none runs the low-degree search of
+    # degree_profile, roots.table_runs called from there, which costs
+    # time and may raise where they need none of it
+    table_runs = roots.table_runs
+
+    def no_low_degree_search(*args, **kwargs):
+        if sys._getframe(1).f_code is curve.degree_profile.__code__:
+            raise AssertionError("the low-degree search ran")
+        return table_runs(*args, **kwargs)      # ball sets, as blowup and diverge need
+
+    monkeypatch.setattr(roots, "table_runs", no_low_degree_search)
+    with pytest.raises(AssertionError, match="low-degree search"):
+        curve.degree_profile(fixtures.group_law("heisenberg"), fixtures.curve("vertical"))
+    for cfg in ({"op": "cover", "curve": "parabola_lift", "deltas": "2^-2..2^-3"},
+                {"op": "blowup", "curve": "vertical", "t0": 0.0, "radii": "2^-1..2^-3"},
+                {"op": "diverge", "curve": "glued_hv", "t0": -0.5, "radii": "2^-2..2^-4"}):
+        assert run_config(cfg)["result"]["q"] == 2, cfg["op"]

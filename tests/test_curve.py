@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import numpy.polynomial.polynomial as P
@@ -6,7 +9,7 @@ import pytest
 
 from gradedgroups import fixtures
 from gradedgroups.curve import (TOL_REL, Curve, ZeroVelocityError, adapted_basis,
-                                curve_from_samples,
+                                curve_degree, curve_from_samples,
                                 degree_profile, dilate_curve,
                                 linear_image_curve, little_o_check,
                                 pointwise_degree, polynomial_curve,
@@ -80,6 +83,25 @@ def test_degree_profile_glued(heis):
     # past the break lam_3 = t, so the set ends where t = TOL_REL |lam|, to
     # the 1e-12 * span to which ends are solved
     assert TOL_REL - 2e-12 <= hi <= TOL_REL
+
+
+def test_curve_degree_is_the_profile_degree():
+    # on every builtin curve and the benchmark walk's curve files, at a few
+    # grid sizes: the grid maximum alone, without the low-degree search
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cases = [(fixtures.curve_fixture(name).group, fixtures.curve(name))
+             for name in fixtures.curve_names()]
+    cases += [("heisenberg", curve_from_samples(
+        workloads.curve_doc(random.Random(f"walk:{seed}"))["samples"], 3)) for seed in (1, 11)]
+    for group, curve in cases:
+        law = fixtures.group_law(group)
+        for grid in (64, 511, 512):
+            assert curve_degree(law, curve, grid) == degree_profile(law, curve, grid).degree, \
+                (curve.name, grid)
+        assert type(curve_degree(law, curve)) is int
 
 
 def test_degree_profile_parabola_pinpoints_origin(heis):

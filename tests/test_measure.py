@@ -1,4 +1,5 @@
 import ast
+import bisect
 import hashlib
 import importlib.util
 import math
@@ -359,8 +360,9 @@ def _cubic_curve():
 
 
 def _reach_by_reach(dist, curve, delta, lo, hi):
-    """The greedy walk, each reach taken by the general path, its kernel
-    certifying it (roots.first_exit), none by the generated loop."""
+    """The greedy walk, each reach taken by the general path, piece by piece
+    with each table's compiled reach and, where its certificate refuses, the
+    search of roots.first_exit; none by the generated loop."""
     reach, _ = _polynomial_reach(dist, curve, delta)
     b, guard = curve.domain[1], 1e-12 * curve.span()
     t, step, centers = lo, None, []
@@ -381,18 +383,19 @@ def _handed_back(dist, curve, delta, lo, hi):
     reach, walk = _polynomial_reach(dist, curve, delta)
     reaches, centers = [], []
 
-    def general(start, guess):
-        reaches.append((start, reach(start, guess)))
+    def general(start, guess, resume=None):
+        reaches.append((start, reach(start, guess, resume)))
         return reaches[-1][1]
 
     measure._walk(general, walk, lo, hi, curve.domain[1], delta, 1e-12 * curve.span(), centers)
     return tuple(centers), reaches
 
 
-# walks whose generated loop hands reaches back: across a break (glued_hv
-# from -0.5, the benchmark's curve file), at a refused bracket (the rough
-# and wavy curves, and the cubic, where the loop itself refuses) and at the
-# domain's end (parabola_lift up to 1)
+# walks whose reaches cross a break, in the generated loop (glued_hv from
+# -0.5, the benchmark's curve file), whose loop hands reaches back at a
+# refused bracket (the rough and wavy curves, and the cubic, where it
+# refuses on the anchor's piece), and that meet the domain's end
+# (parabola_lift up to 1)
 _HAND_BACKS = {"glued_hv": (lambda: fixtures.curve("glued_hv"), 2.0 ** -6, (-0.5, 0.5)),
                "bench": (lambda: _bench_walk_curve(), 2.0 ** -4, (-1.0, 1.0)),
                "rough": (lambda: _rough_curve(), 0.1, (-1.0, 1.0)),
@@ -449,42 +452,52 @@ def test_generated_walk_is_the_reach_by_reach_walk(case):
         return
     centers, reaches = _handed_back(dist, curve, delta, lo, hi)
     assert centers == want
-    if case in ("glued_hv", "bench", "end"):
-        # the hand-backs these walks are here for: a reach across a break,
-        # or one that meets the domain's end
-        breaks, b = curve.pieces[1].tolist(), curve.domain[1]
-        assert any(s == b if case == "end" else any(start < p < s for p in breaks)
-                   for start, s in reaches)
+    # the reaches these walks are here for, taken in the loop: across a break
+    # (a break lies between two centers, and no reach handed back crosses
+    # one), or to the domain's end (no reach handed back ends there)
+    breaks, b = curve.pieces[1].tolist(), curve.domain[1]
+    if case in ("glued_hv", "bench"):
+        assert any(c0 < p < c1 for c0, c1 in zip(centers, centers[1:]) for p in breaks)
+        assert not any(start < p < s for start, s in reaches for p in breaks)
+    if case == "end":
+        assert centers[-1] == b and not any(start < s == b for start, s in reaches)
 
 
 def test_walk_refuses_uncertified_brackets(dist, monkeypatch):
     # each reach certifies its Newton bracket, in the walk's generated loop
-    # and in the kernels alike (roots._bracket_source).  The loop hands a
-    # bracket it cannot certify back, and there the kernel refuses it again
-    # and the reach searches [anchor, exit] for an earlier exit
-    # (roots._exit).  The walk's centers are those of the reach-by-reach
-    # walk, and a bracket is refused on the curves that double back or
-    # wave out of a ball only
+    # and in the tables' reach alike (roots._bracket_source).  The loop hands
+    # a bracket it cannot certify back, as (d, a, P), and the reach searches
+    # [0, a] of that piece for an earlier exit (roots._exit).  The walk's
+    # centers are those of the reach-by-reach walk, and a bracket is
+    # refused on the curves that double back or wave out of a ball only
     refused, fallbacks = [], []
-    kernel, search, certificate = roots._bracket_kernel, roots._exit, roots._certificate_source
+    polynomial_reach, search = measure._polynomial_reach, roots._exit
+    certificate = roots._certificate_source
 
-    def counted_kernel(*lengths):
-        bracket = kernel(*lengths)
+    def counted_reach(dist, curve, r):
+        reach, walk = polynomial_reach(dist, curve, r)
+        breaks, cap = curve.pieces[1].tolist(), curve.domain[1]
 
-        def counted(polys, g, hi, start, offset):
-            found = bracket(polys, g, hi, start, offset)
-            if found is not None and not found[1]:
-                refused.append(found[0])
-            return found
+        def counted(*state):
+            t, _, center, _, resume = handed = walk(*state)
+            if resume is not None:
+                d, a, _ = resume
+                start = t if center is None else center
+                m = bisect.bisect_right(breaks, start)
+                t0 = start if d == 0 else min(cap, breaks[m + d - 1])
+                t1 = min(cap, breaks[m + d]) if m + d < len(breaks) else cap
+                if a < t1 - t0:          # a Newton bracket's, not its whole piece's
+                    refused.append(a)
+            return handed
 
-        return counted
+        return reach, counted
 
     def counted_search(polys, hi, tol):
         if len(fallbacks) < len(refused):        # the search after a refusal
             fallbacks.append(hi)
         return search(polys, hi, tol)
 
-    monkeypatch.setattr(roots, "_bracket_kernel", counted_kernel)
+    monkeypatch.setattr(measure, "_polynomial_reach", counted_reach)
     monkeypatch.setattr(roots, "_exit", counted_search)
     # curve, delta, interval, whether a bracket is refused on the way
     cases = [(_bump_curve(), 0.25, None, False),
@@ -492,7 +505,7 @@ def test_walk_refuses_uncertified_brackets(dist, monkeypatch):
              (_rough_curve(), 0.1, None, True), (_wavy_curve(), 0.1, None, True),
              (_cubic_curve(), 0.3, None, True)]
     for curve, delta, iv, refuses in cases:
-        fresh = HomogeneousDistance(dist.law, dist.eps)   # its tables take counted kernels
+        fresh = HomogeneousDistance(dist.law, dist.eps)
         refused.clear()
         fallbacks.clear()
         lo, hi = iv or curve.domain
@@ -500,19 +513,14 @@ def test_walk_refuses_uncertified_brackets(dist, monkeypatch):
         assert bool(refused) == refuses and fallbacks == refused
         assert est.centers == _reach_by_reach(fresh, curve, delta, lo, hi)
     # on the wavy curve the certificate matters: generated without it for a
-    # Newton bracket (a < hi), in the loop and the kernels, the walk would
-    # step over a wave.  The loop's certificate of a piece where Newton
-    # found no bracket (a = hi) stays, as the search the kernels fall back
-    # to makes it too
+    # Newton bracket (a < hi), in the loop and the tables' reach, the walk
+    # would step over a wave.  The certificate of a piece where Newton
+    # found no bracket (a = hi) stays, as the search after it makes it too
     monkeypatch.setattr(roots, "_certificate_source",
                         lambda names, refuse: certificate(names, f"if a == hi: {refuse}"))
-    kernel.cache_clear()
-    try:
-        fresh = HomogeneousDistance(dist.law, dist.eps)
-        assert spherical_measure_upper(fresh, _wavy_curve(), 1, 0.1).ball_count == 22
-    finally:
-        monkeypatch.undo()
-        kernel.cache_clear()          # no kernel without its certificate is kept
+    fresh = HomogeneousDistance(dist.law, dist.eps)     # its tables compile without it
+    assert spherical_measure_upper(fresh, _wavy_curve(), 1, 0.1).ball_count == 22
+    monkeypatch.undo()
     fresh = HomogeneousDistance(dist.law, dist.eps)
     assert len(_reach_by_reach(fresh, _wavy_curve(), 0.1, -1.0, 1.0)) == 23
 
@@ -553,11 +561,17 @@ def _zero_operands(source):
 def test_bench_walk_saves_every_operation_on_a_literal_zero(dist):
     # the loop generated for the d = 0 anchor table of the benchmark's curve
     # file, whose P_k(0) = -1 and P_k'(0) = 0 are written in as literals,
-    # neither adds nor multiplies a literal zero: no 0.0 *, * 0.0 or + 0.0
-    z = dist.law.divide_rows(*_anchor_rows(_bench_walk_curve().pieces, 0))
-    source, _ = _membership_source(z, dist._slices, True)
+    # neither adds nor multiplies a literal zero: no 0.0 *, * 0.0 or + 0.0;
+    # nor does the reach of its d = 0 and d = 1 tables
+    pieces = _bench_walk_curve().pieces
+    z = dist.law.divide_rows(*_anchor_rows(pieces, 0))
+    source, _ = _membership_source(z, dist._slices, True, "walk")
     assert "def walk(" in source and "-1.0" in source
     assert _zero_operands(source) == []
+    for d in (0, 1):
+        z = dist.law.divide_rows(*_anchor_rows(pieces, d))
+        source, _ = _membership_source(z, dist._slices, d == 0, "reach")
+        assert "def reach(" in source and _zero_operands(source) == []
     assert sorted(_zero_operands("v = (0.0) * g + c; d = 1 * -0.0; x -= 0.0")) == [
         "0.0 * g", "1 * -0.0", "x -= 0.0"]
 

@@ -159,7 +159,7 @@ def test_membership_tables_agree_with_the_gauge(heis):
         checked = 0
         for _ in range(12):
             r = rng.uniform(0.1, 1.0)
-            polys, _ = dist.membership(curve.pieces, r)
+            polys, _, _ = dist.membership(curve.pieces, r)
             t = rng.uniform(a, b)
             m = int(np.searchsorted(breaks, t, side="right"))
             for d in range(min(3, len(origins) - m)):

@@ -2,20 +2,21 @@ import math
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gradedgroups
 from gradedgroups import fixtures
-from gradedgroups.measure import spherical_measure_upper
+from gradedgroups.curve import polynomial_curve
+from gradedgroups.metric import HomogeneousDistance
 from gradedgroups.roots import (_SCOPE, MAX_HALVINGS, PREDICT_STEPS, NumericalResolutionError,
-                                _bernstein, _bracket_kernel, _bracket_source, _derivative,
-                                _exit, first_exit, horner, reach_tol, runs, table_runs,
-                                taylor_shift)
+                                _bernstein, _bracket_source, _derivative, _exit, first_exit,
+                                horner, reach_tol, runs, table_runs, taylor_shift)
 
 
 def _below(p, a, c):
@@ -30,7 +31,7 @@ def _certified(polys, a):
 
 
 def _bracket(polys, g, hi, tol):
-    """The scalar Newton prediction the generated kernels unroll, as a reference."""
+    """The scalar Newton prediction the generated brackets unroll, as a reference."""
     vals = [horner(p, g) for p in polys]
     v = max(vals)
     p = polys[vals.index(v)]
@@ -60,8 +61,40 @@ def tol12(a):
 
 
 def _first_exit(polys, hi, guess):
-    """roots.first_exit from start 0, where the reach tolerance is tol12."""
-    return first_exit(polys, hi, guess, 0.0, 0.0)
+    """A reach on one piece [0, hi] from start 0, where the reach tolerance is
+    tol12, as measure's reach takes it: the bracket of _bracket_source, and
+    where its certificate refuses [0, a], roots.first_exit on [0, a]."""
+    a, certified = _local_bracket(polys)(polys, guess, hi, 0.0, 0.0)
+    if not certified:
+        s = first_exit(polys, a, 0.0, 0.0)
+        if s is not None:
+            return s
+    return a if a < hi else None
+
+
+@lru_cache(maxsize=None)
+def _compiled(names):
+    """bracket(polys, g, hi, start, offset) -> (a, certified): the text of
+    _bracket_source on the coefficient terms ``names`` (a tuple per P), the
+    coefficients of ``polys`` unpacked into the locals c{i}_{k}."""
+    unpack = "".join(f"({', '.join(f'c{i}_{k}' for k in range(len(p)))},), "
+                     for i, p in enumerate(names))
+    scope = dict(_SCOPE)
+    head = f"def bracket(polys, g, hi, start, offset):\n    {unpack and unpack + '= polys'}\n"
+    body = _bracket_source([list(p) for p in names], "offset", "return a, False")
+    exec(f"{head}{body}    return a, True\n", scope)  # noqa: S102
+    return scope["bracket"]
+
+
+def _local_bracket(polys):
+    """The bracket text for ``polys`` with every coefficient a local."""
+    return _compiled(tuple(tuple(f"c{i}_{k}" for k in range(len(p))) for i, p in enumerate(polys)))
+
+
+def _literal_bracket(polys):
+    """The bracket text for ``polys``, each finite coefficient written in as its float literal."""
+    return _compiled(tuple(tuple(repr(c) if math.isfinite(c) else f"c{i}_{k}"
+                                 for k, c in enumerate(p)) for i, p in enumerate(polys)))
 
 
 # -- runs of polynomial inequalities --------------------------------------------------
@@ -233,33 +266,71 @@ _anchored = st.builds(lambda rest: [-1.0, 0.0, *rest] if rest else [-1.0],
 
 
 @st.composite
+def _guesses(draw):
+    """(g, hi): g in (0, hi), often a sixteenth of it."""
+    hi = draw(st.sampled_from([1.0, 0.25, 3.0]))
+    return draw(st.one_of(st.integers(1, 15).map(lambda k: k * hi / 16.0),
+                          st.floats(0.0, hi, exclude_min=True, exclude_max=True))), hi
+
+
+# (start, offset) of a reach, for its tolerance: 1e-12 relative (start 0),
+# 2^-10 (four float spacings at 2^40), the spacing floor alone (start 1024,
+# offset -1024), inf (start inf), and those of reaches along a walk
+_tolerances = st.one_of(
+    st.sampled_from([(0.0, 0.0), (0.0, 0.0), (2.0 ** 40, 0.0), (1024.0, -1024.0), (math.inf, 0.0)]),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2.0)))
+
+
+@st.composite
 def _bracket_cases(draw):
     """(polys, g, hi, start, offset): one to three polys of lengths 1 to 9,
     some anchored, some tied at g, some with a zero top coefficient, g in
-    (0, hi), and the reach whose tolerance the kernel computes."""
+    (0, hi), and the reach whose tolerance the bracket computes."""
     polys = draw(st.lists(st.one_of(st.lists(_coefficient, min_size=1, max_size=9), _rooted,
                                     _anchored), min_size=1, max_size=3))
-    hi = draw(st.sampled_from([1.0, 0.25, 3.0]))
-    g = draw(st.one_of(st.integers(1, 15).map(lambda k: k * hi / 16.0),
-                       st.floats(0.0, hi, exclude_min=True, exclude_max=True)))
+    g, hi = draw(_guesses())
     for p in polys[1:]:
         if draw(st.booleans()):        # shift p to the value of the first P at g: a tie
             p[0] += horner(polys[0], g) - horner(p, g)
     for p in polys:
         if draw(st.integers(0, 3)) == 0:
             p[-1] = 0.0
-    # tolerances: 1e-12 relative (start 0), 2^-10 (four float spacings at
-    # 2^40), the spacing floor alone (start 1024, offset -1024), inf (start
-    # inf), and those of reaches along a walk
-    start, offset = draw(st.one_of(
-        st.sampled_from([(0.0, 0.0), (0.0, 0.0), (2.0 ** 40, 0.0), (1024.0, -1024.0),
-                         (math.inf, 0.0)]),
-        st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2.0))))
-    return polys, g, hi, start, offset
+    return polys, g, hi, *draw(_tolerances)
+
+
+@st.composite
+def _table_cases(draw):
+    """(polys, g, hi, start, offset, reach): the P of a curve's anchor table,
+    of offset d >= 0 on a table of two or three pieces (HomogeneousDistance.
+    membership), and the reach that table compiles on them, with g, hi and
+    the tolerance drawn as for _bracket_cases."""
+    group = draw(st.sampled_from(["heisenberg", "engel"]))
+    law = fixtures.group_law(group)
+    count, degree = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    size = (degree + 1) * law.n * count
+    coef = np.reshape(draw(st.lists(st.one_of(st.integers(-8, 8).map(lambda k: k / 8.0),
+                                              st.floats(-1.0, 1.0)), min_size=size, max_size=size)),
+                      (degree + 1, law.n, count))
+    breaks = sorted(draw(st.sets(st.sampled_from([-0.5, 0.0, 0.3]), min_size=count - 1,
+                                 max_size=count - 1)))
+    curve = polynomial_curve(coef, (-1.0, 1.0), breaks)
+    dist = HomogeneousDistance(law, [1.0] * law.step)
+    polys, bracket, _ = dist.membership(curve.pieces, draw(st.floats(0.1, 1.0)))
+    d = draw(st.integers(0, count - 1))
+    m, u = draw(st.integers(0, count - 1 - d)), draw(st.floats(0.0, 0.5))
+    ps = polys(m, d, u)
+    assume(ps)
+
+    def reach(_, *args):
+        a, refused = bracket(m, d, u, *args)
+        assert refused is None or refused == ps       # a refusal hands back the P
+        return a, refused is None
+
+    return (ps, *draw(_guesses()), *draw(_tolerances), reach)
 
 
 @settings(max_examples=400, deadline=None)
-@given(_bracket_cases())
+@given(st.one_of(_bracket_cases(), _table_cases()))
 # 2 (s - 1/8)^3 (s - 5/8): from 2.3125, 5/8 is bracketed on the last step
 @example(([[0.00244140625, -0.0625, 0.5625, -2.0, 2.0]], 2.3125, 3.0, 0.0, 0.0))
 # 1.25 (s - 3/2)^3, at tolerance 2^-4: the bracket test fails past the
@@ -278,56 +349,67 @@ def _bracket_cases(draw):
 # of the second P is nan, not 0, and the certificate is refused
 @example(([[-1e300, 1e140], [-1e300, 0.0, 0.0, -5e-324]], 1.5e160, 2e160, 0.0, 0.0))
 def test_bracket_kernel_is_the_scalar_bracket(case):
-    # the same float, bit for bit, or None, wherever Newton lands or leaves
-    # (0, hi), and the same certificate of [0, a]: every Bernstein
-    # coefficient of every P below minus its rounding bound.  Both texts of
-    # the one generator: the kernel's, on coefficients unpacked into
-    # locals, and the covering walk's, which writes coefficients in as
-    # literals (here every finite one)
-    polys, g, hi, start, offset = case
+    # the same float, bit for bit, wherever Newton lands, and hi wherever it
+    # leaves (0, hi) or finds no bracket; and the same certificate of [0, a]:
+    # every Bernstein coefficient of every P below minus its rounding bound.
+    # Three texts of the one generator: on coefficients unpacked into
+    # locals; with every finite one written in as a literal, as the covering
+    # walk writes in those of its tables; and, on the P of a curve's anchor
+    # table, the reach that table compiles
+    polys, g, hi, start, offset, *table = case
     want = _bracket(polys, g, hi, lambda x: reach_tol(start, offset + x))
-    for bracket in (_bracket_kernel(*map(len, polys)), _literal_bracket(polys)):
+    a = hi if want is None else want
+    for bracket in (_local_bracket(polys), _literal_bracket(polys), *table):
         got = bracket(polys, g, hi, start, offset)
-        if want is None:
-            assert got is None
-        else:
-            assert (got[0].hex(), got[1]) == (want.hex(), _certified(polys, want))
-
-
-def _literal_bracket(polys):
-    """The kernel for ``polys`` from _bracket_source, each finite coefficient
-    written in as its float literal."""
-    names = [[repr(c) if math.isfinite(c) else f"c{i}_{k}" for k, c in enumerate(p)]
-             for i, p in enumerate(polys)]
-    unpack = "".join(f"({', '.join(f'c{i}_{k}' for k in range(len(p)))},), "
-                     for i, p in enumerate(polys))
-    scope = dict(_SCOPE)
-    exec(f"def bracket(polys, g, hi, start, offset):\n    {unpack}= polys\n"  # noqa: S102
-         f"{_bracket_source(names, 'return None', 'return a, False')}    return a, True\n", scope)
-    return scope["bracket"]
+        assert (got[0].hex(), got[1]) == (a.hex(), _certified(polys, a))
 
 
 def test_bracket_kernels_compile_on_first_use():
-    # a fresh interpreter that imports the package has compiled none
+    # a table's texts compile per distance on first use: a fresh interpreter
+    # that imports the package has compiled none.  A walk compiles its loop
+    # and one reach per layout of the tables at d >= 1 it crosses into: none
+    # on the vertical line or the parabola, one across the break of
+    # glued_hv; and no evaluate, as a refusal hands its P back.  Walking
+    # again compiles nothing, and no text is compiled twice
+    script = """if True:
+        import sys
+        texts = []
+
+        def hook(event, args):
+            if event == "compile" and isinstance(args[0], (bytes, str)):
+                text = args[0] if isinstance(args[0], bytes) else args[0].encode()
+                if text.startswith((b"def walk(", b"def reach(", b"def evaluate(")):
+                    texts.append(text.split(b"(")[0])
+
+        sys.addaudithook(hook)
+        import gradedgroups.cli
+        from gradedgroups import fixtures
+        from gradedgroups.measure import spherical_measure_upper
+        print(len(texts))
+        dist = fixtures.distance("heisenberg")
+        for name in ("vertical", "parabola_lift", "glued_hv"):
+            curve = fixtures.curve(name)
+            first = spherical_measure_upper(dist, curve, 2, 2.0 ** -4)
+            print(name, texts.count(b"def walk"), texts.count(b"def reach"))
+            assert spherical_measure_upper(dist, curve, 2, 2.0 ** -4) == first
+        print(len(texts))
+    """
     env = dict(os.environ)
     src = str(Path(gradedgroups.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import gradedgroups.cli; from gradedgroups import roots; "
-         "print(roots._bracket_kernel.cache_info().currsize)"],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert out.stdout == "0\n", out.stderr
-    # a walk compiles one kernel per tuple of lengths its reaches bracket
-    # with outside the generated loop, a second none: on the vertical line
-    # none, on the parabola (3, 5), across the break of glued_hv (5, 5)
-    dist = fixtures.distance("heisenberg")
-    curves = [fixtures.curve(name) for name in ("vertical", "parabola_lift", "glued_hv")]
-    _bracket_kernel.cache_clear()       # as every command-line run starts
-    first = [spherical_measure_upper(dist, curve, 2, 2.0 ** -4) for curve in curves]
-    assert _bracket_kernel.cache_info().misses == 2
-    assert [spherical_measure_upper(dist, curve, 2, 2.0 ** -4) for curve in curves] == first
-    assert _bracket_kernel(3, 5) is _bracket_kernel(3, 5) and _bracket_kernel(5, 5)
-    assert _bracket_kernel.cache_info().misses == 2
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert out.stdout == "0\nvertical 1 0\nparabola_lift 2 0\nglued_hv 3 1\n4\n", out.stderr
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_coefficient, min_size=1, max_size=9), st.floats(0.0, exclude_min=True))
+def test_bernstein_on_0_keeps_the_constant_coefficient(p, w):
+    # without a shift the Bernstein sweep never touches coefficient 0: it is
+    # p(0), bit for bit, at any width.  So on [0, c] the enclosure of a P'
+    # with P'(0) = 0 holds a 0 and certifies no sign, and the search skips
+    # it there (roots._inside_part)
+    assert _bernstein(p, 0.0, w)[0][0].hex() == p[0].hex()
 
 
 def test_taylor_shift_and_horner():
@@ -338,12 +420,12 @@ def test_taylor_shift_and_horner():
 
 
 def _claim(polys, r):
-    """The kernel's (a, certified) on ``polys`` behind a guide: L (s - r), L = 2^40,
+    """The bracket's (a, certified) on ``polys`` behind a guide: L (s - r), L = 2^40,
     is the most violated at g = 2r; two Newton steps land on r exactly at
     width 4 ulp(1024) = 2^-40 (start 1024, offset -r), so a = r - 2^-42, and
     the guide is certified on [0, a] itself."""
     polys = [[-r * 2.0 ** 40, 2.0 ** 40], *polys]
-    return _bracket_kernel(*map(len, polys))(polys, 2.0 * r, 4.0 * r, 1024.0, -r)
+    return _local_bracket(polys)(polys, 2.0 * r, 4.0 * r, 1024.0, -r)
 
 
 def test_kernel_certificate_takes_the_margin_of_each_degree():

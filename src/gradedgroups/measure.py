@@ -22,12 +22,12 @@ in the parameter are <= 0 (``HomogeneousDistance.membership``, read off
 anchor tables by Horner in the anchor's offset), and a reach is their
 first exit: predicted by Newton steps from the walk's last step, then
 [anchor, exit] certified by the Bernstein coefficients of every
-polynomial, or else searched for an earlier exit (``roots.first_exit``).
-So no excursion out of a ball between its anchor and the exit goes
-unseen.  The loop runs in a function generated per anchor table, with
+polynomial, or else searched for an earlier exit (``roots.first_exit``)
+where the certificate is refused, in place.  So no excursion out of a
+ball between its anchor and the exit goes unseen.  The walk over an
+interval is one call of a function generated per anchor table, with
 both reaches of a ball inline, and a reach with no exit on the anchor's
-piece goes on with the generated reach of each later piece's table; it
-hands a reach back to the search where a certificate is refused.
+piece goes on with the generated reach of each later piece's table.
 
 The two reaches of a ball place the parameters from the first uncovered
 one t up to the center in the ball around gamma(t), and those from the
@@ -49,7 +49,7 @@ import numpy as np
 from . import roots
 from .curve import Curve, curve_degree, degree_profile, pointwise_degree, tangent_projection
 from .frame import METRIC_EUCLIDEAN, METRIC_LEFT, _check_metric, speed
-from .metric import HomogeneousDistance, degree_constant, metric_factor
+from .metric import HomogeneousDistance, _onward, _power, degree_constant, metric_factor
 from .roots import NumericalResolutionError
 
 
@@ -168,18 +168,6 @@ def ball_intersection_measure(dist: HomogeneousDistance, curve: Curve, t0: float
 # -- blow-up and divergence ------------------------------------------------------
 
 
-def _power(r: float, q: float, name: str) -> float:
-    """r ** q, the q-dimensional size of a ball of radius r; NumericalResolutionError
-    where it overflows or underflows to 0 (``name`` is what r is called)."""
-    try:
-        size = float(r ** q)
-    except OverflowError:
-        raise NumericalResolutionError(f"{name} ** q overflows at {name} {r}, q {q}") from None
-    if size == 0.0:
-        raise NumericalResolutionError(f"{name} ** q underflows to 0 at {name} {r}, q {q}")
-    return size
-
-
 @dataclass(frozen=True)
 class BlowupReport:
     """Blow-up ratios along a radius schedule.
@@ -289,34 +277,20 @@ def _polynomial_reach(dist: HomogeneousDistance, curve: Curve, r: float) -> tupl
     r-ball around gamma(start), as the inside end of a bracket no wider
     than ``roots.reach_tol``, or the domain's end where it stays inside.
     From the anchor's piece on, each piece's table brackets an exit from
-    the guess and certifies [0, a], a the exit or the piece's end
-    (``HomogeneousDistance.membership``), else ``roots.first_exit`` searches
-    [0, a]; the first exit ends it.  ``reach(start, guess, (d, a, P))``
-    resumes a reach ``walk`` refused on the anchor's piece plus d.
+    the guess and certifies [0, a], a the exit or the piece's end, or else
+    ``roots.first_exit`` searches [0, a] (``HomogeneousDistance.
+    membership``); the first exit ends it.  The loop takes each of its
+    reaches this way, and ``reach`` is the same walk across pieces
+    (``metric._onward``) from the anchor's own piece.
     """
     pieces = curve.pieces
     breaks, origins = pieces[1].tolist(), pieces[2].tolist()
     cap = curve.domain[1]
     _, bracket, walk = dist.membership(pieces, r)
 
-    def reach(start: float, guess: float | None, resume: tuple | None = None) -> float:
+    def reach(start: float, guess: float | None) -> float:
         m = bisect.bisect_right(breaks, start)
-        u = start - origins[m]
-        d, handed = (0, None) if resume is None else (resume[0], resume[1:])
-        t0 = start if d == 0 else min(cap, breaks[m + d - 1])
-        while t0 < cap:
-            t1 = min(cap, breaks[m + d]) if m + d < len(breaks) else cap
-            offset, hi = t0 - start, t1 - t0
-            a, refused = handed or bracket(m, d, u, None if guess is None else guess - offset,
-                                           hi, start, offset)
-            if refused is not None:
-                s = roots.first_exit(refused, a, start, offset)
-                if s is not None:
-                    return t0 + s
-            if a < hi:
-                return t0 + a
-            t0, d, handed = t1, d + 1, None
-        return max(start, cap)
+        return _onward(bracket, breaks, cap, m, start - origins[m], guess, start, 0, start)
 
     return reach, walk
 
@@ -325,36 +299,22 @@ def _polynomial_reach(dist: HomogeneousDistance, curve: Curve, r: float) -> tupl
 MAX_BALLS = 5_000_000
 
 
-def _walk(reach: Callable, walk: Callable, lo: float, hi: float, b: float, delta: float,
-          guard: float, centers: list) -> None:
+def _walk(walk: Callable, lo: float, hi: float, b: float, delta: float, guard: float,
+          centers: list) -> None:
     """The greedy walk over [lo, hi]: appends the center of each ball placed.
 
     Each reach starts its Newton steps from the step the walk took last,
-    and certifies its own bracket, so no excursion out of a ball between
-    its anchor and the exit goes unseen.  ``walk`` runs this loop until a
-    reach is refused or it ends, and hands back (t, step, center, edge,
-    resume), None where a reach is next (:func:`_polynomial_reach`).
+    and certifies its own bracket or searches it, so no excursion out of a
+    ball between its anchor and the exit goes unseen.  ``walk`` runs the
+    whole loop in one call (:func:`_polynomial_reach`) and returns (t,
+    edge) of the last ball it placed: short of hi and b, that ball did not
+    advance past t.
     """
-    t, step, center = lo, None, None
-    while True:
-        t, step, center, edge, resume = walk(t, step, center, hi, guard, b, centers, MAX_BALLS)
-        if center is None:
-            center = reach(t, step, resume)
-            centers.append(center)
-            if len(centers) <= MAX_BALLS and center > t:
-                continue                 # walk takes the reach from the center
-        if len(centers) > MAX_BALLS:
-            raise NumericalResolutionError(
-                f"covering at delta = {delta} exceeded {MAX_BALLS} balls")
-        # a ball centered at t itself reaches no further than the reach from
-        # t just found, so only a center ahead of t can advance
-        if edge is None:
-            edge = reach(center, center - t, resume) if center > t else center
-        if edge >= hi - guard or edge >= b:
-            return
-        if edge <= t + guard:
-            raise NumericalResolutionError(f"covering walk stalled at t = {t} (delta = {delta})")
-        t, step, center = edge, max(edge - center, guard), None
+    t, edge = walk(lo, hi, guard, b, centers, MAX_BALLS)
+    if len(centers) > MAX_BALLS:
+        raise NumericalResolutionError(f"covering at delta = {delta} exceeded {MAX_BALLS} balls")
+    if edge < hi - guard and edge < b:
+        raise NumericalResolutionError(f"covering walk stalled at t = {t} (delta = {delta})")
 
 
 def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
@@ -391,10 +351,10 @@ def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
             raise ValueError(f"interval [{lo}, {hi}] ends before it starts")
     guard = 1e-12 * curve.span()
     # nothing to cover needs no membership, however small delta is
-    reach, walk = _polynomial_reach(dist, curve, delta) if intervals else (None, None)
+    walk = _polynomial_reach(dist, curve, delta)[1] if intervals else None
     centers = []
     for lo, hi in intervals:
-        _walk(reach, walk, lo, hi, b, delta, guard, centers)
+        _walk(walk, lo, hi, b, delta, guard, centers)
     value = 0.0
     for _ in centers:          # ball by ball, as the value has always been summed
         value += size

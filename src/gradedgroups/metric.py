@@ -126,9 +126,11 @@ class HomogeneousDistance:
         :func:`_membership_source` on it compiled on first use and kept.
         For d = 0 its s^0 column, x^-1 * x, is left out, so P_k(0) = -1 and
         P_k'(0) = 0 exactly: no self-distance floor.  ``bracket(m, d, u, g,
-        hi, start, offset)`` runs the table's ``reach``, ``walk(t, step,
-        center, hi, guard, cap, centers, limit)`` the loop of ``measure.
-        _walk``, handing back (t, step, center, edge, (d, a, P) or None).
+        hi, start, offset)`` runs the table's ``reach``, the first exit in
+        [0, hi] or hi, and ``walk(t, hi, guard, cap, centers, limit)`` the
+        whole loop of ``measure._walk`` from t, returning (t, edge) of its
+        last ball.  Both search a bracket in place where its certificate
+        refuses (``roots.first_exit``).
         """
         w = self.ball_weights(r)
         _, tables, compiled = self._tables.setdefault(id(pieces[0]), (pieces, {}, {}))
@@ -140,7 +142,7 @@ class HomogeneousDistance:
                 source, rows = _membership_source(z, self._slices, d == 0, kind)
                 if source not in compiled:
                     scope = {**roots._SCOPE, "inf": math.inf, "bisect_right": bisect.bisect_right,
-                             "onward": _onward}
+                             "onward": _onward, "first_exit": roots.first_exit}
                     # source built from our own terms
                     exec(source, scope)  # noqa: S102
                     compiled[source] = scope[kind]
@@ -151,13 +153,13 @@ class HomogeneousDistance:
             evaluate, rows = table(d, "evaluate")
             return evaluate(u, rows[m], w)
 
-        def bracket(m: int, d: int, u: float, *args) -> tuple:
+        def bracket(m: int, d: int, u: float, *args) -> float:
             reach, rows = table(d)
             return reach(u, rows[m], w, *args)
 
         def walk(*state) -> tuple:
             run, rows = table(0, "walk")
-            return run(*state, rows, w, breaks, origins, table)
+            return run(*state, rows, w, breaks, origins, bracket)
 
         return polys, bracket, walk
 
@@ -191,9 +193,8 @@ def _center_fold(dist: HomogeneousDistance, curve: Curve, t0: float) -> tuple:
     return fold
 
 
-_WALK = """def walk(t, last, center, stop, guard, cap, centers, limit, rows, w, breaks, origins,
-         table):
-    end, stop = -inf, stop - guard
+_WALK = """def walk(t, stop, guard, cap, centers, limit, rows, w, breaks, origins, bracket):
+    last, center, end, stop = None, None, -inf, stop - guard
     while True:
         start, g = (t, last) if center is None else (center, center - t)
         if start >= end:                 # the piece reach's bisect finds
@@ -202,48 +203,44 @@ _WALK = """def walk(t, last, center, stop, guard, cap, centers, limit, rows, w, 
             origin, t1 = origins[piece], min(cap, end)
 {unpack}        u = start - origin
 {coefficients}        hi = t1 - start
-        if not 0.0 < hi:
-            return t, last, center, None, None
-{bracket}        if a < hi:
-            edge = start + a
-        else:                            # no exit on the piece: on along the next ones
-            edge, resume = onward(table, w, breaks, cap, piece, u, g, start, t1)
-            if resume is not None:
-                return t, last, center, None, resume
+        if 0.0 < hi:
+{bracket}            # no exit on the piece: on along the next ones
+            edge = start + a if a < hi else onward(bracket, breaks, cap, piece, u, g, start, 1, t1)
+        else:                            # at the domain's end the reach stays put
+            edge = start
         if center is None:
             center = edge
             centers.append(center)
             if len(centers) > limit:
-                return t, last, center, None, None
-            # a backward check of (t, center) against the center's ball goes here
+                return t, edge
+            # a backward check of (t, center) against the center's ball goes here.
+            # A ball centered at t itself reaches no further than the reach from
+            # t just found, so only a center ahead of t takes a reach of its own
             if center > t:
                 continue
         if edge >= stop or edge >= cap or edge <= t + guard:
-            return t, last, center, edge, None
+            return t, edge
         last = edge - center
         t, last, center = edge, guard if guard > last else last, None
 """
 
 
-def _onward(table: Callable, w: list, breaks: list, cap: float, piece: int, u: float,
-            g: float | None, start: float, t0: float) -> tuple:
-    """The loop's reach from ``start``, u past the origin of ``piece``, past
-    t0, that piece's end: (edge, None), edge the exit of the first of
-    pieces piece + 1, piece + 2, ... whose ``reach`` finds one, or ``cap``;
-    or (None, (d, a, P)) where that of piece + d refused [0, a]."""
-    d = 0
+def _onward(bracket: Callable, breaks: list, cap: float, piece: int, u: float,
+            g: float | None, start: float, d: int, t0: float) -> float:
+    """The reach from ``start``, u past the origin of ``piece``, on from piece
+    + d, which it enters at t0 (start itself at d = 0): the exit of the
+    first of pieces piece + d, piece + d + 1, ... whose table's reach
+    (``bracket``) finds one, else the domain's end ``cap``.  The generated
+    loop goes on with it past its anchor's piece (d = 1); from d = 0 it is
+    the whole reach (``measure._polynomial_reach``)."""
     while t0 < cap:
-        d += 1
         t1 = min(cap, breaks[piece + d]) if piece + d < len(breaks) else cap
         offset, hi = t0 - start, t1 - t0
-        reach, rows = table(d)
-        a, refused = reach(u, rows[piece], w, None if g is None else g - offset, hi, start, offset)
-        if refused is not None:
-            return None, (d, a, refused)
+        a = bracket(piece, d, u, None if g is None else g - offset, hi, start, offset)
         if a < hi:
-            return t0 + a, None
-        t0 = t1
-    return cap, None
+            return t0 + a
+        t0, d = t1, d + 1
+    return cap
 
 
 def _membership_source(z: list, slices, anchored: bool, kind: str) -> tuple:
@@ -254,10 +251,11 @@ def _membership_source(z: list, slices, anchored: bool, kind: str) -> tuple:
     w[k - 1] and subtracts 1.  Coefficients zero on every piece are left
     out, and so is the s^0 column of z where ``anchored``.  ``reach(u, c,
     w, g, hi, start, offset)`` computes them, literals written in, and
-    runs the text of ``roots._bracket_source``: (a, None) where it
-    certifies [0, a], else (a, P).  ``walk`` is the loop of
-    ``measure._walk`` (``_WALK``) with that reach inline, offset 0.0, and
-    the next pieces' ``reach`` past a piece without exit (:func:`_onward`).
+    runs the text of ``roots._bracket_source``: it returns a where that
+    certifies [0, a], else ``roots.first_exit`` of the P on [0, a].
+    ``walk`` is the loop of ``measure._walk`` (``_WALK``) with that reach
+    inline, offset 0.0, and the next pieces' ``reach`` past a piece
+    without exit (:func:`_onward`).
     """
     count = z[0].shape[2]
     entries, size, lines, layers = [], 0, [], []
@@ -310,15 +308,15 @@ def _membership_source(z: list, slices, anchored: bool, kind: str) -> tuple:
               for name, term in zip(coef, terms) if name != term]
     if kind == "walk":
         bracket = roots._bracket_source(names, "0.0",
-                                        f"return t, last, center, None, (0, a, {listed(names)})")
-        bracket = "".join(f"    {line}" for line in bracket.splitlines(True))
+                                        f"a = first_exit({listed(names)}, a, start, 0.0)")
+        bracket = "".join(f"        {line}" for line in bracket.splitlines(True))
         return _WALK.format(unpack=unpack and f"            {unpack}rows[piece]\n",
                             coefficients="".join(f"    {line}" for line in lines),
                             bracket=bracket), rows
-    bracket = roots._bracket_source(names, "offset", f"return a, {listed(names)}")
+    bracket = roots._bracket_source(names, "offset",
+                                    f"a = first_exit({listed(names)}, a, start, offset)")
     return (f"def reach(u, c, w, g, hi, start, offset):\n    {unpack and unpack + 'c'}\n"
-            f"{''.join(lines)}{bracket}    return a, None\n"), rows
-
+            f"{''.join(lines)}{bracket}    return a\n"), rows
 
 
 def _point_or_batch(out):
@@ -458,6 +456,27 @@ def triangle_audit(dist: HomogeneousDistance, samples: int = 100_000,
 # -- metric factor -----------------------------------------------------------
 
 
+def _finite(value: float, what: str, at: str) -> float:
+    """``value`` where it is a finite nonzero float; else NumericalResolutionError
+    that ``what`` overflows or underflows to 0 ``at`` the numbers it was taken at."""
+    if value == 0.0:
+        raise roots.NumericalResolutionError(f"{what} underflows to 0 {at}")
+    if not abs(value) < math.inf:
+        raise roots.NumericalResolutionError(f"{what} overflows {at}")
+    return value
+
+
+def _power(r: float, q: float, name: str) -> float:
+    """r ** q, the q-dimensional size of a ball of radius r or the scale of a
+    closed form; NumericalResolutionError where it overflows or underflows
+    to 0 (``name`` is what r is called)."""
+    try:
+        size = float(r ** q)
+    except OverflowError:
+        size = math.inf
+    return _finite(size, f"{name} ** q", f"at {name} {r}, q {q}")
+
+
 def _line_gauge_interval_length(dist, lam) -> float:
     """Lebesgue measure of {t : N(t * lam) <= 1}: the unit ball set around 0 of
     the one-piece table t -> t lam on (-s_max, s_max) (``measure.ball_param_set``).
@@ -485,7 +504,8 @@ def metric_factor(dist: HomogeneousDistance, lam) -> float:
 
     ``lam`` is a direction's frame coefficients, the pullback of a tangent
     vector to the identity.  For a direction in one layer q the closed
-    form 2 |lam| / N(lam)^q applies; otherwise the length of
+    form 2 |lam| / N(lam)^q applies, and NumericalResolutionError where it
+    is not a finite nonzero float; otherwise the length of
     {t : N(t lam) <= 1} is measured (:func:`_line_gauge_interval_length`).
     """
     lam = np.asarray(lam, dtype=float)
@@ -496,14 +516,18 @@ def metric_factor(dist: HomogeneousDistance, lam) -> float:
     layers_hit = [k for k, sl in enumerate(dist._slices, start=1)
                   if float(np.linalg.norm(lam[sl])) > 1e-12 * mag]
     if len(layers_hit) == 1:
-        return 2.0 * mag / float(dist.norm(lam)) ** layers_hit[0]
+        gauge, q = float(dist.norm(lam)), layers_hit[0]
+        return _finite(2.0 * mag / _power(gauge, q, "N(lam)"), "2 |lam| / N(lam) ** q",
+                       f"at |lam| {mag}, N(lam) {gauge}, q {q}")
     return mag * _line_gauge_interval_length(dist, lam)
 
 
 def degree_constant(dist: HomogeneousDistance, q: int) -> float:
     """Metric factor of a unit direction in layer q, whose gauge is eps_q: 2 / eps_q^q.
 
-    Raises ValueError unless 1 <= q <= step, as ``layer_slice`` does.
+    Raises ValueError unless 1 <= q <= step, as ``layer_slice`` does, and
+    NumericalResolutionError where the constant is not a finite nonzero float.
     """
     dist.law.algebra.layer_slice(q)
-    return 2.0 / dist.eps[q - 1] ** q
+    eps = dist.eps[q - 1]
+    return _finite(2.0 / _power(eps, q, "eps_q"), "2 / eps_q ** q", f"at eps_q {eps}, q {q}")

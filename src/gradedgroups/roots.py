@@ -5,15 +5,15 @@ polynomial", BIT 1981) certify an interval inside or outside, Newton
 steps solve one crossing of a monotone P, anything else is halved
 (Mourrain & Pavone, J. Symb. Comput. 2009).  Its maximal :func:`runs`
 are ball sets, low-degree sets and the unit-gauge chord (on whole tables
-by :func:`table_runs`); its :func:`first_exit` ends a reach of the
-covering walk whose bracket was not certified.  Polynomials are lists of
-ascending coefficients, evaluated in Python floats.  A reach's Newton
-prediction and the certificate of its bracket by the same Bernstein
-enclosure are one generated text (:func:`_bracket_source`), written into
-the covering walk's loop and into the ``reach`` of each of a curve's
-anchor tables (``HomogeneousDistance.membership``).  The text computes
-what :func:`horner` and :func:`_bernstein` compute, saving only the
-operations on a literal zero, which change no result.
+by :func:`table_runs`); its :func:`first_exit` searches, in place, a
+reach of the covering walk whose bracket was not certified.  Polynomials
+are lists of ascending coefficients, evaluated in Python floats.  A
+reach's Newton prediction and the certificate of its bracket by the same
+Bernstein enclosure are one generated text (:func:`_bracket_source`),
+written into the covering walk's loop and into the ``reach`` of each of
+a curve's anchor tables (``HomogeneousDistance.membership``).  The text
+computes what :func:`horner` and :func:`_bernstein` compute, saving only
+the operations on a literal zero, which change no result.
 """
 
 from __future__ import annotations
@@ -158,10 +158,11 @@ def _bracket_source(names: list, offset: str, refuse: str) -> str:
     float literals), to the :func:`reach_tol` of ``start`` at ``offset`` +
     x.  It ends on ``a``, the inside end of a bracket of a root of the P
     most violated at g (:func:`_newton_source`), or hi where there is none,
-    and runs ``refuse`` unless every P lies below minus its rounding bound
-    on [0, a] (:func:`_certificate_source`), as :func:`runs` certifies an
-    interval inside, save that a nan refuses.  At a = hi that is the first
-    step of the search of [0, hi] (:func:`first_exit`).
+    and runs the one statement ``refuse`` once unless every P lies below
+    minus its rounding bound on [0, a] (:func:`_certificate_source`), as
+    :func:`runs` certifies an interval inside, save that a nan refuses.
+    At a = hi that is the first step of the search of [0, hi]
+    (:func:`first_exit`), which the covering walk makes where it refuses.
 
     The first of equal values is the most violated, P' is k * c, and every
     P and P' is :func:`horner` and the certificate :func:`_bernstein`
@@ -253,17 +254,18 @@ def _newton_source(names: list, offset: str) -> str:
 
 
 def _certificate_source(names: list, refuse: str) -> str:
-    """Text of the certificate of :func:`_bracket_source` on [0, a]: it runs
-    ``refuse`` unless every Bernstein coefficient of every P lies below
-    minus its rounding bound (:func:`_bernstein`)."""
+    """Text of the certificate of :func:`_bracket_source` on [0, a]: every
+    Bernstein term of every P first, then one check that runs ``refuse``
+    unless each lies below minus its P's rounding bound (:func:`_bernstein`),
+    the guard of an overflowing s^k its first conjunct.  So ``refuse`` runs
+    at most once, and may be a statement that stays in the text."""
     if not names:
         return ""
     lines = [f"    s{k} = {'a' if k == 1 else f's{k - 1} * a'}\n"
               for k in range(1, max(map(len, names)))]
     zero = max((k for coef in names for k, c in enumerate(coef) if k and _literal(c) == 0.0),
                default=1)
-    if zero > 1:
-        lines.append(f"    if s{zero} > {sys.float_info.max!r}:\n        {refuse}\n")
+    checks = [f"s{zero} <= {sys.float_info.max!r}"] if zero > 1 else []
     for i, coef in enumerate(names):
         n = len(coef) - 1
         e, inv = coef[:1], _inv_binom(n)      # each Bernstein term: a local or a literal
@@ -287,9 +289,9 @@ def _certificate_source(names: list, refuse: str) -> str:
                 e[k] = f"b{i}_{k}"
         size = _horner_source([f"abs({c})" if _literal(c) is None else repr(abs(_literal(c)))
                                for c in coef], "a")
-        lines.append(f"    m = {-(4 * n + 8) * 2.0 ** -53!r} * ({size})\n"
-                     f"    if not ({' and '.join(dict.fromkeys(f'{b} < m' for b in e))}):\n"
-                     f"        {refuse}\n")
+        lines.append(f"    m{i} = {-(4 * n + 8) * 2.0 ** -53!r} * ({size})\n")
+        checks += (f"{b} < m{i}" for b in e)
+    lines.append(f"    if not ({' and '.join(dict.fromkeys(checks))}):\n        {refuse}\n")
     return "".join(lines)
 
 
@@ -392,24 +394,25 @@ def runs(polys: list, lo: float, hi: float, tol: Callable[[float], float]):
         yield start, hi
 
 
-def first_exit(polys: list, hi: float, start: float, offset: float) -> float | None:
-    """First s in [0, hi] where some P in ``polys`` is positive, or None.
+def first_exit(polys: list, hi: float, start: float, offset: float) -> float:
+    """First s in [0, hi] where some P in ``polys`` is positive, or hi.
 
     Each P is a list of ascending coefficients, as a rule negative at 0,
     solved to the :func:`reach_tol` of ``start`` at ``offset`` + s.  The
     inside end of the exit is returned, the end of the first of the
     :func:`runs` (0 where it does not start at 0): every P <= 0 on [0, a]
     is certified and, unless an interval was unresolved at that width,
-    some P > 0 within it beyond a.  A reach searches where its bracket's
-    certificate refuses (:func:`_bracket_source`).
+    some P > 0 within it beyond a.  Where the certificate of a reach's
+    bracket [0, a] refuses, the covering walk searches it in place:
+    ``a = first_exit(P, a, start, offset)`` (:func:`_bracket_source`).
     """
     return _exit(polys, hi, lambda x: reach_tol(start, offset + x))
 
 
-def _exit(polys: list, hi: float, tol: Callable[[float], float]) -> float | None:
-    """The end of the first run of [0, hi], 0 where it starts later, None where it is all of it."""
+def _exit(polys: list, hi: float, tol: Callable[[float], float]) -> float:
+    """The end of the first run of [0, hi], 0 where it starts later, hi where it is all of it."""
     u, v = next(runs(polys, 0.0, hi, tol), (hi, hi))
-    return 0.0 if u > 0.0 else None if v == hi else v
+    return 0.0 if u > 0.0 else v
 
 
 def table_runs(table: np.ndarray, domain, breaks, origins,

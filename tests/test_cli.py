@@ -181,8 +181,16 @@ def test_out_of_range_flags_exit_2(capsys, argv, error):
      "NumericalResolutionError"),
     (("diverge", "--curve", "parabola_lift", "--t0", "0", "--radii", "2^1000..2^1001"), 4,
      "NumericalResolutionError"),
+    # a closed form 2 / eps_q^q or 2 |lam| / N(lam)^q out of float range: an
+    # OverflowError or ZeroDivisionError traceback, exit 1, where eps_q^q
+    # overflows or underflows to 0; an infinite constant where it is subnormal
+    *[((op, "--curve", "vertical", *args, "--eps", f"1,{eps}"), 4, "NumericalResolutionError")
+      for op, args in (("area", ("--interval", "0,1", "--deltas", "2^-2..2^-3")),
+                       ("blowup", ("--t0", "0", "--radii", "2^-1..2^-3")))
+      for eps in ("1e200", "1e-170", "1e-160")],
 ], ids=["diverge", "blowup", "area", "metric-audit", "metric-audit-subnormal", "cover",
-        "negligibility", "blowup-overflow", "diverge-overflow"])
+        "negligibility", "blowup-overflow", "diverge-overflow",
+        *[f"{op}-eps-{eps}" for op in ("area", "blowup") for eps in ("1e200", "1e-170", "1e-160")]])
 def test_reports_without_a_finite_number_are_errors(capsys, argv, code, error):
     got, out, err = run_cli(capsys, *argv)
     assert (got, out) == (code, "")

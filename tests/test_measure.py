@@ -377,31 +377,16 @@ def _reach_by_reach(dist, curve, delta, lo, hi):
         step, t = max(edge - center, guard), edge
 
 
-def _handed_back(dist, curve, delta, lo, hi):
-    """(centers, reaches): the walk of spherical_measure_upper over [lo, hi],
-    and the (start, exit) of each reach the generated loop handed back."""
-    reach, walk = _polynomial_reach(dist, curve, delta)
-    reaches, centers = [], []
-
-    def general(start, guess, resume=None):
-        reaches.append((start, reach(start, guess, resume)))
-        return reaches[-1][1]
-
-    measure._walk(general, walk, lo, hi, curve.domain[1], delta, 1e-12 * curve.span(), centers)
-    return tuple(centers), reaches
-
-
-# walks whose reaches cross a break, in the generated loop (glued_hv from
-# -0.5, the benchmark's curve file), whose loop hands reaches back at a
-# refused bracket (the rough and wavy curves, and the cubic, where it
-# refuses on the anchor's piece), and that meet the domain's end
-# (parabola_lift up to 1)
-_HAND_BACKS = {"glued_hv": (lambda: fixtures.curve("glued_hv"), 2.0 ** -6, (-0.5, 0.5)),
-               "bench": (lambda: _bench_walk_curve(), 2.0 ** -4, (-1.0, 1.0)),
-               "rough": (lambda: _rough_curve(), 0.1, (-1.0, 1.0)),
-               "wavy": (lambda: _wavy_curve(), 0.1, (-1.0, 1.0)),
-               "cubic": (lambda: _cubic_curve(), 0.3, (-1.0, 1.0)),
-               "end": (lambda: fixtures.curve("parabola_lift"), 0.25, (0.0, 1.0))}
+# walks whose reaches cross a break in the generated loop (glued_hv from
+# -0.5, the benchmark's curve file), whose certificates refuse (the rough
+# and wavy curves, and the cubic, where one refuses on the anchor's piece),
+# and that meet the domain's end (parabola_lift up to 1)
+_WALKS = {"glued_hv": (lambda: fixtures.curve("glued_hv"), 2.0 ** -6, (-0.5, 0.5)),
+          "bench": (lambda: _bench_walk_curve(), 2.0 ** -4, (-1.0, 1.0)),
+          "rough": (lambda: _rough_curve(), 0.1, (-1.0, 1.0)),
+          "wavy": (lambda: _wavy_curve(), 0.1, (-1.0, 1.0)),
+          "cubic": (lambda: _cubic_curve(), 0.3, (-1.0, 1.0)),
+          "end": (lambda: fixtures.curve("parabola_lift"), 0.25, (0.0, 1.0))}
 
 
 @st.composite
@@ -427,7 +412,7 @@ def _walk_tables(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(st.sampled_from(sorted(_HAND_BACKS)), _walk_tables()))
+@given(st.one_of(st.sampled_from(sorted(_WALKS)), _walk_tables()))
 @example("glued_hv")
 @example("bench")
 @example("rough")
@@ -435,11 +420,11 @@ def _walk_tables(draw):
 @example("cubic")
 @example("end")
 def test_generated_walk_is_the_reach_by_reach_walk(case):
-    # the generated loop of each anchor table takes reaches ahead of _walk
-    # and hands back the rest: the centers are those of the walk that takes
-    # every reach in the general path, bit for bit, and so is a stall
+    # the generated loop of each anchor table takes every reach of a walk:
+    # its centers are those of the walk that takes each reach by itself,
+    # bit for bit, and so is a stall
     if isinstance(case, str):
-        curve, delta, (lo, hi) = _HAND_BACKS[case]
+        curve, delta, (lo, hi) = _WALKS[case]
         group, curve = "heisenberg", curve()
     else:
         group, curve, delta, lo, hi = case
@@ -448,74 +433,58 @@ def test_generated_walk_is_the_reach_by_reach_walk(case):
         want = _reach_by_reach(dist, curve, delta, lo, hi)
     except NumericalResolutionError as exc:
         with pytest.raises(NumericalResolutionError, match=re.escape(str(exc))):
-            _handed_back(dist, curve, delta, lo, hi)
+            spherical_measure_upper(dist, curve, 1, delta, intervals=[(lo, hi)])
         return
-    centers, reaches = _handed_back(dist, curve, delta, lo, hi)
+    centers = spherical_measure_upper(dist, curve, 1, delta, intervals=[(lo, hi)]).centers
     assert centers == want
-    # the reaches these walks are here for, taken in the loop: across a break
-    # (a break lies between two centers, and no reach handed back crosses
-    # one), or to the domain's end (no reach handed back ends there)
+    # the reaches these walks are here for: across a break (a break lies
+    # between two centers), or to the domain's end
     breaks, b = curve.pieces[1].tolist(), curve.domain[1]
     if case in ("glued_hv", "bench"):
         assert any(c0 < p < c1 for c0, c1 in zip(centers, centers[1:]) for p in breaks)
-        assert not any(start < p < s for start, s in reaches for p in breaks)
     if case == "end":
-        assert centers[-1] == b and not any(start < s == b for start, s in reaches)
+        assert centers[-1] == b
 
 
 def test_walk_refuses_uncertified_brackets(dist, monkeypatch):
     # each reach certifies its Newton bracket, in the walk's generated loop
-    # and in the tables' reach alike (roots._bracket_source).  The loop hands
-    # a bracket it cannot certify back, as (d, a, P), and the reach searches
-    # [0, a] of that piece for an earlier exit (roots._exit).  The walk's
-    # centers are those of the reach-by-reach walk, and a bracket is
-    # refused on the curves that double back or wave out of a ball only
-    refused, fallbacks = [], []
-    polynomial_reach, search = measure._polynomial_reach, roots._exit
-    certificate = roots._certificate_source
+    # and in the tables' reach alike (roots._bracket_source).  Where that
+    # certificate of [0, a] refuses, the reach searches [0, a] in place for
+    # an earlier exit (roots.first_exit): a search whose hi falls short of
+    # its piece.  The walk's centers are those of the reach-by-reach walk,
+    # and a bracket is refused on the curves that double back or wave out
+    # of a ball only
+    refused, ends = [], []
+    search, certificate = roots.first_exit, roots._certificate_source
 
-    def counted_reach(dist, curve, r):
-        reach, walk = polynomial_reach(dist, curve, r)
-        breaks, cap = curve.pieces[1].tolist(), curve.domain[1]
+    def counted_search(polys, hi, start, offset):
+        breaks, cap = ends
+        # the search's piece: the anchor's (offset 0.0) or one entered at a break
+        t0 = start if offset == 0.0 else min(breaks, key=lambda p: abs(p - (start + offset)))
+        j = bisect.bisect_right(breaks, t0)
+        if hi < (min(cap, breaks[j]) if j < len(breaks) else cap) - t0:
+            refused.append(hi)           # a Newton bracket's, not its whole piece's
+        return search(polys, hi, start, offset)
 
-        def counted(*state):
-            t, _, center, _, resume = handed = walk(*state)
-            if resume is not None:
-                d, a, _ = resume
-                start = t if center is None else center
-                m = bisect.bisect_right(breaks, start)
-                t0 = start if d == 0 else min(cap, breaks[m + d - 1])
-                t1 = min(cap, breaks[m + d]) if m + d < len(breaks) else cap
-                if a < t1 - t0:          # a Newton bracket's, not its whole piece's
-                    refused.append(a)
-            return handed
-
-        return reach, counted
-
-    def counted_search(polys, hi, tol):
-        if len(fallbacks) < len(refused):        # the search after a refusal
-            fallbacks.append(hi)
-        return search(polys, hi, tol)
-
-    monkeypatch.setattr(measure, "_polynomial_reach", counted_reach)
-    monkeypatch.setattr(roots, "_exit", counted_search)
+    monkeypatch.setattr(roots, "first_exit", counted_search)
     # curve, delta, interval, whether a bracket is refused on the way
     cases = [(_bump_curve(), 0.25, None, False),
              (fixtures.curve("glued_hv"), 2.0 ** -6, (-0.5, 0.5), False),
              (_rough_curve(), 0.1, None, True), (_wavy_curve(), 0.1, None, True),
              (_cubic_curve(), 0.3, None, True)]
     for curve, delta, iv, refuses in cases:
-        fresh = HomogeneousDistance(dist.law, dist.eps)
+        fresh = HomogeneousDistance(dist.law, dist.eps)     # its tables compile with the count
         refused.clear()
-        fallbacks.clear()
+        ends[:] = curve.pieces[1].tolist(), curve.domain[1]
         lo, hi = iv or curve.domain
         est = spherical_measure_upper(fresh, curve, 1, delta, intervals=[(lo, hi)])
-        assert bool(refused) == refuses and fallbacks == refused
+        assert bool(refused) == refuses
         assert est.centers == _reach_by_reach(fresh, curve, delta, lo, hi)
     # on the wavy curve the certificate matters: generated without it for a
     # Newton bracket (a < hi), in the loop and the tables' reach, the walk
     # would step over a wave.  The certificate of a piece where Newton
-    # found no bracket (a = hi) stays, as the search after it makes it too
+    # found no bracket (a = hi) stays, as the search of it begins with it
+    monkeypatch.setattr(roots, "first_exit", search)
     monkeypatch.setattr(roots, "_certificate_source",
                         lambda names, refuse: certificate(names, f"if a == hi: {refuse}"))
     fresh = HomogeneousDistance(dist.law, dist.eps)     # its tables compile without it
@@ -523,6 +492,38 @@ def test_walk_refuses_uncertified_brackets(dist, monkeypatch):
     monkeypatch.undo()
     fresh = HomogeneousDistance(dist.law, dist.eps)
     assert len(_reach_by_reach(fresh, _wavy_curve(), 0.1, -1.0, 1.0)) == 23
+
+
+def test_walk_runs_in_one_call_per_interval(dist, monkeypatch):
+    # a refused certificate is searched where it is refused, so the
+    # generated loop never hands a reach back: on the curves whose
+    # certificates refuse, each covered interval is one call of the walk
+    calls, searches = [], []
+    polynomial_reach, search = measure._polynomial_reach, roots.first_exit
+
+    def counted_reach(dist, curve, r):
+        reach, walk = polynomial_reach(dist, curve, r)
+
+        def counted(*state):
+            calls.append(state[0])
+            return walk(*state)
+
+        return reach, counted
+
+    def counted_search(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(measure, "_polynomial_reach", counted_reach)
+    monkeypatch.setattr(roots, "first_exit", counted_search)
+    intervals = [(-1.0, 0.25), (0.5, 1.0)]
+    for curve, delta in ((_rough_curve(), 0.1), (_wavy_curve(), 0.1), (_cubic_curve(), 0.3)):
+        calls.clear()
+        searches.clear()
+        fresh = HomogeneousDistance(dist.law, dist.eps)     # its tables compile with the count
+        est = spherical_measure_upper(fresh, curve, 1, delta, intervals=intervals)
+        assert searches and est.ball_count > len(intervals)
+        assert calls == [lo for lo, _ in intervals]
 
 
 def test_bench_walk_curve_keeps_its_ball_counts(dist):

@@ -66,9 +66,7 @@ def _first_exit(polys, hi, guess):
     where its certificate refuses [0, a], roots.first_exit on [0, a]."""
     a, certified = _local_bracket(polys)(polys, guess, hi, 0.0, 0.0)
     if not certified:
-        s = first_exit(polys, a, 0.0, 0.0)
-        if s is not None:
-            return s
+        a = first_exit(polys, a, 0.0, 0.0)
     return a if a < hi else None
 
 
@@ -320,13 +318,7 @@ def _table_cases(draw):
     m, u = draw(st.integers(0, count - 1 - d)), draw(st.floats(0.0, 0.5))
     ps = polys(m, d, u)
     assume(ps)
-
-    def reach(_, *args):
-        a, refused = bracket(m, d, u, *args)
-        assert refused is None or refused == ps       # a refusal hands back the P
-        return a, refused is None
-
-    return (ps, *draw(_guesses()), *draw(_tolerances), reach)
+    return (ps, *draw(_guesses()), *draw(_tolerances), lambda _, *args: bracket(m, d, u, *args))
 
 
 @settings(max_examples=400, deadline=None)
@@ -355,13 +347,18 @@ def test_bracket_kernel_is_the_scalar_bracket(case):
     # Three texts of the one generator: on coefficients unpacked into
     # locals; with every finite one written in as a literal, as the covering
     # walk writes in those of its tables; and, on the P of a curve's anchor
-    # table, the reach that table compiles
+    # table, the reach that table compiles, which searches [0, a] in place
+    # where the certificate refuses
     polys, g, hi, start, offset, *table = case
     want = _bracket(polys, g, hi, lambda x: reach_tol(start, offset + x))
     a = hi if want is None else want
-    for bracket in (_local_bracket(polys), _literal_bracket(polys), *table):
+    certified = _certified(polys, a)
+    for bracket in (_local_bracket(polys), _literal_bracket(polys)):
         got = bracket(polys, g, hi, start, offset)
-        assert (got[0].hex(), got[1]) == (a.hex(), _certified(polys, a))
+        assert (got[0].hex(), got[1]) == (a.hex(), certified)
+    for reach in table:
+        searched = a if certified else first_exit(polys, a, start, offset)
+        assert reach(polys, g, hi, start, offset).hex() == searched.hex()
 
 
 def test_bracket_kernels_compile_on_first_use():
@@ -369,7 +366,7 @@ def test_bracket_kernels_compile_on_first_use():
     # that imports the package has compiled none.  A walk compiles its loop
     # and one reach per layout of the tables at d >= 1 it crosses into: none
     # on the vertical line or the parabola, one across the break of
-    # glued_hv; and no evaluate, as a refusal hands its P back.  Walking
+    # glued_hv; and no evaluate, as a refusal is searched in place.  Walking
     # again compiles nothing, and no text is compiled twice
     script = """if True:
         import sys
@@ -499,3 +496,22 @@ def test_kernel_certificate_agrees_with_below():
     assert specials == {None, 0, 1, 2, 3}
     assert 0 < sum(expect) < len(expect)
     assert flags == expect
+
+
+# -- the test settings -------------------------------------------------------------
+
+
+def test_a_failing_hypothesis_test_is_reported(tmp_path):
+    # under the repository's filterwarnings = ["error"], the failure report of
+    # a @given test imports modules that warn; the run must report the
+    # falsifying example and go on, not end in an INTERNALERROR
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert x < 5\n\n\n"
+        "def test_runs():\n    pass\n")
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(Path(__file__).resolve().parent.parent / "pyproject.toml"),
+                          str(tmp_path / "test_fails.py")],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in out.stdout + out.stderr
+    assert "Falsifying example" in out.stdout and "1 failed, 1 passed" in out.stdout, out.stdout

@@ -225,8 +225,8 @@ def _resolve_law(cfg) -> GroupLaw:
     if name is not None:
         try:
             return fixtures.group_law(name)
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
+        except KeyError as exc:   # str() of a KeyError is the repr of its text
+            raise ConfigError(exc.args[0]) from exc
     with open(path, "r", encoding="utf-8") as fh:
         return bch_group_law(validate_algebra(spec_from_json(fh.read())))
 
@@ -253,7 +253,7 @@ def _resolve_curve(cfg):
         try:
             fx = fixtures.curve_fixture(name)
         except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(exc.args[0]) from exc
         return fixtures.group_law(fx.group), fx.curve, fx.group
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -476,9 +476,18 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
 # -- argument parsing -----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ConfigError, so that they print as
+    JSON and exit 2 like every other configuration error; ``--help`` still
+    prints and exits 0.  Subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One subcommand per op and one ``--flag`` per key of the option table."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="gradedgroups",
         description="group laws, gauge metrics and curve measures from "
                     "graded bracket tables")
@@ -515,8 +524,8 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report = run_config(_config_from_args(args))
         _emit(report, args.format, args.out)
         return 0

@@ -196,8 +196,11 @@ class GroupLaw:
                 for v in sorted(q.support()) if v >= self.n}
 
     @cached_property
-    def _q_fns(self) -> list:
-        return [q.as_callable() for q in self.q_polys]
+    def _q_kernel(self):
+        """Q(x, y) as one generated ``lambda v: (Q_1, .., Q_n)`` of the columns v,
+        each coordinate the text of its :meth:`RationalPoly.float_source`."""
+        coordinates = ", ".join(q.float_source("v") for q in self.q_polys)
+        return eval(f"lambda v: ({coordinates},)")  # noqa: S307 - source built from our own terms
 
     @cached_property
     def _y_partial_fns(self) -> dict:
@@ -244,8 +247,10 @@ class GroupLaw:
         return x, y, [*_leading(x), *_leading(y)]
 
     def multiply(self, x, y):
+        """x * y = x + y + Q(x, y) on float points, shapes (..., n) that broadcast,
+        by one compiled kernel of Q per law."""
         x, y, cols = self._columns(x, y)
-        out = [x[..., i] + y[..., i] + self._q_fns[i](cols) for i in range(self.n)]
+        out = [x[..., i] + y[..., i] + q for i, q in enumerate(self._q_kernel(cols))]
         return np.stack(out, axis=-1)
 
     def inverse(self, x):
@@ -302,8 +307,11 @@ class GroupLaw:
 
     def multiply_exact(self, x: Sequence, y: Sequence):
         """x * y as Fractions, by one integer evaluator of x + y + Q compiled on
-        first use (:func:`poly.exact_evaluator`).  Coordinates must be ints or
-        Fractions: any other (bool, float, a numpy scalar) raises TypeError.
+        first use (:func:`poly.exact_evaluator`): the point (x, y) is scaled to
+        integers once, each power of a coordinate is computed once and shared
+        by every coordinate of the product, and each coordinate is one
+        Fraction.  Coordinates must be ints or Fractions: any other (bool,
+        float, a numpy scalar) raises TypeError.
         """
         if len(x) != self.n or len(y) != self.n:
             raise DimensionMismatch(f"points must have {self.n} coordinates")

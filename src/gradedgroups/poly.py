@@ -46,10 +46,7 @@ def _as_fraction(c) -> Fraction:
 
 def monomial_source(lead: str, exps: Exponents, var: str) -> str:
     """Source text ``lead*var[i]*...`` with var[i] repeated exps[i] times."""
-    factors = [lead]
-    for i, e in enumerate(exps):
-        factors.extend([f"{var}[{i}]"] * e)
-    return "*".join(factors)
+    return lead + "".join(f"*{var}[{i}]" * e for i, e in enumerate(exps) if e)
 
 
 class RationalPoly:
@@ -143,7 +140,7 @@ class RationalPoly:
         self._check_compatible(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + c
+            terms[exps] = terms[exps] + c if exps in terms else c
         return RationalPoly._trusted(self.nvars, terms)
 
     def __neg__(self):
@@ -274,10 +271,28 @@ def integer_point(values: Sequence, n: int) -> tuple:
 
     This is the one check of exact points: a point of other than n
     coordinates raises DimensionMismatch, and anything but an int or a
-    Fraction TypeError, bool, float and numpy scalars included.
+    Fraction TypeError, bool, float and numpy scalars included.  A point of
+    plain ``int`` and ``Fraction`` coordinates takes a fast path: one pass
+    checks the types and grows den, reading a Fraction's two slots rather
+    than its properties, and one scales the numerators.  Any other point
+    (a subclass of int or Fraction, or a coordinate to refuse) takes the
+    general path, which reads ``as_integer_ratio`` and raises at the first
+    coordinate that is not exact.
     """
     if len(values) != n:
         raise DimensionMismatch(f"points must have {n} coordinates, got {len(values)}")
+    den = 1
+    for v in values:
+        kind = type(v)
+        if kind is Fraction:
+            d = v._denominator
+            if den % d:
+                den = den // math.gcd(den, d) * d
+        elif kind is not int:
+            break
+    else:
+        return [v._numerator * (den // v._denominator) if type(v) is Fraction else v * den
+                for v in values], den
     ratios = []
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
@@ -293,23 +308,41 @@ def exact_evaluator(polys: Sequence[RationalPoly]) -> Callable[[Sequence], tuple
 
     The point is checked and scaled once by :func:`integer_point`: with the
     integers a = D * point, a term c * point^e of total degree d is
-    c * a^e / D^d.  Each polynomial puts its coefficients over their common
-    denominator M, sums the integer terms S_d of each total degree d and
-    combines them by Horner in D, N = (..(S_lo * D + S_lo+1) * D + ..) + S_hi,
-    so its value is the one Fraction(N, M * D^hi).
+    c * a^e / D^d.  The function unpacks a into locals ``a0, a1, ..`` and
+    computes each power a_i^e (local ``a<i>_<e>``) and D^d (``D_<d>``) that
+    any polynomial uses, once per call.  Each polynomial puts its
+    coefficients over their common denominator M and writes each term as
+    the int c * M, computed here, times its power locals (a factor of 1
+    left out, a negative term subtracted).  It sums the terms S_d of each
+    total degree d and combines them by Horner in D,
+    N = (..(S_lo * D + S_lo+1) * D + ..) + S_hi, so its value is the one
+    Fraction(N, M * D^hi).
     """
-    values = []
+    nvars = polys[0].nvars
+    powers, values = set(), []
     for p in polys:
         m = math.lcm(*(c.denominator for c in p.terms.values()))
         sums: dict = {}
         for exps, c in sorted(p.terms.items()):
-            sums.setdefault(sum(exps), []).append(monomial_source(str(c * m), exps, "a"))
+            factors = [f"a{i}_{e}" if e > 1 else f"a{i}" for i, e in enumerate(exps) if e]
+            powers.update(factors)
+            k, mono = c.numerator * (m // c.denominator), "*".join(factors)
+            term = {1: mono, -1: f"-{mono}"}.get(k, f"{k}*{mono}") if mono else str(k)
+            sums.setdefault(sum(exps), []).append(term)
         lo, hi = min(sums, default=0), max(sums, default=0)
         num = " + ".join(sums.get(lo, ())) or "0"
         for d in range(lo + 1, hi + 1):
-            num = f"({num})*D" + "".join(f" + {t}" for t in sums.get(d, ()))
-        values.append(f"Fraction({num}, {m}*D**{hi})")
+            num = " + ".join([f"({num})*D", *sums.get(d, ())])
+        scale = [f"D_{hi}"] if hi > 1 else ["D"] if hi else []
+        powers.update(scale)
+        den = "*".join(([str(m)] if m != 1 else []) + scale) or "1"
+        values.append(f"Fraction({num}, {den})")
+    lines = [f"a, D = integer_point(point, {nvars})"]
+    if nvars:
+        lines.append(f"{', '.join(f'a{i}' for i in range(nvars))}, = a")
+    lines += [f"{name} = {name.replace('_', '**')}" for name in sorted(powers) if "_" in name]
+    lines.append(f"return ({', '.join(values)},)")
+    source = "def at(point):\n" + "".join(f"    {line}\n" for line in lines)
     namespace = {"Fraction": Fraction, "integer_point": integer_point}
-    exec(f"def at(point):\n    a, D = integer_point(point, {polys[0].nvars})\n"  # noqa: S102
-         f"    return ({', '.join(values)},)", namespace)
+    exec(source.replace(" + -", " - "), namespace)  # noqa: S102
     return namespace["at"]

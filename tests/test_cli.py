@@ -156,6 +156,37 @@ def test_out_of_range_flags_exit_2(capsys, argv, error):
         assert "domain [-1.0, 1.0]" in doc["message"]
 
 
+@pytest.mark.parametrize("argv, text", [
+    (("cover", "--bogus", "1"), "unrecognized arguments: --bogus 1"),
+    # argparse reads -1,1 as a flag, so --interval has no value
+    (("cover", "--curve", "vertical", "--interval", "-1,1"),
+     "argument --interval: expected one argument"),
+], ids=["unknown-flag", "flag-without-value"])
+def test_argument_errors_are_json_and_exit_2(capsys, argv, text):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError" and doc["message"].endswith(text)
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["cover", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gradedgroups cover")
+
+
+@pytest.mark.parametrize("argv, start", [
+    (("frame-show", "--group", "nosuch"), "unknown group 'nosuch'; choose from"),
+    (("curve-degree", "--curve", "nosuch"), "unknown curve 'nosuch'; choose from"),
+], ids=["group", "curve"])
+def test_unknown_fixture_names_keep_their_message(capsys, argv, start):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ConfigError" and doc["message"].startswith(start)
+
+
 @pytest.mark.parametrize("argv, code, error", [
     # a ball below the parameter's float resolution: the slope was NaN
     (("diverge", "--curve", "glued_hv", "--t0", "-0.5", "--radii", "2^-50..2^-60"), 4,
@@ -365,14 +396,14 @@ def test_exact_ops_compile_only_what_they_evaluate(tmp_path, monkeypatch):
                                              {"i": 1, "j": 3, "k": 4, "c": "-2/11"}]}
     path = tmp_path / "alg.json"
     path.write_text(json.dumps(doc))
-    compiled = []
-    as_callable = RationalPoly.as_callable
-    monkeypatch.setattr(RationalPoly, "as_callable",
-                        lambda poly: compiled.append(poly) or as_callable(poly))
+    compiled = []       # every float evaluator is compiled from float_source text
+    float_source = RationalPoly.float_source
+    monkeypatch.setattr(RationalPoly, "float_source",
+                        lambda poly, var: compiled.append(poly) or float_source(poly, var))
     assert run_config({"op": "frame-show", "algebra_file": str(path)})["result"]["frame_entries"]
     assert compiled == []
     assert run_config({"op": "group-check", "algebra_file": str(path), "seed": 3})["result"]["passed"]
-    assert len(compiled) == 4       # one float evaluator per coordinate of Q
+    assert len(compiled) == 4       # one float source per coordinate of Q, in one kernel
 
 
 def test_missing_config_file_exits_2(capsys):

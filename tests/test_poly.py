@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -139,3 +140,51 @@ def test_exact_evaluator_at_integer_zero_and_huge_points():
         assert all(type(v) is Fraction for v in values)
     with pytest.raises(DimensionMismatch):
         at((1, 2, 3))
+
+
+@st.composite
+def polys_sharing_a_point(draw):
+    nvars = draw(st.integers(0, 3))
+    exps = st.tuples(*[st.integers(0, 8)] * nvars)
+    terms = draw(st.lists(st.dictionaries(exps, COEFFS, max_size=6), min_size=1, max_size=4))
+    return terms, tuple(draw(st.lists(COORDS, min_size=nvars, max_size=nvars)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_sharing_a_point())
+@example(([{}, {(): Fraction(2, 3)}, {}], ()))                          # nvars = 0, zero polys
+@example(([{(8,): Fraction(-1, 7), (1,): 3}, {}, {(8,): 1, (0,): Fraction(-1, 2)}],
+          (Fraction(-3, 4),)))                                          # nvars = 1, a0^8 shared
+@example(([{(2, 0, 1): -1, (0, 8, 0): Fraction(-5, 6), (0, 0, 0): -1},
+           {(2, 0, 1): 1, (2, 3, 0): Fraction(7, 9)}, {(0, 3, 0): -1}],
+          (Fraction(1, 6), -2, Fraction(5, 8))))                        # shared powers, -1s
+def test_exact_evaluator_matches_the_naive_sum_of_each_polynomial(case):
+    terms, point = case
+    values = exact_evaluator([RationalPoly(len(point), t) for t in terms])(point)
+    assert values == tuple(_naive_value(t, point) for t in terms)
+    assert all(type(v) is Fraction for v in values)
+
+
+class _Int(int):
+    pass
+
+
+class _Fraction(Fraction):
+    pass
+
+
+def test_integer_point_reads_subclasses_and_refuses_the_rest():
+    for point, scaled in [((_Int(3), Fraction(1, 2)), ([6, 1], 2)),
+                          ((_Int(3), 4), ([3, 4], 1)),
+                          ((_Fraction(2, 3), Fraction(3)), ([2, 9], 3)),
+                          ((Fraction(3), -2), ([3, -2], 1))]:
+        nums, den = integer_point(point, 2)
+        assert (nums, den) == scaled and all(type(a) is int for a in [*nums, den])
+    for bad in (True, 0.5, np.float64(0.5), np.int64(2), np.bool_(True)):
+        message = (f"exact evaluation needs int or Fraction coordinates, "
+                   f"got {type(bad).__name__}: {bad!r}")
+        for point in ((Fraction(1, 3), bad), (bad, Fraction(1, 3)), (_Int(1), bad)):
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                integer_point(point, 2)
+    with pytest.raises(DimensionMismatch, match="^points must have 2 coordinates, got 3$"):
+        integer_point((1, 2, 3), 2)

@@ -1,6 +1,6 @@
 """Digests of the ``result`` blocks of the benchmark configs and the README commands.
 
-    python3 tools/result_digest.py --src DIR [--seeds 11 12]
+    python3 tools/result_digest.py --src DIR [--seeds 11 12] [--workloads exact ...]
 
 Imports ``gradedgroups`` from DIR (a checkout, or the ``src`` directory
 of one) and runs, through ``cli.run_config``:
@@ -10,6 +10,11 @@ of one) and runs, through ``cli.run_config``:
 - every ``gradedgroups`` command line in the README's command-line block;
 - for every builtin curve: ``curve-degree``, ``cover`` and ``area`` over
   the interval 0,1 at deltas 2^-2..2^-4, and ``blowup`` at t0 = 0.5.
+
+``--workloads`` keeps the named groups of documents alone, out of the
+benchmark workloads and ``readme`` and ``fixture``; by default all of
+them run.  ``--workloads exact`` checks a change to the exact layer in
+seconds.
 
 The documents are taken from the checkout this script lives in, so two
 trees are compared on the same documents: run the script once with each
@@ -35,6 +40,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+import workloads  # noqa: E402
+
+GROUPS = (*workloads.WORKLOADS, "readme", "fixture")
 
 
 def _import_package(src: Path):
@@ -88,14 +97,13 @@ def main(argv=None) -> int:
     p.add_argument("--src", required=True, type=Path,
                    help="checkout (or its src directory) to import gradedgroups from")
     p.add_argument("--seeds", type=int, nargs="+", default=[11, 12])
+    p.add_argument("--workloads", nargs="+", choices=GROUPS, default=list(GROUPS),
+                   help="groups of documents to digest (default: all)")
     args = p.parse_args(argv)
 
     pkg = _import_package(args.src.resolve())
     sys.stderr.write(f"gradedgroups from {Path(pkg.__file__).parent}\n")
     from gradedgroups import cli, fixtures
-
-    sys.path.insert(0, str(ROOT / "bench"))
-    import workloads
 
     lines = []
 
@@ -104,16 +112,17 @@ def main(argv=None) -> int:
         print(line, flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in workloads.WORKLOADS:
+        for workload in (w for w in workloads.WORKLOADS if w in args.workloads):
             for seed in args.seeds:
                 out_dir = Path(tmp) / f"{workload}-{seed}"
                 for i, cfg in enumerate(workloads.generate(workload, seed, out_dir)):
                     for fmt, sha in digests(cli, cfg):
                         emit(f"{workload} {seed} {i} {cfg['op']} {fmt} {sha}")
-    for i, cfg in enumerate(readme_configs(cli)):
+    for i, cfg in enumerate(readme_configs(cli) if "readme" in args.workloads else ()):
         for fmt, sha in digests(cli, cfg):
             emit(f"readme - {i} {cfg['op']} {fmt} {sha}")
-    for i, (name, cfg) in enumerate(fixture_configs(fixtures)):
+    for i, (name, cfg) in enumerate(fixture_configs(fixtures)
+                                    if "fixture" in args.workloads else ()):
         for fmt, sha in digests(cli, cfg):
             emit(f"fixture {name} {i} {cfg['op']} {fmt} {sha}")
     print(f"total {len(lines)} {_sha(chr(10).join(lines))}")

@@ -1,11 +1,12 @@
 """C1 curves in exponential coordinates and their degree theory.
 
 A curve is a piecewise-polynomial coefficient table (``pieces``) over an
-open parameter domain, with position and velocity evaluators generated
-from it; :func:`polynomial_curve` builds every curve, fixture or
-sampled, and every translation, dilation, linear image and recentering
-maps the table.  The pointwise degree at t is the largest layer the
-velocity touches when written in the left-invariant frame; the degree
+open parameter domain, its positions and velocities evaluated on the
+table with numpy (no generated evaluators); :func:`polynomial_curve`
+builds every curve, fixture or sampled, and every translation,
+dilation, linear image and recentering maps the table.  The pointwise
+degree at t is the largest layer the velocity touches when written in
+the left-invariant frame; the degree
 of the curve is the maximum over a parameter grid, and parameters
 realizing a smaller degree form the low-degree set, found as runs of
 polynomial inequalities in the frame coordinates, which are polynomials
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -33,36 +33,39 @@ class ZeroVelocityError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Curve:
-    """Piecewise-polynomial curve: its coefficient table and generated evaluators.
+    """Piecewise-polynomial curve: its coefficient table, evaluated with numpy.
 
     ``pieces`` is the table (coef, breaks, origins) of a
     :func:`polynomial_curve`, read-only arrays; build curves through that
-    function, which validates the table.  The dimension ``n``, the
+    function, which validates the table.  The dimension ``n`` and the
     ``breaks`` (the parameters where the velocity may kink; the integrals
-    split there) and the ``position``/``velocity`` evaluators are derived
-    from the table.  The evaluators take an array of parameters of shape
-    (...) and return an array of shape (..., n); ``position_at`` and
-    ``velocity_at`` read one parameter as shape (n,).  The domain is an
-    open interval; operations clip slightly inside it.
+    split there) are derived from the table, as is the velocity's table
+    and the powers each table uses, once.  ``positions`` and
+    ``velocities`` take an array of parameters of shape (...) and return
+    an array of shape (..., n); ``position_at`` and ``velocity_at`` read
+    one parameter as shape (n,).  The domain is an
+    open interval; operations clip slightly inside it.  Curves compare and
+    hash by identity: two curves on the same nodes are still two curves.
     """
 
     domain: tuple
-    pieces: tuple = field(compare=False, repr=False)
+    pieces: tuple = field(repr=False)
     name: str = ""
     description: str = ""
     n: int = field(init=False)
     breaks: tuple = field(init=False)
-    position: Callable = field(init=False)
-    velocity: Callable = field(init=False)
+    _tables: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        coef, breaks, origins = self.pieces
+        coef, breaks, _ = self.pieces
         object.__setattr__(self, "n", coef.shape[1])
         object.__setattr__(self, "breaks", tuple(breaks.tolist()))
-        object.__setattr__(self, "position", _evaluator(coef, breaks, origins))
-        object.__setattr__(self, "velocity", _evaluator(_derivative(coef), breaks, origins))
+        # the position's and the velocity's table, each with its terms (_evaluate)
+        object.__setattr__(self, "_tables", tuple(
+            (table, [np.flatnonzero(row).tolist() for row in table.any(axis=2).T])
+            for table in (coef, _derivative(coef))))
 
     def position_at(self, t: float) -> np.ndarray:
         return self.positions(float(t))
@@ -71,10 +74,10 @@ class Curve:
         return self.velocities(float(t))
 
     def positions(self, ts) -> np.ndarray:
-        return self.position(ts)
+        return _evaluate(*self._tables[0], *self.pieces[1:], ts)
 
     def velocities(self, ts) -> np.ndarray:
-        return self.velocity(ts)
+        return _evaluate(*self._tables[1], *self.pieces[1:], ts)
 
     def span(self) -> float:
         return self.domain[1] - self.domain[0]
@@ -86,46 +89,26 @@ def _derivative(coef: np.ndarray) -> np.ndarray:
         return coef[1:] * np.arange(1.0, len(coef))[:, None, None]
 
 
-def _evaluator(coef: np.ndarray, breaks: np.ndarray, origins: np.ndarray) -> Callable:
-    """Generated ``f(t)`` of shape t.shape + (n,) for one coefficient table.
+def _evaluate(coef: np.ndarray, terms: list, breaks: np.ndarray, origins: np.ndarray,
+              ts) -> np.ndarray:
+    """Values of shape ts.shape + (n,) of one coefficient table at the parameters ts.
 
-    Per coordinate the terms c_k s^k are summed in ascending k, the powers
-    formed as z_k = z_(k-1) * s.  A term zero on every piece is dropped, a
-    coefficient equal on every piece is a literal (1.0 is left out), and
-    the others are read from a per-piece table, all by one gather per call.
+    ``terms[j]`` lists the powers k whose coefficient of coordinate j is
+    nonzero on some piece.  Per coordinate the terms c_k s^k are summed
+    in ascending k, the powers formed as s^k = s^(k-1) * s; the terms left
+    out are zero, so a power that overflows never meets a zero coefficient.
     """
-    rows, columns, top = [], [], 0
-    for j in range(coef.shape[1]):
-        parts = []
-        for k, c in enumerate(coef[:, j]):
-            if not c.any():
-                continue
-            lead = repr(float(c[0]))
-            if (c != c[0]).any():
-                lead = f"c[{len(rows)}]"
-                rows.append(c)
-            power = "s" if k == 1 else f"z{k}"
-            parts.append(lead if k == 0 else power if lead == "1.0" else f"{lead} * {power}")
-            top = max(top, k)
-        columns.append(" + ".join(parts) or "0.0")
-
-    shifted = (origins != origins[0]).any()
-    lines = ["t = np.asarray(t, dtype=float)"]
-    if rows or (shifted and top):
-        lines.append('i = np.searchsorted(breaks, t, side="right")')
-    if rows:
-        lines.append("c = table.take(i, axis=1)")
-    if top:
-        lines.append("s = t - origins.take(i)" if shifted
-                     else f"s = t - {float(origins[0])!r}" if origins[0] else "s = t")
-    lines += [f"z{k} = {'s' if k == 2 else f'z{k - 1}'} * s" for k in range(2, top + 1)]
-    lines.append("out = np.empty((n,) + t.shape)")
-    lines += [f"out[{j}] = {col}" for j, col in enumerate(columns)]
-    lines.append("return out.transpose((*range(1, t.ndim + 1), 0))")
-    scope = {"np": np, "n": len(columns), "breaks": breaks, "origins": origins,
-             "table": np.array(rows)}
-    exec("def f(t):\n" + "".join(f"    {line}\n" for line in lines), scope)  # noqa: S102
-    return scope["f"]
+    t = np.asarray(ts, dtype=float)
+    i = np.searchsorted(breaks, t, side="right")
+    c, s = coef.take(i, axis=2), t - origins.take(i)
+    powers = [None, s]
+    for _ in range(2, max((row[-1] for row in terms if row), default=0) + 1):
+        powers.append(powers[-1] * s)
+    out = np.empty((len(terms),) + t.shape)
+    for j, row in enumerate(terms):
+        parts = [c[k, j] * powers[k] if k else c[0, j] for k in row]
+        out[j] = sum(parts[1:], parts[0]) if parts else 0.0
+    return out.transpose((*range(1, t.ndim + 1), 0))
 
 
 def polynomial_curve(coef, domain, breaks=(), origins=None, name: str = "",
@@ -413,7 +396,7 @@ def _anchor_rows(pieces: tuple, d: int) -> tuple:
                            for b in range(top + 1)] for a in range(top + 1)], dtype=float)
         y = binom[:, :, None, None] * coef[np.minimum(ab, top)]
     else:
-        y = np.array(roots.taylor_shift(coef[:, :, d:].copy(), breaks[d - 1:] - origins[d:]))[None]
+        y = np.array(roots.taylor_shift(coef[:, :, d:], breaks[d - 1:] - origins[d:]))[None]
     return [coef[:, None, j, :count] for j in range(n)], [y[:, :, j] for j in range(n)]
 
 

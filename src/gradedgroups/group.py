@@ -33,6 +33,7 @@ import numpy as np
 
 from .algebra import GradedAlgebra
 from .poly import DimensionMismatch, RationalPoly, exact_evaluator, integer_point
+from .roots import NumericalResolutionError
 
 
 def _leading(a: np.ndarray, k: int = 1) -> np.ndarray:
@@ -198,7 +199,15 @@ class GroupLaw:
     @cached_property
     def _q_kernel(self):
         """Q(x, y) as one generated ``lambda v: (Q_1, .., Q_n)`` of the columns v,
-        each coordinate the text of its :meth:`RationalPoly.float_source`."""
+        each coordinate the text of its :meth:`RationalPoly.float_source`.
+        A coefficient beyond float range raises NumericalResolutionError."""
+        for i, q in enumerate(self.q_polys):
+            for c in q.terms.values():
+                try:
+                    float(c)
+                except OverflowError:
+                    raise NumericalResolutionError(
+                        f"coefficient {c} of q{i + 1} is beyond float range") from None
         coordinates = ", ".join(q.float_source("v") for q in self.q_polys)
         return eval(f"lambda v: ({coordinates},)")  # noqa: S307 - source built from our own terms
 

@@ -181,7 +181,7 @@ def _center_fold(dist: HomogeneousDistance, curve: Curve, t0: float) -> tuple:
     coef, breaks, origins = curve.pieces
     m = int(np.searchsorted(breaks, t0, side="right"))
     y, origins = coef.copy(), origins.copy()
-    y[:, :, m] = roots.taylor_shift(coef[:, :, m].copy(), t0 - origins[m])
+    y[:, :, m] = roots.taylor_shift(coef[:, :, m], t0 - origins[m])
     origins[m] = t0
     z = dist.law.divide_rows([np.full((1, 1, y.shape[2]), c) for c in y[0, :, m]],
                              [y[None, :, j] for j in range(curve.n)])

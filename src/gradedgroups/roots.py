@@ -39,15 +39,15 @@ def horner(p: list, x: float) -> float:
 
 
 def taylor_shift(p, h) -> list:
-    """Ascending coefficients of s -> p(h + s).
+    """Ascending coefficients of s -> p(h + s), new ones: p is not changed.
 
-    The coefficients may be arrays (one polynomial per entry, changed in
-    place) and h an array broadcasting against them.
+    The coefficients may be arrays (one polynomial per entry) and h an
+    array broadcasting against them.
     """
     p = list(p)
     for i in range(len(p) - 1):
         for k in range(len(p) - 2, i - 1, -1):
-            p[k] += h * p[k + 1]
+            p[k] = p[k] + h * p[k + 1]
     return p
 
 
@@ -57,48 +57,32 @@ def _inv_binom(n: int) -> tuple:
     return tuple(1.0 / math.comb(n, k) for k in range(n + 1))
 
 
-def _bernstein(p: list, a: float, w: float) -> tuple:
+def _bernstein(p, a, w) -> tuple:
     """Bernstein coefficients of p on [a, a + w], and a bound on their rounding.
 
     Their hull encloses p on the interval.  With m = |a| + w, every
     computed coefficient lies within (4 deg + 8) 2^-53 sum |p_k| m^k of
     the exact one: the shift, the scaling and the binomial sums each add
     at most deg roundings to terms whose sizes sum to at most that.
+
+    p is one polynomial's float coefficients, or a table's rows: p[k] an
+    array of coefficients k, one polynomial per entry, with a and w arrays
+    broadcasting against them (call it under ``np.errstate(all="ignore")``).
+    Floats skip the shift at a = 0.0; arrays are shifted on every row,
+    which at a = 0 changes only the sign of a zero.
     """
     n = len(p) - 1
-    e = list(p)
-    if a:                                    # taylor_shift(p, a), inline
-        for i in range(n):
-            for k in range(n - 1, i - 1, -1):
-                e[k] += a * e[k + 1]
+    e = taylor_shift(p, a) if isinstance(a, np.ndarray) or a else list(p)
     inv, scale = _inv_binom(n), 1.0
     for k in range(1, n + 1):
-        scale *= w
-        e[k] *= scale * inv[k]
+        scale = scale * w
+        e[k] = e[k] * (scale * inv[k])
     for j in range(1, n + 1):
         for i in range(n, j - 1, -1):
-            e[i] += e[i - 1]
+            e[i] = e[i] + e[i - 1]
     m, size = abs(a) + w, 0.0
     for c in reversed(p):
         size = size * m + abs(c)
-    return e, (4 * n + 8) * 2.0 ** -53 * size
-
-
-def _bernstein_rows(p: np.ndarray, w: np.ndarray, a: np.ndarray) -> tuple:
-    """:func:`_bernstein` of each row of p (one degree) on [a_i, a_i + w_i],
-    operation for operation; call under ``np.errstate(all="ignore")``."""
-    n = p.shape[1] - 1
-    e = p.copy()
-    e = np.where((a != 0.0)[:, None], np.array(taylor_shift(p.T.copy(), a)).T, e)
-    inv, scale = _inv_binom(n), np.ones(len(w))
-    for k in range(1, n + 1):
-        scale = scale * w
-        e[:, k] *= scale * inv[k]
-    for j in range(1, n + 1):
-        e[:, j:] += e[:, j - 1:-1]
-    m, size = np.abs(a) + w, np.zeros(len(w))
-    for k in range(n, -1, -1):
-        size = size * m + np.abs(p[:, k])
     return e, (4 * n + 8) * 2.0 ** -53 * size
 
 
@@ -420,19 +404,19 @@ def table_runs(table: np.ndarray, domain, breaks, origins,
     """Maximal runs [u, v] of the domain where every P <= 0, on a piecewise table.
 
     On piece i, P(t) = sum_k table[:, k, i] (t - origins[i])^k, the pieces
-    split at the ``breaks``.  One numpy pass of Bernstein enclosures takes
-    the pieces where every P is below whole and drops those where some P
-    is above; :func:`runs` searches the rest, tol(t) read at t.  Runs that
-    meet at a break are merged.
+    split at the ``breaks``.  One numpy pass of Bernstein enclosures
+    (:func:`_bernstein` on the table's rows) takes the pieces where every
+    P is below whole and drops those where some P is above; :func:`runs`
+    searches the rest in Python floats, tol(t) read at t.  Runs that meet
+    at a break are merged.
     """
     starts, ends = np.array([domain[0], *breaks]), np.array([*breaks, domain[1]])
     lo, hi = starts - origins, ends - origins
-    count, size, pieces = table.shape
     with np.errstate(all="ignore"):
-        e, margin = _bernstein_rows(table.transpose(2, 0, 1).reshape(-1, size),
-                                    np.repeat(hi - lo, count), np.repeat(lo, count))
-    below = (e.max(axis=1) < -margin).reshape(pieces, count).all(axis=1)
-    above = (e.min(axis=1) > margin).reshape(pieces, count).any(axis=1)
+        e, margin = _bernstein(list(table.transpose(1, 0, 2)), lo, hi - lo)
+        below = (np.max(e, axis=0) < -margin).all(axis=0)
+        above = (np.min(e, axis=0) > margin).any(axis=0)
+    starts, ends, lo, hi, origins = (x.tolist() for x in (starts, ends, lo, hi, origins))
     found = []
     for i in np.flatnonzero(~above).tolist():
         origin = origins[i]
@@ -440,8 +424,8 @@ def table_runs(table: np.ndarray, domain, breaks, origins,
             [np.trim_zeros(p, "b").tolist() or [0.0] for p in table[:, :, i]],
             lo[i], hi[i], lambda s: tol(origin + s))
         for u, v in local:
-            u = float(starts[i] if u == lo[i] else origin + u)
-            v = float(ends[i] if v == hi[i] else origin + v)
+            u = starts[i] if u == lo[i] else origin + u
+            v = ends[i] if v == hi[i] else origin + v
             if found and found[-1][1] == u:
                 found[-1] = (found[-1][0], v)
             else:

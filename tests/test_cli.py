@@ -391,6 +391,20 @@ def test_invalid_algebra_exits_3(tmp_path, capsys):
         assert json.loads(err)["error"] == "GroupValidationError"
 
 
+def test_law_coefficient_beyond_float_range_exits_4(tmp_path, capsys):
+    # the exact law is printed; the float law cannot be built
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"layers": [2, 1],
+                                "brackets": [{"i": 1, "j": 2, "k": 3, "c": 10 ** 400}]}))
+    code, out, err = run_cli(capsys, "frame-show", "--algebra-file", str(path))
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, "group-check", "--algebra-file", str(path), "--seed", "1")
+    assert code == 4 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "NumericalResolutionError"
+    assert f"coefficient {5 * 10 ** 399} of q3" in error["message"]
+
+
 def test_exact_ops_compile_only_what_they_evaluate(tmp_path, monkeypatch):
     doc = {"layers": [2, 1, 1], "brackets": [{"i": 1, "j": 2, "k": 3, "c": "3/7"},
                                              {"i": 1, "j": 3, "k": 4, "c": "-2/11"}]}
@@ -462,6 +476,17 @@ def test_overflow_error_is_one_json_line(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert json.loads(lines[0])["error"] == "ValueError"
+
+
+def test_blowup_on_a_huge_domain_keeps_stderr_empty(tmp_path):
+    # ball sets search in Python floats, whose overflow raises no numpy warning
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"group": "heisenberg", "samples": [
+        {"t": 0.0, "position": [0, 0, 0], "velocity": [1e-200, 0, 1]},
+        {"t": 1e200, "position": [1, 0, 1e200], "velocity": [1e-200, 0, 1]}]}))
+    proc = run_module("blowup", "--curve-file", str(path), "--t0", "0.5")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_curve_file_flow(tmp_path, capsys):

@@ -55,11 +55,11 @@ def test_zero_velocity_rejected(heis):
 
 
 def test_curve_takes_no_callables():
-    # the evaluators are generated from the table, so none can be handed in
+    # positions and velocities are evaluated on the table, so no callable can be handed in
     vert = fixtures.curve("vertical")
     with pytest.raises(TypeError):
-        Curve(domain=vert.domain, pieces=vert.pieces, position=vert.position,
-              velocity=vert.velocity)
+        Curve(domain=vert.domain, pieces=vert.pieces, position=vert.positions,
+              velocity=vert.velocities)
     ts = np.linspace(-0.5, 0.5, 4)
     assert vert.positions(ts).shape == (4, 3) and vert.velocity_at(0.0).shape == (3,)
 
@@ -212,6 +212,33 @@ def test_polynomial_curve_matches_polyval():
     for t, m in zip(breaks, (1, 2)):
         assert np.array_equal(cv.position_at(t), coef[0, :, m])
         assert np.array_equal(cv.velocity_at(t), coef[1, :, m])
+
+    def power_sum(ts, table):
+        # ascending sum of c_k s^k, s^k = s^(k-1) * s, the terms zero on every piece left out
+        m = np.searchsorted(breaks, ts, side="right")
+        s = ts - np.take(origins, m)
+        powers = [None, s]
+        while len(powers) < len(table):
+            powers.append(powers[-1] * s)
+        out = []
+        for j in range(table.shape[1]):
+            v = None
+            for k in np.flatnonzero(table[:, j].any(axis=1)):
+                term = table[k, j, m] if k == 0 else table[k, j, m] * powers[k]
+                v = term if v is None else v + term
+            out.append(np.zeros_like(s) if v is None else v)
+        return np.stack(out, axis=-1)
+
+    for ts in (np.asarray(0.1), grid, on_breaks):
+        assert np.array_equal(cv.positions(ts), power_sum(ts, coef))
+        assert np.array_equal(cv.velocities(ts), power_sum(ts, dcoef))
+
+    # where s^2 overflows, a coordinate without an s^2 term stays c0 + c1 s
+    wide = polynomial_curve([[[1.0], [2.0]], [[3.0], [1e-200]], [[0.0], [1e-300]]], (0.0, 1e200))
+    with np.errstate(over="ignore"):
+        at = wide.positions(np.array([1e199]))
+    assert at[0, 0] == 1.0 + 3.0 * 1e199 and np.isinf(at[0, 1])
+    assert np.array_equal(wide.velocities(np.array([1e199])), [[3.0, 1e-200 + 2e-300 * 1e199]])
 
 
 @pytest.mark.parametrize("change, match", [

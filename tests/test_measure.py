@@ -24,7 +24,7 @@ from gradedgroups.measure import (NumericalResolutionError,
                                   negligibility_estimate, quad,
                                   richardson_extrapolate, riemannian_length,
                                   spherical_measure_upper)
-from gradedgroups.metric import HomogeneousDistance, _membership_source
+from gradedgroups.metric import HomogeneousDistance, _center_fold, _membership_source
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +187,21 @@ def test_ball_set_on_an_ill_conditioned_table_ends(heis, dist):
     else:
         assert any(lo <= 0.6 <= hi for lo, hi in intervals)
     assert time.perf_counter() - start < 1.0
+
+
+def test_curves_on_the_same_nodes_keep_their_own_ball_sets(dist):
+    # the last center's fold is cached per curve: two curves with the same
+    # domain, breaks, name and description are still two curves
+    def sampled(lift):
+        return curve_from_samples([{"t": t, "position": [t, 0.0, lift * t * t],
+                                    "velocity": [1.0, 0.0, 2.0 * lift * t]}
+                                   for t in (-1.0, 0.0, 1.0)], 3, name="same")
+    flat, lifted = sampled(0.0), sampled(3.0)
+    got = [ball_param_set(dist, curve, 0.2, 0.3) for curve in (flat, lifted)]
+    assert got[0] != got[1]
+    for curve, sets in zip((flat, lifted), got):
+        _center_fold.cache_clear()
+        assert ball_param_set(dist, curve, 0.2, 0.3) == sets
 
 
 def test_ball_center_must_be_interior(dist):

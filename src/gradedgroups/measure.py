@@ -49,7 +49,7 @@ import numpy as np
 from . import roots
 from .curve import Curve, curve_degree, degree_profile, pointwise_degree, tangent_projection
 from .frame import METRIC_EUCLIDEAN, METRIC_LEFT, _check_metric, speed
-from .metric import HomogeneousDistance, _onward, _power, degree_constant, metric_factor
+from .metric import HomogeneousDistance, _power, degree_constant, metric_factor
 from .roots import NumericalResolutionError
 
 
@@ -199,6 +199,7 @@ def blowup_sequence(dist: HomogeneousDistance, curve: Curve, t0: float,
     applies.  An empty radius schedule raises ValueError, and a radius
     whose r^q overflows or underflows to 0 NumericalResolutionError.
     """
+    radii = tuple(radii)
     if not radii:
         raise ValueError("cannot take blow-up ratios over an empty radius schedule")
     law = dist.law
@@ -242,6 +243,7 @@ def density_divergence(dist: HomogeneousDistance, curve: Curve, t0: float,
     radius whose r^q overflows or underflows to 0
     (NumericalResolutionError).
     """
+    radii = tuple(radii)
     if len(set(radii)) < 2:
         raise ValueError(f"the slope fit needs at least two distinct radii, got {list(radii)}")
     law = dist.law
@@ -270,51 +272,8 @@ class CoveringEstimate:
     centers: tuple             # center parameters (radii all equal delta)
 
 
-def _polynomial_reach(dist: HomogeneousDistance, curve: Curve, r: float) -> tuple:
-    """(reach, walk) from a curve table's membership, built once for r:
-    ``walk`` is the generated loop of :func:`_walk`, ``reach(start, guess)``
-    the first parameter after ``start`` where the curve leaves the closed
-    r-ball around gamma(start), as the inside end of a bracket no wider
-    than ``roots.reach_tol``, or the domain's end where it stays inside.
-    From the anchor's piece on, each piece's table brackets an exit from
-    the guess and certifies [0, a], a the exit or the piece's end, or else
-    ``roots.first_exit`` searches [0, a] (``HomogeneousDistance.
-    membership``); the first exit ends it.  The loop takes each of its
-    reaches this way, and ``reach`` is the same walk across pieces
-    (``metric._onward``) from the anchor's own piece.
-    """
-    pieces = curve.pieces
-    breaks, origins = pieces[1].tolist(), pieces[2].tolist()
-    cap = curve.domain[1]
-    _, bracket, walk = dist.membership(pieces, r)
-
-    def reach(start: float, guess: float | None) -> float:
-        m = bisect.bisect_right(breaks, start)
-        return _onward(bracket, breaks, cap, m, start - origins[m], guess, start, 0, start)
-
-    return reach, walk
-
-
 # balls one covering may place before it is refused as unresolved
 MAX_BALLS = 5_000_000
-
-
-def _walk(walk: Callable, lo: float, hi: float, b: float, delta: float, guard: float,
-          centers: list) -> None:
-    """The greedy walk over [lo, hi]: appends the center of each ball placed.
-
-    Each reach starts its Newton steps from the step the walk took last,
-    and certifies its own bracket or searches it, so no excursion out of a
-    ball between its anchor and the exit goes unseen.  ``walk`` runs the
-    whole loop in one call (:func:`_polynomial_reach`) and returns (t,
-    edge) of the last ball it placed: short of hi and b, that ball did not
-    advance past t.
-    """
-    t, edge = walk(lo, hi, guard, b, centers, MAX_BALLS)
-    if len(centers) > MAX_BALLS:
-        raise NumericalResolutionError(f"covering at delta = {delta} exceeded {MAX_BALLS} balls")
-    if edge < hi - guard and edge < b:
-        raise NumericalResolutionError(f"covering walk stalled at t = {t} (delta = {delta})")
 
 
 def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
@@ -327,13 +286,15 @@ def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
     uncovered parameter, so a ball typically covers a full two-sided
     component of new parameters; that the parameters between the first
     uncovered one and the center lie in the center's ball is assumed (see
-    the module docstring).  Each reach is the certified first exit of the
-    membership polynomials (:func:`_polynomial_reach`), so no excursion
-    past a reach is missed.  Raises ValueError unless delta and q are
-    positive and finite and every interval [lo, hi] has lo <= hi and lies
-    inside the closed domain (lo == hi covers the single parameter), and
-    NumericalResolutionError where delta ** q overflows or underflows to 0,
-    or the value overflows.
+    the module docstring).  Each interval is one call of the walk that
+    ``HomogeneousDistance.membership`` generates for the curve's table at
+    radius delta; each of its reaches is the certified first exit of the
+    membership polynomials, so no excursion past a reach is missed.
+    Raises ValueError unless delta and q are positive and finite and every
+    interval [lo, hi] has lo <= hi and lies inside the closed domain (lo
+    == hi covers the single parameter), and NumericalResolutionError where
+    delta ** q overflows or underflows to 0, the walk places more than
+    ``MAX_BALLS`` balls or stalls short of hi, or the value overflows.
     """
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
@@ -341,8 +302,7 @@ def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
         raise ValueError(f"q must be positive and finite, got {q}")
     size = _power(delta, q, "delta")       # what each ball adds to the value
     a, b = curve.domain
-    if intervals is None:
-        intervals = [(a, b)]
+    intervals = [(a, b)] if intervals is None else list(intervals)
     for lo, hi in intervals:
         if not a <= lo <= b or not a <= hi <= b:
             raise ValueError(f"interval [{lo}, {hi}] is not inside the curve's "
@@ -350,11 +310,18 @@ def spherical_measure_upper(dist: HomogeneousDistance, curve: Curve, q: float,
         if hi < lo:
             raise ValueError(f"interval [{lo}, {hi}] ends before it starts")
     guard = 1e-12 * curve.span()
-    # nothing to cover needs no membership, however small delta is
-    walk = _polynomial_reach(dist, curve, delta)[1] if intervals else None
     centers = []
-    for lo, hi in intervals:
-        _walk(walk, lo, hi, b, delta, guard, centers)
+    if intervals:          # nothing to cover needs no membership, however small delta is
+        _, walk = dist.membership(curve.pieces, delta)
+        for lo, hi in intervals:
+            # (t, edge) of the last ball: short of hi and b, it did not advance past t
+            t, edge = walk(lo, hi, guard, b, centers, MAX_BALLS)
+            if len(centers) > MAX_BALLS:
+                raise NumericalResolutionError(
+                    f"covering at delta = {delta} exceeded {MAX_BALLS} balls")
+            if edge < hi - guard and edge < b:
+                raise NumericalResolutionError(
+                    f"covering walk stalled at t = {t} (delta = {delta})")
     value = 0.0
     for _ in centers:          # ball by ball, as the value has always been summed
         value += size
@@ -400,6 +367,8 @@ class CoveringSchedule:
 
 def covering_values(dist: HomogeneousDistance, curve: Curve, q: float,
                     deltas: Sequence[float], intervals=None) -> CoveringSchedule:
+    deltas = tuple(deltas)
+    intervals = None if intervals is None else list(intervals)
     ests = [spherical_measure_upper(dist, curve, q, d, intervals) for d in deltas]
     values = tuple(e.value for e in ests)
     return CoveringSchedule(q=q, deltas=tuple(float(d) for d in deltas),

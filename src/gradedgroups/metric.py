@@ -57,7 +57,7 @@ class HomogeneousDistance:
         self.law = law
         self.eps = eps
         self._slices = [alg.layer_slice(k) for k in range(1, alg.step + 1)]
-        # per coefficient table: its anchor tables by offset, and their evaluators by source
+        # per coefficient table: its anchor tables by offset, and their compiled texts by source
         self._tables: dict = {}
 
     # -- gauge ------------------------------------------------------------
@@ -115,22 +115,23 @@ class HomogeneousDistance:
                 f"radius {r} is below float resolution") from None
 
     def membership(self, pieces, r: float) -> tuple:
-        """Membership in closed r-balls anchored on a curve's table: (polys, bracket, walk).
+        """Membership in closed r-balls anchored on a curve's table: (bracket, walk).
 
-        ``polys(m, d, u)`` lists, for each layer k that z = x^-1 * y(s)
-        touches, the ascending coefficients of P_k(s).  The anchor x lies u
-        past the origin of piece m; y(s) runs along piece m + d, from the
-        anchor (d = 0) or from the piece's first parameter.  z is folded as
-        a polynomial in (u, s), every piece at once, per offset d (``law.
-        divide_rows`` on ``curve._anchor_rows``), and each function of
-        :func:`_membership_source` on it compiled on first use and kept.
-        For d = 0 its s^0 column, x^-1 * x, is left out, so P_k(0) = -1 and
-        P_k'(0) = 0 exactly: no self-distance floor.  ``bracket(m, d, u, g,
-        hi, start, offset)`` runs the table's ``reach``, the first exit in
-        [0, hi] or hi, and ``walk(t, hi, guard, cap, centers, limit)`` the
-        whole loop of ``measure._walk`` from t, returning (t, edge) of its
-        last ball.  Both search a bracket in place where its certificate
-        refuses (``roots.first_exit``).
+        The anchor x lies u past the origin of piece m; y(s) runs along
+        piece m + d, from the anchor (d = 0) or from the piece's first
+        parameter.  For each layer k that z = x^-1 * y(s) touches, P_k(s)
+        is a polynomial whose coefficients are read off by Horner in u.
+        z is folded as a polynomial in (u, s), every piece at once, per
+        offset d (``law.divide_rows`` on ``curve._anchor_rows``), and each
+        function of :func:`_membership_source` on it compiled on first use
+        and kept.  For d = 0 its s^0 column, x^-1 * x, is left out, so
+        P_k(0) = -1 and P_k'(0) = 0 exactly: no self-distance floor.
+        ``bracket(m, d, u, g, hi, start, offset)`` runs the table's
+        ``reach``, the first exit in [0, hi] or hi, and ``walk(t, hi,
+        guard, cap, centers, limit)`` the greedy walk of ``measure.
+        spherical_measure_upper`` over [t, hi] in one call, returning (t,
+        edge) of its last ball.  Both search a bracket in place where its
+        certificate refuses (``roots.first_exit``).
         """
         w = self.ball_weights(r)
         _, tables, compiled = self._tables.setdefault(id(pieces[0]), (pieces, {}, {}))
@@ -149,10 +150,6 @@ class HomogeneousDistance:
                 tables[d, kind] = compiled[source], rows
             return tables[d, kind]
 
-        def polys(m: int, d: int, u: float) -> list:
-            evaluate, rows = table(d, "evaluate")
-            return evaluate(u, rows[m], w)
-
         def bracket(m: int, d: int, u: float, *args) -> float:
             reach, rows = table(d)
             return reach(u, rows[m], w, *args)
@@ -161,7 +158,7 @@ class HomogeneousDistance:
             run, rows = table(0, "walk")
             return run(*state, rows, w, breaks, origins, bracket)
 
-        return polys, bracket, walk
+        return bracket, walk
 
     def ball_around(self, curve: Curve, t0: float, r: float) -> tuple:
         """(polys, origins): the P_k of the r-ball around gamma(t0) that
@@ -232,7 +229,7 @@ def _onward(bracket: Callable, breaks: list, cap: float, piece: int, u: float,
     first of pieces piece + d, piece + d + 1, ... whose table's reach
     (``bracket``) finds one, else the domain's end ``cap``.  The generated
     loop goes on with it past its anchor's piece (d = 1); from d = 0 it is
-    the whole reach (``measure._polynomial_reach``)."""
+    the whole reach from start, the one the loop takes inline."""
     while t0 < cap:
         t1 = min(cap, breaks[piece + d]) if piece + d < len(breaks) else cap
         offset, hi = t0 - start, t1 - t0
@@ -246,16 +243,17 @@ def _onward(bracket: Callable, breaks: list, cap: float, piece: int, u: float,
 def _membership_source(z: list, slices, anchored: bool, kind: str) -> tuple:
     """Source of the function ``kind`` on a table, and its per-piece coefficient lists c.
 
-    ``evaluate(u, c, w)`` reads each power of s of each z_j by Horner in
-    u, sums the squares per layer as polynomials in s, scales them by
-    w[k - 1] and subtracts 1.  Coefficients zero on every piece are left
-    out, and so is the s^0 column of z where ``anchored``.  ``reach(u, c,
-    w, g, hi, start, offset)`` computes them, literals written in, and
-    runs the text of ``roots._bracket_source``: it returns a where that
-    certifies [0, a], else ``roots.first_exit`` of the P on [0, a].
-    ``walk`` is the loop of ``measure._walk`` (``_WALK``) with that reach
-    inline, offset 0.0, and the next pieces' ``reach`` past a piece
-    without exit (:func:`_onward`).
+    Both kinds compute the P of the table from c: each power of s of each
+    z_j by Horner in u, the squares summed per layer as polynomials in s,
+    scaled by w[k - 1], and 1 subtracted, with every literal written in.
+    Coefficients zero on every piece are left out, and so is the s^0
+    column of z where ``anchored``.  ``reach(u, c, w, g, hi, start,
+    offset)`` runs the text of ``roots._bracket_source`` on them: it
+    returns a where that certifies [0, a], else ``roots.first_exit`` of
+    the P on [0, a].  ``walk`` is the greedy loop of ``measure.
+    spherical_measure_upper`` (``_WALK``) with that reach inline, offset
+    0.0, and the next pieces' ``reach`` past a piece without exit
+    (:func:`_onward`).
     """
     count = z[0].shape[2]
     entries, size, lines, layers = [], 0, [], []
@@ -298,9 +296,6 @@ def _membership_source(z: list, slices, anchored: bool, kind: str) -> tuple:
     def listed(polys: list) -> str:          # source of the list of the P
         return f"[{', '.join('[' + ', '.join(coef) + ']' for coef in polys)}]"
 
-    if kind == "evaluate":
-        return (f"def evaluate(u, c, w):\n    {unpack and unpack + 'c'}\n{''.join(lines)}"
-                f"    return {listed(layers)}\n"), rows
     # the coefficients that are not literals, as locals
     names = [[term if term[0] in "-0" else f"c{i}_{k}" for k, term in enumerate(terms)]
              for i, terms in enumerate(layers)]

@@ -92,14 +92,6 @@ class RationalPoly:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int) -> "RationalPoly":
-        return cls(nvars)
-
-    @classmethod
-    def constant(cls, nvars: int, c) -> "RationalPoly":
-        return cls(nvars, {(0,) * nvars: _as_fraction(c)})
-
-    @classmethod
     def variable(cls, nvars: int, i: int) -> "RationalPoly":
         exps = [0] * nvars
         exps[i] = 1

@@ -559,6 +559,18 @@ def test_cover_ending_at_the_domain_end(capsys):
     assert json.loads(out)["result"]["ball_counts"] == [1, 1]
 
 
+def test_cover_stalls_where_a_ball_reaches_less_than_the_guard(capsys):
+    # a ball of radius 1e-13 on the horizontal line reaches less than the
+    # walk's guard, 1e-12 of the domain's span, past its first parameter:
+    # the walk stops there, at the start of the interval it covers
+    for args, t in (((), "-1.0"), (("--interval=0.5,0.6",), "0.5")):
+        code, out, err = run_cli(capsys, "cover", "--curve", "horizontal", "--deltas", "1e-13",
+                                 *args)
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {"error": "NumericalResolutionError",
+                                   "message": f"covering walk stalled at t = {t} (delta = 1e-13)"}
+
+
 def test_report_to_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "fixtures", "--out", str(target))

@@ -17,14 +17,13 @@ from hypothesis import strategies as st
 from gradedgroups import fixtures, measure, roots
 from gradedgroups.curve import (_anchor_rows, curve_from_samples, degree_profile,
                                 dilate_curve, polynomial_curve, translate_curve)
-from gradedgroups.measure import (NumericalResolutionError,
-                                  _polynomial_reach, area_formula_residual, ball_param_set,
+from gradedgroups.measure import (NumericalResolutionError, area_formula_residual, ball_param_set,
                                   ball_intersection_measure, blowup_sequence,
                                   covering_values, density_divergence,
                                   negligibility_estimate, quad,
                                   richardson_extrapolate, riemannian_length,
                                   spherical_measure_upper)
-from gradedgroups.metric import HomogeneousDistance, _center_fold, _membership_source
+from gradedgroups.metric import HomogeneousDistance, _center_fold, _membership_source, _onward
 
 
 @pytest.fixture(scope="module")
@@ -291,7 +290,7 @@ def test_forward_reach_matches_a_scalar_bisection(name, start, r, crossed):
     dist = fixtures.distance("engel" if name == "engel_vertical" else "heisenberg")
     dfun = dist.distance_from(curve.position_at(start))
     cap = curve.domain[1]
-    reach, _ = _polynomial_reach(dist, curve, r)
+    reach = _table_reach(dist, curve, r)
 
     # the first exit, independently: a dense scan, then halving to float resolution
     grid = np.linspace(start, cap, 4001)
@@ -374,11 +373,29 @@ def _cubic_curve():
     return polynomial_curve(coef, (-1.0, 1.0))
 
 
+def _table_reach(dist, curve, r):
+    """reach(start, guess): the first parameter after ``start`` where the
+    curve leaves the closed r-ball around gamma(start), or the domain's end
+    where it stays inside: the tables' compiled reaches piece after piece
+    from the anchor's own (metric._onward from d = 0), Newton steps from
+    ``guess``."""
+    pieces = curve.pieces
+    breaks, origins = pieces[1].tolist(), pieces[2].tolist()
+    bracket, _ = dist.membership(pieces, r)
+
+    def reach(start, guess):
+        m = bisect.bisect_right(breaks, start)
+        return _onward(bracket, breaks, curve.domain[1], m, start - origins[m], guess, start, 0,
+                       start)
+
+    return reach
+
+
 def _reach_by_reach(dist, curve, delta, lo, hi):
     """The greedy walk, each reach taken by the general path, piece by piece
     with each table's compiled reach and, where its certificate refuses, the
     search of roots.first_exit; none by the generated loop."""
-    reach, _ = _polynomial_reach(dist, curve, delta)
+    reach = _table_reach(dist, curve, delta)
     b, guard = curve.domain[1], 1e-12 * curve.span()
     t, step, centers = lo, None, []
     while True:
@@ -514,22 +531,22 @@ def test_walk_runs_in_one_call_per_interval(dist, monkeypatch):
     # generated loop never hands a reach back: on the curves whose
     # certificates refuse, each covered interval is one call of the walk
     calls, searches = [], []
-    polynomial_reach, search = measure._polynomial_reach, roots.first_exit
+    membership, search = HomogeneousDistance.membership, roots.first_exit
 
-    def counted_reach(dist, curve, r):
-        reach, walk = polynomial_reach(dist, curve, r)
+    def counted_membership(self, pieces, r):
+        bracket, walk = membership(self, pieces, r)
 
         def counted(*state):
             calls.append(state[0])
             return walk(*state)
 
-        return reach, counted
+        return bracket, counted
 
     def counted_search(*args):
         searches.append(args)
         return search(*args)
 
-    monkeypatch.setattr(measure, "_polynomial_reach", counted_reach)
+    monkeypatch.setattr(HomogeneousDistance, "membership", counted_membership)
     monkeypatch.setattr(roots, "first_exit", counted_search)
     intervals = [(-1.0, 0.25), (0.5, 1.0)]
     for curve, delta in ((_rough_curve(), 0.1), (_wavy_curve(), 0.1), (_cubic_curve(), 0.3)):
@@ -693,6 +710,27 @@ def test_covering_ball_limit(dist, monkeypatch):
     with pytest.raises(NumericalResolutionError, match="exceeded 10 balls"):
         spherical_measure_upper(dist, fixtures.curve("vertical"), 2, 2.0 ** -6,
                                 intervals=[(0.0, 1.0)])
+
+
+def test_schedules_and_intervals_may_be_iterators(dist):
+    # each entry reads its schedule and its interval list once: given iter(x)
+    # it reports what it reports given x.  Before, a cover's validation used
+    # up its intervals (0 balls, value 0.0), a schedule reported deltas=(),
+    # and blow-up and divergence ended in IndexError and numpy's TypeError
+    hor, par, vert = (fixtures.curve(name) for name in ("horizontal", "parabola_lift",
+                                                         "vertical"))
+    cases = [(spherical_measure_upper, (dist, hor, 1, 0.25), "intervals", [(-1.0, 1.0)]),
+             (covering_values, (dist, par, 2), "deltas", [0.5, 0.25]),
+             (covering_values, (dist, par, 2, [0.5, 0.25]), "intervals",
+              [(-1.0, -0.5), (0.0, 1.0)]),
+             (area_formula_residual, (dist, par), "deltas", [0.5, 0.25]),
+             (negligibility_estimate, (dist, fixtures.curve("glued_hv")), "deltas", [0.5, 0.25]),
+             (blowup_sequence, (dist, vert, 0.0), "radii", [0.5, 0.25]),
+             (density_divergence, (dist, par, 0.0), "radii", [0.5, 0.25])]
+    for call, args, name, x in cases:
+        want = call(*args, **{name: x})
+        assert call(*args, **{name: iter(x)}) == want, (call.__name__, name)
+    assert spherical_measure_upper(dist, hor, 1, 0.25, intervals=[(-1.0, 1.0)]).ball_count == 4
 
 
 def test_covering_values_and_extrapolation(dist):

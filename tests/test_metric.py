@@ -13,6 +13,7 @@ from gradedgroups.curve import curve_from_samples, dilate_curve, polynomial_curv
 from gradedgroups.metric import (HomogeneousDistance, _line_gauge_interval_length,
                                  degree_constant, metric_factor, triangle_audit)
 from gradedgroups.roots import NumericalResolutionError
+from membership_oracle import table_polys
 
 
 @pytest.fixture(scope="module")
@@ -133,8 +134,9 @@ def _layer_terms(dist, x, ys, r):
 def test_membership_tables_agree_with_the_gauge(heis):
     # every builtin curve, a sampled curve, a dilation: from random anchors,
     # along the anchor's piece (d = 0) and across breaks into later pieces,
-    # P_k from the tables is (eps_k / r)^(2k) |z^(k)|^2 - 1 with z read off
-    # law.multiply, and on the anchor's piece P_k(0) = -1, P_k'(0) = 0 exactly
+    # P_k of the anchor tables, in the plain floats of table_polys, is
+    # (eps_k / r)^(2k) |z^(k)|^2 - 1 with z read off law.multiply, and on
+    # the anchor's piece P_k(0) = -1, P_k'(0) = 0 exactly
     sampled = curve_from_samples(
         [{"t": t, "position": [0.3 * np.sin(3 * t), t * t, np.cos(t)],
           "velocity": [0.9 * np.cos(3 * t), 2 * t, -np.sin(t)]} for t in np.linspace(-1, 1, 9)], 3)
@@ -156,14 +158,14 @@ def test_membership_tables_agree_with_the_gauge(heis):
         grid = np.linspace(a, b, 101)
         touched = [k for k, term in enumerate(_layer_terms(
             dist, curve.positions(grid)[:, None], curve.positions(grid)[None], 1.0)) if term.any()]
+        tables = [table_polys(dist, curve.pieces, d) for d in range(min(3, len(origins)))]
         checked = 0
         for _ in range(12):
             r = rng.uniform(0.1, 1.0)
-            polys, _, _ = dist.membership(curve.pieces, r)
             t = rng.uniform(a, b)
             m = int(np.searchsorted(breaks, t, side="right"))
             for d in range(min(3, len(origins) - m)):
-                ps = polys(m, d, t - origins[m])
+                ps = tables[d](m, t - origins[m], dist.ball_weights(r))
                 assert len(ps) == len(touched)
                 start = t if d == 0 else breaks[m + d - 1]
                 end = breaks[m + d] if m + d < len(breaks) else b

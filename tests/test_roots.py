@@ -17,6 +17,7 @@ from gradedgroups.metric import HomogeneousDistance
 from gradedgroups.roots import (_SCOPE, MAX_HALVINGS, PREDICT_STEPS, NumericalResolutionError,
                                 _bernstein, _bracket_source, _derivative, _exit, first_exit,
                                 horner, reach_tol, runs, table_runs, taylor_shift)
+from membership_oracle import table_polys
 
 
 def _below(p, a, c):
@@ -299,9 +300,10 @@ def _bracket_cases(draw):
 @st.composite
 def _table_cases(draw):
     """(polys, g, hi, start, offset, reach): the P of a curve's anchor table,
-    of offset d >= 0 on a table of two or three pieces (HomogeneousDistance.
-    membership), and the reach that table compiles on them, with g, hi and
-    the tolerance drawn as for _bracket_cases."""
+    of offset d >= 0 on a table of two or three pieces, in plain floats
+    (membership_oracle.table_polys), and the reach that table compiles on
+    them (HomogeneousDistance.membership), with g, hi and the tolerance
+    drawn as for _bracket_cases."""
     group = draw(st.sampled_from(["heisenberg", "engel"]))
     law = fixtures.group_law(group)
     count, degree = draw(st.integers(2, 3)), draw(st.integers(1, 3))
@@ -313,10 +315,11 @@ def _table_cases(draw):
                                  max_size=count - 1)))
     curve = polynomial_curve(coef, (-1.0, 1.0), breaks)
     dist = HomogeneousDistance(law, [1.0] * law.step)
-    polys, bracket, _ = dist.membership(curve.pieces, draw(st.floats(0.1, 1.0)))
+    r = draw(st.floats(0.1, 1.0))
+    bracket, _ = dist.membership(curve.pieces, r)
     d = draw(st.integers(0, count - 1))
     m, u = draw(st.integers(0, count - 1 - d)), draw(st.floats(0.0, 0.5))
-    ps = polys(m, d, u)
+    ps = table_polys(dist, curve.pieces, d)(m, u, dist.ball_weights(r))
     assume(ps)
     return (ps, *draw(_guesses()), *draw(_tolerances), lambda _, *args: bracket(m, d, u, *args))
 
@@ -366,8 +369,7 @@ def test_bracket_kernels_compile_on_first_use():
     # that imports the package has compiled none.  A walk compiles its loop
     # and one reach per layout of the tables at d >= 1 it crosses into: none
     # on the vertical line or the parabola, one across the break of
-    # glued_hv; and no evaluate, as a refusal is searched in place.  Walking
-    # again compiles nothing, and no text is compiled twice
+    # glued_hv.  Walking again compiles nothing, and no text is compiled twice
     script = """if True:
         import sys
         texts = []
@@ -375,7 +377,7 @@ def test_bracket_kernels_compile_on_first_use():
         def hook(event, args):
             if event == "compile" and isinstance(args[0], (bytes, str)):
                 text = args[0] if isinstance(args[0], bytes) else args[0].encode()
-                if text.startswith((b"def walk(", b"def reach(", b"def evaluate(")):
+                if text.startswith((b"def walk(", b"def reach(")):
                     texts.append(text.split(b"(")[0])
 
         sys.addaudithook(hook)

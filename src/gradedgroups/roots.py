@@ -286,12 +286,15 @@ def _newton(p: list, dp: list, a: float, c: float, tol: Callable[[float], float]
     the root so the bracket also closes from its far side, and a halving
     where a step leaves the bracket or does not halve the one before.
     Stops once the bracket is at most tol(a) wide, tol taken at the a
-    passed in.  A decreasing p is solved as x -> p(-x) on [-c, -a].
+    passed in, or once its ends are adjacent floats: tol(a) can be below
+    the float spacing at the root, as the reach_tol of start 0 at a = 0,
+    1e-16, is below that of a root past 1/2.  A decreasing p is solved as
+    x -> p(-x) on [-c, -a].
     """
     va, vc = horner(p, a), horner(p, c)
     x = a - va * (c - a) / (vc - va)
     last, width = c - a, tol(a)
-    while c - a > width:
+    while c - a > width and math.nextafter(a, c) < c:
         if not a < x < c:
             x = 0.5 * (a + c)
         v = horner(p, x)

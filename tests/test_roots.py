@@ -237,6 +237,15 @@ def test_first_exit_takes_the_earliest_root():
     assert _first_exit([late], 0.7, 0.5) is None
 
 
+def test_first_exit_stops_where_its_tolerance_is_below_the_float_spacing():
+    # from start 0 the tolerance at 0 is 1e-16, below the spacing 1.1e-16
+    # at this root, 0.8185: the Newton bracket closes on adjacent floats
+    rising = [-0.8752460904572317, 0.5582030562702425, 0.624410595971382]
+    s = first_exit([rising], 1.0, 0.0, 0.0)
+    assert abs(s - 0.8185239495281436) < 1e-15
+    assert horner(rising, s) <= 0.0 < horner(rising, math.nextafter(s, 1.0))
+
+
 # coefficients: signed zeros, small dyadics (which tie exactly), and floats
 # of any size, whose Horner sums overflow to inf and nan
 _coefficient = st.one_of(st.sampled_from([0.0, -0.0]),

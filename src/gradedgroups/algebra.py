@@ -36,6 +36,10 @@ class GroupValidationError(ValueError):
     """An algebra description violates a structural requirement."""
 
 
+class NumericalResolutionError(RuntimeError):
+    """A scan, walk or integral could not make progress at the requested resolution."""
+
+
 def _degrees(layer_dims) -> tuple:
     """Degree of each basis vector: k for the vectors of layer k."""
     return tuple(k for k, dim in enumerate(layer_dims, start=1) for _ in range(dim))

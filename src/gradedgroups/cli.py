@@ -8,7 +8,10 @@ deterministic for a fixed configuration: keys are sorted, every sampling
 operation requires an explicit seed, and no timestamps are recorded.
 
 Exit codes: 0 success, 2 configuration problem, 3 algebra validation
-failure, 4 a scan or walk ran out of numerical resolution.
+failure, 4 a scan or walk ran out of numerical resolution.  Each runner
+imports its op's modules as it runs (once per process, as Python keeps
+them): ``--help``, ``fixtures``, ``frame-show`` and a refused config never
+load numpy.
 """
 
 from __future__ import annotations
@@ -23,17 +26,11 @@ from dataclasses import asdict
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__, fixtures
-from .algebra import GroupValidationError, spec_from_json, validate_algebra
-from .curve import curve_degree, curve_from_samples, degree_profile
+from .algebra import (GroupValidationError, NumericalResolutionError, spec_from_json,
+                      validate_algebra)
 from .frame import METRIC_EUCLIDEAN, METRIC_LEFT
 from .group import GroupLaw, bch_group_law
-from .measure import (NumericalResolutionError, area_formula_residual,
-                      blowup_sequence, covering_values, density_divergence,
-                      negligibility_estimate)
-from .metric import HomogeneousDistance, triangle_audit
 
 class ConfigError(ValueError):
     """The run configuration is malformed or inconsistent."""
@@ -255,6 +252,7 @@ def _resolve_curve(cfg):
         except KeyError as exc:
             raise ConfigError(exc.args[0]) from exc
         return fixtures.group_law(fx.group), fx.curve, fx.group
+    from .curve import curve_from_samples
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or set(doc) - {"group", "samples"}:
@@ -271,7 +269,8 @@ def _resolve_curve(cfg):
     return law, curve, group
 
 
-def _resolve_distance(law, cfg) -> HomogeneousDistance:
+def _resolve_distance(law, cfg):
+    from .metric import HomogeneousDistance
     eps = cfg["eps"]
     try:
         return HomogeneousDistance(law, (1.0,) * law.step if eps is None else tuple(eps))
@@ -310,6 +309,7 @@ def _run_group_check(cfg) -> dict:
             exact_ok = False
             break
 
+    import numpy as np
     m = cfg["samples"]
     fr = np.random.default_rng(cfg["seed"])
     x = fr.uniform(-1.0, 1.0, (m, law.n))
@@ -334,6 +334,7 @@ def _run_frame_show(cfg) -> dict:
 
 
 def _run_metric_audit(cfg) -> dict:
+    from .metric import triangle_audit
     dist = _resolve_distance(_resolve_law(cfg), cfg)
     audit = triangle_audit(dist, samples=cfg["samples"], seed=cfg["seed"])
     return {"eps": list(dist.eps), "samples": audit.samples, "seed": audit.seed,
@@ -342,6 +343,7 @@ def _run_metric_audit(cfg) -> dict:
 
 
 def _run_curve_degree(cfg) -> dict:
+    from .curve import degree_profile
     law, curve, group = _resolve_curve(cfg)
     prof = degree_profile(law, curve, grid_points=cfg["grid"])
     counts = {}
@@ -360,6 +362,7 @@ def _measured(cfg):
 
 
 def _run_blowup(cfg) -> dict:
+    from .measure import blowup_sequence
     curve, dist, group = _measured(cfg)
     rep = blowup_sequence(dist, curve, cfg["t0"], parse_schedule(cfg["radii"]),
                           metric=cfg["metric"])
@@ -367,6 +370,7 @@ def _run_blowup(cfg) -> dict:
 
 
 def _run_diverge(cfg) -> dict:
+    from .measure import density_divergence
     curve, dist, group = _measured(cfg)
     rep = density_divergence(dist, curve, cfg["t0"], parse_schedule(cfg["radii"]),
                              metric=cfg["metric"], margin=cfg["margin"])
@@ -374,6 +378,8 @@ def _run_diverge(cfg) -> dict:
 
 
 def _run_cover(cfg) -> dict:
+    from .curve import curve_degree
+    from .measure import covering_values
     curve, dist, group = _measured(cfg)
     q = cfg["q"]
     if q is None:
@@ -385,6 +391,7 @@ def _run_cover(cfg) -> dict:
 
 
 def _run_area(cfg) -> dict:
+    from .measure import area_formula_residual
     curve, dist, group = _measured(cfg)
     rep = asdict(area_formula_residual(dist, curve, deltas=parse_schedule(cfg["deltas"]),
                                        interval=_resolve_interval(cfg)))
@@ -393,6 +400,7 @@ def _run_area(cfg) -> dict:
 
 
 def _run_negligibility(cfg) -> dict:
+    from .measure import negligibility_estimate
     curve, dist, group = _measured(cfg)
     rep = asdict(negligibility_estimate(dist, curve, parse_schedule(cfg["deltas"]),
                                         grid_points=cfg["grid"]))
@@ -437,10 +445,8 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
+    if hasattr(value, "tolist"):        # a numpy array or scalar
+        return _jsonable(value.tolist())
     if isinstance(value, Fraction):
         return str(value)
     return value

@@ -5,8 +5,10 @@ Three small groups cover the interesting cases: a weighted abelian plane
 bracket [e1, e2] = e3, and its 4-d step-3 extension with [e1, e3] = e4.
 The curves live in those groups and are chosen so that degrees, blow-ups
 and covering values have values one can check by hand.  Each is a table
-of polynomial coefficients on (-1, 1), built by ``polynomial_curve``,
-which derives the velocity.
+of polynomial coefficients on (-1, 1), made a curve by ``polynomial_curve``,
+which derives the velocity, when it is first asked for, and kept for the
+rest of the process like a constant: a command that uses no curve never
+loads numpy, and none pays for a curve twice.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import GradedAlgebraSpec, spec_from_dict, validate_algebra
-from .curve import Curve, polynomial_curve
 from .group import GroupLaw, bch_group_law
-from .metric import HomogeneousDistance
+
+if TYPE_CHECKING:
+    from .curve import Curve
+    from .metric import HomogeneousDistance
 
 _GROUP_DOCS = {
     "abelian_w12": {
@@ -56,6 +59,7 @@ def group_law(name: str) -> GroupLaw:
 
 def distance(name: str, eps=None) -> HomogeneousDistance:
     """Gauge distance for a builtin group; eps defaults to all ones."""
+    from .metric import HomogeneousDistance
     law = group_law(name)
     if eps is None:
         eps = (1.0,) * law.step
@@ -90,18 +94,22 @@ _TABLES = {
                        "line along the top layer of the step-3 group; degree 3 everywhere"),
 }
 
-_CURVES = {name: CurveFixture(group, polynomial_curve(np.stack(pieces, axis=-1), (-1.0, 1.0),
-                                                      breaks, name=name, description=description))
-           for name, (group, pieces, breaks, description) in _TABLES.items()}
+_CURVES = {}    # name -> CurveFixture, built on first use
 
 
 def curve_names() -> tuple:
-    return tuple(sorted(_CURVES))
+    return tuple(sorted(_TABLES))
 
 
 def curve_fixture(name: str) -> CurveFixture:
-    if name not in _CURVES:
+    if name not in _TABLES:
         raise KeyError(f"unknown curve {name!r}; choose from {curve_names()}")
+    if name not in _CURVES:
+        from .curve import polynomial_curve
+        group, pieces, breaks, description = _TABLES[name]
+        table = [[*zip(*rows)] for rows in zip(*pieces)]    # the pieces on the last axis
+        _CURVES[name] = CurveFixture(group, polynomial_curve(
+            table, (-1.0, 1.0), breaks, name=name, description=description))
     return _CURVES[name]
 
 
@@ -114,8 +122,6 @@ def catalog() -> dict:
     groups = {name: {"layers": list(doc["layers"]),
                      "brackets": len(doc["brackets"])}
               for name, doc in sorted(_GROUP_DOCS.items())}
-    curves = {name: {"group": fx.group,
-                     "domain": list(fx.curve.domain),
-                     "description": fx.curve.description}
-              for name, fx in sorted(_CURVES.items())}
+    curves = {name: {"group": group, "domain": [-1.0, 1.0], "description": description}
+              for name, (group, _, _, description) in sorted(_TABLES.items())}
     return {"groups": groups, "curves": curves}

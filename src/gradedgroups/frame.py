@@ -12,15 +12,18 @@ A(x) is unit lower triangular in degree order; they agree with the
 coordinates of v pulled back to the identity, so they do not change
 under left translation, and a tangent direction is just the array lam.
 The ambient vector of lam at x is A(x) @ lam (``Frame.matrix``).
+Computing the frame is exact; numpy is imported by the float methods.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .group import GroupLaw, _leading
+
+if TYPE_CHECKING:
+    import numpy as np
 
 METRIC_LEFT = "left"
 METRIC_EUCLIDEAN = "euclidean"
@@ -49,6 +52,7 @@ class Frame:
 
     def matrix(self, x) -> np.ndarray:
         """A(x): columns are the frame fields in ambient coordinates."""
+        import numpy as np
         x = np.asarray(x, dtype=float)
         cols = [x[i] for i in range(self.n)]
         a = np.eye(self.n)
@@ -62,6 +66,7 @@ class Frame:
         x and v have shape (..., n) and broadcast against each other; lam
         has their broadcast shape.
         """
+        import numpy as np
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         if x.shape[-1:] != (self.n,) or v.shape[-1:] != (self.n,):
@@ -119,6 +124,7 @@ def speed(frame: Frame, x, v, metric: str = METRIC_LEFT):
     ambient coordinate norm.  x and v have shape (..., n); the lengths have
     shape (...), a float for one point.
     """
+    import numpy as np
     _check_metric(metric)
     lam = np.asarray(v, dtype=float) if metric == METRIC_EUCLIDEAN else frame.coordinates(x, v)
     out = np.sqrt((lam * lam).sum(axis=-1))

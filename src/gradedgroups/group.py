@@ -18,7 +18,8 @@ polynomial multiplication and division in Maple 14", 2009), and integer
 coefficients: a bracket [g, inner] with the x or y generator vector g
 shifts inner's keys by one variable's unit.  Keys become exponent tuples
 and coefficients Fractions once, in ``q_polys``, and every evaluator of
-the law, exact or float, is compiled on first use.
+the law, exact or float, is compiled on first use.  The float methods
+import numpy as they run: the exact layer never loads it.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ import math
 import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .algebra import GradedAlgebra
+from .algebra import GradedAlgebra, NumericalResolutionError
 from .poly import DimensionMismatch, RationalPoly, exact_evaluator, integer_point
-from .roots import NumericalResolutionError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _leading(a: np.ndarray, k: int = 1) -> np.ndarray:
@@ -240,12 +241,13 @@ class GroupLaw:
         return compute_frame(self)
 
     def identity(self):
-        return np.zeros(self.n)
+        return self._floats([0.0] * self.n)[0]
 
     # -- float path -------------------------------------------------------
 
     def _floats(self, *points) -> list:
         """The points as float arrays; DimensionMismatch unless each has shape (..., n)."""
+        import numpy as np
         arrays = [np.asarray(p, dtype=float) for p in points]
         if any(a.shape[-1:] != (self.n,) for a in arrays):
             raise DimensionMismatch(f"need {self.n} coordinates, got shapes {[a.shape for a in arrays]}")
@@ -258,6 +260,7 @@ class GroupLaw:
     def multiply(self, x, y):
         """x * y = x + y + Q(x, y) on float points, shapes (..., n) that broadcast,
         by one compiled kernel of Q per law."""
+        import numpy as np
         x, y, cols = self._columns(x, y)
         out = [x[..., i] + y[..., i] + q for i, q in enumerate(self._q_kernel(cols))]
         return np.stack(out, axis=-1)
@@ -268,9 +271,7 @@ class GroupLaw:
     def dilate(self, r: float, x):
         if not r > 0:
             raise ValueError("dilation factor must be positive")
-        x = self._floats(x)[0]
-        scale = np.array([float(r) ** d for d in self.degrees])
-        return x * scale
+        return self._floats(x)[0] * [float(r) ** d for d in self.degrees]
 
     def divide_rows(self, x, y) -> list:
         """x^-1 * y on polynomial rows.
@@ -281,6 +282,7 @@ class GroupLaw:
         curve piece, say).  Returns z = y - x + Q(-x, y) likewise, products
         of coordinates taken as products of polynomials.
         """
+        import numpy as np
         n = self.n
         factors = [-np.asarray(c, dtype=float) for c in x] + [np.asarray(c, dtype=float) for c in y]
         monomials = {}
@@ -304,6 +306,7 @@ class GroupLaw:
 
         x and y have shape (..., n) and broadcast against each other.
         """
+        import numpy as np
         x, y, cols = self._columns(x, y)
         jac = np.empty(np.broadcast(x, y).shape[:-1] + (self.n, self.n))
         jac[...] = np.eye(self.n)
@@ -345,6 +348,7 @@ class GroupLaw:
 def _rows_sum(*rows: np.ndarray) -> np.ndarray:
     """The sum of polynomial rows: arrays whose first two axes are the powers
     of u and of s, and whose other axes agree."""
+    import numpy as np
     out = np.zeros((max(r.shape[0] for r in rows), max(r.shape[1] for r in rows))
                    + rows[0].shape[2:])
     for r in rows:
@@ -354,6 +358,7 @@ def _rows_sum(*rows: np.ndarray) -> np.ndarray:
 
 def _rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The product of two polynomial rows, as :func:`_rows_sum` takes them."""
+    import numpy as np
     out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1) + a.shape[2:])
     for i, j in zip(*np.nonzero(a.any(axis=tuple(range(2, a.ndim))))):
         out[i:i + b.shape[0], j:j + b.shape[1]] += a[i, j] * b

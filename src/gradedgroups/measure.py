@@ -5,7 +5,8 @@ Conventions.  The 1-d measure of a curve piece under an ambient metric
 ("left" for the metric that makes the frame orthonormal, "euclidean"
 for the coordinate metric) is the integral of the corresponding speed.
 Integrals go through :func:`quad`: Gauss-Legendre panels, split at the
-curve's breaks, each round of them evaluated in one batched call.
+curve's breaks, each round of them evaluated in one batched call; the
+rules are built by the first integral and kept for the process.
 Parameter sets cut out by balls are the maximal runs where the ball's
 polynomials from the distance (``HomogeneousDistance.ball_around``) are
 <= 0 on each piece of the curve's table (``roots.table_runs``): every
@@ -55,10 +56,8 @@ from .roots import NumericalResolutionError
 
 # -- integrals and lengths ---------------------------------------------------------
 
-# Gauss-Legendre rules on [-1, 1]: the 10-point one checks the 20-point one
-_X10, _W10 = np.polynomial.legendre.leggauss(10)
-_X20, _W20 = np.polynomial.legendre.leggauss(20)
-_NODES = np.concatenate((_X10, _X20))
+# nodes, then weights, of the Gauss-Legendre rules of ``quad``, once it has built them
+_RULES = []
 # panels per initial panel: a kink left out of ``points`` takes about 40 to
 # meet 1e-9, a non-integrable singularity is refused long before float spacing
 QUAD_BUDGET = 100
@@ -77,6 +76,10 @@ def quad(f: Callable, a: float, b: float, epsabs: float, epsrel: float,
     """
     if not a < b:
         return 0.0
+    if not _RULES:
+        (x10, w10), (x20, w20) = (np.polynomial.legendre.leggauss(k) for k in (10, 20))
+        _RULES.extend((np.concatenate((x10, x20)), w10, w20))
+    nodes, w10, w20 = _RULES        # the 10-point rule checks the 20-point one
     lo = np.array([a, *sorted({p for p in points if a < p < b})], dtype=float)
     hi = np.append(lo[1:], b)
     budget, accepted = QUAD_BUDGET * lo.size, []
@@ -86,10 +89,10 @@ def quad(f: Callable, a: float, b: float, epsabs: float, epsrel: float,
             raise NumericalResolutionError(f"integral over [{a}, {b}] not resolved "
                                            f"within {QUAD_BUDGET} panels per piece")
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        ys = np.reshape(f((mid[:, None] + half[:, None] * _NODES).ravel()), (lo.size, -1))
+        ys = np.reshape(f((mid[:, None] + half[:, None] * nodes).ravel()), (lo.size, -1))
         if not np.isfinite(ys).all():
             raise NumericalResolutionError(f"integrand not finite on [{a}, {b}]")
-        coarse, fine = half * (ys[:, :10] @ _W10), half * (ys[:, 10:] @ _W20)
+        coarse, fine = half * (ys[:, :10] @ w10), half * (ys[:, 10:] @ w20)
         total = abs(math.fsum(accepted) + float(fine.sum()))
         ok = np.abs(fine - coarse) <= (hi - lo) / (b - a) * max(epsabs, epsrel * total)
         accepted.extend(fine[ok].tolist())

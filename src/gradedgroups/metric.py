@@ -11,7 +11,8 @@ use: z = x^-1 * y from the columns of -x and y, in the group law's own
 operation order, then the gauge, with no product array in between.  The
 audit draws and scores its triples through it one block at a time, each
 block advanced to its own part of the random stream: its working set is
-one block, whatever the sample count.
+one block, whatever the sample count.  Building a distance loads no
+numpy: the float functions import it, ``roots`` and ``curve`` as they run.
 
 Along a curve's coefficient table, an r-ball around x is where every
 P_k = (eps_k / r)^(2k) |z^(k)|^2 - 1 <= 0, z = x^-1 * y, a polynomial in
@@ -31,13 +32,13 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-
-from . import roots
-from .curve import Curve, _anchor_rows, _squares, polynomial_curve
+from .algebra import NumericalResolutionError
 from .group import DimensionMismatch, GroupLaw, _leading
+
+if TYPE_CHECKING:
+    from .curve import Curve
 
 
 class HomogeneousDistance:
@@ -57,7 +58,7 @@ class HomogeneousDistance:
         self.law = law
         self.eps = eps
         self._slices = [alg.layer_slice(k) for k in range(1, alg.step + 1)]
-        # per coefficient table: its anchor tables by offset, and their compiled texts by source
+        # per coefficient table: its anchor tables by offset, and their compiled texts by layout
         self._tables: dict = {}
 
     # -- gauge ------------------------------------------------------------
@@ -74,11 +75,7 @@ class HomogeneousDistance:
 
     def _columns(self, z):
         """Coordinate columns z[j] of points of shape (..., n)."""
-        z = np.asarray(z, dtype=float)
-        if z.shape[-1:] != (self.law.n,):
-            raise DimensionMismatch(
-                f"points must have {self.law.n} coordinates, got {z.shape}")
-        return _leading(z)
+        return _leading(self.law._floats(z)[0])
 
     def norm(self, z):
         """N(z); batch aware (last axis is the coordinate axis)."""
@@ -100,7 +97,7 @@ class HomogeneousDistance:
         On step 3 and more it has a rounding floor (d(x0, x0) up to about
         1e-5 on engel at |x0| ~ 1); ball sets do not use it, and have none.
         """
-        x0 = np.asarray(x0, dtype=float)
+        x0 = self.law._floats(x0)[0]
         if x0.shape != (self.law.n,):
             raise DimensionMismatch(f"anchor must have shape ({self.law.n},), got {x0.shape}")
         return lambda y: self.distance(x0, y)
@@ -111,7 +108,7 @@ class HomogeneousDistance:
         try:
             return [(e / r) ** (2 * k) for k, e in enumerate(self.eps, start=1)]
         except OverflowError:
-            raise roots.NumericalResolutionError(
+            raise NumericalResolutionError(
                 f"radius {r} is below float resolution") from None
 
     def membership(self, pieces, r: float) -> tuple:
@@ -123,9 +120,9 @@ class HomogeneousDistance:
         is a polynomial whose coefficients are read off by Horner in u.
         z is folded as a polynomial in (u, s), every piece at once, per
         offset d (``law.divide_rows`` on ``curve._anchor_rows``), and each
-        function of :func:`_membership_source` on it compiled on first use
-        and kept.  For d = 0 its s^0 column, x^-1 * x, is left out, so
-        P_k(0) = -1 and P_k'(0) = 0 exactly: no self-distance floor.
+        function of :func:`_membership_source` compiled once per layout of
+        a table (:func:`_layout`) and kept.  For d = 0 its s^0 column, x^-1
+        * x, is left out, so P_k(0) = -1 and P_k'(0) = 0 exactly.
         ``bracket(m, d, u, g, hi, start, offset)`` runs the table's
         ``reach``, the first exit in [0, hi] or hi, and ``walk(t, hi,
         guard, cap, centers, limit)`` the greedy walk of ``measure.
@@ -133,21 +130,21 @@ class HomogeneousDistance:
         edge) of its last ball.  Both search a bracket in place where its
         certificate refuses (``roots.first_exit``).
         """
+        from . import curve, roots
         w = self.ball_weights(r)
         _, tables, compiled = self._tables.setdefault(id(pieces[0]), (pieces, {}, {}))
         breaks, origins = pieces[1].tolist(), pieces[2].tolist()
 
         def table(d: int, kind: str = "reach") -> tuple:
             if (d, kind) not in tables:
-                z = self.law.divide_rows(*_anchor_rows(pieces, d))
-                source, rows = _membership_source(z, self._slices, d == 0, kind)
-                if source not in compiled:
+                layout, rows = _layout(self.law.divide_rows(*curve._anchor_rows(pieces, d)), d == 0)
+                if (kind, layout) not in compiled:
                     scope = {**roots._SCOPE, "inf": math.inf, "bisect_right": bisect.bisect_right,
                              "onward": _onward, "first_exit": roots.first_exit}
                     # source built from our own terms
-                    exec(source, scope)  # noqa: S102
-                    compiled[source] = scope[kind]
-                tables[d, kind] = compiled[source], rows
+                    exec(_membership_source(layout, self._slices, kind), scope)  # noqa: S102
+                    compiled[kind, layout] = scope[kind]
+                tables[d, kind] = compiled[kind, layout], rows
             return tables[d, kind]
 
         def bracket(m: int, d: int, u: float, *args) -> float:
@@ -164,6 +161,7 @@ class HomogeneousDistance:
         """(polys, origins): the P_k of the r-ball around gamma(t0) that
         z = gamma(t0)^-1 * gamma touches, on every piece of the curve's
         table, and the pieces' origins (:func:`_center_fold`)."""
+        import numpy as np
         squares, origins = _center_fold(self, curve, t0)
         polys = (np.array(self.ball_weights(r))[:, None, None] * squares)[squares.any(axis=(1, 2))]
         polys[:, 0] -= 1.0
@@ -175,6 +173,9 @@ def _center_fold(dist: HomogeneousDistance, curve: Curve, t0: float) -> tuple:
     """(squares, origins): |z^(k)|^2 per layer on the table, z = gamma(t0)^-1 * gamma,
     the anchor's piece shifted to origin t0 with the s^0 column of z set to 0,
     as ``membership`` does for d = 0.  Kept for the last center."""
+    import numpy as np
+    from . import roots
+    from .curve import _squares
     coef, breaks, origins = curve.pieces
     m = int(np.searchsorted(breaks, t0, side="right"))
     y, origins = coef.copy(), origins.copy()
@@ -240,37 +241,45 @@ def _onward(bracket: Callable, breaks: list, cap: float, piece: int, u: float,
     return cap
 
 
-def _membership_source(z: list, slices, anchored: bool, kind: str) -> tuple:
-    """Source of the function ``kind`` on a table, and its per-piece coefficient lists c.
+def _layout(z: list, anchored: bool) -> tuple:
+    """(layout, rows) of a table z: per z_j and power b of s, how many powers of
+    u it keeps (up to the last nonzero on some piece; none for b = 0 where
+    ``anchored``), and per piece the kept coefficients in that order."""
+    import numpy as np
+    layout = tuple(tuple(0 if not any(col) or (anchored and b == 0)
+                         else len(col) - col[::-1].index(True)
+                         for b, col in enumerate(zj.any(axis=2).T.tolist())) for zj in z)
+    entries = [zj[:size, b] for zj, sizes in zip(z, layout) for b, size in enumerate(sizes) if size]
+    return layout, np.concatenate(entries or [np.empty((0, z[0].shape[2]))]).T.tolist()
 
-    Both kinds compute the P of the table from c: each power of s of each
-    z_j by Horner in u, the squares summed per layer as polynomials in s,
-    scaled by w[k - 1], and 1 subtracted, with every literal written in.
-    Coefficients zero on every piece are left out, and so is the s^0
-    column of z where ``anchored``.  ``reach(u, c, w, g, hi, start,
-    offset)`` runs the text of ``roots._bracket_source`` on them: it
-    returns a where that certifies [0, a], else ``roots.first_exit`` of
-    the P on [0, a].  ``walk`` is the greedy loop of ``measure.
-    spherical_measure_upper`` (``_WALK``) with that reach inline, offset
-    0.0, and the next pieces' ``reach`` past a piece without exit
-    (:func:`_onward`).
+
+def _membership_source(layout: tuple, slices, kind: str) -> str:
+    """Source of the function ``kind`` on the tables of a :func:`_layout`.
+
+    Both kinds compute the P of a table from its piece's coefficients c:
+    each power of s of each z_j by Horner in u, the squares summed per layer
+    as polynomials in s, scaled by w[k - 1], and 1 subtracted, with every
+    literal written in.  ``reach(u, c, w, g, hi, start, offset)`` runs the
+    text of ``roots._bracket_source`` on them: it returns a where that
+    certifies [0, a], else ``roots.first_exit`` of the P on [0, a].
+    ``walk`` is the greedy loop of ``measure.spherical_measure_upper``
+    (``_WALK``) with that reach inline, offset 0.0, and the next pieces'
+    ``reach`` past a piece without exit (:func:`_onward`).
     """
-    count = z[0].shape[2]
-    entries, size, lines, layers = [], 0, [], []
+    from . import roots
+    size, lines, layers = 0, [], []
     for k, sl in enumerate(slices):
         block = []                 # per coordinate of the layer: names of its s-coefficients
         for j in range(sl.start, sl.stop):
             names = []
-            for b, col in enumerate(z[j].any(axis=2).T.tolist()):
-                if not any(col) or (anchored and b == 0):
+            for b, kept in enumerate(layout[j]):
+                if not kept:
                     names.append(None)
                     continue
-                last = len(col) - 1 - col[::-1].index(True)
-                horner = f"c{size + last}"
-                for a in range(last - 1, -1, -1):
+                horner = f"c{size + kept - 1}"
+                for a in range(kept - 2, -1, -1):
                     horner = f"c{size + a} + u * ({horner})"
-                entries.append(z[j][:last + 1, b])
-                size += last + 1
+                size += kept
                 names.append(f"z{j}_{b}")
                 lines.append(f"    z{j}_{b} = {horner}\n")
             while names and names[-1] is None:
@@ -290,7 +299,6 @@ def _membership_source(z: list, slices, anchored: bool, kind: str) -> tuple:
             else:
                 terms.append("-1.0" if b == 0 else "0.0")
         layers.append(terms)
-    rows = np.concatenate(entries or [np.empty((0, count))]).T.tolist()
     unpack = f"{', '.join(f'c{i}' for i in range(size))}, = " if size else ""
 
     def listed(polys: list) -> str:          # source of the list of the P
@@ -307,16 +315,16 @@ def _membership_source(z: list, slices, anchored: bool, kind: str) -> tuple:
         bracket = "".join(f"        {line}" for line in bracket.splitlines(True))
         return _WALK.format(unpack=unpack and f"            {unpack}rows[piece]\n",
                             coefficients="".join(f"    {line}" for line in lines),
-                            bracket=bracket), rows
+                            bracket=bracket)
     bracket = roots._bracket_source(names, "offset",
                                     f"a = first_exit({listed(names)}, a, start, offset)")
     return (f"def reach(u, c, w, g, hi, start, offset):\n    {unpack and unpack + 'c'}\n"
-            f"{''.join(lines)}{bracket}    return a\n"), rows
+            f"{''.join(lines)}{bracket}    return a\n")
 
 
 def _point_or_batch(out):
     """A kernel's value: a float for a single point, else the array."""
-    return float(out) if np.ndim(out) == 0 else out
+    return float(out) if getattr(out, "ndim", 0) == 0 else out
 
 
 def _compile_kernel(eps, slices, q_polys=None):
@@ -331,6 +339,7 @@ def _compile_kernel(eps, slices, q_polys=None):
     see.  The gauge skips unit weights and takes |z_j| for a layer of one
     coordinate.
     """
+    import numpy as np
     if q_polys is None:
         lines, col = [], "v[{}]".format
     else:
@@ -398,6 +407,7 @@ def triangle_audit(dist: HomogeneousDistance, samples: int = 100_000,
     gauge overflows), or a nonzero one is subnormal (weights so small that
     its ratios are rounding noise).
     """
+    import numpy as np
     for name, value, least in (("samples", samples, 1), ("seed", seed, 0)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
             raise ValueError(f"{name} must be an int of at least {least}, got {value!r}")
@@ -433,12 +443,12 @@ def triangle_audit(dist: HomogeneousDistance, samples: int = 100_000,
                                                   pair([*neg_x, *z])])
                 denom = dxy + dyz
             if not (denom.max() <= sys.float_info.max and dxz.max() <= sys.float_info.max):
-                raise roots.NumericalResolutionError(
+                raise NumericalResolutionError(
                     f"sampled distances overflow float at eps {list(dist.eps)}")
             # the least nonzero distance, past any degenerate triple's 0
             least = dists.min() or np.min(dists, where=dists > 0.0, initial=np.inf)
             if least < sys.float_info.min:
-                raise roots.NumericalResolutionError(
+                raise NumericalResolutionError(
                     f"sampled distances are subnormal floats at eps {list(dist.eps)}")
             ratio = np.divide(dxz, denom, out=np.zeros_like(dxz), where=denom > 0)
             i = int(np.argmax(ratio))
@@ -455,9 +465,9 @@ def _finite(value: float, what: str, at: str) -> float:
     """``value`` where it is a finite nonzero float; else NumericalResolutionError
     that ``what`` overflows or underflows to 0 ``at`` the numbers it was taken at."""
     if value == 0.0:
-        raise roots.NumericalResolutionError(f"{what} underflows to 0 {at}")
+        raise NumericalResolutionError(f"{what} underflows to 0 {at}")
     if not abs(value) < math.inf:
-        raise roots.NumericalResolutionError(f"{what} overflows {at}")
+        raise NumericalResolutionError(f"{what} overflows {at}")
     return value
 
 
@@ -479,6 +489,8 @@ def _line_gauge_interval_length(dist, lam) -> float:
     Measured, not taken in closed form, so that it checks the closed form
     of ``metric_factor`` independently.
     """
+    import numpy as np
+    from .curve import polynomial_curve
     from .measure import ball_param_set      # measure imports this module
 
     lam = np.asarray(lam, dtype=float)
@@ -503,6 +515,7 @@ def metric_factor(dist: HomogeneousDistance, lam) -> float:
     is not a finite nonzero float; otherwise the length of
     {t : N(t lam) <= 1} is measured (:func:`_line_gauge_interval_length`).
     """
+    import numpy as np
     lam = np.asarray(lam, dtype=float)
     mag = float(np.linalg.norm(lam))
     if mag == 0.0:

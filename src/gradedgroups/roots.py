@@ -25,9 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-
-class NumericalResolutionError(RuntimeError):
-    """A scan, walk or integral could not make progress at the requested resolution."""
+from .algebra import NumericalResolutionError
 
 
 def horner(p: list, x: float) -> float:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradedgroups
-from gradedgroups import cli, curve, fixtures, roots
+from gradedgroups import cli, curve, fixtures, measure, roots
 from gradedgroups.cli import ConfigError, main, parse_schedule, resolve_config, run_config
 from gradedgroups.measure import ball_param_set, quad
 from gradedgroups.metric import HomogeneousDistance
@@ -255,12 +256,23 @@ def test_fixtures_listing(capsys):
 
 
 def run_python(*args):
-    """``python ARGS`` in a fresh interpreter that imports this gradedgroups."""
+    """``python ARGS`` in a fresh interpreter that imports this gradedgroups.
+
+    It runs under ``-X importtime``: the top-level names of the modules that
+    import statements loaded are ``imported`` (``importlib.import_module``
+    is not timed, but every module that one imports is), and those lines
+    are kept out of ``stderr``.
+    """
     env = dict(os.environ)
     src = str(Path(gradedgroups.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args],
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
                           capture_output=True, text=True, env=env, timeout=120)
+    lines = proc.stderr.splitlines(True)
+    times = [line for line in lines if line.startswith("import time:")]
+    proc.imported = {line.rsplit("|", 1)[1].strip().partition(".")[0] for line in times[1:]}
+    proc.stderr = "".join(line for line in lines if line not in times)
+    return proc
 
 
 def run_module(*argv):
@@ -276,9 +288,78 @@ def test_module_entry_point():
 
 
 def test_package_exports_every_public_name():
-    names = {name for name, value in vars(gradedgroups).items()
-             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    # the package's names are imported on first use: dir lists them before
+    names = {name for name in dir(gradedgroups) if not name.startswith("_")
+             and not isinstance(getattr(gradedgroups, name), types.ModuleType)}
     assert set(gradedgroups.__all__) == names
+
+
+def test_lazy_exports_keep_the_public_api():
+    for name in gradedgroups.__all__:
+        value = getattr(gradedgroups, name)
+        # a constant has no module of its own; both are the frame's
+        home = getattr(value, "__module__", "gradedgroups.frame")
+        assert getattr(sys.modules[home], name) is value, name
+    scope = {}
+    exec("from gradedgroups import *", scope)  # noqa: S102 - a fixed statement
+    assert all(scope[name] is getattr(gradedgroups, name) for name in gradedgroups.__all__)
+    # before any name is imported, dir lists them all
+    proc = run_python("-c", "import gradedgroups as g; print(sorted(set(g.__all__) - set(dir(g))))")
+    assert proc.stdout == "[]\n", proc.stderr
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gradedgroups.no_such_name
+    assert not hasattr(gradedgroups, "np")
+    assert (gradedgroups.NumericalResolutionError is roots.NumericalResolutionError
+            is measure.NumericalResolutionError)
+
+
+def _filiform_file(tmp_path):
+    """An algebra file of the filiform algebra of step 4: [e1, e_k] = e_(k+1)."""
+    path = tmp_path / "filiform.json"
+    path.write_text(json.dumps({"layers": [2, 1, 1, 1], "brackets": [
+        {"i": 1, "j": k, "k": k + 1, "c": "1"} for k in (2, 3, 4)]}))
+    return str(path)
+
+
+def _in_process(capsys, argv):
+    """(exit code, stdout, stderr) of ``main(argv)`` in this process."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:          # --help
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_exact_commands_load_no_numpy(tmp_path, capsys, monkeypatch):
+    # fresh processes that run no float op, and the benchmark's cold start on
+    # its exact configs, never import numpy, and print what main prints here
+    monkeypatch.setenv("COLUMNS", "80")      # argparse's help width, here and there
+    algebra = _filiform_file(tmp_path)
+    for argv in (["frame-show", "--algebra-file", algebra], ["fixtures"], ["--help"],
+                 ["group-check", "--algebra-file", algebra]):    # no --seed: exit 2
+        proc = run_module(*argv)
+        assert "numpy" not in proc.imported, argv
+        assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(capsys, argv)
+    assert proc.returncode == 2
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("workloads", root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workloads.generate("exact", 1, tmp_path / "exact", small=True)
+    probe, configs = root / "bench" / "setup_probe.py", tmp_path / "exact" / "configs.json"
+    proc = run_python(str(probe), str(configs))
+    assert proc.returncode == 0, proc.stderr
+    assert "gradedgroups" in proc.imported and "numpy" not in proc.imported
+
+
+def test_float_commands_print_in_a_fresh_process_what_they_print_here(capsys):
+    for argv in (["cover", "--curve", "vertical", "--deltas", "2^-2..2^-4"],
+                 ["metric-audit", "--group", "engel", "--samples", "3000", "--seed", "5"],
+                 ["group-check", "--group", "engel", "--seed", "5", "--samples", "50"]):
+        proc = run_module(*argv)
+        assert proc.returncode == 0 and "numpy" in proc.imported, proc.stderr
+        assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(capsys, argv)
 
 
 def test_reports_are_byte_identical(capsys):

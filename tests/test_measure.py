@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradedgroups import fixtures, measure, roots
+from gradedgroups import fixtures, measure, metric, roots
 from gradedgroups.curve import (_anchor_rows, curve_from_samples, degree_profile,
                                 dilate_curve, polynomial_curve, translate_curve)
 from gradedgroups.measure import (NumericalResolutionError, area_formula_residual, ball_param_set,
@@ -23,7 +23,8 @@ from gradedgroups.measure import (NumericalResolutionError, area_formula_residua
                                   negligibility_estimate, quad,
                                   richardson_extrapolate, riemannian_length,
                                   spherical_measure_upper)
-from gradedgroups.metric import HomogeneousDistance, _center_fold, _membership_source, _onward
+from gradedgroups.metric import (HomogeneousDistance, _center_fold, _layout, _membership_source,
+                                 _onward)
 
 
 @pytest.fixture(scope="module")
@@ -580,6 +581,24 @@ def _bench_walk_curve():
     return curve_from_samples(workloads.curve_doc(random.Random("walk:11"))["samples"], 3)
 
 
+def test_bench_walk_generates_each_text_once(monkeypatch):
+    # the curve file of the benchmark's walk at seed 1, covered as the benchmark
+    # covers it: its d = 2 table has the layout of its d = 1 table, so it takes
+    # that table's compiled reach, and only a text that is compiled is generated
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    curve = curve_from_samples(workloads.curve_doc(random.Random("walk:1"))["samples"], 3)
+    calls = []
+    monkeypatch.setattr(metric, "_membership_source",
+                        lambda *args: calls.append(args) or _membership_source(*args))
+    dist = fixtures.distance("heisenberg")
+    covering_values(dist, curve, 2, [2.0 ** -k for k in range(2, 6)])
+    (_, tables, compiled), = dist._tables.values()
+    assert len(calls) == len(compiled) < len(tables)
+
+
 def _zero_operands(source):
     """The arithmetic of ``source`` with a literal zero operand, as text."""
     def zero(node):
@@ -597,13 +616,13 @@ def test_bench_walk_saves_every_operation_on_a_literal_zero(dist):
     # neither adds nor multiplies a literal zero: no 0.0 *, * 0.0 or + 0.0;
     # nor does the reach of its d = 0 and d = 1 tables
     pieces = _bench_walk_curve().pieces
-    z = dist.law.divide_rows(*_anchor_rows(pieces, 0))
-    source, _ = _membership_source(z, dist._slices, True, "walk")
+    layout, _ = _layout(dist.law.divide_rows(*_anchor_rows(pieces, 0)), True)
+    source = _membership_source(layout, dist._slices, "walk")
     assert "def walk(" in source and "-1.0" in source
     assert _zero_operands(source) == []
     for d in (0, 1):
-        z = dist.law.divide_rows(*_anchor_rows(pieces, d))
-        source, _ = _membership_source(z, dist._slices, d == 0, "reach")
+        layout, _ = _layout(dist.law.divide_rows(*_anchor_rows(pieces, d)), d == 0)
+        source = _membership_source(layout, dist._slices, "reach")
         assert "def reach(" in source and _zero_operands(source) == []
     assert sorted(_zero_operands("v = (0.0) * g + c; d = 1 * -0.0; x -= 0.0")) == [
         "0.0 * g", "1 * -0.0", "x -= 0.0"]

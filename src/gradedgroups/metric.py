@@ -7,8 +7,9 @@ invariant and symmetric.  The triangle inequality depends on the eps
 weights; it is not assumed but audited by sampling (triangle_audit).
 
 Every float distance runs one kernel generated per distance on first
-use: z = x^-1 * y from the columns of -x and y, in the group law's own
-operation order, then the gauge, with no product array in between.  The
+use: z = x^-1 * y from the columns of x and y, the signs of x folded into
+the law's coefficients, then the gauge, in place and with no product
+array in between; it rounds as ``norm(law.multiply(-x, y))``.  The
 audit draws and scores its triples through it one block at a time, each
 block advanced to its own part of the random stream: its working set is
 one block, whatever the sample count.  Building a distance loads no
@@ -36,6 +37,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .algebra import NumericalResolutionError
 from .group import DimensionMismatch, GroupLaw, _leading
+from .poly import monomial_source
 
 if TYPE_CHECKING:
     from .curve import Curve
@@ -70,7 +72,7 @@ class HomogeneousDistance:
 
     @cached_property
     def _pair(self):
-        """N(x^-1 * y) on the columns of -x, then of y, compiled on first use."""
+        """N(x^-1 * y) on the columns of x, then of y, compiled on first use."""
         return _compile_kernel(self.eps, self._slices, self.law.q_polys)
 
     def _columns(self, z):
@@ -84,10 +86,12 @@ class HomogeneousDistance:
     def distance(self, x, y):
         """d(x, y) = N(x^-1 * y) for points of shape (..., n) that broadcast.
 
-        One fused kernel computes the product and the gauge, with the
-        rounding of ``norm(law.multiply(law.inverse(x), y))`` bit for bit.
+        One fused kernel, on x and y broadcast to one shape, takes the product
+        and the gauge as ``norm(law.multiply(law.inverse(x), y))`` bit for bit.
         """
-        return _point_or_batch(self._pair(self.law._columns(self.law.inverse(x), y)[2]))
+        import numpy as np
+        x, y = np.broadcast_arrays(*self.law._floats(x, y))
+        return _point_or_batch(self._pair([*_leading(x), *_leading(y)]))
 
     __call__ = distance
 
@@ -329,30 +333,41 @@ def _point_or_batch(out):
 
 def _compile_kernel(eps, slices, q_polys=None):
     """Generate ``kernel(v)``: N(z) on the coordinate columns z[j] = v[j], or,
-    given a group law's ``q_polys``, N(x^-1 * y) on v, the columns of -x
-    followed by those of y.
+    given a group law's ``q_polys``, N(x^-1 * y) on v, the columns of x
+    followed by those of y, all of one shape.
 
-    The product is z_i = v[i] + v[n + i] + (Q_i), Q_i as the text of
-    ``RationalPoly.float_source``: ``GroupLaw.multiply(-x, y)`` operation
-    for operation, so both paths round alike.  A zero Q_i is not added,
-    as + 0.0 can change only the sign of a zero, which the gauge does not
-    see.  The gauge skips unit weights and takes |z_j| for a layer of one
-    coordinate.
+    The product is z_i = (v[n + i] - v[i]) + (Q_i), Q_i summed in the order
+    of ``RationalPoly.float_source``, each coefficient negated where its
+    term has an odd number of x factors.  Negation is exact and rounding
+    symmetric in sign, so z is ``GroupLaw.multiply(-x, y)`` bit for bit.
+    Products and sums go left to right, in place on the kernel's own
+    temporaries, never on a column of v.  A zero Q_i is not added, as
+    + 0.0 can change only the sign of a zero, which the gauge does not see.
+    The gauge skips unit weights and takes |z_j| for a layer of one coordinate.
     """
     import numpy as np
-    if q_polys is None:
-        lines, col = [], "v[{}]".format
-    else:
-        n = len(q_polys)
-        lines = [f"    z{i} = v[{i}] + v[{n + i}]" + (f" + ({q.float_source('v')})" if q else "")
-                 + "\n" for i, q in enumerate(q_polys)]
-        col = "z{}".format
+    lines, col = [], "v[{}]".format
+
+    def total(name, products):        # lines summing the products of the factors into name
+        for i, (a, b, *rest) in enumerate(products):
+            lines.extend([f"    t = {a} * {b}\n", *(f"    t *= {f}\n" for f in rest),
+                          f"    {name} {'+=' if i else '='} t\n"])
+
+    if q_polys is not None:
+        n, col = len(q_polys), "z{}".format
+        for i, q in enumerate(q_polys):
+            lines.append(f"    z{i} = v[{n + i}] - v[{i}]\n")
+            if q:
+                total("q", [monomial_source(repr(-float(c) if sum(exps[:n]) % 2 else float(c)),
+                                            exps, "v").split("*") for exps, c in sorted(q.terms.items())])
+                lines.append(f"    z{i} += q\n")
     terms = []
     for k, sl in enumerate(slices, start=1):
         if sl.stop - sl.start == 1:
             mag = f"np.abs({col(sl.start)})"
         else:
-            mag = f"np.sqrt({' + '.join(f'{col(j)} * {col(j)}' for j in range(sl.start, sl.stop))})"
+            total(f"m{k}", [[col(j)] * 2 for j in range(sl.start, sl.stop)])
+            mag = f"np.sqrt(m{k})"
         root = mag if k == 1 else f"np.sqrt({mag})" if k == 2 else f"{mag} ** {1.0 / k!r}"
         terms.append(root if eps[k - 1] == 1.0 else f"{eps[k - 1]!r} * {root}")
     gauge = terms[0]
@@ -393,8 +408,8 @@ def triangle_audit(dist: HomogeneousDistance, samples: int = 100_000,
     Points are drawn coordinate-wise uniform on [-1, 1], then dilated by a
     log-uniform factor in [1/4, 4] so several scales get exercised.
     Degenerate triples (zero denominator) score 0 by convention.  Each
-    distance is the fused kernel of ``distance``, so the result is the
-    same as scoring with ``norm(law.multiply(-x, y))``.
+    distance is the fused kernel of ``distance``, which writes no point,
+    so the result is the same as scoring with ``norm(law.multiply(-x, y))``.
 
     The draws are those of ``default_rng(seed)`` taking, per chunk of m =
     AUDIT_CHUNK triples, m x n uniforms for each of x, y and z (point-major),
@@ -437,10 +452,8 @@ def triangle_audit(dist: HomogeneousDistance, samples: int = 100_000,
             scales = [np.exp(draw(math.log(0.25), math.log(4.0), size=size))
                       for draw in streams[3:]]
             x, y, z = (points(draw, s) for draw, s in zip(streams, scales))
-            neg_x, neg_y = [-c for c in x], [-c for c in y]
             with np.errstate(over="ignore", invalid="ignore"):
-                dxy, dyz, dxz = dists = np.array([pair([*neg_x, *y]), pair([*neg_y, *z]),
-                                                  pair([*neg_x, *z])])
+                dxy, dyz, dxz = dists = np.array([pair([*x, *y]), pair([*y, *z]), pair([*x, *z])])
                 denom = dxy + dyz
             if not (denom.max() <= sys.float_info.max and dxz.max() <= sys.float_info.max):
                 raise NumericalResolutionError(

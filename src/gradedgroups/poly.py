@@ -8,7 +8,7 @@ exact evaluation path, :func:`exact_evaluator`, runs on machine integers.
 Floating point enters only through :meth:`RationalPoly.float_source`,
 the source text that :meth:`RationalPoly.as_callable` compiles into a
 plain lambda for fast numeric evaluation (python scalars and numpy
-arrays both work) and that ``metric`` splices into its distance kernels.
+arrays both work) and whose order ``metric``'s distance kernels keep.
 
 Example:
 
@@ -210,7 +210,7 @@ class RationalPoly:
         Terms are summed left to right in sorted exponent order, each
         ``c*var[i]*...``; the zero polynomial reads ``0.0``.  Every float
         evaluation of a polynomial (:meth:`as_callable`, the fused distance
-        kernels of ``metric``) is this text, so all of them round alike.
+        kernels of ``metric``) takes this order, so all of them round alike.
         """
         parts = [monomial_source(repr(float(c)), exps, var)
                  for exps, c in sorted(self.terms.items())]

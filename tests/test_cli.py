@@ -2,11 +2,13 @@ import importlib.util
 import json
 import math
 import os
+import random
 import shlex
 import subprocess
 import sys
 import tracemalloc
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 import gradedgroups
 from gradedgroups import cli, curve, fixtures, measure, roots
 from gradedgroups.cli import ConfigError, main, parse_schedule, resolve_config, run_config
+from gradedgroups.group import GroupLaw
 from gradedgroups.measure import ball_param_set, quad
 from gradedgroups.metric import HomogeneousDistance
 from gradedgroups.poly import RationalPoly
@@ -360,6 +363,27 @@ def test_float_commands_print_in_a_fresh_process_what_they_print_here(capsys):
         proc = run_module(*argv)
         assert proc.returncode == 0 and "numpy" in proc.imported, proc.stderr
         assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(capsys, argv)
+
+
+def test_group_check_draws_its_exact_points_as_randint_fractions(monkeypatch):
+    # the exact points come from a table of Fractions indexed by randrange:
+    # the same draws and values as Fraction(randint(-8, 8), randint(1, 8))
+    calls = []
+    multiply_exact = GroupLaw.multiply_exact
+    monkeypatch.setattr(GroupLaw, "multiply_exact",
+                        lambda law, x, y: calls.append((list(x), list(y))) or multiply_exact(law, x, y))
+    for seed in (0, 1, 7):
+        calls.clear()
+        run_config({"op": "group-check", "group": "engel", "seed": seed, "samples": 1,
+                    "exact_triples": 5})
+        rng = random.Random(seed)
+        for t in range(5):
+            x, y, z = ([Fraction(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(4)]
+                       for _ in range(3))
+            assert calls[4 * t][0] == x and calls[4 * t][1] == y
+            assert calls[4 * t + 1][1] == z and calls[4 * t + 2] == (y, z)
+            assert calls[4 * t + 3][0] == x
+        assert len(calls) == 20
 
 
 def test_reports_are_byte_identical(capsys):

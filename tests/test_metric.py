@@ -124,6 +124,66 @@ def test_distance_from_closure():
                     np.testing.assert_array_equal(f(ys[..., :1, :]), got[..., :1])
 
 
+def _laws():
+    return (fixtures.group_law("heisenberg"), fixtures.group_law("engel"),
+            filiform_law(5), filiform_law(8), free_law(5))
+
+
+def test_distance_broadcasts_and_keeps_coincident_and_signed_zero_bits():
+    # the kernel folds the signs of x into its coefficients and works in
+    # place: on batches that only broadcast to one shape, on coincident
+    # coordinates and on -0.0 it still rounds as the product and the gauge
+    rng = np.random.default_rng(2)
+    for law in _laws():
+        n = law.n
+        for eps in ([1.0] * law.step, [0.5 + 0.4 * k for k in range(law.step)]):
+            dist = HomogeneousDistance(law, eps)
+            x, y = rng.uniform(-1, 1, (3, 1, n)), rng.uniform(-1, 1, (1, 4, n))
+            same = rng.uniform(-1, 1, (6, n))
+            partly = same.copy()
+            partly[:, ::2] = rng.uniform(-1, 1, partly[:, ::2].shape)
+            zeros = rng.uniform(-1, 1, (2, 6, n))
+            zeros[0, :, ::2] = -0.0
+            zeros[1, :, 1::2] = -0.0
+            zeros[1, :2] = -0.0
+            for xs, ys in ((x, y), (same, same), (same, partly), (zeros[0], zeros[1]),
+                           (-zeros[1], zeros[0]), (zeros[1, 0], zeros[1])):
+                want = dist.norm(law.multiply(-xs, ys))
+                got = dist.distance(xs, ys)
+                assert np.shape(got) == np.shape(want) == np.broadcast_shapes(xs.shape, ys.shape)[:-1]
+                assert _bits(got) == _bits(want)
+
+
+def test_distances_leave_their_inputs_unwritten():
+    rng = np.random.default_rng(3)
+    for law in _laws():
+        dist = HomogeneousDistance(law, [0.5 + 0.4 * k for k in range(law.step)])
+        x0, x, y = rng.uniform(-1, 1, law.n), rng.uniform(-1, 1, (5, law.n)), rng.uniform(-1, 1, (5, law.n))
+        x[0, 0] = y[1, 1] = -0.0
+        before = [_bits(p) for p in (x0, x, y)]
+        dist.distance(x, y)
+        dist.distance(x0, y)
+        dist.distance_from(x0)(y)
+        dist.distance_from(x0)(x0)
+        dist.norm(x)
+        dist.norm(x0)
+        assert [_bits(p) for p in (x0, x, y)] == before
+        # the audit's kernel leaves the columns of its points as it got them
+        pair, seen = dist._pair, []
+
+        def checked(cols):
+            copies = [c.copy() for c in cols]
+            out = pair(cols)
+            seen.append(all(_bits(c) == _bits(k) for c, k in zip(cols, copies)))
+            return out
+
+        dist._pair = checked
+        audit = triangle_audit(dist, samples=100, seed=1)
+        assert seen and all(seen)
+        del dist._pair
+        assert triangle_audit(dist, samples=100, seed=1) == audit
+
+
 def _layer_terms(dist, x, ys, r):
     """(eps_k / r)^(2k) |z^(k)|^2 per layer k for z = x^-1 * y, through the group law."""
     z = dist.law.multiply(-np.asarray(x), ys)

@@ -261,11 +261,12 @@ def _membership_source(layout: tuple, slices, kind: str) -> str:
     """Source of the function ``kind`` on the tables of a :func:`_layout`.
 
     Both kinds compute the P of a table from its piece's coefficients c:
-    each power of s of each z_j by Horner in u, the squares summed per layer
-    as polynomials in s, scaled by w[k - 1], and 1 subtracted, with every
-    literal written in.  ``reach(u, c, w, g, hi, start, offset)`` runs the
-    text of ``roots._bracket_source`` on them: it returns a where that
-    certifies [0, a], else ``roots.first_exit`` of the P on [0, a].
+    each power of s of each z_j by Horner in u (``roots._horner_source``),
+    the squares summed per layer as polynomials in s, scaled by w[k - 1],
+    and 1 subtracted, with every literal written in.  ``reach(u, c, w, g,
+    hi, start, offset)`` runs the text of ``roots._bracket_source`` on
+    them: it returns a where that certifies [0, a], else
+    ``roots.first_exit`` of the P on [0, a].
     ``walk`` is the greedy loop of ``measure.spherical_measure_upper``
     (``_WALK``) with that reach inline, offset 0.0, and the next pieces'
     ``reach`` past a piece without exit (:func:`_onward`).
@@ -277,15 +278,11 @@ def _membership_source(layout: tuple, slices, kind: str) -> str:
         for j in range(sl.start, sl.stop):
             names = []
             for b, kept in enumerate(layout[j]):
-                if not kept:
-                    names.append(None)
-                    continue
-                horner = f"c{size + kept - 1}"
-                for a in range(kept - 2, -1, -1):
-                    horner = f"c{size + a} + u * ({horner})"
+                names.append(f"z{j}_{b}" if kept else None)
+                if kept:
+                    coef = [f"c{i}" for i in range(size, size + kept)]
+                    lines.append(f"    z{j}_{b} = {roots._horner_source(coef, 'u')}\n")
                 size += kept
-                names.append(f"z{j}_{b}")
-                lines.append(f"    z{j}_{b} = {horner}\n")
             while names and names[-1] is None:
                 names.pop()
             if names:
@@ -309,7 +306,8 @@ def _membership_source(layout: tuple, slices, kind: str) -> str:
         return f"[{', '.join('[' + ', '.join(coef) + ']' for coef in polys)}]"
 
     # the coefficients that are not literals, as locals
-    names = [[term if term[0] in "-0" else f"c{i}_{k}" for k, term in enumerate(terms)]
+    names = [[term if roots._literal(term) is not None else f"c{i}_{k}"
+              for k, term in enumerate(terms)]
              for i, terms in enumerate(layers)]
     lines += [f"    {name} = {term}\n" for coef, terms in zip(names, layers)
               for name, term in zip(coef, terms) if name != term]

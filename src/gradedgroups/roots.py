@@ -2,18 +2,20 @@
 
 One search: Bernstein enclosures (Lane & Riesenfeld, "Bounds on a
 polynomial", BIT 1981) certify an interval inside or outside, Newton
-steps solve one crossing of a monotone P, anything else is halved
-(Mourrain & Pavone, J. Symb. Comput. 2009).  Its maximal :func:`runs`
-are ball sets, low-degree sets and the unit-gauge chord (on whole tables
-by :func:`table_runs`); its :func:`first_exit` searches, in place, a
-reach of the covering walk whose bracket was not certified.  Polynomials
-are lists of ascending coefficients, evaluated in Python floats.  A
-reach's Newton prediction and the certificate of its bracket by the same
-Bernstein enclosure are one generated text (:func:`_bracket_source`),
-written into the covering walk's loop and into the ``reach`` of each of
-a curve's anchor tables (``HomogeneousDistance.membership``).  The text
-computes what :func:`horner` and :func:`_bernstein` compute, saving only
-the operations on a literal zero, which change no result.
+steps solve one crossing of a monotone P (a falling one as x -> P(-x)),
+anything else is halved (Mourrain & Pavone, J. Symb. Comput. 2009).
+Its maximal :func:`runs` are ball sets, low-degree sets and the
+unit-gauge chord (on whole tables by :func:`table_runs`); its
+:func:`first_exit` searches, in place, a reach of the covering walk
+whose bracket was not certified.  Polynomials are lists of ascending
+coefficients, evaluated in Python floats.  A reach's Newton prediction
+(one block, on the most violated P) and the certificate of its bracket
+by the same Bernstein enclosure are one generated text
+(:func:`_bracket_source`), in the covering walk's loop and in the
+``reach`` of each of a curve's anchor tables.  It computes what
+:func:`horner` and :func:`_bernstein` compute, but for the operations it
+saves on a literal zero and those it adds on zero padding, which change
+no result.
 """
 
 from __future__ import annotations
@@ -138,43 +140,39 @@ def _bracket_source(names: list, offset: str, refuse: str) -> str:
     """Body text, one indent deep, of a reach's bracket on [0, ``hi``] from the
     guess ``g`` for the coefficients ``names`` of each P (locals or finite
     float literals), to the :func:`reach_tol` of ``start`` at ``offset`` +
-    x.  It ends on ``a``, the inside end of a bracket of a root of the P
-    most violated at g (:func:`_newton_source`), or hi where there is none,
-    and runs the one statement ``refuse`` once unless every P lies below
-    minus its rounding bound on [0, a] (:func:`_certificate_source`), as
-    :func:`runs` certifies an interval inside, save that a nan refuses.
-    At a = hi that is the first step of the search of [0, hi]
-    (:func:`first_exit`), which the covering walk makes where it refuses.
+    x.  Newton steps on the P most violated at g end on ``a``, the inside
+    end of a bracket [a, c] of its root, 0 < a and c <= hi, or set a = hi
+    where there is none; then the one statement ``refuse`` runs once unless
+    every P lies below minus its rounding bound on [0, a]
+    (:func:`_certificate_source`), as :func:`runs` certifies an interval
+    inside, save that a nan refuses.  At a = hi that is the first step of
+    the search of [0, hi] (:func:`first_exit`), which the walk makes where
+    it refuses.
 
     The first of equal values is the most violated, P' is k * c, and every
     P and P' is :func:`horner` and the certificate :func:`_bernstein`
-    unrolled.  The text saves every operation on a literal zero and keeps
+    unrolled; the Newton steps are one block, on coefficients padded with
+    0.0 to the longest P and held in locals q0, q1, ... where the P
+    differ.  The text saves every operation on a literal zero and keeps
     every other in its place: Horner sums drop their leading 0.0 * x and
     each + 0.0, k * c of a literal c is written as its value, and a zero
     term of the certificate is carried through its sums as a known
-    constant.  No center can see it.  For finite x, 0.0 * x is a zero and
-    y + 0.0 is y but for the sign of a zero (IEEE 754; Kahan, "Much Ado
-    About Nothing's Sign Bit", 1987), and values that agree but for the
-    signs of zeros agree after any sum, product or abs, and after a
-    division by a slope checked positive; this text only compares such
-    values otherwise, and a comparison does not see the sign of a zero.
-    The x of every sum is finite for a finite ``hi``: g and the Newton
-    iterates lie in (0, hi), and a in (0, hi].  A bracket end x -+ w / 2
-    may overflow where the width w does; no bracket ends there, with or
-    without the saved operations.  A literal zero term c_k s^k is nan, not
-    zero, where s^k overflows; a check that refuses there stands in for it
-    (k = 1 needs none, s^1 being a).  A fold of literals that is not finite
-    is written as its operation.
+    constant (written as operations, they made the benchmark's seed-1
+    walk 15-20% slower, every result bit the same).  No center can
+    see them, nor the padding's 0.0 * x and + 0.0.  For finite x, 0.0 * x
+    is a zero and y + 0.0 is y but for the sign of a zero (IEEE 754;
+    Kahan, "Much Ado About Nothing's Sign Bit", 1987), and values that
+    agree but for the signs of zeros agree after any sum, product or abs,
+    and after a division by a slope checked positive; this text only
+    compares such values otherwise, and a comparison does not see the sign
+    of a zero.  The x of every sum is finite for a finite ``hi``: g and the
+    Newton iterates lie in (0, hi), and a in (0, hi].  A bracket end x -+ w
+    / 2 may overflow where the width w does; no bracket ends there, with or
+    without the saved or padded operations.  A literal zero term c_k s^k is
+    nan, not zero, where s^k overflows; a check that refuses there stands
+    in for it (k = 1 needs none, s^1 being a).  A fold of literals that is
+    not finite is written as its operation.
     """
-    newton = "".join(f"    {line}" for line in _newton_source(names, offset).splitlines(True))
-    return (f"    if g is not None and 0.0 < g < hi:\n{newton}    else:\n        a = hi\n"
-            + _certificate_source(names, refuse))
-
-
-def _newton_source(names: list, offset: str) -> str:
-    """Text of the Newton steps of :func:`_bracket_source` from ``g``: they end
-    on a bracket [a, c], 0 < a <= x < hi and c <= hi, or set a = hi.
-    ``offset``, a local or a literal, is not added where it is a literal zero."""
     if not names:                            # no P, no root to bracket
         return "    a = hi\n"
     if _literal(offset) == 0.0:
@@ -182,28 +180,28 @@ def _newton_source(names: list, offset: str) -> str:
     else:
         tolerance = (f"lo = {offset} + x\n"
                      "            tol, floor = 1e-12 * lo + 1e-16, 4.0 * ulp(start + lo)")
-    lines = [f"    v{i} = {_horner_source(coef, 'g')}\n" for i, coef in enumerate(names)]
-    lines += ["    v, i = v0, 0\n"] + [f"    if v{i} > v:\n        v, i = v{i}, {i}\n"
-                                      for i in range(1, len(names))]
-    # one Newton block per length of P, on q0, q1, ... where those P differ;
-    # a step that fails sets a = 0.0, the failed bracket
-    groups = {n: [i for i, coef in enumerate(names) if len(coef) == n] for n in map(len, names)}
-    for j, members in enumerate(groups.values()):
-        coef = [c if all(names[i][k] == c for i in members) else f"q{k}"
-                for k, c in enumerate(names[members[0]])]
-        qs = [q for q in coef if q[0] == "q"]
-        copy = "".join(f"        {'elif' if m else 'if'} i == {i}:\n            {', '.join(qs)}, = "
-                       f"{', '.join(names[i][int(q[1:])] for q in qs)},\n"
-                       for m, i in enumerate(members) if qs)
-        dp, derivative = [], ""
-        for k in range(1, len(coef)):
-            c = _literal(coef[k])
-            if c is not None and math.isfinite(k * c):
-                dp.append(repr(k * c))
-            else:
-                dp.append(f"d{k}")
-                derivative += f"d{k} = {k} * {coef[k]}; "
-        block = f"""{copy}        {derivative}x = g
+    n = max(map(len, names))
+    padded = [coef + ["0.0"] * (n - len(coef)) for coef in names]
+    differ = [k for k in range(n) if len({coef[k] for coef in padded}) > 1]
+    coef = [f"q{k}" if k in differ else c for k, c in enumerate(padded[0])]
+    dp, derivative = [], ""
+    for k in range(1, n):
+        c = _literal(coef[k])
+        if c is not None and math.isfinite(k * c):
+            dp.append(repr(k * c))
+        else:
+            dp.append(f"d{k}")
+            derivative += f"d{k} = {k} * {coef[k]}; "
+    # the most violated P, and its coefficients where the P differ; a Newton
+    # step that fails sets a = 0.0, the failed bracket
+    pick = [f"v{''.join(f', q{k}' for k in differ)} = v{i}"
+            f"{''.join(f', {padded[i][k]}' for k in differ)}\n" for i in range(len(names))]
+    return "".join(
+        ["    if g is not None and 0.0 < g < hi:\n"]
+        + [f"        v{i} = {_horner_source(coef, 'g')}\n" for i, coef in enumerate(names)]
+        + [f"        {pick[0]}"] + [f"        if v{i} > v:\n            {pick[i]}"
+                                    for i in range(1, len(names))]
+        + [f"""        {derivative}x = g
         for _ in steps:
             d = {_horner_source(dp or ["0.0"], "x")}
             if not d > 0.0:
@@ -226,13 +224,11 @@ def _newton_source(names: list, offset: str) -> str:
                 v = {_horner_source(coef, "x")}
         else:
             a = 0.0
-"""
-        if len(groups) == 1:                 # no test of i: it picks this block
-            lines += [line[4:] for line in block.splitlines(True)]
-        else:
-            lines.append(f"    {'elif' if j else 'if'} i in {tuple(members)}:\n{block}")
-    lines.append("    if not (0.0 < a and c <= hi):\n        a = hi\n")
-    return "".join(lines)
+        if not (0.0 < a and c <= hi):
+            a = hi
+    else:
+        a = hi
+""", _certificate_source(names, refuse)])
 
 
 def _certificate_source(names: list, refuse: str) -> str:
@@ -277,21 +273,21 @@ def _certificate_source(names: list, refuse: str) -> str:
     return "".join(lines)
 
 
-def _newton(p: list, dp: list, a: float, c: float, tol: Callable[[float], float]) -> float:
+def _newton(p: list, dp: list, a: float, c: float, width: float) -> float:
     """The inside end of the root of p, increasing on [a, c] with p(a) <= 0 < p(c).
 
-    Newton steps from the secant point, each at least tol / 4 long toward
-    the root so the bracket also closes from its far side, and a halving
-    where a step leaves the bracket or does not halve the one before.
-    Stops once the bracket is at most tol(a) wide, tol taken at the a
-    passed in, or once its ends are adjacent floats: tol(a) can be below
-    the float spacing at the root, as the reach_tol of start 0 at a = 0,
-    1e-16, is below that of a root past 1/2.  A decreasing p is solved as
-    x -> p(-x) on [-c, -a].
+    Newton steps from the secant point, each at least width / 4 long
+    toward the root so the bracket also closes from its far side, and a
+    halving where a step leaves the bracket or does not halve the one
+    before.  Stops once the bracket is at most ``width`` wide, the search's
+    tolerance taken at the inside end of [a, c] (:func:`_inside_part`), or
+    once its ends are adjacent floats: the width can be below the float
+    spacing at the root, as the reach_tol of start 0 at 0, 1e-16, is below
+    that of a root past 1/2.
     """
     va, vc = horner(p, a), horner(p, c)
     x = a - va * (c - a) / (vc - va)
-    last, width = c - a, tol(a)
+    last = c - a
     while c - a > width and math.nextafter(a, c) < c:
         if not a < x < c:
             x = 0.5 * (a + c)
@@ -326,19 +322,17 @@ def _inside_part(polys: list, a: float, c: float, tol: Callable[[float], float])
     if len(open_) == 1 and not (a == 0.0 and open_[0][1][0] == 0.0):
         ((p, dp),) = open_
         b, margin = _bernstein(dp, a, c - a)
-        if min(b) > margin:                      # rising: inside, then outside
-            if horner(p, c) <= 0.0:
+        rising = min(b) > margin                 # inside, then outside; falling the reverse
+        if rising or max(b) < -margin:
+            high, low = (c, a) if rising else (a, c)
+            if horner(p, high) <= 0.0:
                 return a, c
-            if horner(p, a) > 0.0:
+            if horner(p, low) > 0.0:
                 return None
-            return a, _newton(p, dp, a, c, tol)
-        if max(b) < -margin:                     # falling: outside, then inside
-            if horner(p, a) <= 0.0:
-                return a, c
-            if horner(p, c) > 0.0:
-                return None
+            if rising:
+                return a, _newton(p, dp, a, c, tol(a))
             q = [-v if k % 2 else v for k, v in enumerate(p)]     # x -> p(-x), exact
-            return -_newton(q, _derivative(q), -c, -a, lambda x: tol(-x)), c
+            return -_newton(q, _derivative(q), -c, -a, tol(c)), c
     return None if c - a <= tol(a) else False
 
 
@@ -391,12 +385,7 @@ def first_exit(polys: list, hi: float, start: float, offset: float) -> float:
     bracket [0, a] refuses, the covering walk searches it in place:
     ``a = first_exit(P, a, start, offset)`` (:func:`_bracket_source`).
     """
-    return _exit(polys, hi, lambda x: reach_tol(start, offset + x))
-
-
-def _exit(polys: list, hi: float, tol: Callable[[float], float]) -> float:
-    """The end of the first run of [0, hi], 0 where it starts later, hi where it is all of it."""
-    u, v = next(runs(polys, 0.0, hi, tol), (hi, hi))
+    u, v = next(runs(polys, 0.0, hi, lambda x: reach_tol(start, offset + x)), (hi, hi))
     return 0.0 if u > 0.0 else v
 
 

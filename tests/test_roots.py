@@ -15,7 +15,7 @@ from gradedgroups import fixtures
 from gradedgroups.curve import polynomial_curve
 from gradedgroups.metric import HomogeneousDistance
 from gradedgroups.roots import (_SCOPE, MAX_HALVINGS, PREDICT_STEPS, NumericalResolutionError,
-                                _bernstein, _bracket_source, _derivative, _exit, first_exit,
+                                _bernstein, _bracket_source, _derivative, first_exit,
                                 horner, reach_tol, runs, table_runs, taylor_shift)
 from membership_oracle import table_polys
 
@@ -131,6 +131,15 @@ def test_runs_enters_where_a_falling_polynomial_crosses():
     assert_ends([cubic], list(runs([cubic], -1.0, 1.0, tol12)), [(-1.0, 0.1), (0.5, 0.9)])
 
 
+def test_runs_take_a_falling_crossings_width_at_its_inside_end():
+    # 0.05 s^2 - s + 2 falls through 0 at 2.2540... on [1, 3]: its Newton
+    # search stops at the width of the tolerance at 3, the inside end, as a
+    # rising crossing's stops at the width at its inside end a.  The width
+    # at 1 would end the run at 2.2540609756097556
+    ((u, v),) = runs([[2.0, -1.0, 0.05]], 1.0, 3.0, lambda x: 1e-3 * abs(x))
+    assert (u.hex(), v) == ((2.2545609756097558).hex(), 3.0)
+
+
 def test_runs_touching_each_end_end_there_exactly():
     p = from_roots(0.25, 0.75, lead=-1.0)      # inside near 0 and near 1
     found = list(runs([p], 0.0, 1.0, tol12))
@@ -215,7 +224,7 @@ def test_first_exit_ends_conservatively_at_a_tangency():
     # without a width to stop at, the halvings of its search (the whole of
     # first_exit without a guess) run out
     with pytest.raises(NumericalResolutionError, match="halvings"):
-        _exit([touching], 1.0, lambda a: 0.0)
+        next(runs([touching], 0.0, 1.0, lambda a: 0.0))
 
 
 def test_first_exit_takes_the_earliest_root():
@@ -352,6 +361,12 @@ def _table_cases(draw):
 # a linear guide brackets 1e160, where s^2 overflows: the zero term 0.0 s^2
 # of the second P is nan, not 0, and the certificate is refused
 @example(([[-1e300, 1e140], [-1e300, 0.0, 0.0, -5e-324]], 1.5e160, 2e160, 0.0, 0.0))
+# anchored P of two lengths, both with root 1/2, bracketed from 0.45 by
+# the one Newton block on coefficients padded with zeros: the shorter P
+# the more violated ...
+@example(([[-1.0, 0.0, 4.0], [-1.0, 0.0, 1.0, 0.0, 0.25]], 0.45, 1.0, 0.0, 0.0))
+# ... and the longer, listed second
+@example(([[-1.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 0.0, 16.0]], 0.45, 1.0, 0.0, 0.0))
 def test_bracket_kernel_is_the_scalar_bracket(case):
     # the same float, bit for bit, wherever Newton lands, and hi wherever it
     # leaves (0, hi) or finds no bracket; and the same certificate of [0, a]:

@@ -15,11 +15,13 @@ word; ``tests/bch_oracle.py`` keeps the sum over block sequences as the
 reference.  The assembly runs on packed monomials, one Python int per
 monomial with a bit field per variable (Monagan and Pearce, "Sparse
 polynomial multiplication and division in Maple 14", 2009), and integer
-coefficients: a bracket [g, inner] with the x or y generator vector g
-shifts inner's keys by one variable's unit.  Keys become exponent tuples
-and coefficients Fractions once, in ``q_polys``, and every evaluator of
-the law, exact or float, is compiled on first use.  The float methods
-import numpy as they run: the exact layer never loads it.
+coefficients, on sparse vectors of their nonzero coordinates: a bracket
+[g, inner] with the x or y generator vector g walks an adjacency list of
+the bracket table from each nonzero coordinate of inner and shifts its
+keys by one variable's unit.  Keys become exponent tuples and
+coefficients Fractions once, in ``q_polys``, and every evaluator of the
+law, exact or float, is compiled on first use.  The float methods import
+numpy as they run: the exact layer never loads it.
 """
 
 from __future__ import annotations
@@ -86,58 +88,66 @@ def _dynkin_words(j: int) -> list:
     return words
 
 
+@lru_cache(maxsize=None)
+def _dynkin_suffixes(depth: int) -> tuple:
+    """The suffixes of length >= 2 of the words with a Dynkin coefficient, shortest first."""
+    words = _dynkin_word_coefficients(depth)
+    return tuple(sorted({w[i:] for w in words for i in range(len(w) - 1)}, key=len))
+
+
 def bch_group_law(algebra: GradedAlgebra) -> "GroupLaw":
     """Compute the exact product polynomials for a validated algebra.
 
     A polynomial of the assembly is a dict {packed monomial: int}: variable
     v's exponent sits in bit field v of width ``step.bit_length() + 1``.  No
     exponent exceeds its term's total degree, at most the step, so the top
-    bit of every field stays clear; unpacking checks it.  With the structure
-    constants times their common denominator L (:meth:`GradedAlgebra.integral`),
-    the right-nested bracket [g, inner] of a word of length l is an integer
-    polynomial over L^(l-1).  As g is the x or the y generator vector, its
-    cross terms g_i inner_j - g_j inner_i are inner_j and inner_i with their
-    keys shifted by one variable's unit.  A term of Q of degree l comes from
-    the words of length l alone: over one denominator of the Dynkin
-    coefficients it sums as an integer, made one Fraction as the keys are
-    unpacked for ``q_polys``.
+    bit of every field stays clear; unpacking checks it.  A vector is a dict
+    of its nonzero coordinates.  With the constants times their common
+    denominator L (:meth:`GradedAlgebra.integral`), the right-nested bracket
+    [g, inner] of a word of length l is an integer vector over L^(l-1).  With
+    g the x or the y generator, it adds c inner_j, its keys shifted by
+    variable i's unit, to coordinate k, for each nonzero inner_j and each
+    term c e_k of [e_i, e_j].  A term of Q of degree l comes from the words of
+    length l alone: over one denominator of the Dynkin coefficients it sums
+    as an integer, made one Fraction as the keys are unpacked for ``q_polys``.
     """
     n = algebra.n
     width = algebra.step.bit_length() + 1
     units = [1 << width * v for v in range(2 * n)]
     scale, integral = algebra.integral()
-    pairs = integral._table.items()
+    # adjacent[j]: (i, k, c) for each term c e_k of [e_i, e_j], both index orders
+    adjacent = [[] for _ in range(n)]
+    for (i, j), image in integral._table.items():
+        for k, c in image.items():
+            adjacent[j].append((i, k, c))
+            adjacent[i].append((j, k, -c))
 
     def bracket(g, inner):
-        out = [{} for _ in range(n)]
-        for (i, j), image in pairs:
-            a, b = inner[j], inner[i]
-            if not (a or b):
-                continue
-            cross = {key + g[i]: m for key, m in a.items()}
-            for key, m in b.items():
-                key += g[j]
-                cross[key] = cross.get(key, 0) - m
-            for k, c in image.items():
-                w = out[k]
-                for key, m in cross.items():
+        out = {}
+        for j, p in inner.items():
+            for i, k, c in adjacent[j]:
+                shift, w = g[i], out.setdefault(k, {})
+                for key, m in p.items():
+                    key += shift
                     w[key] = w.get(key, 0) + c * m
-        return [w if all(w.values()) else {key: m for key, m in w.items() if m} for w in out]
+        return {k: w if all(w.values()) else {key: m for key, m in w.items() if m}
+                for k, w in out.items() if any(w.values())}
 
     # right-nested brackets times L^(length-1), built from short to long, of
     # the words with a coefficient and their suffixes
     coeffs = _dynkin_word_coefficients(algebra.step)
     first = (units[:n], units[n:])
-    nested = {(letter,): [{u: 1} for u in first[letter]] for letter in (0, 1)}
-    for word in sorted({w[i:] for w in coeffs for i in range(len(w) - 1)}, key=len):
+    nested = {(letter,): {i: {u: 1} for i, u in enumerate(first[letter])} for letter in (0, 1)}
+    for word in _dynkin_suffixes(algebra.step):
         inner = nested[word[1:]]
-        nested[word] = bracket(first[word[0]], inner) if any(inner) else inner
+        nested[word] = bracket(first[word[0]], inner) if inner else inner
 
     den = math.lcm(*(c.denominator for c in coeffs.values()))
     sums = [{} for _ in range(n)]
     for word, c in coeffs.items():
         a = c.numerator * (den // c.denominator)
-        for s, p in zip(sums, nested[word] if len(word) > 1 else ()):
+        for i, p in nested[word].items() if len(word) > 1 else ():
+            s = sums[i]
             for key, m in p.items():
                 s[key] = s.get(key, 0) + a * m
     mask = (1 << width) - 1
@@ -158,21 +168,23 @@ def bch_group_law(algebra: GradedAlgebra) -> "GroupLaw":
 
 
 def _check_law_structure(alg: GradedAlgebra, q_polys) -> None:
-    """Internal sanity net: structural identities the series must satisfy."""
+    """Internal sanity net, one pass over each Q's exponents: every term has Q's
+    weighted degree, Q vanishes on the first layer, every term holds an x and a y
+    variable (Q(x, 0) and Q(0, y) vanish) and none a variable of weight >= Q's
+    degree.  A Q that fails several of these reports the first."""
     n = alg.n
     weights = alg.degrees + alg.degrees
-    yvars = range(n, 2 * n)
-    for i, q in enumerate(q_polys):
-        if q and q.weighted_degree(weights) != alg.degrees[i]:
-            raise AssertionError(f"Q_{i+1} is not {alg.degrees[i]}-homogeneous")
-        if alg.degrees[i] == 1 and not q.is_zero():
-            raise AssertionError(f"Q_{i+1} must vanish on the first layer")
-        if not q.subs_zero(yvars).is_zero() or not q.subs_zero(range(n)).is_zero():
-            raise AssertionError(f"Q_{i+1}(x, 0) and Q_{i+1}(0, y) must vanish")
-        for v in q.support():
-            if weights[v] >= alg.degrees[i]:
-                raise AssertionError(
-                    f"Q_{i+1} depends on a coordinate of degree >= {alg.degrees[i]}")
+    for i, (d, q) in enumerate(zip(alg.degrees, q_polys)):
+        high = alg.layer_offsets[d - 1]     # x_v and y_v weigh >= d from v = high on
+        fault = min((0 if sum(map(operator.mul, weights, exps)) != d else 1 if d == 1
+                     else 2 if not (any(exps[:n]) and any(exps[n:]))
+                     else 3 if any(exps[high:n]) or any(exps[n + high:]) else 4
+                     for exps in q.terms), default=4)
+        if fault < 4:
+            raise AssertionError((f"Q_{i+1} is not {d}-homogeneous",
+                                  f"Q_{i+1} must vanish on the first layer",
+                                  f"Q_{i+1}(x, 0) and Q_{i+1}(0, y) must vanish",
+                                  f"Q_{i+1} depends on a coordinate of degree >= {d}")[fault])
 
 
 class GroupLaw:
@@ -201,14 +213,18 @@ class GroupLaw:
     def _q_kernel(self):
         """Q(x, y) as one generated ``lambda v: (Q_1, .., Q_n)`` of the columns v,
         each coordinate the text of its :meth:`RationalPoly.float_source`.
-        A coefficient beyond float range raises NumericalResolutionError."""
+        A coefficient beyond float range raises NumericalResolutionError that names
+        the first such Q and its largest such coefficient (ties: larger exponents)."""
         for i, q in enumerate(self.q_polys):
-            for c in q.terms.values():
+            huge = []
+            for exps, c in q.terms.items():
                 try:
                     float(c)
                 except OverflowError:
-                    raise NumericalResolutionError(
-                        f"coefficient {c} of q{i + 1} is beyond float range") from None
+                    huge.append((abs(c), exps, c))
+            if huge:
+                raise NumericalResolutionError(
+                    f"coefficient {max(huge)[2]} of q{i + 1} is beyond float range")
         coordinates = ", ".join(q.float_source("v") for q in self.q_polys)
         return eval(f"lambda v: ({coordinates},)")  # noqa: S307 - source built from our own terms
 

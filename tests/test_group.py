@@ -419,3 +419,102 @@ def test_structure_check_refuses_a_mixed_degree_correction():
     with pytest.raises(AssertionError, match="homogeneous"):
         _check_law_structure(law.algebra, (law.q_polys[0], law.q_polys[1], mixed))
     _check_law_structure(law.algebra, law.q_polys)
+
+
+@pytest.mark.parametrize("name, i, extra, message", [
+    ("heisenberg", 0, var(6, 0), r"Q_1 must vanish on the first layer"),
+    ("heisenberg", 2, var(6, 0) * var(6, 1), r"Q_3\(x, 0\) and Q_3\(0, y\) must vanish"),
+    ("heisenberg", 2, var(6, 3) * var(6, 4), r"Q_3\(x, 0\) and Q_3\(0, y\) must vanish"),
+    ("engel", 3, var(8, 0) * var(8, 4), r"Q_4 is not 3-homogeneous"),
+])
+def test_structure_check_names_each_fault(name, i, extra, message):
+    # x1 on the first layer is 1-homogeneous; x1 x2 and y1 y2 are 2-homogeneous
+    # terms without a y or an x variable; x1 y1 falls short of Q4's degree 3
+    law = fixtures.group_law(name)
+    from gradedgroups.group import _check_law_structure
+    q = list(law.q_polys)
+    q[i] = q[i] + extra
+    with pytest.raises(AssertionError, match=message):
+        _check_law_structure(law.algebra, q)
+
+
+@pytest.mark.parametrize("name", fixtures.catalog()["groups"])
+def test_structure_check_passes_every_builtin_law(name):
+    from gradedgroups.group import _check_law_structure
+    law = fixtures.group_law(name)
+    _check_law_structure(law.algebra, law.q_polys)
+
+
+def reversed_law(law):
+    """The same law with each Q's terms inserted in reverse order."""
+    from gradedgroups.group import GroupLaw
+    return GroupLaw(law.algebra, [RationalPoly(2 * law.n, dict(reversed(q.terms.items())))
+                                  for q in law.q_polys])
+
+
+@pytest.mark.parametrize("name", ["engel", "filiform8"])
+def test_law_outputs_do_not_depend_on_term_order(name, monkeypatch):
+    from gradedgroups.metric import HomogeneousDistance
+    if name == "engel":
+        law = fixtures.group_law("engel")
+    else:
+        doc = bench_shaped_doc("filiform", 8, [Fraction(k + 1, 8 - k) for k in range(7)])
+        law = bch_group_law(validate_algebra(spec_from_dict(doc)))
+    other = reversed_law(law)
+    assert [list(q.terms) for q in other.q_polys] == [list(q.terms)[::-1] for q in law.q_polys]
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(-1, 1, (2, 40, law.n))
+    eps = tuple(1.0 + k / 4 for k in range(law.step))
+    for f in (lambda g: g.multiply(x, y), lambda g: g.left_jacobian(x, y),
+              lambda g: HomogeneousDistance(g, eps).distance(x, y)):
+        assert f(law).tobytes() == f(other).tobytes()
+    rng = random.Random(5)
+    for _ in range(5):
+        p, q = ([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(law.n)] for _ in range(2))
+        assert law.multiply_exact(p, q) == other.multiply_exact(p, q)
+    assert law.frame.describe() == other.frame.describe()
+    shown = []
+    for g in (law, other):
+        monkeypatch.setattr(cli, "_resolve_law", lambda cfg: g)
+        shown.append(cli._run_frame_show({}))
+    assert shown[0] == shown[1]
+
+
+@pytest.mark.parametrize("constants, message", [
+    # q3 = 10^400 (x1 y2 - x2 y1) / 2: a tie, won by x1 y2's larger exponents
+    ([10 ** 400], f"coefficient {5 * 10 ** 399} of q3 "),
+    # q3 fits; q4 holds 10^400 (x1 y3 - x3 y1) / 2 and smaller terms of 10^400 / 12
+    ([1, 10 ** 400], f"coefficient {5 * 10 ** 399} of q4 "),
+    ([-(10 ** 400), 1], f"coefficient {-5 * 10 ** 399} of q3 "),
+], ids=["q3_tie", "q4", "q3_negative_tie"])
+def test_overflow_message_does_not_depend_on_term_order(constants, message):
+    from gradedgroups.algebra import NumericalResolutionError
+    law = bch_group_law(validate_algebra(spec_from_dict(
+        bench_shaped_doc("filiform", len(constants) + 1, constants))))
+    messages = []
+    for g in (law, reversed_law(law)):
+        with pytest.raises(NumericalResolutionError) as err:
+            g.multiply(np.zeros(g.n), np.zeros(g.n))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert message in messages[0]
+
+
+# layers [2, 1, 2]: [e1, e3] and [e2, e3] each have two terms
+SEVERAL_TERMS = [(1, 2, 3, 1), (1, 3, 4, 1), (1, 3, 5, 1), (2, 3, 4, 1), (2, 3, 5, -1)]
+
+
+def test_images_of_several_terms_and_mirrored_entries_match_series_oracle():
+    def law_of(entries):
+        return bch_group_law(validate_algebra(spec_from_dict({
+            "layers": [2, 1, 2],
+            "brackets": [{"i": i, "j": j, "k": k, "c": c} for i, j, k, c in entries]})))
+
+    law = law_of(SEVERAL_TERMS)
+    mirrored = law_of([(j, i, k, -c) for i, j, k, c in SEVERAL_TERMS])
+    assert law.q_polys == mirrored.q_polys
+    assert all(law.q_polys[3:])
+    rng = random.Random(29)
+    for _ in range(20):
+        x, y = ([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(5)] for _ in range(2))
+        assert law.multiply_exact(x, y) == mirrored.multiply_exact(x, y) == bch_numeric(law.algebra, x, y)

@@ -316,7 +316,10 @@ def _run_group_check(cfg) -> dict:
     x = fr.uniform(-1.0, 1.0, (m, law.n))
     y = fr.uniform(-1.0, 1.0, (m, law.n))
     z = fr.uniform(-1.0, 1.0, (m, law.n))
-    gap = law.multiply(law.multiply(x, y), z) - law.multiply(x, law.multiply(y, z))
+    # x * y and y * z in one call, then (x * y) * z and x * (y * z) in one
+    first = law.multiply(np.concatenate([x, y]), np.concatenate([y, z]))
+    second = law.multiply(np.concatenate([first[:m], x]), np.concatenate([z, first[m:]]))
+    gap = second[:m] - second[m:]
     defect = float(np.max(np.abs(gap))) if m else 0.0
     return {"n": law.n, "step": law.step, "degrees": list(law.degrees),
             "exact_triples": cfg["exact_triples"],

@@ -20,7 +20,8 @@ coefficients, on sparse vectors of their nonzero coordinates: a bracket
 the bracket table from each nonzero coordinate of inner and shifts its
 keys by one variable's unit.  Keys become exponent tuples and
 coefficients Fractions once, in ``q_polys``, and every evaluator of the
-law, exact or float, is compiled on first use.  The float methods import
+law is built on first use: the exact product compiled, the float ones as
+term tables (:meth:`RationalPoly.float_terms`).  The float methods import
 numpy as they run: the exact layer never loads it.
 """
 
@@ -33,7 +34,7 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .algebra import GradedAlgebra, NumericalResolutionError
-from .poly import DimensionMismatch, RationalPoly, exact_evaluator, integer_point
+from .poly import DimensionMismatch, RationalPoly, exact_evaluator, float_sum, integer_point
 
 if TYPE_CHECKING:
     import numpy as np
@@ -196,8 +197,8 @@ class GroupLaw:
     :meth:`left_jacobian` evaluates these partials and :func:`compute_frame`
     reads the frame off them at y = 0.
 
-    Float inputs go through compiled evaluators and accept numpy arrays
-    of shape (..., n); the exact path takes ints and Fractions only.
+    Float inputs go through term tables (:func:`poly.float_sum`) and accept
+    numpy arrays of shape (..., n); the exact path takes ints and Fractions only.
     """
 
     def __init__(self, algebra: GradedAlgebra, q_polys):
@@ -210,23 +211,19 @@ class GroupLaw:
                 for v in sorted(q.support()) if v >= self.n}
 
     @cached_property
-    def _q_kernel(self):
-        """Q(x, y) as one generated ``lambda v: (Q_1, .., Q_n)`` of the columns v,
-        each coordinate the text of its :meth:`RationalPoly.float_source`.
+    def _q_kernel(self) -> list:
+        """Q(x, y) as the :meth:`RationalPoly.float_terms` table of each coordinate.
         A coefficient beyond float range raises NumericalResolutionError that names
         the first such Q and its largest such coefficient (ties: larger exponents)."""
+        tables = []
         for i, q in enumerate(self.q_polys):
-            huge = []
-            for exps, c in q.terms.items():
-                try:
-                    float(c)
-                except OverflowError:
-                    huge.append((abs(c), exps, c))
-            if huge:
+            try:
+                tables.append(q.float_terms())
+            except OverflowError:     # then the largest |c| overflows, and so do its ties
+                c = max((abs(c), exps, c) for exps, c in q.terms.items())[2]
                 raise NumericalResolutionError(
-                    f"coefficient {max(huge)[2]} of q{i + 1} is beyond float range")
-        coordinates = ", ".join(q.float_source("v") for q in self.q_polys)
-        return eval(f"lambda v: ({coordinates},)")  # noqa: S307 - source built from our own terms
+                    f"coefficient {c} of q{i + 1} is beyond float range") from None
+        return tables
 
     @cached_property
     def _y_partial_fns(self) -> dict:
@@ -270,15 +267,17 @@ class GroupLaw:
         return arrays
 
     def _columns(self, x, y):
-        x, y = self._floats(x, y)
+        """x and y broadcast to one shape (..., n), and the columns of x then y."""
+        import numpy as np
+        x, y = np.broadcast_arrays(*self._floats(x, y))
         return x, y, [*_leading(x), *_leading(y)]
 
     def multiply(self, x, y):
         """x * y = x + y + Q(x, y) on float points, shapes (..., n) that broadcast,
-        by one compiled kernel of Q per law."""
+        each Q_i the :func:`poly.float_sum` of its table on the columns of x and y."""
         import numpy as np
         x, y, cols = self._columns(x, y)
-        out = [x[..., i] + y[..., i] + q for i, q in enumerate(self._q_kernel(cols))]
+        out = [x[..., i] + y[..., i] + float_sum(q, cols) for i, q in enumerate(self._q_kernel)]
         return np.stack(out, axis=-1)
 
     def inverse(self, x):
@@ -324,7 +323,7 @@ class GroupLaw:
         """
         import numpy as np
         x, y, cols = self._columns(x, y)
-        jac = np.empty(np.broadcast(x, y).shape[:-1] + (self.n, self.n))
+        jac = np.empty(x.shape[:-1] + (self.n, self.n))
         jac[...] = np.eye(self.n)
         entries = _leading(jac, 2)    # entries[a, b] is jac[..., a, b]
         for (a, b), fn in self._y_partial_fns.items():

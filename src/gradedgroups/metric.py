@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .algebra import NumericalResolutionError
 from .group import DimensionMismatch, GroupLaw, _leading
-from .poly import monomial_source
 
 if TYPE_CHECKING:
     from .curve import Curve
@@ -335,7 +334,7 @@ def _compile_kernel(eps, slices, q_polys=None):
     followed by those of y, all of one shape.
 
     The product is z_i = (v[n + i] - v[i]) + (Q_i), Q_i summed in the order
-    of ``RationalPoly.float_source``, each coefficient negated where its
+    of ``RationalPoly.float_terms``, each coefficient negated where its
     term has an odd number of x factors.  Negation is exact and rounding
     symmetric in sign, so z is ``GroupLaw.multiply(-x, y)`` bit for bit.
     Products and sums go left to right, in place on the kernel's own
@@ -356,8 +355,8 @@ def _compile_kernel(eps, slices, q_polys=None):
         for i, q in enumerate(q_polys):
             lines.append(f"    z{i} = v[{n + i}] - v[{i}]\n")
             if q:
-                total("q", [monomial_source(repr(-float(c) if sum(exps[:n]) % 2 else float(c)),
-                                            exps, "v").split("*") for exps, c in sorted(q.terms.items())])
+                total("q", [[repr(-c if sum(f < n for f in factors) % 2 else c),
+                             *(f"v[{f}]" for f in factors)] for c, factors in q.float_terms()])
                 lines.append(f"    z{i} += q\n")
     terms = []
     for k, sl in enumerate(slices, start=1):

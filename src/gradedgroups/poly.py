@@ -3,11 +3,10 @@
 This is the symbolic substrate of the library: group-law components,
 frame coefficients and their partial derivatives are all values of
 :class:`RationalPoly`.  Coefficients are exact (Fractions or ints),
-monomials are exponent tuples, and nothing in here ever rounds: the one
+monomials are exponent tuples, and the arithmetic never rounds: the one
 exact evaluation path, :func:`exact_evaluator`, runs on machine integers.
-Floating point enters only through :meth:`RationalPoly.float_source`,
-the source text that :meth:`RationalPoly.as_callable` compiles into a
-plain lambda for fast numeric evaluation (python scalars and numpy
+Floating point enters only through :meth:`RationalPoly.float_terms`, the
+term table that :func:`float_sum` evaluates (python scalars and numpy
 arrays both work) and whose order ``metric``'s distance kernels keep.
 
 Example:
@@ -42,11 +41,6 @@ def _as_fraction(c) -> Fraction:
     if isinstance(c, str):
         return Fraction(c)
     raise TypeError(f"expected an exact rational, got {type(c).__name__}: {c!r}")
-
-
-def monomial_source(lead: str, exps: Exponents, var: str) -> str:
-    """Source text ``lead*var[i]*...`` with var[i] repeated exps[i] times."""
-    return lead + "".join(f"*{var}[{i}]" * e for i, e in enumerate(exps) if e)
 
 
 class RationalPoly:
@@ -204,25 +198,18 @@ class RationalPoly:
         """Exact value at a point of int or Fraction coordinates (see :func:`exact_evaluator`)."""
         return exact_evaluator((self,))(values)[0]
 
-    def float_source(self, var: str) -> str:
-        """Source text of the polynomial in ``var[i]``, coefficients cast to float.
-
-        Terms are summed left to right in sorted exponent order, each
-        ``c*var[i]*...``; the zero polynomial reads ``0.0``.  Every float
-        evaluation of a polynomial (:meth:`as_callable`, the fused distance
-        kernels of ``metric``) takes this order, so all of them round alike.
-        """
-        parts = [monomial_source(repr(float(c)), exps, var)
-                 for exps, c in sorted(self.terms.items())]
-        return " + ".join(parts) if parts else "0.0"
+    def float_terms(self) -> list:
+        """(float(c), factors) per term c * v^e, factors listing i exps[i] times, in
+        sorted exponent order: the one term order of every float evaluation
+        (:meth:`as_callable`, ``GroupLaw``'s Q, ``metric``'s kernels), so all
+        round alike.  A coefficient beyond float range raises OverflowError."""
+        return [(float(c), tuple(i for i, e in enumerate(exps) for _ in range(e)))
+                for exps, c in sorted(self.terms.items())]
 
     def as_callable(self) -> Callable[[Sequence], float]:
-        """Compile :meth:`float_source` to ``f(values) -> float``.
-
-        The generated lambda indexes into its single argument, so numpy
-        columns can be passed as a list of arrays for vectorized use.
-        """
-        return eval(f"lambda v: {self.float_source('v')}")  # noqa: S307 - source built from our own terms
+        """``f(v)``: :func:`float_sum` of :meth:`float_terms` on the columns v."""
+        terms = self.float_terms()
+        return lambda v: float_sum(terms, v)
 
     # -- display ----------------------------------------------------------
 
@@ -256,6 +243,24 @@ class RationalPoly:
 
     def __repr__(self):
         return f"RationalPoly({self.nvars}, {self.format()})"
+
+
+def float_sum(terms: Sequence, v: Sequence):
+    """A :meth:`RationalPoly.float_terms` table at the columns v: per term t = c,
+    then t *= v[f] for each factor (c * v[f0] first, a new array), and q = the
+    first t, then q += each further t; the empty table is 0.0.  Never writing
+    into a column of v, it needs the columns to be numpy arrays of one shape
+    or scalars (python floats, numpy scalars)."""
+    q = 0.0
+    for k, (c, factors) in enumerate(terms):
+        t = c
+        for f in factors:
+            t *= v[f]
+        if k:
+            q += t
+        else:
+            q = t
+    return q
 
 
 def integer_point(values: Sequence, n: int) -> tuple:

@@ -1,7 +1,10 @@
+import builtins
+import importlib
 import importlib.util
 import json
 import math
 import os
+import pkgutil
 import random
 import shlex
 import subprocess
@@ -17,12 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradedgroups
-from gradedgroups import cli, curve, fixtures, measure, roots
+from gradedgroups import cli, curve, fixtures, group, measure, poly, roots
 from gradedgroups.cli import ConfigError, main, parse_schedule, resolve_config, run_config
 from gradedgroups.group import GroupLaw
 from gradedgroups.measure import ball_param_set, quad
 from gradedgroups.metric import HomogeneousDistance
-from gradedgroups.poly import RationalPoly
 from json_strategy import JSON
 
 
@@ -515,14 +517,54 @@ def test_exact_ops_compile_only_what_they_evaluate(tmp_path, monkeypatch):
                                              {"i": 1, "j": 3, "k": 4, "c": "-2/11"}]}
     path = tmp_path / "alg.json"
     path.write_text(json.dumps(doc))
-    compiled = []       # every float evaluator is compiled from float_source text
-    float_source = RationalPoly.float_source
-    monkeypatch.setattr(RationalPoly, "float_source",
-                        lambda poly, var: compiled.append(poly) or float_source(poly, var))
+    texts = []          # every source text the package hands to eval, exec or compile
+
+    def recording(real):
+        return lambda source, *args: texts.append(source) or real(source, *args)
+
+    for info in pkgutil.iter_modules(gradedgroups.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"gradedgroups.{info.name}")
+            for name in ("eval", "exec", "compile"):
+                monkeypatch.setattr(module, name, recording(getattr(builtins, name)), raising=False)
+    built = []          # the polynomials of every exact evaluator
+    exact_evaluator = poly.exact_evaluator
+    monkeypatch.setattr(group, "exact_evaluator",
+                        lambda polys: built.append(list(polys)) or exact_evaluator(polys))
     assert run_config({"op": "frame-show", "algebra_file": str(path)})["result"]["frame_entries"]
-    assert compiled == []
+    assert texts == [] and built == []
     assert run_config({"op": "group-check", "algebra_file": str(path), "seed": 3})["result"]["passed"]
-    assert len(compiled) == 4       # one float source per coordinate of Q, in one kernel
+    assert len(built) == 1 and len(built[0]) == 4   # one evaluator of the law's four coordinates
+    assert len(texts) == 1 and texts[0].startswith("def at(point):")    # its text, no float text
+
+
+# group-check's result blocks at the parent of the stacked float products,
+# (x * y, y * z) in one call of multiply and ((x * y) * z, x * (y * z)) in one
+_GROUP_CHECK_BLOCKS = [
+    ({"group": "engel", "seed": 7, "samples": 0},
+     {"n": 4, "step": 3, "degrees": [1, 1, 2, 3], "exact_triples": 20, "exact_associative": True,
+      "float_samples": 0, "max_associativity_defect": 0.0, "tol": 1e-12, "passed": True}),
+    ({"group": "engel", "seed": 7, "samples": 1},
+     {"n": 4, "step": 3, "degrees": [1, 1, 2, 3], "exact_triples": 20, "exact_associative": True,
+      "float_samples": 1, "max_associativity_defect": 2.7755575615628914e-17, "tol": 1e-12,
+      "passed": True}),
+    ({"group": "engel", "seed": 7, "samples": 7},
+     {"n": 4, "step": 3, "degrees": [1, 1, 2, 3], "exact_triples": 20, "exact_associative": True,
+      "float_samples": 7, "max_associativity_defect": 2.220446049250313e-16, "tol": 1e-12,
+      "passed": True}),
+    ({"algebra_file": {"layers": [3], "brackets": []}, "seed": 7, "samples": 7},
+     {"n": 3, "step": 1, "degrees": [1, 1, 1], "exact_triples": 20, "exact_associative": True,
+      "float_samples": 7, "max_associativity_defect": 0.0, "tol": 1e-12, "passed": True}),
+]
+
+
+@pytest.mark.parametrize("cfg, block", _GROUP_CHECK_BLOCKS, ids=["0", "1", "7", "step_1"])
+def test_group_check_keeps_its_result_blocks(cfg, block, tmp_path):
+    if "algebra_file" in cfg:
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(cfg["algebra_file"]))
+        cfg = dict(cfg, algebra_file=str(path))
+    assert run_config({"op": "group-check", **cfg})["result"] == block
 
 
 def test_missing_config_file_exits_2(capsys):

@@ -3,9 +3,9 @@
 The frame field X_j(x) = d/dx_j + sum_{deg l > deg j} a^l_j(x) d/dx_l is
 obtained by pushing the basis directions at the identity forward along
 left translation, so a^l_j(x) is the (l, j) entry of the jacobian of
-y -> x * y at y = 0.  Symbolically that is the partial of the product
-correction: a^l_j = dQ_l/dy_j (x, 0), a polynomial in x alone, and it is
-homogeneous of weighted degree deg(l) - deg(j).
+y -> x * y at y = 0.  Symbolically a^l_j = dQ_l/dy_j (x, 0), the x-part of
+the terms of Q_l linear in y_j alone: a polynomial in x, homogeneous of
+weighted degree deg(l) - deg(j).
 
 Frame coordinates of an ambient vector v at x solve A(x) lam = v, where
 A(x) is unit lower triangular in degree order; they agree with the
@@ -21,6 +21,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .group import GroupLaw, _leading
+from .poly import RationalPoly
 
 if TYPE_CHECKING:
     import numpy as np
@@ -92,27 +93,33 @@ class Frame:
 
 
 def compute_frame(law: GroupLaw) -> Frame:
-    """Frame coefficients a^l_j = dQ_l/dy_j (x, 0), read off ``law.y_partials``.
+    """Frame coefficients a^l_j = dQ_l/dy_j (x, 0), read off Q_l in one pass.
 
-    A nonzero entry must raise the degree (deg l > deg j) and be homogeneous
+    At y = 0 the partial keeps only the terms of Q_l linear in y_j alone, so
+    a^l_j is the x-part of the terms whose y-exponents are exactly e_j.  A
+    nonzero entry must raise the degree (deg l > deg j) and be homogeneous
     of weighted degree deg(l) - deg(j); anything else raises AssertionError.
     """
     alg = law.algebra
     n = alg.n
     entries = {}
-    for (l, j), dq in law.y_partials.items():
-        p = dq.subs_zero(range(n, 2 * n)).drop_vars(range(n))
-        if p.is_zero():
-            continue
-        if alg.degrees[l] <= alg.degrees[j]:
-            raise AssertionError(
-                f"frame coefficient a[{l+1},{j+1}] should vanish by grading")
-        deg = p.weighted_degree(alg.degrees)
-        if deg != alg.degrees[l] - alg.degrees[j]:
-            raise AssertionError(
-                f"a[{l+1},{j+1}] has weighted degree {deg}, expected "
-                f"{alg.degrees[l] - alg.degrees[j]}")
-        entries[(l, j)] = p
+    for l, q in enumerate(law.q_polys):
+        parts = {}
+        for exps, c in q.terms.items():
+            y = exps[n:]
+            if sum(y) == 1:
+                parts.setdefault(y.index(1), {})[exps[:n]] = c
+        for j, terms in sorted(parts.items()):
+            if alg.degrees[l] <= alg.degrees[j]:
+                raise AssertionError(
+                    f"frame coefficient a[{l+1},{j+1}] should vanish by grading")
+            p = RationalPoly._trusted(n, terms)
+            deg = p.weighted_degree(alg.degrees)
+            if deg != alg.degrees[l] - alg.degrees[j]:
+                raise AssertionError(
+                    f"a[{l+1},{j+1}] has weighted degree {deg}, expected "
+                    f"{alg.degrees[l] - alg.degrees[j]}")
+            entries[(l, j)] = p
     return Frame(alg.degrees, entries)
 
 

@@ -152,7 +152,6 @@ def bch_group_law(algebra: GradedAlgebra) -> "GroupLaw":
             for key, m in p.items():
                 s[key] = s.get(key, 0) + a * m
     mask = (1 << width) - 1
-    shifts = range(0, 2 * n * width, width)
     guards = sum(units) << width - 1
     q_polys = []
     for s in sums:
@@ -161,8 +160,13 @@ def bch_group_law(algebra: GradedAlgebra) -> "GroupLaw":
             if key & guards:
                 raise AssertionError("an exponent overflows its bit field")
             if m:
-                exps = tuple(key >> b & mask for b in shifts)
-                terms[exps] = Fraction(m, den * scale ** (sum(exps) - 1))
+                exps, d = [0] * (2 * n), 0
+                while key:      # the lowest set field's exponent, then clear that field
+                    v = ((key & -key).bit_length() - 1) // width
+                    exps[v] = e = key >> v * width & mask
+                    d += e
+                    key ^= e << v * width
+                terms[tuple(exps)] = Fraction(m, den * scale ** (d - 1))
         q_polys.append(RationalPoly._trusted(2 * n, terms))
     _check_law_structure(algebra, q_polys)
     return GroupLaw(algebra, q_polys)
@@ -193,9 +197,9 @@ class GroupLaw:
 
     ``q_polys[a]`` is the correction Q_a(x, y), a polynomial in the 2n
     variables (x, y).  ``y_partials[(a, b)]`` is dQ_a/dy_b, kept only where
-    nonzero and derived on first use, as is every evaluator:
-    :meth:`left_jacobian` evaluates these partials and :func:`compute_frame`
-    reads the frame off them at y = 0.
+    nonzero and derived on first use, as is every evaluator and the frame:
+    :meth:`left_jacobian` evaluates these partials, and :func:`compute_frame`
+    reads the frame off the terms of each Q_a linear in one y variable.
 
     Float inputs go through term tables (:func:`poly.float_sum`) and accept
     numpy arrays of shape (..., n); the exact path takes ints and Fractions only.

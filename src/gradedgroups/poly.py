@@ -21,8 +21,9 @@ Example:
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 Exponents = tuple  # tuple[int, ...], one entry per variable
 
@@ -109,7 +110,7 @@ class RationalPoly:
         The zero polynomial is homogeneous of every degree; it returns None
         too, so callers that accept it test for zero first.
         """
-        degs = {sum(w * e for w, e in zip(weights, exps)) for exps in self.terms}
+        degs = {sum(map(operator.mul, weights, exps)) for exps in self.terms}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -169,28 +170,6 @@ class RationalPoly:
             key = exps[:var] + (e - 1,) + exps[var + 1:]
             terms[key] = terms.get(key, 0) + c * e
         return RationalPoly._trusted(self.nvars, terms)
-
-    def subs_zero(self, variables: Iterable[int]) -> "RationalPoly":
-        """Set the given variables to zero (drop monomials that use them)."""
-        kill = set(variables)
-        terms = {e: c for e, c in self.terms.items()
-                 if not any(e[i] for i in kill)}
-        return RationalPoly._trusted(self.nvars, terms)
-
-    def drop_vars(self, keep: Sequence[int]) -> "RationalPoly":
-        """Re-express in the subset ``keep`` of variables, in that order.
-
-        Raises if any discarded variable still occurs.
-        """
-        keep = list(keep)
-        keepset = set(keep)
-        bad = self.support() - keepset
-        if bad:
-            raise ValueError(f"variables {sorted(bad)} still occur; cannot drop them")
-        terms = {}
-        for exps, c in self.terms.items():
-            terms[tuple(exps[i] for i in keep)] = c
-        return RationalPoly._trusted(len(keep), terms)
 
     # -- evaluation -------------------------------------------------------
 
@@ -300,6 +279,14 @@ def integer_point(values: Sequence, n: int) -> tuple:
     return [a * (den // d) for a, d in ratios], den
 
 
+def _fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for den > 0: both divided by their gcd, the two slots set."""
+    g = math.gcd(num, den)
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = num // g, den // g
+    return f
+
+
 def exact_evaluator(polys: Sequence[RationalPoly]) -> Callable[[Sequence], tuple]:
     """Compile polynomials in the same variables into one exact function of a point.
 
@@ -313,7 +300,7 @@ def exact_evaluator(polys: Sequence[RationalPoly]) -> Callable[[Sequence], tuple
     left out, a negative term subtracted).  It sums the terms S_d of each
     total degree d and combines them by Horner in D,
     N = (..(S_lo * D + S_lo+1) * D + ..) + S_hi, so its value is the one
-    Fraction(N, M * D^hi).
+    Fraction N / (M * D^hi), built reduced by :func:`_fraction` (M * D^hi > 0).
     """
     nvars = polys[0].nvars
     powers, values = set(), []
@@ -333,13 +320,13 @@ def exact_evaluator(polys: Sequence[RationalPoly]) -> Callable[[Sequence], tuple
         scale = [f"D_{hi}"] if hi > 1 else ["D"] if hi else []
         powers.update(scale)
         den = "*".join(([str(m)] if m != 1 else []) + scale) or "1"
-        values.append(f"Fraction({num}, {den})")
+        values.append(f"_fraction({num}, {den})")
     lines = [f"a, D = integer_point(point, {nvars})"]
     if nvars:
         lines.append(f"{', '.join(f'a{i}' for i in range(nvars))}, = a")
     lines += [f"{name} = {name.replace('_', '**')}" for name in sorted(powers) if "_" in name]
     lines.append(f"return ({', '.join(values)},)")
     source = "def at(point):\n" + "".join(f"    {line}\n" for line in lines)
-    namespace = {"Fraction": Fraction, "integer_point": integer_point}
+    namespace = {"_fraction": _fraction, "integer_point": integer_point}
     exec(source.replace(" + -", " - "), namespace)  # noqa: S102
     return namespace["at"]

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from bch_oracle import _block_sequences, bch_numeric
 from gradedgroups import cli, fixtures
 from gradedgroups.algebra import MAX_DIMENSION, spec_from_dict, validate_algebra
+from gradedgroups.frame import Frame
 from gradedgroups.group import (DimensionMismatch, _dynkin_word_coefficients,
                                 bch_group_law)
 from gradedgroups.poly import RationalPoly
@@ -279,9 +280,27 @@ def test_left_jacobian_matches_finite_differences(engel):
             assert np.array_equal(batch[idx], law.left_jacobian(xs[idx], ys[idx]))
         assert np.array_equal(law.left_jacobian(x, ys)[1, 2], law.left_jacobian(x, ys[1, 2]))
 
-        # the frame is the jacobian at y = 0, read off the same partials
+        # the frame, read off Q's y-linear terms, is the jacobian at y = 0
         for point in rng.uniform(-1, 1, (50, n)):
             assert np.array_equal(law.frame.matrix(point), law.left_jacobian(point, np.zeros(n)))
+
+
+@pytest.mark.parametrize("law", [*map(fixtures.group_law, fixtures.group_names()), *_generated_laws()],
+                         ids=[*fixtures.group_names(), *(f"filiform{s}" for s in range(2, 9)),
+                              *(f"free2_rank{r}" for r in range(3, 6))])
+def test_frame_is_the_y_partial_at_zero(law):
+    """The one-pass frame against dQ_l/dy_j at y = 0, derived from ``y_partials``."""
+    n = law.n
+    expected = {}
+    for key, dq in law.y_partials.items():
+        terms = {e[:n]: c for e, c in dq.terms.items() if not any(e[n:])}
+        if terms:
+            expected[key] = RationalPoly(n, terms)
+    frame = law.frame
+    assert list(frame.entries) == list(expected)
+    assert all(list(frame.entries[k].terms.items()) == list(p.terms.items())
+               for k, p in expected.items())
+    assert json.dumps(frame.describe()) == json.dumps(Frame(law.degrees, expected).describe())
 
 
 def test_batched_multiply_matches_scalar(heis):
@@ -381,6 +400,28 @@ def test_property_associative(x, y, z):
     law = fixtures.group_law("engel")
     assert law.multiply_exact(law.multiply_exact(x, y), z) \
         == law.multiply_exact(x, law.multiply_exact(y, z))
+
+
+COORDINATES = st.one_of(st.just(0), st.integers(-9, 9), RATIONALS)
+FILIFORM5 = bch_group_law(validate_algebra(spec_from_dict(COPRIME_DOCS["filiform5"])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), law=st.sampled_from([fixtures.group_law("engel"), FILIFORM5]))
+def test_exact_product_coordinates_are_reduced_fractions(data, law):
+    x, y = (data.draw(st.tuples(*[COORDINATES] * law.n)) for _ in range(2))
+    naive = [x[i] + y[i] + sum(c * math.prod(Fraction(v) ** e for v, e in zip(x + y, exps))
+                               for exps, c in q.terms.items())
+             for i, q in enumerate(law.q_polys)]
+    product = law.multiply_exact(x, y)
+    assert list(product) == naive
+    for f in product:
+        assert type(f) is Fraction and f == Fraction(f.numerator, f.denominator)
+        assert f.denominator > 0 and math.gcd(f.numerator, f.denominator) == 1
+        assert f or (f.numerator, f.denominator) == (0, 1)
+        if f.denominator == 1:
+            k = f.numerator
+            assert f == k and hash(f) == hash(k) and k - 1 < f < k + 1 and {k: 1}[f] == 1
 
 
 @settings(max_examples=60, deadline=None)

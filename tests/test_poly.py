@@ -39,19 +39,6 @@ def test_diff_product_rule():
     assert p.diff(0).diff(1) == 2 * x
 
 
-def test_subs_zero_and_drop_vars():
-    x = RationalPoly.variable(4, 0)
-    u = RationalPoly.variable(4, 2)
-    p = x * u + u
-    q = p.subs_zero([0])
-    assert q == u.subs_zero([0])
-    reduced = q.drop_vars([2, 3])
-    assert reduced.nvars == 2
-    assert reduced.evaluate((Fraction(5), Fraction(0))) == Fraction(5)
-    with pytest.raises(ValueError):
-        p.drop_vars([2, 3])  # x still occurs
-
-
 def test_evaluate_matches_compiled_callable():
     x = RationalPoly.variable(2, 0)
     y = RationalPoly.variable(2, 1)

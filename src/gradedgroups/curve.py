@@ -251,7 +251,8 @@ def degree_profile(law: GroupLaw, curve: Curve, grid_points: int = 512) -> Degre
     _, degs = _degrees(law, ts, curve.positions(ts), curve.velocities(ts))
     top = int(degs.max())
 
-    lam = [z[:, 1] for z in law.divide_rows(*_anchor_rows(curve.pieces, 0))]
+    every = np.arange(len(curve.breaks) + 1)
+    lam = [z[:, 1] for z in law.divide_rows(*_anchor_rows(curve.pieces, every, every))]
     # scaled per piece, which scales each inequality by a positive square,
     # so that the squares of a very slow or very fast curve stay in range
     size = np.max([np.abs(c).max(axis=0) for c in lam], axis=0)
@@ -379,25 +380,28 @@ def translate_curve(law: GroupLaw, z, curve: Curve) -> Curve:
                             description=curve.description)
 
 
-def _anchor_rows(pieces: tuple, d: int) -> tuple:
-    """Rows (x, y) of an anchor on each piece m and of the path along piece m + d.
+def _anchor_rows(pieces: tuple, anchors, paths) -> tuple:
+    """Rows (x, y) of the anchor on piece anchors[i] and of the path on piece paths[i].
 
     As polynomial rows in (u, s) (``GroupLaw.divide_rows``), one entry per
-    piece m on the last axis: x[j] is coordinate j of the anchor u past the
-    origin of piece m, and y[j] that of the path s past the anchor for
-    d = 0 (coef[a + b] C(a + b, a) at u^a s^b), or s past the first
-    parameter of piece m + d otherwise (a Taylor shift of that piece).
+    pair i on the last axis: x[j] is coordinate j of the anchor u past its
+    piece's origin, and y[j] that of the path s past the anchor on its own
+    piece (coef[a + b] C(a + b, a) at u^a s^b), else s past the path
+    piece's first parameter (a Taylor shift; piece 0 keeps its origin).
     """
     coef, breaks, origins = pieces
-    top, n, count = coef.shape[0] - 1, coef.shape[1], coef.shape[2] - d
-    if d == 0:
+    top, n = coef.shape[0] - 1, coef.shape[1]
+    anchors, paths = np.asarray(anchors), np.asarray(paths)
+    own = anchors == paths
+    y = np.zeros((top + 1 if own.any() else 1, top + 1, n, len(paths)))
+    first = np.concatenate((origins[:1], breaks))[paths]
+    y[0] = roots.taylor_shift(coef[:, :, paths], first - origins[paths])
+    if own.any():
         ab = np.add.outer(np.arange(top + 1), np.arange(top + 1))
         binom = np.array([[math.comb(a + b, a) if a + b <= top else 0
                            for b in range(top + 1)] for a in range(top + 1)], dtype=float)
-        y = binom[:, :, None, None] * coef[np.minimum(ab, top)]
-    else:
-        y = np.array(roots.taylor_shift(coef[:, :, d:], breaks[d - 1:] - origins[d:]))[None]
-    return [coef[:, None, j, :count] for j in range(n)], [y[:, :, j] for j in range(n)]
+        y[..., own] = binom[:, :, None, None] * coef[np.minimum(ab, top)][..., paths[own]]
+    return [coef[:, None, j, anchors] for j in range(n)], [y[:, :, j] for j in range(n)]
 
 
 def _mapped(curve: Curve, m: np.ndarray, suffix: str) -> Curve:

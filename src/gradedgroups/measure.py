@@ -7,11 +7,11 @@ for the coordinate metric) is the integral of the corresponding speed.
 Integrals go through :func:`quad`: Gauss-Legendre panels, split at the
 curve's breaks, each round of them evaluated in one batched call; the
 rules are built by the first integral and kept for the process.
-Parameter sets cut out by balls are the maximal runs where the ball's
-polynomials from the distance (``HomogeneousDistance.ball_around``) are
-<= 0 on each piece of the curve's table (``roots.table_runs``): every
-component is found, however narrow, and the one through the center is
-kept even below the width its ends are solved to.
+Parameter sets cut out by balls are the maximal runs of offsets s = t - t0
+where the ball's polynomials (``HomogeneousDistance.ball_around``) are <= 0
+on each piece of the curve's table (``roots.table_runs``), ends solved
+relative to |s|: every component is found, however narrow, and the one
+through t0 at every radius whose ball weights are floats.
 
 Spherical-measure upper bounds come from a greedy walk: at the first
 uncovered parameter, a ball of the current radius is centered as far
@@ -40,7 +40,6 @@ curve that does not double back within a ball.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -105,17 +104,18 @@ def riemannian_length(law, curve: Curve, interval=None, metric: str = METRIC_LEF
     """Length of the curve over one parameter interval: :func:`quad` of the
     speed to 1e-9 absolute or relative, split at the curve's breaks."""
     _check_metric(metric)
-    a, b = curve.domain if interval is None else interval
-    frame = law.frame
-
-    def integrand(t):
-        return speed(frame, curve.positions(t), curve.velocities(t), metric)
-
-    return quad(integrand, a, b, 1e-9, 1e-9, curve.breaks)
+    return _length(law, curve, metric, 0.0, [curve.domain if interval is None else interval])
 
 
-def _length_over_intervals(law, curve, intervals, metric) -> float:
-    return sum(riemannian_length(law, curve, iv, metric) for iv in intervals)
+def _length(law, curve: Curve, metric: str, t0: float, runs) -> float:
+    """The sum over the runs [u, v] of :func:`quad` of the speed at t0 + s over
+    [u, v], to 1e-9 absolute or relative, split at the breaks minus t0."""
+    frame, breaks = law.frame, [p - t0 for p in curve.breaks]
+
+    def integrand(s):
+        return speed(frame, curve.positions(t0 + s), curve.velocities(t0 + s), metric)
+
+    return sum(quad(integrand, u, v, 1e-9, 1e-9, breaks) for u, v in runs)
 
 
 # -- parameter sets cut out by balls --------------------------------------------
@@ -131,15 +131,16 @@ class BallIntersection:
 
 
 def ball_param_set(dist: HomogeneousDistance, curve: Curve, t0: float, r: float):
-    """Parameter set {t : d(gamma(t0), gamma(t)) <= r} as closed intervals.
+    """Parameter set {t : d(gamma(t0), gamma(t)) <= r} as closed intervals
+    of offsets s = t - t0, and whether it touches a domain end.
 
-    The maximal runs where every membership polynomial of the ball around
-    gamma(t0) (``HomogeneousDistance.ball_around``) is <= 0, found by
-    ``roots.table_runs`` with ends solved to 1e-15 * max(1, |t|).  Every
-    component is found, however narrow, save one narrower than that; the
-    one through t0 is then the point (t0, t0).  Open and closed balls
-    differ on a measure-zero boundary.  A radius whose weights overflow
-    raises NumericalResolutionError.  Returns (intervals, truncated).
+    The maximal runs where every P of the ball around gamma(t0)
+    (``HomogeneousDistance.ball_around``) is <= 0, found by
+    ``roots.table_runs`` on the table in s, ends solved to 1e-15 |s| +
+    1e-300: every component, however narrow, the one through t0 always
+    (every P is -1 at s = 0).  Open and closed balls differ on a
+    measure-zero boundary.  A radius whose weights overflow raises
+    NumericalResolutionError.
     """
     a, b = curve.domain
     if not a < t0 < b:
@@ -147,25 +148,21 @@ def ball_param_set(dist: HomogeneousDistance, curve: Curve, t0: float, r: float)
     if not r > 0:
         raise ValueError(f"radius {r} is not positive")
     polys, origins = dist.ball_around(curve, t0, r)
-    found = roots.table_runs(polys, curve.domain, curve.breaks, origins,
-                             lambda t: 1e-15 * max(1.0, abs(t)))
-    if not any(lo <= t0 <= hi for lo, hi in found):
-        bisect.insort(found, (t0, t0))
-    truncated = found[0][0] <= a + 1e-12 * (b - a) or found[-1][1] >= b - 1e-12 * (b - a)
+    lo, hi = a - t0, b - t0
+    found = roots.table_runs(polys, (lo, hi), [p - t0 for p in curve.breaks], origins - t0,
+                             lambda s: 1e-15 * abs(s) + 1e-300)
+    truncated = found[0][0] <= lo + 1e-12 * (b - a) or found[-1][1] >= hi - 1e-12 * (b - a)
     return tuple(found), truncated
 
 
 def ball_intersection_measure(dist: HomogeneousDistance, curve: Curve, t0: float,
                               r: float, metric: str = METRIC_EUCLIDEAN) -> BallIntersection:
-    """Measure of the curve piece inside the ball around gamma(t0); a component
-    through t0 of length 0 raises NumericalResolutionError, not a measure of 0."""
-    intervals, truncated = ball_param_set(dist, curve, t0, r)
-    if (t0, t0) in intervals:
-        raise NumericalResolutionError(
-            f"the ball of radius {r} around t = {t0} is below the parameter's resolution")
-    total = _length_over_intervals(dist.law, curve, intervals, metric)
-    return BallIntersection(measure=total, intervals=intervals, truncated=truncated,
-                            radius=r, center_parameter=t0)
+    """Measure of the curve piece inside the ball around gamma(t0): the length
+    of the curve over its runs of offsets s from t0 (:func:`ball_param_set`)."""
+    runs, truncated = ball_param_set(dist, curve, t0, r)
+    total = _length(dist.law, curve, metric, t0, runs)
+    return BallIntersection(measure=total, intervals=tuple((t0 + u, t0 + v) for u, v in runs),
+                            truncated=truncated, radius=r, center_parameter=t0)
 
 
 # -- blow-up and divergence ------------------------------------------------------
@@ -175,13 +172,11 @@ def ball_intersection_measure(dist: HomogeneousDistance, curve: Curve, t0: float
 class BlowupReport:
     """Blow-up ratios along a radius schedule.
 
-    Ball measures are lengths to 1e-9 (:func:`riemannian_length`) between
-    ball edges solved to 1e-15 in the parameter, so a ``diagnostic`` below
-    about 2e-15 / (predicted * r^q) at the last radius r is resolution
-    noise: about 1e-9 for the vertical line at r = 2^-10.  Ball sets have
-    no self-distance floor (gamma(t0)^-1 * gamma(t0) is folded as exactly
-    0), on step-3 groups too; a radius whose set around t0 is narrower
-    than its ends' resolution raises NumericalResolutionError.
+    Ball measures are lengths to 1e-9 absolute or relative (:func:`quad`)
+    between ball edges solved to 1e-15 of their offset from t0, so the
+    ratios have no resolution floor down to the radius whose ball weights
+    overflow (NumericalResolutionError), and no self-distance floor:
+    gamma(t0)^-1 * gamma(t0) is folded as exactly 0, on step-3 groups too.
     """
 
     t0: float

@@ -17,8 +17,10 @@ numpy: the float functions import it, ``roots`` and ``curve`` as they run.
 
 Along a curve's coefficient table, an r-ball around x is where every
 P_k = (eps_k / r)^(2k) |z^(k)|^2 - 1 <= 0, z = x^-1 * y, a polynomial in
-the parameter.  Only the distance builds them: read off anchor tables
-(``membership``) or folded around a center (``ball_around``).
+the parameter.  Only the distance builds them, from one fold of anchor
+rows against path rows (``curve._anchor_rows``): the walk's tables of
+offset d >= 0 (``membership``) and a center's piece against every piece
+(``ball_around``).
 
 Also here: the 1-dimensional density constant of a straight line through
 the identity ("metric factor"), by a closed form when the direction sits
@@ -140,7 +142,8 @@ class HomogeneousDistance:
 
         def table(d: int, kind: str = "reach") -> tuple:
             if (d, kind) not in tables:
-                layout, rows = _layout(self.law.divide_rows(*curve._anchor_rows(pieces, d)), d == 0)
+                rows = curve._anchor_rows(pieces, range(len(origins) - d), range(d, len(origins)))
+                layout, rows = _layout(self.law.divide_rows(*rows), d == 0)
                 if (kind, layout) not in compiled:
                     scope = {**roots._SCOPE, "inf": math.inf, "bisect_right": bisect.bisect_right,
                              "onward": _onward, "first_exit": roots.first_exit}
@@ -161,34 +164,31 @@ class HomogeneousDistance:
         return bracket, walk
 
     def ball_around(self, curve: Curve, t0: float, r: float) -> tuple:
-        """(polys, origins): the P_k of the r-ball around gamma(t0) that
-        z = gamma(t0)^-1 * gamma touches, on every piece of the curve's
-        table, and the pieces' origins (:func:`_center_fold`)."""
+        """(polys, origins): the P_k of the r-ball around gamma(t0) that z =
+        gamma(t0)^-1 * gamma touches on every piece, in s past the piece's
+        origin: t0 on the center's, else its first parameter (:func:`_ball_fold`)."""
         import numpy as np
-        squares, origins = _center_fold(self, curve, t0)
+        squares, origins = _ball_fold(self, curve, t0)
         polys = (np.array(self.ball_weights(r))[:, None, None] * squares)[squares.any(axis=(1, 2))]
         polys[:, 0] -= 1.0
         return polys, origins
 
 
 @lru_cache(maxsize=1)
-def _center_fold(dist: HomogeneousDistance, curve: Curve, t0: float) -> tuple:
-    """(squares, origins): |z^(k)|^2 per layer on the table, z = gamma(t0)^-1 * gamma,
-    the anchor's piece shifted to origin t0 with the s^0 column of z set to 0,
-    as ``membership`` does for d = 0.  Kept for the last center."""
+def _ball_fold(dist: HomogeneousDistance, curve: Curve, t0: float) -> tuple:
+    """(squares, origins) of ``ball_around``, kept for the last center: |z^(k)|^2
+    per layer, z folded once from piece m against all (``curve._anchor_rows``)
+    at u = t0 - origins[m], its s^0 column on piece m (x^-1 * x) set to 0."""
     import numpy as np
-    from . import roots
-    from .curve import _squares
-    coef, breaks, origins = curve.pieces
-    m = int(np.searchsorted(breaks, t0, side="right"))
-    y, origins = coef.copy(), origins.copy()
-    y[:, :, m] = roots.taylor_shift(coef[:, :, m], t0 - origins[m])
-    origins[m] = t0
-    z = dist.law.divide_rows([np.full((1, 1, y.shape[2]), c) for c in y[0, :, m]],
-                             [y[None, :, j] for j in range(curve.n)])
+    from .curve import _anchor_rows, _squares
+    _, breaks, origins = curve.pieces
+    m, every = int(np.searchsorted(breaks, t0, side="right")), np.arange(len(origins))
+    z = [np.polynomial.polynomial.polyval(t0 - origins[m], zj) for zj in
+         dist.law.divide_rows(*_anchor_rows(curve.pieces, np.full_like(every, m), every))]
     for zj in z:
-        zj[0, 0, m] = 0.0
-    fold = _squares([[zj[0] for zj in z[sl]] for sl in dist._slices]), origins
+        zj[0, m] = 0.0
+    fold = _squares([z[sl] for sl in dist._slices]), np.concatenate((origins[:1], breaks))
+    fold[1][m] = t0
     for table in fold:            # handed to every caller with this center
         table.flags.writeable = False
     return fold

@@ -16,15 +16,18 @@ def table_polys(dist, pieces, d):
     table of offset d, the ascending coefficients of P_k(s).
 
     The anchor x lies u past the origin of piece m, and y(s) runs along
-    piece m + d (``curve._anchor_rows``); w holds the ball's weights
-    (``HomogeneousDistance.ball_weights``).  Each s-coefficient of each z_j
+    piece m + d (``curve._anchor_rows``): for d < 0 a piece before the
+    anchor's, the anchors then starting at piece -d.  w holds the ball's
+    weights (``HomogeneousDistance.ball_weights``).  Each s-coefficient of each z_j
     is read by Horner in u, up to the last power of u nonzero on some
     piece.  The layer's squares z_i z_j, doubled where i != j, are summed
     left to right, coordinate by coordinate, times w[k], minus 1.  An
     s-coefficient zero on every piece is skipped, and so is the s^0 column
     at d = 0, where P_k(0) = -1 and P_k'(0) = 0 exactly.
     """
-    z = dist.law.divide_rows(*_anchor_rows(pieces, d))
+    count = len(pieces[2])
+    anchors = range(max(0, -d), count - max(0, d))
+    z = dist.law.divide_rows(*_anchor_rows(pieces, anchors, [m + d for m in anchors]))
     layers = []           # per layer, per coordinate, per power of s: its rows by piece, or None
     for sl in dist._slices:
         block = []
@@ -54,7 +57,7 @@ def table_polys(dist, pieces, d):
         for k, block in enumerate(layers):
             if not block:
                 continue
-            zs = [[None if rows is None else horner(rows[m], u) for rows in coord]
+            zs = [[None if rows is None else horner(rows[m - anchors.start], u) for rows in coord]
                   for coord in block]
             p = []
             for b in range(2 * max(map(len, zs)) - 1):

@@ -1,4 +1,5 @@
-"""Acceptance gate: nine end-to-end criteria with pinned tolerances.
+"""Acceptance gate: ten end-to-end criteria with pinned tolerances, numbered
+1-9 and 11 (10 is kept for the area formula beyond heisenberg).
 
 Each test prints one line, ACCEPTANCE <n> <name>: PASS or FAIL, straight
 to the terminal (bypassing capture) so a scan of the pytest output shows
@@ -16,10 +17,11 @@ import pytest
 
 from bch_oracle import bch_numeric
 from gradedgroups import fixtures
-from gradedgroups.algebra import validate_algebra
+from gradedgroups.algebra import spec_from_dict, validate_algebra
 from gradedgroups.curve import (adapted_basis, degree_profile, dilate_curve,
                                 linear_image_curve, little_o_check,
-                                translate_curve)
+                                polynomial_curve, translate_curve)
+from gradedgroups.group import bch_group_law
 from gradedgroups.measure import (area_formula_residual, blowup_sequence,
                                   covering_values, density_divergence,
                                   negligibility_estimate)
@@ -240,3 +242,50 @@ def test_acceptance_9_dilation_covariance(capsys):
                            _profiles_match(degree_profile(heis, scaled_curve, 128),
                                            base_profile)))
     _finish(capsys, 9, "dilation-covariance", checks, started, budget=120.0)
+
+
+def _group(layers, brackets):
+    """Law and unit-weight distance of the algebra document with these layers
+    and brackets [e_i, e_j] = e_k."""
+    law = bch_group_law(validate_algebra(spec_from_dict({"layers": layers, "brackets": [
+        {"i": i, "j": j, "k": k, "c": "1"} for i, j, k in brackets]})))
+    return law, HomogeneousDistance(law, (1.0,) * law.step)
+
+
+def _quadratic(*coords):
+    """The one-piece curve on (-1, 1) whose coordinate j has ascending coefficients coords[j]."""
+    coef = np.zeros((3, len(coords), 1))
+    for j, c in enumerate(coords):
+        coef[:len(c), j, 0] = c
+    return polynomial_curve(coef, (-1.0, 1.0))
+
+
+def test_acceptance_11_density_on_every_graded_group(capsys):
+    started = time.monotonic()
+    checks = []
+    engel = _group([2, 1, 1], [(1, 2, 3), (1, 3, 4)])
+    filiform = _group([2, 1, 1, 1], [(1, 2, 3), (1, 3, 4), (1, 4, 5)])
+    free = _group([3, 3], [(1, 2, 4), (1, 3, 5), (2, 3, 6)])
+    parabola = ([0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.5])
+    cases = {"engel": (engel, _quadratic(*parabola, [0.0])),
+             "filiform [2, 1, 1, 1]": (filiform, _quadratic(*parabola, [0.0], [0.0])),
+             "free rank 3": (free, _quadratic([0.0, 1.0], [0.0, 0.0, 1.0], [0.0],
+                                              [0.0, 0.3], [0.0, 0.4], [0.0]))}
+    for name, ((_, dist), curve) in cases.items():
+        rep = blowup_sequence(dist, curve, 0.3, [2.0 ** -20])
+        checks.append((f"{name}: ratio at 2^-20 within 1e-9 of the predicted density",
+                       rep.diagnostic <= 1e-9))
+
+    (law, dist), curve = cases["engel"]
+    radii = [2.0 ** -k for k in range(4, 21, 4)]
+    moved = translate_curve(law, np.array([0.3, -0.2, 0.15, 0.4]), curve)
+    base, trans = (blowup_sequence(dist, c, 0.3, radii, metric="left") for c in (curve, moved))
+    checks.append(("engel, translated copy: left ratios agree within 1e-9 relative",
+                   max(abs(a - b) / a for a, b in zip(base.ratios, trans.ratios)) <= 1e-9))
+
+    for name, slope in (("engel", -1.0), ("filiform [2, 1, 1, 1]", -2.0)):
+        (_, dist), curve = cases[name]
+        rep = density_divergence(dist, curve, 0.0, [2.0 ** -k for k in range(4, 13)])
+        checks.append((f"{name} at t0=0: divergence certified, slope within 0.05 of {slope}",
+                       rep.certified and abs(rep.slope - slope) <= 0.05))
+    _finish(capsys, 11, "density-on-every-graded-group", checks, started, budget=10.0)

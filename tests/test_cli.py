@@ -194,11 +194,10 @@ def test_unknown_fixture_names_keep_their_message(capsys, argv, start):
 
 
 @pytest.mark.parametrize("argv, code, error", [
-    # a ball below the parameter's float resolution: the slope was NaN
-    (("diverge", "--curve", "glued_hv", "--t0", "-0.5", "--radii", "2^-50..2^-60"), 4,
+    # radii whose ball weights (1 / r)^(2 k) overflow
+    (("diverge", "--curve", "glued_hv", "--t0", "-0.5", "--radii", "2^-256..2^-257"), 4,
      "NumericalResolutionError"),
-    # a degree-3 ball of width 2 r^3 below it: every ratio was 0.0
-    (("blowup", "--curve", "engel_vertical", "--t0", "0.3", "--radii", "2^-20..2^-24"), 4,
+    (("blowup", "--curve", "engel_vertical", "--t0", "0.3", "--radii", "2^-171..2^-172"), 4,
      "NumericalResolutionError"),
     # an interval inside the low-degree set: the residual was Infinity
     (("area", "--curve", "glued_hv", "--interval=-1,-0.5", "--deltas", "2^-2..2^-4"), 2,
@@ -225,13 +224,28 @@ def test_unknown_fixture_names_keep_their_message(capsys, argv, start):
       for op, args in (("area", ("--interval", "0,1", "--deltas", "2^-2..2^-3")),
                        ("blowup", ("--t0", "0", "--radii", "2^-1..2^-3")))
       for eps in ("1e200", "1e-170", "1e-160")],
-], ids=["diverge", "blowup", "area", "metric-audit", "metric-audit-subnormal", "cover",
+], ids=["diverge-weights", "blowup-weights", "area", "metric-audit", "metric-audit-subnormal", "cover",
         "negligibility", "blowup-overflow", "diverge-overflow",
         *[f"{op}-eps-{eps}" for op in ("area", "blowup") for eps in ("1e200", "1e-170", "1e-160")]])
 def test_reports_without_a_finite_number_are_errors(capsys, argv, code, error):
     got, out, err = run_cli(capsys, *argv)
     assert (got, out) == (code, "")
     assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("argv, key, want, tol", [
+    # balls far narrower than the float spacing at t0, solved in offsets from
+    # it: their slope was NaN, and every ratio 0.0
+    (("diverge", "--curve", "glued_hv", "--t0", "-0.5", "--radii", "2^-50..2^-60"),
+     "slope", -1.0, 0.05),
+    (("blowup", "--curve", "engel_vertical", "--t0", "0.3", "--radii", "2^-20..2^-24"),
+     "ratios", 2.0, 1e-12),
+], ids=["diverge", "blowup"])
+def test_balls_narrower_than_the_float_spacing_resolve(capsys, argv, key, want, tol):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    got = json.loads(out)["result"][key]
+    assert all(abs(v - want) <= tol for v in (got if isinstance(got, list) else [got]))
 
 
 def test_json_reports_refuse_non_finite_numbers():
@@ -685,8 +699,9 @@ def test_blowup_on_a_rough_curve_file_meets_its_tolerance(tmp_path, capsys):
         return np.linalg.norm(curve.velocities(t), axis=-1)
 
     for r, ratio in zip(result["radii"], result["ratios"]):
-        pieces, _ = ball_param_set(dist, curve, 0.1234, r)
-        tight = sum(quad(speed, lo, hi, 1e-14, 1e-14, curve.breaks) for lo, hi in pieces)
+        runs, _ = ball_param_set(dist, curve, 0.1234, r)        # offsets from t0
+        tight = sum(quad(speed, 0.1234 + lo, 0.1234 + hi, 1e-14, 1e-14, curve.breaks)
+                    for lo, hi in runs)
         assert ratio == pytest.approx(tight / r ** 2, rel=1e-9, abs=0.0)
 
 

@@ -23,7 +23,7 @@ from gradedgroups.measure import (NumericalResolutionError, area_formula_residua
                                   negligibility_estimate, quad,
                                   richardson_extrapolate, riemannian_length,
                                   spherical_measure_upper)
-from gradedgroups.metric import (HomogeneousDistance, _center_fold, _layout, _membership_source,
+from gradedgroups.metric import (HomogeneousDistance, _ball_fold, _layout, _membership_source,
                                  _onward)
 
 
@@ -133,8 +133,8 @@ def test_ball_set_keeps_a_center_whose_gauge_rounds_above_r():
     x = curve.position_at(0.3)
     assert dist.distance_from(x)(x) > 1e-7
     intervals, truncated = ball_param_set(dist, curve, 0.3, 1e-7)
-    ((lo, hi),) = intervals
-    assert lo <= 0.3 <= hi and not truncated
+    ((lo, hi),) = intervals                  # offsets from 0.3
+    assert lo <= 0.0 <= hi and not truncated
 
 
 def test_ball_set_disconnected_components(heis, dist):
@@ -163,13 +163,14 @@ def test_ball_set_disconnected_components(heis, dist):
         assert bi.measure == pytest.approx(riemann, abs=2e-4)
 
 
-def test_ball_set_keeps_a_center_narrower_than_its_resolution(dist):
-    # the set around 0.3 is 2 r^2 = 2e-18 wide, below the 1e-15 to which
-    # ends are solved: it is the point itself, and its measure is refused
+def test_ball_set_resolves_a_center_narrower_than_the_float_spacing(dist):
+    # the set around 0.3 is 2 r^2 = 2e-18 wide, below the float spacing at
+    # 0.3 (5.6e-17): solved in offsets from 0.3, it keeps its width
     vert = fixtures.curve("vertical")
-    assert ball_param_set(dist, vert, 0.3, 1e-9) == (((0.3, 0.3),), False)
-    with pytest.raises(NumericalResolutionError, match="below the parameter's resolution"):
-        ball_intersection_measure(dist, vert, 0.3, 1e-9)
+    ((lo, hi),), truncated = ball_param_set(dist, vert, 0.3, 1e-9)
+    assert not truncated and -lo == hi == pytest.approx(1e-18, rel=1e-14)
+    bi = ball_intersection_measure(dist, vert, 0.3, 1e-9)
+    assert bi.measure == pytest.approx(2e-18, rel=1e-14)
 
 
 def test_ball_set_on_an_ill_conditioned_table_ends(heis, dist):
@@ -200,7 +201,7 @@ def test_curves_on_the_same_nodes_keep_their_own_ball_sets(dist):
     got = [ball_param_set(dist, curve, 0.2, 0.3) for curve in (flat, lifted)]
     assert got[0] != got[1]
     for curve, sets in zip((flat, lifted), got):
-        _center_fold.cache_clear()
+        _ball_fold.cache_clear()
         assert ball_param_set(dist, curve, 0.2, 0.3) == sets
 
 
@@ -224,6 +225,29 @@ def test_blowup_constant_on_center_line(heis, dist):
     rep2 = blowup_sequence(half, fixtures.curve("vertical"), 0.0, radii)
     assert rep2.predicted == pytest.approx(0.5)
     assert np.allclose(rep2.ratios, 0.5, rtol=1e-8)
+
+
+def test_blowup_converges_far_below_the_float_spacing_at_t0():
+    # engel_vertical's ball around 0.3 is 2 r^3 wide: 7.1e-15 at 2^-16, below
+    # the 5.6e-17 spacing of the floats near 0.3 from 2^-19 on, 1.5e-36 at
+    # 2^-40; solved in offsets from 0.3, every ratio is the density 2
+    rep = blowup_sequence(fixtures.distance("engel"), fixtures.curve("engel_vertical"), 0.3,
+                          [2.0 ** -k for k in range(16, 41)])
+    assert rep.predicted == 2.0 and all(abs(ratio - 2.0) <= 1e-12 for ratio in rep.ratios)
+
+
+@pytest.mark.parametrize("group, name, t0, last", [
+    ("engel", "engel_vertical", 0.3, 170),      # (1 / r)^6 overflows from 2^-171 on
+    ("heisenberg", "glued_hv", 0.3, 255),       # (1 / r)^4 from 2^-256 on
+    ("heisenberg", "glued_hv", -0.5, 255),
+])
+def test_center_component_keeps_its_width_until_the_weights_overflow(group, name, t0, last):
+    dist, curve = fixtures.distance(group), fixtures.curve(name)
+    for k in range(1, last + 1):
+        runs, _ = ball_param_set(dist, curve, t0, 2.0 ** -k)
+        assert any(lo < 0.0 < hi for lo, hi in runs), k
+    with pytest.raises(NumericalResolutionError, match="below float resolution"):
+        ball_param_set(dist, curve, t0, 2.0 ** -(last + 1))
 
 
 def test_blowup_rejects_low_degree_point(dist):
@@ -616,12 +640,15 @@ def test_bench_walk_saves_every_operation_on_a_literal_zero(dist):
     # neither adds nor multiplies a literal zero: no 0.0 *, * 0.0 or + 0.0;
     # nor does the reach of its d = 0 and d = 1 tables
     pieces = _bench_walk_curve().pieces
-    layout, _ = _layout(dist.law.divide_rows(*_anchor_rows(pieces, 0)), True)
+    count = len(pieces[2])
+    layout, _ = _layout(dist.law.divide_rows(*_anchor_rows(pieces, range(count), range(count))),
+                        True)
     source = _membership_source(layout, dist._slices, "walk")
     assert "def walk(" in source and "-1.0" in source
     assert _zero_operands(source) == []
     for d in (0, 1):
-        layout, _ = _layout(dist.law.divide_rows(*_anchor_rows(pieces, d)), d == 0)
+        rows = _anchor_rows(pieces, range(count - d), range(d, count))
+        layout, _ = _layout(dist.law.divide_rows(*rows), d == 0)
         source = _membership_source(layout, dist._slices, "reach")
         assert "def reach(" in source and _zero_operands(source) == []
     assert sorted(_zero_operands("v = (0.0) * g + c; d = 1 * -0.0; x -= 0.0")) == [

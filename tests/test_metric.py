@@ -193,7 +193,8 @@ def _layer_terms(dist, x, ys, r):
 
 def test_membership_tables_agree_with_the_gauge(heis):
     # every builtin curve, a sampled curve, a dilation: from random anchors,
-    # along the anchor's piece (d = 0) and across breaks into later pieces,
+    # along the anchor's piece (d = 0), across breaks into later pieces and
+    # back into earlier ones (d < 0, piece 0 read from its origin),
     # P_k of the anchor tables, in the plain floats of table_polys, is
     # (eps_k / r)^(2k) |z^(k)|^2 - 1 with z read off law.multiply, and on
     # the anchor's piece P_k(0) = -1, P_k'(0) = 0 exactly
@@ -218,18 +219,20 @@ def test_membership_tables_agree_with_the_gauge(heis):
         grid = np.linspace(a, b, 101)
         touched = [k for k, term in enumerate(_layer_terms(
             dist, curve.positions(grid)[:, None], curve.positions(grid)[None], 1.0)) if term.any()]
-        tables = [table_polys(dist, curve.pieces, d) for d in range(min(3, len(origins)))]
+        tables = {d: table_polys(dist, curve.pieces, d)
+                  for d in range(1 - min(3, len(origins)), min(3, len(origins)))}
         checked = 0
         for _ in range(12):
             r = rng.uniform(0.1, 1.0)
             t = rng.uniform(a, b)
             m = int(np.searchsorted(breaks, t, side="right"))
-            for d in range(min(3, len(origins) - m)):
+            for d in range(-min(2, m), min(3, len(origins) - m)):
                 ps = tables[d](m, t - origins[m], dist.ball_weights(r))
                 assert len(ps) == len(touched)
-                start = t if d == 0 else breaks[m + d - 1]
+                first = a if m + d == 0 else breaks[m + d - 1]
+                start = t if d == 0 else origins[0] if m + d == 0 else first
                 end = breaks[m + d] if m + d < len(breaks) else b
-                s = rng.uniform(0.0, end - start, 6)
+                s = rng.uniform(0.0 if d == 0 else first - start, end - start, 6)
                 terms = _layer_terms(dist, curve.position_at(t), curve.positions(start + s), r)
                 for p, k in zip(ps, touched):
                     if d == 0:
@@ -239,6 +242,39 @@ def test_membership_tables_agree_with_the_gauge(heis):
                         (curve.name, d, got - terms[k] + 1.0)
                     checked += 1
         assert checked >= 12, curve.name
+
+
+def test_ball_fold_is_the_anchor_tables_of_every_offset():
+    # ball_around folds the center's piece m against every piece at once;
+    # its P on piece j is the oracle's table of offset j - m (negative before
+    # m) read at the center, to 4 ulps of the P's largest coefficient, and
+    # each piece's s = 0 sits at t0 on piece m, else at its first parameter
+    sampled = curve_from_samples(
+        [{"t": t, "position": [0.3 * np.sin(3 * t), t * t, np.cos(t)],
+          "velocity": [0.9 * np.cos(3 * t), 2 * t, -np.sin(t)]} for t in np.linspace(-1, 1, 9)], 3)
+    shared = polynomial_curve(np.random.default_rng(2).normal(size=(4, 3, 3)), (-1.0, 1.0),
+                              (-0.2, 0.4))
+    engel = polynomial_curve(np.random.default_rng(5).normal(size=(3, 4, 4)), (-1.0, 1.0),
+                             (-0.5, 0.0, 0.5), (-1.0, -0.5, 0.0, 0.5))
+    rng = np.random.default_rng(3)
+    for group, curve in (("heisenberg", sampled), ("heisenberg", shared), ("engel", engel)):
+        law = fixtures.group_law(group)
+        dist = HomogeneousDistance(law, [0.7 + 0.3 * k for k in range(law.step)])
+        _, breaks, origins = curve.pieces
+        for t0, r in rng.uniform((-0.95, 0.1), (0.95, 1.0), (6, 2)).tolist():
+            polys, starts = dist.ball_around(curve, t0, r)
+            m = int(np.searchsorted(breaks, t0, side="right"))
+            assert starts.tolist() == [t0 if j == m else origins[0] if j == 0 else breaks[j - 1]
+                                       for j in range(len(origins))]
+            assert np.all(polys[:, 0, m] == -1.0) and np.all(polys[:, 1, m] == 0.0)
+            for j in range(len(origins)):
+                ps = table_polys(dist, curve.pieces, j - m)(m, t0 - origins[m],
+                                                            dist.ball_weights(r))
+                assert len(ps) == len(polys)
+                for p, got in zip(ps, polys[:, :, j].tolist()):
+                    p += [0.0] * (len(got) - len(p))
+                    ulp = np.spacing(max(map(abs, p + got)))
+                    assert all(abs(a - b) <= 4 * ulp for a, b in zip(p, got)), (j - m, p, got)
 
 
 def test_homogeneity_under_dilation(heis):

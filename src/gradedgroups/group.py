@@ -230,6 +230,14 @@ class GroupLaw:
         return tables
 
     @cached_property
+    def _divide_kernel(self) -> list:
+        """Q(-x, y) as term tables: ``_q_kernel``'s, each coefficient negated where
+        its term has an odd number of x factors."""
+        n = self.n
+        return [[(-c if sum(f < n for f in factors) % 2 else c, factors) for c, factors in table]
+                for table in self._q_kernel]
+
+    @cached_property
     def _y_partial_fns(self) -> dict:
         return {key: p.as_callable() for key, p in self.y_partials.items()}
 
@@ -319,6 +327,20 @@ class GroupLaw:
                           *(float(c) * monomial(exps) for exps, c in sorted(q.terms.items())
                             if not any(e and zero[v] for v, e in enumerate(exps))))
                 for i, q in enumerate(self.q_polys)]
+
+    def _divide(self, cols) -> list:
+        """The columns of x^-1 * y from ``cols``, the columns of x then of y, all of
+        one shape: z_i = y_i - x_i, then z_i += the :func:`poly.float_sum` of
+        Q_i(-x, y) (``_divide_kernel``), never into a column of cols.  Negation is
+        exact and rounding symmetric in sign, so z is ``multiply(-x, y)`` bit for
+        bit but for the sign of a zero where Q_i is 0: the product adds 0.0 there."""
+        n, z = self.n, []
+        for i, table in enumerate(self._divide_kernel):
+            zi = cols[n + i] - cols[i]
+            if table:
+                zi += float_sum(table, cols)
+            z.append(zi)
+        return z
 
     def left_jacobian(self, x, y):
         """Jacobian of y -> x * y (identity plus dQ/dy), shape (..., n, n).

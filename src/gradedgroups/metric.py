@@ -6,14 +6,15 @@ dilations and even (N(-z) = N(z)), so d(x, y) = N(x^-1 * y) is left
 invariant and symmetric.  The triangle inequality depends on the eps
 weights; it is not assumed but audited by sampling (triangle_audit).
 
-Every float distance runs one kernel generated per distance on first
-use: z = x^-1 * y from the columns of x and y, the signs of x folded into
-the law's coefficients, then the gauge, in place and with no product
-array in between; it rounds as ``norm(law.multiply(-x, y))``.  The
-audit draws and scores its triples through it one block at a time, each
-block advanced to its own part of the random stream: its working set is
-one block, whatever the sample count.  Building a distance loads no
-numpy: the float functions import it, ``roots`` and ``curve`` as they run.
+Every float distance is two plain functions on coordinate columns: the
+law's quotient z = x^-1 * y (``GroupLaw._divide``, Q's term tables with
+the signs of x folded into their coefficients) and the gauge
+(:func:`_gauge`), which ``norm`` also runs; it rounds as
+``norm(law.multiply(-x, y))``.  The audit draws and scores its triples
+through them one block at a time, each block advanced to its own part of
+the random stream: its working set is one block, whatever the sample
+count.  Building a distance loads no numpy: the float functions import
+it, ``roots`` and ``curve`` as they run.
 
 Along a curve's coefficient table, an r-ball around x is where every
 P_k = (eps_k / r)^(2k) |z^(k)|^2 - 1 <= 0, z = x^-1 * y, a polynomial in
@@ -34,7 +35,7 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .algebra import NumericalResolutionError
@@ -66,33 +67,22 @@ class HomogeneousDistance:
 
     # -- gauge ------------------------------------------------------------
 
-    @cached_property
-    def _gauge(self):
-        """N on the coordinate columns of z, compiled on first use."""
-        return _compile_kernel(self.eps, self._slices)
-
-    @cached_property
-    def _pair(self):
-        """N(x^-1 * y) on the columns of x, then of y, compiled on first use."""
-        return _compile_kernel(self.eps, self._slices, self.law.q_polys)
-
-    def _columns(self, z):
-        """Coordinate columns z[j] of points of shape (..., n)."""
-        return _leading(self.law._floats(z)[0])
+    def _pair(self, cols):
+        """N(x^-1 * y) on ``cols``, the columns of x then of y, all of one shape."""
+        return _gauge(self.eps, self._slices, self.law._divide(cols))
 
     def norm(self, z):
         """N(z); batch aware (last axis is the coordinate axis)."""
-        return _point_or_batch(self._gauge(self._columns(z)))
+        return _point_or_batch(_gauge(self.eps, self._slices, _leading(self.law._floats(z)[0])))
 
     def distance(self, x, y):
         """d(x, y) = N(x^-1 * y) for points of shape (..., n) that broadcast.
 
-        One fused kernel, on x and y broadcast to one shape, takes the product
-        and the gauge as ``norm(law.multiply(law.inverse(x), y))`` bit for bit.
+        On the columns of x and y broadcast to one shape, the law's quotient
+        (``GroupLaw._divide``) and :func:`_gauge` round as
+        ``norm(law.multiply(law.inverse(x), y))``, bit for bit.
         """
-        import numpy as np
-        x, y = np.broadcast_arrays(*self.law._floats(x, y))
-        return _point_or_batch(self._pair([*_leading(x), *_leading(y)]))
+        return _point_or_batch(self._pair(self.law._columns(x, y)[2]))
 
     __call__ = distance
 
@@ -324,56 +314,31 @@ def _membership_source(layout: tuple, slices, kind: str) -> str:
 
 
 def _point_or_batch(out):
-    """A kernel's value: a float for a single point, else the array."""
+    """A gauge's value: a float for a single point, else the array."""
     return float(out) if getattr(out, "ndim", 0) == 0 else out
 
 
-def _compile_kernel(eps, slices, q_polys=None):
-    """Generate ``kernel(v)``: N(z) on the coordinate columns z[j] = v[j], or,
-    given a group law's ``q_polys``, N(x^-1 * y) on v, the columns of x
-    followed by those of y, all of one shape.
-
-    The product is z_i = (v[n + i] - v[i]) + (Q_i), Q_i summed in the order
-    of ``RationalPoly.float_terms``, each coefficient negated where its
-    term has an odd number of x factors.  Negation is exact and rounding
-    symmetric in sign, so z is ``GroupLaw.multiply(-x, y)`` bit for bit.
-    Products and sums go left to right, in place on the kernel's own
-    temporaries, never on a column of v.  A zero Q_i is not added, as
-    + 0.0 can change only the sign of a zero, which the gauge does not see.
-    The gauge skips unit weights and takes |z_j| for a layer of one coordinate.
-    """
+def _gauge(eps, slices, z):
+    """N on the coordinate columns z[j], all of one shape: per layer k, |z_j|
+    for a layer of one coordinate, else the sqrt of its squares summed left
+    to right, then sqrt again for k = 2 and ** (1/k) from k = 3, times
+    eps_k unless it is 1, the layers folded by ``np.maximum`` from the first.
+    Sums go in place on its own temporaries, never on a column of z."""
     import numpy as np
-    lines, col = [], "v[{}]".format
-
-    def total(name, products):        # lines summing the products of the factors into name
-        for i, (a, b, *rest) in enumerate(products):
-            lines.extend([f"    t = {a} * {b}\n", *(f"    t *= {f}\n" for f in rest),
-                          f"    {name} {'+=' if i else '='} t\n"])
-
-    if q_polys is not None:
-        n, col = len(q_polys), "z{}".format
-        for i, q in enumerate(q_polys):
-            lines.append(f"    z{i} = v[{n + i}] - v[{i}]\n")
-            if q:
-                total("q", [[repr(-c if sum(f < n for f in factors) % 2 else c),
-                             *(f"v[{f}]" for f in factors)] for c, factors in q.float_terms()])
-                lines.append(f"    z{i} += q\n")
-    terms = []
-    for k, sl in enumerate(slices, start=1):
+    out = None
+    for k, (e, sl) in enumerate(zip(eps, slices), start=1):
         if sl.stop - sl.start == 1:
-            mag = f"np.abs({col(sl.start)})"
+            mag = np.abs(z[sl.start])
         else:
-            total(f"m{k}", [[col(j)] * 2 for j in range(sl.start, sl.stop)])
-            mag = f"np.sqrt(m{k})"
-        root = mag if k == 1 else f"np.sqrt({mag})" if k == 2 else f"{mag} ** {1.0 / k!r}"
-        terms.append(root if eps[k - 1] == 1.0 else f"{eps[k - 1]!r} * {root}")
-    gauge = terms[0]
-    for term in terms[1:]:
-        gauge = f"np.maximum({gauge}, {term})"
-    scope = {"np": np}
-    # source built from our own terms
-    exec(f"def kernel(v):\n{''.join(lines)}    return {gauge}\n", scope)  # noqa: S102
-    return scope["kernel"]
+            mag = z[sl.start] * z[sl.start]
+            for j in range(sl.start + 1, sl.stop):
+                mag += z[j] * z[j]
+            mag = np.sqrt(mag)
+        root = mag if k == 1 else np.sqrt(mag) if k == 2 else mag ** (1.0 / k)
+        if e != 1.0:
+            root = e * root
+        out = root if out is None else np.maximum(out, root)
+    return out
 
 
 # -- triangle inequality audit ---------------------------------------------
@@ -405,8 +370,9 @@ def triangle_audit(dist: HomogeneousDistance, samples: int = 100_000,
     Points are drawn coordinate-wise uniform on [-1, 1], then dilated by a
     log-uniform factor in [1/4, 4] so several scales get exercised.
     Degenerate triples (zero denominator) score 0 by convention.  Each
-    distance is the fused kernel of ``distance``, which writes no point,
-    so the result is the same as scoring with ``norm(law.multiply(-x, y))``.
+    distance is ``distance``'s quotient and gauge on the block's columns,
+    which write no point, so the result is the same as scoring with
+    ``norm(law.multiply(-x, y))``.
 
     The draws are those of ``default_rng(seed)`` taking, per chunk of m =
     AUDIT_CHUNK triples, m x n uniforms for each of x, y and z (point-major),

@@ -7,7 +7,8 @@ monomials are exponent tuples, and the arithmetic never rounds: the one
 exact evaluation path, :func:`exact_evaluator`, runs on machine integers.
 Floating point enters only through :meth:`RationalPoly.float_terms`, the
 term table that :func:`float_sum` evaluates (python scalars and numpy
-arrays both work) and whose order ``metric``'s distance kernels keep.
+arrays both work): ``GroupLaw`` sums its product and its quotient
+x^-1 * y from these tables.
 
 Example:
 
@@ -180,8 +181,8 @@ class RationalPoly:
     def float_terms(self) -> list:
         """(float(c), factors) per term c * v^e, factors listing i exps[i] times, in
         sorted exponent order: the one term order of every float evaluation
-        (:meth:`as_callable`, ``GroupLaw``'s Q, ``metric``'s kernels), so all
-        round alike.  A coefficient beyond float range raises OverflowError."""
+        (:meth:`as_callable`, ``GroupLaw``'s Q in the product and the quotient),
+        so all round alike.  A coefficient beyond float range raises OverflowError."""
         return [(float(c), tuple(i for i, e in enumerate(exps) for _ in range(e)))
                 for exps, c in sorted(self.terms.items())]
 

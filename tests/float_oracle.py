@@ -9,6 +9,11 @@ hold ``GroupLaw.multiply``, ``GroupLaw.left_jacobian``,
 ``Frame.coordinates`` and ``RationalPoly.as_callable`` to the text bit for
 bit.  The functions below take x and y without broadcasting them, so
 columns of different shapes meet in the text as numpy broadcasts them.
+
+The gauge of a distance is text too (:func:`gauge_source`), as the
+distance kernel once generated it; :func:`distance` is that gauge of
+``multiply(law, -x, y)``, and tests hold ``HomogeneousDistance.distance``,
+``norm`` and the audit's ``_pair`` to it bit for bit.
 """
 
 import numpy as np
@@ -57,3 +62,30 @@ def coordinates(frame, x, v):
             if p is not None:
                 lam[..., l] -= as_callable(p)(cols) * lam[..., j]
     return lam
+
+
+def gauge_source(dist, var):
+    """Source text of the layer-max gauge of ``dist`` on the columns ``var[j]``:
+    per layer k, |z_j| for a layer of one coordinate, else the sqrt of the sum
+    of its squares, then sqrt again for k = 2 and ** (1/k) from k = 3, times
+    eps_k unless it is 1, the layers nested in ``np.maximum`` from the first."""
+    terms = []
+    for k, (e, sl) in enumerate(zip(dist.eps, dist._slices), start=1):
+        cols = [f"{var}[{j}]" for j in range(sl.start, sl.stop)]
+        mag = (f"np.abs({cols[0]})" if len(cols) == 1
+               else f"np.sqrt({' + '.join(f'{c} * {c}' for c in cols)})")
+        root = mag if k == 1 else f"np.sqrt({mag})" if k == 2 else f"{mag} ** {1.0 / k!r}"
+        terms.append(root if e == 1.0 else f"{e!r} * {root}")
+    gauge = terms[0]
+    for term in terms[1:]:
+        gauge = f"np.maximum({gauge}, {term})"
+    return gauge
+
+
+def norm(dist, z):
+    gauge = eval(f"lambda v: {gauge_source(dist, 'v')}", {"np": np})  # noqa: S307 - our own text
+    return gauge(_columns(np.asarray(z, dtype=float)))
+
+
+def distance(dist, x, y):
+    return norm(dist, multiply(dist.law, -np.asarray(x, dtype=float), y))

@@ -7,6 +7,7 @@ import random
 import re
 import struct
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cover_oracle
 from gradedgroups import fixtures, measure, metric, roots
 from gradedgroups.curve import (_anchor_rows, curve_from_samples, degree_profile,
                                 dilate_curve, polynomial_curve, translate_curve)
@@ -417,18 +419,21 @@ def _table_reach(dist, curve, r):
 
 
 def _reach_by_reach(dist, curve, delta, lo, hi):
-    """The greedy walk, each reach taken by the general path, piece by piece
-    with each table's compiled reach and, where its certificate refuses, the
-    search of roots.first_exit; none by the generated loop."""
+    """(centers, seams): the greedy walk, each reach taken by the general
+    path, piece by piece with each table's compiled reach and, where its
+    certificate refuses, the search of roots.first_exit; none by the
+    generated loop.  Its seams are (t, center, edge) per ball: the ball
+    around gamma(center) claims [t, edge], and the next ball's t is edge."""
     reach = _table_reach(dist, curve, delta)
     b, guard = curve.domain[1], 1e-12 * curve.span()
-    t, step, centers = lo, None, []
+    t, step, centers, seams = lo, None, [], []
     while True:
         center = reach(t, step)
         centers.append(center)
         edge = reach(center, center - t) if center > t else center
+        seams.append((t, center, edge))
         if edge >= hi - guard or edge >= b:
-            return tuple(centers)
+            return tuple(centers), tuple(seams)
         if edge <= t + guard:
             raise NumericalResolutionError(f"covering walk stalled at t = {t} (delta = {delta})")
         step, t = max(edge - center, guard), edge
@@ -487,7 +492,7 @@ def test_generated_walk_is_the_reach_by_reach_walk(case):
         group, curve, delta, lo, hi = case
     dist = fixtures.distance(group)
     try:
-        want = _reach_by_reach(dist, curve, delta, lo, hi)
+        want, _ = _reach_by_reach(dist, curve, delta, lo, hi)
     except NumericalResolutionError as exc:
         with pytest.raises(NumericalResolutionError, match=re.escape(str(exc))):
             spherical_measure_upper(dist, curve, 1, delta, intervals=[(lo, hi)])
@@ -536,7 +541,7 @@ def test_walk_refuses_uncertified_brackets(dist, monkeypatch):
         lo, hi = iv or curve.domain
         est = spherical_measure_upper(fresh, curve, 1, delta, intervals=[(lo, hi)])
         assert bool(refused) == refuses
-        assert est.centers == _reach_by_reach(fresh, curve, delta, lo, hi)
+        assert est.centers == _reach_by_reach(fresh, curve, delta, lo, hi)[0]
     # on the wavy curve the certificate matters: generated without it for a
     # Newton bracket (a < hi), in the loop and the tables' reach, the walk
     # would step over a wave.  The certificate of a piece where Newton
@@ -548,7 +553,7 @@ def test_walk_refuses_uncertified_brackets(dist, monkeypatch):
     assert spherical_measure_upper(fresh, _wavy_curve(), 1, 0.1).ball_count == 22
     monkeypatch.undo()
     fresh = HomogeneousDistance(dist.law, dist.eps)
-    assert len(_reach_by_reach(fresh, _wavy_curve(), 0.1, -1.0, 1.0)) == 23
+    assert len(_reach_by_reach(fresh, _wavy_curve(), 0.1, -1.0, 1.0)[0]) == 23
 
 
 def test_walk_runs_in_one_call_per_interval(dist, monkeypatch):
@@ -603,6 +608,81 @@ def _bench_walk_curve():
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     return curve_from_samples(workloads.curve_doc(random.Random("walk:11"))["samples"], 3)
+
+
+# -- the exact cover referee (tests/cover_oracle.py) -----------------------------
+
+
+def _refereed(curve, delta, interval):
+    """(referee of the walk's balls, its verdict, its seams): the walk of
+    ``spherical_measure_upper`` over the interval on heisenberg, its seams
+    from the reach-by-reach walk, whose centers it has bit for bit."""
+    dist = fixtures.distance("heisenberg")
+    centers, seams = _reach_by_reach(dist, curve, delta, *interval)
+    assert spherical_measure_upper(dist, curve, 1, delta, intervals=[interval]).centers == centers
+    return (cover_oracle.Referee(dist, curve, delta, centers),
+            cover_oracle.referee(dist, curve, delta, seams, interval), seams)
+
+
+def _outside_every_ball(ref, t):
+    return not any(ref.holds(j, t) for j in range(len(ref.centers)))
+
+
+@pytest.mark.parametrize("case, delta, backward, gaps", [
+    ("rough", 0.1, 31, [3, 5, 9, 30, 33, 34, 44, 62, 63, 79, 94, 100]),
+    ("wavy", 0.1, 2, [0, 19]),
+    ("wavy", 0.05, 1, [76])])
+def test_referee_proves_the_walks_gaps(case, delta, backward, gaps):
+    # pinned: the walk certifies (t, c) against the ball around gamma(t) and
+    # never against the center's own (ROADMAP item 2), so on the curves that
+    # double back or wave these balls leave proven gaps, each in its
+    # backward claim, at a rational point no ball of radius delta (1 + 2^-40)
+    # holds.  Every forward claim is proven
+    curve = {"rough": _rough_curve, "wavy": _wavy_curve}[case]()
+    ref, verdict, seams = _refereed(curve, delta, (-1.0, 1.0))
+    assert (len(verdict.backward), verdict.forward, sorted(verdict.gaps), verdict.undecided) \
+        == (backward, [], gaps, [])
+    for i, t in verdict.gaps.items():
+        assert seams[i][0] <= t <= seams[i][1] and _outside_every_ball(ref, t)
+
+
+@pytest.mark.parametrize("case, delta", [("cubic", 0.3), ("parabola_lift", 2.0 ** -4),
+                                         ("bench", 2.0 ** -3)])
+def test_referee_proves_the_walks_covers(case, delta):
+    # every claim of every ball proven alone
+    curve = {"cubic": _cubic_curve, "bench": _bench_walk_curve,
+             "parabola_lift": lambda: fixtures.curve("parabola_lift")}[case]()
+    _, verdict, _ = _refereed(curve, delta, tuple(float(p) for p in curve.domain))
+    assert verdict == cover_oracle.Verdict() and verdict.covered
+
+
+def test_referee_finds_gaps_between_smaller_balls():
+    # the cubic's centers at delta 0.3 judged as balls of radius 0.15: gaps,
+    # each at a point that no ball of the smaller radius holds
+    dist, curve = fixtures.distance("heisenberg"), _cubic_curve()
+    centers, seams = _reach_by_reach(dist, curve, 0.3, -1.0, 1.0)
+    verdict = cover_oracle.referee(dist, curve, 0.15, seams, (-1.0, 1.0))
+    assert verdict.gaps and not verdict.covered and not verdict.undecided
+    ref = cover_oracle.Referee(dist, curve, 0.15, centers)
+    assert all(_outside_every_ball(ref, t) for t in verdict.gaps.values())
+
+
+def test_referee_halves_are_the_bernstein_coefficients_of_each_half():
+    # de Casteljau's integer sums give each half's coefficients up to one
+    # positive factor: those of p(tau / 2) and of p((1 + tau) / 2)
+    rng = random.Random(21)
+    for degree in range(7):
+        p = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(degree + 1)]
+        whole = cover_oracle._bernstein(cover_oracle._poly(p))
+        for half, shift in zip(cover_oracle._halves(whole), (0, 1)):
+            q = [Fraction(0)] * (degree + 1)      # p((shift + tau) / 2)
+            for k, c in enumerate(p):
+                for j in range(k + 1):
+                    q[j] += c * math.comb(k, j) * Fraction(shift) ** (k - j) / 2 ** k
+            want = cover_oracle._bernstein(cover_oracle._poly(q))
+            assert all(a * want[0] == b * half[0] for a, b in zip(half, want)) or \
+                all(a * want[-1] == b * half[-1] for a, b in zip(half, want))
+            assert all((a > 0) == (b > 0) and (a < 0) == (b < 0) for a, b in zip(half, want))
 
 
 def test_bench_walk_generates_each_text_once(monkeypatch):

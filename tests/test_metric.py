@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from gradedgroups import (DimensionMismatch, bch_group_law, fixtures, metric, spec_from_dict,
                           validate_algebra)
 from gradedgroups.curve import curve_from_samples, dilate_curve, polynomial_curve
+from gradedgroups.group import GroupLaw
 from gradedgroups.metric import (HomogeneousDistance, _line_gauge_interval_length,
                                  degree_constant, metric_factor, triangle_audit)
 from gradedgroups.roots import NumericalResolutionError
+import float_oracle
 from membership_oracle import table_polys
 
 
@@ -33,19 +36,33 @@ def test_eps_validation(heis):
             HomogeneousDistance(heis, eps)
 
 
-def test_kernels_compile_on_first_use(monkeypatch):
-    compiled = []
-    compile_kernel = metric._compile_kernel
-    monkeypatch.setattr(metric, "_compile_kernel",
-                        lambda *args: compiled.append(args) or compile_kernel(*args))
-    law = fixtures.group_law("engel")
-    dist = HomogeneousDistance(law, (1.0, 1.0, 1.0))
-    assert compiled == []
-    x, y = np.random.default_rng(4).uniform(-1, 1, (2, law.n))
-    dist.distance(x, y)
-    dist.distance_from(x)(y)
-    triangle_audit(dist, samples=10)
-    assert [args[2:] for args in compiled] == [(law.q_polys,)]
+def test_quotient_tables_derive_once_on_first_use(monkeypatch):
+    # building a distance derives no quotient tables; the first distance,
+    # distance_from or audit call derives them once per law, and every later
+    # call of any of them, from any distance on that law, reuses them
+    derived = []
+    tables = GroupLaw._divide_kernel.func
+    counted = cached_property(lambda law: derived.append(law) or tables(law))
+    counted.__set_name__(GroupLaw, "_divide_kernel")
+    monkeypatch.setattr(GroupLaw, "_divide_kernel", counted)
+    calls = [lambda dist, x, y: dist.distance(x, y),
+             lambda dist, x, y: dist.distance_from(x)(y),
+             lambda dist, x, y: triangle_audit(dist, samples=10)]
+    for first in range(len(calls)):
+        order = calls[first:] + calls[:first]
+        for law in (bch_group_law(validate_algebra(fixtures.algebra_spec("engel"))),
+                    filiform_law(4)):
+            dists = [HomogeneousDistance(law, eps) for eps in ([1.0] * law.step, [0.5] * law.step)]
+            assert derived == []
+            x, y = np.random.default_rng(4).uniform(-1, 1, (2, law.n))
+            order[0](dists[0], x, y)
+            assert len(derived) == 1 and derived[0] is law
+            kept = law._divide_kernel
+            for dist in dists:
+                for call in order:
+                    call(dist, x, y)
+            assert len(derived) == 1 and law._divide_kernel is kept
+            derived.clear()
 
 
 @pytest.mark.parametrize("eps2", [0.5, 1.0, 2.0])
@@ -97,8 +114,8 @@ def _bits(a):
 
 
 def test_distance_from_closure():
-    # the fused kernels of distance and distance_from round exactly as the
-    # product and the gauge taken one after the other
+    # distance and distance_from, the quotient and the gauge on columns,
+    # round exactly as the product and the gauge taken one after the other
     rng = np.random.default_rng(1)
     for law in (fixtures.group_law("heisenberg"), fixtures.group_law("engel"),
                 filiform_law(5), filiform_law(8), free_law(5)):
@@ -129,8 +146,41 @@ def _laws():
             filiform_law(5), filiform_law(8), free_law(5))
 
 
+def test_distance_norm_and_pair_are_the_text_gauge_bit_for_bit():
+    # the law's quotient and the gauge round as the text gauge of the text
+    # product of -x and y (tests/float_oracle.py): on single points, which
+    # give floats, on shapes that only broadcast, on coincident points and
+    # on signed zeros, with weights of 1 and not
+    rng = np.random.default_rng(39)
+    for law in _laws():
+        n = law.n
+        for eps in ([0.5 + 0.4 * k for k in range(law.step)], [1.0] + [2.5] * (law.step - 1)):
+            dist = HomogeneousDistance(law, eps)
+            same = rng.uniform(-1, 1, (6, n))
+            zeros = np.where(rng.random((2, 5, n)) < 0.5, 0.0, -0.0)
+            mixed = rng.uniform(-1, 1, (2, 5, n))
+            mixed[rng.random((2, 5, n)) < 0.4] = -0.0
+            cases = [(same[0], same[1]), (same[0].tolist(), same[1].tolist()), (same[2], same[2]),
+                     (zeros[0, 0], zeros[1, 0]), (same[:3], same[3]),
+                     (rng.uniform(-1, 1, (3, 1, n)), rng.uniform(-1, 1, (1, 4, n))),
+                     (same, same), (zeros[0], zeros[1]), (mixed[0], mixed[1]), (mixed[0], -mixed[0])]
+            for x, y in cases:
+                want = float_oracle.distance(dist, x, y)
+                got = dist.distance(x, y)
+                if np.ndim(want) == 0:
+                    assert type(got) is float
+                assert np.shape(got) == np.shape(want) and _bits(got) == _bits(want)
+                if np.shape(x) == np.shape(y):
+                    cols = [*np.moveaxis(np.asarray(x, dtype=float), -1, 0),
+                            *np.moveaxis(np.asarray(y, dtype=float), -1, 0)]
+                    assert _bits(dist._pair(cols)) == _bits(want)
+                for z in (x, y):
+                    got, want = dist.norm(z), float_oracle.norm(dist, z)
+                    assert np.shape(got) == np.shape(want) and _bits(got) == _bits(want)
+
+
 def test_distance_broadcasts_and_keeps_coincident_and_signed_zero_bits():
-    # the kernel folds the signs of x into its coefficients and works in
+    # the quotient folds the signs of x into its coefficients and works in
     # place: on batches that only broadcast to one shape, on coincident
     # coordinates and on -0.0 it still rounds as the product and the gauge
     rng = np.random.default_rng(2)
@@ -168,7 +218,7 @@ def test_distances_leave_their_inputs_unwritten():
         dist.norm(x)
         dist.norm(x0)
         assert [_bits(p) for p in (x0, x, y)] == before
-        # the audit's kernel leaves the columns of its points as it got them
+        # the audit's pair leaves the columns of its points as it got them
         pair, seen = dist._pair, []
 
         def checked(cols):
@@ -355,7 +405,7 @@ def test_streamed_audit_is_the_chunk_wide_audit(name, seed, samples):
 def test_triangle_audit_memory_is_one_block():
     # a chunk and a bit: the chunk-wide draw peaked at 13.6 MiB
     dist = fixtures.distance("engel")
-    triangle_audit(dist, samples=1)          # compiles the kernel outside the trace
+    triangle_audit(dist, samples=1)          # derives the quotient tables outside the trace
     tracemalloc.start()
     try:
         triangle_audit(dist, samples=metric.AUDIT_CHUNK + 7)
